@@ -5,8 +5,8 @@
 //!
 //! These are the per-simulated-instruction costs that bound harness
 //! throughput: a capability load/store streak within one page (the
-//! common case the micro-TLB and frame-memo serve), a 4 KiB data write
-//! (batched cache-line charging plus bulk tag clearing), and the
+//! common case: TLB and frame lookups in the page directory), a 4 KiB
+//! data write (batched cache-line charging plus bulk tag clearing), and the
 //! revoker's page sweep (zero-allocation page visits). Non-quick runs
 //! record throughput in `BENCH_hotpath.json` at the workspace root,
 //! alongside the pre-optimization baseline captured below so the file

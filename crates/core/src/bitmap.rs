@@ -55,12 +55,6 @@ impl RevocationBitmap {
         }
     }
 
-    /// The covered heap range.
-    #[must_use]
-    pub fn heap_range(&self) -> (u64, u64) {
-        (self.heap_base, self.heap_len)
-    }
-
     fn index(&self, addr: u64) -> Option<usize> {
         if addr < self.heap_base || addr >= self.heap_base + self.heap_len {
             return None;

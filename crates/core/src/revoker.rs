@@ -14,9 +14,8 @@ use crate::epoch::EpochClock;
 use crate::hoards::KernelHoards;
 use crate::worklist::ShardedWorklist;
 use cheri_cap::Capability;
-use cheri_mem::{CoreId, PAGE_SIZE};
+use cheri_mem::{CoreId, PageMap, PAGE_SIZE};
 use cheri_vm::Machine;
-use std::collections::BTreeSet;
 
 /// Which revocation algorithm to run (paper §5: the four studied systems,
 /// plus the CHERIoT-style filter of §6.3 as an ablation).
@@ -279,7 +278,7 @@ pub struct Revoker {
     state: State,
     /// Pages ever observed capability-dirty. Our re-implementation (like
     /// the paper's, §4.5) never un-tracks a page that becomes clean.
-    tracked: BTreeSet<u64>,
+    tracked: PageMap<()>,
     stats: RevStats,
     phases: Vec<PhaseRecord>,
     /// Cycles of fault handling accumulated in the current epoch.
@@ -290,6 +289,8 @@ pub struct Revoker {
     /// Lifetime concurrent-sweep cycles per configured revoker core,
     /// aligned with `cfg.revoker_cores`.
     core_concurrent_cycles: Vec<u64>,
+    /// Reusable per-core cycle tally of one `parallel_sweep` slice.
+    step_used: Vec<u64>,
     /// Reusable page-visit buffer: `sweep_page_contents` snapshots each
     /// page's tagged capabilities here instead of allocating a `Vec` per
     /// page (the sweep visits every mapped page each epoch).
@@ -307,11 +308,12 @@ impl Revoker {
         Revoker {
             bitmap: RevocationBitmap::new(heap_base, heap_len),
             core_concurrent_cycles: vec![0; cfg.revoker_cores.len()],
+            step_used: vec![0; cfg.revoker_cores.len()],
             cfg,
             epoch: EpochClock::new(),
             hoards: KernelHoards::new(),
             state: State::Idle,
-            tracked: BTreeSet::new(),
+            tracked: PageMap::default(),
             stats: RevStats::default(),
             phases: Vec::new(),
             epoch_fault_cycles: 0,
@@ -431,7 +433,7 @@ impl Revoker {
         self.epoch_concurrent_cycles = 0;
         // Union newly capability-dirty pages into the sticky tracked set.
         for p in machine.cap_dirty_pages() {
-            self.tracked.insert(p);
+            self.tracked.insert(p / PAGE_SIZE, ());
         }
         let sync = self.sync_cost(busy_threads);
         match self.cfg.strategy {
@@ -444,7 +446,7 @@ impl Revoker {
                 // Everything happens with the world stopped.
                 let mut cycles = sync;
                 cycles += self.scan_registers_and_hoards(machine);
-                let pages: Vec<u64> = self.tracked.iter().copied().collect();
+                let pages: Vec<u64> = self.tracked_pages().collect();
                 for page in pages {
                     cycles += self.sweep_page_contents(machine, self.cfg.revoker_cores[0], page);
                 }
@@ -457,7 +459,7 @@ impl Revoker {
                 // No initial STW: snapshot the tracked pages and go
                 // concurrent. Clear CD bits as pages are visited so
                 // re-dirtying is observable.
-                let work = self.shard(self.tracked.iter().copied());
+                let work = self.shard(self.tracked_pages());
                 self.state = State::CornConcurrent { work };
                 0
             }
@@ -494,7 +496,7 @@ impl Revoker {
                 // cycle-stealing engine does this too) and sweep in the
                 // background so bitmap bits can eventually be recycled.
                 let cycles = self.scan_registers_and_hoards(machine);
-                let work = self.shard(self.tracked.iter().copied());
+                let work = self.shard(self.tracked_pages());
                 self.state = State::RelConcurrent { work };
                 self.stats.stw_cycles += cycles;
                 cycles
@@ -551,16 +553,17 @@ impl Revoker {
         budget: u64,
         cornucopia: bool,
     ) -> u64 {
-        let cores = self.cfg.revoker_cores.clone();
-        let mut used = vec![0u64; cores.len()];
+        let mut used = std::mem::take(&mut self.step_used);
+        used.fill(0);
         'slice: loop {
             let mut progressed = false;
-            for (shard, &core) in cores.iter().enumerate() {
-                if used[shard] >= budget {
+            for (shard, spent) in used.iter_mut().enumerate() {
+                if *spent >= budget {
                     continue;
                 }
                 let Some(page) = work.pop_for(shard) else { break 'slice };
-                used[shard] += if cornucopia {
+                let core = self.cfg.revoker_cores[shard];
+                let cycles = if cornucopia {
                     // Visit: clear CD first so stores during/after the scan
                     // re-dirty the page for the STW re-sweep.
                     machine.clear_page_cap_dirty(page);
@@ -568,23 +571,21 @@ impl Revoker {
                 } else {
                     self.visit_page_reloaded(machine, core, page)
                 };
+                *spent += cycles;
+                self.core_concurrent_cycles[shard] += cycles;
                 progressed = true;
             }
             if !progressed {
                 break;
             }
         }
-        for (shard, &u) in used.iter().enumerate() {
-            self.core_concurrent_cycles[shard] += u;
-        }
-        let critical_path = used.into_iter().max().unwrap_or(0);
+        let critical_path = used.iter().copied().max().unwrap_or(0);
+        self.step_used = used;
         self.epoch_concurrent_cycles += critical_path;
         self.stats.concurrent_cycles += critical_path;
         critical_path
     }
 
-    /// Deals a deterministic (ascending) page set into one shard per
-    /// configured revoker core.
     /// Deals an ascending page sequence into the per-core worklist shards.
     fn shard(&self, pages: impl IntoIterator<Item = u64>) -> ShardedWorklist {
         ShardedWorklist::new(pages, self.cfg.revoker_cores.len())
@@ -605,11 +606,11 @@ impl Revoker {
         // Pages dirtied *for the first time* during the concurrent phase
         // must join the sweep too, not just re-dirtied ones.
         for p in machine.cap_dirty_pages() {
-            self.tracked.insert(p);
+            self.tracked.insert(p / PAGE_SIZE, ());
         }
         // Re-dirtied pages have their CD bit set again.
         let redirtied: Vec<u64> =
-            self.tracked.iter().copied().filter(|&p| machine.page_cap_dirty(p)).collect();
+            self.tracked_pages().filter(|&p| machine.page_cap_dirty(p)).collect();
         let core = self.cfg.revoker_cores[0];
         for page in redirtied {
             machine.clear_page_cap_dirty(page);
@@ -685,6 +686,11 @@ impl Revoker {
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
+
+    /// Addresses of the tracked pages, ascending.
+    fn tracked_pages(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tracked.iter().map(|(n, ())| n * PAGE_SIZE)
+    }
 
     fn sync_cost(&self, busy_threads: usize) -> u64 {
         self.cfg.stw_sync_base_cycles
@@ -802,10 +808,10 @@ impl Revoker {
     /// advantage on churn-heavy workloads comes from (Figure 6).
     fn visit_page_reloaded(&mut self, machine: &mut Machine, core: CoreId, page: u64) -> u64 {
         let mut cycles = 0;
-        if self.tracked.contains(&page) || machine.page_cap_dirty(page) {
+        if self.tracked.contains(page / PAGE_SIZE) || machine.page_cap_dirty(page) {
             cycles += self.sweep_page_contents(machine, core, page);
             if !machine.mem().phys().page_has_tags(page) {
-                self.tracked.remove(&page);
+                self.tracked.remove(page / PAGE_SIZE);
                 machine.clear_page_cap_dirty(page);
                 cycles += 120;
             }

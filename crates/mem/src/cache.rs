@@ -240,16 +240,6 @@ impl Hierarchy {
     pub(crate) fn stats(&self, core: usize) -> TrafficStats {
         self.stats[core]
     }
-
-    pub(crate) fn total_dram(&self) -> u64 {
-        self.stats.iter().map(|s| s.dram_transactions).sum()
-    }
-
-    pub(crate) fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            *s = TrafficStats::default();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
-//! A fixed-seed hasher for the simulator's page- and granule-keyed maps.
+//! A fixed-seed hasher for the simulator's id-keyed point-lookup tables.
 //!
-//! The default `HashMap` state is SipHash with a per-process random key.
-//! That is both slow on the simulator's hottest lookups (frame index, TLB,
-//! sweep worklists — all keyed by small integers) and a latent determinism
-//! hazard. This Fibonacci-multiply hasher is fixed-seed and a handful of
-//! cycles; it mixes page numbers plenty for power-of-two tables. Use it
-//! only for maps that are never iterated (point lookups cannot observe
-//! bucket order, so the hash function cannot influence simulated results);
-//! hash-flooding resistance is irrelevant inside a simulator.
+//! The default `HashMap` state is SipHash with a per-process random key:
+//! slow for small-integer keys probed on every simulated op (the
+//! simulator's live-object set and in-flight transaction table), and a
+//! latent determinism hazard. This Fibonacci-multiply hasher is
+//! fixed-seed and a handful of cycles. Use it only for maps that are
+//! never iterated (point lookups cannot observe bucket order, so the hash
+//! function cannot influence simulated results); hash-flooding resistance
+//! is irrelevant inside a simulator. Anything keyed by *page* belongs in
+//! [`crate::PageMap`] instead, which indexes rather than hashes and
+//! iterates in page order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -34,11 +36,6 @@ impl Hasher for FastHasher {
         self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 ^= self.0 >> 29;
     }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
 }
 
 /// `BuildHasher` for [`FastHasher`].
@@ -55,13 +52,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nearby_pages_spread_across_buckets() {
-        // Consecutive page numbers must not collide in the low bits the
-        // table actually uses.
+    fn nearby_ids_spread_across_buckets() {
+        // Consecutive ids must not collide in the low bits the table
+        // actually uses.
         let low_bits: HashSet<u64> = (0..64u64)
-            .map(|p| {
+            .map(|id| {
                 let mut h = FastHasher::default();
-                h.write_u64(p * 4096);
+                h.write_u64(id);
                 h.finish() & 0x7f
             })
             .collect();
@@ -72,10 +69,10 @@ mod tests {
     fn map_roundtrips() {
         let mut m = FastMap::default();
         for i in 0..1000u64 {
-            m.insert(i * 4096, i);
+            m.insert(i, i * 3);
         }
         for i in 0..1000u64 {
-            assert_eq!(m.get(&(i * 4096)), Some(&i));
+            assert_eq!(m.get(&i), Some(&(i * 3)));
         }
     }
 }

@@ -36,10 +36,12 @@
 
 mod cache;
 pub mod hash;
+mod pagemap;
 mod phys;
 
 pub use cache::{AccessKind, CacheConfig, TrafficStats};
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use pagemap::PageMap;
 pub use phys::{PhysMem, GRANULES_PER_PAGE, PAGE_SIZE};
 
 use cheri_cap::Capability;
@@ -141,17 +143,6 @@ impl MemSystem {
     #[must_use]
     pub fn traffic(&self, core: CoreId) -> TrafficStats {
         self.caches.stats(core)
-    }
-
-    /// Sum of DRAM transactions across all cores.
-    #[must_use]
-    pub fn total_dram_transactions(&self) -> u64 {
-        self.caches.total_dram()
-    }
-
-    /// Resets traffic counters (cache contents are kept).
-    pub fn reset_traffic(&mut self) {
-        self.caches.reset_stats();
     }
 }
 

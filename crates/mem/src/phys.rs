@@ -1,15 +1,15 @@
 //! Sparse, demand-zero tagged physical memory.
 //!
 //! Host performance: frames live in a dense slab (`Vec<Frame>`) behind a
-//! page-number → slot index, with a one-entry lookup memo serving the
-//! same-page access streaks that dominate every workload. Released
-//! frames park on a free list and are reset (not reallocated) on reuse.
-//! None of this is visible to the simulation: counters, tags, and data
-//! are bit-identical to a naive map of pages.
+//! page-number → slot [`PageMap`]. A released frame parks on a free list
+//! and is reset (not reallocated) on reuse; a dropped memory leaves its
+//! data pages to the next one built on the same thread. None of this is
+//! visible to the simulation: counters, tags, and data are bit-identical
+//! to a naive map of pages.
 
 use cheri_cap::{Capability, CAP_SIZE};
-use std::cell::Cell;
-use crate::hash::FastMap;
+use crate::pagemap::PageMap;
+use std::cell::RefCell;
 
 /// Page size in bytes (Morello and CheriBSD use 4 KiB base pages).
 pub const PAGE_SIZE: u64 = 4096;
@@ -18,6 +18,16 @@ pub const PAGE_SIZE: u64 = 4096;
 pub const GRANULES_PER_PAGE: usize = (PAGE_SIZE / CAP_SIZE) as usize;
 
 const TAG_WORDS: usize = GRANULES_PER_PAGE / 64;
+
+/// Most data pages kept for the thread's next [`PhysMem`] (64 MiB).
+const SPARE_PAGES_MAX: usize = 1 << 14;
+
+thread_local! {
+    /// Data pages of dropped memories, zeroed when taken. Handing them on
+    /// keeps the host allocator from returning a short cell's heap to the
+    /// OS and faulting it back in for the next cell.
+    static SPARE_PAGES: RefCell<Vec<Box<[u8]>>> = const { RefCell::new(Vec::new()) };
+}
 
 /// One physical page frame: 4 KiB of data, a 256-bit tag vector, and shadow
 /// storage for the decompressed capabilities whose encodings live in the
@@ -41,7 +51,13 @@ struct Frame {
 impl Frame {
     fn new() -> Frame {
         Frame {
-            data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            data: match SPARE_PAGES.with(|spare| spare.borrow_mut().pop()) {
+                Some(mut data) => {
+                    data.fill(0);
+                    data
+                }
+                None => vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            },
             tags: [0; TAG_WORDS],
             caps: None,
             colors: None,
@@ -101,16 +117,21 @@ pub struct PhysMem {
     /// Dense frame storage; slots are stable for the life of the memory.
     slab: Vec<Frame>,
     /// Page number → slab slot for materialized pages.
-    index: FastMap<u64, u32>,
+    index: PageMap<u32>,
     /// Slots whose pages were released, available for reuse.
     free_slots: Vec<u32>,
-    /// Materialized (live) frame count; `index.len()` as a plain counter.
-    live_frames: u64,
     peak_resident: u64,
-    /// Memo of the last located page (page number, slot): same-page access
-    /// streaks skip the index entirely. Purely a host-side cache — slots
-    /// are stable, so a hit can never observe stale data.
-    last: Cell<Option<(u64, u32)>>,
+}
+
+impl Drop for PhysMem {
+    fn drop(&mut self) {
+        // `try_with`: a memory dropped during thread teardown just frees.
+        let _ = SPARE_PAGES.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let room = SPARE_PAGES_MAX.saturating_sub(spare.len());
+            spare.extend(self.slab.drain(..).take(room).map(|frame| frame.data));
+        });
+    }
 }
 
 impl PhysMem {
@@ -120,35 +141,21 @@ impl PhysMem {
         PhysMem::default()
     }
 
-    /// Locates the slab slot of page `fno`, if materialized.
-    #[inline]
-    fn slot_of(&self, fno: u64) -> Option<u32> {
-        if let Some((p, s)) = self.last.get() {
-            if p == fno {
-                return Some(s);
-            }
-        }
-        let s = *self.index.get(&fno)?;
-        self.last.set(Some((fno, s)));
-        Some(s)
-    }
-
     #[inline]
     fn frame(&self, addr: u64) -> Option<&Frame> {
-        self.slot_of(addr / PAGE_SIZE).map(|s| &self.slab[s as usize])
+        self.index.get(addr / PAGE_SIZE).map(|&s| &self.slab[s as usize])
     }
 
     #[inline]
     fn frame_mut_existing(&mut self, addr: u64) -> Option<&mut Frame> {
-        let s = self.slot_of(addr / PAGE_SIZE)?;
-        Some(&mut self.slab[s as usize])
+        self.index.get(addr / PAGE_SIZE).map(|&s| &mut self.slab[s as usize])
     }
 
     /// Locates (materializing on demand) the frame backing `addr`. The
     /// residency watermark moves only on the insertion path.
     fn frame_mut(&mut self, addr: u64) -> &mut Frame {
         let fno = addr / PAGE_SIZE;
-        if let Some(s) = self.slot_of(fno) {
+        if let Some(&s) = self.index.get(fno) {
             return &mut self.slab[s as usize];
         }
         let slot = match self.free_slots.pop() {
@@ -163,12 +170,7 @@ impl PhysMem {
             }
         };
         self.index.insert(fno, slot);
-        self.last.set(Some((fno, slot)));
-        self.live_frames += 1;
-        let resident = self.live_frames * PAGE_SIZE;
-        if resident > self.peak_resident {
-            self.peak_resident = resident;
-        }
+        self.peak_resident = self.peak_resident.max(self.resident_bytes());
         &mut self.slab[slot as usize]
     }
 
@@ -348,23 +350,11 @@ impl PhysMem {
         }
     }
 
-    /// Whether the page containing `addr` has been materialized.
-    #[must_use]
-    #[inline]
-    pub fn page_resident(&self, addr: u64) -> bool {
-        self.slot_of(addr / PAGE_SIZE).is_some()
-    }
-
     /// Releases the frame backing `page_addr` (munmap / page reclaim). The
     /// page's contents and tags are discarded; subsequent reads see zero.
     pub fn release_page(&mut self, page_addr: u64) {
-        let fno = page_addr / PAGE_SIZE;
-        if let Some(slot) = self.index.remove(&fno) {
+        if let Some(slot) = self.index.remove(page_addr / PAGE_SIZE) {
             self.free_slots.push(slot);
-            self.live_frames -= 1;
-            if self.last.get().is_some_and(|(p, _)| p == fno) {
-                self.last.set(None);
-            }
         }
     }
 
@@ -400,7 +390,7 @@ impl PhysMem {
     /// Currently resident bytes (materialized frames only).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        self.live_frames * PAGE_SIZE
+        self.index.len() as u64 * PAGE_SIZE
     }
 
     /// High-water mark of [`PhysMem::resident_bytes`]; the evaluation's
@@ -460,6 +450,24 @@ mod tests {
         assert_eq!(mem.read_u64(0xdead_0000), 0);
         assert!(!mem.tag(0xdead_0000));
         assert!(!mem.load_cap(0xdead_0000).is_tagged());
+    }
+
+    #[test]
+    fn pages_of_a_dropped_memory_come_back_zeroed() {
+        let mut mem = PhysMem::new();
+        mem.write_bytes(0x4000, &[0xab; 64]);
+        mem.store_cap(0x4040, cap(0x1234_0000));
+        drop(mem);
+        let spare = SPARE_PAGES.with(|s| s.borrow().len());
+        assert!(spare >= 1, "the dropped memory's data page was not kept");
+        // The next memory on this thread takes the page and sees none of it.
+        let mut mem = PhysMem::new();
+        mem.materialize_page(0x4000);
+        assert_eq!(SPARE_PAGES.with(|s| s.borrow().len()), spare - 1);
+        let mut back = [0xffu8; 128];
+        mem.read_bytes(0x4000, &mut back);
+        assert_eq!(back, [0u8; 128]);
+        assert!(!mem.page_has_tags(0x4000));
     }
 
     #[test]

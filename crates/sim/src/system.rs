@@ -8,11 +8,11 @@ use crate::telemetry::{
     NullSink, Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent, TelemetrySink,
 };
 use cheri_cap::{Capability, CAP_SIZE};
-use cheri_mem::CoreId;
+use cheri_mem::{CoreId, FastMap, FastSet};
 use cheri_vm::{Machine, ThreadId, VmFault};
 use cheri_alloc::{AllocError, HeapLayout, Mrs, MrsConfig};
 use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Simulation failures (workload or configuration bugs; a correct run
@@ -97,7 +97,7 @@ pub struct System {
     mmap_space: cheri_alloc::MmapSpace,
     root: Capability,
     app_thread: ThreadId,
-    live: HashSet<ObjId>,
+    live: FastSet<ObjId>,
     // Clocks and ledgers.
     wall: u64,
     app_cpu: u64,
@@ -105,7 +105,7 @@ pub struct System {
     /// Wall point up to which background revoker progress was applied.
     rev_mark: u64,
     stats: RunStats,
-    tx_start: HashMap<u64, u64>,
+    tx_start: FastMap<u64, u64>,
     next_arrival: u64,
     last_release_epoch: u64,
     reg_rr: usize,
@@ -225,13 +225,13 @@ impl System {
             mmap_space,
             root,
             app_thread,
-            live: HashSet::new(),
+            live: FastSet::default(),
             wall: 0,
             app_cpu: 0,
             rev_cpu: 0,
             rev_mark: 0,
             stats: RunStats::default(),
-            tx_start: HashMap::new(),
+            tx_start: FastMap::default(),
             next_arrival: 0,
             last_release_epoch: 0,
             reg_rr: 0,

@@ -23,10 +23,12 @@
 //!    outputs must be bit-stable across machines. The harness crates
 //!    (`bench`, `simtest`) measure wall time and are exempt.
 //! 5. **Deleted deprecated APIs stay deleted** — call sites of the
-//!    removed `orchestrator::expand_*` wrappers and of the deprecated
-//!    env shims (`Scale::from_env`, `RunOptions::from_env`,
-//!    `jobs_from_env`, `run_suite_from_env`) may not return; the shims'
-//!    own defining files are the only allowed mentions.
+//!    removed `orchestrator::expand_*` wrappers, the pieces of the page
+//!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
+//!    `pte_memo`, `free_pte_slots`) and the deprecated env shims
+//!    (`Scale::from_env`, `RunOptions::from_env`, `jobs_from_env`,
+//!    `run_suite_from_env`) may not return; the shims' own defining
+//!    files are the only allowed mentions.
 //!
 //! Comment lines (`//`, `///`, `//!`) are skipped, so prose may discuss
 //! a banned token. This linter's own sources are excluded from the token
@@ -47,8 +49,13 @@ const DETERMINISTIC_CRATES: &[&str] =
 /// renames (`x = { package = "rand" }`).
 const BANNED_CRATES: &[&str] = &["proptest", "criterion", "rand"];
 
-/// Tokens of deleted or deprecated APIs, banned everywhere.
-const BANNED_EVERYWHERE: &[&str] = &["orchestrator::expand_"];
+/// Tokens of deleted APIs, banned everywhere, each with its replacement.
+const BANNED_EVERYWHERE: &[(&str, &str)] = &[
+    ("orchestrator::expand_", "plan::MatrixPlan"),
+    ("MICRO_TLB_SLOTS", "cheri_mem::PageMap"),
+    ("pte_memo", "cheri_mem::PageMap"),
+    ("free_pte_slots", "cheri_mem::PageMap"),
+];
 
 /// Tokens of deprecated env shims, banned outside their defining files.
 const BANNED_OUTSIDE_SHIMS: &[&str] =
@@ -206,10 +213,10 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
                 }
             }
         }
-        for token in BANNED_EVERYWHERE {
+        for (token, instead) in BANNED_EVERYWHERE {
             if line.contains(token) {
                 violations.push(at(format!(
-                    "call site of deleted API {token}* (use plan::MatrixPlan): {line}"
+                    "call site of deleted API {token}* (use {instead}): {line}"
                 )));
             }
         }
@@ -339,6 +346,8 @@ mod tests {
         let v = lint_one(&root, "tests/x.rs", "let j = orchestrator::expand_all(scale);\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("deleted API"), "{v:?}");
+        let v = lint_one(&root, "crates/vm/src/machine.rs", "hot: [None; MICRO_TLB_SLOTS],\n");
+        assert!(v.len() == 1 && v[0].contains("cheri_mem::PageMap"), "{v:?}");
         let v = lint_one(&root, "crates/bench/tests/y.rs", "let n = jobs_from_env();\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("deprecated env shim"), "{v:?}");

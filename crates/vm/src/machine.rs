@@ -3,9 +3,7 @@
 use crate::pte::{MapFlags, Pte};
 use crate::VmFault;
 use cheri_cap::{Capability, Perms, CAP_SIZE};
-use cheri_mem::{CacheConfig, CoreId, MemSystem, PAGE_SIZE};
-use cheri_mem::FastMap;
-use std::collections::BTreeMap;
+use cheri_mem::{CacheConfig, CoreId, MemSystem, PageMap, PAGE_SIZE};
 
 /// Registers per simulated thread (Morello has 31 general-purpose
 /// capability registers; we round to 32).
@@ -97,80 +95,44 @@ pub enum VmEvent {
     },
 }
 
-/// Slots in the direct-mapped micro-TLB fronting each core's TLB.
-const MICRO_TLB_SLOTS: usize = 16;
-
-/// One core's TLB: a hash map of cached PTEs fronted by a small
-/// direct-mapped "micro-TLB" serving same-page access streaks without a
-/// hash lookup.
-///
-/// Invariant: every `hot` slot mirrors a present `entries` mapping, so a
-/// micro-TLB hit implies a hash-map hit and `tlb_misses` cannot drift. All
-/// mutation goes through the methods below, which keep the two views in
-/// sync; in particular every invalidation edge (shootdown, generation
-/// flip, re-walk) clears the matching `hot` slot.
-#[derive(Debug, Clone)]
+/// One core's TLB: cached PTE snapshots keyed by page number, each
+/// stamped with the flush count at which it was filled. A flush bumps the
+/// count, so it is O(1) and every older entry simply stops matching.
+#[derive(Debug, Clone, Default)]
 struct Tlb {
-    entries: FastMap<u64, Pte>,
-    hot: [Option<(u64, Pte)>; MICRO_TLB_SLOTS],
-}
-
-impl Default for Tlb {
-    fn default() -> Self {
-        Tlb { entries: FastMap::default(), hot: [None; MICRO_TLB_SLOTS] }
-    }
+    entries: PageMap<(u64, Pte)>,
+    /// Flushes so far; only entries carrying this stamp are cached.
+    flushes: u64,
 }
 
 impl Tlb {
+    /// Cached translation for the page of `vaddr`, if present.
     #[inline]
-    fn slot(page: u64) -> usize {
-        ((page / PAGE_SIZE) as usize) & (MICRO_TLB_SLOTS - 1)
+    fn lookup(&self, vaddr: u64) -> Option<Pte> {
+        self.entries.get(vaddr / PAGE_SIZE).filter(|e| e.0 == self.flushes).map(|e| e.1)
     }
 
-    /// Cached translation for page-aligned `page`, if present.
-    #[inline]
-    fn lookup(&mut self, page: u64) -> Option<Pte> {
-        let s = Self::slot(page);
-        if let Some((p, pte)) = self.hot[s] {
-            if p == page {
-                return Some(pte);
-            }
-        }
-        let pte = *self.entries.get(&page)?;
-        self.hot[s] = Some((page, pte));
-        Some(pte)
+    fn insert(&mut self, vaddr: u64, pte: Pte) {
+        self.entries.insert(vaddr / PAGE_SIZE, (self.flushes, pte));
     }
 
-    fn insert(&mut self, page: u64, pte: Pte) {
-        self.entries.insert(page, pte);
-        self.hot[Self::slot(page)] = Some((page, pte));
-    }
-
-    /// Invalidates `page`; returns whether it was cached.
-    fn remove(&mut self, page: u64) -> bool {
-        let s = Self::slot(page);
-        if self.hot[s].is_some_and(|(p, _)| p == page) {
-            self.hot[s] = None;
-        }
-        self.entries.remove(&page).is_some()
+    /// Invalidates the page of `vaddr`; returns whether it was cached.
+    /// The entry is restamped, not removed: the re-walk after a load fault
+    /// refills it, and removing a leaf's only entry frees the leaf.
+    fn remove(&mut self, vaddr: u64) -> bool {
+        let entry = self.entries.get_mut(vaddr / PAGE_SIZE);
+        entry.map(|e| std::mem::replace(&mut e.0, u64::MAX)) == Some(self.flushes)
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
-        self.hot = [None; MICRO_TLB_SLOTS];
+        self.flushes += 1;
     }
 
-    /// Marks the cached translation of `page` capability-dirty (the
+    /// Marks the cached translation of `vaddr` capability-dirty (the
     /// store-barrier's local TLB update; other cores keep stale copies).
-    fn set_cap_dirty(&mut self, page: u64) {
-        if let Some(t) = self.entries.get_mut(&page) {
-            t.cap_dirty = true;
-        }
-        let s = Self::slot(page);
-        if let Some((p, pte)) = &mut self.hot[s] {
-            if *p == page {
-                pte.cap_dirty = true;
-            }
+    fn set_cap_dirty(&mut self, vaddr: u64) {
+        if let Some((_, pte)) = self.entries.get_mut(vaddr / PAGE_SIZE) {
+            pte.cap_dirty = true;
         }
     }
 }
@@ -185,18 +147,9 @@ impl Tlb {
 #[derive(Debug)]
 pub struct Machine {
     mem: MemSystem,
-    /// Page address → slot in `pte_slab`. Ordered, because the revoker's
-    /// sweep-set enumerations iterate pages ascending; point lookups go
-    /// through `pte_slot`, whose memo serves the several same-page PTE
-    /// queries a single page visit issues.
-    ptes: BTreeMap<u64, u32>,
-    /// Dense PTE storage; slots are stable while a page stays mapped.
-    pte_slab: Vec<Pte>,
-    /// Slots of unmapped pages, available for reuse.
-    free_pte_slots: Vec<u32>,
-    /// Memo of the last located PTE (page address, slot). Host-side only:
-    /// slots are stable, so a hit can never observe a stale PTE.
-    pte_memo: std::cell::Cell<Option<(u64, u32)>>,
+    /// The page table, keyed by page number. The revoker's sweep-set
+    /// enumerations rely on its ascending iteration.
+    ptes: PageMap<Pte>,
     tlbs: Vec<Tlb>,
     core_gen: Vec<bool>,
     /// Generation adopted by newly created PTEs and newly arriving cores.
@@ -225,10 +178,7 @@ impl Machine {
         assert!(cores >= 1, "a machine needs at least one core");
         Machine {
             mem: MemSystem::with_config(cores, config),
-            ptes: BTreeMap::new(),
-            pte_slab: Vec::new(),
-            free_pte_slots: Vec::new(),
-            pte_memo: std::cell::Cell::new(None),
+            ptes: PageMap::default(),
             tlbs: vec![Tlb::default(); cores],
             core_gen: vec![false; cores],
             space_gen: false,
@@ -299,7 +249,7 @@ impl Machine {
                     pte.load_gen = old.load_gen;
                 }
             }
-            self.pte_install(page, pte);
+            self.ptes.insert(page / PAGE_SIZE, pte);
             self.stats.pte_writes += 1;
             self.shootdown(page);
         }
@@ -310,7 +260,7 @@ impl Machine {
     pub fn unmap_range(&mut self, vaddr: u64, len: u64) {
         assert_eq!(vaddr % PAGE_SIZE, 0, "unmap_range: unaligned vaddr");
         for page in (vaddr..vaddr + len).step_by(PAGE_SIZE as usize) {
-            self.pte_remove(page);
+            self.ptes.remove(page / PAGE_SIZE);
             self.stats.pte_writes += 1;
             self.shootdown(page);
             self.mem.phys_mut().release_page(page);
@@ -323,59 +273,12 @@ impl Machine {
         self.pte(vaddr).is_some_and(|p| !p.guard)
     }
 
-    /// Locates the slab slot of the PTE mapping page-aligned `page`.
-    #[inline]
-    fn pte_slot(&self, page: u64) -> Option<u32> {
-        if let Some((p, s)) = self.pte_memo.get() {
-            if p == page {
-                return Some(s);
-            }
-        }
-        let s = *self.ptes.get(&page)?;
-        self.pte_memo.set(Some((page, s)));
-        Some(s)
-    }
-
     fn pte(&self, vaddr: u64) -> Option<&Pte> {
-        let s = self.pte_slot(vaddr / PAGE_SIZE * PAGE_SIZE)?;
-        Some(&self.pte_slab[s as usize])
+        self.ptes.get(vaddr / PAGE_SIZE)
     }
 
     fn pte_mut(&mut self, vaddr: u64) -> Option<&mut Pte> {
-        let s = self.pte_slot(vaddr / PAGE_SIZE * PAGE_SIZE)?;
-        Some(&mut self.pte_slab[s as usize])
-    }
-
-    /// Installs (or replaces) the PTE for page-aligned `page`.
-    fn pte_install(&mut self, page: u64, pte: Pte) {
-        match self.pte_slot(page) {
-            Some(s) => self.pte_slab[s as usize] = pte,
-            None => {
-                let slot = match self.free_pte_slots.pop() {
-                    Some(s) => {
-                        self.pte_slab[s as usize] = pte;
-                        s
-                    }
-                    None => {
-                        assert!(self.pte_slab.len() < u32::MAX as usize, "PTE slab full");
-                        self.pte_slab.push(pte);
-                        (self.pte_slab.len() - 1) as u32
-                    }
-                };
-                self.ptes.insert(page, slot);
-                self.pte_memo.set(Some((page, slot)));
-            }
-        }
-    }
-
-    /// Removes the PTE for page-aligned `page`, recycling its slot.
-    fn pte_remove(&mut self, page: u64) {
-        if let Some(slot) = self.ptes.remove(&page) {
-            self.free_pte_slots.push(slot);
-            if self.pte_memo.get().is_some_and(|(p, _)| p == page) {
-                self.pte_memo.set(None);
-            }
-        }
+        self.ptes.get_mut(vaddr / PAGE_SIZE)
     }
 
     fn shootdown(&mut self, page: u64) {
@@ -394,16 +297,15 @@ impl Machine {
     /// Translates on behalf of `core`, filling the TLB. Returns a PTE
     /// snapshot and the cycle cost of any walk.
     fn translate(&mut self, core: CoreId, vaddr: u64) -> Result<(Pte, u64), VmFault> {
-        let page = vaddr / PAGE_SIZE * PAGE_SIZE;
-        if let Some(pte) = self.tlbs[core].lookup(page) {
+        if let Some(pte) = self.tlbs[core].lookup(vaddr) {
             return Ok((pte, 0));
         }
         self.stats.tlb_misses += 1;
-        let pte = *self.pte(page).ok_or(VmFault::NotMapped { vaddr })?;
+        let pte = *self.pte(vaddr).ok_or(VmFault::NotMapped { vaddr })?;
         if pte.guard {
             return Err(VmFault::NotMapped { vaddr });
         }
-        self.tlbs[core].insert(page, pte);
+        self.tlbs[core].insert(vaddr, pte);
         Ok((pte, self.walk_cycles))
     }
 
@@ -411,8 +313,7 @@ impl Machine {
     /// §4.3: a faulting thread first checks whether another core already
     /// completed revocation of the page).
     fn refresh_tlb(&mut self, core: CoreId, vaddr: u64) -> Result<(Pte, u64), VmFault> {
-        let page = vaddr / PAGE_SIZE * PAGE_SIZE;
-        self.tlbs[core].remove(page);
+        self.tlbs[core].remove(vaddr);
         self.translate(core, vaddr)
     }
 
@@ -478,11 +379,10 @@ impl Machine {
             return Ok(cycles + 4);
         }
         if cap.is_tagged() && !pte.cap_dirty {
-            let page = vaddr / PAGE_SIZE * PAGE_SIZE;
-            if let Some(p) = self.pte_mut(page) {
+            if let Some(p) = self.pte_mut(vaddr) {
                 p.cap_dirty = true;
             }
-            self.tlbs[core].set_cap_dirty(page);
+            self.tlbs[core].set_cap_dirty(vaddr);
             self.stats.cap_dirty_sets += 1;
             self.stats.pte_writes += 1;
             cycles += 10; // hardware A/D-bit style update
@@ -548,13 +448,6 @@ impl Machine {
     /// Mutable register file of thread `t`.
     pub fn regs_mut(&mut self, t: ThreadId) -> &mut RegisterFile {
         &mut self.threads[t]
-    }
-
-    /// Adds a thread (returns its id). Threads beyond the core count model
-    /// descheduled threads whose registers the kernel hoards.
-    pub fn add_thread(&mut self) -> ThreadId {
-        self.threads.push(RegisterFile::default());
-        self.threads.len() - 1
     }
 
     /// Number of threads.
@@ -651,34 +544,25 @@ impl Machine {
         self.shootdown(page);
     }
 
+    /// Addresses of the non-guard pages whose PTE satisfies `keep`, ascending.
+    fn pages_where<'a>(&'a self, keep: impl Fn(&Pte) -> bool + 'a) -> impl Iterator<Item = u64> + 'a {
+        self.ptes.iter().filter(move |(_, p)| !p.guard && keep(p)).map(|(n, _)| n * PAGE_SIZE)
+    }
+
     /// All mapped, non-guard pages (ascending).
     pub fn mapped_pages(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ptes.iter().filter(|&(_, &s)| !self.pte_slab[s as usize].guard).map(|(&a, _)| a)
+        self.pages_where(|_| true)
     }
 
     /// All capability-dirty pages (ascending).
     pub fn cap_dirty_pages(&self) -> Vec<u64> {
-        self.ptes
-            .iter()
-            .filter(|&(_, &s)| {
-                let p = &self.pte_slab[s as usize];
-                !p.guard && p.cap_dirty
-            })
-            .map(|(&a, _)| a)
-            .collect()
+        self.pages_where(|p| p.cap_dirty).collect()
     }
 
     /// All pages whose PTE generation differs from the space generation
     /// (i.e. not yet visited in the current Reloaded epoch).
     pub fn stale_generation_pages(&self) -> Vec<u64> {
-        self.ptes
-            .iter()
-            .filter(|&(_, &s)| {
-                let p = &self.pte_slab[s as usize];
-                !p.guard && p.load_gen != self.space_gen
-            })
-            .map(|(&a, _)| a)
-            .collect()
+        self.pages_where(|p| p.load_gen != self.space_gen).collect()
     }
 
     /// Kernel-mode peek at the tagged capabilities on a page, with no

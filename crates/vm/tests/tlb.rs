@@ -1,11 +1,11 @@
-//! Unit tests for the per-core micro-TLB fronting each core's TLB.
+//! Unit tests for the per-core TLBs.
 //!
-//! The micro-TLB is a host-side accelerator: a hit must be
-//! indistinguishable from the hash-map hit it mirrors, and every
-//! invalidation edge — shootdown, remap, guard install, generation flip —
-//! must reach it. These tests observe it through architectural behavior
-//! (faults) and the `VmStats` miss/shootdown counters, which would drift
-//! if a hot slot ever served a translation the hash map no longer holds.
+//! A TLB is a page-keyed table of PTE snapshots, flushed in O(1) by
+//! bumping a stamp. Every invalidation edge — shootdown, remap, unmap,
+//! guard install, generation flip — must reach it. These tests observe it
+//! through architectural behavior (faults) and the `VmStats`
+//! miss/shootdown counters, which would drift if a core were ever served
+//! a translation that had been invalidated.
 
 use cheri_cap::{Capability, Perms, CAP_SIZE};
 use cheri_mem::PAGE_SIZE;
@@ -34,8 +34,8 @@ fn shootdown_while_cached_forces_a_rewalk() {
     m.read_data(0, &cap.set_addr(BASE), 8).unwrap();
     assert_eq!(m.vm_stats().tlb_misses, 1);
     let shootdowns_before = m.vm_stats().tlb_shootdowns;
-    // Remapping the page invalidates every core's cached copy, micro-TLB
-    // included; the remap is visible on the very next access.
+    // Remapping the page invalidates every core's cached copy; the remap
+    // is visible on the very next access.
     m.map_range(BASE, PAGE_SIZE, MapFlags::user_ro()).unwrap();
     assert_eq!(m.vm_stats().tlb_shootdowns, shootdowns_before + 1, "cached entry must be shot down");
     assert_eq!(
@@ -55,7 +55,7 @@ fn unmap_while_cached_faults_not_mapped() {
     assert_eq!(
         m.read_data(0, &cap.set_addr(BASE), 8),
         Err(VmFault::NotMapped { vaddr: BASE }),
-        "micro-TLB must not serve an unmapped page"
+        "the TLB must not serve an unmapped page"
     );
     // The neighbouring page is untouched.
     m.read_data(0, &cap.set_addr(BASE + PAGE_SIZE), 8).unwrap();
@@ -85,12 +85,12 @@ fn generation_flip_invalidates_cached_translations() {
     let misses = m.vm_stats().tlb_misses;
     // Epoch start: only the in-core generation registers flip; the page's
     // PTE generation is now stale, so a tag-asserted load must trap even
-    // though the translation sat in the micro-TLB moments ago.
+    // though the translation sat in the TLB moments ago.
     m.flip_core_generations();
     assert_eq!(
         m.load_cap(0, &slot).map(|_| ()),
         Err(VmFault::CapLoadGeneration { vaddr: BASE }),
-        "stale-generation load must trap, not be served from the hot slot"
+        "stale-generation load must trap, not be served from the TLB"
     );
     assert!(m.vm_stats().tlb_misses > misses, "the flip's IPI must flush cached translations");
     // Revoker visits the page: loads flow again.
@@ -122,12 +122,12 @@ fn store_barrier_updates_only_the_storing_cores_tlb() {
     m.read_data(0, &slot, 8).unwrap();
     m.read_data(1, &slot, 8).unwrap();
     // First tagged store on core 0 fires the store barrier once; core 0's
-    // cached PTE (hash map and micro-TLB views both) now carries CD, so a
-    // repeat store on core 0 must not fire it again.
+    // cached PTE now carries CD, so a repeat store on core 0 must not fire
+    // it again.
     m.store_cap(0, &slot, payload).unwrap();
     assert_eq!(m.vm_stats().cap_dirty_sets, 1);
     m.store_cap(0, &slot, payload).unwrap();
-    assert_eq!(m.vm_stats().cap_dirty_sets, 1, "local TLB views must both see CD set");
+    assert_eq!(m.vm_stats().cap_dirty_sets, 1, "the local TLB entry must see CD set");
     // Core 1 still holds its stale capability-clean copy (the barrier's
     // A/D-bit-style update is local, §4.2) and redundantly re-fires.
     m.store_cap(1, &slot, payload).unwrap();
@@ -135,10 +135,10 @@ fn store_barrier_updates_only_the_storing_cores_tlb() {
 }
 
 #[test]
-fn aliasing_pages_fall_back_to_the_full_tlb() {
-    // Pages whose numbers collide in the direct-mapped micro-TLB (any
-    // stride of 16 pages aliases slot-wise) must ping-pong between hot
-    // slot and hash map without ever re-walking the page table.
+fn alternating_pages_never_rewalk() {
+    // The TLB has no capacity or associativity to miss on: two pages
+    // touched in turn (here 16 apart, a stride that aliased in the old
+    // direct-mapped front) each walk once and never again.
     let pages = 64;
     let (mut m, cap) = setup(pages);
     let a = BASE;
@@ -150,5 +150,36 @@ fn aliasing_pages_fall_back_to_the_full_tlb() {
         m.read_data(0, &cap.set_addr(a), 8).unwrap();
         m.read_data(0, &cap.set_addr(b), 8).unwrap();
     }
-    assert_eq!(m.vm_stats().tlb_misses, 2, "slot aliasing must not cause spurious walks");
+    assert_eq!(m.vm_stats().tlb_misses, 2, "cached pages must not cause spurious walks");
+}
+
+#[test]
+fn entry_cached_two_flips_ago_is_never_served() {
+    let (mut m, cap) = setup(1);
+    let slot = cap.set_addr(BASE);
+    let payload = cap.set_bounds(BASE, CAP_SIZE).unwrap();
+    m.store_cap(0, &slot, payload).unwrap();
+    m.load_cap(0, &slot).unwrap(); // cached: PTE generation == core generation
+    // Epoch 1: flip, and the revoker visits the page. The visit writes the
+    // PTE without a shootdown, so only the flip's flush can retire core
+    // 0's snapshot.
+    m.flip_core_generations();
+    m.set_page_generation(BASE, m.space_generation());
+    // Epoch 2: the one-bit core generation is back where it was when the
+    // snapshot was taken. The snapshot would match it and let the load
+    // through unswept; the page table says the page is stale.
+    m.flip_core_generations();
+    let misses = m.vm_stats().tlb_misses;
+    assert_eq!(
+        m.load_cap(0, &slot).map(|_| ()),
+        Err(VmFault::CapLoadGeneration { vaddr: BASE }),
+        "a translation from two flushes back aliased the current generation"
+    );
+    assert!(m.vm_stats().tlb_misses > misses, "the load must have walked the page table");
+    // Entries filled after the flushes are served normally.
+    m.set_page_generation(BASE, m.space_generation());
+    m.load_cap(0, &slot).unwrap();
+    let misses = m.vm_stats().tlb_misses;
+    m.load_cap(0, &slot).unwrap();
+    assert_eq!(m.vm_stats().tlb_misses, misses);
 }

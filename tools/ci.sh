@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: build =="
 cargo build --release --offline
 
-echo "== tier-1: tests =="
-cargo test -q --offline
+echo "== tier-1: tests (whole workspace: every crate's property and e2e suites) =="
+cargo test -q --offline --workspace
 
 echo "== lint (clippy, warnings fatal) =="
 cargo clippy --offline --all-targets -- -D warnings
@@ -78,6 +78,11 @@ SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench matrix
 # The opstream smoke asserts the streaming pipeline's RunStats digest
 # equals the materialized path's, condition for condition.
 SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench opstream
+
+echo "== benchmark smoke (five workloads, 2 s windows) =="
+# Exits nonzero on any failed cell or check, including a repetition whose
+# stats digest differs from the first.
+bash benchmark/run.sh --quick
 
 echo "== matrix smoke (parallel orchestrator) =="
 # 1. Byte-identity: the same smoke matrix at 1 and 4 workers must render
