@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 
 use crate::fmt::{markdown_table, ms};
-use crate::harness::{spec_single, Scale};
+use crate::harness::spec_single;
 use morello_sim::{Condition, SimConfigBuilder, System};
 use cornucopia::PteUpdateMode;
 use workloads::{spec, SpecProgram};
@@ -12,13 +12,9 @@ use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};
 fn run_with<F: FnOnce(SimConfigBuilder) -> SimConfigBuilder>(
     program: SpecProgram,
     condition: Condition,
-    scale: Scale,
     tweak: F,
 ) -> morello_sim::RunStats {
-    let mut w = spec(program, 77);
-    if scale.fraction < 1.0 {
-        w.scale_churn(scale.fraction);
-    }
+    let w = spec(program, 77);
     let builder = w.config.to_builder().condition(condition);
     let cfg = tweak(builder).build().expect("ablation config must validate");
     System::new(cfg).run(w.ops).expect("ablation run must be clean").into_stats()
@@ -29,7 +25,7 @@ fn run_with<F: FnOnce(SimConfigBuilder) -> SimConfigBuilder>(
 /// pages, so its pause grows with density while the load barrier's does
 /// not (§3.1-3.2).
 #[must_use]
-pub fn barriers(scale: Scale, workers: usize) -> String {
+pub fn barriers(workers: usize) -> String {
     let cells = [
         ("low pointer density (hmmer nph3)", SpecProgram::HmmerNph3),
         ("medium (astar lakes)", SpecProgram::AstarLakes),
@@ -37,8 +33,8 @@ pub fn barriers(scale: Scale, workers: usize) -> String {
     ];
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let (label, program) = cells[i];
-        let corn = spec_single(program, Condition::cornucopia(), scale, 77);
-        let rel = spec_single(program, Condition::reloaded(), scale, 77);
+        let corn = spec_single(program, Condition::cornucopia(), 77);
+        let rel = spec_single(program, Condition::reloaded(), 77);
         let corn_pause = corn.pauses.iter().copied().max().unwrap_or(0);
         let rel_pause = rel.pauses.iter().copied().max().unwrap_or(0);
         vec![
@@ -62,7 +58,7 @@ pub fn barriers(scale: Scale, workers: usize) -> String {
 
 /// Per-PTE generation bits vs rewriting every PTE each epoch (§4.1).
 #[must_use]
-pub fn pte_mode(scale: Scale, workers: usize) -> String {
+pub fn pte_mode(workers: usize) -> String {
     let cells = [
         ("generation bits (paper design)", PteUpdateMode::Generation),
         ("rewrite PTEs each epoch (strawman)", PteUpdateMode::RewriteEachEpoch),
@@ -70,7 +66,7 @@ pub fn pte_mode(scale: Scale, workers: usize) -> String {
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let (label, mode) = cells[i];
         let stats =
-            run_with(SpecProgram::Omnetpp, Condition::reloaded(), scale, |b| b.pte_mode(mode));
+            run_with(SpecProgram::Omnetpp, Condition::reloaded(), |b| b.pte_mode(mode));
         vec![
             label.to_string(),
             format!("{:.1}", stats.wall_ms()),
@@ -90,7 +86,7 @@ pub fn pte_mode(scale: Scale, workers: usize) -> String {
 
 /// Quarantine policy sweep (§7.2): fraction of heap and floor.
 #[must_use]
-pub fn quarantine_policy(scale: Scale, workers: usize) -> String {
+pub fn quarantine_policy(workers: usize) -> String {
     let cells = [
         ("1/7 of heap, 128 KiB floor", 7u64, 128u64 << 10),
         ("1/3 of heap, 128 KiB floor (paper)", 3, 128 << 10),
@@ -99,7 +95,7 @@ pub fn quarantine_policy(scale: Scale, workers: usize) -> String {
     ];
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let (label, divisor, floor) = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), scale, |b| {
+        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
             b.quarantine_divisor(divisor).min_quarantine(floor)
         });
         vec![
@@ -121,14 +117,14 @@ pub fn quarantine_policy(scale: Scale, workers: usize) -> String {
 
 /// CHERIoT-style in-pipeline load filter vs trapping load barrier (§6.3).
 #[must_use]
-pub fn cheriot(scale: Scale, workers: usize) -> String {
+pub fn cheriot(workers: usize) -> String {
     let cells = [
         ("Reloaded (trap + self-heal)", Condition::reloaded()),
         ("CHERIoT-style filter (probe every load)", Condition::Safe(cornucopia::Strategy::CheriotFilter)),
     ];
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let (label, cond) = cells[i];
-        let stats = spec_single(SpecProgram::Omnetpp, cond, scale, 77);
+        let stats = spec_single(SpecProgram::Omnetpp, cond, 77);
         vec![
             label.to_string(),
             format!("{:.1}", stats.wall_ms()),
@@ -150,12 +146,12 @@ pub fn cheriot(scale: Scale, workers: usize) -> String {
 /// Revoker core placement (§5.3/§7.7): spare core vs competing with the
 /// application.
 #[must_use]
-pub fn revoker_priority(scale: Scale, workers: usize) -> String {
+pub fn revoker_priority(workers: usize) -> String {
     let cells =
         [("revoker on spare core (SPEC setup)", true), ("revoker competes for app cores (gRPC setup)", false)];
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let (label, spare) = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), scale, |b| {
+        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
             b.spare_revoker_core(spare)
         });
         vec![label.to_string(), format!("{:.1}", stats.wall_ms()), format!("{}", stats.blocked_allocs)]
@@ -175,11 +171,11 @@ pub fn revoker_priority(scale: Scale, workers: usize) -> String {
 /// shorten the concurrent phase (and with it the window in which
 /// Cornucopia accumulates re-dirtied pages / Reloaded takes faults).
 #[must_use]
-pub fn revoker_threads(scale: Scale, workers: usize) -> String {
+pub fn revoker_threads(workers: usize) -> String {
     let cells = [1usize, 2];
     let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
         let threads = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), scale, |b| {
+        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
             b.revoker_threads(threads)
         });
         let mut concurrent: Vec<u64> = stats
@@ -217,13 +213,13 @@ pub fn revoker_threads(scale: Scale, workers: usize) -> String {
 /// concurrent phase shrinks to the critical path while per-core DRAM
 /// shows where the sweep's bus pressure actually lands.
 #[must_use]
-pub fn revoker_core_scaling(scale: Scale) -> String {
+pub fn revoker_core_scaling() -> String {
     let mut rows = Vec::new();
     for condition in [Condition::cornucopia(), Condition::reloaded()] {
         for cores in [1usize, 2, 4] {
             let host_t0 = std::time::Instant::now();
             let stats =
-                run_with(SpecProgram::Xalancbmk, condition, scale, |b| b.revoker_threads(cores));
+                run_with(SpecProgram::Xalancbmk, condition, |b| b.revoker_threads(cores));
             let host_ns = host_t0.elapsed().as_nanos() as f64;
             let phase_kind = match condition {
                 Condition::Safe(Strategy::Cornucopia) => cornucopia::PhaseKind::CornucopiaConcurrent,
@@ -376,7 +372,7 @@ mod tests {
 
     #[test]
     fn barrier_ablation_smoke() {
-        let report = barriers(Scale { fraction: 0.01, reps: 1 }, 1);
+        let report = barriers(1);
         assert!(report.contains("xalancbmk"));
         assert!(report.contains("pause ratio"));
     }

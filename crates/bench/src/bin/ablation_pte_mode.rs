@@ -1,6 +1,6 @@
-//! Ablation study (see DESIGN.md). Honours REPRO_SCALE.
+//! Ablation study (see DESIGN.md). Honours REPRO_JOBS.
 use rev_bench::cli;
 
 fn main() {
-    println!("{}", rev_bench::ablations::pte_mode(cli::env_scale(), cli::env_workers()));
+    println!("{}", rev_bench::ablations::pte_mode(cli::env_workers()));
 }

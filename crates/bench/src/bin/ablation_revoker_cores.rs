@@ -1,6 +1,4 @@
 //! Ablation study (§7.1 parallel multi-core concurrent sweep).
-use rev_bench::cli;
-
 fn main() {
-    println!("{}", rev_bench::ablations::revoker_core_scaling(cli::env_scale()));
+    println!("{}", rev_bench::ablations::revoker_core_scaling());
 }

@@ -2,5 +2,5 @@
 use rev_bench::cli;
 
 fn main() {
-    println!("{}", rev_bench::ablations::revoker_threads(cli::env_scale(), cli::env_workers()));
+    println!("{}", rev_bench::ablations::revoker_threads(cli::env_workers()));
 }

@@ -16,11 +16,7 @@ fn workload_by_name(name: &str) -> Option<workloads::GeneratedWorkload> {
         _ => SPEC_PROGRAMS
             .iter()
             .find(|p| p.name().split_whitespace().next() == Some(name) || p.name() == name)
-            .map(|&p: &SpecProgram| {
-                let mut w = spec(p, 42);
-                w.scale_churn(0.1);
-                w
-            }),
+            .map(|&p: &SpecProgram| spec(p, 42)),
     }
 }
 

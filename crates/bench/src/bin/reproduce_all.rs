@@ -186,13 +186,13 @@ fn main() {
     doc.push_str("## Ablations (DESIGN.md §design choices)\n\n");
     eprintln!("== ablations ==");
     for section in [
-        ablations::barriers(scale, workers),
-        ablations::pte_mode(scale, workers),
-        ablations::quarantine_policy(scale, workers),
-        ablations::cheriot(scale, workers),
-        ablations::revoker_priority(scale, workers),
-        ablations::revoker_threads(scale, workers),
-        ablations::revoker_core_scaling(scale),
+        ablations::barriers(workers),
+        ablations::pte_mode(workers),
+        ablations::quarantine_policy(workers),
+        ablations::cheriot(workers),
+        ablations::revoker_priority(workers),
+        ablations::revoker_threads(workers),
+        ablations::revoker_core_scaling(),
         ablations::coloring(),
     ] {
         doc.push_str(&section);

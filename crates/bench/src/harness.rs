@@ -21,13 +21,18 @@ pub const CONDITIONS: [Condition; 5] = [
     Condition::Safe(cornucopia::Strategy::Reloaded),
 ];
 
-/// Run-size controls, read from `REPRO_SCALE` (workload fraction, default
-/// 1.0) and `REPRO_REPS` (repetitions per condition, default 2 — the paper
-/// uses 12 executions on real hardware; the simulator is deterministic per
-/// seed, so repetitions only sample workload-generation randomness).
+/// Run-size controls, read from `REPRO_SCALE` (default 1.0) and
+/// `REPRO_REPS` (repetitions per condition, default 2 — the paper uses 12
+/// executions on real hardware; the simulator is deterministic per seed,
+/// so repetitions only sample workload-generation randomness).
+///
+/// `REPRO_SCALE` sets the pgbench transaction and gRPC message counts
+/// ([`pgbench_transactions`], [`grpc_messages`]). SPEC rows and the
+/// ablations always run their full Table-2-calibrated stream, as they
+/// always have: the churn streams carry no transactions to cut at.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
-    /// Fraction of each workload's full op stream to run.
+    /// Fraction of the full pgbench transaction / gRPC message count.
     pub fraction: f64,
     /// Repetitions (distinct workload seeds) per condition.
     pub reps: u64,
@@ -70,13 +75,6 @@ impl Scale {
             s.reps = r.clamp(1, 12);
         }
         Ok(s)
-    }
-
-    /// Reads `REPRO_SCALE` / `REPRO_REPS` from the environment.
-    #[must_use]
-    #[deprecated(note = "env parsing moved to the CLI edge: use cli::env_scale()")]
-    pub fn from_env() -> Self {
-        crate::cli::env_scale()
     }
 
     /// A fast configuration for tests.
@@ -208,10 +206,7 @@ pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
     let mut suite = Suite::default();
     for rep in 0..scale.reps {
         for program in SPEC_PROGRAMS {
-            let mut w = spec(program, 1000 + rep);
-            if scale.fraction < 1.0 {
-                w.scale_churn(scale.fraction);
-            }
+            let w = spec(program, 1000 + rep);
             // One generation serves every condition: the stream is shared
             // (never cloned) and each run replays it by copy of `Op`s.
             let ops: Arc<[Op]> = w.ops.into();
@@ -230,11 +225,8 @@ pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
 
 /// Runs a single SPEC surrogate under one condition (used by ablations).
 #[must_use]
-pub fn spec_single(program: SpecProgram, condition: Condition, scale: Scale, seed: u64) -> RunStats {
-    let mut w = spec(program, seed);
-    if scale.fraction < 1.0 {
-        w.scale_churn(scale.fraction);
-    }
+pub fn spec_single(program: SpecProgram, condition: Condition, seed: u64) -> RunStats {
+    let w = spec(program, seed);
     let cfg = w.config.with_condition(condition);
     System::new(cfg).run(w.ops).expect("spec surrogate must run clean").into_stats()
 }

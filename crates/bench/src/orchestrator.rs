@@ -261,13 +261,6 @@ impl RunOptions {
         self.inject_malformed = needle;
         self
     }
-
-    /// Reads `REPRO_JOBS` / `REPRO_INJECT_PANIC`. Progress is on.
-    #[must_use]
-    #[deprecated(note = "env parsing moved to the CLI edge: use cli::env_run_options()")]
-    pub fn from_env() -> Self {
-        crate::cli::env_run_options()
-    }
 }
 
 /// Parses a `REPRO_JOBS` value: a positive worker count.
@@ -281,14 +274,6 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
         Ok(n) => Ok(n),
         Err(_) => Err(format!("REPRO_JOBS={value:?}: not a number")),
     }
-}
-
-/// Worker count from `REPRO_JOBS`, defaulting to the host's available
-/// parallelism. Exits with a diagnostic on unparsable values.
-#[must_use]
-#[deprecated(note = "env parsing moved to the CLI edge: use cli::env_workers()")]
-pub fn jobs_from_env() -> usize {
-    crate::cli::env_workers()
 }
 
 /// The merged result of one orchestrated matrix run.
@@ -457,13 +442,6 @@ pub fn run_suite(jobs: &[JobSpec], opts: &RunOptions) -> Suite {
         eprintln!("  [run] WARNING: job {} ({}) failed after {} attempts: {}", f.job_id, f.key, f.attempts, f.message);
     }
     suite
-}
-
-/// Runs a single-suite job list with environment-configured options.
-#[must_use]
-#[deprecated(note = "use run_suite(jobs, &opts) with cli::env_run_options() at the CLI edge")]
-pub fn run_suite_from_env(jobs: &[JobSpec]) -> Suite {
-    run_suite(jobs, &crate::cli::env_run_options())
 }
 
 /// Executes independent ablation cells `0..n` on a pool of `workers`

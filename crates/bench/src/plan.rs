@@ -28,8 +28,8 @@ use morello_sim::{
     OP_BATCH,
 };
 use workloads::{
-    grpc_stream, pgbench_stream, spec_stream, spec_stream_scaled, GrpcParams, PgbenchParams,
-    SpecProgram, SPEC_PROGRAMS,
+    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram,
+    SPEC_PROGRAMS,
 };
 
 /// Which suite a job belongs to (the key of
@@ -85,7 +85,7 @@ impl SuiteKind {
 /// cheap and nothing is shared across threads.
 #[derive(Debug, Clone)]
 enum Payload {
-    Spec { program: SpecProgram, seed: u64, fraction: f64 },
+    Spec { program: SpecProgram, seed: u64 },
     Pgbench { transactions: u64, rate: Option<f64>, seed: u64 },
     Grpc { messages: u64, seed: u64 },
 }
@@ -139,17 +139,15 @@ impl JobSpec {
     }
 
     /// Structured generation parameters for `repro/<key>.json` files:
-    /// everything needed to re-run exactly this cell. Fractions and rates
-    /// are rendered as strings because the checkpoint JSON dialect is
-    /// integer-only.
+    /// everything needed to re-run exactly this cell. Rates are rendered
+    /// as strings because the checkpoint JSON dialect is integer-only.
     #[must_use]
     pub(crate) fn payload_json(&self) -> Json {
         match &self.payload {
-            Payload::Spec { program, seed, fraction } => Json::obj([
+            Payload::Spec { program, seed } => Json::obj([
                 ("kind", Json::from("spec")),
                 ("program", Json::from(program.name())),
                 ("seed", Json::from(*seed)),
-                ("fraction", Json::Str(format!("{fraction}"))),
             ]),
             Payload::Pgbench { transactions, rate, seed } => Json::obj([
                 ("kind", Json::from("pgbench")),
@@ -175,16 +173,10 @@ impl JobSpec {
     /// all observe the same program.
     fn with_stream<R>(&self, f: impl FnOnce(&mut dyn OpSource, SimConfig) -> R) -> R {
         match &self.payload {
-            Payload::Spec { program, seed, fraction } => {
-                if *fraction < 1.0 {
-                    let w = spec_stream_scaled(*program, *seed, *fraction);
-                    let (mut source, config) = (w.source, w.config);
-                    f(&mut source, config)
-                } else {
-                    let w = spec_stream(*program, *seed);
-                    let (mut source, config) = (w.source, w.config);
-                    f(&mut source, config)
-                }
+            Payload::Spec { program, seed } => {
+                let w = spec_stream(*program, *seed);
+                let (mut source, config) = (w.source, w.config);
+                f(&mut source, config)
             }
             Payload::Pgbench { transactions, rate, seed } => {
                 let w = pgbench_stream(PgbenchParams {
@@ -209,9 +201,8 @@ impl JobSpec {
     /// Workloads stream straight from their seeds through
     /// [`System::run_stream`]: no cell ever materializes its op vector,
     /// so a worker's resident footprint is one batch buffer plus
-    /// generator state. The streams are op-for-op identical to the
-    /// materializing generators (property-tested), so the merged suites
-    /// stay byte-identical to the serial harness loops.
+    /// generator state. The serial harness loops collect the same
+    /// streams, so the merged suites stay byte-identical to them.
     pub(crate) fn execute(&self) -> RunStats {
         self.with_stream(|mut source, config| {
             System::new(config.with_condition(self.condition))
@@ -434,11 +425,7 @@ impl MatrixPlan {
                         suite: SuiteKind::Spec,
                         workload: program.name().to_string(),
                         condition: cond,
-                        payload: Payload::Spec {
-                            program,
-                            seed: 1000 + rep,
-                            fraction: self.scale.fraction,
-                        },
+                        payload: Payload::Spec { program, seed: 1000 + rep },
                     });
                 }
             }

@@ -25,10 +25,10 @@
 //! 5. **Deleted deprecated APIs stay deleted** — call sites of the
 //!    removed `orchestrator::expand_*` wrappers, the pieces of the page
 //!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
-//!    `pte_memo`, `free_pte_slots`) and the deprecated env shims
-//!    (`Scale::from_env`, `RunOptions::from_env`, `jobs_from_env`,
-//!    `run_suite_from_env`) may not return; the shims' own defining
-//!    files are the only allowed mentions.
+//!    `pte_memo`, `free_pte_slots`), the env shims (`Scale::from_env`,
+//!    `RunOptions::from_env`, `jobs_from_env`, `run_suite_from_env`) and
+//!    the op-stream truncation layer (`spec_stream_scaled`,
+//!    `scale_churn`, `scaled_keep`, `Truncated::new`) may not return.
 //!
 //! Comment lines (`//`, `///`, `//!`) are skipped, so prose may discuss
 //! a banned token. This linter's own sources are excluded from the token
@@ -55,14 +55,20 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("MICRO_TLB_SLOTS", "cheri_mem::PageMap"),
     ("pte_memo", "cheri_mem::PageMap"),
     ("free_pte_slots", "cheri_mem::PageMap"),
+    ("Scale::from_env", "cli::env_scale"),
+    ("RunOptions::from_env", "cli::env_run_options"),
+    ("jobs_from_env", "cli::env_workers"),
+    ("run_suite_from_env", "run_suite with cli::env_run_options"),
+    ("spec_stream_scaled", SCALE_TOTAL_CHURN),
+    ("scale_churn", SCALE_TOTAL_CHURN),
+    ("scaled_keep", SCALE_TOTAL_CHURN),
+    ("Truncated::new", SCALE_TOTAL_CHURN),
 ];
 
-/// Tokens of deprecated env shims, banned outside their defining files.
-const BANNED_OUTSIDE_SHIMS: &[&str] =
-    &["Scale::from_env", "RunOptions::from_env", "jobs_from_env", "run_suite_from_env"];
-
-/// The files that still *define* the deprecated env shims.
-const SHIM_FILES: &[&str] = &["crates/bench/src/harness.rs", "crates/bench/src/orchestrator.rs"];
+/// The replacement for the deleted stream truncation, which was the
+/// identity on every stream it was applied to.
+const SCALE_TOTAL_CHURN: &str =
+    "SPEC streams carry no transactions — scale ChurnProfile::total_churn";
 
 /// Files allowed to read the environment from library/binary source.
 const ENV_ALLOWED: &[&str] = &["crates/bench/src/cli.rs", "crates/simtest/src/"];
@@ -190,7 +196,6 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
         .unwrap_or_default();
     let clock_banned = in_crate_src && DETERMINISTIC_CRATES.contains(&crate_name);
     let env_banned = in_crate_src && !ENV_ALLOWED.iter().any(|a| name.starts_with(a) || name == *a);
-    let shims_allowed = SHIM_FILES.contains(&name.as_str());
 
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim_start();
@@ -218,16 +223,6 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
                 violations.push(at(format!(
                     "call site of deleted API {token}* (use {instead}): {line}"
                 )));
-            }
-        }
-        if !shims_allowed {
-            for token in BANNED_OUTSIDE_SHIMS {
-                if has_token(line, token) {
-                    violations.push(at(format!(
-                        "call site of deprecated env shim {token} \
-                         (use the typed cli::env_* parsers): {line}"
-                    )));
-                }
             }
         }
     }
@@ -349,11 +344,19 @@ mod tests {
         let v = lint_one(&root, "crates/vm/src/machine.rs", "hot: [None; MICRO_TLB_SLOTS],\n");
         assert!(v.len() == 1 && v[0].contains("cheri_mem::PageMap"), "{v:?}");
         let v = lint_one(&root, "crates/bench/tests/y.rs", "let n = jobs_from_env();\n");
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("deprecated env shim"), "{v:?}");
-        // The defining files may mention their own shims.
-        let v = lint_one(&root, "crates/bench/src/orchestrator.rs", "pub fn jobs_from_env() {}\n");
-        assert!(v.is_empty(), "{v:?}");
+        assert!(v.len() == 1 && v[0].contains("cli::env_workers"), "{v:?}");
+        // The shims are gone, so their old defining files get no pass.
+        let v = lint_one(&root, "crates/bench/src/harness.rs", "let s = Scale::from_env();\n");
+        assert!(v.len() == 1 && v[0].contains("cli::env_scale"), "{v:?}");
+        for line in [
+            "let w = spec_stream_scaled(p, 1, 0.5);\n",
+            "w.scale_churn(0.1);\n",
+            "let keep = scaled_keep(n, 0.1);\n",
+            "let s = Truncated::new(src, 10);\n",
+        ] {
+            let v = lint_one(&root, "crates/bench/src/plan.rs", line);
+            assert!(v.len() == 1 && v[0].contains("total_churn"), "{line}: {v:?}");
+        }
         // simtest's unrelated Harness::from_env is not a shim token.
         let v = lint_one(&root, "crates/bench/benches/z.rs", "let h = Harness::from_env();\n");
         assert!(v.is_empty(), "{v:?}");

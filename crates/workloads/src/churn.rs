@@ -1,11 +1,9 @@
 //! The generic heap-churn generator behind the SPEC surrogates.
 //!
-//! Two equivalent forms exist: [`ChurnProfile::generate`] materializes the
-//! whole stream as a `Vec<Op>` (the equivalence oracle, pinned by the
-//! golden tests), and [`ChurnSource`] replays the identical RNG schedule
-//! lazily in O(live set) memory for the streaming pipeline. A property
-//! test (`crates/workloads/tests/stream_equivalence.rs`) holds the two
-//! op-for-op identical across seeds and profiles.
+//! [`ChurnSource`] is the one implementation: a resumable state machine
+//! that emits a profile's op stream batch by batch in O(live set) memory.
+//! [`ChurnProfile::generate`] is that stream collected into a `Vec<Op>`.
+//! `tests/seed_stability.rs` pins the emitted streams by digest.
 
 use morello_sim::{ObjId, Op, OpSource, OP_BATCH};
 use simtest::Rng;
@@ -82,99 +80,7 @@ impl ChurnProfile {
     /// steady-state churn until `total_churn` bytes have been freed.
     #[must_use]
     pub fn generate(&self, seed: u64) -> Vec<Op> {
-        let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut ops = Vec::new();
-        let mut live: Vec<(ObjId, u64)> = Vec::new();
-        let mut free_slots: Vec<ObjId> = Vec::new();
-        let mut next_slot: ObjId = 0;
-        let mut live_bytes: u64 = 0;
-        let mut churned: u64 = 0;
-        let mut step: u64 = 0;
-
-        let mut alloc = |ops: &mut Vec<Op>,
-                         rng: &mut Rng,
-                         live: &mut Vec<(ObjId, u64)>,
-                         free_slots: &mut Vec<ObjId>,
-                         live_bytes: &mut u64| {
-            let size = self.obj_size.sample(rng);
-            let obj = free_slots.pop().unwrap_or_else(|| {
-                let s = next_slot;
-                next_slot += 1;
-                s
-            });
-            ops.push(Op::Alloc { obj, size });
-            ops.push(Op::WriteData { obj, len: size.min(2048) });
-            live.push((obj, size));
-            *live_bytes += size;
-        };
-
-        // Warmup: build the live heap.
-        while live_bytes < self.target_heap {
-            alloc(&mut ops, &mut rng, &mut live, &mut free_slots, &mut live_bytes);
-        }
-        // Steady state: churn until the freed-byte budget is spent.
-        // Compute is interleaved in small chunks between accesses so the
-        // application's pointer loads spread across the revoker's
-        // concurrent window (as a real mutator's do), rather than arriving
-        // in one burst.
-        let access_ops =
-            2 + self.links_per_step as u64 + self.chases_per_step as u64 + self.reads_per_step as u64;
-        let chunk = self.compute_per_step / access_ops.max(1);
-        // Recently-written pointer slots: chases follow real pointers so
-        // they load tagged granules (and hence exercise the load barrier).
-        let mut hot_links: Vec<(ObjId, u64)> = Vec::new();
-        while churned < self.total_churn && !live.is_empty() {
-            step += 1;
-            let compute = |ops: &mut Vec<Op>| {
-                if chunk > 0 {
-                    ops.push(Op::Compute { cycles: chunk });
-                }
-            };
-            // Free a (mostly random) victim, then replace it.
-            compute(&mut ops);
-            let idx = rng.gen_range(0..live.len());
-            let (victim, vsize) = live.swap_remove(idx);
-            ops.push(Op::Free { obj: victim });
-            free_slots.push(victim);
-            live_bytes -= vsize;
-            churned += vsize;
-            hot_links.retain(|&(o, _)| o != victim);
-            compute(&mut ops);
-            alloc(&mut ops, &mut rng, &mut live, &mut free_slots, &mut live_bytes);
-
-            for _ in 0..self.links_per_step {
-                compute(&mut ops);
-                let from = live[rng.gen_range(0..live.len())].0;
-                let to = live[rng.gen_range(0..live.len())].0;
-                let slot = rng.gen_range(0..64);
-                ops.push(Op::LinkPtr { from, slot, to });
-                if hot_links.len() >= 512 {
-                    let i = rng.gen_range(0..hot_links.len());
-                    hot_links.swap_remove(i);
-                }
-                hot_links.push((from, slot));
-            }
-            for _ in 0..self.chases_per_step {
-                compute(&mut ops);
-                // Chase a live pointer when one exists; cold fallback.
-                let (from, slot) = if hot_links.is_empty() {
-                    (live[rng.gen_range(0..live.len())].0, rng.gen_range(0..64))
-                } else {
-                    hot_links[rng.gen_range(0..hot_links.len())]
-                };
-                ops.push(Op::ChasePtr { from, slot });
-            }
-            for _ in 0..self.reads_per_step {
-                compute(&mut ops);
-                let obj = live[rng.gen_range(0..live.len())].0;
-                ops.push(Op::ReadData { obj, len: self.read_len });
-            }
-            if self.hoard_every > 0 && step.is_multiple_of(self.hoard_every) {
-                let obj = live[rng.gen_range(0..live.len())].0;
-                ops.push(Op::SyscallHoard { obj });
-            }
-        }
-        ops
+        self.source(seed).collect_ops()
     }
 
     /// The number of root-table slots the generated stream needs.
@@ -184,8 +90,7 @@ impl ChurnProfile {
         (self.target_heap / self.obj_size.approx_mean().max(16) + 64) * 2
     }
 
-    /// A streaming source over the same op stream [`ChurnProfile::generate`]
-    /// materializes for this `seed`.
+    /// A streaming source over this profile's op stream for `seed`.
     #[must_use]
     pub fn source(&self, seed: u64) -> ChurnSource {
         ChurnSource::new(self, seed)
@@ -193,20 +98,23 @@ impl ChurnProfile {
 }
 
 /// Resumable state machine emitting a [`ChurnProfile`]'s op stream batch
-/// by batch. Identical RNG call order to [`ChurnProfile::generate`], so
-/// the streams match op for op; memory is O(live set + hot links) instead
-/// of O(total ops).
+/// by batch; memory is O(live set + hot links) instead of O(total ops).
 #[derive(Debug, Clone)]
 pub struct ChurnSource {
     profile: ChurnProfile,
     rng: Rng,
     live: Vec<(ObjId, u64)>,
     free_slots: Vec<ObjId>,
+    /// Recently-written pointer slots: chases follow real pointers so
+    /// they load tagged granules (and hence exercise the load barrier).
     hot_links: Vec<(ObjId, u64)>,
     next_slot: ObjId,
     live_bytes: u64,
     churned: u64,
     step: u64,
+    /// Compute is interleaved in small chunks between accesses so the
+    /// application's pointer loads spread across the revoker's concurrent
+    /// window (as a real mutator's do), rather than arriving in one burst.
     chunk: u64,
     warm: bool,
 }
@@ -253,8 +161,8 @@ impl ChurnSource {
         }
     }
 
-    /// One steady-state churn step: free a victim, replace it, then the
-    /// link/chase/read accesses — the body of `generate`'s main loop.
+    /// One steady-state churn step: free a (mostly random) victim, replace
+    /// it, then the link/chase/read accesses.
     fn emit_step(&mut self, ops: &mut Vec<Op>) {
         self.step += 1;
         self.emit_compute(ops);
@@ -282,6 +190,7 @@ impl ChurnSource {
         }
         for _ in 0..self.profile.chases_per_step {
             self.emit_compute(ops);
+            // Chase a live pointer when one exists; cold fallback.
             let (from, slot) = if self.hot_links.is_empty() {
                 (
                     self.live[self.rng.gen_range(0..self.live.len())].0,
@@ -308,6 +217,8 @@ impl OpSource for ChurnSource {
     fn refill(&mut self, buf: &mut Vec<Op>) -> usize {
         let start = buf.len();
         while buf.len() - start < OP_BATCH {
+            // Warmup builds the live heap; then churn until the freed-byte
+            // budget is spent.
             if !self.warm {
                 if self.live_bytes < self.profile.target_heap {
                     self.emit_alloc(buf);
@@ -372,14 +283,6 @@ mod tests {
         let live_estimate = (allocs - frees) as u64 * mean;
         assert!(live_estimate >= p.target_heap / 2);
         assert!(live_estimate <= p.target_heap * 3);
-    }
-
-    #[test]
-    fn streaming_source_matches_materialized_generate() {
-        let p = tiny();
-        for seed in [0, 7, 41] {
-            assert_eq!(p.source(seed).collect_ops(), p.generate(seed), "seed {seed}");
-        }
     }
 
     #[test]

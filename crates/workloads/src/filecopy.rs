@@ -27,33 +27,13 @@ impl Default for FileCopyParams {
     }
 }
 
+/// The persistent malloc'd staging buffer's root slot.
+const STAGING: ObjId = 0;
+
 /// Generates the file-copier workload.
 #[must_use]
 pub fn file_copy(params: FileCopyParams) -> GeneratedWorkload {
-    let mut rng = Rng::seed_from_u64(params.seed ^ 0x1656_67b1);
-    let mut ops = Vec::new();
-    let staging: ObjId = 0; // persistent malloc'd staging buffer
-    ops.push(Op::Alloc { obj: staging, size: 256 << 10 });
-    ops.push(Op::WriteData { obj: staging, len: 256 << 10 });
-
-    let file_base: ObjId = 8;
-    for f in 0..params.files {
-        ops.push(Op::TxBegin { id: f });
-        let obj = file_base + f % 4; // up to 4 files mapped at once
-        let len = rng.gen_range(64 << 10..256 << 10);
-        ops.push(Op::Mmap { obj, len });
-        ops.push(Op::WriteData { obj, len }); // "read" the file in
-        // The copier keeps an index entry pointing into the mapping — the
-        // stale pointer §6.2's reservation sweep must kill after unmap.
-        ops.push(Op::LinkPtr { from: staging, slot: f % 1024, to: obj });
-        ops.push(Op::ReadData { obj, len: len.min(64 << 10) });
-        ops.push(Op::Compute { cycles: 150_000 });
-        ops.push(Op::Munmap { obj });
-        ops.push(Op::TxEnd { id: f });
-        ops.push(Op::ThinkIdle { cycles: 30_000 });
-    }
-
-    GeneratedWorkload { name: "file copier".to_string(), ops, config: file_copy_config() }
+    file_copy_stream(params).materialize()
 }
 
 fn file_copy_config() -> SimConfig {
@@ -65,8 +45,8 @@ fn file_copy_config() -> SimConfig {
         .expect("static workload config")
 }
 
-/// The streaming form of [`file_copy`]: identical op stream and config,
-/// regenerated lazily from the seed.
+/// The streaming form of [`file_copy`]: the ops are regenerated lazily
+/// from the seed.
 #[must_use]
 pub fn file_copy_stream(params: FileCopyParams) -> StreamedWorkload<FileCopySource> {
     StreamedWorkload {
@@ -99,17 +79,18 @@ impl FileCopySource {
     }
 
     fn emit_file(&mut self, ops: &mut Vec<Op>) {
-        let staging: ObjId = 0;
         let file_base: ObjId = 8;
         let f = self.next_file;
         self.next_file += 1;
 
         ops.push(Op::TxBegin { id: f });
-        let obj = file_base + f % 4;
+        let obj = file_base + f % 4; // up to 4 files mapped at once
         let len = self.rng.gen_range(64 << 10..256 << 10);
         ops.push(Op::Mmap { obj, len });
-        ops.push(Op::WriteData { obj, len });
-        ops.push(Op::LinkPtr { from: staging, slot: f % 1024, to: obj });
+        ops.push(Op::WriteData { obj, len }); // "read" the file in
+        // The copier keeps an index entry pointing into the mapping — the
+        // stale pointer §6.2's reservation sweep must kill after unmap.
+        ops.push(Op::LinkPtr { from: STAGING, slot: f % 1024, to: obj });
         ops.push(Op::ReadData { obj, len: len.min(64 << 10) });
         ops.push(Op::Compute { cycles: 150_000 });
         ops.push(Op::Munmap { obj });
@@ -123,9 +104,8 @@ impl OpSource for FileCopySource {
         let start = buf.len();
         if !self.warm {
             self.warm = true;
-            let staging: ObjId = 0;
-            buf.push(Op::Alloc { obj: staging, size: 256 << 10 });
-            buf.push(Op::WriteData { obj: staging, len: 256 << 10 });
+            buf.push(Op::Alloc { obj: STAGING, size: 256 << 10 });
+            buf.push(Op::WriteData { obj: STAGING, len: 256 << 10 });
         }
         while buf.len() - start < OP_BATCH && self.next_file < self.params.files {
             self.emit_file(buf);
@@ -160,12 +140,6 @@ mod tests {
         w.config = w.config.with_condition(Condition::reloaded());
         let stats = System::new(w.config.clone()).run(w.ops).unwrap();
         assert_eq!(stats.tx_latencies.len(), 1_000, "every copy must complete");
-    }
-
-    #[test]
-    fn streaming_source_matches_materialized_generator() {
-        let p = FileCopyParams { files: 2_500, seed: 21 };
-        assert_eq!(file_copy_stream(p).source.collect_ops(), file_copy(p).ops);
     }
 
     #[test]

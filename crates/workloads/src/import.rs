@@ -83,98 +83,21 @@ fn parse_u64(s: &str) -> Option<u64> {
 /// Returns the ops and the number of root-table slots required (pass it as
 /// `SimConfig::max_objects`).
 pub fn import_malloc_log(log: &str, opts: ImportOptions) -> Result<(Vec<Op>, u64), ImportError> {
-    let mut ops = Vec::new();
-    let mut live: HashMap<u64, ObjId> = HashMap::new();
-    let mut free_slots: Vec<ObjId> = Vec::new();
-    let mut next_slot: ObjId = 0;
-    let mut take_slot = |free_slots: &mut Vec<ObjId>| -> ObjId {
-        free_slots.pop().unwrap_or_else(|| {
-            let s = next_slot;
-            next_slot += 1;
-            s
-        })
-    };
-
-    for (i, raw) in log.lines().enumerate() {
-        let lineno = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = || ImportError::Parse { line: lineno, text: line.to_string() };
-        let (call, rest) = line.split_once('(').ok_or_else(bad)?;
-        let (args, tail) = rest.split_once(')').ok_or_else(bad)?;
-        let result = tail.trim().strip_prefix('=').map(str::trim);
-        if opts.compute_between_events > 0 && !ops.is_empty() {
-            ops.push(Op::Compute { cycles: opts.compute_between_events });
-        }
-        match call.trim() {
-            "malloc" | "calloc" => {
-                let size = if call.trim() == "calloc" {
-                    let (n, sz) = args.split_once(',').ok_or_else(bad)?;
-                    parse_u64(n).zip(parse_u64(sz)).map(|(a, b)| a * b).ok_or_else(bad)?
-                } else {
-                    parse_u64(args).ok_or_else(bad)?
-                };
-                let ptr = result.and_then(parse_u64).ok_or_else(bad)?;
-                let obj = take_slot(&mut free_slots);
-                ops.push(Op::Alloc { obj, size: size.max(1) });
-                if opts.touch_bytes > 0 {
-                    ops.push(Op::WriteData { obj, len: size.clamp(1, opts.touch_bytes) });
-                }
-                live.insert(ptr, obj);
-            }
-            "realloc" => {
-                let (old, sz) = args.split_once(',').ok_or_else(bad)?;
-                let old_ptr = parse_u64(old).ok_or_else(bad)?;
-                let size = parse_u64(sz).ok_or_else(bad)?;
-                let new_ptr = result.and_then(parse_u64).ok_or_else(bad)?;
-                let old_obj = if old_ptr == 0 {
-                    None
-                } else {
-                    Some(
-                        live.remove(&old_ptr)
-                            .ok_or(ImportError::UnknownPointer { line: lineno, ptr: old_ptr })?,
-                    )
-                };
-                let obj = take_slot(&mut free_slots);
-                ops.push(Op::Alloc { obj, size: size.max(1) });
-                if let Some(old_obj) = old_obj {
-                    // Copy then release, as realloc does.
-                    ops.push(Op::ReadData { obj: old_obj, len: size.max(1) });
-                    ops.push(Op::WriteData { obj, len: size.clamp(1, opts.touch_bytes.max(1)) });
-                    ops.push(Op::Free { obj: old_obj });
-                    free_slots.push(old_obj);
-                }
-                live.insert(new_ptr, obj);
-            }
-            "free" => {
-                let ptr = parse_u64(args).ok_or_else(bad)?;
-                if ptr == 0 {
-                    continue; // free(NULL) is a no-op
-                }
-                let obj = live
-                    .remove(&ptr)
-                    .ok_or(ImportError::UnknownPointer { line: lineno, ptr })?;
-                ops.push(Op::Free { obj });
-                free_slots.push(obj);
-            }
-            _ => return Err(bad()),
-        }
+    let mut src = ImportSource::new(log, opts);
+    let ops = (&mut src).collect_ops();
+    match src.take_error() {
+        Some(e) => Err(e),
+        None => Ok((ops, src.slots_used())),
     }
-    Ok((ops, next_slot.max(1)))
 }
 
-/// Streaming form of [`import_malloc_log`]: parses the log one line at a
-/// time, so the resident footprint is one batch buffer plus the live
-/// pointer map instead of the whole op vector.
+/// Streaming form of [`import_malloc_log`] (which drains one of these):
+/// parses the log one line at a time, so the resident footprint is one
+/// batch buffer plus the live pointer map instead of the whole op vector.
 ///
-/// Error handling differs from the materializing oracle by necessity: a
-/// bad line cannot un-emit the ops already streamed, so the source simply
-/// ends its stream there and records the error. Callers must check
-/// [`ImportSource::error`] after exhaustion before trusting the replay;
-/// on a valid log the emitted stream is op-for-op identical to the
-/// oracle's.
+/// A bad line cannot un-emit the ops already streamed, so the source ends
+/// its stream there and records the error. Callers must check
+/// [`ImportSource::error`] after exhaustion before trusting the replay.
 #[derive(Debug)]
 pub struct ImportSource<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
@@ -216,8 +139,7 @@ impl<'a> ImportSource<'a> {
     }
 
     /// Root-table slots the stream has needed so far (pass the final
-    /// value as `SimConfig::max_objects`; matches the oracle's second
-    /// return value once the stream is exhausted).
+    /// value as `SimConfig::max_objects`).
     #[must_use]
     pub fn slots_used(&self) -> u64 {
         self.next_slot.max(1)
@@ -231,8 +153,8 @@ impl<'a> ImportSource<'a> {
         })
     }
 
-    /// Translates one log line, mirroring the oracle's emission order
-    /// (including the inter-event compute) exactly.
+    /// Translates one log line into ops, preceded by the inter-event
+    /// compute once anything has been emitted.
     fn emit_line(&mut self, lineno: usize, raw: &str, ops: &mut Vec<Op>) -> Result<(), ImportError> {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -249,7 +171,8 @@ impl<'a> ImportSource<'a> {
             "malloc" | "calloc" => {
                 let size = if call.trim() == "calloc" {
                     let (n, sz) = args.split_once(',').ok_or_else(bad)?;
-                    parse_u64(n).zip(parse_u64(sz)).map(|(a, b)| a * b).ok_or_else(bad)?
+                    let (n, sz) = parse_u64(n).zip(parse_u64(sz)).ok_or_else(bad)?;
+                    n.checked_mul(sz).ok_or_else(bad)?
                 } else {
                     parse_u64(args).ok_or_else(bad)?
                 };
@@ -278,6 +201,7 @@ impl<'a> ImportSource<'a> {
                 let obj = self.take_slot();
                 ops.push(Op::Alloc { obj, size: size.max(1) });
                 if let Some(old_obj) = old_obj {
+                    // Copy then release, as realloc does.
                     ops.push(Op::ReadData { obj: old_obj, len: size.max(1) });
                     ops.push(Op::WriteData {
                         obj,
@@ -391,14 +315,45 @@ free(0x3000)
     }
 
     #[test]
-    fn streaming_import_matches_oracle_on_valid_logs() {
-        let (ops, slots) = import_malloc_log(LOG, ImportOptions::default()).unwrap();
+    fn log_fixture_translates_to_the_expected_ops() {
+        let compute = Op::Compute { cycles: ImportOptions::default().compute_between_events };
+        let expected = vec![
+            // malloc(100) = 0x1000: first event, no leading compute.
+            Op::Alloc { obj: 0, size: 100 },
+            Op::WriteData { obj: 0, len: 100 },
+            compute,
+            // calloc(4, 32) = 0x2000
+            Op::Alloc { obj: 1, size: 128 },
+            Op::WriteData { obj: 1, len: 128 },
+            compute,
+            // realloc(0x1000, 300) = 0x3000: new block, copy, release old.
+            Op::Alloc { obj: 2, size: 300 },
+            Op::ReadData { obj: 0, len: 300 },
+            Op::WriteData { obj: 2, len: 300 },
+            Op::Free { obj: 0 },
+            compute,
+            // free(0x2000)
+            Op::Free { obj: 1 },
+            // free(0): a no-op that keeps its inter-event compute.
+            compute,
+            compute,
+            // free(0x3000)
+            Op::Free { obj: 2 },
+        ];
         let mut src = ImportSource::new(LOG, ImportOptions::default());
-        let mut streamed = Vec::new();
-        while src.refill(&mut streamed) > 0 {}
+        let streamed = (&mut src).collect_ops();
         assert!(src.error().is_none());
-        assert_eq!(streamed, ops);
-        assert_eq!(src.slots_used(), slots);
+        assert_eq!(streamed, expected);
+        assert_eq!(src.slots_used(), 3);
+    }
+
+    #[test]
+    fn calloc_size_overflow_is_a_parse_error_with_line_number() {
+        let log = "malloc(8) = 0x8\ncalloc(18446744073709551615, 2) = 0x10\n";
+        assert_eq!(
+            import_malloc_log(log, ImportOptions::default()),
+            Err(ImportError::Parse { line: 2, text: log.lines().nth(1).unwrap().to_string() })
+        );
     }
 
     #[test]

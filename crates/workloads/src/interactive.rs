@@ -8,6 +8,9 @@
 //! paper's. Rates and revocations/second therefore read in the compressed
 //! timebase; ratios, orderings, and per-epoch page counts are the
 //! comparable quantities.
+//!
+//! [`PgbenchSource`] and [`GrpcSource`] are the implementations;
+//! [`pgbench`] and [`grpc_qps`] collect their streams into a `Vec<Op>`.
 
 use crate::{GeneratedWorkload, StreamedWorkload};
 use morello_sim::{ObjId, Op, OpSource, SimConfig, CYCLES_PER_SEC, OP_BATCH};
@@ -38,8 +41,10 @@ impl Default for PgbenchParams {
     }
 }
 
-const PG_TABLES: usize = 48;
+/// Table objects occupy root slots `0..PG_TABLES`.
+const PG_TABLES: ObjId = 48;
 const PG_TABLE_BYTES: u64 = 240 << 10; // 48 x 240 KiB ~ 11.25 MiB (23 MiB / 2)
+const PG_PAGES_PER_TABLE: u64 = PG_TABLE_BYTES / 4096;
 const PG_LINK_STRIDE: u64 = 250; // one capability per page of each table
 
 /// Generates the `pgbench` surrogate.
@@ -50,80 +55,7 @@ const PG_LINK_STRIDE: u64 = 250; // one capability per page of each table
 /// roughly every 22 transactions (paper: every ~17).
 #[must_use]
 pub fn pgbench(params: PgbenchParams) -> GeneratedWorkload {
-    let mut rng = Rng::seed_from_u64(params.seed ^ 0x5bd1_e995);
-    let mut ops = Vec::new();
-
-    // Shared server state: tables + indexes. PostgreSQL memory contexts
-    // are dense with pointers, so every page of every table gets at least
-    // one index capability at warmup.
-    let table_objs: Vec<ObjId> = (0..PG_TABLES as u64).collect();
-    let pages_per_table = PG_TABLE_BYTES / 4096;
-    for &t in &table_objs {
-        ops.push(Op::Alloc { obj: t, size: PG_TABLE_BYTES });
-        ops.push(Op::WriteData { obj: t, len: PG_TABLE_BYTES });
-    }
-    for &t in &table_objs {
-        for p in 0..pages_per_table {
-            let to = table_objs[((t + p * 7 + 3) as usize) % PG_TABLES];
-            ops.push(Op::LinkPtr { from: t, slot: p * PG_LINK_STRIDE, to });
-        }
-    }
-
-    let tmp_base: ObjId = 1000;
-    // palloc-style sequential pointer writes: memory contexts are written
-    // through in address order, so row updates cover every table page
-    // within an inter-revocation window (the behaviour behind §5.2's
-    // "Cornucopia revisits approximately all pages" observation).
-    let mut wr_cursor: u64 = 0;
-    let total_pages = PG_TABLES as u64 * pages_per_table;
-    for tx in 0..params.transactions {
-        ops.push(Op::TxBegin { id: tx });
-        // ~5 statements: parse/plan/execute burst + client round trip.
-        for stmt in 0..5u64 {
-            ops.push(Op::Compute { cycles: 25_000 });
-            let ti = rng.gen_range(0..PG_TABLES);
-            let t = table_objs[ti];
-            // B-tree descent: chase an index pointer planted at warmup.
-            let slot = rng.gen_range(0..pages_per_table) * PG_LINK_STRIDE;
-            ops.push(Op::ChasePtr { from: t, slot });
-            ops.push(Op::ReadData { obj: t, len: 2048 });
-            if stmt >= 3 {
-                ops.push(Op::WriteData { obj: t, len: 512 });
-            }
-            // In-transaction client round trip (latency, but off-core).
-            ops.push(Op::ThinkIdle { cycles: 112_000 });
-        }
-        // Executor scratch: ~170 KiB per transaction through palloc/pfree.
-        let t1 = tmp_base + (tx * 3) % 384;
-        let t2 = tmp_base + (tx * 3 + 1) % 384;
-        let t3 = tmp_base + (tx * 3 + 2) % 384;
-        ops.push(Op::Alloc { obj: t1, size: 64 << 10 });
-        ops.push(Op::WriteData { obj: t1, len: 64 << 10 });
-        ops.push(Op::Alloc { obj: t2, size: 64 << 10 });
-        ops.push(Op::Alloc { obj: t3, size: 40 << 10 });
-        ops.push(Op::LinkPtr { from: t1, slot: 0, to: t2 });
-        // Row updates scribble fresh pointers into the shared tables,
-        // re-dirtying pages for Cornucopia's store barrier.
-        for _ in 0..128 {
-            let page_id = wr_cursor % total_pages;
-            wr_cursor += 1;
-            let from = table_objs[(page_id / pages_per_table) as usize];
-            let to = table_objs[rng.gen_range(0..PG_TABLES)];
-            ops.push(Op::LinkPtr { from, slot: (page_id % pages_per_table) * PG_LINK_STRIDE, to });
-        }
-        ops.push(Op::Compute { cycles: 25_000 });
-        ops.push(Op::Free { obj: t3 });
-        ops.push(Op::Free { obj: t2 });
-        ops.push(Op::Free { obj: t1 });
-        ops.push(Op::TxEnd { id: tx });
-        // Inter-transaction gap (client thinks; autovacuum etc. elsewhere).
-        ops.push(Op::ThinkIdle { cycles: 45_000 });
-        if tx % 500 == 499 {
-            ops.push(Op::SyscallHoard { obj: table_objs[(tx % PG_TABLES as u64) as usize] });
-        }
-    }
-
-    GeneratedWorkload { name: "pgbench".to_string(), ops, config: pgbench_config(params) }
+    pgbench_stream(params).materialize()
 }
 
 /// The arrival interval (in cycles) for a `--rate` setting, shared by the
@@ -144,8 +76,8 @@ fn pgbench_config(params: PgbenchParams) -> SimConfig {
         .expect("static workload config")
 }
 
-/// The streaming form of [`pgbench`]: identical op stream and config, but
-/// the ops are regenerated lazily from the seed instead of materialized.
+/// The streaming form of [`pgbench`]: the ops are regenerated lazily from
+/// the seed instead of materialized.
 #[must_use]
 pub fn pgbench_stream(params: PgbenchParams) -> StreamedWorkload<PgbenchSource> {
     StreamedWorkload {
@@ -157,11 +89,15 @@ pub fn pgbench_stream(params: PgbenchParams) -> StreamedWorkload<PgbenchSource> 
 
 /// Resumable state machine emitting [`pgbench`]'s op stream batch by
 /// batch: the pointer-rich table warmup first, then one transaction at a
-/// time with the same RNG call order as the materializing generator.
+/// time.
 #[derive(Debug, Clone)]
 pub struct PgbenchSource {
     params: PgbenchParams,
     rng: Rng,
+    /// palloc-style sequential pointer writes: memory contexts are written
+    /// through in address order, so row updates cover every table page
+    /// within an inter-revocation window (the behaviour behind §5.2's
+    /// "Cornucopia revisits approximately all pages" observation).
     wr_cursor: u64,
     next_tx: u64,
     warm: bool,
@@ -180,42 +116,44 @@ impl PgbenchSource {
         }
     }
 
+    /// Shared server state: tables + indexes. PostgreSQL memory contexts
+    /// are dense with pointers, so every page of every table gets at least
+    /// one index capability at warmup.
     fn emit_warmup(&mut self, ops: &mut Vec<Op>) {
-        let table_objs: Vec<ObjId> = (0..PG_TABLES as u64).collect();
-        let pages_per_table = PG_TABLE_BYTES / 4096;
-        for &t in &table_objs {
+        for t in 0..PG_TABLES {
             ops.push(Op::Alloc { obj: t, size: PG_TABLE_BYTES });
             ops.push(Op::WriteData { obj: t, len: PG_TABLE_BYTES });
         }
-        for &t in &table_objs {
-            for p in 0..pages_per_table {
-                let to = table_objs[((t + p * 7 + 3) as usize) % PG_TABLES];
+        for t in 0..PG_TABLES {
+            for p in 0..PG_PAGES_PER_TABLE {
+                let to = (t + p * 7 + 3) % PG_TABLES;
                 ops.push(Op::LinkPtr { from: t, slot: p * PG_LINK_STRIDE, to });
             }
         }
     }
 
     fn emit_tx(&mut self, ops: &mut Vec<Op>) {
-        let table_objs: Vec<ObjId> = (0..PG_TABLES as u64).collect();
-        let pages_per_table = PG_TABLE_BYTES / 4096;
         let tmp_base: ObjId = 1000;
-        let total_pages = PG_TABLES as u64 * pages_per_table;
+        let total_pages = PG_TABLES * PG_PAGES_PER_TABLE;
         let tx = self.next_tx;
         self.next_tx += 1;
 
         ops.push(Op::TxBegin { id: tx });
+        // ~5 statements: parse/plan/execute burst + client round trip.
         for stmt in 0..5u64 {
             ops.push(Op::Compute { cycles: 25_000 });
-            let ti = self.rng.gen_range(0..PG_TABLES);
-            let t = table_objs[ti];
-            let slot = self.rng.gen_range(0..pages_per_table) * PG_LINK_STRIDE;
+            let t = self.rng.gen_range(0..PG_TABLES);
+            // B-tree descent: chase an index pointer planted at warmup.
+            let slot = self.rng.gen_range(0..PG_PAGES_PER_TABLE) * PG_LINK_STRIDE;
             ops.push(Op::ChasePtr { from: t, slot });
             ops.push(Op::ReadData { obj: t, len: 2048 });
             if stmt >= 3 {
                 ops.push(Op::WriteData { obj: t, len: 512 });
             }
+            // In-transaction client round trip (latency, but off-core).
             ops.push(Op::ThinkIdle { cycles: 112_000 });
         }
+        // Executor scratch: ~170 KiB per transaction through palloc/pfree.
         let t1 = tmp_base + (tx * 3) % 384;
         let t2 = tmp_base + (tx * 3 + 1) % 384;
         let t3 = tmp_base + (tx * 3 + 2) % 384;
@@ -224,14 +162,16 @@ impl PgbenchSource {
         ops.push(Op::Alloc { obj: t2, size: 64 << 10 });
         ops.push(Op::Alloc { obj: t3, size: 40 << 10 });
         ops.push(Op::LinkPtr { from: t1, slot: 0, to: t2 });
+        // Row updates scribble fresh pointers into the shared tables,
+        // re-dirtying pages for Cornucopia's store barrier.
         for _ in 0..128 {
             let page_id = self.wr_cursor % total_pages;
             self.wr_cursor += 1;
-            let from = table_objs[(page_id / pages_per_table) as usize];
-            let to = table_objs[self.rng.gen_range(0..PG_TABLES)];
+            let from = page_id / PG_PAGES_PER_TABLE;
+            let to = self.rng.gen_range(0..PG_TABLES);
             ops.push(Op::LinkPtr {
                 from,
-                slot: (page_id % pages_per_table) * PG_LINK_STRIDE,
+                slot: (page_id % PG_PAGES_PER_TABLE) * PG_LINK_STRIDE,
                 to,
             });
         }
@@ -240,9 +180,10 @@ impl PgbenchSource {
         ops.push(Op::Free { obj: t2 });
         ops.push(Op::Free { obj: t1 });
         ops.push(Op::TxEnd { id: tx });
+        // Inter-transaction gap (client thinks; autovacuum etc. elsewhere).
         ops.push(Op::ThinkIdle { cycles: 45_000 });
         if tx % 500 == 499 {
-            ops.push(Op::SyscallHoard { obj: table_objs[(tx % PG_TABLES as u64) as usize] });
+            ops.push(Op::SyscallHoard { obj: tx % PG_TABLES });
         }
     }
 }
@@ -276,8 +217,10 @@ impl Default for GrpcParams {
     }
 }
 
-const GRPC_CHANNELS: usize = 20;
+/// Channel objects occupy root slots `0..GRPC_CHANNELS`.
+const GRPC_CHANNELS: ObjId = 20;
 const GRPC_CHANNEL_BYTES: u64 = 272 << 10; // 20 x 272 KiB ~ 5.3 MiB (340/64)
+const GRPC_PAGES_PER_CHANNEL: u64 = GRPC_CHANNEL_BYTES / 4096;
 const GRPC_LINK_STRIDE: u64 = 250;
 
 /// Generates the gRPC QPS surrogate.
@@ -289,48 +232,7 @@ const GRPC_LINK_STRIDE: u64 = 250;
 /// messages — producing the paper's tail-latency picture.
 #[must_use]
 pub fn grpc_qps(params: GrpcParams) -> GeneratedWorkload {
-    let mut rng = Rng::seed_from_u64(params.seed ^ 0xc2b2_ae35);
-    let mut ops = Vec::new();
-
-    // Connection/channel state, dense with pointers (protobuf arenas,
-    // completion queues): every page carries at least one capability.
-    let channels: Vec<ObjId> = (0..GRPC_CHANNELS as u64).collect();
-    let pages_per_channel = GRPC_CHANNEL_BYTES / 4096;
-    for &c in &channels {
-        ops.push(Op::Alloc { obj: c, size: GRPC_CHANNEL_BYTES });
-        ops.push(Op::WriteData { obj: c, len: GRPC_CHANNEL_BYTES });
-    }
-    for &c in &channels {
-        for p in 0..pages_per_channel {
-            let to = channels[((c + p * 3 + 1) as usize) % GRPC_CHANNELS];
-            ops.push(Op::LinkPtr { from: c, slot: p * GRPC_LINK_STRIDE, to });
-        }
-    }
-
-    let msg_base: ObjId = 100;
-    for m in 0..params.messages {
-        ops.push(Op::TxBegin { id: m });
-        ops.push(Op::Compute { cycles: 200_000 });
-        let buf = msg_base + m % 512;
-        // Request + response buffers (the QPS scenario allows 4
-        // outstanding messages per channel; buffers are sizable).
-        let size = rng.gen_range(8 << 10..16 << 10);
-        ops.push(Op::Alloc { obj: buf, size });
-        ops.push(Op::WriteData { obj: buf, len: size });
-        let ch = channels[rng.gen_range(0..GRPC_CHANNELS)];
-        let slot = rng.gen_range(0..pages_per_channel) * GRPC_LINK_STRIDE;
-        ops.push(Op::LinkPtr { from: ch, slot, to: buf });
-        ops.push(Op::ChasePtr { from: ch, slot });
-        ops.push(Op::Compute { cycles: 200_000 });
-        ops.push(Op::Free { obj: buf });
-        ops.push(Op::TxEnd { id: m });
-        ops.push(Op::ThinkIdle { cycles: 20_000 });
-        if m % 1000 == 999 {
-            ops.push(Op::SyscallHoard { obj: ch });
-        }
-    }
-
-    GeneratedWorkload { name: "gRPC QPS".to_string(), ops, config: grpc_config() }
+    grpc_stream(params).materialize()
 }
 
 fn grpc_config() -> SimConfig {
@@ -350,8 +252,8 @@ fn grpc_config() -> SimConfig {
         .expect("static workload config")
 }
 
-/// The streaming form of [`grpc_qps`]: identical op stream and config,
-/// regenerated lazily from the seed.
+/// The streaming form of [`grpc_qps`]: the ops are regenerated lazily
+/// from the seed.
 #[must_use]
 pub fn grpc_stream(params: GrpcParams) -> StreamedWorkload<GrpcSource> {
     StreamedWorkload {
@@ -362,7 +264,7 @@ pub fn grpc_stream(params: GrpcParams) -> StreamedWorkload<GrpcSource> {
 }
 
 /// Resumable state machine emitting [`grpc_qps`]'s op stream batch by
-/// batch with the same RNG call order as the materializing generator.
+/// batch: the channel-state warmup first, then one message at a time.
 #[derive(Debug, Clone)]
 pub struct GrpcSource {
     params: GrpcParams,
@@ -383,24 +285,22 @@ impl GrpcSource {
         }
     }
 
+    /// Connection/channel state, dense with pointers (protobuf arenas,
+    /// completion queues): every page carries at least one capability.
     fn emit_warmup(&mut self, ops: &mut Vec<Op>) {
-        let channels: Vec<ObjId> = (0..GRPC_CHANNELS as u64).collect();
-        let pages_per_channel = GRPC_CHANNEL_BYTES / 4096;
-        for &c in &channels {
+        for c in 0..GRPC_CHANNELS {
             ops.push(Op::Alloc { obj: c, size: GRPC_CHANNEL_BYTES });
             ops.push(Op::WriteData { obj: c, len: GRPC_CHANNEL_BYTES });
         }
-        for &c in &channels {
-            for p in 0..pages_per_channel {
-                let to = channels[((c + p * 3 + 1) as usize) % GRPC_CHANNELS];
+        for c in 0..GRPC_CHANNELS {
+            for p in 0..GRPC_PAGES_PER_CHANNEL {
+                let to = (c + p * 3 + 1) % GRPC_CHANNELS;
                 ops.push(Op::LinkPtr { from: c, slot: p * GRPC_LINK_STRIDE, to });
             }
         }
     }
 
     fn emit_msg(&mut self, ops: &mut Vec<Op>) {
-        let channels: Vec<ObjId> = (0..GRPC_CHANNELS as u64).collect();
-        let pages_per_channel = GRPC_CHANNEL_BYTES / 4096;
         let msg_base: ObjId = 100;
         let m = self.next_msg;
         self.next_msg += 1;
@@ -408,11 +308,13 @@ impl GrpcSource {
         ops.push(Op::TxBegin { id: m });
         ops.push(Op::Compute { cycles: 200_000 });
         let buf = msg_base + m % 512;
+        // Request + response buffers (the QPS scenario allows 4
+        // outstanding messages per channel; buffers are sizable).
         let size = self.rng.gen_range(8 << 10..16 << 10);
         ops.push(Op::Alloc { obj: buf, size });
         ops.push(Op::WriteData { obj: buf, len: size });
-        let ch = channels[self.rng.gen_range(0..GRPC_CHANNELS)];
-        let slot = self.rng.gen_range(0..pages_per_channel) * GRPC_LINK_STRIDE;
+        let ch = self.rng.gen_range(0..GRPC_CHANNELS);
+        let slot = self.rng.gen_range(0..GRPC_PAGES_PER_CHANNEL) * GRPC_LINK_STRIDE;
         ops.push(Op::LinkPtr { from: ch, slot, to: buf });
         ops.push(Op::ChasePtr { from: ch, slot });
         ops.push(Op::Compute { cycles: 200_000 });
@@ -503,20 +405,5 @@ mod tests {
         let a = pgbench(PgbenchParams::default());
         let b = pgbench(PgbenchParams::default());
         assert_eq!(a.ops, b.ops);
-    }
-
-    #[test]
-    fn streaming_sources_match_materialized_generators() {
-        let pp = PgbenchParams { transactions: 700, rate: Some(900.0), seed: 11 };
-        let sw = pgbench_stream(pp);
-        let mw = pgbench(pp);
-        assert_eq!(sw.name, mw.name);
-        assert_eq!(sw.config.tx_interval(), mw.config.tx_interval());
-        assert_eq!(sw.source.collect_ops(), mw.ops);
-
-        let gp = GrpcParams { messages: 900, seed: 5 };
-        let sw = grpc_stream(gp);
-        let mw = grpc_qps(gp);
-        assert_eq!(sw.source.collect_ops(), mw.ops);
     }
 }

@@ -19,12 +19,11 @@
 //!
 //! ```
 //! use morello_sim::{Condition, System};
-//! use workloads::{spec, SpecProgram};
+//! use workloads::{spec_stream, SpecProgram};
 //!
-//! let mut w = spec(SpecProgram::GobmkTrevord, 42);
-//! w.scale_churn(0.05); // tiny smoke run
-//! w.config = w.config.with_condition(Condition::reloaded());
-//! let stats = System::new(w.config.clone()).run(w.ops.clone()).unwrap();
+//! let mut w = spec_stream(SpecProgram::GobmkTrevord, 42);
+//! let config = w.config.with_condition(Condition::reloaded());
+//! let stats = System::new(config).run_stream(&mut w.source).unwrap();
 //! assert!(stats.frees > 0);
 //! ```
 
@@ -46,8 +45,8 @@ pub use interactive::{
     PgbenchParams, PgbenchSource,
 };
 pub use morello_sim::OpSource;
-pub use spec::{spec, spec_stream, spec_stream_scaled, SpecProgram, SPEC_PROGRAMS};
-pub use stream::{count_ops, scaled_keep, SliceSource, Truncated};
+pub use spec::{spec, spec_stream, SpecProgram, SPEC_PROGRAMS};
+pub use stream::{count_ops, SliceSource};
 
 use morello_sim::{Op, SimConfig};
 
@@ -55,8 +54,9 @@ use morello_sim::{Op, SimConfig};
 /// (heaps, churn, quarantine floor) are divided by this.
 pub const MEM_SCALE: u64 = 64;
 
-/// A generated workload: the op stream plus a [`SimConfig`] pre-tuned for
-/// it (arena size, quarantine floor, thread/core placement). Callers set
+/// A materialized workload — a [`StreamedWorkload`] with its stream
+/// collected: the ops plus a [`SimConfig`] pre-tuned for them (arena size,
+/// quarantine floor, thread/core placement). Callers set
 /// `config.condition` and run.
 #[derive(Debug, Clone)]
 pub struct GeneratedWorkload {
@@ -68,30 +68,10 @@ pub struct GeneratedWorkload {
     pub config: SimConfig,
 }
 
-impl GeneratedWorkload {
-    /// Truncates the op stream to roughly `fraction` of its transactions/
-    /// steps (for smoke tests and fast CI runs). Keeps whole transactions.
-    pub fn scale_churn(&mut self, fraction: f64) {
-        assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-        let keep = (self.ops.len() as f64 * fraction) as usize;
-        // Never cut inside a transaction: extend to the next TxEnd.
-        let mut end = keep.min(self.ops.len());
-        while end < self.ops.len() {
-            end += 1;
-            if matches!(self.ops[end - 1], Op::TxEnd { .. }) {
-                break;
-            }
-        }
-        self.ops.truncate(end);
-        // Drop trailing ops that reference objects but keep frees balanced:
-        // the simulator tolerates leaks, so truncation is safe.
-    }
-}
-
-/// A workload whose ops are produced lazily by an [`OpSource`] instead of
-/// a materialized vector: the streaming twin of [`GeneratedWorkload`].
-/// Resident memory is one batch buffer plus generator state (a few KiB)
-/// rather than the whole op stream (tens of MiB for the big SPEC rows).
+/// A workload whose ops are produced lazily by an [`OpSource`]: the form
+/// every generator in this crate is written in. Resident memory is one
+/// batch buffer plus generator state (a few KiB) rather than the whole op
+/// stream (tens of MiB for the big SPEC rows).
 #[derive(Debug, Clone)]
 pub struct StreamedWorkload<S> {
     /// Workload name (figure row label).
@@ -103,8 +83,8 @@ pub struct StreamedWorkload<S> {
 }
 
 impl<S: OpSource> StreamedWorkload<S> {
-    /// Drains the stream into a [`GeneratedWorkload`] (the materialized
-    /// form; the two run bit-identically under the simulator).
+    /// Drains the stream into a [`GeneratedWorkload`] (the two run
+    /// bit-identically under the simulator).
     #[must_use]
     pub fn materialize(self) -> GeneratedWorkload {
         GeneratedWorkload {

@@ -10,7 +10,6 @@
 //! never engage revocation).
 
 use crate::churn::{ChurnProfile, ChurnSource, SizeDist};
-use crate::stream::{count_ops, scaled_keep, Truncated};
 use crate::{GeneratedWorkload, StreamedWorkload, MEM_SCALE};
 use morello_sim::SimConfig;
 
@@ -236,10 +235,7 @@ impl SpecProgram {
 /// scaled by [`MEM_SCALE`]).
 #[must_use]
 pub fn spec(program: SpecProgram, seed: u64) -> GeneratedWorkload {
-    let profile = program.profile();
-    let ops = profile.generate(seed);
-    let config = spec_config(&profile);
-    GeneratedWorkload { name: profile.name.to_string(), ops, config }
+    spec_stream(program, seed).materialize()
 }
 
 fn spec_config(profile: &ChurnProfile) -> SimConfig {
@@ -252,33 +248,13 @@ fn spec_config(profile: &ChurnProfile) -> SimConfig {
         .expect("profile-derived config")
 }
 
-/// The streaming form of [`spec`]: identical op stream and config, with
-/// the ops regenerated lazily from the profile's RNG schedule.
+/// The streaming form of [`spec`]: the ops are regenerated lazily from
+/// the profile's RNG schedule.
 #[must_use]
 pub fn spec_stream(program: SpecProgram, seed: u64) -> StreamedWorkload<ChurnSource> {
     let profile = program.profile();
     let config = spec_config(&profile);
     StreamedWorkload { name: profile.name.to_string(), source: profile.source(seed), config }
-}
-
-/// [`spec_stream`] truncated exactly as `GeneratedWorkload::scale_churn`
-/// would truncate the materialized vector, without materializing it: a
-/// counting pass over a second identically-seeded source sizes the
-/// stream, then the replay is cut at the same whole-transaction boundary.
-#[must_use]
-pub fn spec_stream_scaled(
-    program: SpecProgram,
-    seed: u64,
-    fraction: f64,
-) -> StreamedWorkload<Truncated<ChurnSource>> {
-    let w = spec_stream(program, seed);
-    let mut counter = program.profile().source(seed);
-    let keep = scaled_keep(count_ops(&mut counter), fraction);
-    StreamedWorkload {
-        name: w.name,
-        source: Truncated::new(w.source, keep),
-        config: w.config,
-    }
 }
 
 #[cfg(test)]
@@ -335,7 +311,7 @@ mod tests {
     fn scaled_heaps_match_table2_within_factor_two() {
         for p in [SpecProgram::AstarLakes, SpecProgram::HmmerNph3, SpecProgram::Omnetpp] {
             let profile = p.profile();
-            let mut w = spec(p, 3);
+            let w = spec(p, 3);
             // Count implied live bytes at end of warmup from the op stream.
             let mut live = 0i64;
             let mut peak = 0i64;
@@ -353,7 +329,6 @@ mod tests {
             }
             let target = profile.target_heap as i64;
             assert!(peak >= target / 2 && peak <= target * 2, "{}: peak {peak} target {target}", profile.name);
-            w.scale_churn(0.01);
         }
     }
 }

@@ -1,11 +1,6 @@
-//! Generic plumbing for the streaming op pipeline: slice-backed sources,
-//! `scale_churn`-equivalent stream truncation, and stream measurement.
-//!
-//! Every generator in this crate exists in two equivalent forms — a
-//! materializing `Vec<Op>` oracle and a resumable [`OpSource`] — and the
-//! helpers here let harness code treat both uniformly: wrap a shared
-//! vector in a [`SliceSource`], or cut a regenerated stream at exactly
-//! the boundary `GeneratedWorkload::scale_churn` would cut the vector.
+//! Generic plumbing for the op pipeline: a slice-backed source for
+//! hand-built op lists (analyzer fixtures, shared vectors) and a counting
+//! drain for measuring a stream without materializing it.
 
 use morello_sim::{Op, OpSource, OP_BATCH};
 
@@ -34,8 +29,7 @@ impl<T: AsRef<[Op]>> OpSource for SliceSource<T> {
     }
 }
 
-/// Drains `source` to count its remaining ops in O(batch) memory — the
-/// sizing pass behind [`scaled_keep`]-based truncation.
+/// Drains `source` to count its remaining ops in O(batch) memory.
 pub fn count_ops<S: OpSource>(source: &mut S) -> usize {
     let mut buf = Vec::with_capacity(OP_BATCH);
     let mut total = 0;
@@ -49,76 +43,9 @@ pub fn count_ops<S: OpSource>(source: &mut S) -> usize {
     }
 }
 
-/// The keep-threshold `GeneratedWorkload::scale_churn(fraction)` computes
-/// for a stream of `len` ops.
-#[must_use]
-pub fn scaled_keep(len: usize, fraction: f64) -> usize {
-    assert!((0.0..=1.0).contains(&fraction), "fraction out of range");
-    (len as f64 * fraction) as usize
-}
-
-/// Truncates a stream with the exact semantics of
-/// `GeneratedWorkload::scale_churn`: emit the first `keep` ops, then keep
-/// emitting up to and including the next `TxEnd` (never cut inside a
-/// transaction). A stream with no `TxEnd` past the threshold is emitted
-/// in full — which is why `scale_churn` is a no-op for the Tx-less SPEC
-/// churn streams.
-///
-/// `keep` is an absolute op count; derive it from a fraction with a
-/// counting pass over a second, identically-seeded source ([`count_ops`]
-/// + [`scaled_keep`]), keeping the whole pipeline O(batch) in memory.
-#[derive(Debug, Clone)]
-pub struct Truncated<S> {
-    inner: S,
-    keep: usize,
-    emitted: usize,
-    done: bool,
-}
-
-impl<S: OpSource> Truncated<S> {
-    /// Truncates `inner` after `keep` ops, extended to the next `TxEnd`.
-    pub fn new(inner: S, keep: usize) -> Self {
-        Truncated { inner, keep, emitted: 0, done: false }
-    }
-}
-
-impl<S: OpSource> OpSource for Truncated<S> {
-    fn refill(&mut self, buf: &mut Vec<Op>) -> usize {
-        if self.done {
-            return 0;
-        }
-        let start = buf.len();
-        let n = self.inner.refill(buf);
-        if n == 0 {
-            self.done = true;
-            return 0;
-        }
-        let mut cut = None;
-        for (i, op) in buf[start..start + n].iter().enumerate() {
-            if self.emitted + i >= self.keep && matches!(op, Op::TxEnd { .. }) {
-                cut = Some(i + 1);
-                break;
-            }
-        }
-        match cut {
-            Some(c) => {
-                buf.truncate(start + c);
-                self.emitted += c;
-                self.done = true;
-                c
-            }
-            None => {
-                self.emitted += n;
-                n
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pgbench, pgbench_stream, GeneratedWorkload, PgbenchParams};
 
     #[test]
     fn slice_source_round_trips_and_batches() {
@@ -129,36 +56,6 @@ mod tests {
         let mut rest = first.clone();
         while src.refill(&mut rest) > 0 {}
         assert_eq!(rest, ops);
-    }
-
-    #[test]
-    fn count_ops_matches_materialized_length() {
-        let p = PgbenchParams { transactions: 300, ..Default::default() };
-        let mut src = pgbench_stream(p).source;
-        assert_eq!(count_ops(&mut src), pgbench(p).ops.len());
-    }
-
-    #[test]
-    fn truncated_stream_matches_scale_churn_exactly() {
-        let p = PgbenchParams { transactions: 400, ..Default::default() };
-        let full = pgbench(p);
-        for fraction in [0.0, 0.01, 0.37, 0.5, 0.993, 1.0] {
-            let mut oracle = GeneratedWorkload {
-                name: full.name.clone(),
-                ops: full.ops.clone(),
-                config: full.config.clone(),
-            };
-            oracle.scale_churn(fraction);
-            let keep = scaled_keep(full.ops.len(), fraction);
-            let streamed = Truncated::new(pgbench_stream(p).source, keep).collect_ops();
-            assert_eq!(streamed, oracle.ops, "fraction {fraction}");
-        }
-    }
-
-    #[test]
-    fn truncation_without_txend_emits_the_full_stream() {
-        let ops = vec![Op::Compute { cycles: 1 }; 50];
-        let out = Truncated::new(SliceSource::new(ops.clone()), 10).collect_ops();
-        assert_eq!(out, ops, "no TxEnd past the threshold: keep everything");
+        assert_eq!(count_ops(&mut SliceSource::new(ops)), 2_500);
     }
 }

@@ -31,8 +31,7 @@ fn main() {
         std::process::exit(2);
     };
 
-    let mut w = spec(program, 1234);
-    w.scale_churn(0.05);
+    let w = spec(program, 1234);
     let cfg = w
         .config
         .to_builder()

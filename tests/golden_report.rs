@@ -40,8 +40,7 @@ fn golden_cfg(config: SimConfig) -> SimConfig {
 }
 
 fn golden_json() -> String {
-    let mut w = spec(SpecProgram::GobmkTrevord, 1234);
-    w.scale_churn(0.05);
+    let w = spec(SpecProgram::GobmkTrevord, 1234);
     let cfg = golden_cfg(w.config);
     System::new(cfg).run(w.ops).expect("golden workload must complete").to_json()
 }

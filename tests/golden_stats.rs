@@ -23,8 +23,7 @@ use workloads::{spec, SpecProgram};
 /// several revocation epochs, pointer chases (load barriers), and
 /// quarantine turnover.
 fn workload() -> (Vec<morello_sim::Op>, SimConfig) {
-    let mut w = spec(SpecProgram::GobmkTrevord, 1234);
-    w.scale_churn(0.05);
+    let w = spec(SpecProgram::GobmkTrevord, 1234);
     (w.ops, w.config)
 }
 

@@ -5,9 +5,8 @@
 use morello_sim::{Condition, RunStats, System};
 use workloads::{grpc_qps, pgbench, spec, GrpcParams, PgbenchParams, SpecProgram};
 
-fn run_spec(program: SpecProgram, cond: Condition, fraction: f64) -> RunStats {
+fn run_spec(program: SpecProgram, cond: Condition) -> RunStats {
     let mut w = spec(program, 9);
-    w.scale_churn(fraction);
     w.config = w.config.with_condition(cond);
     System::new(w.config.clone()).run(w.ops).unwrap().into_stats()
 }
@@ -16,10 +15,9 @@ fn run_spec(program: SpecProgram, cond: Condition, fraction: f64) -> RunStats {
 /// memory-heavy benchmark (paper: 3+ orders of magnitude at full scale).
 #[test]
 fn pause_hierarchy_on_memory_heavy_spec() {
-    let fraction = 0.15;
-    let cv = run_spec(SpecProgram::Xalancbmk, Condition::cherivoke(), fraction);
-    let corn = run_spec(SpecProgram::Xalancbmk, Condition::cornucopia(), fraction);
-    let rel = run_spec(SpecProgram::Xalancbmk, Condition::reloaded(), fraction);
+    let cv = run_spec(SpecProgram::Xalancbmk, Condition::cherivoke());
+    let corn = run_spec(SpecProgram::Xalancbmk, Condition::cornucopia());
+    let rel = run_spec(SpecProgram::Xalancbmk, Condition::reloaded());
     let max = |s: &RunStats| s.pauses.iter().copied().max().unwrap_or(0);
     assert!(max(&rel) * 20 < max(&cv), "Reloaded {} vs CHERIvoke {}", max(&rel), max(&cv));
     assert!(max(&rel) * 5 < max(&corn), "Reloaded {} vs Cornucopia {}", max(&rel), max(&corn));
@@ -29,11 +27,10 @@ fn pause_hierarchy_on_memory_heavy_spec() {
 /// Reloaded's DRAM overhead stays below Cornucopia's (Figure 4's claim).
 #[test]
 fn reloaded_uses_less_dram_than_cornucopia() {
-    let fraction = 0.15;
     for program in [SpecProgram::Xalancbmk, SpecProgram::Omnetpp] {
-        let base = run_spec(program, Condition::baseline(), fraction);
-        let corn = run_spec(program, Condition::cornucopia(), fraction);
-        let rel = run_spec(program, Condition::reloaded(), fraction);
+        let base = run_spec(program, Condition::baseline());
+        let corn = run_spec(program, Condition::cornucopia());
+        let rel = run_spec(program, Condition::reloaded());
         let corn_over = corn.total_dram() - base.total_dram();
         let rel_over = rel.total_dram() - base.total_dram();
         assert!(
@@ -47,7 +44,7 @@ fn reloaded_uses_less_dram_than_cornucopia() {
 #[test]
 fn quiet_benchmarks_never_revoke() {
     for program in [SpecProgram::Bzip2, SpecProgram::Sjeng] {
-        let s = run_spec(program, Condition::reloaded(), 1.0);
+        let s = run_spec(program, Condition::reloaded());
         assert_eq!(s.revocations, 0, "{program:?} must stay below the quarantine floor");
         assert_eq!(s.pauses.iter().copied().max().unwrap_or(0), 0);
     }
@@ -123,7 +120,6 @@ fn grpc_reloaded_stw_in_paper_band() {
 fn end_to_end_determinism() {
     let run = || {
         let mut w = spec(SpecProgram::HmmerRetro, 4);
-        w.scale_churn(0.3);
         w.config = w.config.with_condition(Condition::reloaded());
         System::new(w.config.clone()).run(w.ops).unwrap()
     };
