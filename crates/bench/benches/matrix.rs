@@ -11,9 +11,8 @@
 //! the serial ones, so the byte-identity contract is exercised at a
 //! real scale on every benchmark run. Non-quick runs record the numbers
 //! in `BENCH_matrix.json` at the workspace root, together with the
-//! host's available parallelism: on a single-core host the honest
-//! speedup is ~1.0× for both the threaded and the multi-process pass,
-//! and the metadata is what makes that number interpretable.
+//! host's available parallelism: a speedup can reach at most that
+//! number, so it is what makes the recorded ones interpretable.
 //!
 //! The sharded pass re-executes this same binary as shard children
 //! (selected by the `MATRIX_BENCH_SHARD=K/N` environment variable), all
@@ -27,7 +26,6 @@ use rev_bench::harness::{
 };
 use rev_bench::orchestrator::{self, RunOptions, Shard};
 use rev_bench::plan::MatrixPlan;
-use rev_bench::sched::{CostModel, Partition};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Instant;
@@ -88,16 +86,11 @@ fn run_shard_child(spec: &str) -> ! {
         .expect("MATRIX_BENCH_REPS not set")
         .parse()
         .expect("MATRIX_BENCH_REPS not an integer");
-    let partition = match std::env::var("MATRIX_BENCH_PARTITION").as_deref() {
-        Ok("lpt") => Partition::CostLpt(CostModel::static_table()),
-        _ => Partition::Modulo,
-    };
     let jobs = MatrixPlan::all(Scale { fraction, reps }).build().expect("full matrix");
     let opts = RunOptions {
         workers: WORKERS.div_ceil(shard.count).max(1),
         shard,
         checkpoint: Some(dir),
-        partition,
         ..RunOptions::default()
     };
     let outcome = orchestrator::run(&jobs, &opts);
@@ -109,14 +102,9 @@ fn run_shard_child(spec: &str) -> ! {
 /// directory, wait for all of them, then resume the directory serially
 /// (the merge step) and verify the merged suites against the serial
 /// oracle. Returns the end-to-end wall time in milliseconds.
-fn measure_sharded(
-    scale: Scale,
-    procs: usize,
-    partition: &str,
-    serial: &[(&'static str, Suite)],
-) -> f64 {
-    let dir = std::env::temp_dir()
-        .join(format!("matrix-bench-shard-{}-{procs}-{partition}", std::process::id()));
+fn measure_sharded(scale: Scale, procs: usize, serial: &[(&'static str, Suite)]) -> f64 {
+    let dir =
+        std::env::temp_dir().join(format!("matrix-bench-shard-{}-{procs}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create shard checkpoint dir");
     let exe = std::env::current_exe().expect("current_exe");
@@ -129,7 +117,6 @@ fn measure_sharded(
                 .env("MATRIX_BENCH_CKPT", &dir)
                 .env("MATRIX_BENCH_FRACTION", format!("{}", scale.fraction))
                 .env("MATRIX_BENCH_REPS", scale.reps.to_string())
-                .env("MATRIX_BENCH_PARTITION", partition)
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()
@@ -197,53 +184,19 @@ fn main() {
     // processes, both through the checkpoint-directory protocol so the
     // comparison includes its IO cost.
     let serial = serial_suites(scale);
-    let one_proc_ms = measure_sharded(scale, 1, "modulo", &serial);
-    let two_proc_ms = measure_sharded(scale, SHARD_PROCS, "modulo", &serial);
-    let two_proc_lpt_ms = measure_sharded(scale, SHARD_PROCS, "lpt", &serial);
+    let one_proc_ms = measure_sharded(scale, 1, &serial);
+    let multi_proc_ms = measure_sharded(scale, SHARD_PROCS, &serial);
     let cells_per_sec = |ms: f64| fifth.jobs as f64 / (ms / 1e3);
     eprintln!(
         "matrix/sharded: {} jobs, 1 proc {:.0} ms ({:.1} cells/s), \
-         {SHARD_PROCS} procs modulo {:.0} ms / lpt {:.0} ms ({:.1} cells/s), {:.2}x",
+         {SHARD_PROCS} procs {:.0} ms ({:.1} cells/s), {:.2}x",
         fifth.jobs,
         one_proc_ms,
         cells_per_sec(one_proc_ms),
-        two_proc_ms,
-        two_proc_lpt_ms,
-        cells_per_sec(two_proc_ms),
-        one_proc_ms / two_proc_ms,
+        multi_proc_ms,
+        cells_per_sec(multi_proc_ms),
+        one_proc_ms / multi_proc_ms,
     );
-
-    // Scheduler quality, independent of this host's core count: the
-    // estimated max-shard cost of both partitions over the canonical
-    // full matrix (reps = 2), from the static cost table. On this
-    // matrix the 5-condition stride leaves modulo accidentally
-    // near-balanced at small shard counts; the cost-aware win appears
-    // where the stride aligns badly (8 shards).
-    let full = MatrixPlan::all(Scale { fraction: 1.0, reps: 2 }).build().expect("full matrix");
-    let model = CostModel::static_table();
-    let lpt = Partition::CostLpt(model.clone());
-    let mut estimates = Vec::new();
-    for n in [2usize, 4, 8] {
-        let m = Partition::Modulo.estimate(&full, n, &model);
-        let l = lpt.estimate(&full, n, &model);
-        let ratio = l.max() as f64 / m.max() as f64;
-        eprintln!(
-            "matrix/partition: {n} shards, modulo max {} (max/mean {:.3}), \
-             lpt max {} (max/mean {:.3}), lpt/modulo {ratio:.3}",
-            m.max(),
-            m.max_over_mean(),
-            l.max(),
-            l.max_over_mean(),
-        );
-        estimates.push(format!(
-            "{{ \"shards\": {n}, \"modulo_max_mcycles\": {}, \"modulo_max_over_mean\": {:.3}, \
-             \"lpt_max_mcycles\": {}, \"lpt_max_over_mean\": {:.3}, \"lpt_over_modulo_max\": {ratio:.3} }}",
-            m.max(),
-            m.max_over_mean(),
-            l.max(),
-            l.max_over_mean(),
-        ));
-    }
 
     let entry = |m: &Measurement| {
         format!(
@@ -257,39 +210,24 @@ fn main() {
     let sharded = format!(
         "{{ \"jobs\": {}, \"procs\": {SHARD_PROCS}, \"one_proc_ms\": {:.0}, \
          \"one_proc_cells_per_sec\": {:.1}, \"multi_proc_ms\": {:.0}, \
-         \"multi_proc_cells_per_sec\": {:.1}, \"multi_proc_lpt_ms\": {:.0}, \"speedup\": {:.2} }}",
+         \"multi_proc_cells_per_sec\": {:.1}, \"speedup\": {:.2} }}",
         fifth.jobs,
         one_proc_ms,
         cells_per_sec(one_proc_ms),
-        two_proc_ms,
-        cells_per_sec(two_proc_ms),
-        two_proc_lpt_ms,
-        one_proc_ms / two_proc_ms,
+        multi_proc_ms,
+        cells_per_sec(multi_proc_ms),
+        one_proc_ms / multi_proc_ms,
     );
-    let partition_json = format!(
-        "{{ \"costs\": \"static\", \"full_matrix_jobs\": {}, \"estimates\": [\n    {}\n  ] }}",
-        full.len(),
-        estimates.join(",\n    "),
-    );
-    let note = if host_parallelism <= SHARD_PROCS {
-        format!(
-            "host exposes {host_parallelism} core(s); with fewer cores than \
-             processes the honest multi-process speedup is ~1.0x and the \
-             sharded numbers only demonstrate protocol overhead, not scaling"
-        )
-    } else {
-        format!("host exposes {host_parallelism} core(s)")
-    };
+    let note =
+        format!("host exposes {host_parallelism} core(s): the ceiling of every speedup below");
     let json = format!(
         "{{\n  \"bench\": \"matrix\",\n  \"workers\": {WORKERS},\n  \
          \"host_parallelism\": {host_parallelism},\n  \
          \"note\": \"{note}\",\n  \
-         \"smoke\": {},\n  \"fraction_0_2\": {},\n  \"sharded\": {},\n  \
-         \"partition\": {}\n}}\n",
+         \"smoke\": {},\n  \"fraction_0_2\": {},\n  \"sharded\": {}\n}}\n",
         entry(&smoke),
         entry(&fifth),
         sharded,
-        partition_json,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matrix.json");
     std::fs::write(path, &json).expect("write BENCH_matrix.json");

@@ -20,9 +20,7 @@
 //! the run. With `--preflight`, the static temporal-safety analyzer
 //! (`crates/analyze`) additionally vets each cell's streamed program
 //! before it reaches the simulator: malformed programs become
-//! zero-attempt failure records instead of panics. A clean checkpointed
-//! run also refreshes the scheduler's `costs.json` calibration beside
-//! the checkpoint on the way out.
+//! zero-attempt failure records instead of panics.
 //!
 //! Honours `REPRO_SCALE` (workload fraction, default 1.0), `REPRO_REPS`
 //! (repetitions, default 2), and `REPRO_JOBS` (worker threads, CLI
@@ -34,7 +32,6 @@
 use rev_bench::cli::{self, CommonArgs};
 use rev_bench::orchestrator;
 use rev_bench::plan::MatrixPlan;
-use rev_bench::sched::CostModel;
 use rev_bench::{ablations, figures};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -128,23 +125,6 @@ fn main() {
         outcome.failures.len(),
         t0.elapsed()
     );
-
-    // A clean checkpointed run doubles as a calibration corpus for the
-    // cost-weighted shard scheduler (see run_matrix --partition).
-    if let Some(path) = common.checkpoint.as_deref() {
-        if outcome.failures.is_empty() {
-            if let Some(model) = CostModel::calibrate_from_checkpoint(path) {
-                match model.save(path) {
-                    Ok(written) => eprintln!(
-                        "reproduce_all: refreshed cost calibration ({} weight(s)) -> {}",
-                        model.len(),
-                        written.display()
-                    ),
-                    Err(e) => eprintln!("reproduce_all: WARNING: cannot write costs.json: {e}"),
-                }
-            }
-        }
-    }
 
     let empty = rev_bench::harness::Suite::default();
     let suite_of = |kind: &str| outcome.suites.get(kind).unwrap_or(&empty);

@@ -5,14 +5,13 @@
 //! into a single job list ([`MatrixPlan`]) and drains it on one worker
 //! pool, so a wide machine keeps every core busy across suite
 //! boundaries. Progress/ETA lines go to stderr only: the report file is
-//! byte-identical for any worker count, shard topology, partition, or
-//! process count.
+//! byte-identical for any worker count, shard topology, or process
+//! count.
 //!
 //! ```text
 //! run_matrix [--out PATH] [--checkpoint PATH] [--compact] [--jobs N]
 //!            [--preflight] [--shard K/N] [--spawn N] [--dispatch TEMPLATE]
-//!            [--collect TEMPLATE] [--partition lpt|modulo] [--calibrate]
-//!            [--estimate-shards N] [--only SUBSTR] [--repro-dir DIR]
+//!            [--collect TEMPLATE] [--only SUBSTR] [--repro-dir DIR]
 //!            [--smoke] [--strict] [--suites spec,pgbench,pgbench-rates,grpc]
 //! ```
 //!
@@ -21,8 +20,11 @@
 //! `REPRO_INJECT_MALFORMED` — all parsed once, at this CLI edge. With
 //! `--checkpoint`, completed cells are appended as they finish and
 //! replayed on the next invocation, so an interrupted sweep resumes
-//! instead of restarting. `--compact` rewrites the checkpoint in place
-//! before the run.
+//! instead of restarting. A line is replayed only when its recorded
+//! generation parameters equal the cell's, so a checkpoint carried to
+//! another `REPRO_SCALE` re-runs its pgbench and gRPC cells instead of
+//! printing the old scale's numbers. `--compact` rewrites the checkpoint
+//! in place before the run.
 //!
 //! `--preflight` runs the static temporal-safety analyzer
 //! (`crates/analyze`) over each cell's streamed program before
@@ -37,26 +39,17 @@
 //! to a shared checkpoint *directory*; run the other shards on other
 //! processes or machines against the same directory, then merge with a
 //! final unsharded invocation (which resumes every cell and writes the
-//! report). Which cells a shard owns comes from `--partition`:
+//! report). Which cells a shard owns is greedy LPT bin-packing over each
+//! cell's op count (`rev_bench::sched`): computed from the job list
+//! alone, so independently launched shards agree without coordination.
 //!
-//! - `lpt` (default): greedy LPT bin-packing over per-workload costs —
-//!   a persisted `costs.json` beside the checkpoint if present, else the
-//!   built-in static table. Deterministic, so independently launched
-//!   shards agree without coordination.
-//! - `modulo`: the stride `job_id % N`.
-//!
-//! `--calibrate` (with `--checkpoint`) derives `costs.json` from the
-//! checkpoint's completed cells before the run; a complete checkpointed
-//! run refreshes it automatically on the way out. `--estimate-shards N`
-//! prints the estimated per-shard costs of both partitions at N shards
-//! and exits — the number ci.sh and capacity planning read.
-//!
-//! `--spawn N` forks N shard processes (one per shard), aggregates their
-//! progress into one ETA line, and merges when they finish. `--dispatch
-//! TEMPLATE` routes each launch through a `sh -c` template instead of a
-//! local fork (`{cmd}`, `{index}`, `{count}`, `{shard}`, `{checkpoint}`
-//! placeholders), e.g. `--dispatch 'ssh worker{index} {cmd}'` for a
-//! cluster with a shared filesystem. Without one, `--collect TEMPLATE`
+//! `--spawn N` launches N shard processes (one per shard), aggregates
+//! their progress into one ETA line, and merges when they finish. Each
+//! launch is the `sh -c` line `--dispatch TEMPLATE` expands to (`{cmd}`,
+//! `{index}`, `{count}`, `{shard}`, `{checkpoint}` placeholders); the
+//! default `{cmd}` runs the shard as a local child, and e.g.
+//! `--dispatch 'ssh worker{index} {cmd}'` runs it on a cluster with a
+//! shared filesystem. Without one, `--collect TEMPLATE`
 //! (same placeholders minus `{cmd}`) runs once per shard after the
 //! children exit to pull each `shard-K-of-N.jsonl` back into the local
 //! checkpoint directory, and a shard file still missing afterwards is a
@@ -68,23 +61,14 @@
 //! ready-to-run `run_matrix --suites ... --only <key>` command.
 
 use rev_bench::cli::{self, CommonArgs};
-use rev_bench::dispatch::{CollectTemplate, CommandTemplate, Dispatcher, LocalSpawn, ShardLaunch};
+use rev_bench::dispatch::{CollectTemplate, CommandTemplate, ShardLaunch};
 use rev_bench::harness::{Scale, Suite};
 use rev_bench::orchestrator::{self, JobSpec, Shard};
 use rev_bench::plan::MatrixPlan;
-use rev_bench::sched::{CostModel, Partition};
-use rev_bench::{ablations, figures};
+use rev_bench::{ablations, figures, sched};
 use std::io::{IsTerminal as _, Write as _};
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Which partition `--partition` asked for; LPT resolves its cost model
-/// against the checkpoint later.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PartitionChoice {
-    Modulo,
-    Lpt,
-}
 
 struct Cli {
     common: CommonArgs,
@@ -92,9 +76,6 @@ struct Cli {
     spawn: Option<usize>,
     dispatch: Option<String>,
     collect: Option<String>,
-    partition: PartitionChoice,
-    calibrate: bool,
-    estimate_shards: Option<usize>,
     only: Option<String>,
     repro_dir: PathBuf,
     smoke: bool,
@@ -107,8 +88,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: run_matrix [--out PATH] [--checkpoint PATH] [--compact] [--jobs N]\n\
          \x20                 [--preflight] [--shard K/N] [--spawn N] [--dispatch TEMPLATE]\n\
-         \x20                 [--collect TEMPLATE] [--partition lpt|modulo] [--calibrate]\n\
-         \x20                 [--estimate-shards N] [--only SUBSTR] [--repro-dir DIR]\n\
+         \x20                 [--collect TEMPLATE] [--only SUBSTR] [--repro-dir DIR]\n\
          \x20                 [--smoke] [--strict]\n\
          \x20                 [--suites spec,pgbench,pgbench-rates,grpc] [--ablations]"
     );
@@ -136,9 +116,6 @@ fn parse_cli() -> Cli {
         spawn: None,
         dispatch: None,
         collect: None,
-        partition: PartitionChoice::Lpt,
-        calibrate: false,
-        estimate_shards: None,
         only: None,
         repro_dir: PathBuf::from("repro"),
         smoke: false,
@@ -164,19 +141,6 @@ fn parse_cli() -> Cli {
             }
             "--dispatch" => cli.dispatch = Some(args.next().unwrap_or_else(|| usage())),
             "--collect" => cli.collect = Some(args.next().unwrap_or_else(|| usage())),
-            "--partition" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cli.partition = match v.trim() {
-                    "modulo" => PartitionChoice::Modulo,
-                    "lpt" => PartitionChoice::Lpt,
-                    other => fail(format!("--partition {other:?}: expected lpt or modulo")),
-                };
-            }
-            "--calibrate" => cli.calibrate = true,
-            "--estimate-shards" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                cli.estimate_shards = Some(parse_count("--estimate-shards", &v));
-            }
             "--only" => cli.only = Some(args.next().unwrap_or_else(|| usage())),
             "--repro-dir" => {
                 cli.repro_dir = args.next().unwrap_or_else(|| usage()).into();
@@ -195,57 +159,20 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// The partition this invocation schedules with.
-fn resolve_partition(cli: &Cli) -> Partition {
-    match cli.partition {
-        PartitionChoice::Modulo => Partition::Modulo,
-        PartitionChoice::Lpt => Partition::resolve_lpt(cli.common.checkpoint.as_deref()),
-    }
-}
-
-/// Prints the modulo-vs-LPT estimate at `n` shards. Both partitions are
-/// priced with the same model so the comparison is apples-to-apples.
-fn print_estimate(jobs: &[JobSpec], n: usize, partition: &Partition) {
-    let static_model = CostModel::static_table();
-    let model = partition.model().unwrap_or(&static_model);
-    let modulo = Partition::Modulo.estimate(jobs, n, model);
-    let lpt = Partition::CostLpt(model.clone()).estimate(jobs, n, model);
-    eprintln!(
-        "run_matrix: partition estimate at {n} shard(s) over {} job(s) (costs: {})",
-        jobs.len(),
-        model.source()
-    );
-    for (label, est) in [("modulo", &modulo), ("lpt", &lpt)] {
-        eprintln!(
-            "  {label:>6}: max shard {} Mcycles, mean {:.0}, max/mean {:.3}",
-            est.max(),
-            est.mean(),
-            est.max_over_mean()
-        );
-    }
-    let ratio = if modulo.max() == 0 { 1.0 } else { lpt.max() as f64 / modulo.max() as f64 };
-    eprintln!("  lpt/modulo max-shard cost ratio: {ratio:.3}");
-}
-
-/// Launches one shard process per shard through the configured
-/// dispatcher against the shared checkpoint directory, folding per-cell
+/// Launches one shard process per shard through the `--dispatch`
+/// template against the shared checkpoint directory, folding per-cell
 /// `[shard K/N]` stderr lines into a single aggregated ETA (everything
 /// else passes through with the shard prefix). Returns true when every
 /// shard exited cleanly; the caller's merge run re-executes whatever a
 /// failed shard left behind either way.
-fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usize, total: usize) -> bool {
+fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usize, jobs: &[JobSpec]) -> bool {
     let exe = std::env::current_exe().expect("current_exe for --spawn");
     let child_jobs = (workers / n).max(1);
-    let partition_label = match cli.partition {
-        PartitionChoice::Modulo => "modulo",
-        PartitionChoice::Lpt => "lpt",
-    };
-    let dispatcher: Box<dyn Dispatcher> = match &cli.dispatch {
-        Some(template) => Box::new(CommandTemplate::new(template.clone()).unwrap_or_else(|e| fail(e))),
-        None => Box::new(LocalSpawn),
-    };
+    let total = jobs.len();
+    let template = CommandTemplate::new(cli.dispatch.as_deref().unwrap_or("{cmd}"))
+        .unwrap_or_else(|e| fail(e));
 
-    let mut launches = Vec::new();
+    let mut lines = Vec::new();
     for k in 0..n {
         let mut args = vec![
             "--shard".to_string(),
@@ -256,8 +183,6 @@ fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usiz
             checkpoint.join(format!("shard-{k}.md")).display().to_string(),
             "--jobs".to_string(),
             child_jobs.to_string(),
-            "--partition".to_string(),
-            partition_label.to_string(),
             "--suites".to_string(),
             cli.suites.clone(),
             "--repro-dir".to_string(),
@@ -273,19 +198,25 @@ fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usiz
             args.push("--only".to_string());
             args.push(needle.clone());
         }
-        launches.push(ShardLaunch {
+        lines.push(template.expand(&ShardLaunch {
             shard: Shard { index: k, count: n },
             program: exe.clone(),
             args,
             checkpoint: checkpoint.to_path_buf(),
-        });
+        }));
     }
 
+    // The packing the children will each derive for themselves: how much
+    // work the slowest shard holds against a perfect split.
+    let costs = sched::op_costs(jobs);
+    let max_ops = sched::max_shard_cost(&costs, &sched::lpt(&costs, n));
+    let mean_ops = costs.iter().sum::<u64>() as f64 / n as f64;
     eprintln!(
-        "run_matrix: dispatching {n} shard process(es) ({child_jobs} worker(s) each, \
-         partition {partition_label}) via {} on {}",
-        dispatcher.describe(),
-        checkpoint.display()
+        "run_matrix: dispatching {n} shard process(es) ({child_jobs} worker(s) each) via {} \
+         on {}; max shard {max_ops} ops, max/mean {:.3}",
+        template.describe(),
+        checkpoint.display(),
+        max_ops as f64 / mean_ops
     );
 
     let started = Instant::now();
@@ -317,18 +248,15 @@ fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usiz
             eprintln!("  [shard {k}/{n}] {line}");
         }
     };
-    let results = rev_bench::dispatch::run_shards(dispatcher.as_ref(), &launches, &sink);
+    let results = rev_bench::dispatch::run_shards(&lines, &sink);
     if single_line && counter.load(std::sync::atomic::Ordering::Relaxed) > 0 {
         eprintln!();
     }
 
     let mut all_ok = true;
-    for r in &results {
+    for (k, r) in results.iter().enumerate() {
         if let Some(e) = &r.error {
-            eprintln!(
-                "run_matrix: WARNING: shard {}/{} {e}; its cells will re-run in the merge",
-                r.shard.index, r.shard.count
-            );
+            eprintln!("run_matrix: WARNING: shard {k}/{n} {e}; its cells will re-run in the merge");
         }
         all_ok &= r.ok;
     }
@@ -348,9 +276,10 @@ fn spawn_shards(cli: &Cli, checkpoint: &std::path::Path, n: usize, workers: usiz
                 eprintln!("  [collect {k}/{n}] {line}");
             }
         };
-        for r in rev_bench::dispatch::collect_shards(&collector, checkpoint, n, &plain_sink) {
+        let collected = rev_bench::dispatch::collect_shards(&collector, checkpoint, n, &plain_sink);
+        for (k, r) in collected.iter().enumerate() {
             if let Some(e) = &r.error {
-                eprintln!("run_matrix: WARNING: collecting shard {}/{n}: {e}", r.shard.index);
+                eprintln!("run_matrix: WARNING: collecting shard {k}/{n}: {e}");
             }
         }
         let missing = rev_bench::dispatch::missing_shard_files(checkpoint, n);
@@ -397,9 +326,6 @@ fn main() {
         // Validate eagerly: a typo must fail before hours of shard work.
         let _ = CollectTemplate::new(template.clone()).unwrap_or_else(|e| fail(e));
     }
-    if cli.calibrate && cli.common.checkpoint.is_none() {
-        fail("--calibrate requires --checkpoint PATH (costs come from its completed cells)");
-    }
     let scale = if cli.smoke { Scale::smoke() } else { cli::env_scale() };
     let t0 = Instant::now();
 
@@ -418,28 +344,6 @@ fn main() {
         }
     }
 
-    // Explicit calibration happens before partition resolution, so this
-    // very run schedules with the fresh weights.
-    if cli.calibrate {
-        let path = cli.common.checkpoint.as_deref().expect("validated above");
-        match CostModel::calibrate_from_checkpoint(path) {
-            Some(model) => match model.save(path) {
-                Ok(written) => eprintln!(
-                    "run_matrix: calibrated {} (suite, workload) cost weight(s) from {} -> {}",
-                    model.len(),
-                    path.display(),
-                    written.display()
-                ),
-                Err(e) => fail(format!("writing costs.json: {e}")),
-            },
-            None => eprintln!(
-                "run_matrix: WARNING: {} holds no completed cells to calibrate from; \
-                 scheduling falls back to the static cost table",
-                path.display()
-            ),
-        }
-    }
-
     let mut plan = MatrixPlan::new(scale)
         .parse_suites(&cli.suites)
         .unwrap_or_else(|e| fail(e));
@@ -448,15 +352,8 @@ fn main() {
     }
     let jobs = plan.build().unwrap_or_else(|e| fail(e));
 
-    let partition = resolve_partition(&cli);
-    if let Some(n) = cli.estimate_shards {
-        print_estimate(&jobs, n, &partition);
-        return;
-    }
-
     let mut opts = cli::env_run_options()
         .shard(cli.shard)
-        .partition(partition)
         .repro_dir(cli.repro_dir.clone())
         .preflight(cli.common.preflight);
     if let Some(jobs_override) = cli.common.jobs {
@@ -484,10 +381,7 @@ fn main() {
         }
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("cannot create checkpoint directory {}: {e}", dir.display()));
-        if n > 1 {
-            print_estimate(&jobs, n, &opts.partition);
-        }
-        spawn_shards(&cli, &dir, n, opts.workers, jobs.len());
+        spawn_shards(&cli, &dir, n, opts.workers, &jobs);
         opts.checkpoint = Some(dir);
     }
 
@@ -496,14 +390,7 @@ fn main() {
         "run_matrix: {} job(s){}, {} worker(s), scale={:.3} reps={}{}",
         jobs.len(),
         if sharded {
-            let owned = opts.partition.assignment(&jobs, cli.shard.count)[cli.shard.index].len();
-            format!(
-                " (shard {}/{} owns {} under {})",
-                cli.shard.index,
-                cli.shard.count,
-                owned,
-                opts.partition.label()
-            )
+            format!(" (shard {}/{})", cli.shard.index, cli.shard.count)
         } else {
             String::new()
         },
@@ -548,25 +435,6 @@ fn main() {
             std::process::exit(1);
         }
         return;
-    }
-
-    // A complete checkpointed matrix is exactly a calibration corpus:
-    // refresh costs.json so the next sharded run over this checkpoint
-    // schedules with measured weights instead of the static table.
-    // (Written only here — after the merge, never from racing shards.)
-    if let Some(path) = opts.checkpoint.as_deref() {
-        if outcome.failures.is_empty() && spawn_tmp.is_none() {
-            if let Some(model) = CostModel::calibrate_from_checkpoint(path) {
-                match model.save(path) {
-                    Ok(written) => eprintln!(
-                        "run_matrix: refreshed cost calibration ({} weight(s)) -> {}",
-                        model.len(),
-                        written.display()
-                    ),
-                    Err(e) => eprintln!("run_matrix: WARNING: cannot write costs.json: {e}"),
-                }
-            }
-        }
     }
 
     let empty = Suite::default();

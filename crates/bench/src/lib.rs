@@ -33,11 +33,10 @@
 //! append to per-shard files in a shared checkpoint directory and any
 //! later run merges them in deterministic job order, so an N-shard
 //! cluster run renders the same bytes as a laptop run. Which cells a
-//! shard executes comes from a pluggable partition ([`sched`]): the
-//! stride `job_id % N`, or cost-weighted LPT bin-packing over
-//! calibrated per-workload costs, dispatched locally or through a
-//! command template ([`dispatch`]). Cells that fail both attempts leave
-//! replayable `repro/<key>.json` files behind.
+//! shard executes is greedy LPT bin-packing over each cell's own op
+//! count ([`sched`]); every shard launches as a `sh -c` line expanded
+//! from a command template ([`dispatch`]). Cells that fail both attempts
+//! leave replayable `repro/<key>.json` files behind.
 //!
 //! Layering: [`plan`] expands the matrix, [`sched`] partitions it,
 //! [`orchestrator`] executes it, [`dispatch`] launches shard processes,

@@ -28,21 +28,19 @@
 //!
 //! The worker pool is in-process threads; to scale past one process, a
 //! run can take a [`Shard`] identity `K/N`: it executes only the jobs
-//! its [`crate::sched::Partition`] assigns to shard `K` and skips the
-//! rest, while **resume** stays global — any cell already in the
-//! checkpoint is replayed no matter which shard wrote it. The default
-//! partition is the original `job_id % N` stride; cost-weighted runs
-//! pass [`crate::sched::Partition::CostLpt`], which bin-packs jobs onto
-//! shards by calibrated per-workload cost (see [`crate::sched`]).
+//! [`crate::sched::assignment`] packs onto shard `K` (greedy LPT over
+//! each cell's op count) and skips the rest, while **resume** stays
+//! global — any cell already in the checkpoint is replayed no matter
+//! which shard wrote it.
 //! Sharded runs require the checkpoint to be a *directory*: each shard
 //! appends to its own `shard-K-of-N.jsonl` file (headed by a
-//! shard-metadata line recording the partition and the assigned job
-//! set), so shards never contend on a file, and loading reads every
-//! `*.jsonl` in the directory. Because cell keys are
-//! topology-independent (`suite|workload|condition|seed`) and the final
-//! reduction is in job order, a checkpoint written by N shards — under
-//! either partition — replays under M shards or serially, and the
-//! merged output is byte-identical to the serial loops. The
+//! shard-metadata line recording the assigned job set), so shards never
+//! contend on a file, and loading reads every `*.jsonl` in the
+//! directory. Because cell keys are topology-independent
+//! (`suite|workload|condition|seed`) and the final reduction is in job
+//! order, a checkpoint written by N shards replays under M shards or
+//! serially, and the merged output is byte-identical to the serial
+//! loops. The
 //! conventional merge step is simply an unsharded run over the same
 //! checkpoint directory: every completed cell resumes, stragglers
 //! (including cells whose shard failed) execute locally, and the
@@ -53,7 +51,6 @@
 //! `REPRO_INJECT_MALFORMED` into it at the CLI edge via [`crate::cli`].
 
 use crate::harness::Suite;
-use crate::sched::Partition;
 use morello_sim::{Json, RunStats};
 use std::collections::BTreeMap;
 use std::io::{BufRead as _, BufWriter, Write as _};
@@ -66,7 +63,7 @@ use std::time::Instant;
 pub use crate::plan::{JobSpec, SuiteKind};
 
 /// A process's identity in a sharded run: this process executes exactly
-/// the jobs the run's [`Partition`] assigns to `index`. The default
+/// the jobs [`crate::sched::assignment`] gives `index`. The default
 /// `0/1` owns every job (unsharded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard {
@@ -107,14 +104,6 @@ impl Shard {
             return Err(format!("shard {spec:?}: K must be < N"));
         }
         Ok(Shard { index, count })
-    }
-
-    /// Whether this shard owns `job_id` under the stride partition
-    /// ([`Partition::Modulo`]'s primitive; cost-weighted runs use the
-    /// partition's explicit assignment instead).
-    #[must_use]
-    pub fn owns(&self, job_id: usize) -> bool {
-        job_id % self.count == self.index
     }
 
     /// True when the run is split across more than one process.
@@ -170,10 +159,6 @@ pub struct RunOptions {
     /// This process's shard identity; the default `0/1` executes every
     /// pending job.
     pub shard: Shard,
-    /// How jobs map onto shards (default: the stride partition).
-    /// Irrelevant when unsharded — every partition assigns all jobs to
-    /// shard 0 of 1.
-    pub partition: Partition,
     /// When set, each job that fails both attempts writes a
     /// `<dir>/<sanitized key>.json` repro file recording its seed,
     /// condition, workload, generation parameters, and a replay command.
@@ -192,8 +177,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// All defaults: serial, no checkpoint, no progress, unsharded,
-    /// stride partition.
+    /// All defaults: serial, no checkpoint, no progress, unsharded.
     #[must_use]
     pub fn new() -> Self {
         RunOptions::default()
@@ -231,13 +215,6 @@ impl RunOptions {
     #[must_use]
     pub fn shard(mut self, shard: Shard) -> Self {
         self.shard = shard;
-        self
-    }
-
-    /// Sets the job→shard partition.
-    #[must_use]
-    pub fn partition(mut self, partition: Partition) -> Self {
-        self.partition = partition;
         self
     }
 
@@ -328,41 +305,34 @@ type Slot = Option<Result<RunStats, JobFailure>>;
 /// after all jobs settle, in job order, so both paths produce identical
 /// [`Suite`]s.
 ///
-/// With a sharded [`RunOptions::shard`], only the pending jobs the
-/// partition assigns to this shard execute; cells owned by other shards
-/// (and absent from the checkpoint) are counted in
+/// With a sharded [`RunOptions::shard`], only the pending jobs
+/// [`crate::sched::assignment`] gives this shard execute; cells owned by
+/// other shards (and absent from the checkpoint) are counted in
 /// [`MatrixOutcome::skipped`] and excluded from the merged suites —
 /// re-run unsharded over the same checkpoint to merge a complete matrix.
-/// The partition only decides *who executes what*; resume and the merge
+/// The assignment only decides *who executes what*; resume and the merge
 /// are keyed by topology-agnostic cell keys, so checkpoints written
-/// under any partition or shard count replay under any other.
+/// under any shard count replay under any other.
 #[must_use]
 pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
     let shard = opts.shard;
-    let assigned = opts.partition.assignment(jobs, shard.count);
-    let mut owned = vec![false; jobs.len()];
-    for &id in &assigned[shard.index] {
-        owned[id] = true;
-    }
-    let resumed_stats = opts.checkpoint.as_deref().map(load_checkpoint).unwrap_or_default();
-    let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-    let mut pending: Vec<usize> = Vec::new();
-    let mut resumed = 0usize;
-    for (i, job) in jobs.iter().enumerate() {
-        if let Some(stats) = resumed_stats.get(&job.key()) {
-            slots.push(Some(Ok(stats.clone())));
-            resumed += 1;
-        } else {
-            slots.push(None);
-            if owned[i] {
-                pending.push(i);
-            }
-        }
-    }
+    // Only a sharded run pays for the assignment's op-count pass.
+    let assigned: Vec<usize> = if shard.is_sharded() {
+        crate::sched::assignment(jobs, shard.count).swap_remove(shard.index)
+    } else {
+        (0..jobs.len()).collect()
+    };
+    let resumed_stats =
+        opts.checkpoint.as_deref().map(|path| load_checkpoint(path, jobs)).unwrap_or_default();
+    let mut slots: Vec<Slot> =
+        jobs.iter().map(|job| resumed_stats.get(&job.key()).cloned().map(Ok)).collect();
+    let resumed = slots.iter().flatten().count();
+    // `assigned` is ascending, so owned pending jobs run in job order.
+    let pending: Vec<usize> =
+        assigned.iter().copied().filter(|&id| slots[id].is_none()).collect();
 
-    let checkpoint_writer = opts.checkpoint.as_deref().map(|path| {
-        CheckpointWriter::open(path, shard, opts.partition.label(), &assigned[shard.index])
-    });
+    let checkpoint_writer =
+        opts.checkpoint.as_deref().map(|path| CheckpointWriter::open(path, shard, &assigned));
 
     // ETA denominator: the cells *this process* will settle (its own
     // pending jobs plus everything resumed), not the global matrix.
@@ -381,7 +351,7 @@ pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
         let job = &jobs[job_id];
         let outcome = attempt_job(job_id, job, opts);
         if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
-            writer.append(&job.key(), stats);
+            writer.append(job, stats);
         }
         let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
         if opts.progress {
@@ -641,14 +611,16 @@ fn write_repro_file(dir: &Path, job: &JobSpec, failure: &JobFailure, progress: b
 // append-only file; sharded runs use a directory of per-shard files.
 // ---------------------------------------------------------------------
 
-/// Parses one checkpoint line into its cell key and stats. `None` for a
-/// torn final line (interrupted write) or an entry from another code
-/// version — callers simply re-run such cells.
-fn parse_checkpoint_line(line: &str) -> Option<(String, RunStats)> {
+/// Parses one checkpoint line into its cell key, the generation
+/// parameters it was run with, and its stats. `None` for a torn final
+/// line (interrupted write) or an entry from another code version —
+/// callers simply re-run such cells.
+fn parse_checkpoint_line(line: &str) -> Option<(String, Json, RunStats)> {
     let v = Json::parse(line).ok()?;
     let key = v.get("key").and_then(Json::as_str)?;
+    let params = v.get("params")?.clone();
     let stats = RunStats::from_json_value(v.get("stats")?).ok()?;
-    Some((key.to_string(), stats))
+    Some((key.to_string(), params, stats))
 }
 
 /// The `*.jsonl` files under a checkpoint directory, sorted by name for
@@ -664,32 +636,46 @@ fn checkpoint_dir_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-fn load_checkpoint_file(path: &Path, map: &mut BTreeMap<String, RunStats>) {
+fn load_checkpoint_file(
+    path: &Path,
+    wanted: &BTreeMap<String, Json>,
+    map: &mut BTreeMap<String, RunStats>,
+) {
     let Ok(file) = std::fs::File::open(path) else { return };
     for line in std::io::BufReader::new(file).lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        if let Some((key, stats)) = parse_checkpoint_line(&line) {
-            map.insert(key, stats);
+        if let Some((key, params, stats)) = parse_checkpoint_line(&line) {
+            if wanted.get(&key) == Some(&params) {
+                map.insert(key, stats);
+            }
         }
     }
 }
 
-/// Loads every completed cell recorded under `path` — a single checkpoint
-/// file, or a directory of per-shard `*.jsonl` files. Within a file the
-/// last write per key wins; across files the values are interchangeable
-/// (a cell's stats are deterministic), so file order only needs to be
-/// stable, not meaningful.
-pub(crate) fn load_checkpoint(path: &Path) -> BTreeMap<String, RunStats> {
+/// Loads the completed cells recorded under `path` — a single checkpoint
+/// file, or a directory of per-shard `*.jsonl` files — that one of
+/// `jobs` can replay: the line's key *and* generation parameters must
+/// equal the job's. The key carries no stream length, so a pgbench or
+/// gRPC line written at another `REPRO_SCALE` shares its key with this
+/// run's cell; replaying it would print that scale's numbers under this
+/// scale's header. Such a line is skipped like one from another code
+/// version: the cell re-runs and appends a line of its own. Within a
+/// file the last matching write per key wins; across files the values
+/// are interchangeable (a cell's stats are deterministic), so file order
+/// only needs to be stable, not meaningful.
+fn load_checkpoint(path: &Path, jobs: &[JobSpec]) -> BTreeMap<String, RunStats> {
+    let wanted: BTreeMap<String, Json> =
+        jobs.iter().map(|job| (job.key(), job.payload_json())).collect();
     let mut map = BTreeMap::new();
     if path.is_dir() {
         for file in checkpoint_dir_files(path) {
-            load_checkpoint_file(&file, &mut map);
+            load_checkpoint_file(&file, &wanted, &mut map);
         }
     } else {
-        load_checkpoint_file(path, &mut map);
+        load_checkpoint_file(path, &wanted, &mut map);
     }
     map
 }
@@ -740,7 +726,7 @@ pub fn compact_checkpoint(path: &Path) -> std::io::Result<(usize, usize)> {
                 continue;
             }
             total += 1;
-            if let Some((key, _)) = parse_checkpoint_line(line) {
+            if let Some((key, ..)) = parse_checkpoint_line(line) {
                 map.insert(key, line.to_string());
             }
         }
@@ -784,13 +770,12 @@ impl CheckpointWriter {
     /// unsharded single-file checkpoint, `path/shard-K-of-N.jsonl` when
     /// `path` is (or must become) a directory. A freshly created
     /// per-shard file is headed by a `shard_meta` line recording the
-    /// topology, the partition, and (in sharded runs) the explicit job
-    /// ids the partition assigned to this shard — provenance for
-    /// debugging, skipped by the loader like any non-cell line. Resume
-    /// never reads the assignment back: cell keys are
-    /// topology-agnostic, which is what lets an N-shard LPT checkpoint
-    /// replay under M modulo shards or serially.
-    fn open(path: &Path, shard: Shard, partition: &str, assigned: &[usize]) -> CheckpointWriter {
+    /// topology and (in sharded runs) the explicit job ids assigned to
+    /// this shard — provenance for debugging, skipped by the loader like
+    /// any non-cell line. Resume never reads the assignment back: cell
+    /// keys are topology-agnostic, which is what lets an N-shard
+    /// checkpoint replay under M shards or serially.
+    fn open(path: &Path, shard: Shard, assigned: &[usize]) -> CheckpointWriter {
         let dir_mode = shard.is_sharded() || path.is_dir();
         let file_path = if dir_mode {
             std::fs::create_dir_all(path).unwrap_or_else(|e| {
@@ -812,7 +797,6 @@ impl CheckpointWriter {
                 ("format", Json::from(2u64)),
                 ("shard", Json::from(shard.index)),
                 ("shards", Json::from(shard.count)),
-                ("partition", Json::from(partition)),
             ];
             if shard.is_sharded() {
                 fields.push((
@@ -832,9 +816,10 @@ impl CheckpointWriter {
         CheckpointWriter { out: Mutex::new((out, 0)) }
     }
 
-    fn append(&self, key: &str, stats: &RunStats) {
+    fn append(&self, job: &JobSpec, stats: &RunStats) {
         let line = Json::obj([
-            ("key", Json::from(key)),
+            ("key", Json::Str(job.key())),
+            ("params", job.payload_json()),
             ("stats", stats.to_json_value()),
         ])
         .render();

@@ -28,7 +28,7 @@ use morello_sim::{
     OP_BATCH,
 };
 use workloads::{
-    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram,
+    count_ops, grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram,
     SPEC_PROGRAMS,
 };
 
@@ -131,16 +131,19 @@ impl JobSpec {
     /// Unique, stable identity: checkpoint key, progress label, and the
     /// target of `REPRO_INJECT_PANIC` substring matching. Deliberately
     /// independent of job *order*, so checkpoints written by any shard
-    /// topology, partition, or suite selection replay under any other.
+    /// topology or suite selection replay under any other.
     #[must_use]
     pub fn key(&self) -> String {
         let seed = self.seed();
         format!("{}|{}|{}|s{seed}", self.suite.label(), self.workload, self.condition.label())
     }
 
-    /// Structured generation parameters for `repro/<key>.json` files:
-    /// everything needed to re-run exactly this cell. Rates are rendered
-    /// as strings because the checkpoint JSON dialect is integer-only.
+    /// Structured generation parameters: everything needed to re-run
+    /// exactly this cell. Written to `repro/<key>.json` files and to each
+    /// checkpoint line, where they decide whether the line may be
+    /// replayed (the key alone carries no stream length). Rates are
+    /// rendered as strings because the checkpoint JSON dialect is
+    /// integer-only.
     #[must_use]
     pub(crate) fn payload_json(&self) -> Json {
         match &self.payload {
@@ -193,6 +196,14 @@ impl JobSpec {
                 f(&mut source, config)
             }
         }
+    }
+
+    /// The number of ops in the cell's stream — its scheduling cost
+    /// ([`crate::sched`]). Generates the whole stream, so callers count
+    /// once per workload and only when a run is actually sharded.
+    #[must_use]
+    pub fn op_count(&self) -> u64 {
+        self.with_stream(|mut source, _| count_ops(&mut source) as u64)
     }
 
     /// Runs the cell to completion. Panics on simulator error (exactly as

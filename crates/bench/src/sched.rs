@@ -1,460 +1,93 @@
-//! Cost-weighted shard scheduling.
+//! Shard scheduling: which cells each of N shard processes executes.
 //!
-//! `job_id % N` assumes every cell costs the same; in reality a full-scale
-//! omnetpp cell simulates ~500× more cycles than a bzip2 cell, so modulo
-//! partitions can leave one shard grinding long after the rest drained —
-//! the straggler tail on real clusters. This module supplies the
-//! alternative: a [`CostModel`] mapping `(suite, workload)` to an
-//! expected cost, and [`Partition::CostLpt`], which assigns jobs to
-//! shards by greedy LPT (Longest Processing Time first) bin-packing over
-//! those costs.
+//! One partitioner. A cell's cost is the number of ops in its own
+//! seed-deterministic stream ([`JobSpec::op_count`]) — a value computed
+//! from the job itself, so it is right at every `REPRO_SCALE`, needs no
+//! table to maintain and no file to calibrate, and independently
+//! launched `--shard K/N` processes derive identical costs with zero
+//! coordination. Host time per op varies ~2.7× across workloads
+//! (`BENCHMARK.json`'s `cpu_ns_per_op` medians, 118–322 ns), against
+//! the spread in stream length the partition has to absorb: 425 ops
+//! for a bzip2 cell, 2.8 M for omnetpp, 3.2 M for full-scale pgbench.
 //!
-//! Costs are expressed in **simulated megacycles** (`RunStats::
-//! wall_cycles / 10⁶`). Simulated cycles are a deterministic,
-//! machine-independent proxy for host work — the simulator's wall time is
-//! dominated by stepping those cycles — so a calibration performed
-//! anywhere is valid everywhere, and calibrating from a checkpoint never
-//! perturbs the checkpoint's own byte-identity contract (host timings
-//! are deliberately *not* written into cell lines).
+//! [`assignment`] packs jobs onto shards by greedy LPT (Longest
+//! Processing Time first): jobs in descending cost order, each to the
+//! least-loaded shard. Ties break on job id and lowest shard index, so
+//! the result is deterministic — and over a uniform cost it is exactly
+//! the stride `job_id % N`.
 //!
-//! Two sources, one precedence:
-//!
-//! 1. **Calibrated**: [`CostModel::calibrate`] averages `wall_cycles` per
-//!    `(suite, workload)` over every completed cell in a checkpoint and
-//!    persists the result as `costs.json` next to (or inside) the
-//!    checkpoint. Deterministic: same cells in, same bytes out.
-//! 2. **Static fallback**: [`CostModel::static_table`], measured once at
-//!    scale 0.2 on the reference matrix and normalized to full-matrix
-//!    proportions. Used whenever no `costs.json` exists, so independently
-//!    launched `--shard K/N` processes still compute identical
-//!    assignments with zero coordination.
-//!
-//! Everything here is deterministic — assignment ties break on job id and
-//! shard index — because shards compute their own assignment
-//! independently and must agree without talking to each other. (If a
-//! `costs.json` appears *between* two shard launches they could disagree;
-//! the merge run resumes by topology-agnostic key and re-executes
-//! whatever fell through, so the result is still correct — just not
-//! perfectly packed. Calibrate first, or don't calibrate mid-flight.)
+//! Counting ops means generating each distinct stream once (0.11 s for
+//! the 17 programs of the smoke matrix, 0.15 s at full scale), so only
+//! sharded runs and the `--spawn` parent ask for an assignment; an
+//! unsharded run never does. The partition decides only *who executes
+//! what*: resume and the merge go by topology-agnostic cell keys, so a
+//! checkpoint directory written under any shard count replays under any
+//! other.
 
 use crate::plan::JobSpec;
-use morello_sim::Json;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
-/// Costs measured at `REPRO_SCALE=0.2 REPRO_REPS=1` on the reference
-/// matrix (mean `wall_cycles / 10⁶` per cell, scaled ×5 to full-matrix
-/// proportions; relative weights are what matters and they are stable
-/// across scales). `(suite label, workload, megacycles)`.
-const STATIC_WEIGHTS: &[(&str, &str, u64)] = &[
-    ("spec", "astar biglakes", 11_505),
-    ("spec", "astar lakes", 22_925),
-    ("spec", "bzip2", 535),
-    ("spec", "gobmk 13x13", 13_280),
-    ("spec", "gobmk trevord", 20_130),
-    ("spec", "hmmer nph3", 30_470),
-    ("spec", "hmmer retro", 18_170),
-    ("spec", "libquantum", 6_775),
-    ("spec", "omnetpp", 281_435),
-    ("spec", "sjeng", 830),
-    ("spec", "xalancbmk", 214_810),
-    ("pgbench", "pgbench", 51_030),
-    ("pgbench-rates", "800 tx/s", 62_670),
-    ("pgbench-rates", "1200 tx/s", 61_705),
-    ("pgbench-rates", "2000 tx/s", 61_585),
-    ("pgbench-rates", "unscheduled", 61_580),
-    ("grpc", "gRPC QPS", 24_065),
-];
+/// Each job's cost: the length of its op stream, generated once per
+/// `(suite, workload)` — conditions replay the same stream, and
+/// repetitions differ only in seed, which moves the length by a few
+/// percent at most.
+#[must_use]
+pub fn op_costs(jobs: &[JobSpec]) -> Vec<u64> {
+    let mut counted: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    jobs.iter()
+        .map(|job| {
+            *counted
+                .entry((job.suite().label(), job.workload()))
+                .or_insert_with(|| job.op_count())
+        })
+        .collect()
+}
 
-/// On-disk cost file format version.
-const COSTS_FORMAT: u64 = 1;
-
-/// Expected cost per `(suite, workload)` cell, in simulated megacycles.
+/// Greedy LPT over explicit costs: assigns every id in `0..costs.len()`
+/// to exactly one of `count` shards. Each shard's id list comes back
+/// sorted ascending, so a shard's pending jobs still execute in job
+/// order.
 ///
-/// Lookup precedence for a job: exact `(suite, workload)` weight → the
-/// suite's mean weight → the model's global mean → 1. Costs are never
-/// zero, so LPT always makes progress.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostModel {
-    /// `"static"` or `"calibrated"` — recorded in `costs.json` and shown
-    /// in shard banners.
-    source: String,
-    /// `(suite label, workload) → (megacycles, samples)`. Static entries
-    /// carry `samples = 0`.
-    weights: BTreeMap<(String, String), (u64, u64)>,
+/// # Panics
+///
+/// `count` must be ≥ 1.
+#[must_use]
+pub fn lpt(costs: &[u64], count: usize) -> Vec<Vec<usize>> {
+    assert!(count >= 1, "shard count must be ≥ 1");
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    // Descending cost, ascending id on ties (the sort is stable).
+    order.sort_by_key(|&id| Reverse(costs[id]));
+    // Min-heap on (load, shard index): pop the least-loaded shard,
+    // lowest index first on ties.
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..count).map(|k| Reverse((0, k))).collect();
+    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); count];
+    for id in order {
+        let Reverse((load, k)) = heap.pop().expect("count ≥ 1");
+        shards[k].push(id);
+        heap.push(Reverse((load + costs[id], k)));
+    }
+    for shard in &mut shards {
+        shard.sort_unstable();
+    }
+    shards
 }
 
-impl CostModel {
-    /// The built-in fallback table (see module docs for provenance).
-    #[must_use]
-    pub fn static_table() -> CostModel {
-        CostModel {
-            source: "static".to_string(),
-            weights: STATIC_WEIGHTS
-                .iter()
-                .map(|&(s, w, c)| ((s.to_string(), w.to_string()), (c, 0)))
-                .collect(),
-        }
-    }
-
-    /// Derives a model from completed checkpoint cells: for every
-    /// parsable cell key `suite|workload|condition|s<seed>`, the weight
-    /// is the mean `wall_cycles / 10⁶` across that `(suite, workload)`'s
-    /// cells (conditions and seeds pooled — the per-condition spread is
-    /// ~1.3×, far below the ~500× per-workload spread the partition must
-    /// absorb). `None` when the checkpoint holds no parsable cell.
-    #[must_use]
-    pub fn calibrate(cells: &BTreeMap<String, morello_sim::RunStats>) -> Option<CostModel> {
-        let mut sums: BTreeMap<(String, String), (u128, u64)> = BTreeMap::new();
-        for (key, stats) in cells {
-            let mut parts = key.split('|');
-            let (Some(suite), Some(workload)) = (parts.next(), parts.next()) else { continue };
-            if parts.next().is_none() {
-                continue; // not a cell key (no condition segment)
-            }
-            let entry = sums.entry((suite.to_string(), workload.to_string())).or_insert((0, 0));
-            entry.0 += u128::from(stats.wall_cycles);
-            entry.1 += 1;
-        }
-        if sums.is_empty() {
-            return None;
-        }
-        let weights = sums
-            .into_iter()
-            .map(|(k, (total, n))| {
-                let mega = (total / u128::from(n) / 1_000_000) as u64;
-                (k, (mega.max(1), n))
-            })
-            .collect();
-        Some(CostModel { source: "calibrated".to_string(), weights })
-    }
-
-    /// Derives a model from a checkpoint file or directory (every
-    /// completed cell it records). `None` when it holds none.
-    #[must_use]
-    pub fn calibrate_from_checkpoint(path: &Path) -> Option<CostModel> {
-        CostModel::calibrate(&crate::orchestrator::load_checkpoint(path))
-    }
-
-    /// Where the model persists for a given checkpoint path:
-    /// `<dir>/costs.json` for a checkpoint directory, a
-    /// `<file>.costs.json` sibling for a single-file checkpoint.
-    #[must_use]
-    pub fn costs_path(checkpoint: &Path) -> PathBuf {
-        if checkpoint.is_dir() {
-            checkpoint.join("costs.json")
-        } else {
-            let mut name = checkpoint
-                .file_stem()
-                .map_or_else(|| "checkpoint".to_string(), |s| s.to_string_lossy().into_owned());
-            name.push_str(".costs.json");
-            checkpoint.with_file_name(name)
-        }
-    }
-
-    /// The model's provenance (`"static"` / `"calibrated"`).
-    #[must_use]
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
-    /// Number of `(suite, workload)` entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// True when the model holds no entries (lookups fall through to 1).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Expected cost of a `(suite, workload)` cell in megacycles.
-    #[must_use]
-    pub fn cost_of(&self, suite: &str, workload: &str) -> u64 {
-        if let Some(&(c, _)) = self.weights.get(&(suite.to_string(), workload.to_string())) {
-            return c;
-        }
-        // Unknown workload: the suite mean, then the global mean.
-        let suite_entries: Vec<u64> = self
-            .weights
-            .iter()
-            .filter(|((s, _), _)| s == suite)
-            .map(|(_, &(c, _))| c)
-            .collect();
-        let pool: Vec<u64> = if suite_entries.is_empty() {
-            self.weights.values().map(|&(c, _)| c).collect()
-        } else {
-            suite_entries
-        };
-        if pool.is_empty() {
-            return 1;
-        }
-        (pool.iter().sum::<u64>() / pool.len() as u64).max(1)
-    }
-
-    /// Expected cost of a job.
-    #[must_use]
-    pub fn cost(&self, job: &JobSpec) -> u64 {
-        self.cost_of(job.suite().label(), job.workload())
-    }
-
-    /// Deterministic `costs.json` document (sorted keys, integer-only).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let entries: Vec<Json> = self
-            .weights
-            .iter()
-            .map(|((suite, workload), &(mega, samples))| {
-                Json::obj([
-                    ("suite", Json::from(suite.as_str())),
-                    ("workload", Json::from(workload.as_str())),
-                    ("megacycles", Json::from(mega)),
-                    ("samples", Json::from(samples)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("format", Json::from(COSTS_FORMAT)),
-            ("unit", Json::from("simulated megacycles per cell")),
-            ("source", Json::from(self.source.as_str())),
-            ("weights", Json::Arr(entries)),
-        ])
-    }
-
-    /// Parses a `costs.json` document.
-    ///
-    /// # Errors
-    ///
-    /// Rejects documents with a wrong format version or malformed weight
-    /// entries, naming the defect.
-    pub fn from_json(doc: &Json) -> Result<CostModel, String> {
-        let format = doc.get("format").and_then(Json::as_num).unwrap_or(0);
-        if format != i128::from(COSTS_FORMAT) {
-            return Err(format!("costs.json: unsupported format {format}"));
-        }
-        let source = doc
-            .get("source")
-            .and_then(Json::as_str)
-            .unwrap_or("calibrated")
-            .to_string();
-        let entries = doc
-            .get("weights")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "costs.json: missing weights array".to_string())?;
-        let mut weights = BTreeMap::new();
-        for e in entries {
-            let suite = e
-                .get("suite")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "costs.json: weight entry without suite".to_string())?;
-            let workload = e
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "costs.json: weight entry without workload".to_string())?;
-            let mega = e
-                .get("megacycles")
-                .and_then(Json::as_num)
-                .filter(|&m| m >= 1)
-                .ok_or_else(|| format!("costs.json: bad megacycles for {suite}|{workload}"))?;
-            let samples = e.get("samples").and_then(Json::as_num).unwrap_or(0).max(0);
-            weights.insert(
-                (suite.to_string(), workload.to_string()),
-                (mega as u64, samples as u64),
-            );
-        }
-        Ok(CostModel { source, weights })
-    }
-
-    /// Persists the model as `costs.json` for `checkpoint` (see
-    /// [`CostModel::costs_path`]), via a temp file and rename so a
-    /// concurrent reader never sees a torn document. Returns the written
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self, checkpoint: &Path) -> std::io::Result<PathBuf> {
-        let path = CostModel::costs_path(checkpoint);
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json().render() + "\n")?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
-
-    /// Loads a persisted model for `checkpoint`. `Ok(None)` when no
-    /// `costs.json` exists there.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures other than not-found, and unparsable documents.
-    pub fn load(checkpoint: &Path) -> Result<Option<CostModel>, String> {
-        let path = CostModel::costs_path(checkpoint);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("reading {}: {e}", path.display())),
-        };
-        let doc = Json::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))?;
-        CostModel::from_json(&doc).map(Some)
-    }
+/// The job ids each of `count` shards executes: [`lpt`] over
+/// [`op_costs`].
+#[must_use]
+pub fn assignment(jobs: &[JobSpec], count: usize) -> Vec<Vec<usize>> {
+    lpt(&op_costs(jobs), count)
 }
 
-/// How jobs map onto shards.
-#[derive(Debug, Clone, Default)]
-pub enum Partition {
-    /// The original stride partition: shard `K` owns `job_id % N == K`.
-    /// Needs no cost model and no coordination; the default for
-    /// library-level [`crate::orchestrator::RunOptions`].
-    #[default]
-    Modulo,
-    /// Greedy LPT bin-packing over the model's costs: jobs sorted by
-    /// descending cost (ties on job id) each go to the least-loaded
-    /// shard (ties on lowest index). Deterministic, so independently
-    /// launched shards agree on the assignment as long as they use the
-    /// same model.
-    CostLpt(CostModel),
-}
-
-impl Partition {
-    /// Parses a `--partition` value: `modulo` or `lpt` (LPT resolves its
-    /// model later, against the checkpoint, via
-    /// [`Partition::resolve_lpt`]).
-    ///
-    /// # Errors
-    ///
-    /// Names the unknown value.
-    pub fn parse(value: &str) -> Result<Partition, String> {
-        match value.trim() {
-            "modulo" => Ok(Partition::Modulo),
-            "lpt" => Ok(Partition::CostLpt(CostModel::static_table())),
-            other => Err(format!("--partition {other:?}: expected modulo or lpt")),
-        }
-    }
-
-    /// An LPT partition with the best model available for `checkpoint`:
-    /// a persisted `costs.json` if one exists and parses, else the static
-    /// table. An unreadable `costs.json` falls back with a warning
-    /// (scheduling is a performance hint, never a correctness gate).
-    #[must_use]
-    pub fn resolve_lpt(checkpoint: Option<&Path>) -> Partition {
-        let model = match checkpoint.map(CostModel::load) {
-            Some(Ok(Some(m))) => m,
-            Some(Err(e)) => {
-                eprintln!("warning: {e}; using the static cost table");
-                CostModel::static_table()
-            }
-            _ => CostModel::static_table(),
-        };
-        Partition::CostLpt(model)
-    }
-
-    /// Stable label (`shard_meta` header, banners).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Partition::Modulo => "modulo",
-            Partition::CostLpt(_) => "lpt",
-        }
-    }
-
-    /// The cost model backing this partition, if any.
-    #[must_use]
-    pub fn model(&self) -> Option<&CostModel> {
-        match self {
-            Partition::Modulo => None,
-            Partition::CostLpt(m) => Some(m),
-        }
-    }
-
-    /// Assigns every job id to exactly one of `count` shards. Each
-    /// shard's id list comes back sorted ascending, so a shard's pending
-    /// jobs still execute in job order.
-    ///
-    /// # Panics
-    ///
-    /// `count` must be ≥ 1.
-    #[must_use]
-    pub fn assignment(&self, jobs: &[JobSpec], count: usize) -> Vec<Vec<usize>> {
-        assert!(count >= 1, "shard count must be ≥ 1");
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); count];
-        match self {
-            Partition::Modulo => {
-                for id in 0..jobs.len() {
-                    shards[id % count].push(id);
-                }
-            }
-            Partition::CostLpt(model) => {
-                let mut order: Vec<(u64, usize)> =
-                    jobs.iter().enumerate().map(|(id, j)| (model.cost(j), id)).collect();
-                // Descending cost, ascending id on ties: deterministic.
-                order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                // Min-heap on (load, shard index): pop the least-loaded
-                // shard, lowest index first on ties.
-                let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-                    (0..count).map(|k| std::cmp::Reverse((0u64, k))).collect();
-                for (cost, id) in order {
-                    let std::cmp::Reverse((load, k)) = heap.pop().expect("count ≥ 1");
-                    shards[k].push(id);
-                    heap.push(std::cmp::Reverse((load + cost, k)));
-                }
-                for shard in &mut shards {
-                    shard.sort_unstable();
-                }
-            }
-        }
-        shards
-    }
-
-    /// Per-shard estimated costs under this partition, priced by `model`
-    /// (pass the same model to both partitions to compare them fairly).
-    #[must_use]
-    pub fn estimate(&self, jobs: &[JobSpec], count: usize, model: &CostModel) -> PartitionEstimate {
-        let shard_costs: Vec<u64> = self
-            .assignment(jobs, count)
-            .iter()
-            .map(|ids| ids.iter().map(|&id| model.cost(&jobs[id])).sum())
-            .collect();
-        PartitionEstimate { shard_costs }
-    }
-}
-
-/// Estimated per-shard costs of one partition of one job list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionEstimate {
-    /// Estimated cost per shard, in megacycles, indexed by shard.
-    pub shard_costs: Vec<u64>,
-}
-
-impl PartitionEstimate {
-    /// The straggler: the most expensive shard (what the cluster waits
-    /// for).
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.shard_costs.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Mean shard cost (the perfectly-balanced ideal).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.shard_costs.is_empty() {
-            return 0.0;
-        }
-        self.shard_costs.iter().sum::<u64>() as f64 / self.shard_costs.len() as f64
-    }
-
-    /// `max / mean` — 1.0 is perfect balance; the excess is the straggler
-    /// tail.
-    #[must_use]
-    pub fn max_over_mean(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 {
-            return 1.0;
-        }
-        self.max() as f64 / mean
-    }
+/// The most expensive shard of `shards` under `costs` — what a sharded
+/// run waits for.
+#[must_use]
+pub fn max_shard_cost(costs: &[u64], shards: &[Vec<usize>]) -> u64 {
+    shards
+        .iter()
+        .map(|ids| ids.iter().map(|&id| costs[id]).sum())
+        .max()
+        .unwrap_or(0)
 }

@@ -129,6 +129,62 @@ fn checkpoint_resume_skips_completed_cells() {
 }
 
 #[test]
+fn checkpoint_lines_replay_only_at_the_scale_that_wrote_them() {
+    // One cheap SPEC cell (its stream ignores the scale) beside pgbench
+    // and gRPC cells whose length the scale sets but whose keys do not
+    // carry: 200 tx / 500 msgs at the floor, 400 tx / 600 msgs at 0.02.
+    let jobs_at = |scale: Scale| -> Vec<JobSpec> {
+        let baseline = [Condition::Baseline];
+        let mut jobs = MatrixPlan::new(scale)
+            .suite(SuiteKind::Spec)
+            .conditions(&baseline)
+            .only("bzip2")
+            .build()
+            .unwrap();
+        jobs.extend(
+            MatrixPlan::new(scale)
+                .suites(&[SuiteKind::Pgbench, SuiteKind::Grpc])
+                .conditions(&baseline)
+                .build()
+                .unwrap(),
+        );
+        jobs
+    };
+    let small = jobs_at(tiny_scale());
+    let large = jobs_at(Scale::smoke());
+    let keys = |jobs: &[JobSpec]| jobs.iter().map(JobSpec::key).collect::<Vec<_>>();
+    assert_eq!(keys(&small), keys(&large), "the bug's precondition: keys carry no length");
+    let scaled = small.iter().filter(|j| j.suite() != SuiteKind::Spec).count();
+
+    let path = std::env::temp_dir()
+        .join(format!("orchestrator-cross-scale-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let opts = RunOptions { checkpoint: Some(path.clone()), ..quiet(2) };
+
+    let first = orchestrator::run(&small, &opts);
+    assert!(first.failures.is_empty());
+    assert_eq!((first.completed, first.resumed), (small.len(), 0));
+
+    // Same scale: every line replays.
+    let again = orchestrator::run(&small, &opts);
+    assert_eq!((again.completed, again.resumed), (0, small.len()));
+
+    // Another scale: the SPEC cell resumes, every scaled cell re-executes
+    // and reports that scale's numbers, not the checkpoint's.
+    let rescaled = orchestrator::run(&large, &opts);
+    assert!(rescaled.failures.is_empty());
+    assert_eq!((rescaled.completed, rescaled.resumed), (scaled, large.len() - scaled));
+    assert_eq!(rescaled.suites, orchestrator::run(&large, &quiet(2)).suites);
+    assert_ne!(rescaled.suites.get("pgbench"), first.suites.get("pgbench"));
+
+    // The later lines win: the file now resumes the larger scale in full.
+    let settled = orchestrator::run(&large, &opts);
+    assert_eq!((settled.completed, settled.resumed), (0, large.len()));
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn jobs_env_parser_rejects_garbage() {
     assert_eq!(orchestrator::parse_jobs("4"), Ok(4));
     assert_eq!(orchestrator::parse_jobs(" 2 "), Ok(2));

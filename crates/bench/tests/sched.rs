@@ -1,13 +1,13 @@
-//! Integration tests of the cost-weighted shard scheduler and the
-//! pluggable dispatcher: calibration determinism, LPT partition
-//! correctness, topology-agnostic resume across partitions, and a
-//! CommandTemplate round-trip through the real `run_matrix` binary.
+//! Integration tests of the shard scheduler and the launcher: LPT
+//! partition correctness over op-count costs, topology-agnostic resume,
+//! and a CommandTemplate round-trip through the real `run_matrix`
+//! binary.
 
 use rev_bench::dispatch::{self, CommandTemplate, ShardLaunch};
 use rev_bench::harness::{pgbench_rate_suite_serial, pgbench_suite_serial, Scale, CONDITIONS, RATE_SCHEDULE};
 use rev_bench::orchestrator::{self, JobSpec, RunOptions, Shard};
 use rev_bench::plan::{MatrixPlan, SuiteKind};
-use rev_bench::sched::{CostModel, Partition};
+use rev_bench::sched;
 use std::path::{Path, PathBuf};
 
 fn tiny_scale() -> Scale {
@@ -31,108 +31,61 @@ fn cleanup(path: &Path) {
     let _ = std::fs::remove_file(path);
 }
 
+/// The stride partition: job `id` on shard `id % n`.
+fn stride(jobs: usize, n: usize) -> Vec<Vec<usize>> {
+    (0..n).map(|k| (k..jobs).step_by(n).collect()).collect()
+}
+
 #[test]
-fn every_partition_covers_every_job_exactly_once() {
+fn assignment_covers_every_job_exactly_once_and_repeats() {
     let all = MatrixPlan::all(Scale { fraction: 0.001, reps: 2 }).build().unwrap();
-    for partition in [Partition::Modulo, Partition::CostLpt(CostModel::static_table())] {
-        for n in [1usize, 2, 3, 4, 8, 7, 200] {
-            let assignment = partition.assignment(&all, n);
-            assert_eq!(assignment.len(), n);
-            let mut seen = vec![0usize; all.len()];
-            for shard in &assignment {
-                // Sorted within a shard: resume order inside one process
-                // stays job order.
-                assert!(shard.windows(2).all(|w| w[0] < w[1]));
-                for &id in shard {
-                    seen[id] += 1;
-                }
+    let costs = sched::op_costs(&all);
+    assert!(costs.iter().all(|&c| c > 0), "every stream holds ops");
+    for n in 1..=9 {
+        let assignment = sched::lpt(&costs, n);
+        assert_eq!(assignment.len(), n);
+        let mut seen = vec![0usize; all.len()];
+        for shard in &assignment {
+            // Sorted within a shard: resume order inside one process
+            // stays job order.
+            assert!(shard.windows(2).all(|w| w[0] < w[1]));
+            for &id in shard {
+                seen[id] += 1;
             }
-            assert!(seen.iter().all(|&c| c == 1), "{}/{n}", partition.label());
+        }
+        assert!(seen.iter().all(|&c| c == 1), "n={n}");
+        assert_eq!(sched::lpt(&costs, n), assignment, "n={n}");
+    }
+    // Uncoordinated shard processes each derive the assignment from the
+    // job list alone; it must come out identical every time.
+    assert_eq!(sched::assignment(&all, 4), sched::lpt(&costs, 4));
+    assert_eq!(sched::op_costs(&all), costs);
+}
+
+#[test]
+fn uniform_cost_lpt_is_exactly_the_stride() {
+    for jobs in [0usize, 1, 9, 136] {
+        for n in 1..=9 {
+            assert_eq!(sched::lpt(&vec![7; jobs], n), stride(jobs, n), "{jobs} jobs, n={n}");
         }
     }
 }
 
 #[test]
-fn lpt_is_deterministic_and_no_worse_than_modulo() {
-    let all = MatrixPlan::all(Scale { fraction: 0.001, reps: 2 }).build().unwrap();
-    let model = CostModel::static_table();
-    let lpt = Partition::CostLpt(model.clone());
+fn lpt_max_shard_is_no_worse_than_the_stride_on_the_full_plan() {
+    let all = MatrixPlan::all(Scale { fraction: 1.0, reps: 2 }).build().unwrap();
+    let costs = sched::op_costs(&all);
     for n in [2usize, 4, 8] {
-        // Uncoordinated shard processes each compute the assignment
-        // independently; it must come out identical every time.
-        assert_eq!(lpt.assignment(&all, n), lpt.assignment(&all, n), "n={n}");
-        let lpt_est = lpt.estimate(&all, n, &model);
-        let mod_est = Partition::Modulo.estimate(&all, n, &model);
-        assert!(
-            lpt_est.max() <= mod_est.max(),
-            "n={n}: LPT max {} > modulo max {}",
-            lpt_est.max(),
-            mod_est.max()
-        );
-        assert!(lpt_est.max_over_mean() >= 1.0 - 1e-9);
+        let lpt_max = sched::max_shard_cost(&costs, &sched::lpt(&costs, n));
+        let stride_max = sched::max_shard_cost(&costs, &stride(all.len(), n));
+        assert!(lpt_max <= stride_max, "n={n}: LPT max {lpt_max} > stride max {stride_max}");
+        let mean = costs.iter().sum::<u64>() / n as u64;
+        assert!(lpt_max >= mean, "n={n}: a max below the mean is an accounting bug");
     }
-    // At 8 shards the modulo stride collides with the 5-condition block
-    // structure (omnetpp/xalancbmk double up on the low shards) and the
-    // cost-aware partition visibly beats it.
-    let lpt8 = lpt.estimate(&all, 8, &model).max() as f64;
-    let mod8 = Partition::Modulo.estimate(&all, 8, &model).max() as f64;
-    assert!(lpt8 / mod8 <= 0.7, "lpt/modulo at 8 shards = {:.3}", lpt8 / mod8);
 }
 
 #[test]
-fn calibration_is_deterministic_and_round_trips() {
-    let jobs = jobs();
-    let path = tmp("calib.jsonl");
-    cleanup(&path);
-    let outcome = orchestrator::run(
-        &jobs,
-        &RunOptions { workers: 2, checkpoint: Some(path.clone()), ..RunOptions::default() },
-    );
-    assert!(outcome.failures.is_empty());
-
-    let model = CostModel::calibrate_from_checkpoint(&path).expect("completed cells");
-    let again = CostModel::calibrate_from_checkpoint(&path).expect("completed cells");
-    assert_eq!(model.to_json().render(), again.to_json().render());
-    assert_eq!(model.len(), 1 + RATE_SCHEDULE.len(), "pgbench pools conditions; rates split");
-
-    // costs.json round-trips byte-identically: save, load, save again.
-    let written = model.save(&path).unwrap();
-    assert_eq!(written, CostModel::costs_path(&path));
-    let first = std::fs::read(&written).unwrap();
-    let loaded = CostModel::load(&path).unwrap().expect("just written");
-    assert_eq!(loaded.to_json().render(), model.to_json().render());
-    loaded.save(&path).unwrap();
-    assert_eq!(std::fs::read(&written).unwrap(), first, "save is deterministic");
-
-    // The calibrated weights drive resolve_lpt for this checkpoint.
-    let partition = Partition::resolve_lpt(Some(&path));
-    let calibrated = partition.model().expect("lpt carries a model");
-    assert_eq!(calibrated.source(), "calibrated");
-    assert!(calibrated.cost_of("pgbench", "pgbench") >= 1);
-
-    cleanup(&path);
-    cleanup(&written);
-}
-
-#[test]
-fn cost_model_falls_back_suite_then_global_then_unit() {
-    let model = CostModel::static_table();
-    assert_eq!(model.source(), "static");
-    let exact = model.cost_of("spec", "omnetpp");
-    assert!(exact > model.cost_of("spec", "bzip2"), "omnetpp dominates bzip2");
-    // Unknown workload in a known suite: the suite mean, not 1.
-    let unknown_spec = model.cost_of("spec", "no-such-program");
-    assert!(unknown_spec > 1);
-    // Unknown suite: the global mean.
-    let unknown_suite = model.cost_of("no-such-suite", "whatever");
-    assert!(unknown_suite > 1);
-    // An empty model prices everything at 1 (pure modulo-like LPT).
-    let empty = CostModel::calibrate(&std::collections::BTreeMap::new());
-    assert!(empty.is_none());
-}
-
-#[test]
-fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
+fn two_shards_resume_under_three_and_serial_byte_identically() {
     let jobs = jobs();
     let dir = tmp("lpt-resume");
     cleanup(&dir);
@@ -147,8 +100,7 @@ fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
     assert!(serial.failures.is_empty());
 
     // Two LPT-partitioned shards fill the directory.
-    let lpt = Partition::CostLpt(CostModel::static_table());
-    let assignment = lpt.assignment(&jobs, 2);
+    let assignment = sched::assignment(&jobs, 2);
     for (k, assigned) in assignment.iter().enumerate() {
         let outcome = orchestrator::run(
             &jobs,
@@ -156,7 +108,6 @@ fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
                 workers: 2,
                 checkpoint: Some(dir.clone()),
                 shard: Shard { index: k, count: 2 },
-                partition: lpt.clone(),
                 ..RunOptions::default()
             },
         );
@@ -169,13 +120,12 @@ fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
         );
     }
 
-    // The shard headers record the partition and the explicit job sets.
+    // The shard headers record the explicit job sets.
     for (k, expected) in assignment.iter().enumerate() {
         let file = dir.join(format!("shard-{k}-of-2.jsonl"));
         let contents = std::fs::read_to_string(&file).unwrap();
         let meta = morello_sim::Json::parse(contents.lines().next().unwrap()).unwrap();
         let meta = meta.get("shard_meta").expect("metadata header");
-        assert_eq!(meta.get("partition").unwrap().as_str(), Some("lpt"));
         let assigned = match meta.get("assigned").expect("assigned ids") {
             morello_sim::Json::Arr(ids) => {
                 ids.iter().map(|j| j.as_num().unwrap() as usize).collect::<Vec<_>>()
@@ -185,9 +135,9 @@ fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
         assert_eq!(&assigned, expected);
     }
 
-    // Resume the LPT-filled directory under a *different* topology and
-    // partition (3 modulo shards): nothing re-executes, because cell keys
-    // are topology- and partition-agnostic.
+    // Resume the 2-shard directory under a *different* topology (3
+    // shards): nothing re-executes, because cell keys are
+    // topology-agnostic.
     for k in 0..3 {
         let outcome = orchestrator::run(
             &jobs,
@@ -224,7 +174,7 @@ fn lpt_shards_resume_under_modulo_and_serial_byte_identically() {
     assert_eq!(
         std::fs::read(dir.join("merged.jsonl")).unwrap(),
         std::fs::read(&serial_file).unwrap(),
-        "LPT-sharded checkpoint != serial checkpoint after compaction"
+        "sharded checkpoint != serial checkpoint after compaction"
     );
 
     cleanup(&dir);
@@ -260,9 +210,9 @@ fn missing_shard_files_names_only_absent_shards() {
     cleanup(&dir);
 }
 
-/// End-to-end dispatcher round-trip: `run_matrix --spawn 2 --dispatch`
-/// with a local `sh -c` template must produce a report byte-identical to
-/// a plain serial invocation, and leave a calibrated costs.json behind.
+/// End-to-end launcher round-trip: `run_matrix --spawn 2 --dispatch`
+/// with a wrapping `sh -c` template must produce a report byte-identical
+/// to a plain serial invocation.
 #[test]
 fn run_matrix_dispatch_round_trip_matches_serial_report() {
     let exe = env!("CARGO_BIN_EXE_run_matrix");
@@ -297,7 +247,7 @@ fn run_matrix_dispatch_round_trip_matches_serial_report() {
         "--spawn",
         "2",
         "--dispatch",
-        "{cmd}",
+        "env SHARD_INDEX={index} {cmd}",
         "--checkpoint",
         &dir.display().to_string(),
         "--out",
@@ -308,19 +258,6 @@ fn run_matrix_dispatch_round_trip_matches_serial_report() {
     let spawn_bytes = std::fs::read(&spawn_out).unwrap();
     assert!(!serial_bytes.is_empty());
     assert_eq!(serial_bytes, spawn_bytes, "dispatched report != serial report");
-    // The complete checkpointed merge refreshed the cost calibration.
-    assert!(dir.join("costs.json").is_file(), "merge must write costs.json");
-
-    // --estimate-shards exits 0 and prints the comparison without running.
-    let output = std::process::Command::new(exe)
-        .args(["--smoke", "--suites", "pgbench-rates", "--estimate-shards", "2"])
-        .env_remove("REPRO_SCALE")
-        .env_remove("REPRO_REPS")
-        .output()
-        .expect("spawn run_matrix");
-    assert!(output.status.success());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("lpt/modulo max-shard cost ratio"), "{stderr}");
 
     cleanup(&dir);
     cleanup(&serial_out);

@@ -7,6 +7,7 @@ use morello_sim::Json;
 use rev_bench::harness::{pgbench_rate_suite_serial, pgbench_suite_serial, Scale, CONDITIONS, RATE_SCHEDULE};
 use rev_bench::orchestrator::{self, repro_file_name, JobSpec, RunOptions, Shard};
 use rev_bench::plan::{MatrixPlan, SuiteKind};
+use rev_bench::sched;
 use std::path::{Path, PathBuf};
 
 /// A cheap cross-suite matrix: 5 pgbench cells + 4 rate cells at the
@@ -54,19 +55,15 @@ fn cleanup(path: &Path) {
 }
 
 #[test]
-fn shard_parse_and_ownership() {
+fn shard_parse() {
     assert_eq!(Shard::parse("0/2"), Ok(Shard { index: 0, count: 2 }));
     assert_eq!(Shard::parse(" 1 / 3 "), Ok(Shard { index: 1, count: 3 }));
     assert!(Shard::parse("2/2").unwrap_err().contains("K must be < N"));
     assert!(Shard::parse("1/0").unwrap_err().contains("N must be ≥ 1"));
     assert!(Shard::parse("x/2").unwrap_err().contains("not a number"));
     assert!(Shard::parse("2").unwrap_err().contains("expected K/N"));
-    let s = Shard { index: 1, count: 3 };
-    assert!(!s.owns(0) && s.owns(1) && !s.owns(2) && !s.owns(3) && s.owns(4));
-    assert!(s.is_sharded());
+    assert!(Shard { index: 1, count: 3 }.is_sharded());
     assert!(!Shard::default().is_sharded());
-    let owned: Vec<usize> = (0..9).filter(|&i| Shard::default().owns(i)).collect();
-    assert_eq!(owned.len(), 9, "default shard owns everything");
 }
 
 #[test]
@@ -89,10 +86,10 @@ fn two_shards_merge_byte_identical_to_serial() {
     assert_eq!(serial.suites.get("pgbench-rates"), Some(&rates_oracle));
 
     // Two shards, each settling only its own slice.
-    for k in 0..2 {
+    for (k, assigned) in sched::assignment(&jobs, 2).iter().enumerate() {
         let outcome = orchestrator::run(&jobs, &shard_opts(k, 2, &dir));
         assert!(outcome.failures.is_empty(), "shard {k}");
-        let own = (0..jobs.len()).filter(|&i| Shard { index: k, count: 2 }.owns(i)).count();
+        let own = assigned.len();
         // Shard 1 resumes shard 0's cells (they are in the checkpoint by
         // then); both skip nothing they own.
         assert_eq!(outcome.completed, own, "shard {k} executes exactly its slice");
@@ -175,7 +172,7 @@ fn topology_change_resume_three_to_two_shards() {
         assert!(outcome.failures.is_empty());
         executed += outcome.completed;
     }
-    let missing = (0..jobs.len()).filter(|&i| i % 3 == 1).count();
+    let missing = sched::assignment(&jobs, 3)[1].len();
     assert_eq!(executed, missing, "only the never-run cells execute after retopology");
 
     // Serial merge over four generations of shard files.
@@ -203,8 +200,7 @@ fn injected_panic_in_one_shard_is_isolated_and_survives_merge() {
     cleanup(&dir);
 
     // Pick a victim owned by shard 0 of 2.
-    let victim_id = 2usize;
-    assert!(Shard { index: 0, count: 2 }.owns(victim_id));
+    let victim_id = sched::assignment(&jobs, 2)[0][1];
     let victim = jobs[victim_id].key();
 
     // Shard 0 runs with the injector: the victim fails twice and is NOT

@@ -26,9 +26,13 @@
 //!    removed `orchestrator::expand_*` wrappers, the pieces of the page
 //!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
 //!    `pte_memo`, `free_pte_slots`), the env shims (`Scale::from_env`,
-//!    `RunOptions::from_env`, `jobs_from_env`, `run_suite_from_env`) and
+//!    `RunOptions::from_env`, `jobs_from_env`, `run_suite_from_env`),
 //!    the op-stream truncation layer (`spec_stream_scaled`,
-//!    `scale_churn`, `scaled_keep`, `Truncated::new`) may not return.
+//!    `scale_churn`, `scaled_keep`, `Truncated::new`) and the second
+//!    partitioner, cost tables and launcher of the scale-out stack
+//!    (`Partition::Modulo`, `LocalSpawn`, `static_table`,
+//!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`) may not
+//!    return.
 //!
 //! Comment lines (`//`, `///`, `//!`) are skipped, so prose may discuss
 //! a banned token. This linter's own sources are excluded from the token
@@ -63,7 +67,18 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("scale_churn", SCALE_TOTAL_CHURN),
     ("scaled_keep", SCALE_TOTAL_CHURN),
     ("Truncated::new", SCALE_TOTAL_CHURN),
+    ("Partition::Modulo", ONE_SCALE_OUT_PATH),
+    ("LocalSpawn", ONE_SCALE_OUT_PATH),
+    ("static_table", ONE_SCALE_OUT_PATH),
+    ("calibrate_from_checkpoint", ONE_SCALE_OUT_PATH),
+    ("resolve_lpt", ONE_SCALE_OUT_PATH),
+    ("Shard::owns", ONE_SCALE_OUT_PATH),
 ];
+
+/// The replacement for the deleted stride partition, cost tables and
+/// direct-fork launcher.
+const ONE_SCALE_OUT_PATH: &str =
+    "cost is `JobSpec::op_count`; launch through the `sh -c` template";
 
 /// The replacement for the deleted stream truncation, which was the
 /// identity on every stream it was applied to.
@@ -356,6 +371,17 @@ mod tests {
         ] {
             let v = lint_one(&root, "crates/bench/src/plan.rs", line);
             assert!(v.len() == 1 && v[0].contains("total_churn"), "{line}: {v:?}");
+        }
+        for line in [
+            "let p = Partition::Modulo;\n",
+            "let d = LocalSpawn;\n",
+            "let m = CostModel::static_table();\n",
+            "let m = CostModel::calibrate_from_checkpoint(&path);\n",
+            "let p = Partition::resolve_lpt(None);\n",
+            "let mine = Shard::owns(&shard, 3);\n",
+        ] {
+            let v = lint_one(&root, "crates/bench/src/bin/run_matrix.rs", line);
+            assert!(v.len() == 1 && v[0].contains("JobSpec::op_count"), "{line}: {v:?}");
         }
         // simtest's unrelated Harness::from_env is not a shim token.
         let v = lint_one(&root, "crates/bench/benches/z.rs", "let h = Harness::from_env();\n");

@@ -119,11 +119,11 @@ rm -rf "$matrix_dir"
 
 echo "== shard smoke (multi-process byte-identity) =="
 shard_dir="$(mktemp -d)"
-# Serial oracle for both sharded paths below.
+# Serial oracle for the three sharded paths below.
 REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$shard_dir/serial.md" \
     --repro-dir "$shard_dir/repro" 2>/dev/null
-# 1. --spawn 2: the parent forks two shard processes over one checkpoint
+# 1. --spawn 2: the parent launches two shard processes over one checkpoint
 #    directory, merges, and must render the exact serial report.
 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
     --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
@@ -132,54 +132,29 @@ cmp -s "$shard_dir/serial.md" "$shard_dir/spawn.md" \
     || { echo "shard smoke: --spawn 2 report differs from serial" >&2; exit 1; }
 # 2. Hand-driven shards: 0/2 and 1/2 into one shared checkpoint directory
 #    (as separate cluster nodes would), then an unsharded merge run that
-#    resumes every cell and must also reproduce the serial report. Pinned
-#    to the modulo partition; the LPT path is covered below.
+#    resumes every cell and must also reproduce the serial report.
 ck="$shard_dir/ckpt"
 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 0/2 --partition modulo \
+    --smoke --suites pgbench,pgbench-rates,grpc --shard 0/2 \
     --checkpoint "$ck" --out "$shard_dir/s0.md" --repro-dir "$shard_dir/repro" 2>/dev/null
 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 1/2 --partition modulo \
+    --smoke --suites pgbench,pgbench-rates,grpc --shard 1/2 \
     --checkpoint "$ck" --out "$shard_dir/s1.md" --repro-dir "$shard_dir/repro" 2>/dev/null
 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
     --smoke --suites pgbench,pgbench-rates,grpc --checkpoint "$ck" \
     --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>/dev/null
 cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
     || { echo "shard smoke: hand-sharded merge report differs from serial" >&2; exit 1; }
-
-echo "== scheduler smoke (cost-weighted partition + pluggable dispatch) =="
-# 1. Print the estimated max-shard cost of both partitions over the full
-#    matrix at 4 shards — the straggler number DESIGN.md discusses; the
-#    grep keeps the flag's plumbing honest.
+# 3. Launcher round-trip: --spawn through a wrapping sh -c command
+#    template (the ssh-shaped path; the placeholders must expand) must
+#    still render the serial bytes.
 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --estimate-shards 4 2>&1 | tee "$shard_dir/estimate.txt" | sed 's/^/    /'
-grep -q "lpt/modulo max-shard cost ratio" "$shard_dir/estimate.txt" \
-    || { echo "scheduler smoke: --estimate-shards printed no ratio" >&2; exit 1; }
-# 2. LPT-balanced hand-driven shards must merge byte-identical to serial,
-#    exactly like the modulo pair above.
-lck="$shard_dir/lpt-ckpt"
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 0/2 --partition lpt \
-    --checkpoint "$lck" --out "$shard_dir/l0.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 1/2 --partition lpt \
-    --checkpoint "$lck" --out "$shard_dir/l1.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --checkpoint "$lck" \
-    --out "$shard_dir/lpt-merged.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cmp -s "$shard_dir/serial.md" "$shard_dir/lpt-merged.md" \
-    || { echo "scheduler smoke: LPT-sharded merge report differs from serial" >&2; exit 1; }
-# A complete checkpointed merge must refresh the cost calibration.
-[ -f "$lck/costs.json" ] \
-    || { echo "scheduler smoke: merge left no costs.json calibration" >&2; exit 1; }
-# 3. Dispatcher round-trip: --spawn through a local sh -c command template
-#    (the ssh-shaped path) must still render the serial bytes.
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
-    --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 --dispatch '{cmd}' \
+    --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
+    --dispatch 'env SHARD_INDEX={index} {cmd}' \
     --checkpoint "$shard_dir/dispatch-ckpt" --out "$shard_dir/dispatch.md" \
     --repro-dir "$shard_dir/repro" 2>/dev/null
 cmp -s "$shard_dir/serial.md" "$shard_dir/dispatch.md" \
-    || { echo "scheduler smoke: dispatched report differs from serial" >&2; exit 1; }
+    || { echo "shard smoke: dispatched report differs from serial" >&2; exit 1; }
 rm -rf "$shard_dir"
 
 echo "ci: all gates passed"
