@@ -61,8 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
+use cheri_mem::{FastMap, FastSet};
 use morello_sim::{Json, ObjId, Op, OpSource, SimConfig, OP_BATCH};
 
 /// Capability granule: slot addresses and tag coverage are 16-byte units.
@@ -469,22 +468,12 @@ enum ObjKind {
     Mmap,
 }
 
+/// The live generation of an object ID.
 #[derive(Debug, Clone, Copy)]
 struct LiveObj {
-    gen: u64,
     cap_len: u64,
     kind: ObjKind,
     touched: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ObjAgg {
-    generations: u64,
-    first_op: u64,
-    last_end: Option<u64>,
-    max_bytes: u64,
-    heap: bool,
-    mmap: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -493,27 +482,64 @@ struct Link {
     to_gen: u64,
 }
 
+/// Everything known about one object ID — the lifetime summary across
+/// its generations, the live generation's state, and its edges of the
+/// points-to graph — so an op costs one table lookup per object it names.
+#[derive(Debug)]
+struct Obj {
+    /// Allocations so far; also the current generation's number.
+    generations: u64,
+    first_op: u64,
+    last_end: Option<u64>,
+    max_bytes: u64,
+    heap: bool,
+    mmap: bool,
+    live: Option<LiveObj>,
+    /// Outgoing links of the live generation: `effective slot -> target`.
+    /// Mirrors the slot storage the simulator writes through `cap_slot`.
+    links: FastMap<u64, Link>,
+    /// Reverse index for dangling-link detection at free time: the
+    /// `(from, effective slot)` of exactly the links that target the
+    /// live generation.
+    incoming: FastSet<(ObjId, u64)>,
+}
+
+/// Exact per-kind counts and the capped detail list. Apart from the
+/// object table so a helper can diagnose while it hands out a record.
+#[derive(Debug, Default)]
+struct Diags {
+    counts: [u64; DiagnosticKind::ALL.len()],
+    details: Vec<Diagnostic>,
+}
+
+impl Diags {
+    fn record(&mut self, op_index: u64, kind: DiagnosticKind, obj: ObjId, aux: u64) {
+        let idx = kind.index();
+        self.counts[idx] += 1;
+        if self.counts[idx] as usize <= DIAG_DETAIL_CAP {
+            self.details.push(Diagnostic { kind, op_index, obj, aux });
+        }
+    }
+}
+
 /// Streaming abstract interpreter. Feed ops with [`Analyzer::push`] (or
 /// use [`analyze`] to drain an [`OpSource`]), then [`Analyzer::finish`].
 ///
 /// Malformed ops are diagnosed and then *skipped* (treated as no-ops), so
 /// one defect does not cascade into spurious downstream reports.
+///
+/// The tables are fixed-seed hash maps keyed by object ID. Wherever their
+/// order could reach the report (dangling links at free time, leaks and
+/// lifetimes in [`Analyzer::finish`]) the entries are sorted first; the
+/// only unsorted walks remove every entry they visit.
 #[derive(Debug)]
 pub struct Analyzer {
     cfg: AnalyzerConfig,
     op_index: u64,
-    live: BTreeMap<ObjId, LiveObj>,
-    gen: HashMap<ObjId, u64>,
-    objs: BTreeMap<ObjId, ObjAgg>,
-    root_slots: HashMap<u64, ObjId>,
-    /// Outgoing links: `from -> (effective slot -> target)`. Mirrors the
-    /// slot storage the simulator writes through `cap_slot`.
-    links: HashMap<ObjId, HashMap<u64, Link>>,
-    /// Reverse index: `to -> {(from, effective slot)}` for dangling-link
-    /// detection at free time (ordered for deterministic reports).
-    rev: HashMap<ObjId, BTreeSet<(ObjId, u64)>>,
-    counts: [u64; DiagnosticKind::ALL.len()],
-    details: Vec<Diagnostic>,
+    objs: FastMap<ObjId, Obj>,
+    root_slots: FastMap<u64, ObjId>,
+    live_objects: u64,
+    diags: Diags,
     stale: Vec<StaleChase>,
     live_touched: u64,
     quar_touched: u64,
@@ -534,14 +560,10 @@ impl Analyzer {
         Analyzer {
             cfg,
             op_index: 0,
-            live: BTreeMap::new(),
-            gen: HashMap::new(),
-            objs: BTreeMap::new(),
-            root_slots: HashMap::new(),
-            links: HashMap::new(),
-            rev: HashMap::new(),
-            counts: [0; DiagnosticKind::ALL.len()],
-            details: Vec::new(),
+            objs: FastMap::default(),
+            root_slots: FastMap::default(),
+            live_objects: 0,
+            diags: Diags::default(),
             stale: Vec::new(),
             live_touched: 0,
             quar_touched: 0,
@@ -563,10 +585,7 @@ impl Analyzer {
             Op::Mmap { obj, len } => self.new_object(obj, len, ObjKind::Mmap),
             Op::Free { obj } => self.end_object(obj, ObjKind::Heap),
             Op::Munmap { obj } => self.end_object(obj, ObjKind::Mmap),
-            Op::LoadObj { obj } | Op::SyscallHoard { obj } => {
-                self.require_live(obj);
-            }
-            Op::ReadData { obj, len: _ } => {
+            Op::LoadObj { obj } | Op::SyscallHoard { obj } | Op::ReadData { obj, len: _ } => {
                 self.require_live(obj);
             }
             Op::WriteData { obj, len } => self.write_data(obj, len),
@@ -583,10 +602,14 @@ impl Analyzer {
     /// Finalizes: leak detection, last curve point, report assembly.
     #[must_use]
     pub fn finish(mut self) -> Report {
-        let leaked: Vec<(ObjId, u64)> =
-            self.live.iter().map(|(&obj, o)| (obj, o.touched)).collect();
-        for &(obj, touched) in &leaked {
-            self.diag(DiagnosticKind::Leak, obj, touched);
+        let mut objs: Vec<(ObjId, Obj)> = std::mem::take(&mut self.objs).into_iter().collect();
+        objs.sort_unstable_by_key(|&(obj, _)| obj);
+        let mut leaked = 0;
+        for (obj, o) in &objs {
+            if let Some(live) = o.live {
+                leaked += 1;
+                self.diag(DiagnosticKind::Leak, *obj, live.touched);
+            }
         }
         let final_point = CurvePoint {
             op_index: self.op_index,
@@ -596,121 +619,120 @@ impl Analyzer {
         if self.curve.last() != Some(&final_point) {
             self.curve.push(final_point);
         }
-        let lifetimes: Vec<Lifetime> = self
-            .objs
+        let lifetimes: Vec<Lifetime> = objs
             .iter()
-            .map(|(&obj, a)| Lifetime {
-                obj,
-                generations: a.generations,
-                first_op: a.first_op,
-                last_op: if self.live.contains_key(&obj) { None } else { a.last_end },
-                max_bytes: a.max_bytes,
-                heap: a.heap,
-                mmap: a.mmap,
+            .map(|(obj, o)| Lifetime {
+                obj: *obj,
+                generations: o.generations,
+                first_op: o.first_op,
+                last_op: if o.live.is_some() { None } else { o.last_end },
+                max_bytes: o.max_bytes,
+                heap: o.heap,
+                mmap: o.mmap,
             })
             .collect();
         let malformed = DiagnosticKind::ALL
             .iter()
             .filter(|k| k.severity() == Severity::Malformed)
-            .any(|&k| self.counts[k.index()] > 0);
+            .any(|&k| self.diags.counts[k.index()] > 0);
         Report {
             ops: self.op_index,
             malformed,
-            diagnostics: self.details,
+            diagnostics: self.diags.details,
             stale_chases: self.stale,
             lifetimes,
             objects: ObjectsSummary {
-                distinct: self.objs.len() as u64,
+                distinct: objs.len() as u64,
                 generations: self.generations,
                 peak_live: self.peak_live_objects,
-                leaked: leaked.len() as u64,
+                leaked,
                 bytes_allocated: self.bytes_allocated,
             },
             rss: self.rss,
             curve: self.curve,
-            counts: self.counts,
+            counts: self.diags.counts,
         }
     }
 
     // -- op semantics --------------------------------------------------
 
+    /// Forgets that `from`'s slot `eff` targets `to` (the link itself is
+    /// already gone or overwritten).
+    fn drop_incoming(&mut self, to: ObjId, from: ObjId, eff: u64) {
+        if let Some(target) = self.objs.get_mut(&to) {
+            target.incoming.remove(&(from, eff));
+        }
+    }
+
     fn new_object(&mut self, obj: ObjId, cap_len: u64, kind: ObjKind) {
-        if self.live.contains_key(&obj) {
+        if self.objs.get(&obj).is_some_and(|o| o.live.is_some()) {
             self.diag(DiagnosticKind::AllocBusy, obj, 0);
             return;
         }
         let residue = obj % self.cfg.max_objects;
-        if let Some(&other) = self.root_slots.get(&residue) {
+        if let Some(other) = self.root_slots.insert(residue, obj) {
             // The simulator would silently overwrite `other`'s root
             // capability — the one malformation it does not detect.
             self.diag(DiagnosticKind::RootSlotAliased, obj, other);
         }
-        self.root_slots.insert(residue, obj);
-        let gen = self.gen.entry(obj).or_insert(0);
-        *gen += 1;
-        let gen = *gen;
         self.generations += 1;
         self.bytes_allocated += cap_len;
-        let agg = self.objs.entry(obj).or_insert(ObjAgg {
+        let o = self.objs.entry(obj).or_insert_with(|| Obj {
             generations: 0,
             first_op: self.op_index,
             last_end: None,
             max_bytes: 0,
             heap: false,
             mmap: false,
+            live: None,
+            links: FastMap::default(),
+            incoming: FastSet::default(),
         });
-        agg.generations += 1;
-        agg.max_bytes = agg.max_bytes.max(cap_len);
+        o.generations += 1;
+        o.max_bytes = o.max_bytes.max(cap_len);
         match kind {
-            ObjKind::Heap => agg.heap = true,
-            ObjKind::Mmap => agg.mmap = true,
+            ObjKind::Heap => o.heap = true,
+            ObjKind::Mmap => o.mmap = true,
         }
-        self.live.insert(obj, LiveObj { gen, cap_len, kind, touched: 0 });
-        self.peak_live_objects = self.peak_live_objects.max(self.live.len() as u64);
+        o.live = Some(LiveObj { cap_len, kind, touched: 0 });
+        self.live_objects += 1;
+        self.peak_live_objects = self.peak_live_objects.max(self.live_objects);
     }
 
     fn end_object(&mut self, obj: ObjId, via: ObjKind) {
-        let Some(o) = self.live.get(&obj).copied() else {
-            let kind = if self.objs.contains_key(&obj) {
-                DiagnosticKind::DoubleFree
-            } else {
-                DiagnosticKind::FreeUnallocated
-            };
-            self.diag(kind, obj, 0);
+        let Some(rec) = self.objs.get_mut(&obj) else {
+            self.diag(DiagnosticKind::FreeUnallocated, obj, 0);
             return;
         };
+        let Some(o) = rec.live.take() else {
+            self.diag(DiagnosticKind::DoubleFree, obj, 0);
+            return;
+        };
+        rec.last_end = Some(self.op_index);
+        // Every link into the dying generation is stale from here on and
+        // can never match a later generation, so the reverse index
+        // restarts empty.
+        let mut dangling: Vec<(ObjId, u64)> = rec.incoming.drain().collect();
+        let out = std::mem::take(&mut rec.links);
         if o.kind != via {
             self.diag(DiagnosticKind::WrongDeallocator, obj, 0);
         }
-        // Live interior pointers into the dying generation.
-        if let Some(set) = self.rev.get(&obj) {
-            let dangling: Vec<ObjId> = set
-                .iter()
-                .filter(|&&(from, eff)| {
-                    self.links
-                        .get(&from)
-                        .and_then(|m| m.get(&eff))
-                        .is_some_and(|l| l.to_gen == o.gen)
-                })
-                .map(|&(from, _)| from)
-                .collect();
-            for from in dangling {
-                self.diag(DiagnosticKind::DanglingLink, obj, from);
-            }
+        // Live interior pointers into the dying generation (the object's
+        // own slots included), in holder order.
+        dangling.sort_unstable();
+        for (from, _) in dangling {
+            self.diag(DiagnosticKind::DanglingLink, obj, from);
         }
         // A freed object's own slots are gone: a chase can only reach
         // them through a *live* holder, and any future occupant of the
         // storage starts with freshly cleared slot tags.
-        if let Some(out) = self.links.remove(&obj) {
-            for (eff, l) in out {
-                if let Some(set) = self.rev.get_mut(&l.to) {
-                    set.remove(&(obj, eff));
-                }
-            }
+        for (eff, l) in out {
+            self.drop_incoming(l.to, obj, eff);
         }
         if self.root_slots.get(&(obj % self.cfg.max_objects)) == Some(&obj) {
             self.root_slots.remove(&(obj % self.cfg.max_objects));
         }
+        self.live_objects -= 1;
         self.live_touched -= o.touched;
         if o.kind == ObjKind::Heap && via == ObjKind::Heap {
             // Earliest-release quarantine model: accumulate freed bytes,
@@ -724,46 +746,44 @@ impl Analyzer {
                 self.quar_trigger = 0;
             }
         }
-        if let Some(agg) = self.objs.get_mut(&obj) {
-            agg.last_end = Some(self.op_index);
-        }
-        self.live.remove(&obj);
         self.curve_touch();
     }
 
-    fn require_live(&mut self, obj: ObjId) -> bool {
-        if self.live.contains_key(&obj) {
-            true
-        } else {
-            let ever = u64::from(self.objs.contains_key(&obj));
-            self.diag(DiagnosticKind::UseAfterFree, obj, ever);
-            false
+    /// The record of `obj` if a generation of it is live; a
+    /// use-after-free diagnostic otherwise (`aux` = 1 if one ever was).
+    fn require_live(&mut self, obj: ObjId) -> Option<&mut Obj> {
+        match self.objs.get_mut(&obj) {
+            Some(rec) if rec.live.is_some() => Some(rec),
+            rec => {
+                let ever = u64::from(rec.is_some());
+                self.diags.record(self.op_index, DiagnosticKind::UseAfterFree, obj, ever);
+                None
+            }
         }
     }
 
     fn write_data(&mut self, obj: ObjId, len: u64) {
-        if !self.require_live(obj) {
-            return;
-        }
-        let o = self.live.get_mut(&obj).expect("checked live");
+        let Some(rec) = self.require_live(obj) else { return };
+        let o = rec.live.as_mut().expect("checked live");
         let clamped = len.clamp(1, o.cap_len.max(1));
-        if clamped > o.touched {
-            self.live_touched += clamped - o.touched;
-            o.touched = clamped;
-            self.curve_touch();
-        }
+        let grown = clamped.saturating_sub(o.touched);
+        o.touched += grown;
         // The write cleared the tag of every granule it overlapped: slot
         // `e` (at byte offset 16*e) dies iff 16*e < clamped.
-        if let Some(out) = self.links.get_mut(&obj) {
-            let doomed: Vec<u64> =
-                out.keys().copied().filter(|&eff| eff * CAP_SIZE < clamped).collect();
-            for eff in doomed {
-                if let Some(l) = out.remove(&eff) {
-                    if let Some(set) = self.rev.get_mut(&l.to) {
-                        set.remove(&(obj, eff));
-                    }
-                }
+        let mut doomed = Vec::new();
+        rec.links.retain(|&eff, l| {
+            let dies = eff * CAP_SIZE < clamped;
+            if dies {
+                doomed.push((eff, l.to));
             }
+            !dies
+        });
+        if grown > 0 {
+            self.live_touched += grown;
+            self.curve_touch();
+        }
+        for (eff, to) in doomed {
+            self.drop_incoming(to, obj, eff);
         }
     }
 
@@ -780,50 +800,41 @@ impl Analyzer {
     }
 
     fn link(&mut self, from: ObjId, slot: u64, to: ObjId) {
-        if !self.require_live(from) {
-            return;
-        }
-        if !self.require_live(to) {
-            return;
-        }
-        let from_len = self.live[&from].cap_len;
-        let Some(eff) = Analyzer::eff_slot(from_len, slot) else {
+        let Some(holder) = self.require_live(from) else { return };
+        let slots = holder.live.expect("checked live").cap_len;
+        let Some(target) = self.require_live(to) else { return };
+        let Some(eff) = Analyzer::eff_slot(slots, slot) else {
             return; // object too small for capability slots: simulator no-op
         };
-        let to_gen = self.live[&to].gen;
-        if let Some(old) = self.links.entry(from).or_default().insert(eff, Link { to, to_gen }) {
-            if let Some(set) = self.rev.get_mut(&old.to) {
-                set.remove(&(from, eff));
+        target.incoming.insert((from, eff));
+        let to_gen = target.generations;
+        let holder = self.objs.get_mut(&from).expect("checked live");
+        if let Some(old) = holder.links.insert(eff, Link { to, to_gen }) {
+            if old.to != to {
+                self.drop_incoming(old.to, from, eff);
             }
         }
-        self.rev.entry(to).or_default().insert((from, eff));
     }
 
     fn chase(&mut self, from: ObjId, slot: u64) {
-        if !self.require_live(from) {
-            return;
-        }
-        let from_len = self.live[&from].cap_len;
-        let Some(eff) = Analyzer::eff_slot(from_len, slot) else {
+        let Some(holder) = self.require_live(from) else { return };
+        let slots = holder.live.expect("checked live").cap_len;
+        let Some(&l) = Analyzer::eff_slot(slots, slot).and_then(|eff| holder.links.get(&eff))
+        else {
             return;
         };
-        if let Some(l) = self.links.get(&from).and_then(|m| m.get(&eff)).copied() {
-            let target_alive = self.live.get(&l.to).is_some_and(|o| o.gen == l.to_gen);
-            if !target_alive {
-                self.counts[DiagnosticKind::StaleChase.index()] += 1;
-                self.stale.push(StaleChase { op_index: self.op_index, from, slot, to: l.to });
-            }
+        let target_alive =
+            self.objs.get(&l.to).is_some_and(|t| t.live.is_some() && t.generations == l.to_gen);
+        if !target_alive {
+            self.diags.counts[DiagnosticKind::StaleChase.index()] += 1;
+            self.stale.push(StaleChase { op_index: self.op_index, from, slot, to: l.to });
         }
     }
 
     // -- bookkeeping ---------------------------------------------------
 
     fn diag(&mut self, kind: DiagnosticKind, obj: ObjId, aux: u64) {
-        let idx = kind.index();
-        self.counts[idx] += 1;
-        if self.counts[idx] as usize <= DIAG_DETAIL_CAP {
-            self.details.push(Diagnostic { kind, op_index: self.op_index, obj, aux });
-        }
+        self.diags.record(self.op_index, kind, obj, aux);
     }
 
     fn curve_touch(&mut self) {

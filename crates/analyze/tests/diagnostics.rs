@@ -92,6 +92,12 @@ fn fixture_report_json_is_digest_stable() {
     let b = analyze(SliceSource::new(kitchen_sink()), cfg()).to_json().render();
     assert_eq!(a, b);
     assert!(a.contains("\"malformed\":true"));
+    // FNV-1a 64 of the document, captured from the `BTreeMap`/SipHash
+    // analyzer at the commit before its tables were replaced.
+    let digest = a.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, 0x2819_1f12_1969_8553, "fixture report moved:\n{a}");
 }
 
 #[test]

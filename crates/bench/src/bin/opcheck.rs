@@ -11,8 +11,9 @@
 //! [`MatrixPlan`], same `REPRO_SCALE`/`REPRO_REPS`, same `--smoke`
 //! floor), then collapses to one analysis per **program**: the analyzer
 //! is condition-independent (it sees ops, not barrier strategies), so
-//! cells that differ only in condition share a `suite|workload|s<seed>`
-//! program id and are analyzed once. Per program it reports lifetimes,
+//! cells that differ only in condition share their generation parameters
+//! (`JobSpec::program_key`) and are analyzed once, under the
+//! `suite|workload|s<seed>` program id. Per program it reports lifetimes,
 //! the points-to graph's dangling edges, statically-predicted stale
 //! chases, leaks, and the live+quarantined byte curve whose peak
 //! lower-bounds the simulated peak RSS.
@@ -28,7 +29,7 @@
 use rev_bench::cli;
 use rev_bench::harness::Scale;
 use rev_bench::orchestrator::{parallel_cells, repro_file_name, JobSpec};
-use rev_bench::plan::MatrixPlan;
+use rev_bench::plan::{distinct_programs, MatrixPlan};
 use analyze::Report;
 use morello_sim::Json;
 use std::io::Write as _;
@@ -88,13 +89,6 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// The program id a matrix cell analyzes under: its key minus the
-/// condition. Every condition of one (suite, workload, seed) streams the
-/// identical op program, so this is the analysis dedup key.
-fn program_id(job: &JobSpec) -> String {
-    format!("{}|{}|s{}", job.suite().label(), job.workload(), job.seed())
-}
-
 fn main() {
     let cli = parse_cli();
     let scale = if cli.smoke { Scale::smoke() } else { cli::env_scale() };
@@ -107,13 +101,8 @@ fn main() {
     let jobs = plan.build().unwrap_or_else(|e| fail(e));
 
     // One analysis per program, in first-appearance (job) order.
-    let mut programs: Vec<(String, &JobSpec)> = Vec::new();
-    for job in &jobs {
-        let id = program_id(job);
-        if !programs.iter().any(|(existing, _)| *existing == id) {
-            programs.push((id, job));
-        }
-    }
+    let programs: Vec<(String, &JobSpec)> =
+        distinct_programs(&jobs).into_iter().map(|job| (job.program_id(), job)).collect();
 
     let workers = cli.jobs.unwrap_or_else(cli::env_workers);
     eprintln!(

@@ -18,9 +18,9 @@
 //! isolated as typed failure records, written to `repro/<key>.json` for
 //! replay, and marked in the shape-check section rather than aborting
 //! the run. With `--preflight`, the static temporal-safety analyzer
-//! (`crates/analyze`) additionally vets each cell's streamed program
-//! before it reaches the simulator: malformed programs become
-//! zero-attempt failure records instead of panics.
+//! (`crates/analyze`) additionally vets each distinct streamed program,
+//! once, before any of its cells reaches the simulator: malformed
+//! programs become zero-attempt failure records instead of panics.
 //!
 //! Honours `REPRO_SCALE` (workload fraction, default 1.0), `REPRO_REPS`
 //! (repetitions, default 2), and `REPRO_JOBS` (worker threads, CLI

@@ -27,11 +27,12 @@
 //! in place before the run.
 //!
 //! `--preflight` runs the static temporal-safety analyzer
-//! (`crates/analyze`) over each cell's streamed program before
-//! dispatching it to the simulator: a malformed program (double free,
-//! use-after-free, …) becomes a typed failure record and a
-//! `repro/<key>.json` file with zero attempts — never simulated, never
-//! retried.
+//! (`crates/analyze`) once over each distinct streamed program (the
+//! conditions of one workload and seed share it) before any of its
+//! cells reaches the simulator: each cell of a malformed program
+//! (double free, use-after-free, …) becomes a typed failure record and
+//! a `repro/<key>.json` file with zero attempts — never simulated,
+//! never retried.
 //!
 //! # Scale-out
 //!

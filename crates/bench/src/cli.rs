@@ -91,8 +91,9 @@ pub struct CommonArgs {
     pub compact: bool,
     /// `--jobs N`: CLI worker-count override (wins over `REPRO_JOBS`).
     pub jobs: Option<usize>,
-    /// `--preflight`: statically analyze each job's program before
-    /// dispatch; malformed programs become typed failures, not panics.
+    /// `--preflight`: statically analyze each distinct program once
+    /// before its jobs dispatch; malformed programs become typed
+    /// failures, not panics.
     pub preflight: bool,
 }
 

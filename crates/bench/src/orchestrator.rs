@@ -17,11 +17,14 @@
 //! checkpoint (one `morello_sim::Json` object per line) lets an
 //! interrupted sweep continue without re-running completed cells.
 //!
-//! With [`RunOptions::preflight`], each job's streamed program first
-//! passes through the static temporal-safety analyzer
-//! ([`crate::plan::JobSpec::analyze`]); a malformed program (double
-//! free, use-after-free, …) short-circuits into the same typed
-//! [`JobFailure`] / repro-file path with `attempts == 0` — the
+//! With [`RunOptions::preflight`], each distinct program among the
+//! pending cells ([`crate::plan::JobSpec::program_key`] — the conditions
+//! of one workload and seed all stream the same ops) first passes through
+//! the static temporal-safety analyzer
+//! ([`crate::plan::JobSpec::analyze`]), once, and every cell that streams
+//! it receives the verdict; a malformed program (double free,
+//! use-after-free, …) short-circuits each of its cells into the same
+//! typed [`JobFailure`] / repro-file path with `attempts == 0` — the
 //! deterministic analyzer verdict makes the retry loop pointless.
 //!
 //! # Multi-process sharding
@@ -57,7 +60,7 @@ use std::io::{BufRead as _, BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub use crate::plan::{JobSpec, SuiteKind};
@@ -163,16 +166,19 @@ pub struct RunOptions {
     /// `<dir>/<sanitized key>.json` repro file recording its seed,
     /// condition, workload, generation parameters, and a replay command.
     pub repro_dir: Option<PathBuf>,
-    /// Run the static temporal-safety analyzer over each job's streamed
-    /// program *before* dispatching it to the simulator. A program with
-    /// malformed-program diagnostics (double free, use-after-free, …)
-    /// becomes a typed [`JobFailure`] with `attempts == 0` — never
+    /// Run the static temporal-safety analyzer over each distinct
+    /// program of the pending cells *before* any cell that streams it is
+    /// dispatched to the simulator. A program with malformed-program
+    /// diagnostics (double free, use-after-free, …) turns each of its
+    /// cells into a typed [`JobFailure`] with `attempts == 0` — never
     /// simulated, never retried — instead of a `catch_unwind` panic.
     pub preflight: bool,
     /// Test hook: jobs whose [`JobSpec::key`] contains this substring
-    /// get a double-free appended to their analyzed program, so the
-    /// pre-flight path can be exercised without a genuinely broken
-    /// generator. Only meaningful together with [`RunOptions::preflight`].
+    /// get a double-free appended to their analyzed program (which makes
+    /// it a program of its own, analyzed apart from its untouched
+    /// siblings), so the pre-flight path can be exercised without a
+    /// genuinely broken generator. Only meaningful together with
+    /// [`RunOptions::preflight`].
     pub inject_malformed: Option<String>,
 }
 
@@ -268,6 +274,10 @@ pub struct MatrixOutcome {
     /// executed. Always zero in unsharded runs; nonzero means the merged
     /// suites are partial and the report should not be rendered yet.
     pub skipped: usize,
+    /// Static analyses this run performed: one per distinct program among
+    /// the cells it had to execute. Zero without
+    /// [`RunOptions::preflight`] and on a fully resumed run.
+    pub preflight_programs: usize,
 }
 
 impl MatrixOutcome {
@@ -315,6 +325,12 @@ type Slot = Option<Result<RunStats, JobFailure>>;
 /// under any shard count replay under any other.
 #[must_use]
 pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
+    run_with(jobs, opts, &JobSpec::analyze)
+}
+
+/// [`run`] with the pre-flight analysis as a parameter, so a test can
+/// substitute one that panics.
+fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOutcome {
     let shard = opts.shard;
     // Only a sharded run pays for the assignment's op-count pass.
     let assigned: Vec<usize> = if shard.is_sharded() {
@@ -333,6 +349,16 @@ pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
 
     let checkpoint_writer =
         opts.checkpoint.as_deref().map(|path| CheckpointWriter::open(path, shard, &assigned));
+    let preflight = opts.preflight.then(|| Preflight::plan(jobs, &pending, opts, analyse));
+    if let (Some(preflight), true) = (&preflight, opts.progress) {
+        // No `[shard K/N]` tag: a `--spawn` parent counts tagged lines as
+        // finished cells and prefixes every other line itself.
+        eprintln!(
+            "  preflight: {} program(s) for {} cell(s)",
+            preflight.programs.len(),
+            pending.len()
+        );
+    }
 
     // ETA denominator: the cells *this process* will settle (its own
     // pending jobs plus everything resumed), not the global matrix.
@@ -342,22 +368,37 @@ pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
     let done = AtomicUsize::new(resumed);
     let started = Instant::now();
 
-    // Work-stealing loop: workers race on `cursor` for the next pending
-    // job id; completion order is nondeterministic, the slot vector is
-    // not.
-    let worker_loop = || loop {
-        let next = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&job_id) = pending.get(next) else { break };
-        let job = &jobs[job_id];
-        let outcome = attempt_job(job_id, job, opts);
-        if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
-            writer.append(job, stats);
+    // Work-stealing loop: workers first drain the distinct programs (so
+    // no cell waits for a verdict another worker has not started on),
+    // then race on `cursor` for the next pending job id; completion order
+    // is nondeterministic, the slot vector is not.
+    let worker_loop = || {
+        if let Some(preflight) = &preflight {
+            preflight.analyse_programs();
         }
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if opts.progress {
-            progress_line(shard, finished, total, &job.key(), outcome.is_err(), &started);
+        loop {
+            let next = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&job_id) = pending.get(next) else { break };
+            let job = &jobs[job_id];
+            let verdict = preflight.as_ref().map_or(&Ok(()), |p| p.verdict(p.program_of[next]));
+            let outcome = match verdict {
+                Ok(()) => attempt_job(job_id, job, opts),
+                Err(message) => Err(JobFailure {
+                    job_id,
+                    key: job.key(),
+                    attempts: 0,
+                    message: message.clone(),
+                }),
+            };
+            if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
+                writer.append(job, stats);
+            }
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if opts.progress {
+                progress_line(shard, finished, total, &job.key(), outcome.is_err(), &started);
+            }
+            slots_shared.lock().expect("slot store")[job_id] = Some(outcome);
         }
-        slots_shared.lock().expect("slot store")[job_id] = Some(outcome);
     };
 
     let workers = opts.workers.clamp(1, pending.len().max(1));
@@ -378,7 +419,11 @@ pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
     }
 
     // Deterministic reduction: job order, not completion order.
-    let mut out = MatrixOutcome { resumed, ..MatrixOutcome::default() };
+    let mut out = MatrixOutcome {
+        resumed,
+        preflight_programs: preflight.map_or(0, |p| p.analysed()),
+        ..MatrixOutcome::default()
+    };
     for (job, slot) in jobs.iter().zip(slots) {
         match slot {
             Some(Ok(stats)) => {
@@ -448,6 +493,94 @@ where
         .collect()
 }
 
+/// The pre-flight analysis of one program: the cell to regenerate it
+/// from, and whether to append the `inject_malformed` epilogue.
+type Analysis = dyn Fn(&JobSpec, bool) -> analyze::Report + Sync;
+
+/// The pre-flight gate of one run: every distinct program among the
+/// pending cells, analysed at most once, its verdict shared by every cell
+/// that streams it. A program is its generation parameters
+/// ([`JobSpec::program_key`]) plus the `inject_malformed` flag — never
+/// the display label, which carries no stream length.
+struct Preflight<'a> {
+    analyse: &'a Analysis,
+    programs: Vec<Program<'a>>,
+    /// For each pending cell (by position in `pending`), its program.
+    program_of: Vec<usize>,
+    cursor: AtomicUsize,
+}
+
+struct Program<'a> {
+    /// The first pending cell that streams the program.
+    job: &'a JobSpec,
+    corrupt: bool,
+    /// `Err` carries the [`JobFailure::message`] of every cell.
+    verdict: OnceLock<Result<(), String>>,
+}
+
+impl<'a> Preflight<'a> {
+    fn plan(
+        jobs: &'a [JobSpec],
+        pending: &[usize],
+        opts: &RunOptions,
+        analyse: &'a Analysis,
+    ) -> Self {
+        let mut index: BTreeMap<(String, bool), usize> = BTreeMap::new();
+        let mut programs = Vec::new();
+        let program_of = pending
+            .iter()
+            .map(|&id| {
+                let job = &jobs[id];
+                let corrupt = opts
+                    .inject_malformed
+                    .as_deref()
+                    .is_some_and(|needle| job.key().contains(needle));
+                *index.entry((job.program_key(), corrupt)).or_insert_with(|| {
+                    programs.push(Program { job, corrupt, verdict: OnceLock::new() });
+                    programs.len() - 1
+                })
+            })
+            .collect();
+        Preflight { analyse, programs, program_of, cursor: AtomicUsize::new(0) }
+    }
+
+    /// Analyses programs off the shared cursor until none is left
+    /// unclaimed.
+    fn analyse_programs(&self) {
+        loop {
+            let next = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if next >= self.programs.len() {
+                break;
+            }
+            self.verdict(next);
+        }
+    }
+
+    /// The verdict on program `index`: analyses it if no worker has yet,
+    /// waits if one is at it. The analysis drives a workload generator; a
+    /// panic in there must cost that program's cells, not unwind through
+    /// the worker pool and kill the sweep.
+    fn verdict(&self, index: usize) -> &Result<(), String> {
+        let program = &self.programs[index];
+        program.verdict.get_or_init(|| {
+            let analysis = || (self.analyse)(program.job, program.corrupt);
+            match catch_unwind(AssertUnwindSafe(analysis)) {
+                Ok(report) if report.malformed => Err(preflight_message(&report)),
+                Ok(_) => Ok(()),
+                Err(payload) => Err(format!(
+                    "preflight: analyzer panicked: {}",
+                    panic_message(payload.as_ref())
+                )),
+            }
+        })
+    }
+
+    /// Analyses actually run: the verdicts that are in.
+    fn analysed(&self) -> usize {
+        self.programs.iter().filter(|p| p.verdict.get().is_some()).count()
+    }
+}
+
 /// Summarizes a pre-flight rejection: the malformed-diagnostic total and
 /// the first offending op, compact enough for a failure record yet
 /// specific enough to find the defect without re-running the analyzer.
@@ -471,25 +604,11 @@ fn preflight_message(report: &analyze::Report) -> String {
     }
 }
 
-/// One `catch_unwind` attempt plus one retry — preceded, under
-/// [`RunOptions::preflight`], by a static-analysis gate that turns a
-/// malformed program into an `attempts == 0` failure without ever
-/// entering the simulator or the retry loop (the analyzer is
-/// deterministic; retrying cannot change its verdict).
+/// One `catch_unwind` attempt plus one retry. Under
+/// [`RunOptions::preflight`] the job only gets here once its program's
+/// verdict is in and clean.
 fn attempt_job(job_id: usize, job: &JobSpec, opts: &RunOptions) -> Result<RunStats, JobFailure> {
     let key = job.key();
-    if opts.preflight {
-        let corrupt = opts.inject_malformed.as_deref().is_some_and(|needle| key.contains(needle));
-        let report = job.analyze(corrupt);
-        if report.malformed {
-            return Err(JobFailure {
-                job_id,
-                key,
-                attempts: 0,
-                message: preflight_message(&report),
-            });
-        }
-    }
     let inject = opts.inject_panic.as_deref();
     let run_once = || {
         if inject.is_some_and(|needle| key.contains(needle)) {
@@ -839,5 +958,35 @@ impl CheckpointWriter {
     fn finish(self) {
         let (mut out, _) = self.out.into_inner().expect("checkpoint writer");
         out.flush().expect("flush checkpoint");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::Scale;
+    use crate::plan::MatrixPlan;
+
+    #[test]
+    fn a_panicking_analysis_fails_its_program_not_the_sweep() {
+        let jobs = MatrixPlan::new(Scale { fraction: 0.001, reps: 2 })
+            .suite(SuiteKind::Pgbench)
+            .build()
+            .unwrap();
+        let analyse = |job: &JobSpec, corrupt: bool| {
+            assert!(job.seed() != 2001, "generator exploded");
+            job.analyze(corrupt)
+        };
+        let opts = RunOptions::new().workers(2).preflight(true);
+        let outcome = run_with(&jobs, &opts, &analyse);
+
+        assert_eq!(outcome.preflight_programs, 2, "the panicked analysis is not retried");
+        let doomed = jobs.iter().filter(|j| j.seed() == 2001).count();
+        assert_eq!((outcome.failures.len(), outcome.completed), (doomed, jobs.len() - doomed));
+        for failure in &outcome.failures {
+            assert_eq!(jobs[failure.job_id].seed(), 2001);
+            assert_eq!(failure.attempts, 0);
+            assert_eq!(failure.message, "preflight: analyzer panicked: generator exploded");
+        }
     }
 }

@@ -27,6 +27,7 @@ use morello_sim::{
     Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig, System, TelemetryConfig,
     OP_BATCH,
 };
+use std::collections::BTreeSet;
 use workloads::{
     count_ops, grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram,
     SPEC_PROGRAMS,
@@ -136,6 +137,23 @@ impl JobSpec {
     pub fn key(&self) -> String {
         let seed = self.seed();
         format!("{}|{}|{}|s{seed}", self.suite.label(), self.workload, self.condition.label())
+    }
+
+    /// Display id of the program this cell streams: its key minus the
+    /// condition. A label, not an identity — it carries no stream length;
+    /// compare programs with [`JobSpec::program_key`].
+    #[must_use]
+    pub fn program_id(&self) -> String {
+        format!("{}|{}|s{}", self.suite.label(), self.workload, self.seed())
+    }
+
+    /// Identity of the streamed program: the rendered generation
+    /// parameters (kind, length, rate, seed). Two cells stream the same
+    /// ops exactly when their keys are equal, whatever their condition,
+    /// so one static analysis serves every cell that shares a key.
+    #[must_use]
+    pub fn program_key(&self) -> String {
+        self.payload_json().render()
     }
 
     /// Structured generation parameters: everything needed to re-run
@@ -273,6 +291,14 @@ impl JobSpec {
             a.finish()
         })
     }
+}
+
+/// The first cell of each distinct program among `cells`
+/// ([`JobSpec::program_key`]), in first-appearance order.
+#[must_use]
+pub fn distinct_programs<'a>(cells: impl IntoIterator<Item = &'a JobSpec>) -> Vec<&'a JobSpec> {
+    let mut seen = BTreeSet::new();
+    cells.into_iter().filter(|job| seen.insert(job.program_key())).collect()
 }
 
 /// A planning error, surfaced before any cell runs.

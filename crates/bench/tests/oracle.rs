@@ -21,16 +21,11 @@ use analyze::Report;
 use morello_sim::{Condition, RunReport, StaleChaseOutcome, TelemetryEvent};
 use rev_bench::harness::Scale;
 use rev_bench::orchestrator::parallel_cells;
-use rev_bench::plan::{JobSpec, MatrixPlan, SuiteKind};
+use rev_bench::plan::{distinct_programs, JobSpec, MatrixPlan, SuiteKind};
 use std::collections::BTreeMap;
 
 fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// The analysis dedup key: a cell's program is condition-independent.
-fn program_id(job: &JobSpec) -> String {
-    format!("{}|{}|s{}", job.suite().label(), job.workload(), job.seed())
 }
 
 /// The journaled stale chases of one traced run, in simulation order.
@@ -47,17 +42,12 @@ fn journal_chases(run: &RunReport) -> Vec<(u64, u64, u64, StaleChaseOutcome)> {
         .collect()
 }
 
-/// One static analysis per distinct program among `cells`, in parallel.
+/// One static analysis per distinct program among `cells` (a cell's
+/// program is condition-independent), in parallel, by program key.
 fn analyses(cells: &[&JobSpec]) -> BTreeMap<String, Report> {
-    let mut unique: Vec<(String, &JobSpec)> = Vec::new();
-    for job in cells {
-        let id = program_id(job);
-        if !unique.iter().any(|(u, _)| *u == id) {
-            unique.push((id, job));
-        }
-    }
-    let reports = parallel_cells(unique.len(), workers(), |i| unique[i].1.analyze(false));
-    unique.into_iter().map(|(id, _)| id).zip(reports).collect()
+    let unique = distinct_programs(cells.iter().copied());
+    let reports = parallel_cells(unique.len(), workers(), |i| unique[i].analyze(false));
+    unique.into_iter().map(JobSpec::program_key).zip(reports).collect()
 }
 
 /// Asserts the full oracle contract for one traced cell against its
@@ -110,7 +100,7 @@ fn safe_strategies_catch_exactly_the_statically_predicted_chases() {
 
     let mut cells_with_chases = 0usize;
     for (job, run) in cells.iter().zip(&traced) {
-        let analysis = &static_reports[&program_id(job)];
+        let analysis = &static_reports[&job.program_key()];
         let dynamic = check_cell(job, analysis, run);
         // The revoker contract: under a safety-providing strategy every
         // stale chase is caught (revoked or quarantined), never escaped.
@@ -160,7 +150,7 @@ fn non_revoking_conditions_see_the_same_chases_but_let_them_escape() {
     let static_reports = analyses(&cells);
     for job in &cells {
         let run = job.execute_traced();
-        let analysis = &static_reports[&program_id(job)];
+        let analysis = &static_reports[&job.program_key()];
         // Detection is condition-independent: the unsafe conditions
         // journal the identical chase set...
         let dynamic = check_cell(job, analysis, &run);

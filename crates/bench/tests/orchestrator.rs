@@ -3,7 +3,7 @@
 
 use rev_bench::harness::{pgbench_suite_serial, spec_suite_serial, Scale, CONDITIONS};
 use rev_bench::orchestrator::{self, JobSpec, RunOptions};
-use rev_bench::plan::{MatrixPlan, SuiteKind};
+use rev_bench::plan::{distinct_programs, MatrixPlan, SuiteKind};
 use morello_sim::Condition;
 
 /// A cheap matrix: 5 pgbench cells at the 200-transaction floor.
@@ -279,6 +279,9 @@ fn preflight_quarantines_a_corrupt_program_without_retry_or_simulation() {
     assert_eq!(failure.job_id, 2);
     assert_eq!(failure.key, victim);
     assert_eq!(failure.attempts, 0, "preflight rejection must never enter the retry loop");
+    // The corrupted cell's program is one of its own, analysed apart
+    // from the clean program its four siblings share.
+    assert_eq!(outcome.preflight_programs, 2);
     assert!(failure.message.starts_with("preflight: "), "{}", failure.message);
     assert!(failure.message.contains("double_free"), "{}", failure.message);
 
@@ -303,6 +306,63 @@ fn preflight_quarantines_a_corrupt_program_without_retry_or_simulation() {
     }
 
     let _ = std::fs::remove_dir_all(&repro);
+}
+
+/// Smoke pgbench + gRPC: nine cells streaming two programs.
+fn two_program_jobs() -> Vec<JobSpec> {
+    let jobs = MatrixPlan::new(Scale::smoke())
+        .suites(&[SuiteKind::Pgbench, SuiteKind::Grpc])
+        .build()
+        .unwrap();
+    assert_eq!(distinct_programs(&jobs).len(), 2);
+    assert!(jobs.len() > 2, "several cells must share a program");
+    jobs
+}
+
+#[test]
+fn preflight_analyses_each_distinct_pending_program_once() {
+    let jobs = two_program_jobs();
+    let path = std::env::temp_dir()
+        .join(format!("orchestrator-preflight-dedup-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let gated = RunOptions { preflight: true, checkpoint: Some(path.clone()), ..quiet(2) };
+
+    let first = orchestrator::run(&jobs, &gated);
+    assert!(first.failures.is_empty());
+    assert_eq!((first.completed, first.preflight_programs), (jobs.len(), 2));
+
+    // Resumed cells trigger no analysis.
+    let second = orchestrator::run(&jobs, &gated);
+    assert_eq!((second.resumed, second.preflight_programs), (jobs.len(), 0));
+
+    let plain = orchestrator::run(&jobs, &quiet(2));
+    assert_eq!(plain.preflight_programs, 0, "no analysis without the gate");
+    assert_eq!(plain.suites, first.suites);
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_malformed_program_fails_every_cell_that_streams_it_with_one_verdict() {
+    let jobs = two_program_jobs();
+    // Matches every condition of the gRPC seed, and nothing else.
+    let needle = "|s4000".to_string();
+    let doomed = jobs.iter().filter(|j| j.key().contains(&needle)).count();
+    assert_eq!(doomed, jobs.iter().filter(|j| j.suite() == SuiteKind::Grpc).count());
+
+    let opts = RunOptions { preflight: true, inject_malformed: Some(needle), ..quiet(2) };
+    let outcome = orchestrator::run(&jobs, &opts);
+    assert_eq!(outcome.preflight_programs, 2, "the corrupted program is analysed once");
+    assert_eq!(outcome.failures.len(), doomed);
+    for failure in &outcome.failures {
+        assert_eq!(jobs[failure.job_id].suite(), SuiteKind::Grpc);
+        assert_eq!(failure.attempts, 0);
+        assert!(failure.message.contains("double_free"), "{}", failure.message);
+        assert_eq!(failure.message, outcome.failures[0].message);
+    }
+    let plain = orchestrator::run(&jobs, &quiet(2));
+    assert_eq!(outcome.suites.get("pgbench"), plain.suites.get("pgbench"));
+    assert_eq!(outcome.suites.get("grpc"), None);
 }
 
 #[test]

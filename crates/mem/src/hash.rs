@@ -1,13 +1,16 @@
-//! A fixed-seed hasher for the simulator's id-keyed point-lookup tables.
+//! A fixed-seed hasher for the simulator's and the analyzer's id-keyed
+//! tables.
 //!
 //! The default `HashMap` state is SipHash with a per-process random key:
 //! slow for small-integer keys probed on every simulated op (the
 //! simulator's live-object set and in-flight transaction table), and a
 //! latent determinism hazard. This Fibonacci-multiply hasher is
 //! fixed-seed and a handful of cycles. Use it only for maps that are
-//! never iterated (point lookups cannot observe bucket order, so the hash
-//! function cannot influence simulated results); hash-flooding resistance
-//! is irrelevant inside a simulator. Anything keyed by *page* belongs in
+//! never iterated, or whose entries are sorted before any order is
+//! observed (point lookups cannot see bucket order, nor can a walk that
+//! removes every entry it visits, so the hash function cannot influence
+//! results; the static analyzer's object table sorts by id where it
+//! reports); hash-flooding resistance is irrelevant inside a simulator. Anything keyed by *page* belongs in
 //! [`crate::PageMap`] instead, which indexes rather than hashes and
 //! iterates in page order.
 

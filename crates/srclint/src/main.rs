@@ -22,7 +22,12 @@
 //!    `vm`, `core`, `alloc`, `sim`, `workloads`, `analyze`), whose
 //!    outputs must be bit-stable across machines. The harness crates
 //!    (`bench`, `simtest`) measure wall time and are exempt.
-//! 5. **Deleted deprecated APIs stay deleted** — call sites of the
+//! 5. **The analyzer never hashes with a per-process key** —
+//!    `std::collections::HashMap` / `HashSet` (SipHash under a random
+//!    key, so iteration order differs run to run) are banned from
+//!    `crates/analyze/src`; its tables are `cheri_mem::FastMap` /
+//!    `FastSet`, sorted before any order reaches a report.
+//! 6. **Deleted deprecated APIs stay deleted** — call sites of the
 //!    removed `orchestrator::expand_*` wrappers, the pieces of the page
 //!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
 //!    `pte_memo`, `free_pte_slots`), the env shims (`Scale::from_env`,
@@ -47,6 +52,9 @@ use std::path::{Path, PathBuf};
 /// Crates whose outputs must be deterministic: no wall clocks.
 const DETERMINISTIC_CRATES: &[&str] =
     &["cap", "mem", "vm", "core", "alloc", "sim", "workloads", "analyze"];
+
+/// Source trees whose hash tables must be fixed-seed.
+const FIXED_SEED_HASH_ONLY: &[&str] = &["crates/analyze/src/"];
 
 /// Registry crates whose absence keeps the build offline. Matched
 /// against both the dependency key (`rand = "0.8"`) and quoted package
@@ -194,7 +202,7 @@ fn has_token(line: &str, token: &str) -> bool {
     false
 }
 
-/// Rules 3–5 over one `.rs` file.
+/// Rules 3–6 over one `.rs` file.
 fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
     let name = rel(root, file);
     // The linter's own sources define the ban lists.
@@ -211,6 +219,7 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
         .unwrap_or_default();
     let clock_banned = in_crate_src && DETERMINISTIC_CRATES.contains(&crate_name);
     let env_banned = in_crate_src && !ENV_ALLOWED.iter().any(|a| name.starts_with(a) || name == *a);
+    let siphash_banned = FIXED_SEED_HASH_ONLY.iter().any(|dir| name.starts_with(dir));
 
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim_start();
@@ -229,6 +238,16 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
                     violations.push(at(format!(
                         "wall clock in deterministic crate `{crate_name}` \
                          (outputs must be bit-stable): {line}"
+                    )));
+                }
+            }
+        }
+        if siphash_banned {
+            for token in ["HashMap", "HashSet"] {
+                if has_token(line, token) {
+                    violations.push(at(format!(
+                        "std {token} hashes under a per-process random key \
+                         (use cheri_mem::FastMap / FastSet): {line}"
                     )));
                 }
             }
@@ -331,6 +350,22 @@ mod tests {
         // Comments may discuss clocks anywhere.
         let v = lint_one(&root, "crates/sim/src/doc.rs", "// an Instant would be wrong here\n");
         assert!(v.is_empty(), "{v:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn siphash_tables_in_the_analyzer_are_flagged() {
+        let root = scratch("siphash");
+        let body = "use std::collections::{BTreeMap, HashMap};\n";
+        let v = lint_one(&root, "crates/analyze/src/lib.rs", body);
+        assert!(v.len() == 1 && v[0].contains("cheri_mem::FastMap"), "{v:?}");
+        let v = lint_one(&root, "crates/analyze/src/lib.rs", "objs: FastMap<ObjId, Obj>,\n");
+        assert!(v.is_empty(), "{v:?}");
+        // Only the analyzer's sources: its tests and other crates may.
+        for elsewhere in ["crates/analyze/tests/t.rs", "crates/bench/src/ok.rs"] {
+            let v = lint_one(&root, elsewhere, body);
+            assert!(v.is_empty(), "{elsewhere}: {v:?}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

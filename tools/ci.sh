@@ -68,6 +68,13 @@ grep -q "after 0 attempts: preflight: " "$pf_dir/pf.log" \
     || { echo "preflight smoke: corrupt cell not quarantined with 0 attempts" >&2; exit 1; }
 ls "$pf_dir"/repro/pgbench_pgbench_Cornucopia*.json >/dev/null 2>&1 \
     || { echo "preflight smoke: quarantined cell left no repro file" >&2; exit 1; }
+# One analysis per program, not per cell: the five conditions stream one
+# program, and the corrupted cell's is a second.
+pf_line="$(grep -o 'preflight: [0-9]* program(s) for [0-9]* cell(s)' "$pf_dir/pf.log")" \
+    || { echo "preflight smoke: no 'preflight: P program(s) for C cell(s)' line" >&2; exit 1; }
+read -r _ pf_programs _ _ pf_cells _ <<<"$pf_line"
+[ "$pf_programs" -lt "$pf_cells" ] \
+    || { echo "preflight smoke: $pf_line — programs not fewer than cells" >&2; exit 1; }
 rm -rf "$pf_dir"
 
 echo "== bench smoke (quick mode) =="
