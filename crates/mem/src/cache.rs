@@ -5,6 +5,37 @@
 //! direct-mapped for determinism and speed; the evaluation cares about
 //! *relative* DRAM traffic between revocation strategies, for which a
 //! direct-mapped model preserves ordering.
+//!
+//! # Block summaries
+//!
+//! Every data access, painted bitmap word and swept page is charged here,
+//! mostly as page-sized or longer ranges, so a range costs O(blocks touched)
+//! plus O(exceptions), not O(lines). Lines are grouped in aligned *chunks*
+//! of [`BLOCK`] (`chunk = line / BLOCK`) and a level's sets in aligned
+//! *blocks* of as many; a level is a power-of-two number of blocks, so the
+//! lines of chunk `c` fall, in order, on the sets of block `c % blocks`.
+//! Per block:
+//!
+//! 1. **Residency.** Set `s` holds line `s` of chunk `tags[s]` if bit `s`
+//!    of `except` is set, and of chunk `base` otherwise (`tags[s]` is then
+//!    stale and never read). [`INVALID`] is the chunk of an empty set.
+//! 2. **Dirty bits** are one mask per block, set only for sets that hold a
+//!    line: a fill overwrites its set's bit with the access kind.
+//! 3. **No conflict within a chunk.** A chunk's lines occupy distinct sets
+//!    of one block, so a mask of them is answered at once: hits are the
+//!    unexcepted sets if `base` is the chunk, plus the excepted sets whose
+//!    tag is; misses write their tags and `except` bits — or, for a whole
+//!    block, just `base = chunk, except = 0`, with no per-set store.
+//!
+//! A range is split into per-chunk masks, ascending; each goes to the L1
+//! and its miss mask on to the L2. That is the per-line walk's access
+//! sequence: the L1s and the L2 are separate structures, an L1's answers
+//! never depend on the L2, and the L2 sees exactly the L1-missed lines in
+//! ascending order either way. Chunks keep their order, so a range longer
+//! than a level wraps and evicts its own head as the line walk would.
+//!
+//! The per-line algorithm survives as the reference model of
+//! `tests/cache_reference.rs`, which this module must match cycle for cycle.
 
 /// Whether an access reads or writes (writes mark lines dirty; dirty
 /// evictions cost a write-back transaction).
@@ -17,6 +48,12 @@ pub enum AccessKind {
 }
 
 /// Cache geometry and latency parameters.
+///
+/// Each level holds a power of two of lines, at least 64 (a level of the
+/// model is a whole number of 64-set blocks): [`MemSystem::with_config`]
+/// panics on anything else.
+///
+/// [`MemSystem::with_config`]: crate::MemSystem::with_config
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Per-core L1 lines (64-byte lines). Default 1024 (64 KiB).
@@ -50,57 +87,114 @@ pub struct TrafficStats {
 
 const LINE: u64 = 64;
 
+/// Lines per block of sets (see the module docs): one bit of a `u64` mask
+/// each. 64 beat 32 by 4 % on `pgbench-tx`, `churn-sweep` and
+/// `churn-nosweep` alike, 10 of 10 alternating pairs each.
+const BLOCK: usize = 64;
+const SHIFT: u32 = BLOCK.trailing_zeros();
+/// The mask of a whole block.
+const ALL: u64 = u64::MAX >> (64 - BLOCK);
+
+/// `BLOCK` adjacent sets. Set `s` of the block holds the line of chunk
+/// `tags[s]` if bit `s` of `except` is set and of chunk `base` otherwise.
+#[derive(Debug, Clone)]
+struct Block {
+    base: u64,
+    except: u64,
+    /// Bit `s`: the line in set `s` was written since it was filled. Never
+    /// set for an invalid set.
+    dirty: u64,
+    tags: [u64; BLOCK],
+}
+
+/// No address has this chunk number: `base` of a block nothing has filled.
+const INVALID: u64 = u64::MAX;
+
 #[derive(Debug, Clone)]
 struct DirectCache {
-    /// Packed per-set state: `(line_tag + 1) << 1 | dirty`; 0 = invalid.
-    /// One word per set keeps the line walk to a single array touch.
-    state: Vec<u64>,
-    /// `lines - 1` when `lines` is a power of two (the default geometries
-    /// are), letting set selection be a mask instead of an integer divide;
-    /// `usize::MAX` otherwise.
+    blocks: Vec<Block>,
+    /// `blocks.len() - 1`; the length is a power of two.
     mask: usize,
 }
 
 impl DirectCache {
-    fn new(lines: usize) -> Self {
-        let mask = if lines.is_power_of_two() { lines - 1 } else { usize::MAX };
-        DirectCache { state: vec![0; lines], mask }
+    fn new(lines: usize, field: &str) -> Self {
+        assert!(
+            lines.is_power_of_two() && lines >= BLOCK,
+            "CacheConfig::{field} is {lines}: a level holds a power of two of lines, at least {BLOCK}"
+        );
+        let empty = Block { base: INVALID, except: 0, dirty: 0, tags: [INVALID; BLOCK] };
+        DirectCache { blocks: vec![empty; lines / BLOCK], mask: lines / BLOCK - 1 }
     }
 
+    /// One line. Returns `(hit, evicted_dirty)`.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.mask != usize::MAX {
-            (line as usize) & self.mask
-        } else {
-            (line as usize) % self.state.len()
-        }
-    }
-
-    /// Marks the resident line of `set` dirty (caller must know the set
-    /// holds a valid line — the streak fast path does).
-    #[inline]
-    fn mark_dirty(&mut self, set: usize) {
-        self.state[set] |= 1;
-    }
-
-    /// Access with a precomputed set index (`set == line % self.state.len()`;
-    /// batched range walks keep the index incrementally instead of dividing
-    /// per line). Returns `(hit, evicted_dirty)`.
-    #[inline]
-    fn access_at(&mut self, set: usize, line: u64, write: bool) -> (bool, bool) {
-        debug_assert_eq!(set, (line as usize) % self.state.len());
-        let cur = self.state[set];
-        if cur >> 1 == line + 1 {
+    fn access_line(&mut self, line: u64, write: bool) -> (bool, bool) {
+        let chunk = line >> SHIFT;
+        let s = line as usize % BLOCK;
+        let bit = 1u64 << s;
+        let blk = &mut self.blocks[chunk as usize & self.mask];
+        let resident = if blk.except & bit != 0 { blk.tags[s] } else { blk.base };
+        if resident == chunk {
             if write {
-                self.state[set] = cur | 1;
+                blk.dirty |= bit;
             }
-            (true, false)
-        } else {
-            // An invalid set (0) has its dirty bit clear, so no guard needed.
-            let evicted_dirty = cur & 1 == 1;
-            self.state[set] = (line + 1) << 1 | u64::from(write);
-            (false, evicted_dirty)
+            return (true, false);
         }
+        let evicted_dirty = blk.dirty & bit != 0;
+        blk.tags[s] = chunk;
+        blk.except |= bit;
+        blk.dirty = if write { blk.dirty | bit } else { blk.dirty & !bit };
+        (false, evicted_dirty)
+    }
+
+    /// The lines of `chunk` selected by `mask` (bit `s` = line
+    /// `chunk * BLOCK + s`), as if probed one by one. Returns the masks of
+    /// the lines that hit and of the missed lines whose victim was dirty.
+    #[inline]
+    fn access_block(&mut self, chunk: u64, mask: u64, write: bool) -> (u64, u64) {
+        let blk = &mut self.blocks[chunk as usize & self.mask];
+        let mut hit = if blk.base == chunk { mask & !blk.except } else { 0 };
+        let mut probe = mask & blk.except;
+        while probe != 0 {
+            let s = probe.trailing_zeros() as usize;
+            probe &= probe - 1;
+            if blk.tags[s] == chunk {
+                hit |= 1 << s;
+            }
+        }
+        let miss = mask & !hit;
+        let evicted_dirty = blk.dirty & miss;
+        if mask == ALL {
+            blk.base = chunk;
+            blk.except = 0;
+        } else if blk.base == chunk {
+            // The missed sets return to `base`: no tag to write.
+            blk.except &= !mask;
+        } else {
+            let mut fill = miss;
+            while fill != 0 {
+                blk.tags[fill.trailing_zeros() as usize] = chunk;
+                fill &= fill - 1;
+            }
+            blk.except |= miss;
+        }
+        blk.dirty = if write { blk.dirty | mask } else { blk.dirty & !miss };
+        (hit, evicted_dirty)
+    }
+}
+
+/// `bits.count_ones()` for a subset `bits` of a mask with `n` bits set.
+/// The baseline x86-64 target has no population-count instruction, and
+/// all-or-nothing is the common answer for a block.
+#[inline]
+fn count_within(bits: u64, of: u64, n: u64) -> u64 {
+    if bits == of {
+        n
+    } else if bits == 0 {
+        0
+    } else {
+        u64::from(bits.count_ones())
     }
 }
 
@@ -110,131 +204,83 @@ pub(crate) struct Hierarchy {
     l2: DirectCache,
     stats: Vec<TrafficStats>,
     config: CacheConfig,
-    /// Per-core memo of the two most recently accessed lines and their L1
-    /// sets, MRU first. Only a core's own accesses mutate its L1, and a
-    /// memoized line is by construction the most recent access to its
-    /// direct-mapped set — so a repeat access is a guaranteed L1 hit and
-    /// can skip the lookup machinery entirely while producing identical
-    /// stats. Two entries (kept set-disjoint) serve the ping-pong access
-    /// pairs the revoker's bitmap probes produce (summary word / bitmap
-    /// word). `(u64::MAX, 0)` = empty.
-    hot: Vec<[(u64, usize); 2]>,
-}
-
-/// Maintains a core's two-entry memo after a single-line access to `line`
-/// (occupying L1 `set`): the new line becomes MRU, and any older entry
-/// mapping to the same set is dropped (it was just evicted).
-#[inline]
-fn note_access(hot: &mut [(u64, usize); 2], line: u64, set: usize) {
-    if hot[0].1 == set && hot[0].0 != u64::MAX {
-        // Same set as the old MRU: that entry was just evicted; the LRU
-        // entry's set differs (invariant) and stays valid.
-        hot[0] = (line, set);
-    } else {
-        hot[1] = hot[0];
-        hot[0] = (line, set);
-    }
 }
 
 impl Hierarchy {
+    /// Panics if a level of `config` is not a power of two of at least
+    /// [`BLOCK`] lines.
     pub(crate) fn new(cores: usize, config: CacheConfig) -> Self {
         Hierarchy {
-            l1: (0..cores).map(|_| DirectCache::new(config.l1_lines)).collect(),
-            l2: DirectCache::new(config.l2_lines),
+            l1: (0..cores).map(|_| DirectCache::new(config.l1_lines, "l1_lines")).collect(),
+            l2: DirectCache::new(config.l2_lines, "l2_lines"),
             stats: vec![TrafficStats::default(); cores],
             config,
-            hot: vec![[(u64::MAX, 0); 2]; cores],
         }
     }
 
-    /// Walks every 64-byte line touched by `[addr, addr+len)` and returns
-    /// the total cycle cost.
+    /// Charges every 64-byte line touched by `[addr, addr+len)` (one line
+    /// when `len` is 0) and returns the total cycle cost.
     #[inline]
     pub(crate) fn access(&mut self, core: usize, addr: u64, len: u64, kind: AccessKind) -> u64 {
         assert!(core < self.l1.len(), "unknown core {core}");
         let first = addr / LINE;
         let last = addr.saturating_add(len.max(1) - 1) / LINE;
-        if first == last {
-            let hot = &mut self.hot[core];
-            let set = if hot[0].0 == first {
-                hot[0].1
-            } else if hot[1].0 == first {
-                hot.swap(0, 1);
-                hot[0].1
-            } else {
-                usize::MAX
-            };
-            if set != usize::MAX {
-                // Streak fast path: one of this core's two most recent
-                // lines — a guaranteed L1 hit.
-                if kind == AccessKind::Write {
-                    self.l1[core].mark_dirty(set);
-                }
-                self.stats[core].l1_hits += 1;
-                return self.config.l1_hit_cycles;
-            }
+        if first != last {
+            return self.access_range(core, first, last, kind);
         }
-        self.access_range(core, first, last, kind)
+        // Four calls in five are one line.
+        let Hierarchy { l1, l2, stats, config } = self;
+        let st = &mut stats[core];
+        // The L1s are probed as reads: nothing consumes an L1 victim's
+        // dirty bit, so they keep none.
+        if l1[core].access_line(first, false).0 {
+            st.l1_hits += 1;
+            return config.l1_hit_cycles;
+        }
+        let (l2_hit, evicted_dirty) = l2.access_line(first, kind == AccessKind::Write);
+        if l2_hit {
+            st.l2_hits += 1;
+            return config.l1_hit_cycles + config.l2_hit_cycles;
+        }
+        // L2 miss: one fill transaction, plus a write-back if the victim
+        // was dirty.
+        st.dram_transactions += 1 + u64::from(evicted_dirty);
+        config.l1_hit_cycles + config.l2_hit_cycles + config.dram_cycles
     }
 
-    /// Batched line walk for `[first..=last]` (line numbers, not byte
-    /// addresses): the set indices of both cache levels are computed once
-    /// and advanced incrementally, instead of dividing per line.
-    pub(crate) fn access_range(
-        &mut self,
-        core: usize,
-        first: u64,
-        last: u64,
-        kind: AccessKind,
-    ) -> u64 {
-        assert!(core < self.l1.len(), "unknown core {core}");
+    /// Lines `first..=last` (line numbers, not byte addresses), a chunk at
+    /// a time: each chunk's L1 misses go to the L2 as one mask.
+    fn access_range(&mut self, core: usize, first: u64, last: u64, kind: AccessKind) -> u64 {
         let write = kind == AccessKind::Write;
-        let Hierarchy { l1, l2, stats, config, hot } = self;
+        let Hierarchy { l1, l2, stats, config } = self;
         let l1 = &mut l1[core];
-        let st = &mut stats[core];
-        let (l1_len, l2_len) = (l1.state.len(), l2.state.len());
-        let mut s1 = l1.set_of(first);
-        let mut s2 = l2.set_of(first);
-        let mut cycles = 0;
-        let mut line = first;
+        let (first_chunk, last_chunk) = (first >> SHIFT, last >> SHIFT);
+        let (mut l1_misses, mut fills, mut write_backs) = (0, 0, 0);
+        let mut chunk = first_chunk;
         loop {
-            cycles += config.l1_hit_cycles;
-            let (l1_hit, _) = l1.access_at(s1, line, write);
-            if l1_hit {
-                st.l1_hits += 1;
-            } else {
-                cycles += config.l2_hit_cycles;
-                let (l2_hit, l2_evicted_dirty) = l2.access_at(s2, line, write);
-                if l2_hit {
-                    st.l2_hits += 1;
-                } else {
-                    // L2 miss: one fill transaction, plus a write-back if the
-                    // victim was dirty.
-                    cycles += config.dram_cycles;
-                    st.dram_transactions += 1 + u64::from(l2_evicted_dirty);
-                }
+            let lo = if chunk == first_chunk { first as usize % BLOCK } else { 0 };
+            let hi = if chunk == last_chunk { last as usize % BLOCK } else { BLOCK - 1 };
+            let mask = ALL >> (BLOCK - 1 - (hi - lo)) << lo;
+            let (l1_hit, _) = l1.access_block(chunk, mask, false);
+            if l1_hit != mask {
+                let miss = mask & !l1_hit;
+                let n = count_within(miss, mask, (hi - lo + 1) as u64);
+                let (l2_hit, evicted_dirty) = l2.access_block(chunk, miss, write);
+                l1_misses += n;
+                fills += n - count_within(l2_hit, miss, n);
+                write_backs += count_within(evicted_dirty, miss, n);
             }
-            if line == last {
+            if chunk == last_chunk {
                 break;
             }
-            line += 1;
-            s1 += 1;
-            if s1 == l1_len {
-                s1 = 0;
-            }
-            s2 += 1;
-            if s2 == l2_len {
-                s2 = 0;
-            }
+            chunk += 1;
         }
-        if first == last {
-            note_access(&mut hot[core], last, s1);
-        } else {
-            // A multi-line walk may have evicted anything the memo held;
-            // only the final line is still guaranteed resident.
-            hot[core] = [(last, s1), (u64::MAX, 0)];
-        }
-        cycles
+        let lines = last - first + 1;
+        let st = &mut stats[core];
+        st.l1_hits += lines - l1_misses;
+        st.l2_hits += l1_misses - fills;
+        st.dram_transactions += fills + write_backs;
+        lines * config.l1_hit_cycles + l1_misses * config.l2_hit_cycles + fills * config.dram_cycles
     }
 
     pub(crate) fn stats(&self, core: usize) -> TrafficStats {
@@ -258,10 +304,11 @@ mod tests {
 
     #[test]
     fn dirty_eviction_costs_writeback() {
-        let cfg = CacheConfig { l1_lines: 1, l2_lines: 1, ..CacheConfig::default() };
+        // The smallest legal geometry: one block per level.
+        let cfg = CacheConfig { l1_lines: BLOCK, l2_lines: BLOCK, ..CacheConfig::default() };
         let mut h = Hierarchy::new(1, cfg);
         h.access(0, 0, 8, AccessKind::Write); // fill, dirty
-        h.access(0, 64, 8, AccessKind::Read); // evicts dirty line from both
+        h.access(0, BLOCK as u64 * LINE, 8, AccessKind::Read); // evicts dirty line from both
         // fill(1) + fill(1) + writeback(1)
         assert_eq!(h.stats(0).dram_transactions, 3);
     }
@@ -280,33 +327,21 @@ mod tests {
         assert_eq!(h.stats(0).dram_transactions, 1);
     }
 
-    /// The same-line streak memo must be invisible in stats and cycle
-    /// costs: drive one hierarchy through the public `access` (memo
-    /// engaged) and one through `access_range` (memo bypassed) with the
-    /// same trace, and compare everything.
     #[test]
-    fn streak_memo_is_stats_transparent() {
-        let cfg = CacheConfig::default();
-        let (mut fast, mut slow) = (Hierarchy::new(2, cfg), Hierarchy::new(2, cfg));
-        // Streaks, alternating cores, read/write mixes, an eviction, and a
-        // re-touch of the evicted line.
-        let trace: &[(usize, u64, u64, AccessKind)] = &[
-            (0, 0x1000, 8, AccessKind::Read),
-            (0, 0x1000, 8, AccessKind::Write),
-            (0, 0x1008, 8, AccessKind::Read),
-            (1, 0x1000, 8, AccessKind::Read),
-            (0, 0x1000 + 64 * 1024, 8, AccessKind::Read), // evicts 0x1000 from L1[0]
-            (0, 0x1000, 8, AccessKind::Read),
-            (0, 0x1000, 128, AccessKind::Write),
-            (0, 0x1000, 8, AccessKind::Read),
-        ];
-        for &(core, addr, len, kind) in trace {
-            let a = fast.access(core, addr, len, kind);
-            let b = slow.access_range(core, addr / LINE, addr.saturating_add(len.max(1) - 1) / LINE, kind);
-            assert_eq!(a, b, "cycle cost diverged at {addr:#x}");
-        }
-        for core in 0..2 {
-            assert_eq!(fast.stats(core), slow.stats(core), "core {core} stats diverged");
-        }
+    #[should_panic(expected = "CacheConfig::l1_lines is 0")]
+    fn zero_line_level_is_rejected() {
+        let _ = Hierarchy::new(1, CacheConfig { l1_lines: 0, ..CacheConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "CacheConfig::l2_lines is 1")]
+    fn level_smaller_than_a_block_is_rejected() {
+        let _ = Hierarchy::new(1, CacheConfig { l2_lines: 1, ..CacheConfig::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "CacheConfig::l1_lines is 96")]
+    fn non_power_of_two_level_is_rejected() {
+        let _ = Hierarchy::new(1, CacheConfig { l1_lines: 96, ..CacheConfig::default() });
     }
 }

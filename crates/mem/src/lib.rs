@@ -69,6 +69,11 @@ impl MemSystem {
     }
 
     /// Creates a memory system with an explicit cache geometry.
+    ///
+    /// # Panics
+    ///
+    /// If a level of `config` is not a power of two of lines of at least
+    /// one block (see [`CacheConfig`]); the message names the field.
     #[must_use]
     pub fn with_config(cores: usize, config: CacheConfig) -> Self {
         MemSystem { mem: PhysMem::new(), caches: cache::Hierarchy::new(cores, config) }

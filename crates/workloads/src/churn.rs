@@ -108,6 +108,9 @@ pub struct ChurnSource {
     /// Recently-written pointer slots: chases follow real pointers so
     /// they load tagged granules (and hence exercise the load barrier).
     hot_links: Vec<(ObjId, u64)>,
+    /// Entries of `hot_links` per source slot: a free whose victim has
+    /// none — most of them — skips the scan for its links.
+    links_from: Vec<u32>,
     next_slot: ObjId,
     live_bytes: u64,
     churned: u64,
@@ -133,6 +136,7 @@ impl ChurnSource {
             live: Vec::new(),
             free_slots: Vec::new(),
             hot_links: Vec::new(),
+            links_from: Vec::new(),
             next_slot: 0,
             live_bytes: 0,
             churned: 0,
@@ -147,6 +151,7 @@ impl ChurnSource {
         let obj = self.free_slots.pop().unwrap_or_else(|| {
             let s = self.next_slot;
             self.next_slot += 1;
+            self.links_from.push(0);
             s
         });
         ops.push(Op::Alloc { obj, size });
@@ -172,7 +177,9 @@ impl ChurnSource {
         self.free_slots.push(victim);
         self.live_bytes -= vsize;
         self.churned += vsize;
-        self.hot_links.retain(|&(o, _)| o != victim);
+        if std::mem::take(&mut self.links_from[victim as usize]) != 0 {
+            self.hot_links.retain(|&(o, _)| o != victim);
+        }
         self.emit_compute(ops);
         self.emit_alloc(ops);
 
@@ -184,9 +191,11 @@ impl ChurnSource {
             ops.push(Op::LinkPtr { from, slot, to });
             if self.hot_links.len() >= 512 {
                 let i = self.rng.gen_range(0..self.hot_links.len());
-                self.hot_links.swap_remove(i);
+                let (dropped, _) = self.hot_links.swap_remove(i);
+                self.links_from[dropped as usize] -= 1;
             }
             self.hot_links.push((from, slot));
+            self.links_from[from as usize] += 1;
         }
         for _ in 0..self.profile.chases_per_step {
             self.emit_compute(ops);

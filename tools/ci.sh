@@ -3,7 +3,8 @@
 # gate (hermetic manifests, determinism lints), static-analyzer smokes
 # (opcheck digest stability, --preflight quarantine), and a quick-mode
 # smoke of the bench harnesses so benchmark bit-rot is caught without
-# paying for a full measurement run. Run from anywhere.
+# paying for a full measurement run; the benchmark's stats digests are
+# compared with the pinned tools/stats_digests.txt. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,6 +88,19 @@ echo "== benchmark smoke (five workloads, 2 s windows) =="
 # Exits nonzero on any failed cell or check, including a repetition whose
 # stats digest differs from the first.
 bash benchmark/run.sh --quick
+# And the digests are pinned across commits: a host-only change that moves
+# a simulated counter fails here.
+drift=0
+while read -r workload want; do
+    case "$workload" in '' | '#'*) continue ;; esac
+    got="$(sed -n 's/.*"stats_digest":"\([^"]*\)".*/\1/p' "benchmark/out/run-$workload-trace0.json" 2>/dev/null || true)"
+    if [ "$got" != "$want" ]; then
+        echo "benchmark smoke: stats digest drifted (pinned: $workload $want; got: $workload ${got:-none})" >&2
+        drift=1
+    fi
+done <tools/stats_digests.txt
+[ "$drift" = 0 ] \
+    || { echo "benchmark smoke: the simulated statistics changed; if intentional, re-capture by pasting the 'got' lines into tools/stats_digests.txt" >&2; exit 1; }
 
 echo "== matrix smoke (parallel orchestrator) =="
 # 1. Byte-identity: the same smoke matrix at 1 and 4 workers must render
