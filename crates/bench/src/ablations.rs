@@ -217,10 +217,8 @@ pub fn revoker_core_scaling() -> String {
     let mut rows = Vec::new();
     for condition in [Condition::cornucopia(), Condition::reloaded()] {
         for cores in [1usize, 2, 4] {
-            let host_t0 = std::time::Instant::now();
             let stats =
                 run_with(SpecProgram::Xalancbmk, condition, |b| b.revoker_threads(cores));
-            let host_ns = host_t0.elapsed().as_nanos() as f64;
             let phase_kind = match condition {
                 Condition::Safe(Strategy::Cornucopia) => cornucopia::PhaseKind::CornucopiaConcurrent,
                 _ => cornucopia::PhaseKind::ReloadedConcurrent,
@@ -245,7 +243,6 @@ pub fn revoker_core_scaling() -> String {
                 ms(median),
                 ms(total),
                 per_core_dram,
-                format!("{:.0}", host_ns / stats.pages_swept.max(1) as f64),
             ]);
         }
     }
@@ -258,7 +255,6 @@ pub fn revoker_core_scaling() -> String {
             "median concurrent phase (ms)",
             "total concurrent (ms)",
             "revoker DRAM txns per core",
-            "host ns/page swept",
         ],
         &rows,
     ));

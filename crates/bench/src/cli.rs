@@ -1,12 +1,15 @@
-//! The CLI edge: environment parsing and the flag vocabulary shared by
-//! `run_matrix` and `reproduce_all`.
+//! The CLI edge of the one `repro` binary: argv and the environment
+//! become typed values here, and nowhere else.
 //!
-//! The library layer ([`crate::orchestrator`], [`crate::plan`],
-//! [`crate::harness`]) is configured exclusively through typed values —
-//! [`RunOptions`], [`Scale`], worker counts. This module is the one
-//! place that still reads the process environment, so binaries call it
-//! once at startup and everything below stays deterministic and
-//! testable:
+//! [`parse`] turns an argument list into a [`Command`] — one loop, one
+//! flag table per subcommand ([`usage`] prints the same tables), every
+//! cross-flag rule checked before anything runs — and
+//! [`crate::commands::run`] executes it. The library layer
+//! ([`crate::orchestrator`], [`crate::plan`], [`crate::report`]) is
+//! configured exclusively through typed values — [`RunOptions`],
+//! [`Scale`], worker counts — and this module is the one place that
+//! reads the process environment, so everything below stays
+//! deterministic and testable:
 //!
 //! | Variable | Parsed by | Meaning |
 //! |---|---|---|
@@ -17,14 +20,16 @@
 //!
 //! Every parser hard-errors (exit 2) on unparsable values: a mistyped
 //! sweep configuration must not silently run a multi-hour default.
-//!
-//! [`CommonArgs`] is the arg-loop fragment both binaries share
-//! (`--out`, `--checkpoint`, `--compact`, `--jobs`, `--preflight`), so
-//! their defaults and error messages cannot drift apart again.
 
+use crate::dispatch::{CollectTemplate, CommandTemplate};
 use crate::harness::Scale;
-use crate::orchestrator::{parse_jobs, RunOptions};
-use std::path::PathBuf;
+use crate::orchestrator::{parse_jobs, RunOptions, Shard};
+use crate::plan::SuiteKind;
+use crate::report::{Ablation, Section, ABLATIONS, SECTIONS};
+use cornucopia::Strategy;
+use morello_sim::Condition;
+use std::path::{Path, PathBuf};
+use workloads::{SpecProgram, SPEC_PROGRAMS};
 
 /// `REPRO_SCALE` / `REPRO_REPS` from the environment, via
 /// [`Scale::parse`]. Exits with a diagnostic (status 2) on garbage.
@@ -39,7 +44,7 @@ pub fn env_scale() -> Scale {
 }
 
 /// Worker count from `REPRO_JOBS`, defaulting to the host's available
-/// parallelism — the one documented default for every binary. Exits with
+/// parallelism — the one documented default for every subcommand. Exits with
 /// a diagnostic (status 2) on unparsable values.
 #[must_use]
 pub fn env_workers() -> usize {
@@ -67,7 +72,7 @@ pub fn env_inject_malformed() -> Option<String> {
     std::env::var("REPRO_INJECT_MALFORMED").ok().filter(|v| !v.is_empty())
 }
 
-/// The standard [`RunOptions`] for an interactive binary: environment
+/// The standard [`RunOptions`] for an interactive run: environment
 /// worker count, environment fault injection, progress lines on.
 /// Everything else stays at its typed default — callers layer CLI
 /// overrides on top with the builder methods.
@@ -80,60 +85,343 @@ pub fn env_run_options() -> RunOptions {
         .progress(true)
 }
 
-/// The flags `run_matrix` and `reproduce_all` share, parsed identically.
-#[derive(Debug, Clone, Default)]
-pub struct CommonArgs {
-    /// `--out PATH` (or `reproduce_all`'s positional OUT).
+/// One `repro` subcommand, parsed and validated.
+#[derive(Debug)]
+pub enum Command {
+    /// `repro <section>`: run the suites one section needs, print it.
+    Section(&'static Section),
+    /// `repro ablation <name>`: print one ablation study.
+    Ablation(Ablation),
+    /// `repro matrix …` and `repro all …` ([`Args::all`] tells them
+    /// apart): run a matrix, write the whole report.
+    Matrix(Args),
+    /// `repro opcheck …`: statically analyze a matrix's programs.
+    Opcheck(Args),
+    /// `repro trace dump <workload> <out.trace>`.
+    TraceDump {
+        /// What to generate.
+        workload: TraceWorkload,
+        /// Where the trace file goes.
+        out: String,
+    },
+    /// `repro trace replay <in.trace> [condition]`.
+    TraceReplay {
+        /// The trace file to load.
+        path: String,
+        /// Reloaded unless named.
+        condition: Condition,
+    },
+}
+
+/// A workload `repro trace dump` can write.
+#[derive(Debug, Clone, Copy)]
+pub enum TraceWorkload {
+    /// 2 000 pgbench transactions.
+    Pgbench,
+    /// 2 000 gRPC messages.
+    Grpc,
+    /// One SPEC surrogate.
+    Spec(SpecProgram),
+}
+
+/// The flag values of `matrix`, `all` and `opcheck`. Each subcommand
+/// accepts only the flags of its own table; the rest keep the defaults
+/// below.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// `repro all`: every suite, ablations on, the EXPERIMENTS title, and
+    /// exit 1 on a violated shape check.
+    pub all: bool,
+    /// `--out PATH` (or `all`'s positional OUT).
     pub out: Option<String>,
     /// `--checkpoint PATH`.
     pub checkpoint: Option<PathBuf>,
     /// `--compact`: rewrite the checkpoint before running.
     pub compact: bool,
-    /// `--jobs N`: CLI worker-count override (wins over `REPRO_JOBS`).
+    /// `--jobs N`: worker-count override (wins over `REPRO_JOBS`).
     pub jobs: Option<usize>,
     /// `--preflight`: statically analyze each distinct program once
     /// before its jobs dispatch; malformed programs become typed
     /// failures, not panics.
     pub preflight: bool,
+    /// `--shard K/N`: run one shard of the matrix in this process.
+    pub shard: Shard,
+    /// `--spawn N`: launch N shard processes, then merge.
+    pub spawn: Option<usize>,
+    /// `--dispatch TEMPLATE`: how `--spawn` launches each shard.
+    pub dispatch: Option<CommandTemplate>,
+    /// `--collect TEMPLATE`: how `--spawn` pulls shard files back.
+    pub collect: Option<CollectTemplate>,
+    /// `--only SUBSTR`: keep only cells whose key contains it.
+    pub only: Option<String>,
+    /// `--repro-dir DIR` (default `repro`): where failed cells leave
+    /// their replay files.
+    pub repro_dir: PathBuf,
+    /// `--smoke`: [`Scale::smoke`] instead of the environment's scale.
+    pub smoke: bool,
+    /// `--strict`: exit 1 on any failed cell or violated shape check.
+    pub strict: bool,
+    /// `--suites a,b` (default: all four), in the order given.
+    pub suites: Vec<SuiteKind>,
+    /// `--ablations`: render the ablation studies too.
+    pub ablations: bool,
+    /// `--csv DIR` (`opcheck`): write each program's RSS-bound curve.
+    pub csv: Option<PathBuf>,
 }
 
-impl CommonArgs {
-    /// Tries to consume `arg` (and its value from `rest`) as one of the
-    /// shared flags. `Ok(true)` when consumed; `Ok(false)` hands the
-    /// argument back to the binary's own loop.
-    ///
-    /// # Errors
-    ///
-    /// Missing or unparsable flag values, with the flag named.
-    pub fn take(
-        &mut self,
-        arg: &str,
-        rest: &mut dyn Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let value = |rest: &mut dyn Iterator<Item = String>| {
-            rest.next().ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg {
-            "--out" => self.out = Some(value(rest)?),
-            "--checkpoint" => self.checkpoint = Some(value(rest)?.into()),
-            "--compact" => self.compact = true,
-            "--jobs" => self.jobs = Some(parse_jobs(&value(rest)?)?),
-            "--preflight" => self.preflight = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
+const MATRIX_FLAGS: &[&str] = &[
+    "--out PATH",
+    "--checkpoint PATH",
+    "--compact",
+    "--jobs N",
+    "--preflight",
+    "--shard K/N",
+    "--spawn N",
+    "--dispatch TEMPLATE",
+    "--collect TEMPLATE",
+    "--only SUBSTR",
+    "--repro-dir DIR",
+    "--smoke",
+    "--strict",
+    "--suites spec,pgbench,pgbench-rates,grpc",
+    "--ablations",
+];
+const ALL_FLAGS: &[&str] =
+    &["--out PATH", "--checkpoint PATH", "--compact", "--jobs N", "--preflight"];
+const OPCHECK_FLAGS: &[&str] = &[
+    "--suites spec,pgbench,pgbench-rates,grpc",
+    "--only SUBSTR",
+    "--smoke",
+    "--jobs N",
+    "--out PATH",
+    "--csv DIR",
+];
+/// The conditions `trace replay` accepts, by their command-line names.
+const CONDITIONS: [(&str, Condition); 5] = [
+    ("baseline", Condition::Baseline),
+    ("cherivoke", Condition::Safe(Strategy::CheriVoke)),
+    ("cornucopia", Condition::Safe(Strategy::Cornucopia)),
+    ("reloaded", Condition::Safe(Strategy::Reloaded)),
+    ("paintsync", Condition::Safe(Strategy::PaintSync)),
+];
 
-    /// Validates flag interactions shared by both binaries.
-    ///
-    /// # Errors
-    ///
-    /// `--compact` without `--checkpoint`.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.compact && self.checkpoint.is_none() {
-            return Err("--compact requires --checkpoint PATH".to_string());
+fn condition_names() -> String {
+    CONDITIONS.map(|(name, _)| name).join("|")
+}
+
+/// The usage text: every subcommand, with exactly the flags it accepts.
+#[must_use]
+pub fn usage() -> String {
+    fn join<'a>(words: impl Iterator<Item = &'a str>) -> String {
+        words.collect::<Vec<_>>().join(" ")
+    }
+    let flags =
+        |table: &[&str]| table.iter().map(|f| format!("[{f}]")).collect::<Vec<_>>().join(" ");
+    let mut spec: Vec<&str> = SPEC_PROGRAMS.iter().map(spec_word).collect();
+    spec.dedup();
+    format!(
+        "usage: repro <section>        one of: {}\n\
+         \x20      repro ablation <name>   one of: {}\n\
+         \x20      repro matrix {}\n\
+         \x20      repro all [OUT] {}\n\
+         \x20      repro opcheck {}\n\
+         \x20      repro trace dump <workload> <out.trace>   workloads: pgbench grpc {}\n\
+         \x20      repro trace replay <in.trace> [{}]",
+        join(SECTIONS.iter().map(|s| s.name)),
+        join(ABLATIONS.iter().map(|(name, _)| *name)),
+        flags(MATRIX_FLAGS),
+        flags(ALL_FLAGS),
+        flags(OPCHECK_FLAGS),
+        spec.join(" "),
+        condition_names(),
+    )
+}
+
+/// The first word of a SPEC surrogate's name (`astar` of `astar lakes`).
+fn spec_word(program: &SpecProgram) -> &'static str {
+    program.name().split_whitespace().next().unwrap_or_default()
+}
+
+/// Parses the argument list after the program name.
+///
+/// # Errors
+///
+/// An unknown subcommand, a flag the subcommand does not take, a missing
+/// or unparsable value, or a flag combination that cannot run — each
+/// named, so the caller prints it above [`usage`] and exits 2.
+pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut args = args.into_iter();
+    let word = args.next().ok_or("missing subcommand")?;
+    let command = match word.as_str() {
+        "ablation" => {
+            let name = args.next().ok_or("ablation needs a name")?;
+            let (_, render) = ABLATIONS
+                .iter()
+                .find(|(known, _)| *known == name)
+                .ok_or_else(|| format!("unknown ablation {name:?}"))?;
+            Command::Ablation(*render)
         }
-        Ok(())
+        "matrix" => Command::Matrix(parse_flags(false, MATRIX_FLAGS, &mut args)?),
+        "all" => Command::Matrix(parse_flags(true, ALL_FLAGS, &mut args)?),
+        "opcheck" => Command::Opcheck(parse_flags(false, OPCHECK_FLAGS, &mut args)?),
+        "trace" => match (args.next().as_deref(), args.next(), args.next()) {
+            (Some("dump"), Some(name), Some(out)) => {
+                Command::TraceDump { workload: trace_workload(&name)?, out }
+            }
+            (Some("replay"), Some(path), name) => Command::TraceReplay {
+                path,
+                // An absent condition means Reloaded; a mistyped one must
+                // not silently replay under it.
+                condition: name.as_deref().map_or(Ok(Condition::reloaded()), parse_condition)?,
+            },
+            _ => return Err("trace needs dump <workload> <out.trace> or replay <in.trace>".into()),
+        },
+        _ => match SECTIONS.iter().find(|s| s.name == word) {
+            Some(section) => Command::Section(section),
+            None => return Err(format!("unknown subcommand {word:?}")),
+        },
+    };
+    match args.next() {
+        Some(extra) => Err(format!("unexpected argument {extra:?}")),
+        None => Ok(command),
+    }
+}
+
+fn trace_workload(name: &str) -> Result<TraceWorkload, String> {
+    match name {
+        "pgbench" => Ok(TraceWorkload::Pgbench),
+        "grpc" => Ok(TraceWorkload::Grpc),
+        _ => SPEC_PROGRAMS
+            .iter()
+            .find(|p| spec_word(p) == name || p.name() == name)
+            .map(|&p| TraceWorkload::Spec(p))
+            .ok_or_else(|| format!("unknown workload {name:?}")),
+    }
+}
+
+fn parse_condition(name: &str) -> Result<Condition, String> {
+    CONDITIONS
+        .iter()
+        .find(|(known, _)| *known == name)
+        .map(|&(_, condition)| condition)
+        .ok_or_else(|| format!("unknown condition {name:?} ({})", condition_names()))
+}
+
+/// The one flag loop: consumes `args` against the subcommand's `allowed`
+/// table, then checks the cross-flag rules (all of them vacuous for a
+/// subcommand whose table lacks the flags involved).
+fn parse_flags(
+    all: bool,
+    allowed: &[&str],
+    args: &mut dyn Iterator<Item = String>,
+) -> Result<Args, String> {
+    let mut a = Args {
+        all,
+        out: None,
+        checkpoint: None,
+        compact: false,
+        jobs: None,
+        preflight: false,
+        shard: Shard::default(),
+        spawn: None,
+        dispatch: None,
+        collect: None,
+        only: None,
+        repro_dir: PathBuf::from("repro"),
+        smoke: false,
+        strict: false,
+        suites: SuiteKind::ALL.to_vec(),
+        ablations: all,
+        csv: None,
+    };
+    while let Some(arg) = args.next() {
+        if all && !arg.starts_with('-') && a.out.is_none() {
+            a.out = Some(arg);
+            continue;
+        }
+        if !allowed.iter().any(|flag| flag.split(' ').next() == Some(arg.as_str())) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--out" => a.out = Some(value()?),
+            "--checkpoint" => a.checkpoint = Some(value()?.into()),
+            "--compact" => a.compact = true,
+            "--jobs" => a.jobs = Some(parse_jobs(&value()?)?),
+            "--preflight" => a.preflight = true,
+            "--shard" => a.shard = Shard::parse(&value()?)?,
+            "--spawn" => {
+                let v = value()?;
+                let n = v.trim().parse::<usize>().ok().filter(|n| *n >= 1);
+                a.spawn = Some(n.ok_or_else(|| format!("--spawn {v:?}: expected a count ≥ 1"))?);
+            }
+            "--dispatch" => a.dispatch = Some(CommandTemplate::new(value()?)?),
+            "--collect" => a.collect = Some(CollectTemplate::new(value()?)?),
+            "--only" => a.only = Some(value()?),
+            "--repro-dir" => a.repro_dir = value()?.into(),
+            "--smoke" => a.smoke = true,
+            "--strict" => a.strict = true,
+            "--suites" => {
+                a.suites = value()?.split(',').map(SuiteKind::parse).collect::<Result<_, _>>()?;
+            }
+            "--ablations" => a.ablations = true,
+            "--csv" => a.csv = Some(value()?.into()),
+            _ => unreachable!("{arg} is in a flag table but not in the loop"),
+        }
+    }
+    if a.compact && a.checkpoint.is_none() {
+        return Err("--compact requires --checkpoint PATH".into());
+    }
+    if a.shard.is_sharded() && a.checkpoint.is_none() {
+        return Err("--shard requires --checkpoint PATH (shards merge through it)".into());
+    }
+    if a.spawn.is_some() && a.shard.is_sharded() {
+        return Err("--spawn and --shard are mutually exclusive (--spawn forks the shards)".into());
+    }
+    if a.dispatch.is_some() && a.spawn.is_none() {
+        return Err("--dispatch requires --spawn N (it decides how the N shards launch)".into());
+    }
+    if a.collect.is_some() && a.spawn.is_none() {
+        return Err(
+            "--collect requires --spawn N (it pulls the N shard files back before the merge)"
+                .into(),
+        );
+    }
+    Ok(a)
+}
+
+impl Args {
+    /// The argument list of the shard process `--spawn` launches for
+    /// `shard` — the inverse of the flag loop above, kept beside it so
+    /// the two cannot drift apart.
+    #[must_use]
+    pub fn shard_argv(&self, shard: Shard, checkpoint: &Path, jobs: usize) -> Vec<String> {
+        let suites: Vec<&str> = self.suites.iter().map(SuiteKind::label).collect();
+        let mut argv = vec![
+            "matrix".to_string(),
+            "--shard".to_string(),
+            format!("{}/{}", shard.index, shard.count),
+            "--checkpoint".to_string(),
+            checkpoint.display().to_string(),
+            "--out".to_string(),
+            checkpoint.join(format!("shard-{}.md", shard.index)).display().to_string(),
+            "--jobs".to_string(),
+            jobs.to_string(),
+            "--suites".to_string(),
+            suites.join(","),
+            "--repro-dir".to_string(),
+            self.repro_dir.display().to_string(),
+        ];
+        if self.smoke {
+            argv.push("--smoke".to_string());
+        }
+        if self.preflight {
+            argv.push("--preflight".to_string());
+        }
+        if let Some(needle) = &self.only {
+            argv.extend(["--only".to_string(), needle.clone()]);
+        }
+        argv
     }
 }
 
@@ -141,38 +429,60 @@ impl CommonArgs {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter().map(ToString::to_string).collect::<Vec<_>>().into_iter()
+    /// Parses a command line given as one space-separated string.
+    fn parse_line(line: &str) -> Result<Command, String> {
+        parse(line.split_whitespace().map(String::from))
     }
 
     #[test]
-    fn common_args_consume_shared_flags_only() {
-        let mut common = CommonArgs::default();
-        let mut rest = args(&["x.md", "--checkpoint", "ck", "--jobs", "3"]);
-        assert!(common.take("--out", &mut rest).unwrap());
-        assert!(common.take(&rest.next().unwrap(), &mut rest).unwrap());
-        assert!(common.take(&rest.next().unwrap(), &mut rest).unwrap());
-        assert!(common.take("--compact", &mut rest).unwrap());
-        assert!(common.take("--preflight", &mut rest).unwrap());
-        assert!(!common.take("--strict", &mut rest).unwrap());
-        assert_eq!(common.out.as_deref(), Some("x.md"));
-        assert_eq!(common.checkpoint.as_deref(), Some(std::path::Path::new("ck")));
-        assert_eq!(common.jobs, Some(3));
-        assert!(common.compact);
-        assert!(common.preflight);
-        assert!(common.validate().is_ok());
+    fn flags_parse_into_typed_values() {
+        let Ok(Command::Matrix(a)) = parse_line(
+            "matrix --out x.md --checkpoint ck --jobs 3 --compact --preflight \
+             --suites grpc,pgbench --spawn 2 --only Reloaded",
+        ) else {
+            panic!("matrix flags must parse");
+        };
+        assert_eq!(a.out.as_deref(), Some("x.md"));
+        assert_eq!(a.checkpoint.as_deref(), Some(Path::new("ck")));
+        assert_eq!((a.jobs, a.spawn), (Some(3), Some(2)));
+        assert!(a.compact && a.preflight && !a.all && !a.ablations);
+        assert_eq!(a.suites, [SuiteKind::Grpc, SuiteKind::Pgbench]);
+
+        // The spawn children are told what the parent was told.
+        let argv = a.shard_argv(Shard { index: 1, count: 2 }, Path::new("ck"), 1);
+        let Ok(Command::Matrix(child)) = parse(argv) else {
+            panic!("shard argv must parse");
+        };
+        assert_eq!(child.shard, Shard { index: 1, count: 2 });
+        assert_eq!((child.suites, child.only), (a.suites, a.only));
+        assert!(child.preflight && child.spawn.is_none());
+
+        let Ok(Command::Matrix(a)) = parse_line("all OUT.md --jobs 2") else {
+            panic!("all takes a positional OUT");
+        };
+        assert!(a.all && a.ablations);
+        assert_eq!((a.out.as_deref(), a.suites), (Some("OUT.md"), SuiteKind::ALL.to_vec()));
     }
 
     #[test]
-    fn common_args_reject_bad_values() {
-        let mut common = CommonArgs::default();
-        let e = common.take("--jobs", &mut args(&["zero"])).unwrap_err();
-        assert!(e.contains("not a number"), "{e}");
-        let e = common.take("--out", &mut args(&[])).unwrap_err();
-        assert!(e.contains("--out"), "{e}");
-        let mut common = CommonArgs { compact: true, ..CommonArgs::default() };
-        assert!(common.validate().is_err());
-        common.checkpoint = Some("ck".into());
-        assert!(common.validate().is_ok());
+    fn bad_values_and_combinations_are_named() {
+        for (line, needle) in [
+            ("matrix --jobs zero", "not a number"),
+            ("matrix --out", "--out needs a value"),
+            ("matrix --compact", "--compact requires --checkpoint"),
+            ("matrix --shard 0/2", "--shard requires --checkpoint"),
+            ("matrix --spawn 0", "count ≥ 1"),
+            ("matrix --dispatch {cmd}", "--dispatch requires --spawn"),
+            ("matrix --spawn 2 --dispatch ssh", "{cmd}"),
+            ("matrix --suites spec,pgbnch", "unknown suite"),
+            ("opcheck --csv", "--csv needs a value"),
+            ("trace dump pgbench", "trace needs"),
+            ("trace dump postgres p.trace", "unknown workload"),
+            ("fig1 --smoke", "unexpected argument"),
+            ("", "missing subcommand"),
+        ] {
+            let e = parse_line(line).unwrap_err();
+            assert!(e.contains(needle), "{line:?}: {e}");
+        }
     }
 }

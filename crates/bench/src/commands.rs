@@ -1,0 +1,351 @@
+//! The subcommand bodies of `repro`: what runs once [`crate::cli::parse`]
+//! has turned argv into a [`Command`].
+//!
+//! Progress, ETA and timing lines go to stderr only; everything written
+//! to stdout or a report file is independent of worker count, shard
+//! topology and process count.
+//!
+//! `matrix` and `all` are one body: every requested suite expands into
+//! one job list ([`MatrixPlan`]) drained on one worker pool, so cells
+//! interleave across suite boundaries and one `--checkpoint` covers the
+//! whole run ([`orchestrator`] documents resume, `--preflight`, failure
+//! records and sharding). `--shard K/N` runs one shard in this process;
+//! an unsharded run over the same checkpoint directory merges and writes
+//! the report; `--spawn N` does both through [`dispatch::spawn_shards`].
+//!
+//! `opcheck` expands the matrix exactly as `matrix` does, then collapses
+//! it to one static analysis per **program**: the analyzer sees ops, not
+//! barrier strategies, so cells that differ only in condition share
+//! their generation parameters ([`JobSpec::program_key`]) and are
+//! analyzed once. The output is one deterministic JSON document; the
+//! exit status is 1 if any program carries malformed-program diagnostics
+//! — the verdict `matrix --preflight` quarantines on.
+
+use crate::cli::{self, Args, Command, TraceWorkload};
+use crate::dispatch;
+use crate::harness::Scale;
+use crate::orchestrator::{self, parallel_cells, repro_file_name, JobSpec};
+use crate::plan::{distinct_programs, MatrixPlan};
+use crate::report::{self, Section};
+use analyze::Report;
+use morello_sim::{trace, Condition, Json, SimConfig, System};
+use std::process::ExitCode;
+use std::time::Instant;
+use workloads::{grpc_qps, pgbench, spec, GrpcParams, PgbenchParams};
+
+/// Runs one parsed subcommand to completion.
+///
+/// # Errors
+///
+/// A configuration that parsed but cannot run (an `--only` filter that
+/// matches no cell, an unwritable output path, …); the caller prints it
+/// and exits 2.
+pub fn run(command: &Command) -> Result<ExitCode, String> {
+    match command {
+        Command::Section(section) => {
+            print_section(section);
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Ablation(render) => {
+            println!("{}", render(cli::env_workers()));
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Matrix(args) => matrix(args),
+        Command::Opcheck(args) => opcheck(args),
+        Command::TraceDump { workload, out } => trace_dump(*workload, out),
+        Command::TraceReplay { path, condition } => trace_replay(path, *condition),
+    }
+}
+
+fn print_section(section: &Section) {
+    let outcome = section.run(cli::env_scale(), &cli::env_run_options());
+    for f in &outcome.failures {
+        eprintln!(
+            "  [run] WARNING: job {} ({}) failed after {} attempts: {}",
+            f.job_id, f.key, f.attempts, f.message
+        );
+    }
+    println!("{}", (section.render)(&outcome));
+}
+
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
+}
+
+/// The job list `--suites`, `--only` and `--smoke` (else the
+/// environment's scale) select — shared so `opcheck` analyzes exactly the
+/// programs `matrix` would run.
+fn plan_jobs(args: &Args) -> Result<(Scale, Vec<JobSpec>), String> {
+    let scale = if args.smoke { Scale::smoke() } else { cli::env_scale() };
+    let mut plan = MatrixPlan::new(scale).suites(&args.suites);
+    if let Some(needle) = &args.only {
+        plan = plan.only(needle.clone());
+    }
+    Ok((scale, plan.build().map_err(|e| e.to_string())?))
+}
+
+fn matrix(args: &Args) -> Result<ExitCode, String> {
+    let (word, title, default_out) = if args.all {
+        ("all", "EXPERIMENTS — paper vs. measured", "EXPERIMENTS.md")
+    } else {
+        ("matrix", "Evaluation matrix", "MATRIX.md")
+    };
+    let t0 = Instant::now();
+
+    if args.compact {
+        let path = args.checkpoint.as_deref().expect("--compact parsed with --checkpoint");
+        match orchestrator::compact_checkpoint(path) {
+            Ok((kept, dropped)) => eprintln!(
+                "repro {word}: compacted checkpoint {} ({kept} cell(s) kept, {dropped} \
+                 stale/torn line(s) dropped)",
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("error: compacting {}: {e}", path.display());
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    }
+
+    let (scale, jobs) = plan_jobs(args)?;
+    let mut opts = cli::env_run_options()
+        .shard(args.shard)
+        .repro_dir(args.repro_dir.clone())
+        .preflight(args.preflight);
+    if let Some(jobs_override) = args.jobs {
+        opts.workers = jobs_override;
+    }
+    opts.checkpoint = args.checkpoint.clone();
+
+    // --spawn: dispatch the shards against a shared checkpoint directory,
+    // then fall through to a normal unsharded run over the same
+    // directory — it resumes everything the children completed, executes
+    // any stragglers locally, and renders the merged report.
+    let mut spawn_tmp = None;
+    if let Some(n) = args.spawn {
+        let dir = args.checkpoint.clone().unwrap_or_else(|| {
+            let dir = std::env::temp_dir().join(format!("repro-spawn-{}", std::process::id()));
+            spawn_tmp = Some(dir.clone());
+            dir
+        });
+        if dir.is_file() {
+            return Err(format!(
+                "--spawn needs a checkpoint *directory*, but {} is a file",
+                dir.display()
+            ));
+        }
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create checkpoint directory {}: {e}", dir.display()))?;
+        let child_jobs = (opts.workers / n).max(1);
+        dispatch::spawn_shards(
+            n,
+            &args.dispatch.clone().unwrap_or_default(),
+            args.collect.as_ref(),
+            &dir,
+            &jobs,
+            &|shard| args.shard_argv(shard, &dir, child_jobs),
+        )?;
+        opts.checkpoint = Some(dir);
+    }
+
+    eprintln!(
+        "repro {word}: {} job(s){}, {} worker(s), scale={:.3} reps={}{}",
+        jobs.len(),
+        if args.shard.is_sharded() {
+            format!(" (shard {}/{})", args.shard.index, args.shard.count)
+        } else {
+            String::new()
+        },
+        opts.workers.clamp(1, jobs.len().max(1)),
+        scale.fraction,
+        scale.reps,
+        opts.checkpoint
+            .as_deref()
+            .map(|p| format!(", checkpoint {}", p.display()))
+            .unwrap_or_default(),
+    );
+
+    let outcome = orchestrator::run(&jobs, &opts);
+    eprintln!(
+        "repro {word}: {} cell(s) ran, {} resumed from checkpoint, {} failed, {} left to \
+         other shards ({:.1?})",
+        outcome.completed,
+        outcome.resumed,
+        outcome.failures.len(),
+        outcome.skipped,
+        t0.elapsed()
+    );
+    for failure in &outcome.failures {
+        eprintln!(
+            "repro {word}: FAILED cell {} ({}) after {} attempts: {}",
+            failure.job_id, failure.key, failure.attempts, failure.message
+        );
+    }
+
+    // A partial shard run holds only its own slice of the matrix: writing
+    // the report would bake in partial means. Leave that to the merge.
+    if !outcome.is_complete() {
+        eprintln!(
+            "repro {word}: shard run settled {}/{} cell(s); run the remaining shard(s) \
+             against this checkpoint, then merge with an unsharded run (no --shard) to \
+             write the report",
+            jobs.len() - outcome.skipped,
+            jobs.len()
+        );
+        let failed = args.strict && !outcome.failures.is_empty();
+        return Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS });
+    }
+
+    let ablation_workers = args.ablations.then_some(opts.workers);
+    let doc = report::render_report(title, word, scale, &args.suites, &outcome, ablation_workers);
+    let out = args.out.as_deref().unwrap_or(default_out);
+    write_file(out, &doc)?;
+    eprintln!("repro {word}: wrote {out} in {:.1?}", t0.elapsed());
+
+    if let Some(dir) = spawn_tmp {
+        // The checkpoint was a private scratch directory for this spawn
+        // run; the merged report has everything it held.
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // Lost cells are graded "not evaluable", not violated: `all` fails
+    // on a contradicted claim only, `--strict` on a failed cell as well.
+    let violated = report::violated_claims(&args.suites, &outcome);
+    if !violated.is_empty() {
+        eprintln!("repro {word}: WARNING: {} shape check(s) violated:", violated.len());
+        for claim in &violated {
+            eprintln!("  - {claim}");
+        }
+    }
+    let failed = if args.all {
+        !violated.is_empty()
+    } else {
+        args.strict && (!outcome.failures.is_empty() || !violated.is_empty())
+    };
+    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+fn opcheck(args: &Args) -> Result<ExitCode, String> {
+    let t0 = Instant::now();
+    let (scale, jobs) = plan_jobs(args)?;
+
+    // One analysis per program, in first-appearance (job) order.
+    let programs: Vec<(String, &JobSpec)> =
+        distinct_programs(&jobs).into_iter().map(|job| (job.program_id(), job)).collect();
+
+    let workers = args.jobs.unwrap_or_else(cli::env_workers);
+    eprintln!(
+        "repro opcheck: {} program(s) from {} matrix cell(s), {} worker(s), scale={:.3}",
+        programs.len(),
+        jobs.len(),
+        workers.clamp(1, programs.len().max(1)),
+        scale.fraction,
+    );
+
+    let reports: Vec<Report> =
+        parallel_cells(programs.len(), workers, |i| programs[i].1.analyze(false));
+
+    let mut malformed_programs = 0usize;
+    let mut cells = Vec::new();
+    for ((id, _), report) in programs.iter().zip(&reports) {
+        if report.malformed {
+            malformed_programs += 1;
+            eprintln!(
+                "repro opcheck: MALFORMED {id}: {} malformed-program diagnostic(s)",
+                report.malformed_count()
+            );
+        }
+        eprintln!(
+            "repro opcheck: {id}: {} op(s), {} diagnostic(s), {} stale chase(s), peak \
+             live+quarantine {} B",
+            report.ops,
+            report.diagnostics.len(),
+            report.stale_chases.len(),
+            report.rss.peak_live_plus_quarantine,
+        );
+        cells.push(Json::obj([("program", Json::Str(id.clone())), ("report", report.to_json())]));
+    }
+
+    if let Some(dir) = &args.csv {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        for ((id, _), report) in programs.iter().zip(&reports) {
+            // Reuse the repro-file sanitizer, swapping its .json suffix.
+            let path = dir.join(repro_file_name(id).replace(".json", ".csv"));
+            std::fs::write(&path, report.curve_csv())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
+        eprintln!(
+            "repro opcheck: wrote {} curve CSV file(s) under {}",
+            programs.len(),
+            dir.display()
+        );
+    }
+
+    let doc = Json::obj([
+        ("version", Json::from(1u64)),
+        ("scale_millis", Json::from((scale.fraction * 1000.0).round() as u64)),
+        ("programs", Json::from(programs.len() as u64)),
+        ("malformed_programs", Json::from(malformed_programs as u64)),
+        ("cells", Json::Arr(cells)),
+    ])
+    .render();
+
+    match &args.out {
+        Some(path) => {
+            write_file(path, &(doc + "\n"))?;
+            eprintln!("repro opcheck: wrote {path} in {:.1?}", t0.elapsed());
+        }
+        None => println!("{doc}"),
+    }
+
+    if malformed_programs > 0 {
+        eprintln!("repro opcheck: {malformed_programs} malformed program(s)");
+        return Ok(ExitCode::FAILURE);
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn trace_dump(workload: TraceWorkload, out: &str) -> Result<ExitCode, String> {
+    let w = match workload {
+        TraceWorkload::Pgbench => {
+            pgbench(PgbenchParams { transactions: 2000, ..Default::default() })
+        }
+        TraceWorkload::Grpc => grpc_qps(GrpcParams { messages: 2000, ..Default::default() }),
+        TraceWorkload::Spec(program) => spec(program, 42),
+    };
+    let mut meta = trace::TraceMeta::new();
+    meta.insert("workload".into(), w.name.clone());
+    meta.insert("ops".into(), w.ops.len().to_string());
+    trace::save_trace_to_path(&w.ops, &meta, out).map_err(|e| format!("write {out}: {e}"))?;
+    println!("wrote {} ops of {} to {out}", w.ops.len(), w.name);
+    Ok(ExitCode::SUCCESS)
+}
+
+fn trace_replay(path: &str, condition: Condition) -> Result<ExitCode, String> {
+    let (ops, meta) = trace::load_trace_from_path(path).map_err(|e| e.to_string())?;
+    if let Some(workload) = meta.get("workload") {
+        println!("trace metadata: workload {workload}");
+    }
+    let cfg = SimConfig::builder()
+        .condition(condition)
+        .min_quarantine(128 << 10)
+        .build()
+        .expect("replay config");
+    match System::new(cfg).run(ops) {
+        Ok(s) => println!(
+            "{}: wall {:.1} ms, {} revocations, {} faults, max pause {:.3} ms, {} MDRAM",
+            condition.label(),
+            s.wall_ms(),
+            s.revocations,
+            s.faults,
+            s.pauses.iter().copied().max().unwrap_or(0) as f64 / 2.5e6,
+            s.total_dram() / 1_000_000
+        ),
+        Err(e) => {
+            eprintln!("replay failed: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}

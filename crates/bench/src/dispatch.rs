@@ -2,7 +2,7 @@
 //!
 //! One launcher: every shard runs as a `sh -c` line. A
 //! [`CommandTemplate`] expands a [`ShardLaunch`] (the shard's identity
-//! plus the exact `run_matrix` argv that executes it) into that line.
+//! plus the exact `repro matrix` argv that executes it) into that line.
 //! The default template is the bare `{cmd}` — a local child process,
 //! measured indistinguishable from a direct fork (3 454 vs 3 438 ms on
 //! the 68-cell smoke matrix, 2 cores) — and a wrapping template
@@ -23,19 +23,26 @@
 //! the merge run, e.g.
 //! `--collect 'scp worker{index}:{checkpoint}/shard-{index}-of-{count}.jsonl {checkpoint}/'`.
 //!
-//! [`run_shards`] runs the expanded lines: it spawns one `sh -c` per
-//! shard, pipes each child's stderr line-by-line into a caller-supplied
-//! sink (the `--spawn` parent folds per-cell progress lines into one
-//! aggregate ETA there), waits for all of them, and reports which
-//! shards exited cleanly. The
-//! merge run self-heals whatever a failed shard left behind, so dispatch
-//! failures degrade to wasted time, never wrong reports;
+//! [`spawn_shards`] is the `--spawn` parent: it launches
+//! `current_exe matrix --shard K/N …` once per shard through the
+//! template and collects afterwards. Underneath, [`run_shards`] runs
+//! the expanded lines: it spawns one `sh -c` per shard, pipes each
+//! child's stderr line-by-line into a caller-supplied sink (the
+//! `--spawn` parent folds per-cell progress lines into one aggregate
+//! ETA there), waits for all of them, and reports which shards exited
+//! cleanly. The merge run self-heals whatever a failed shard left
+//! behind, so dispatch failures degrade to wasted time, never wrong
+//! reports;
 //! [`missing_shard_files`] names the shards whose checkpoint files never
 //! landed so the operator knows what the merge is about to re-execute.
 
-use crate::orchestrator::Shard;
+use crate::orchestrator::{JobSpec, Shard};
+use crate::sched;
+use std::io::{IsTerminal as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Everything needed to launch one shard of a matrix run.
 #[derive(Debug, Clone)]
@@ -64,6 +71,13 @@ fn expand_shard(template: &str, shard: Shard, checkpoint: &Path) -> String {
 #[derive(Debug, Clone)]
 pub struct CommandTemplate {
     template: String,
+}
+
+impl Default for CommandTemplate {
+    /// The bare `{cmd}`: each shard is a local child process.
+    fn default() -> Self {
+        CommandTemplate { template: "{cmd}".to_string() }
+    }
 }
 
 impl CommandTemplate {
@@ -237,6 +251,135 @@ pub fn run_shards(lines: &[String], sink: &(dyn Fn(usize, &str) + Sync)) -> Vec<
         }
     }
     results
+}
+
+/// The `--spawn` parent: launches one `current_exe matrix …` process per
+/// shard of `n` through `template` against the shared `checkpoint`
+/// directory (`argv(shard)` is the child's argument list), folding per-cell `[shard K/N]` stderr lines into a
+/// single aggregated ETA (everything else passes through with the shard
+/// prefix). With `collect`, the shard files are then pulled back into
+/// `checkpoint`. A shard that fails is a warning — the caller's merge run
+/// re-executes whatever it left behind.
+///
+/// # Errors
+///
+/// A shard file still missing after `collect` ran: silently
+/// re-executing every remote cell locally would defeat the dispatch.
+pub fn spawn_shards(
+    n: usize,
+    template: &CommandTemplate,
+    collect: Option<&CollectTemplate>,
+    checkpoint: &Path,
+    jobs: &[JobSpec],
+    argv: &dyn Fn(Shard) -> Vec<String>,
+) -> Result<(), String> {
+    let exe = std::env::current_exe().expect("current_exe for --spawn");
+    let total = jobs.len();
+    let lines: Vec<String> = (0..n)
+        .map(|k| {
+            let shard = Shard { index: k, count: n };
+            template.expand(&ShardLaunch {
+                shard,
+                program: exe.clone(),
+                args: argv(shard),
+                checkpoint: checkpoint.to_path_buf(),
+            })
+        })
+        .collect();
+
+    // The packing the children will each derive for themselves: how much
+    // work the slowest shard holds against a perfect split.
+    let costs = sched::op_costs(jobs);
+    let max_ops = sched::max_shard_cost(&costs, &sched::lpt(&costs, n));
+    let mean_ops = costs.iter().sum::<u64>() as f64 / n as f64;
+    eprintln!(
+        "repro matrix: dispatching {n} shard process(es) via {} on {}; max shard {max_ops} \
+         ops, max/mean {:.3}",
+        template.describe(),
+        checkpoint.display(),
+        max_ops as f64 / mean_ops
+    );
+
+    let started = Instant::now();
+    let counter = AtomicUsize::new(0);
+    let single_line = std::io::stderr().is_terminal();
+    let sink = |k: usize, line: &str| {
+        if line.trim_start().starts_with("[shard ") {
+            // One per-cell progress line from any shard == one more
+            // finished cell; replace the interleaved stream with a
+            // single aggregate counter.
+            let finished = counter.fetch_add(1, Ordering::Relaxed) + 1;
+            let elapsed = started.elapsed().as_secs_f64();
+            let eta = if finished < total {
+                format!(", ~{:.0}s left", elapsed / finished as f64 * (total - finished) as f64)
+            } else {
+                String::new()
+            };
+            let msg = format!("  [spawn] {finished}/{total} cells ({elapsed:.1}s elapsed{eta})");
+            if single_line {
+                eprint!("\r{msg}");
+                let _ = std::io::stderr().flush();
+            } else {
+                eprintln!("{msg}");
+            }
+        } else if !line.is_empty() {
+            if single_line && counter.load(Ordering::Relaxed) > 0 {
+                eprintln!();
+            }
+            eprintln!("  [shard {k}/{n}] {line}");
+        }
+    };
+    let results = run_shards(&lines, &sink);
+    if single_line && counter.load(Ordering::Relaxed) > 0 {
+        eprintln!();
+    }
+    for (k, r) in results.iter().enumerate() {
+        if let Some(e) = &r.error {
+            eprintln!(
+                "repro matrix: WARNING: shard {k}/{n} {e}; its cells will re-run in the merge"
+            );
+        }
+    }
+
+    // Without a shared filesystem the shard files live on the workers:
+    // pull them back before judging what landed.
+    if let Some(collector) = collect {
+        eprintln!(
+            "repro matrix: collecting {n} shard checkpoint file(s) via {}",
+            collector.describe()
+        );
+        let plain_sink = |k: usize, line: &str| {
+            if !line.is_empty() {
+                eprintln!("  [collect {k}/{n}] {line}");
+            }
+        };
+        for (k, r) in collect_shards(collector, checkpoint, n, &plain_sink).iter().enumerate() {
+            if let Some(e) = &r.error {
+                eprintln!("repro matrix: WARNING: collecting shard {k}/{n}: {e}");
+            }
+        }
+        let missing = missing_shard_files(checkpoint, n);
+        if !missing.is_empty() {
+            let names: Vec<String> =
+                missing.iter().map(|k| format!("shard-{k}-of-{n}.jsonl")).collect();
+            return Err(format!(
+                "--collect left {} shard file(s) missing under {}: {}",
+                names.len(),
+                checkpoint.display(),
+                names.join(", ")
+            ));
+        }
+        return Ok(());
+    }
+
+    for k in missing_shard_files(checkpoint, n) {
+        eprintln!(
+            "repro matrix: WARNING: no shard-{k}-of-{n}.jsonl under {} — shard {k} \
+             checkpointed nothing; the merge run executes its cells locally",
+            checkpoint.display()
+        );
+    }
+    Ok(())
 }
 
 /// The shards (of `count`) whose `shard-K-of-N.jsonl` file is absent

@@ -570,23 +570,11 @@ fn cell_lost(
     })
 }
 
-/// Headline shape assertions: the qualitative claims the reproduction must
-/// uphold. Returns a list of `(claim, held)` pairs. Assumes every matrix
-/// cell completed; when some did not, use [`shape_checks_checked`], which
-/// reports affected claims as not evaluable instead of computing on
-/// partial means.
-#[must_use]
-pub fn shape_checks(spec: &Suite, pg: &Suite, grpc: &Suite) -> Vec<(String, bool)> {
-    shape_checks_checked(spec, pg, grpc, &[])
-        .into_iter()
-        .map(|(claim, status)| (claim, status == ClaimStatus::Holds))
-        .collect()
-}
-
-/// Failure-aware [`shape_checks`]: each claim declares the matrix cells
-/// it reads, and any claim whose input cell appears in `failures` is
-/// reported as [`ClaimStatus::NotEvaluable`] rather than silently
-/// computed over the surviving repetitions.
+/// Headline shape assertions: the qualitative claims the reproduction
+/// must uphold, each graded against the measured data. Each claim
+/// declares the matrix cells it reads, and any claim whose input cell
+/// appears in `failures` is reported as [`ClaimStatus::NotEvaluable`]
+/// rather than silently computed over the surviving repetitions.
 #[must_use]
 pub fn shape_checks_checked(
     spec: &Suite,
@@ -709,12 +697,6 @@ pub fn shape_checks_checked(
     checks
 }
 
-/// Renders [`shape_checks`] as Markdown.
-#[must_use]
-pub fn shape_report(spec: &Suite, pg: &Suite, grpc: &Suite) -> String {
-    shape_report_checked(spec, pg, grpc, &[])
-}
-
 /// Renders [`shape_checks_checked`] as Markdown: claims whose input cells
 /// were lost to job failures read "not evaluable" instead of being graded
 /// on partial data.
@@ -778,9 +760,4 @@ pub fn failure_report(failures: &[crate::orchestrator::JobFailure]) -> String {
          completion (failures are isolated per job, not per sweep).\n",
     );
     out
-}
-
-/// Cycles-per-ms constant re-export for binaries.
-pub const fn cycles_per_ms() -> u64 {
-    CYCLES_PER_MS
 }

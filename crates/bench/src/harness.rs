@@ -1,8 +1,7 @@
-//! Suite running: executes each workload under every condition, with
-//! repetitions, and indexes the results for the figure generators.
+//! Suites: the index of results the figure generators read, the scale
+//! and condition vocabulary every plan shares, and the serial loops the
+//! orchestrator's merged output is tested against.
 
-use crate::orchestrator::RunOptions;
-use crate::plan::{MatrixPlan, SuiteKind};
 use morello_sim::{Condition, Op, RunStats, System};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -85,8 +84,8 @@ impl Scale {
 }
 
 /// Table 1's pgbench arrival-rate schedule (x8-compressed timebase;
-/// `None` is the unscheduled row). One definition shared by
-/// `reproduce_all`, `run_matrix`, and the matrix benchmark so their job
+/// `None` is the unscheduled row). One definition shared by every
+/// [`crate::plan::MatrixPlan`] and the matrix benchmark so their job
 /// lists — and therefore their checkpoint keys — always agree.
 pub const RATE_SCHEDULE: [Option<f64>; 4] = [Some(800.0), Some(1200.0), Some(2000.0), None];
 
@@ -127,6 +126,12 @@ pub struct Suite {
 }
 
 impl Suite {
+    /// A suite with no runs.
+    #[must_use]
+    pub const fn new() -> Self {
+        Suite { runs: BTreeMap::new() }
+    }
+
     /// Records one run's statistics under `(workload, condition)`. Public
     /// so custom harnesses can assemble suites from their own runs and
     /// reuse the figure generators.
@@ -185,19 +190,6 @@ fn progress(msg: &str) {
     let _ = writeln!(err, "  [run] {msg}");
 }
 
-/// Runs all SPEC surrogates under `conditions` on the orchestrator's
-/// worker pool (serial when `opts.workers <= 1`). Byte-identical to
-/// [`spec_suite_serial`] by construction.
-#[must_use]
-pub fn spec_suite(conditions: &[Condition], scale: Scale, opts: &RunOptions) -> Suite {
-    let jobs = MatrixPlan::new(scale)
-        .suite(SuiteKind::Spec)
-        .conditions(conditions)
-        .build()
-        .expect("single-suite plan always expands");
-    crate::orchestrator::run_suite(&jobs, opts)
-}
-
 /// The original single-threaded SPEC loop, kept as the byte-identity
 /// oracle for the orchestrator (tests and `BENCH_matrix.json` diff
 /// against it).
@@ -231,18 +223,6 @@ pub fn spec_single(program: SpecProgram, condition: Condition, seed: u64) -> Run
     System::new(cfg).run(w.ops).expect("spec surrogate must run clean").into_stats()
 }
 
-/// Runs the pgbench surrogate under `conditions` on the orchestrator's
-/// worker pool.
-#[must_use]
-pub fn pgbench_suite(conditions: &[Condition], scale: Scale, opts: &RunOptions) -> Suite {
-    let jobs = MatrixPlan::new(scale)
-        .suite(SuiteKind::Pgbench)
-        .conditions(conditions)
-        .build()
-        .expect("single-suite plan always expands");
-    crate::orchestrator::run_suite(&jobs, opts)
-}
-
 /// Single-threaded pgbench loop (byte-identity oracle).
 #[must_use]
 pub fn pgbench_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
@@ -261,18 +241,6 @@ pub fn pgbench_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
         }
     }
     suite
-}
-
-/// Runs the rate-scheduled pgbench variants (Table 1) under Reloaded on
-/// the orchestrator's worker pool.
-#[must_use]
-pub fn pgbench_rate_suite(rates: &[Option<f64>], scale: Scale, opts: &RunOptions) -> Suite {
-    let jobs = MatrixPlan::new(scale)
-        .suite(SuiteKind::PgbenchRates)
-        .rates(rates)
-        .build()
-        .expect("single-suite plan always expands");
-    crate::orchestrator::run_suite(&jobs, opts)
 }
 
 /// Single-threaded pgbench-rate loop (byte-identity oracle).
@@ -300,17 +268,6 @@ pub fn pgbench_rate_suite_serial(rates: &[Option<f64>], scale: Scale) -> Suite {
         suite.insert(&label, Condition::reloaded(), report.into_stats());
     }
     suite
-}
-
-/// Runs the gRPC QPS surrogate under [`GRPC_CONDITIONS`] on the
-/// orchestrator's worker pool.
-#[must_use]
-pub fn grpc_suite(scale: Scale, opts: &RunOptions) -> Suite {
-    let jobs = MatrixPlan::new(scale)
-        .suite(SuiteKind::Grpc)
-        .build()
-        .expect("single-suite plan always expands");
-    crate::orchestrator::run_suite(&jobs, opts)
 }
 
 /// Single-threaded gRPC loop (byte-identity oracle).

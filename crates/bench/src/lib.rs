@@ -2,31 +2,40 @@
 //! paper (§5), plus ablation studies for the design choices in DESIGN.md.
 //!
 //! Figures are produced as Markdown tables written to stdout (and collected
-//! into `EXPERIMENTS.md` by the `reproduce_all` binary). Absolute numbers
+//! into `EXPERIMENTS.md` by `repro all`). Absolute numbers
 //! are simulated cycles at a nominal 2.5 GHz and 1/64 memory scale; the
 //! claims under reproduction are the *shapes*: who wins, by what factor,
 //! and where the crossovers fall.
 //!
-//! Binaries (all honour `REPRO_SCALE` ∈ (0,1] and `REPRO_REPS`):
+//! One binary, `repro`; its subcommands (the section and ablation words
+//! are the names in [`report::SECTIONS`] and [`report::ABLATIONS`];
+//! `repro` alone prints each subcommand's flags):
 //!
-//! | Binary | Regenerates |
+//! | Subcommand | Regenerates |
 //! |---|---|
-//! | `fig1_spec_wall` | Figure 1: SPEC wall-clock overheads |
-//! | `fig2_cpu_time` | Figure 2: total CPU-time overheads |
-//! | `fig3_peak_rss` | Figure 3: peak-RSS ratios |
-//! | `fig4_bus_traffic` | Figure 4: DRAM-traffic overheads |
-//! | `fig5_pgbench_time` | Figure 5: pgbench time overheads |
-//! | `fig6_pgbench_bus` | Figure 6: pgbench bus overheads |
-//! | `fig7_pgbench_cdf` | Figure 7: pgbench latency CDF |
-//! | `fig8_grpc_latency` | Figure 8: gRPC QPS latency percentiles |
-//! | `fig9_phase_times` | Figure 9: revocation phase times |
-//! | `table1_pgbench_rates` | Table 1: latency vs fixed tx rates |
-//! | `table2_revocation_rates` | Table 2: revocation-rate statistics |
-//! | `reproduce_all` | Everything, into `EXPERIMENTS.md` (one global job list, resumable via `--checkpoint`) |
-//! | `run_matrix` | The full matrix via the parallel orchestrator (`--shard K/N` / `--spawn N` for multi-process runs) |
-//! | `ablation_*` | DESIGN.md's five ablation studies |
+//! | `fig1` | Figure 1: SPEC wall-clock overheads |
+//! | `fig2` | Figure 2: total CPU-time overheads |
+//! | `fig3` | Figure 3: peak-RSS ratios |
+//! | `fig4` | Figure 4: DRAM-traffic overheads |
+//! | `fig5` | Figure 5: pgbench time overheads |
+//! | `fig6` | Figure 6: pgbench bus overheads |
+//! | `fig7` | Figure 7: pgbench latency CDF |
+//! | `fig8` | Figure 8: gRPC QPS latency percentiles |
+//! | `fig9` | Figure 9: revocation phase times |
+//! | `table1` | Table 1: latency vs fixed tx rates |
+//! | `table2` | Table 2: revocation-rate statistics |
+//! | `shape` | The paper's qualitative claims, graded |
+//! | `ablation <name>` | One of DESIGN.md's ablation studies: `barriers`, `pte_mode`, `quarantine_policy`, `cheriot`, `revoker_priority`, `revoker_threads`, `revoker_cores`, `coloring` |
+//! | `all` | Everything, into `EXPERIMENTS.md` (one global job list, resumable via `--checkpoint`) |
+//! | `matrix` | Any selection of suites via the parallel orchestrator (`--shard K/N` / `--spawn N` for multi-process runs) |
+//! | `opcheck` | Static temporal-safety analysis of a matrix's programs, no simulation |
+//! | `trace dump` / `trace replay` | A surrogate workload as a portable trace file, and back |
 //!
-//! The suite runners execute their matrices on a fault-isolated worker
+//! The section subcommands honour `REPRO_SCALE` ∈ (0,1] and
+//! `REPRO_REPS`; SPEC rows and the ablations always run their full
+//! stream.
+//!
+//! Every subcommand executes its matrix on a fault-isolated worker
 //! pool (see [`orchestrator`]); `REPRO_JOBS` picks the worker count and
 //! `REPRO_JOBS=1` recovers the serial path. Output is byte-identical
 //! either way — including across process counts: shards of the matrix
@@ -40,17 +49,20 @@
 //!
 //! Layering: [`plan`] expands the matrix, [`sched`] partitions it,
 //! [`orchestrator`] executes it, [`dispatch`] launches shard processes,
-//! and [`cli`] is the only module that reads the environment.
+//! [`report`] renders it, [`commands`] holds the subcommand bodies, and
+//! [`cli`] is the only module that reads argv or the environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod cli;
+pub mod commands;
 pub mod dispatch;
 pub mod figures;
 pub mod fmt;
 pub mod harness;
 pub mod orchestrator;
 pub mod plan;
+pub mod report;
 pub mod sched;

@@ -13,7 +13,7 @@
 //! job that panics twice degrades into a typed [`JobFailure`] record in
 //! the final report instead of killing the whole sweep, and (when a repro
 //! directory is configured) into a `repro/<key>.json` file that
-//! `run_matrix --suites ... --only <key>` replays directly. A resumable
+//! `repro matrix --suites ... --only <key>` replays directly. A resumable
 //! checkpoint (one `morello_sim::Json` object per line) lets an
 //! interrupted sweep continue without re-running completed cells.
 //!
@@ -49,8 +49,8 @@
 //! (including cells whose shard failed) execute locally, and the
 //! job-order reduction produces the report.
 //!
-//! Configuration is fully typed through [`RunOptions`]; the binaries
-//! translate `REPRO_JOBS` / `REPRO_INJECT_PANIC` /
+//! Configuration is fully typed through [`RunOptions`]; `repro`
+//! translates `REPRO_JOBS` / `REPRO_INJECT_PANIC` /
 //! `REPRO_INJECT_MALFORMED` into it at the CLI edge via [`crate::cli`].
 
 use crate::harness::Suite;
@@ -140,7 +140,7 @@ pub struct JobFailure {
 }
 
 /// Orchestrator knobs. All typed — nothing in here reads the
-/// environment; binaries translate env vars into these fields at the
+/// environment; `repro` translates env vars into these fields at the
 /// CLI edge via [`crate::cli`]. Construct with the builder methods
 /// (`RunOptions::new().workers(4).checkpoint("ck")...`) or a struct
 /// literal; the fields stay public.
@@ -288,19 +288,13 @@ impl MatrixOutcome {
     pub fn is_complete(&self) -> bool {
         self.skipped == 0
     }
-}
 
-impl MatrixOutcome {
-    /// The single suite of a one-suite run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outcome holds more than one suite.
+    /// The merged suite of `kind`: empty when the run planned no such
+    /// cell or every one of them failed.
     #[must_use]
-    pub fn into_suite(mut self) -> (Suite, Vec<JobFailure>) {
-        assert!(self.suites.len() <= 1, "outcome holds multiple suites");
-        let suite = self.suites.pop_first().map(|(_, s)| s).unwrap_or_default();
-        (suite, self.failures)
+    pub fn suite(&self, kind: SuiteKind) -> &Suite {
+        static EMPTY: Suite = Suite::new();
+        self.suites.get(kind.label()).unwrap_or(&EMPTY)
     }
 }
 
@@ -445,18 +439,6 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
     }
     out.completed = jobs.len() - out.resumed - out.failures.len() - out.skipped;
     out
-}
-
-/// Runs a single-suite job list under `opts` and degrades failures to
-/// stderr warnings — the parallel body of the `harness.rs` suite
-/// runners.
-#[must_use]
-pub fn run_suite(jobs: &[JobSpec], opts: &RunOptions) -> Suite {
-    let (suite, failures) = run(jobs, opts).into_suite();
-    for f in &failures {
-        eprintln!("  [run] WARNING: job {} ({}) failed after {} attempts: {}", f.job_id, f.key, f.attempts, f.message);
-    }
-    suite
 }
 
 /// Executes independent ablation cells `0..n` on a pool of `workers`
@@ -690,12 +672,12 @@ pub fn repro_file_name(key: &str) -> String {
 /// Writes `repro/<key>.json` for a cell that failed both attempts: the
 /// stable key, the suite/workload/condition coordinates, the generation
 /// parameters (seed, scale-derived sizes), the panic message, and a
-/// ready-to-paste `run_matrix` replay command (`--only` filters the
+/// ready-to-paste `repro matrix` replay command (`--only` filters the
 /// expanded matrix down to exactly this cell; `REPRO_SCALE`/`REPRO_REPS`
 /// must match the failing sweep for the expansion to contain it).
 fn write_repro_file(dir: &Path, job: &JobSpec, failure: &JobFailure, progress: bool) {
     let replay = format!(
-        "cargo run --release -p rev-bench --bin run_matrix -- --suites {} --only '{}'",
+        "cargo run --release -p rev-bench --bin repro -- matrix --suites {} --only '{}'",
         job.suite().label(),
         failure.key,
     );

@@ -12,13 +12,13 @@
 //!
 //! ```no_run
 //! use rev_bench::harness::Scale;
-//! use rev_bench::plan::MatrixPlan;
+//! use rev_bench::plan::{MatrixPlan, SuiteKind};
 //! let jobs = MatrixPlan::all(Scale::smoke()).build().unwrap();
-//! let one_suite = MatrixPlan::new(Scale::smoke())
-//!     .parse_suites("pgbench,grpc").unwrap()
+//! let two_suites = MatrixPlan::new(Scale::smoke())
+//!     .suites(&[SuiteKind::Pgbench, SuiteKind::Grpc])
 //!     .only("Reloaded")
 //!     .build().unwrap();
-//! # drop((jobs, one_suite));
+//! # drop((jobs, two_suites));
 //! ```
 
 use crate::harness::{Scale, CONDITIONS, GRPC_CONDITIONS, RATE_SCHEDULE};
@@ -48,7 +48,7 @@ pub enum SuiteKind {
 }
 
 impl SuiteKind {
-    /// Every suite, in the canonical `reproduce_all` order.
+    /// Every suite, in the canonical `repro all` order.
     pub const ALL: [SuiteKind; 4] =
         [SuiteKind::Spec, SuiteKind::Pgbench, SuiteKind::PgbenchRates, SuiteKind::Grpc];
 
@@ -264,7 +264,7 @@ impl JobSpec {
 
     /// Statically analyzes the cell's program — the same stream
     /// [`JobSpec::execute`] runs, without simulating it. The pre-flight
-    /// gate and the `opcheck` binary both go through here.
+    /// gate and `repro opcheck` both go through here.
     ///
     /// With `corrupt_double_free`, a deliberately malformed epilogue
     /// (alloc, free, free again) is appended — the fault-injection hook
@@ -306,8 +306,6 @@ pub fn distinct_programs<'a>(cells: impl IntoIterator<Item = &'a JobSpec>) -> Ve
 pub enum PlanError {
     /// The plan selects no suite at all.
     NoSuites,
-    /// A `--suites` label is not in the vocabulary.
-    UnknownSuite(String),
     /// The `--only` filter matches no expanded cell.
     EmptyFilter(String),
 }
@@ -316,7 +314,6 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanError::NoSuites => write!(f, "the plan selects no suites"),
-            PlanError::UnknownSuite(e) => write!(f, "{e}"),
             PlanError::EmptyFilter(needle) => {
                 write!(f, "--only {needle:?} matches no cell in the selected suites")
             }
@@ -331,7 +328,7 @@ impl std::error::Error for PlanError {}
 ///
 /// Suites expand in the order they were added; [`MatrixPlan::all`] uses
 /// the canonical `spec, pgbench, pgbench-rates, grpc` order that
-/// `reproduce_all` and `run_matrix`'s default selection share, so one
+/// `repro all` and `repro matrix`'s default selection share, so one
 /// checkpoint covers the whole regeneration and cross-suite cells
 /// interleave on the same pool.
 #[derive(Debug, Clone)]
@@ -345,7 +342,7 @@ pub struct MatrixPlan {
 
 impl MatrixPlan {
     /// An empty plan at `scale`: add suites with [`MatrixPlan::suite`] /
-    /// [`MatrixPlan::parse_suites`].
+    /// [`MatrixPlan::suites`].
     #[must_use]
     pub fn new(scale: Scale) -> Self {
         MatrixPlan {
@@ -375,18 +372,6 @@ impl MatrixPlan {
     pub fn suites(mut self, kinds: &[SuiteKind]) -> Self {
         self.suites.extend_from_slice(kinds);
         self
-    }
-
-    /// Appends suites from a comma-separated `--suites` value.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanError::UnknownSuite`] for labels outside the vocabulary.
-    pub fn parse_suites(mut self, list: &str) -> Result<Self, PlanError> {
-        for label in list.split(',') {
-            self.suites.push(SuiteKind::parse(label).map_err(PlanError::UnknownSuite)?);
-        }
-        Ok(self)
     }
 
     /// Overrides the condition set for the spec and pgbench suites

@@ -38,8 +38,9 @@ fn collect_template_rejects_cmd_and_shardless_forms() {
     assert!(CollectTemplate::new("pull {shard}").is_ok());
 }
 
-fn run_matrix(args: &[&str]) -> std::process::Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_run_matrix"))
+fn repro_matrix(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("matrix")
         .args(args)
         .env_remove("REPRO_SCALE")
         .env_remove("REPRO_REPS")
@@ -47,7 +48,7 @@ fn run_matrix(args: &[&str]) -> std::process::Output {
         .env_remove("REPRO_INJECT_MALFORMED")
         .env("REPRO_JOBS", "2")
         .output()
-        .expect("spawn run_matrix")
+        .expect("spawn repro matrix")
 }
 
 /// `--dispatch` template that runs the shard, then moves its checkpoint
@@ -71,7 +72,7 @@ fn collect_pulls_stashed_shards_and_merge_matches_serial() {
     }
     std::fs::create_dir_all(&stash).unwrap();
 
-    let output = run_matrix(&[
+    let output = repro_matrix(&[
         "--smoke",
         "--suites",
         "pgbench",
@@ -81,7 +82,7 @@ fn collect_pulls_stashed_shards_and_merge_matches_serial() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
 
     let collect = format!("cp {}/shard-{{index}}-of-{{count}}.jsonl {{checkpoint}}/", stash.display());
-    let output = run_matrix(&[
+    let output = repro_matrix(&[
         "--smoke",
         "--suites",
         "pgbench",
@@ -122,7 +123,7 @@ fn failed_collection_is_a_hard_error_naming_the_missing_shards() {
 
     // The dispatch stashes the files away; the collect template is a
     // no-op, so every shard file stays missing.
-    let output = run_matrix(&[
+    let output = repro_matrix(&[
         "--smoke",
         "--suites",
         "pgbench",
@@ -151,13 +152,13 @@ fn failed_collection_is_a_hard_error_naming_the_missing_shards() {
 #[test]
 fn collect_flag_is_validated_eagerly() {
     // --collect without --spawn is meaningless.
-    let output = run_matrix(&["--smoke", "--suites", "pgbench", "--collect", "cp x{index} y"]);
+    let output = repro_matrix(&["--smoke", "--suites", "pgbench", "--collect", "cp x{index} y"]);
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--spawn"), "{stderr}");
 
     // A malformed template fails before anything runs.
-    let output = run_matrix(&[
+    let output = repro_matrix(&[
         "--smoke",
         "--suites",
         "pgbench",

@@ -96,7 +96,7 @@ fn shape_report_renders_all_claims() {
     for c in [Condition::baseline(), Condition::paint_sync(), Condition::cornucopia(), Condition::reloaded()] {
         grpc.insert("gRPC QPS", c, stats(1_000_000, 1000, 100, &lat));
     }
-    let report = figures::shape_report(&spec, &pg, &grpc);
+    let report = figures::shape_report_checked(&spec, &pg, &grpc, &[]);
     assert!(report.lines().filter(|l| l.starts_with('|')).count() >= 9);
 }
 
@@ -122,16 +122,9 @@ fn shape_checks_mark_claims_with_failed_inputs_as_not_evaluable() {
         message: "injected".to_string(),
     };
 
-    // No failures: the checked variant agrees with the boolean one.
+    // No failures: every claim is decided.
     let clean = figures::shape_checks_checked(&spec, &pg, &grpc, &[]);
     assert!(clean.iter().all(|(_, s)| *s != ClaimStatus::NotEvaluable));
-    assert_eq!(
-        figures::shape_checks(&spec, &pg, &grpc),
-        clean
-            .iter()
-            .map(|(c, s)| (c.clone(), *s == ClaimStatus::Holds))
-            .collect::<Vec<_>>(),
-    );
 
     // Losing a pgbench Reloaded cell poisons exactly the claims that read
     // it; SPEC- and gRPC-only claims still evaluate.

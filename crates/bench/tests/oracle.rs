@@ -15,7 +15,7 @@
 //! - the analyzer's peak live+quarantined byte curve lower-bounds the
 //!   simulated peak RSS;
 //! - every generated program is well-formed (zero malformed-program
-//!   diagnostics) — the property `run_matrix --preflight` relies on.
+//!   diagnostics) — the property `repro matrix --preflight` relies on.
 
 use analyze::Report;
 use morello_sim::{Condition, RunReport, StaleChaseOutcome, TelemetryEvent};

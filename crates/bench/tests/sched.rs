@@ -1,6 +1,6 @@
 //! Integration tests of the shard scheduler and the launcher: LPT
 //! partition correctness over op-count costs, topology-agnostic resume,
-//! and a CommandTemplate round-trip through the real `run_matrix`
+//! and a CommandTemplate round-trip through the real `repro matrix`
 //! binary.
 
 use rev_bench::dispatch::{self, CommandTemplate, ShardLaunch};
@@ -185,14 +185,14 @@ fn two_shards_resume_under_three_and_serial_byte_identically() {
 fn command_template_expands_placeholders_and_quotes() {
     let launch = ShardLaunch {
         shard: Shard { index: 1, count: 4 },
-        program: PathBuf::from("/bin/run_matrix"),
-        args: vec!["--only".to_string(), "gRPC QPS|it's".to_string()],
+        program: PathBuf::from("/bin/repro"),
+        args: vec!["matrix".to_string(), "--only".to_string(), "gRPC QPS|it's".to_string()],
         checkpoint: PathBuf::from("/tmp/ck"),
     };
     let t = CommandTemplate::new("ssh worker{index} {cmd} # {shard} {count} {checkpoint}").unwrap();
     assert_eq!(
         t.expand(&launch),
-        "ssh worker1 /bin/run_matrix --only 'gRPC QPS|it'\\''s' # 1/4 4 /tmp/ck"
+        "ssh worker1 /bin/repro matrix --only 'gRPC QPS|it'\\''s' # 1/4 4 /tmp/ck"
     );
     assert!(CommandTemplate::new("ssh worker0").is_err(), "{{cmd}}-less template");
     assert_eq!(dispatch::shell_quote("a b"), "'a b'");
@@ -210,12 +210,12 @@ fn missing_shard_files_names_only_absent_shards() {
     cleanup(&dir);
 }
 
-/// End-to-end launcher round-trip: `run_matrix --spawn 2 --dispatch`
+/// End-to-end launcher round-trip: `repro matrix --spawn 2 --dispatch`
 /// with a wrapping `sh -c` template must produce a report byte-identical
 /// to a plain serial invocation.
 #[test]
 fn run_matrix_dispatch_round_trip_matches_serial_report() {
-    let exe = env!("CARGO_BIN_EXE_run_matrix");
+    let exe = env!("CARGO_BIN_EXE_repro");
     let dir = tmp("dispatch-ck");
     let serial_out = tmp("dispatch-serial.md");
     let spawn_out = tmp("dispatch-spawn.md");
@@ -225,16 +225,17 @@ fn run_matrix_dispatch_round_trip_matches_serial_report() {
 
     let run = |args: &[&str]| {
         let output = std::process::Command::new(exe)
+            .arg("matrix")
             .args(args)
             .env_remove("REPRO_SCALE")
             .env_remove("REPRO_REPS")
             .env_remove("REPRO_INJECT_PANIC")
             .env("REPRO_JOBS", "2")
             .output()
-            .expect("spawn run_matrix");
+            .expect("spawn repro matrix");
         assert!(
             output.status.success(),
-            "run_matrix {args:?}: {}",
+            "repro matrix {args:?}: {}",
             String::from_utf8_lossy(&output.stderr)
         );
     };

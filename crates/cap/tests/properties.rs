@@ -51,7 +51,7 @@ simtest::props! {
                 }
             }
             Err(CapError::NotSubset) => {
-                sim_assert!(base.checked_add(len).map_or(true, |t| t > parent.top() || base < parent.base()));
+                sim_assert!(base.checked_add(len).is_none_or(|t| t > parent.top() || base < parent.base()));
             }
             Err(CapError::NotRepresentable) | Err(CapError::AddressOverflow) => {}
             Err(e) => sim_assert!(false, "unexpected error {e:?}"),

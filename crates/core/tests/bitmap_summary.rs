@@ -34,7 +34,7 @@ impl ModelBitmap {
         let mut addr = base;
         let end = base.saturating_add(len);
         while addr < end {
-            if addr >= HEAP_BASE && addr < HEAP_BASE + HEAP_LEN {
+            if (HEAP_BASE..HEAP_BASE + HEAP_LEN).contains(&addr) {
                 self.bits[((addr - HEAP_BASE) / CAP_SIZE) as usize] = value;
             }
             addr += CAP_SIZE;
@@ -42,7 +42,7 @@ impl ModelBitmap {
     }
 
     fn probe(&self, addr: u64) -> bool {
-        if addr < HEAP_BASE || addr >= HEAP_BASE + HEAP_LEN {
+        if !(HEAP_BASE..HEAP_BASE + HEAP_LEN).contains(&addr) {
             return false;
         }
         self.bits[((addr - HEAP_BASE) / CAP_SIZE) as usize]

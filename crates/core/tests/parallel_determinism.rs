@@ -51,15 +51,13 @@ fn slot_addr(s: u64) -> u64 {
     HEAP + PAGES * PAGE_SIZE / 2 + s * CAP_SIZE
 }
 
+/// One epoch's result signature: (caps_revoked, surviving tagged caps in
+/// memory, surviving tagged register slots).
+type EpochResult = (u64, Vec<(u64, u64)>, Vec<(usize, u64)>);
+
 /// Applies a setup plan and runs one full epoch with `cores` revoker
-/// cores, returning a result signature: (caps_revoked, surviving tagged
-/// caps in memory, surviving tagged register slots).
-fn run_epoch(
-    strategy: Strategy,
-    cores: usize,
-    setup: &[Setup],
-    budget: u64,
-) -> (u64, Vec<(u64, u64)>, Vec<(usize, u64)>) {
+/// cores, returning a result signature.
+fn run_epoch(strategy: Strategy, cores: usize, setup: &[Setup], budget: u64) -> EpochResult {
     let mut m = Machine::new(MACHINE_CORES);
     m.map_range(HEAP, PAGES * PAGE_SIZE, MapFlags::user_rw()).unwrap();
     let heap = Capability::new_root(HEAP, PAGES * PAGE_SIZE, Perms::rw());

@@ -149,15 +149,14 @@ fn run_model(strategy: RevStrategy, acts: Vec<Act>) -> CaseResult {
                     }
                 }
             }
-            Act::Step { budget } => match rev.background_step(&mut m, budget) {
-                StepOutcome::Finished { .. } => {
-                    if epoch_open {
-                        check_all_gone(&mut m, &mut rev, &doomed)?;
-                        epoch_open = false;
-                    }
+            Act::Step { budget } => {
+                let finished =
+                    matches!(rev.background_step(&mut m, budget), StepOutcome::Finished { .. });
+                if finished && epoch_open {
+                    check_all_gone(&mut m, &mut rev, &doomed)?;
+                    epoch_open = false;
                 }
-                _ => {}
-            },
+            }
             Act::FinishStw => {
                 if matches!(rev.background_step(&mut m, 0), StepOutcome::NeedsFinalStw { .. }) {
                     rev.finish_stw(&mut m, 1);

@@ -1322,7 +1322,7 @@ mod tests {
         }
         // Events timestamped within the run.
         assert!(t.events.iter().all(|e| e.at <= report.wall_cycles));
-        let _ = t.events.iter().map(|e| matches!(e.event, TelemetryEvent::Vm(_))).count();
+        let _ = t.events.iter().filter(|e| matches!(e.event, TelemetryEvent::Vm(_))).count();
     }
 
     #[test]

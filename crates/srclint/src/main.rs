@@ -20,8 +20,11 @@
 //! 4. **Deterministic crates never read clocks** — `Instant` /
 //!    `SystemTime` are banned from the simulation stack (`cap`, `mem`,
 //!    `vm`, `core`, `alloc`, `sim`, `workloads`, `analyze`), whose
-//!    outputs must be bit-stable across machines. The harness crates
-//!    (`bench`, `simtest`) measure wall time and are exempt.
+//!    outputs must be bit-stable across machines, and from the harness
+//!    modules whose output is report text (`bench`'s `figures`,
+//!    `ablations`, `report`): EXPERIMENTS.md must `cmp` equal across
+//!    runs. The rest of the harness (`bench`, `simtest`) measures wall
+//!    time and is exempt.
 //! 5. **The analyzer never hashes with a per-process key** —
 //!    `std::collections::HashMap` / `HashSet` (SipHash under a random
 //!    key, so iteration order differs run to run) are banned from
@@ -37,10 +40,12 @@
 //!    partitioner, cost tables and launcher of the scale-out stack
 //!    (`Partition::Modulo`, `LocalSpawn`, `static_table`,
 //!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`) may not
-//!    return.
+//!    return; nor may the 23 binaries `repro` replaced be invoked by
+//!    name (`--bin run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this
+//!    rule also reads the shell scripts under `tools/`.
 //!
-//! Comment lines (`//`, `///`, `//!`) are skipped, so prose may discuss
-//! a banned token. This linter's own sources are excluded from the token
+//! Comment lines (`//`, `///`, `//!`; `#` in scripts) are skipped, so
+//! prose may discuss a banned token. This linter's own sources are excluded from the token
 //! scans — they define the ban lists. Exits 1 with one line per
 //! violation; 0 with a summary on success.
 
@@ -52,6 +57,13 @@ use std::path::{Path, PathBuf};
 /// Crates whose outputs must be deterministic: no wall clocks.
 const DETERMINISTIC_CRATES: &[&str] =
     &["cap", "mem", "vm", "core", "alloc", "sim", "workloads", "analyze"];
+
+/// Harness modules whose output is report text: no wall clocks either.
+const REPORT_TEXT: &[&str] = &[
+    "crates/bench/src/figures.rs",
+    "crates/bench/src/ablations.rs",
+    "crates/bench/src/report.rs",
+];
 
 /// Source trees whose hash tables must be fixed-seed.
 const FIXED_SEED_HASH_ONLY: &[&str] = &["crates/analyze/src/"];
@@ -70,7 +82,7 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("Scale::from_env", "cli::env_scale"),
     ("RunOptions::from_env", "cli::env_run_options"),
     ("jobs_from_env", "cli::env_workers"),
-    ("run_suite_from_env", "run_suite with cli::env_run_options"),
+    ("run_suite_from_env", "orchestrator::run with cli::env_run_options"),
     ("spec_stream_scaled", SCALE_TOTAL_CHURN),
     ("scale_churn", SCALE_TOTAL_CHURN),
     ("scaled_keep", SCALE_TOTAL_CHURN),
@@ -81,6 +93,11 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("calibrate_from_checkpoint", ONE_SCALE_OUT_PATH),
     ("resolve_lpt", ONE_SCALE_OUT_PATH),
     ("Shard::owns", ONE_SCALE_OUT_PATH),
+    ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
+    ("--bin run_matrix", "--bin repro -- matrix"),
+    ("--bin reproduce_all", "--bin repro -- all"),
+    ("--bin opcheck", "--bin repro -- opcheck"),
+    ("--bin dump_trace", "--bin repro -- trace"),
 ];
 
 /// The replacement for the deleted stride partition, cost tables and
@@ -119,14 +136,14 @@ fn manifests(root: &Path) -> Vec<PathBuf> {
     found
 }
 
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` or `.sh` file under `dir`, recursively.
+fn source_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     for entry in entries.filter_map(Result::ok) {
         let path = entry.path();
         if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
+            source_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "sh") {
             out.push(path);
         }
     }
@@ -202,7 +219,8 @@ fn has_token(line: &str, token: &str) -> bool {
     false
 }
 
-/// Rules 3–6 over one `.rs` file.
+/// Rules 3–6 over one `.rs` file; rule 6 alone over a `.sh` file, which
+/// is in no crate's `src/`.
 fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
     let name = rel(root, file);
     // The linter's own sources define the ban lists.
@@ -217,13 +235,15 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
         .strip_prefix("crates/")
         .and_then(|r| r.split('/').next())
         .unwrap_or_default();
-    let clock_banned = in_crate_src && DETERMINISTIC_CRATES.contains(&crate_name);
+    let clock_banned = in_crate_src
+        && (DETERMINISTIC_CRATES.contains(&crate_name) || REPORT_TEXT.contains(&name.as_str()));
+    let comment = if name.ends_with(".sh") { "#" } else { "//" };
     let env_banned = in_crate_src && !ENV_ALLOWED.iter().any(|a| name.starts_with(a) || name == *a);
     let siphash_banned = FIXED_SEED_HASH_ONLY.iter().any(|dir| name.starts_with(dir));
 
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim_start();
-        if line.starts_with("//") {
+        if line.starts_with(comment) {
             continue;
         }
         let at = |msg: String| format!("{name}:{}: {msg}", i + 1);
@@ -236,7 +256,7 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
             for token in ["Instant", "SystemTime"] {
                 if has_token(line, token) {
                     violations.push(at(format!(
-                        "wall clock in deterministic crate `{crate_name}` \
+                        "wall clock in a deterministic crate or report-text module \
                          (outputs must be bit-stable): {line}"
                     )));
                 }
@@ -277,8 +297,8 @@ fn main() {
     }
 
     let mut sources = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root.join(dir), &mut sources);
+    for dir in ["crates", "src", "tests", "examples", "tools"] {
+        source_files(&root.join(dir), &mut sources);
     }
     sources.retain(|p| !rel(&root, p).contains("target/"));
     sources.sort();
@@ -354,6 +374,20 @@ mod tests {
     }
 
     #[test]
+    fn clock_reads_in_report_text_modules_are_flagged() {
+        let root = scratch("report-clock");
+        let body = "let host_t0 = std::time::Instant::now();\n";
+        for module in REPORT_TEXT {
+            let v = lint_one(&root, module, body);
+            assert!(v.len() == 1 && v[0].contains("wall clock"), "{module}: {v:?}");
+        }
+        // The subcommand bodies time their runs for stderr.
+        let v = lint_one(&root, "crates/bench/src/commands.rs", body);
+        assert!(v.is_empty(), "{v:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn siphash_tables_in_the_analyzer_are_flagged() {
         let root = scratch("siphash");
         let body = "use std::collections::{BTreeMap, HashMap};\n";
@@ -415,9 +449,22 @@ mod tests {
             "let p = Partition::resolve_lpt(None);\n",
             "let mine = Shard::owns(&shard, 3);\n",
         ] {
-            let v = lint_one(&root, "crates/bench/src/bin/run_matrix.rs", line);
+            let v = lint_one(&root, "crates/bench/src/bin/repro.rs", line);
             assert!(v.len() == 1 && v[0].contains("JobSpec::op_count"), "{line}: {v:?}");
         }
+        // The binaries `repro` replaced, wherever they could be typed.
+        for (file, line) in [
+            ("crates/bench/tests/e2e.rs", "let exe = env!(\"CARGO_BIN_EXE_run_matrix\");\n"),
+            ("crates/bench/src/orchestrator.rs", "\"cargo run --bin run_matrix -- --only\"\n"),
+            ("tools/ci.sh", "cargo run -q -p rev-bench --bin reproduce_all\n"),
+            ("tools/ci.sh", "cargo run -q -p rev-bench --bin opcheck -- --smoke\n"),
+            ("tools/ci.sh", "cargo run -q -p rev-bench --bin dump_trace dump pgbench p\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("repro"), "{file}: {line}: {v:?}");
+        }
+        let v = lint_one(&root, "tools/ci.sh", "# --bin run_matrix is now repro matrix\n");
+        assert!(v.is_empty(), "{v:?}");
         // simtest's unrelated Harness::from_env is not a shim token.
         let v = lint_one(&root, "crates/bench/benches/z.rs", "let h = Harness::from_env();\n");
         assert!(v.is_empty(), "{v:?}");

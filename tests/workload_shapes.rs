@@ -1,5 +1,5 @@
 //! Integration tests asserting the paper's qualitative result shapes at
-//! smoke scale — a fast cross-check of what `reproduce_all` verifies at
+//! smoke scale — a fast cross-check of what `repro all` verifies at
 //! full scale.
 
 use morello_sim::{Condition, RunStats, System};

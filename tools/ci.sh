@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: release build + full test suite, the srclint source
 # gate (hermetic manifests, determinism lints), static-analyzer smokes
-# (opcheck digest stability, --preflight quarantine), and a quick-mode
+# (opcheck digest stability, --preflight quarantine), the EXPERIMENTS.md
+# fixed point (regenerated at full scale and cmp'd), and a quick-mode
 # smoke of the bench harnesses so benchmark bit-rot is caught without
 # paying for a full measurement run; the benchmark's stats digests are
 # compared with the pinned tools/stats_digests.txt. Run from anywhere.
@@ -11,8 +12,8 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: build =="
 cargo build --release --offline
 
-echo "== tier-1: tests (whole workspace: every crate's property and e2e suites) =="
-cargo test -q --offline --workspace
+echo "== tier-1: tests (default-members is the whole workspace: every crate's property and e2e suites) =="
+cargo test -q --offline
 
 echo "== lint (clippy, warnings fatal) =="
 cargo clippy --offline --all-targets -- -D warnings
@@ -44,10 +45,10 @@ echo "== opcheck smoke (static analyzer over the smoke matrix) =="
 # must be byte-stable across invocations.
 opcheck_a="$(mktemp)"
 opcheck_b="$(mktemp)"
-cargo run --release --offline -q -p rev-bench --bin opcheck -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- opcheck \
     --smoke --out "$opcheck_a" 2>/dev/null \
     || { echo "opcheck smoke: malformed program(s) in the smoke matrix" >&2; exit 1; }
-cargo run --release --offline -q -p rev-bench --bin opcheck -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- opcheck \
     --smoke --out "$opcheck_b" 2>/dev/null
 head -c 12 "$opcheck_a" | grep -q '{"version":1' \
     || { echo "opcheck smoke: output is not v1 JSON" >&2; exit 1; }
@@ -62,7 +63,7 @@ echo "== preflight smoke (static-analysis gate quarantines corrupt programs) =="
 # with a repro file — never simulated, never retried.
 pf_dir="$(mktemp -d)"
 REPRO_INJECT_MALFORMED='pgbench|pgbench|Cornucopia' \
-    cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+    cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench --preflight --out "$pf_dir/pf.md" \
     --repro-dir "$pf_dir/repro" 2>"$pf_dir/pf.log"
 grep -q "after 0 attempts: preflight: " "$pf_dir/pf.log" \
@@ -106,19 +107,19 @@ echo "== matrix smoke (parallel orchestrator) =="
 # 1. Byte-identity: the same smoke matrix at 1 and 4 workers must render
 #    the exact same report (merging is in job order, not completion order).
 matrix_dir="$(mktemp -d)"
-REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$matrix_dir/serial.md" 2>/dev/null
-REPRO_JOBS=4 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+REPRO_JOBS=4 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$matrix_dir/parallel.md" 2>/dev/null
 cmp -s "$matrix_dir/serial.md" "$matrix_dir/parallel.md" \
     || { echo "matrix smoke: parallel report differs from serial" >&2; exit 1; }
 grep -q "All matrix cells completed" "$matrix_dir/serial.md" \
     || { echo "matrix smoke: missing all-clear failure section" >&2; exit 1; }
 # 2. Fault isolation: an injected panic must surface as a JobFailure row
-#    while every other cell still reports (run_matrix exits 0 sans --strict),
+#    while every other cell still reports (exit 0 sans --strict),
 #    and the poisoned cell must leave a replayable repro file behind.
 REPRO_JOBS=4 REPRO_INJECT_PANIC='pgbench|pgbench|Cornucopia' \
-    cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+    cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$matrix_dir/faulty.md" \
     --repro-dir "$matrix_dir/repro" 2>/dev/null
 grep -q "injected panic" "$matrix_dir/faulty.md" \
@@ -132,7 +133,7 @@ grep -q '"replay"' "$repro_file" \
     || { echo "matrix smoke: repro file has no replay command" >&2; exit 1; }
 # 3. Repro replay: re-run just the poisoned cell (sans injection) via the
 #    --only filter the repro file's replay command uses.
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench --only 'pgbench|pgbench|Cornucopia' --strict \
     --out "$matrix_dir/replay.md" --repro-dir "$matrix_dir/repro" 2>/dev/null \
     || { echo "matrix smoke: repro replay of the poisoned cell failed" >&2; exit 1; }
@@ -141,12 +142,12 @@ rm -rf "$matrix_dir"
 echo "== shard smoke (multi-process byte-identity) =="
 shard_dir="$(mktemp -d)"
 # Serial oracle for the three sharded paths below.
-REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$shard_dir/serial.md" \
     --repro-dir "$shard_dir/repro" 2>/dev/null
 # 1. --spawn 2: the parent launches two shard processes over one checkpoint
 #    directory, merges, and must render the exact serial report.
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
     --out "$shard_dir/spawn.md" --repro-dir "$shard_dir/repro" 2>/dev/null
 cmp -s "$shard_dir/serial.md" "$shard_dir/spawn.md" \
@@ -155,13 +156,13 @@ cmp -s "$shard_dir/serial.md" "$shard_dir/spawn.md" \
 #    (as separate cluster nodes would), then an unsharded merge run that
 #    resumes every cell and must also reproduce the serial report.
 ck="$shard_dir/ckpt"
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --shard 0/2 \
     --checkpoint "$ck" --out "$shard_dir/s0.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --shard 1/2 \
     --checkpoint "$ck" --out "$shard_dir/s1.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --checkpoint "$ck" \
     --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>/dev/null
 cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
@@ -169,7 +170,7 @@ cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
 # 3. Launcher round-trip: --spawn through a wrapping sh -c command
 #    template (the ssh-shaped path; the placeholders must expand) must
 #    still render the serial bytes.
-cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
+cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
     --dispatch 'env SHARD_INDEX={index} {cmd}' \
     --checkpoint "$shard_dir/dispatch-ckpt" --out "$shard_dir/dispatch.md" \
@@ -177,5 +178,17 @@ cargo run --release --offline -q -p rev-bench --bin run_matrix -- \
 cmp -s "$shard_dir/serial.md" "$shard_dir/dispatch.md" \
     || { echo "shard smoke: dispatched report differs from serial" >&2; exit 1; }
 rm -rf "$shard_dir"
+
+echo "== fixed point (EXPERIMENTS.md regenerates byte for byte) =="
+# The path that writes EXPERIMENTS.md, at its default scale: any drift in
+# a simulated number fails here, not in front of a reader.
+exp_dir="$(mktemp -d)"
+env -u REPRO_SCALE -u REPRO_REPS \
+    cargo run --release --offline -q -p rev-bench --bin repro -- all "$exp_dir/EXPERIMENTS.md" \
+    2>"$exp_dir/all.log" \
+    || { tail -n 20 "$exp_dir/all.log" >&2; echo "fixed point: repro all failed (a violated shape check exits 1)" >&2; exit 1; }
+cmp "$exp_dir/EXPERIMENTS.md" EXPERIMENTS.md \
+    || { echo "fixed point: the regenerated report differs from the committed EXPERIMENTS.md; if intentional, commit the output of 'repro all'" >&2; exit 1; }
+rm -rf "$exp_dir"
 
 echo "ci: all gates passed"
