@@ -21,14 +21,13 @@
 //! Every parser hard-errors (exit 2) on unparsable values: a mistyped
 //! sweep configuration must not silently run a multi-hour default.
 
-use crate::dispatch::{CollectTemplate, CommandTemplate};
 use crate::harness::Scale;
 use crate::orchestrator::{parse_jobs, RunOptions, Shard};
 use crate::plan::SuiteKind;
 use crate::report::{Ablation, Section, ABLATIONS, SECTIONS};
 use cornucopia::Strategy;
 use morello_sim::Condition;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use workloads::{SpecProgram, SPEC_PROGRAMS};
 
 /// `REPRO_SCALE` / `REPRO_REPS` from the environment, via
@@ -136,7 +135,8 @@ pub struct Args {
     pub out: Option<String>,
     /// `--checkpoint PATH`.
     pub checkpoint: Option<PathBuf>,
-    /// `--compact`: rewrite the checkpoint before running.
+    /// `--compact`: rewrite the checkpoint before running (unsharded
+    /// runs only: it unlinks the shard files).
     pub compact: bool,
     /// `--jobs N`: worker-count override (wins over `REPRO_JOBS`).
     pub jobs: Option<usize>,
@@ -146,12 +146,6 @@ pub struct Args {
     pub preflight: bool,
     /// `--shard K/N`: run one shard of the matrix in this process.
     pub shard: Shard,
-    /// `--spawn N`: launch N shard processes, then merge.
-    pub spawn: Option<usize>,
-    /// `--dispatch TEMPLATE`: how `--spawn` launches each shard.
-    pub dispatch: Option<CommandTemplate>,
-    /// `--collect TEMPLATE`: how `--spawn` pulls shard files back.
-    pub collect: Option<CollectTemplate>,
     /// `--only SUBSTR`: keep only cells whose key contains it.
     pub only: Option<String>,
     /// `--repro-dir DIR` (default `repro`): where failed cells leave
@@ -176,9 +170,6 @@ const MATRIX_FLAGS: &[&str] = &[
     "--jobs N",
     "--preflight",
     "--shard K/N",
-    "--spawn N",
-    "--dispatch TEMPLATE",
-    "--collect TEMPLATE",
     "--only SUBSTR",
     "--repro-dir DIR",
     "--smoke",
@@ -323,9 +314,6 @@ fn parse_flags(
         jobs: None,
         preflight: false,
         shard: Shard::default(),
-        spawn: None,
-        dispatch: None,
-        collect: None,
         only: None,
         repro_dir: PathBuf::from("repro"),
         smoke: false,
@@ -350,13 +338,6 @@ fn parse_flags(
             "--jobs" => a.jobs = Some(parse_jobs(&value()?)?),
             "--preflight" => a.preflight = true,
             "--shard" => a.shard = Shard::parse(&value()?)?,
-            "--spawn" => {
-                let v = value()?;
-                let n = v.trim().parse::<usize>().ok().filter(|n| *n >= 1);
-                a.spawn = Some(n.ok_or_else(|| format!("--spawn {v:?}: expected a count ≥ 1"))?);
-            }
-            "--dispatch" => a.dispatch = Some(CommandTemplate::new(value()?)?),
-            "--collect" => a.collect = Some(CollectTemplate::new(value()?)?),
             "--only" => a.only = Some(value()?),
             "--repro-dir" => a.repro_dir = value()?.into(),
             "--smoke" => a.smoke = true,
@@ -375,59 +356,18 @@ fn parse_flags(
     if a.shard.is_sharded() && a.checkpoint.is_none() {
         return Err("--shard requires --checkpoint PATH (shards merge through it)".into());
     }
-    if a.spawn.is_some() && a.shard.is_sharded() {
-        return Err("--spawn and --shard are mutually exclusive (--spawn forks the shards)".into());
-    }
-    if a.dispatch.is_some() && a.spawn.is_none() {
-        return Err("--dispatch requires --spawn N (it decides how the N shards launch)".into());
-    }
-    if a.collect.is_some() && a.spawn.is_none() {
-        return Err(
-            "--collect requires --spawn N (it pulls the N shard files back before the merge)"
-                .into(),
-        );
+    if a.compact && a.shard.is_sharded() {
+        return Err("--compact belongs to the merge run, not to --shard K/N: it unlinks the \
+                    shard files the sibling shards are still appending to"
+            .into());
     }
     Ok(a)
-}
-
-impl Args {
-    /// The argument list of the shard process `--spawn` launches for
-    /// `shard` — the inverse of the flag loop above, kept beside it so
-    /// the two cannot drift apart.
-    #[must_use]
-    pub fn shard_argv(&self, shard: Shard, checkpoint: &Path, jobs: usize) -> Vec<String> {
-        let suites: Vec<&str> = self.suites.iter().map(SuiteKind::label).collect();
-        let mut argv = vec![
-            "matrix".to_string(),
-            "--shard".to_string(),
-            format!("{}/{}", shard.index, shard.count),
-            "--checkpoint".to_string(),
-            checkpoint.display().to_string(),
-            "--out".to_string(),
-            checkpoint.join(format!("shard-{}.md", shard.index)).display().to_string(),
-            "--jobs".to_string(),
-            jobs.to_string(),
-            "--suites".to_string(),
-            suites.join(","),
-            "--repro-dir".to_string(),
-            self.repro_dir.display().to_string(),
-        ];
-        if self.smoke {
-            argv.push("--smoke".to_string());
-        }
-        if self.preflight {
-            argv.push("--preflight".to_string());
-        }
-        if let Some(needle) = &self.only {
-            argv.extend(["--only".to_string(), needle.clone()]);
-        }
-        argv
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     /// Parses a command line given as one space-separated string.
     fn parse_line(line: &str) -> Result<Command, String> {
@@ -438,24 +378,15 @@ mod tests {
     fn flags_parse_into_typed_values() {
         let Ok(Command::Matrix(a)) = parse_line(
             "matrix --out x.md --checkpoint ck --jobs 3 --compact --preflight \
-             --suites grpc,pgbench --spawn 2 --only Reloaded",
+             --suites grpc,pgbench --only Reloaded",
         ) else {
             panic!("matrix flags must parse");
         };
         assert_eq!(a.out.as_deref(), Some("x.md"));
         assert_eq!(a.checkpoint.as_deref(), Some(Path::new("ck")));
-        assert_eq!((a.jobs, a.spawn), (Some(3), Some(2)));
+        assert_eq!((a.jobs, a.only.as_deref()), (Some(3), Some("Reloaded")));
         assert!(a.compact && a.preflight && !a.all && !a.ablations);
         assert_eq!(a.suites, [SuiteKind::Grpc, SuiteKind::Pgbench]);
-
-        // The spawn children are told what the parent was told.
-        let argv = a.shard_argv(Shard { index: 1, count: 2 }, Path::new("ck"), 1);
-        let Ok(Command::Matrix(child)) = parse(argv) else {
-            panic!("shard argv must parse");
-        };
-        assert_eq!(child.shard, Shard { index: 1, count: 2 });
-        assert_eq!((child.suites, child.only), (a.suites, a.only));
-        assert!(child.preflight && child.spawn.is_none());
 
         let Ok(Command::Matrix(a)) = parse_line("all OUT.md --jobs 2") else {
             panic!("all takes a positional OUT");
@@ -471,9 +402,11 @@ mod tests {
             ("matrix --out", "--out needs a value"),
             ("matrix --compact", "--compact requires --checkpoint"),
             ("matrix --shard 0/2", "--shard requires --checkpoint"),
-            ("matrix --spawn 0", "count ≥ 1"),
-            ("matrix --dispatch {cmd}", "--dispatch requires --spawn"),
-            ("matrix --spawn 2 --dispatch ssh", "{cmd}"),
+            ("matrix --shard 0/2 --checkpoint ck --compact", "--compact belongs to the merge"),
+            // The launcher is gone: its flags are refused, not ignored.
+            ("matrix --spawn 2", "unknown argument \"--spawn\""),
+            ("matrix --dispatch {cmd}", "unknown argument \"--dispatch\""),
+            ("matrix --collect x{index}", "unknown argument \"--collect\""),
             ("matrix --suites spec,pgbnch", "unknown suite"),
             ("opcheck --csv", "--csv needs a value"),
             ("trace dump pgbench", "trace needs"),

@@ -11,7 +11,7 @@
 //! whole run ([`orchestrator`] documents resume, `--preflight`, failure
 //! records and sharding). `--shard K/N` runs one shard in this process;
 //! an unsharded run over the same checkpoint directory merges and writes
-//! the report; `--spawn N` does both through [`dispatch::spawn_shards`].
+//! the report.
 //!
 //! `opcheck` expands the matrix exactly as `matrix` does, then collapses
 //! it to one static analysis per **program**: the analyzer sees ops, not
@@ -22,7 +22,6 @@
 //! — the verdict `matrix --preflight` quarantines on.
 
 use crate::cli::{self, Args, Command, TraceWorkload};
-use crate::dispatch;
 use crate::harness::Scale;
 use crate::orchestrator::{self, parallel_cells, repro_file_name, JobSpec};
 use crate::plan::{distinct_programs, MatrixPlan};
@@ -117,37 +116,6 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
     }
     opts.checkpoint = args.checkpoint.clone();
 
-    // --spawn: dispatch the shards against a shared checkpoint directory,
-    // then fall through to a normal unsharded run over the same
-    // directory — it resumes everything the children completed, executes
-    // any stragglers locally, and renders the merged report.
-    let mut spawn_tmp = None;
-    if let Some(n) = args.spawn {
-        let dir = args.checkpoint.clone().unwrap_or_else(|| {
-            let dir = std::env::temp_dir().join(format!("repro-spawn-{}", std::process::id()));
-            spawn_tmp = Some(dir.clone());
-            dir
-        });
-        if dir.is_file() {
-            return Err(format!(
-                "--spawn needs a checkpoint *directory*, but {} is a file",
-                dir.display()
-            ));
-        }
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("cannot create checkpoint directory {}: {e}", dir.display()))?;
-        let child_jobs = (opts.workers / n).max(1);
-        dispatch::spawn_shards(
-            n,
-            &args.dispatch.clone().unwrap_or_default(),
-            args.collect.as_ref(),
-            &dir,
-            &jobs,
-            &|shard| args.shard_argv(shard, &dir, child_jobs),
-        )?;
-        opts.checkpoint = Some(dir);
-    }
-
     eprintln!(
         "repro {word}: {} job(s){}, {} worker(s), scale={:.3} reps={}{}",
         jobs.len(),
@@ -201,12 +169,6 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
     let out = args.out.as_deref().unwrap_or(default_out);
     write_file(out, &doc)?;
     eprintln!("repro {word}: wrote {out} in {:.1?}", t0.elapsed());
-
-    if let Some(dir) = spawn_tmp {
-        // The checkpoint was a private scratch directory for this spawn
-        // run; the merged report has everything it held.
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     // Lost cells are graded "not evaluable", not violated: `all` fails
     // on a contradicted claim only, `--strict` on a failed cell as well.

@@ -191,8 +191,7 @@ fn progress(msg: &str) {
 }
 
 /// The original single-threaded SPEC loop, kept as the byte-identity
-/// oracle for the orchestrator (tests and `BENCH_matrix.json` diff
-/// against it).
+/// oracle the orchestrator tests compare against.
 #[must_use]
 pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
     let mut suite = Suite::default();

@@ -27,7 +27,7 @@
 //! | `shape` | The paper's qualitative claims, graded |
 //! | `ablation <name>` | One of DESIGN.md's ablation studies: `barriers`, `pte_mode`, `quarantine_policy`, `cheriot`, `revoker_priority`, `revoker_threads`, `revoker_cores`, `coloring` |
 //! | `all` | Everything, into `EXPERIMENTS.md` (one global job list, resumable via `--checkpoint`) |
-//! | `matrix` | Any selection of suites via the parallel orchestrator (`--shard K/N` / `--spawn N` for multi-process runs) |
+//! | `matrix` | Any selection of suites via the parallel orchestrator (`--shard K/N` for multi-process runs) |
 //! | `opcheck` | Static temporal-safety analysis of a matrix's programs, no simulation |
 //! | `trace dump` / `trace replay` | A surrogate workload as a portable trace file, and back |
 //!
@@ -43,14 +43,16 @@
 //! later run merges them in deterministic job order, so an N-shard
 //! cluster run renders the same bytes as a laptop run. Which cells a
 //! shard executes is greedy LPT bin-packing over each cell's own op
-//! count ([`sched`]); every shard launches as a `sh -c` line expanded
-//! from a command template ([`dispatch`]). Cells that fail both attempts
-//! leave replayable `repro/<key>.json` files behind.
+//! count ([`sched`]); the shard processes are launched by whatever
+//! launches processes on the hosts at hand — a shell loop, ssh, a batch
+//! scheduler — as `repro matrix --shard K/N --checkpoint DIR`. Cells
+//! that fail both attempts leave replayable `repro/<key>.json` files
+//! behind.
 //!
 //! Layering: [`plan`] expands the matrix, [`sched`] partitions it,
-//! [`orchestrator`] executes it, [`dispatch`] launches shard processes,
-//! [`report`] renders it, [`commands`] holds the subcommand bodies, and
-//! [`cli`] is the only module that reads argv or the environment.
+//! [`orchestrator`] executes it, [`report`] renders it, [`commands`]
+//! holds the subcommand bodies, and [`cli`] is the only module that
+//! reads argv or the environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +60,6 @@
 pub mod ablations;
 pub mod cli;
 pub mod commands;
-pub mod dispatch;
 pub mod figures;
 pub mod fmt;
 pub mod harness;

@@ -345,8 +345,6 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
         opts.checkpoint.as_deref().map(|path| CheckpointWriter::open(path, shard, &assigned));
     let preflight = opts.preflight.then(|| Preflight::plan(jobs, &pending, opts, analyse));
     if let (Some(preflight), true) = (&preflight, opts.progress) {
-        // No `[shard K/N]` tag: a `--spawn` parent counts tagged lines as
-        // finished cells and prefixes every other line itself.
         eprintln!(
             "  preflight: {} program(s) for {} cell(s)",
             preflight.programs.len(),
@@ -354,12 +352,12 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
         );
     }
 
-    // ETA denominator: the cells *this process* will settle (its own
+    // Progress denominator: the cells *this process* will settle (its own
     // pending jobs plus everything resumed), not the global matrix.
     let total = resumed + pending.len();
     let slots_shared = Mutex::new(&mut slots);
     let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(resumed);
+    let done = AtomicUsize::new(0);
     let started = Instant::now();
 
     // Work-stealing loop: workers first drain the distinct programs (so
@@ -387,9 +385,12 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
             if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
                 writer.append(job, stats);
             }
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let executed = done.fetch_add(1, Ordering::Relaxed) + 1;
             if opts.progress {
-                progress_line(shard, finished, total, &job.key(), outcome.is_err(), &started);
+                let elapsed = started.elapsed().as_secs_f64();
+                let finished = resumed + executed;
+                let eta = eta_secs(elapsed, executed, finished, total);
+                progress_line(shard, finished, total, &job.key(), outcome.is_err(), elapsed, eta);
             }
             slots_shared.lock().expect("slot store")[job_id] = Some(outcome);
         }
@@ -627,23 +628,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Seconds until the last cell settles, at this run's own pace:
+/// `elapsed` over the cells *executed in this run* — a resumed cell cost
+/// no time, so it says nothing about the rate — times the cells still to
+/// finish. `None` before the first executed cell and once none is left.
+fn eta_secs(elapsed: f64, executed: usize, finished: usize, total: usize) -> Option<f64> {
+    (executed > 0 && finished < total)
+        .then(|| elapsed / executed as f64 * (total - finished) as f64)
+}
+
 /// Stderr progress line. Sharded runs prefix `[shard K/N]` so the
-/// interleaved output of concurrent shard processes stays attributable
-/// (and so a `--spawn` parent can fold them into one aggregate ETA line).
+/// interleaved output of concurrent shard processes stays attributable.
 fn progress_line(
     shard: Shard,
     finished: usize,
     total: usize,
     key: &str,
     failed: bool,
-    started: &Instant,
+    elapsed: f64,
+    eta: Option<f64>,
 ) {
-    let elapsed = started.elapsed().as_secs_f64();
-    let eta = if finished > 0 && finished < total {
-        format!(", ~{:.0}s left", elapsed / finished as f64 * (total - finished) as f64)
-    } else {
-        String::new()
-    };
+    let eta = eta.map(|secs| format!(", ~{secs:.0}s left")).unwrap_or_default();
     let status = if failed { "FAILED" } else { "done" };
     let tag = if shard.is_sharded() {
         format!("shard {}/{}", shard.index, shard.count)
@@ -948,6 +953,16 @@ mod tests {
     use super::*;
     use crate::harness::Scale;
     use crate::plan::MatrixPlan;
+
+    #[test]
+    fn eta_rates_by_the_cells_this_run_executed() {
+        // 100 of 132 cells resumed, the first executed one took 1 s: 31
+        // are left at 1 s each — not 1 s / 101 × 31 ≈ 0 s.
+        assert_eq!(eta_secs(1.0, 1, 101, 132), Some(31.0));
+        assert_eq!(eta_secs(6.0, 4, 4, 10), Some(9.0));
+        assert_eq!(eta_secs(0.0, 0, 100, 132), None, "nothing executed yet: no rate");
+        assert_eq!(eta_secs(32.0, 32, 132, 132), None, "nothing left");
+    }
 
     #[test]
     fn a_panicking_analysis_fails_its_program_not_the_sweep() {

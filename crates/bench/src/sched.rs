@@ -18,8 +18,8 @@
 //!
 //! Counting ops means generating each distinct stream once (0.11 s for
 //! the 17 programs of the smoke matrix, 0.15 s at full scale), so only
-//! sharded runs and the `--spawn` parent ask for an assignment; an
-//! unsharded run never does. The partition decides only *who executes
+//! a sharded run asks for an assignment; an unsharded run — the merge
+//! included — never does. The partition decides only *who executes
 //! what*: resume and the merge go by topology-agnostic cell keys, so a
 //! checkpoint directory written under any shard count replays under any
 //! other.

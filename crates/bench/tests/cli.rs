@@ -66,6 +66,11 @@ fn refused_command_lines_exit_2_with_the_usage() {
         &["all", "--shard", "0/2"],
         &["opcheck", "--strict"],
         &["fig5", "--smoke"],
+        // The deleted launcher's flags: a shell loop over `--shard K/N`
+        // replaced them, and they are not silently ignored.
+        &["matrix", "--spawn", "2"],
+        &["matrix", "--dispatch", "{cmd}"],
+        &["matrix", "--collect", "x{index}"],
         &["trace", "replay", "p.trace", "cornucopa"],
     ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))

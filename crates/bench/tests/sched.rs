@@ -1,9 +1,8 @@
-//! Integration tests of the shard scheduler and the launcher: LPT
-//! partition correctness over op-count costs, topology-agnostic resume,
-//! and a CommandTemplate round-trip through the real `repro matrix`
+//! Integration tests of the shard scheduler: LPT partition correctness
+//! over op-count costs, topology-agnostic resume, and two concurrent
+//! `repro matrix --shard K/2` processes plus the merge through the real
 //! binary.
 
-use rev_bench::dispatch::{self, CommandTemplate, ShardLaunch};
 use rev_bench::harness::{pgbench_rate_suite_serial, pgbench_suite_serial, Scale, CONDITIONS, RATE_SCHEDULE};
 use rev_bench::orchestrator::{self, JobSpec, RunOptions, Shard};
 use rev_bench::plan::{MatrixPlan, SuiteKind};
@@ -181,86 +180,59 @@ fn two_shards_resume_under_three_and_serial_byte_identically() {
     cleanup(&serial_file);
 }
 
-#[test]
-fn command_template_expands_placeholders_and_quotes() {
-    let launch = ShardLaunch {
-        shard: Shard { index: 1, count: 4 },
-        program: PathBuf::from("/bin/repro"),
-        args: vec!["matrix".to_string(), "--only".to_string(), "gRPC QPS|it's".to_string()],
-        checkpoint: PathBuf::from("/tmp/ck"),
-    };
-    let t = CommandTemplate::new("ssh worker{index} {cmd} # {shard} {count} {checkpoint}").unwrap();
-    assert_eq!(
-        t.expand(&launch),
-        "ssh worker1 /bin/repro matrix --only 'gRPC QPS|it'\\''s' # 1/4 4 /tmp/ck"
-    );
-    assert!(CommandTemplate::new("ssh worker0").is_err(), "{{cmd}}-less template");
-    assert_eq!(dispatch::shell_quote("a b"), "'a b'");
-    assert_eq!(dispatch::shell_quote(""), "''");
-    assert_eq!(dispatch::shell_quote("plain/path-1.0:x,y"), "plain/path-1.0:x,y");
-}
-
-#[test]
-fn missing_shard_files_names_only_absent_shards() {
-    let dir = tmp("missing");
-    cleanup(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("shard-1-of-3.jsonl"), "x\n").unwrap();
-    assert_eq!(dispatch::missing_shard_files(&dir, 3), vec![0, 2]);
-    cleanup(&dir);
-}
-
-/// End-to-end launcher round-trip: `repro matrix --spawn 2 --dispatch`
-/// with a wrapping `sh -c` template must produce a report byte-identical
-/// to a plain serial invocation.
+/// End-to-end multi-process round-trip: two `repro matrix --shard K/2`
+/// processes appending to one checkpoint directory *at the same time*,
+/// then the unsharded merge, must produce a report byte-identical to a
+/// plain serial invocation — and leave nothing for a second merge to run.
 #[test]
 fn run_matrix_dispatch_round_trip_matches_serial_report() {
-    let exe = env!("CARGO_BIN_EXE_repro");
-    let dir = tmp("dispatch-ck");
-    let serial_out = tmp("dispatch-serial.md");
-    let spawn_out = tmp("dispatch-spawn.md");
-    cleanup(&dir);
-    cleanup(&serial_out);
-    cleanup(&spawn_out);
+    let scratch = tmp("two-procs");
+    cleanup(&scratch);
+    std::fs::create_dir_all(&scratch).unwrap();
+    let path = |name: &str| scratch.join(name).display().to_string();
+    let (ck, serial, merged) = (path("ck"), path("serial.md"), path("merged.md"));
 
-    let run = |args: &[&str]| {
-        let output = std::process::Command::new(exe)
-            .arg("matrix")
+    let repro_matrix = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["matrix", "--smoke", "--suites", "pgbench-rates"])
             .args(args)
             .env_remove("REPRO_SCALE")
             .env_remove("REPRO_REPS")
             .env_remove("REPRO_INJECT_PANIC")
-            .env("REPRO_JOBS", "2")
-            .output()
-            .expect("spawn repro matrix");
-        assert!(
-            output.status.success(),
-            "repro matrix {args:?}: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
+            .env_remove("REPRO_INJECT_MALFORMED")
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn repro matrix")
+    };
+    let stderr_of = |child: std::process::Child| {
+        let output = child.wait_with_output().expect("wait for repro matrix");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{stderr}");
+        stderr
     };
 
-    run(&["--smoke", "--suites", "pgbench-rates", "--out", &serial_out.display().to_string()]);
-    run(&[
-        "--smoke",
-        "--suites",
-        "pgbench-rates",
-        "--spawn",
-        "2",
-        "--dispatch",
-        "env SHARD_INDEX={index} {cmd}",
-        "--checkpoint",
-        &dir.display().to_string(),
-        "--out",
-        &spawn_out.display().to_string(),
-    ]);
+    stderr_of(repro_matrix(&["--jobs", "1", "--out", &serial]));
 
-    let serial_bytes = std::fs::read(&serial_out).unwrap();
-    let spawn_bytes = std::fs::read(&spawn_out).unwrap();
+    // Both shards are running before either is waited on. A partial run
+    // writes no report; `--out` only keeps a shard that happened to
+    // resume all of its sibling's cells from writing into the cwd.
+    let shards = [0, 1].map(|k| {
+        let (shard, out) = (format!("{k}/2"), path(&format!("shard-{k}.md")));
+        repro_matrix(&["--jobs", "1", "--shard", &shard, "--checkpoint", &ck, "--out", &out])
+    });
+    for (k, child) in shards.into_iter().enumerate() {
+        stderr_of(child);
+        assert!(scratch.join(format!("ck/shard-{k}-of-2.jsonl")).is_file(), "shard {k}");
+    }
+
+    let merge = ["--jobs", "2", "--checkpoint", &ck, "--out", &merged];
+    let stderr = stderr_of(repro_matrix(&merge));
+    assert!(stderr.contains(" 0 cell(s) ran,"), "the shards left cells to the merge: {stderr}");
+    let serial_bytes = std::fs::read(&serial).unwrap();
     assert!(!serial_bytes.is_empty());
-    assert_eq!(serial_bytes, spawn_bytes, "dispatched report != serial report");
+    assert_eq!(serial_bytes, std::fs::read(&merged).unwrap(), "merged report != serial report");
+    let stderr = stderr_of(repro_matrix(&merge));
+    assert!(stderr.contains(" 0 cell(s) ran,"), "a second merge must resume everything: {stderr}");
 
-    cleanup(&dir);
-    cleanup(&serial_out);
-    cleanup(&spawn_out);
+    cleanup(&scratch);
 }

@@ -3,9 +3,9 @@
 //!
 //! This crate exists because the build must be **hermetic**: no registry
 //! access, no third-party code, yet the workspace still needs seedable
-//! randomness for workload generation, property-based testing for its
-//! architectural invariants, and a benchmark harness for its hot paths.
-//! `simtest` provides all three with zero dependencies:
+//! randomness for workload generation and property-based testing for its
+//! architectural invariants. `simtest` provides both with zero
+//! dependencies:
 //!
 //! - [`rng`] — a SplitMix64-seeded xoshiro256\*\* PRNG ([`Rng`]) with
 //!   `gen_range` / `gen_bool` / `shuffle` and fork-by-stream child
@@ -14,8 +14,6 @@
 //!   tuples, `Vec`s, and enums of actions; bounded shrinking; a fixed
 //!   default case count; `SIMTEST_SEED` replay; and a checked-in seed
 //!   corpus per test. The replacement for `proptest`.
-//! - [`bench`] — a wall-clock/iteration measurement harness for
-//!   `harness = false` bench targets. The replacement for `criterion`.
 //!
 //! Determinism contract: given the same seed and the same code, every
 //! `Rng` stream, every generated test case, and every workload trace is
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod rng;
 

@@ -2,11 +2,11 @@
 //! SplitMix64-expanded seed.
 //!
 //! This is the single source of randomness for the whole workspace — the
-//! workload generators, the property-test harness, and the benchmark
-//! harness all draw from it, so a `(seed, code)` pair fully determines
-//! every op trace and every generated test case. The generator is *not*
-//! cryptographic; it is chosen for speed, a 2^256-1 period, and exact
-//! cross-platform reproducibility.
+//! workload generators and the property-test harness both draw from it,
+//! so a `(seed, code)` pair fully determines every op trace and every
+//! generated test case. The generator is *not* cryptographic; it is
+//! chosen for speed, a 2^256-1 period, and exact cross-platform
+//! reproducibility.
 
 use std::ops::{Range, RangeInclusive};
 

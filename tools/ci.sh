@@ -3,9 +3,9 @@
 # gate (hermetic manifests, determinism lints), static-analyzer smokes
 # (opcheck digest stability, --preflight quarantine), the EXPERIMENTS.md
 # fixed point (regenerated at full scale and cmp'd), and a quick-mode
-# smoke of the bench harnesses so benchmark bit-rot is caught without
-# paying for a full measurement run; the benchmark's stats digests are
-# compared with the pinned tools/stats_digests.txt. Run from anywhere.
+# run of the benchmark so its bit-rot is caught without paying for a
+# full measurement run; its stats digests are compared with the pinned
+# tools/stats_digests.txt. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,12 +79,6 @@ read -r _ pf_programs _ _ pf_cells _ <<<"$pf_line"
     || { echo "preflight smoke: $pf_line — programs not fewer than cells" >&2; exit 1; }
 rm -rf "$pf_dir"
 
-echo "== bench smoke (quick mode) =="
-SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench micro
-SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench sweep
-SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench hotpath
-SIMBENCH_QUICK=1 cargo bench --offline -p rev-bench --bench matrix
-
 echo "== benchmark smoke (five workloads, 2 s windows) =="
 # Exits nonzero on any failed cell or check, including a repetition whose
 # stats digest differs from the first.
@@ -141,42 +135,31 @@ rm -rf "$matrix_dir"
 
 echo "== shard smoke (multi-process byte-identity) =="
 shard_dir="$(mktemp -d)"
-# Serial oracle for the three sharded paths below.
 REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$shard_dir/serial.md" \
     --repro-dir "$shard_dir/repro" 2>/dev/null
-# 1. --spawn 2: the parent launches two shard processes over one checkpoint
-#    directory, merges, and must render the exact serial report.
-cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
-    --out "$shard_dir/spawn.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cmp -s "$shard_dir/serial.md" "$shard_dir/spawn.md" \
-    || { echo "shard smoke: --spawn 2 report differs from serial" >&2; exit 1; }
-# 2. Hand-driven shards: 0/2 and 1/2 into one shared checkpoint directory
-#    (as separate cluster nodes would), then an unsharded merge run that
-#    resumes every cell and must also reproduce the serial report.
+# Shards 0/2 and 1/2 as two concurrent processes appending to one shared
+# checkpoint directory (as separate cluster nodes would), then an
+# unsharded merge run that resumes every cell and must reproduce the
+# serial report.
 ck="$shard_dir/ckpt"
-cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 0/2 \
-    --checkpoint "$ck" --out "$shard_dir/s0.md" --repro-dir "$shard_dir/repro" 2>/dev/null
-cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --shard 1/2 \
-    --checkpoint "$ck" --out "$shard_dir/s1.md" --repro-dir "$shard_dir/repro" 2>/dev/null
+shard_pids=()
+for k in 0 1; do
+    cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
+        --smoke --suites pgbench,pgbench-rates,grpc --shard "$k/2" --jobs 1 \
+        --checkpoint "$ck" --out "$shard_dir/s$k.md" --repro-dir "$shard_dir/repro" 2>/dev/null &
+    shard_pids+=("$!")
+done
+for pid in "${shard_pids[@]}"; do
+    wait "$pid" || { echo "shard smoke: a --shard K/2 process failed" >&2; exit 1; }
+done
 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --checkpoint "$ck" \
-    --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>/dev/null
+    --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>"$shard_dir/merge.log"
+grep -q ": 0 cell(s) ran," "$shard_dir/merge.log" \
+    || { echo "shard smoke: the merge re-ran cells the shards should have checkpointed" >&2; exit 1; }
 cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
-    || { echo "shard smoke: hand-sharded merge report differs from serial" >&2; exit 1; }
-# 3. Launcher round-trip: --spawn through a wrapping sh -c command
-#    template (the ssh-shaped path; the placeholders must expand) must
-#    still render the serial bytes.
-cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --spawn 2 \
-    --dispatch 'env SHARD_INDEX={index} {cmd}' \
-    --checkpoint "$shard_dir/dispatch-ckpt" --out "$shard_dir/dispatch.md" \
-    --repro-dir "$shard_dir/repro" 2>/dev/null
-cmp -s "$shard_dir/serial.md" "$shard_dir/dispatch.md" \
-    || { echo "shard smoke: dispatched report differs from serial" >&2; exit 1; }
+    || { echo "shard smoke: concurrently sharded merge report differs from serial" >&2; exit 1; }
 rm -rf "$shard_dir"
 
 echo "== fixed point (EXPERIMENTS.md regenerates byte for byte) =="
