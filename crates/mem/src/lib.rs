@@ -7,7 +7,10 @@
 //!
 //! * [`PhysMem`] — a sparse, demand-zero physical memory with one validity
 //!   tag per naturally-aligned 16-byte granule. Data writes atomically clear
-//!   the tags of the granules they touch; capability stores set them.
+//!   the tags of the granules they touch; capability stores set them. A
+//!   page costs the host what it holds: a frame's capability shadow, its
+//!   colours and its data bytes are each allocated on first need, and the
+//!   shadows of a dropped memory go to one process-wide pool.
 //! * [`MemSystem`] — wraps [`PhysMem`] with per-core L1 caches and a shared
 //!   L2, metering DRAM transactions per core. The paper's Figures 4 and 6
 //!   report revocation's *bus traffic* overheads; this model is what lets

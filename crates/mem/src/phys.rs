@@ -1,15 +1,24 @@
 //! Sparse, demand-zero tagged physical memory.
 //!
-//! Host performance: frames live in a dense slab (`Vec<Frame>`) behind a
-//! page-number → slot [`PageMap`]. A released frame parks on a free list
-//! and is reset (not reallocated) on reuse; a dropped memory leaves its
-//! data pages to the next one built on the same thread. None of this is
-//! visible to the simulation: counters, tags, and data are bit-identical
-//! to a naive map of pages.
+//! Host performance: a page costs the host what it holds. Frames live in
+//! a dense slab (`Vec<Frame>`) behind a page-number → slot [`PageMap`],
+//! and each of a frame's planes — capability shadow, colours, data bytes —
+//! is allocated on first need: a page that is only ever touched owns no
+//! box at all. A released frame parks on a free list and is reset (not
+//! reallocated) on reuse; a dropped memory leaves its shadows, as they
+//! are, to the process's next memories. None of this is visible to the
+//! simulation: counters, tags and data are bit-identical to a naive map
+//! of pages. Two invariants keep it so:
+//!
+//! * a shadow entry is read only under its `tags` or `written` bit, so a
+//!   recycled shadow needs no zeroing;
+//! * a granule's bytes are the data plane's if the frame has one, and
+//!   otherwise the shadow entry's address, little-endian and zero-extended
+//!   (zero where `written` is clear).
 
 use cheri_cap::{Capability, CAP_SIZE};
 use crate::pagemap::PageMap;
-use std::cell::RefCell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Page size in bytes (Morello and CheriBSD use 4 KiB base pages).
 pub const PAGE_SIZE: u64 = 4096;
@@ -19,71 +28,119 @@ pub const GRANULES_PER_PAGE: usize = (PAGE_SIZE / CAP_SIZE) as usize;
 
 const TAG_WORDS: usize = GRANULES_PER_PAGE / 64;
 
-/// Most data pages kept for the thread's next [`PhysMem`] (64 MiB).
-const SPARE_PAGES_MAX: usize = 1 << 14;
+const GRANULE: usize = CAP_SIZE as usize;
 
-thread_local! {
-    /// Data pages of dropped memories, zeroed when taken. Handing them on
-    /// keeps the host allocator from returning a short cell's heap to the
-    /// OS and faulting it back in for the next cell.
-    static SPARE_PAGES: RefCell<Vec<Box<[u8]>>> = const { RefCell::new(Vec::new()) };
+/// One frame's capability plane: the last capability stored to each granule.
+type Shadow = Box<[Capability]>;
+
+/// Most shadows kept for the process's next memories (2¹³ × 8 KiB = 64 MiB).
+const SHADOW_POOL_MAX: usize = 1 << 13;
+
+/// Shadows of dropped memories, handed on unzeroed (the taker's `written`
+/// mask starts clear). Keeping them stops the host allocator from
+/// returning a short cell's heap to the OS and faulting it back in for
+/// the next cell. One pool for the process, not one per thread: a matrix
+/// run's workers die with the run, and N of them must not each park the
+/// bound.
+static SHADOW_POOL: Mutex<Vec<Shadow>> = Mutex::new(Vec::new());
+
+fn shadow_pool() -> MutexGuard<'static, Vec<Shadow>> {
+    // A push or a pop leaves the list valid at every step, so the lock of
+    // a thread that panicked (a poisoned cell's) guards nothing broken.
+    SHADOW_POOL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One physical page frame: 4 KiB of data, a 256-bit tag vector, and shadow
-/// storage for the decompressed capabilities whose encodings live in the
-/// data bytes.
+fn take_shadow() -> Shadow {
+    let pooled = shadow_pool().pop();
+    pooled.unwrap_or_else(|| vec![Capability::null(); GRANULES_PER_PAGE].into_boxed_slice())
+}
+
+/// Moves `shadows` into `pool` until it holds [`SHADOW_POOL_MAX`]; the
+/// rest stay with their owner.
+fn park_shadows(pool: &mut Vec<Shadow>, shadows: impl Iterator<Item = Shadow>) {
+    let room = SHADOW_POOL_MAX.saturating_sub(pool.len());
+    pool.extend(shadows.take(room));
+}
+
+/// The set bits of a page-wide mask, ascending.
+#[derive(Debug)]
+struct SetBits {
+    words: [u64; TAG_WORDS],
+    /// Word whose remaining set bits are in `bits`.
+    cur: usize,
+    bits: u64,
+    next_word: usize,
+}
+
+impl SetBits {
+    fn new(words: [u64; TAG_WORDS]) -> SetBits {
+        SetBits { words, cur: 0, bits: 0, next_word: 0 }
+    }
+}
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            if self.next_word >= TAG_WORDS {
+                return None;
+            }
+            self.cur = self.next_word;
+            self.bits = self.words[self.next_word];
+            self.next_word += 1;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.cur * 64 + b)
+    }
+}
+
+#[inline]
+fn bit(words: &[u64; TAG_WORDS], granule: usize) -> bool {
+    words[granule / 64] >> (granule % 64) & 1 == 1
+}
+
+/// One physical page frame: a 256-bit tag vector and, each allocated on
+/// first need, the shadow of the capabilities stored to it, its granules'
+/// colours and its data bytes.
 ///
 /// The simulator holds full (decompressed) capabilities out-of-band rather
-/// than implementing a bit-exact 128-bit codec; the data bytes still carry
-/// the capability's address so that *data* reads of a pointer see a
-/// plausible integer (programs do inspect pointer values).
-#[derive(Debug)]
+/// than implementing a bit-exact 128-bit codec; a *data* read of a pointer
+/// still sees the capability's address (programs do inspect pointer
+/// values). No simulated access moves bytes, so a frame has a data plane
+/// only once [`PhysMem::write_bytes`] gave it bytes no capability store
+/// could have.
+#[derive(Debug, Default)]
 struct Frame {
-    data: Box<[u8]>,
     /// One bit per granule; bit set ⇒ the granule holds a valid capability.
     tags: [u64; TAG_WORDS],
-    /// Shadow capability storage, allocated on first capability store.
-    caps: Option<Box<[Capability]>>,
+    /// One bit per granule; bit set ⇒ `caps[g]` was stored in this frame's
+    /// lifetime. A superset of `tags`.
+    written: [u64; TAG_WORDS],
+    /// The last capability stored to each granule, tagged or not. Entries
+    /// whose `written` bit is clear are whatever the box last held.
+    caps: Option<Shadow>,
     /// Per-granule memory colors (paper §7.3), allocated on first recolor.
     colors: Option<Box<[u8]>>,
+    /// The page's bytes, once they stopped being a function of `caps`.
+    data: Option<Box<[u8]>>,
 }
 
 impl Frame {
-    fn new() -> Frame {
-        Frame {
-            data: match SPARE_PAGES.with(|spare| spare.borrow_mut().pop()) {
-                Some(mut data) => {
-                    data.fill(0);
-                    data
-                }
-                None => vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
-            },
-            tags: [0; TAG_WORDS],
-            caps: None,
-            colors: None,
-        }
-    }
-
-    /// Returns the frame to its demand-zero state, keeping the data
-    /// allocation (slab slots are recycled across release/materialize).
+    /// Returns the frame to its demand-zero state. The shadow stays (slab
+    /// slots are recycled across release/materialize): with `written`
+    /// clear, nothing reads it.
     fn reset(&mut self) {
-        self.data.fill(0);
         self.tags = [0; TAG_WORDS];
-        self.caps = None;
+        self.written = [0; TAG_WORDS];
         self.colors = None;
+        self.data = None;
     }
 
     fn tag(&self, granule: usize) -> bool {
-        self.tags[granule / 64] >> (granule % 64) & 1 == 1
-    }
-
-    fn set_tag(&mut self, granule: usize, value: bool) {
-        let (w, b) = (granule / 64, granule % 64);
-        if value {
-            self.tags[w] |= 1 << b;
-        } else {
-            self.tags[w] &= !(1 << b);
-        }
+        bit(&self.tags, granule)
     }
 
     /// Clears the tags of granules `g0..=g1` with word-masked stores.
@@ -97,8 +154,73 @@ impl Frame {
         }
     }
 
-    fn caps_mut(&mut self) -> &mut [Capability] {
-        self.caps.get_or_insert_with(|| vec![Capability::null(); GRANULES_PER_PAGE].into_boxed_slice())
+    /// Records `cap` as the content of `granule`.
+    fn store(&mut self, granule: usize, cap: Capability) {
+        self.caps.get_or_insert_with(take_shadow)[granule] = cap;
+        let (w, b) = (granule / 64, granule % 64);
+        self.written[w] |= 1 << b;
+        self.tags[w] = self.tags[w] & !(1 << b) | u64::from(cap.is_tagged()) << b;
+        if let Some(data) = &mut self.data {
+            let bytes = &mut data[granule * GRANULE..][..GRANULE];
+            bytes[..8].copy_from_slice(&cap.addr().to_le_bytes());
+            bytes[8..].fill(0);
+        }
+    }
+
+    /// The first eight bytes of `granule`, little-endian: what a data load
+    /// of a pointer sees.
+    fn residue(&self, granule: usize) -> u64 {
+        match (&self.data, &self.caps) {
+            (Some(data), _) => {
+                let bytes = &data[granule * GRANULE..][..8];
+                u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+            }
+            (None, Some(caps)) if bit(&self.written, granule) => caps[granule].addr(),
+            _ => 0,
+        }
+    }
+
+    /// The capability in `granule`, or the untagged residue of its bytes.
+    fn load(&self, granule: usize) -> Capability {
+        if self.tag(granule) {
+            self.caps.as_ref().expect("tagged granule must have shadow storage")[granule]
+        } else {
+            Capability::null().set_addr(self.residue(granule))
+        }
+    }
+
+    fn color(&self, granule: usize) -> u8 {
+        self.colors.as_ref().map_or(0, |c| c[granule])
+    }
+
+    /// Copies the page's bytes from offset `start` into `buf`.
+    fn read(&self, start: usize, buf: &mut [u8]) {
+        if let Some(data) = &self.data {
+            buf.copy_from_slice(&data[start..start + buf.len()]);
+            return;
+        }
+        let mut done = 0;
+        while done < buf.len() {
+            let (granule, lo) = ((start + done) / GRANULE, (start + done) % GRANULE);
+            let n = (GRANULE - lo).min(buf.len() - done);
+            let mut bytes = [0u8; GRANULE];
+            bytes[..8].copy_from_slice(&self.residue(granule).to_le_bytes());
+            buf[done..done + n].copy_from_slice(&bytes[lo..lo + n]);
+            done += n;
+        }
+    }
+
+    /// The data plane, rendered from the shadow if this is its first use.
+    fn data_mut(&mut self) -> &mut [u8] {
+        let (written, caps) = (self.written, &self.caps);
+        self.data.get_or_insert_with(|| {
+            let mut data = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
+            for granule in SetBits::new(written) {
+                let addr = caps.as_ref().expect("a written granule has a shadow")[granule].addr();
+                data[granule * GRANULE..][..8].copy_from_slice(&addr.to_le_bytes());
+            }
+            data
+        })
     }
 
     fn any_tag(&self) -> bool {
@@ -125,12 +247,7 @@ pub struct PhysMem {
 
 impl Drop for PhysMem {
     fn drop(&mut self) {
-        // `try_with`: a memory dropped during thread teardown just frees.
-        let _ = SPARE_PAGES.try_with(|spare| {
-            let mut spare = spare.borrow_mut();
-            let room = SPARE_PAGES_MAX.saturating_sub(spare.len());
-            spare.extend(self.slab.drain(..).take(room).map(|frame| frame.data));
-        });
+        park_shadows(&mut shadow_pool(), self.slab.iter_mut().filter_map(|frame| frame.caps.take()));
     }
 }
 
@@ -165,7 +282,7 @@ impl PhysMem {
             }
             None => {
                 assert!(self.slab.len() < u32::MAX as usize, "slab full");
-                self.slab.push(Frame::new());
+                self.slab.push(Frame::default());
                 (self.slab.len() - 1) as u32
             }
         };
@@ -188,10 +305,7 @@ impl PhysMem {
             let in_page = (PAGE_SIZE - a % PAGE_SIZE) as usize;
             let n = in_page.min(buf.len() - off);
             match self.frame(a) {
-                Some(f) => {
-                    let s = (a % PAGE_SIZE) as usize;
-                    buf[off..off + n].copy_from_slice(&f.data[s..s + n]);
-                }
+                Some(f) => f.read((a % PAGE_SIZE) as usize, &mut buf[off..off + n]),
                 None => buf[off..off + n].fill(0),
             }
             off += n;
@@ -208,8 +322,8 @@ impl PhysMem {
             let n = in_page.min(buf.len() - off);
             let frame = self.frame_mut(a);
             let s = (a % PAGE_SIZE) as usize;
-            frame.data[s..s + n].copy_from_slice(&buf[off..off + n]);
-            frame.clear_tag_span(s / CAP_SIZE as usize, (s + n - 1) / CAP_SIZE as usize);
+            frame.data_mut()[s..s + n].copy_from_slice(&buf[off..off + n]);
+            frame.clear_tag_span(s / GRANULE, (s + n - 1) / GRANULE);
             off += n;
         }
     }
@@ -238,19 +352,24 @@ impl PhysMem {
     #[must_use]
     #[inline]
     pub fn load_cap(&self, addr: u64) -> Capability {
+        self.load_granule(addr).2
+    }
+
+    /// [`PhysMem::tag`], [`PhysMem::granule_color`] and
+    /// [`PhysMem::load_cap`] of one granule in one walk to its frame: what
+    /// a checked capability load needs. The tag comes from the frame's
+    /// mask, so the load barrier's branch does not wait for the shadow
+    /// entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not 16-byte aligned.
+    #[must_use]
+    #[inline]
+    pub fn load_granule(&self, addr: u64) -> (bool, u8, Capability) {
         assert_eq!(addr % CAP_SIZE, 0, "capability load must be 16-byte aligned");
-        let Some(frame) = self.frame(addr) else {
-            return Capability::null();
-        };
         let g = (addr % PAGE_SIZE / CAP_SIZE) as usize;
-        if frame.tag(g) {
-            frame.caps.as_ref().expect("tagged granule must have shadow storage")[g]
-        } else {
-            let s = (addr % PAGE_SIZE) as usize;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&frame.data[s..s + 8]);
-            Capability::null().set_addr(u64::from_le_bytes(b))
-        }
+        self.frame(addr).map_or((false, 0, Capability::null()), |f| (f.tag(g), f.color(g), f.load(g)))
     }
 
     /// Stores `cap` at 16-byte-aligned `addr`. The granule's tag follows the
@@ -262,15 +381,7 @@ impl PhysMem {
     #[inline]
     pub fn store_cap(&mut self, addr: u64, cap: Capability) {
         assert_eq!(addr % CAP_SIZE, 0, "capability store must be 16-byte aligned");
-        let frame = self.frame_mut(addr);
-        let s = (addr % PAGE_SIZE) as usize;
-        let g = s / CAP_SIZE as usize;
-        frame.data[s..s + 8].copy_from_slice(&cap.addr().to_le_bytes());
-        frame.data[s + 8..s + 16].fill(0);
-        frame.set_tag(g, cap.is_tagged());
-        if cap.is_tagged() {
-            frame.caps_mut()[g] = cap;
-        }
+        self.frame_mut(addr).store((addr % PAGE_SIZE / CAP_SIZE) as usize, cap);
     }
 
     /// The tag of the granule containing `addr`.
@@ -285,7 +396,8 @@ impl PhysMem {
     #[inline]
     pub fn clear_tag(&mut self, addr: u64) {
         if let Some(f) = self.frame_mut_existing(addr) {
-            f.set_tag((addr % PAGE_SIZE / CAP_SIZE) as usize, false);
+            let g = (addr % PAGE_SIZE / CAP_SIZE) as usize;
+            f.tags[g / 64] &= !(1 << (g % 64));
         }
     }
 
@@ -330,24 +442,11 @@ impl PhysMem {
             0,
             "tagged_caps_in_page requires a page-aligned address"
         );
-        match self.frame(page_addr).and_then(|f| f.caps.as_ref().map(|c| (f.tags, c))) {
-            Some((words, caps)) => TaggedCapsInPage {
-                base: page_addr,
-                caps,
-                words,
-                cur: 0,
-                bits: 0,
-                next_word: 0,
-            },
-            None => TaggedCapsInPage {
-                base: page_addr,
-                caps: &[],
-                words: [0; TAG_WORDS],
-                cur: 0,
-                bits: 0,
-                next_word: TAG_WORDS,
-            },
-        }
+        let (tags, caps) = match self.frame(page_addr).and_then(|f| f.caps.as_ref().map(|c| (f.tags, c))) {
+            Some((tags, caps)) => (tags, &caps[..]),
+            None => ([0; TAG_WORDS], &[][..]),
+        };
+        TaggedCapsInPage { base: page_addr, caps, tagged: SetBits::new(tags) }
     }
 
     /// Releases the frame backing `page_addr` (munmap / page reclaim). The
@@ -363,27 +462,28 @@ impl PhysMem {
     #[must_use]
     #[inline]
     pub fn granule_color(&self, addr: u64) -> u8 {
-        self.frame(addr)
-            .and_then(|f| f.colors.as_ref())
-            .map_or(0, |c| c[(addr % PAGE_SIZE / CAP_SIZE) as usize])
+        self.frame(addr).map_or(0, |f| f.color((addr % PAGE_SIZE / CAP_SIZE) as usize))
     }
 
-    /// Recolors every granule of `[base, base+len)` (the allocator's
-    /// free-time recoloring; paper §7.3). Granule-aligned.
+    /// Recolors every granule overlapping `[base, base+len)` (the
+    /// allocator's free-time recoloring; paper §7.3). `base` is
+    /// granule-aligned; a `len` that is not recolors the granule its tail
+    /// falls in, as [`PhysMem::clear_tag_range`] clears that granule's tag.
     pub fn set_color_range(&mut self, base: u64, len: u64, color: u8) {
         assert_eq!(base % CAP_SIZE, 0, "recolor must be granule-aligned");
-        let mut addr = base;
         let end = base.saturating_add(len);
+        let mut addr = base;
         while addr < end {
-            let frame = self.frame_mut(addr);
-            let colors = frame
+            let page = addr / PAGE_SIZE * PAGE_SIZE;
+            let chunk_end = end.min(page + PAGE_SIZE);
+            let colors = self
+                .frame_mut(addr)
                 .colors
                 .get_or_insert_with(|| vec![0u8; GRANULES_PER_PAGE].into_boxed_slice());
-            let g0 = (addr % PAGE_SIZE / CAP_SIZE) as usize;
-            let in_page = GRANULES_PER_PAGE - g0;
-            let n = (((end - addr) / CAP_SIZE) as usize).min(in_page);
-            colors[g0..g0 + n].fill(color);
-            addr += (n as u64) * CAP_SIZE;
+            let g0 = ((addr - page) / CAP_SIZE) as usize;
+            let g1 = ((chunk_end - 1 - page) / CAP_SIZE) as usize;
+            colors[g0..=g1].fill(color);
+            addr = chunk_end;
         }
     }
 
@@ -408,11 +508,7 @@ impl PhysMem {
 pub struct TaggedCapsInPage<'a> {
     base: u64,
     caps: &'a [Capability],
-    words: [u64; TAG_WORDS],
-    /// Word whose remaining set bits are in `bits`.
-    cur: usize,
-    bits: u64,
-    next_word: usize,
+    tagged: SetBits,
 }
 
 impl Iterator for TaggedCapsInPage<'_> {
@@ -420,17 +516,7 @@ impl Iterator for TaggedCapsInPage<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(u64, Capability)> {
-        while self.bits == 0 {
-            if self.next_word >= TAG_WORDS {
-                return None;
-            }
-            self.cur = self.next_word;
-            self.bits = self.words[self.next_word];
-            self.next_word += 1;
-        }
-        let b = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let g = self.cur * 64 + b;
+        let g = self.tagged.next()?;
         Some((self.base + g as u64 * CAP_SIZE, self.caps[g]))
     }
 }
@@ -454,20 +540,101 @@ mod tests {
 
     #[test]
     fn pages_of_a_dropped_memory_come_back_zeroed() {
+        // Sibling tests draw on the same pool and can take the shadow this
+        // one parked: every round checks what a memory may see, and one
+        // undisturbed round shows the shadow did travel.
+        let recycled = (0..64).any(|_| {
+            let mut mem = PhysMem::new();
+            mem.write_bytes(0x4000, &[0xab; 64]);
+            mem.store_cap(0x4040, cap(0x1234_0000));
+            drop(mem);
+            // The next memory takes the shadow and sees none of it.
+            let mut mem = PhysMem::new();
+            mem.materialize_page(0x4000);
+            let mut back = [0xffu8; 128];
+            mem.read_bytes(0x4000, &mut back);
+            assert_eq!(back, [0u8; 128]);
+            assert!(!mem.page_has_tags(0x4000));
+            // A recycled shadow shows no capability and no residue.
+            mem.store_cap(0x4080, Capability::null());
+            assert_eq!(mem.load_cap(0x4040), Capability::null());
+            assert_eq!(mem.read_u64(0x4040), 0);
+            assert_eq!(mem.tagged_caps_in_page(0x4000).count(), 0);
+            let shadow = mem.slab[0].caps.as_ref().expect("a capability store makes the shadow");
+            shadow[4] == cap(0x1234_0000)
+        });
+        assert!(recycled, "the dropped memory's shadow was not kept, or not handed on as it was");
+        assert!(shadow_pool().len() <= SHADOW_POOL_MAX);
+    }
+
+    #[test]
+    fn the_pool_is_bounded_once() {
+        // `park_shadows` never looks inside a shadow: empty ones do.
+        let mut pool = Vec::new();
+        for _ in 0..3 {
+            park_shadows(&mut pool, (0..SHADOW_POOL_MAX).map(|_| Shadow::default()));
+            assert_eq!(pool.len(), SHADOW_POOL_MAX);
+        }
+        let mut last = vec![Shadow::default()].into_iter();
+        park_shadows(&mut pool, &mut last);
+        assert_eq!(last.len(), 1, "a full pool leaves a shadow with its owner");
+    }
+
+    #[test]
+    fn touched_pages_own_no_box() {
         let mut mem = PhysMem::new();
-        mem.write_bytes(0x4000, &[0xab; 64]);
-        mem.store_cap(0x4040, cap(0x1234_0000));
-        drop(mem);
-        let spare = SPARE_PAGES.with(|s| s.borrow().len());
-        assert!(spare >= 1, "the dropped memory's data page was not kept");
-        // The next memory on this thread takes the page and sees none of it.
+        for page in 0..1000 {
+            mem.materialize_page(page * PAGE_SIZE);
+            mem.clear_tag_range(page * PAGE_SIZE + 8, 100);
+            assert_eq!(mem.load_cap(page * PAGE_SIZE), Capability::null());
+        }
+        assert_eq!(mem.resident_bytes(), 1000 * PAGE_SIZE);
+        // No shadow to park, no plane to free: the frame is all a page costs.
+        assert!(mem.slab.iter().all(|f| f.caps.is_none() && f.colors.is_none() && f.data.is_none()));
+    }
+
+    #[test]
+    fn first_byte_write_renders_the_shadow() {
         let mut mem = PhysMem::new();
-        mem.materialize_page(0x4000);
-        assert_eq!(SPARE_PAGES.with(|s| s.borrow().len()), spare - 1);
-        let mut back = [0xffu8; 128];
-        mem.read_bytes(0x4000, &mut back);
-        assert_eq!(back, [0u8; 128]);
-        assert!(!mem.page_has_tags(0x4000));
+        mem.store_cap(0x8000, cap(0x1000));
+        mem.store_cap(0x8010, cap(0x2000).with_tag_cleared());
+        assert!(mem.slab[0].data.is_none(), "capability stores need no data plane");
+        assert_eq!((mem.read_u64(0x8000), mem.read_u64(0x8008), mem.read_u64(0x8010)), (0x1000, 0, 0x2000));
+        mem.write_bytes(0x802c, &[7]);
+        assert!(mem.slab[0].data.is_some());
+        assert_eq!((mem.read_u64(0x8000), mem.read_u64(0x8008), mem.read_u64(0x8010)), (0x1000, 0, 0x2000));
+        assert_eq!(mem.load_cap(0x8000), cap(0x1000));
+        assert_eq!(mem.load_cap(0x8010), Capability::null().set_addr(0x2000));
+        // With a data plane, a capability store keeps both views in step.
+        mem.store_cap(0x8020, cap(0x3000));
+        assert_eq!((mem.read_u64(0x8020), mem.read_u64(0x8028)), (0x3000, 0));
+        mem.write_bytes(0x8020, &[9]);
+        assert_eq!(mem.load_cap(0x8020), Capability::null().set_addr(0x3009));
+    }
+
+    /// Runs `f` on a thread of its own and fails, instead of hanging the
+    /// suite, if it has not returned within 3 s.
+    fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        result.recv_timeout(std::time::Duration::from_secs(3)).expect("no result within 3 s")
+    }
+
+    #[test]
+    fn recolor_of_a_ragged_length_covers_every_overlapped_granule() {
+        for len in [1, 8, 24, PAGE_SIZE + 8] {
+            let mem = within_3s(move || {
+                let mut mem = PhysMem::new();
+                mem.set_color_range(0x8000, len, 3);
+                mem
+            });
+            let recolored = len.div_ceil(CAP_SIZE);
+            for g in 0..recolored + 2 {
+                let want = if g < recolored { 3 } else { 0 };
+                assert_eq!(mem.granule_color(0x8000 + g * CAP_SIZE), want, "len {len}, granule {g}");
+            }
+            assert_eq!(mem.resident_bytes(), (0x8000 + len).div_ceil(PAGE_SIZE) * PAGE_SIZE - 0x8000);
+        }
     }
 
     #[test]

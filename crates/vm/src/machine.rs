@@ -332,9 +332,12 @@ impl Machine {
         if !pte.read {
             return Err(VmFault::NotMapped { vaddr });
         }
+        // One walk to the frame answers for the granule's tag, colour and
+        // value; the cache is charged once the load is known to happen.
+        let granule = vaddr & !(CAP_SIZE - 1);
+        let (tag, color, cap) = self.mem.phys().load_granule(granule);
         // The barrier conditions the trap on the *loaded* tag (§4.1): only
         // valid capabilities flowing into the register file matter.
-        let tag = self.mem.phys().tag(vaddr & !(CAP_SIZE - 1));
         if tag {
             let mismatch = pte.load_gen != self.core_gen[core] || pte.always_trap_cap_loads;
             if mismatch {
@@ -350,12 +353,11 @@ impl Machine {
                 }
             }
         }
-        if self.mem.phys().granule_color(vaddr) != auth.color() {
+        if color != auth.color() {
             self.stats.color_faults += 1;
             return Err(VmFault::ColorMismatch { vaddr });
         }
-        let (cap, c) = self.mem.load_cap(core, vaddr & !(CAP_SIZE - 1));
-        Ok((cap, cycles + c))
+        Ok((cap, cycles + self.mem.touch_read(core, granule, CAP_SIZE)))
     }
 
     /// Stores `cap` at `auth.addr()`. A tagged store to a capability-clean
@@ -392,9 +394,13 @@ impl Machine {
     }
 
     /// Reads `len` bytes of data at `auth.addr()` (no tag semantics for
-    /// data loads). Only traffic is modelled; no buffer is produced.
+    /// data loads). Only traffic is modelled; no buffer is produced. A
+    /// zero-length load is a no-op once the capability check has passed.
     pub fn read_data(&mut self, core: CoreId, auth: &Capability, len: u64) -> Result<u64, VmFault> {
         auth.check_access(Perms::LOAD, len)?;
+        if len == 0 {
+            return Ok(0);
+        }
         let vaddr = auth.addr();
         let mut cycles = 0;
         for page in pages_spanned(vaddr, len) {
@@ -412,9 +418,15 @@ impl Machine {
     }
 
     /// Writes `len` bytes of data at `auth.addr()`, clearing every
-    /// overlapped granule tag (data stores never carry tags).
+    /// overlapped granule tag (data stores never carry tags). A zero-length
+    /// store is a no-op once the capability check has passed: with the
+    /// cursor at `top` it would otherwise reach the first granule past the
+    /// bounds.
     pub fn write_data(&mut self, core: CoreId, auth: &Capability, len: u64) -> Result<u64, VmFault> {
         auth.check_access(Perms::STORE, len)?;
+        if len == 0 {
+            return Ok(0);
+        }
         let vaddr = auth.addr();
         let mut cycles = 0;
         for page in pages_spanned(vaddr, len) {
@@ -431,7 +443,7 @@ impl Machine {
         }
         cycles += self.mem.touch_write(core, vaddr, len);
         // Bulk word-masked tag clear over every overlapped granule.
-        self.mem.phys_mut().clear_tag_range(vaddr, len.max(1));
+        self.mem.phys_mut().clear_tag_range(vaddr, len);
         Ok(cycles)
     }
 
@@ -638,7 +650,7 @@ impl Machine {
         self.mem.phys_mut().set_color_range(vaddr, len, color);
         // Color metadata traffic: 4 bits/granule = len/32 bytes.
         cycles += self.mem.touch_write(core, vaddr, (len / 32).max(1));
-        cycles += len / CAP_SIZE; // 1 cycle per granule recolor
+        cycles += len.div_ceil(CAP_SIZE); // 1 cycle per granule recolored
         Ok(cycles)
     }
 
@@ -772,6 +784,38 @@ mod tests {
         m.store_cap(0, &heap.set_addr(0x1_0000), heap).unwrap();
         m.write_data(0, &heap.set_addr(0x1_0008), 4).unwrap();
         assert!(!m.mem().phys().tag(0x1_0000));
+    }
+
+    #[test]
+    fn zero_length_data_access_is_a_no_op() {
+        let (mut m, heap) = setup();
+        let obj = heap.set_bounds_exact(0x1_0000, 0x1000).unwrap();
+        let past = obj.set_addr(obj.top());
+        assert!(past.is_tagged());
+        // A neighbour's capability in the first granule past `obj`.
+        m.store_cap(0, &heap.set_addr(obj.top()), heap).unwrap();
+        assert_eq!(m.write_data(0, &past, 0), Ok(0));
+        assert_eq!(m.read_data(0, &past, 0), Ok(0));
+        assert!(m.mem().phys().tag(obj.top()), "a store of nothing cleared a tag it had no authority over");
+        // Nothing translated, nothing materialised: the page past this
+        // object was never touched and stays that way.
+        let obj = heap.set_bounds_exact(0x1_2000, 0x1000).unwrap();
+        let (resident, misses) = (m.resident_bytes(), m.vm_stats().tlb_misses);
+        assert_eq!(m.write_data(0, &obj.set_addr(obj.top()), 0), Ok(0));
+        assert_eq!((m.resident_bytes(), m.vm_stats().tlb_misses), (resident, misses));
+        // The capability is still checked.
+        assert!(matches!(m.write_data(0, &past.with_tag_cleared(), 0), Err(VmFault::Capability(_))));
+    }
+
+    #[test]
+    fn recolor_charges_every_granule_it_overlaps() {
+        let (mut m, _) = setup();
+        let auth = Capability::new_root(0x1_0000, 0x4000, Perms::rw() | Perms::RECOLOR);
+        m.recolor(0, &auth, 32, 1).unwrap(); // warm the TLB and the cache line
+        let even = m.recolor(0, &auth, 32, 2).unwrap();
+        let ragged = m.recolor(0, &auth, 24, 3).unwrap();
+        assert_eq!(ragged, even, "24 bytes overlap two granules, as 32 do");
+        assert_eq!((m.granule_color(0x1_0000), m.granule_color(0x1_0010), m.granule_color(0x1_0020)), (3, 3, 0));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: release build + full test suite, the srclint source
-# gate (hermetic manifests, determinism lints), static-analyzer smokes
-# (opcheck digest stability, --preflight quarantine), the EXPERIMENTS.md
-# fixed point (regenerated at full scale and cmp'd), and a quick-mode
-# run of the benchmark so its bit-rot is caught without paying for a
-# full measurement run; its stats digests are compared with the pinned
-# tools/stats_digests.txt. Run from anywhere.
+# gate (hermetic manifests, determinism lints), every example,
+# static-analyzer smokes (opcheck digest stability, --preflight
+# quarantine), the EXPERIMENTS.md fixed point (regenerated at full scale
+# and cmp'd), and a quick-mode run of the benchmark so its bit-rot is
+# caught without paying for a full measurement run; its stats digests are
+# compared with the pinned tools/stats_digests.txt. Run from anywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +38,19 @@ grep -q '"spans":\[{' "$report_a" \
     || { echo "telemetry smoke: report has no phase spans" >&2; exit 1; }
 cmp -s "$report_a" "$report_b" \
     || { echo "telemetry smoke: reports differ across invocations" >&2; exit 1; }
+
+echo "== examples (every one exits 0 and ends in its OK line) =="
+# uaf_failstop and memory_coloring are the only callers of
+# PhysMem::{read,write}_u64 outside tests: the product-side users of a
+# frame's lazily made data plane.
+for example in quickstart uaf_failstop memory_coloring mmap_reservations interactive_latency replay_malloc_log; do
+    last="$(cargo run --release --offline -q --example "$example" 2>/dev/null | tail -n 1)" \
+        || { echo "examples: $example failed" >&2; exit 1; }
+    case "$last" in
+        *"$example OK") ;;
+        *) echo "examples: $example did not end in its OK line (last line: $last)" >&2; exit 1 ;;
+    esac
+done
 
 echo "== opcheck smoke (static analyzer over the smoke matrix) =="
 # The analyzer must find every generated program well-formed (exit 0 —
