@@ -1,272 +1,321 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
+//!
+//! A study is data: a table whose rows name the cells they read —
+//! `(program, condition, tweak)` at [`crate::plan::ABLATION_SEED`] — and a
+//! function from a row's looked-up [`RunStats`] to its columns. The cells
+//! become [`JobSpec`]s ([`jobs`]) and run where every other cell runs, on
+//! [`crate::orchestrator::run`]'s pool; a cell several rows or studies
+//! read runs once. `coloring` alone computes its rows in place: its
+//! shim is not one `System` can hold (ROADMAP item 2).
 
 use crate::fmt::{markdown_table, ms};
-use crate::harness::spec_single;
-use morello_sim::{Condition, SimConfigBuilder, System};
-use cornucopia::PteUpdateMode;
-use workloads::{spec, SpecProgram};
+use crate::harness::Suite;
+use crate::orchestrator::{self, MatrixOutcome, RunOptions};
+use crate::plan::JobSpec;
+use crate::plan::Tweak::{self, PteMode, Quarantine, RevokerThreads, SpareRevokerCore};
 use cheri_alloc::{ColoredMrs, HeapLayout, Mrs, MrsConfig};
 use cheri_vm::Machine;
-use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};
+use cornucopia::{PhaseKind, PteUpdateMode, Revoker, RevokerConfig, StepOutcome, Strategy};
+use morello_sim::{Condition, RunStats};
+use std::collections::BTreeSet;
+use workloads::SpecProgram::{self, AstarLakes, HmmerNph3, Omnetpp, Xalancbmk};
 
-fn run_with<F: FnOnce(SimConfigBuilder) -> SimConfigBuilder>(
-    program: SpecProgram,
-    condition: Condition,
-    tweak: F,
-) -> morello_sim::RunStats {
-    let w = spec(program, 77);
-    let builder = w.config.to_builder().condition(condition);
-    let cfg = tweak(builder).build().expect("ablation config must validate");
-    System::new(cfg).run(w.ops).expect("ablation run must be clean").into_stats()
+const CORNUCOPIA: Condition = Condition::Safe(Strategy::Cornucopia);
+const RELOADED: Condition = Condition::Safe(Strategy::Reloaded);
+
+/// One cell a row reads.
+#[derive(Debug, Clone, Copy)]
+struct Cell(SpecProgram, Condition, Tweak);
+
+/// The cell five of the studies share: the churn-heaviest workload under
+/// the paper's design and its tuned configuration.
+const XALANCBMK_RELOADED: Cell = Cell(Xalancbmk, RELOADED, Tweak::None);
+const OMNETPP_RELOADED: Cell = Cell(Omnetpp, RELOADED, Tweak::None);
+
+impl Cell {
+    fn job(self) -> JobSpec {
+        JobSpec::ablation(self.0, self.1, self.2)
+    }
+
+    /// The cell's result among the merged ablation cells, if it ran clean.
+    fn lookup(self, results: &Suite) -> Option<&RunStats> {
+        let job = self.job();
+        results.stats(job.workload(), job.condition().label()).first()
+    }
+}
+
+/// One ablation study (`repro ablation <name>`).
+#[derive(Debug)]
+pub struct Ablation {
+    /// The word after `repro ablation`.
+    pub name: &'static str,
+    heading: &'static str,
+    headers: &'static [&'static str],
+    /// Each row over matrix cells: its label and the cells it reads.
+    rows: &'static [(&'static str, &'static [Cell])],
+    columns: Columns,
+    expectation: &'static str,
+}
+
+#[derive(Debug)]
+enum Columns {
+    /// The columns after a row's label, from the row's cells and their
+    /// stats (same order).
+    Of(fn(&[Cell], &[&RunStats]) -> Vec<String>),
+    /// A study with no `rows`: whole table rows computed in place.
+    InPlace(fn() -> Vec<Vec<String>>),
+}
+
+impl Ablation {
+    /// Every cell reference of the study, row by row.
+    fn cells(&self) -> impl Iterator<Item = Cell> {
+        self.rows.iter().flat_map(|(_, cells)| *cells).copied()
+    }
+
+    /// Runs the study's cells alone, as one job list on one pool.
+    #[must_use]
+    pub fn run(&self, opts: &RunOptions) -> MatrixOutcome {
+        orchestrator::run(&jobs([self]), opts)
+    }
+
+    /// Renders the study from the merged ablation cells of a run that
+    /// planned [`jobs`] of it ([`MatrixOutcome::ablations`]). A row that
+    /// reads a cell with no result — it failed, or `--only` filtered it
+    /// out — says so instead of printing numbers.
+    #[must_use]
+    pub fn render(&self, results: &Suite) -> String {
+        let rows: Vec<Vec<String>> = match self.columns {
+            Columns::InPlace(rows) => rows(),
+            Columns::Of(columns) => self
+                .rows
+                .iter()
+                .map(|&(label, cells)| {
+                    let stats: Option<Vec<&RunStats>> =
+                        cells.iter().map(|cell| cell.lookup(results)).collect();
+                    let mut out = vec![label.to_string()];
+                    match stats {
+                        Some(stats) => out.extend(columns(cells, &stats)),
+                        None => {
+                            out.push("not evaluable (an input cell has no result)".to_string());
+                            out.resize(self.headers.len(), "—".to_string());
+                        }
+                    }
+                    out
+                })
+                .collect(),
+        };
+        format!(
+            "{}\n\n{}\n{}\n",
+            self.heading,
+            markdown_table(self.headers, &rows),
+            self.expectation
+        )
+    }
+}
+
+/// The cells of `studies` as jobs: each distinct cell once, in order of
+/// first reference.
+#[must_use]
+pub fn jobs<'a>(studies: impl IntoIterator<Item = &'a Ablation>) -> Vec<JobSpec> {
+    let mut seen = BTreeSet::new();
+    studies
+        .into_iter()
+        .flat_map(Ablation::cells)
+        .map(Cell::job)
+        .filter(|job| seen.insert(job.key()))
+        .collect()
+}
+
+fn wall_ms(stats: &RunStats) -> String {
+    format!("{:.1}", stats.wall_ms())
+}
+
+fn max_pause(stats: &RunStats) -> u64 {
+    stats.pauses.iter().copied().max().unwrap_or(0)
+}
+
+/// The cycles of each concurrent sweep phase of a run under `condition`,
+/// ascending.
+fn concurrent_phases(condition: Condition, stats: &RunStats) -> Vec<u64> {
+    let kind = if condition == CORNUCOPIA {
+        PhaseKind::CornucopiaConcurrent
+    } else {
+        PhaseKind::ReloadedConcurrent
+    };
+    let mut cycles: Vec<u64> =
+        stats.phases.iter().filter(|p| p.kind == kind).map(|p| p.cycles).collect();
+    cycles.sort_unstable();
+    cycles
+}
+
+fn median(sorted: &[u64]) -> u64 {
+    sorted.get(sorted.len() / 2).copied().unwrap_or(0)
 }
 
 /// Load barrier (Reloaded) vs store barrier (Cornucopia) as pointer-store
 /// density rises: the store barrier forces STW re-sweeps of re-dirtied
 /// pages, so its pause grows with density while the load barrier's does
 /// not (§3.1-3.2).
-#[must_use]
-pub fn barriers(workers: usize) -> String {
-    let cells = [
-        ("low pointer density (hmmer nph3)", SpecProgram::HmmerNph3),
-        ("medium (astar lakes)", SpecProgram::AstarLakes),
-        ("high (xalancbmk)", SpecProgram::Xalancbmk),
-    ];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let (label, program) = cells[i];
-        let corn = spec_single(program, Condition::cornucopia(), 77);
-        let rel = spec_single(program, Condition::reloaded(), 77);
-        let corn_pause = corn.pauses.iter().copied().max().unwrap_or(0);
-        let rel_pause = rel.pauses.iter().copied().max().unwrap_or(0);
-        vec![
-            label.to_string(),
-            ms(corn_pause),
-            ms(rel_pause),
-            format!("{:.0}x", corn_pause as f64 / rel_pause.max(1) as f64),
-        ]
-    });
-    let mut out = String::from("### Ablation — store barrier vs load barrier (max pause, ms)\n\n");
-    out.push_str(&markdown_table(
-        &["workload", "Cornucopia (store barrier)", "Reloaded (load barrier)", "pause ratio"],
-        &rows,
-    ));
-    out.push_str(
-        "\nExpectation: the store-barrier pause grows with pointer-store density; the \
-         load-barrier pause stays flat (register/hoard scan only).\n",
-    );
-    out
-}
+pub const BARRIERS: Ablation = Ablation {
+    name: "barriers",
+    heading: "### Ablation — store barrier vs load barrier (max pause, ms)",
+    headers: &["workload", "Cornucopia (store barrier)", "Reloaded (load barrier)", "pause ratio"],
+    rows: &[
+        (
+            "low pointer density (hmmer nph3)",
+            &[Cell(HmmerNph3, CORNUCOPIA, Tweak::None), Cell(HmmerNph3, RELOADED, Tweak::None)],
+        ),
+        (
+            "medium (astar lakes)",
+            &[Cell(AstarLakes, CORNUCOPIA, Tweak::None), Cell(AstarLakes, RELOADED, Tweak::None)],
+        ),
+        ("high (xalancbmk)", &[Cell(Xalancbmk, CORNUCOPIA, Tweak::None), XALANCBMK_RELOADED]),
+    ],
+    columns: Columns::Of(|_, stats| {
+        let (corn, rel) = (max_pause(stats[0]), max_pause(stats[1]));
+        vec![ms(corn), ms(rel), format!("{:.0}x", corn as f64 / rel.max(1) as f64)]
+    }),
+    expectation: "Expectation: the store-barrier pause grows with pointer-store density; the \
+                  load-barrier pause stays flat (register/hoard scan only).",
+};
 
 /// Per-PTE generation bits vs rewriting every PTE each epoch (§4.1).
-#[must_use]
-pub fn pte_mode(workers: usize) -> String {
-    let cells = [
-        ("generation bits (paper design)", PteUpdateMode::Generation),
-        ("rewrite PTEs each epoch (strawman)", PteUpdateMode::RewriteEachEpoch),
-    ];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let (label, mode) = cells[i];
-        let stats =
-            run_with(SpecProgram::Omnetpp, Condition::reloaded(), |b| b.pte_mode(mode));
-        vec![
-            label.to_string(),
-            format!("{:.1}", stats.wall_ms()),
-            ms(stats.pauses.iter().copied().max().unwrap_or(0)),
-            format!("{}", stats.revocations),
-        ]
-    });
-    let mut out = String::from("### Ablation — PTE maintenance mode (omnetpp, Reloaded)\n\n");
-    out.push_str(&markdown_table(&["mode", "wall (ms)", "max pause (ms)", "epochs"], &rows));
-    out.push_str(
-        "\nExpectation: rewriting every PTE at epoch start lengthens the stop-the-world \
-         entry (one PTE write + shootdown per mapped page, twice per epoch) without any \
-         safety benefit — the reason §4.1's generation scheme exists.\n",
-    );
-    out
-}
+pub const PTE_MODE: Ablation = Ablation {
+    name: "pte_mode",
+    heading: "### Ablation — PTE maintenance mode (omnetpp, Reloaded)",
+    headers: &["mode", "wall (ms)", "max pause (ms)", "epochs"],
+    rows: &[
+        ("generation bits (paper design)", &[OMNETPP_RELOADED]),
+        (
+            "rewrite PTEs each epoch (strawman)",
+            &[Cell(Omnetpp, RELOADED, PteMode(PteUpdateMode::RewriteEachEpoch))],
+        ),
+    ],
+    columns: Columns::Of(|_, stats| {
+        let s = stats[0];
+        vec![wall_ms(s), ms(max_pause(s)), s.revocations.to_string()]
+    }),
+    expectation: "Expectation: rewriting every PTE at epoch start lengthens the stop-the-world \
+                  entry (one PTE write + shootdown per mapped page, twice per epoch) without any \
+                  safety benefit — the reason §4.1's generation scheme exists.",
+};
 
 /// Quarantine policy sweep (§7.2): fraction of heap and floor.
-#[must_use]
-pub fn quarantine_policy(workers: usize) -> String {
-    let cells = [
-        ("1/7 of heap, 128 KiB floor", 7u64, 128u64 << 10),
-        ("1/3 of heap, 128 KiB floor (paper)", 3, 128 << 10),
-        ("1/1 of heap, 128 KiB floor", 1, 128 << 10),
-        ("1/3 of heap, 1 MiB floor", 3, 1 << 20),
-    ];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let (label, divisor, floor) = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
-            b.quarantine_divisor(divisor).min_quarantine(floor)
-        });
-        vec![
-            label.to_string(),
-            format!("{:.1}", stats.wall_ms()),
-            format!("{}", stats.revocations),
-            format!("{:.1}", stats.peak_rss as f64 / (1 << 20) as f64),
-        ]
-    });
-    let mut out = String::from("### Ablation — quarantine policy (xalancbmk, Reloaded)\n\n");
-    out.push_str(&markdown_table(&["policy", "wall (ms)", "revocations", "peak RSS (MiB)"], &rows));
-    out.push_str(
-        "\nExpectation: a larger quarantine trades memory footprint for fewer, larger \
-         revocation passes (§7.2); the paper's 1/3-of-allocated-heap policy sits in the \
-         middle of the curve.\n",
-    );
-    out
-}
+pub const QUARANTINE_POLICY: Ablation = Ablation {
+    name: "quarantine_policy",
+    heading: "### Ablation — quarantine policy (xalancbmk, Reloaded)",
+    headers: &["policy", "wall (ms)", "revocations", "peak RSS (MiB)"],
+    rows: &[
+        ("1/7 of heap, 128 KiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(7, 128 << 10))]),
+        ("1/3 of heap, 128 KiB floor (paper)", &[XALANCBMK_RELOADED]),
+        ("1/1 of heap, 128 KiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(1, 128 << 10))]),
+        ("1/3 of heap, 1 MiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(3, 1 << 20))]),
+    ],
+    columns: Columns::Of(|_, stats| {
+        let s = stats[0];
+        let peak_mib = s.peak_rss as f64 / (1 << 20) as f64;
+        vec![wall_ms(s), s.revocations.to_string(), format!("{peak_mib:.1}")]
+    }),
+    expectation: "Expectation: a larger quarantine trades memory footprint for fewer, larger \
+                  revocation passes (§7.2); the paper's 1/3-of-allocated-heap policy sits in the \
+                  middle of the curve.",
+};
 
 /// CHERIoT-style in-pipeline load filter vs trapping load barrier (§6.3).
-#[must_use]
-pub fn cheriot(workers: usize) -> String {
-    let cells = [
-        ("Reloaded (trap + self-heal)", Condition::reloaded()),
-        ("CHERIoT-style filter (probe every load)", Condition::Safe(cornucopia::Strategy::CheriotFilter)),
-    ];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let (label, cond) = cells[i];
-        let stats = spec_single(SpecProgram::Omnetpp, cond, 77);
-        vec![
-            label.to_string(),
-            format!("{:.1}", stats.wall_ms()),
-            format!("{}", stats.faults),
-            ms(stats.pauses.iter().copied().max().unwrap_or(0)),
-        ]
-    });
-    let mut out = String::from("### Ablation — CHERIoT-style load filter vs load barrier (omnetpp)\n\n");
-    out.push_str(&markdown_table(&["design", "wall (ms)", "load faults", "max pause (ms)"], &rows));
-    out.push_str(
-        "\nExpectation: the filter takes no traps and needs no epoch entry STW at all \
-         (freed objects are dead on load), at the price of probing the bitmap on every \
-         capability load — viable for CHERIoT's tightly-coupled SRAM, costly for a \
-         server-class memory hierarchy (§6.3).\n",
-    );
-    out
-}
+pub const CHERIOT: Ablation = Ablation {
+    name: "cheriot",
+    heading: "### Ablation — CHERIoT-style load filter vs load barrier (omnetpp)",
+    headers: &["design", "wall (ms)", "load faults", "max pause (ms)"],
+    rows: &[
+        ("Reloaded (trap + self-heal)", &[OMNETPP_RELOADED]),
+        (
+            "CHERIoT-style filter (probe every load)",
+            &[Cell(Omnetpp, Condition::Safe(Strategy::CheriotFilter), Tweak::None)],
+        ),
+    ],
+    columns: Columns::Of(|_, stats| {
+        let s = stats[0];
+        vec![wall_ms(s), s.faults.to_string(), ms(max_pause(s))]
+    }),
+    expectation: "Expectation: the filter takes no traps and needs no epoch entry STW at all \
+                  (freed objects are dead on load), at the price of probing the bitmap on every \
+                  capability load — viable for CHERIoT's tightly-coupled SRAM, costly for a \
+                  server-class memory hierarchy (§6.3).",
+};
 
 /// Revoker core placement (§5.3/§7.7): spare core vs competing with the
 /// application.
-#[must_use]
-pub fn revoker_priority(workers: usize) -> String {
-    let cells =
-        [("revoker on spare core (SPEC setup)", true), ("revoker competes for app cores (gRPC setup)", false)];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let (label, spare) = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
-            b.spare_revoker_core(spare)
-        });
-        vec![label.to_string(), format!("{:.1}", stats.wall_ms()), format!("{}", stats.blocked_allocs)]
-    });
-    let mut out = String::from("### Ablation — revoker CPU placement (xalancbmk, Reloaded)\n\n");
-    out.push_str(&markdown_table(&["placement", "wall (ms)", "blocked allocations"], &rows));
-    out.push_str(
-        "\nExpectation: without a spare core, concurrent revocation steals mutator \
-         cycles and passes take longer to finish, so allocation blocks more often — \
-         the §7.7 motivation for tuning the revoker thread's quantum/priority.\n",
-    );
-    out
-}
-
+pub const REVOKER_PRIORITY: Ablation = Ablation {
+    name: "revoker_priority",
+    heading: "### Ablation — revoker CPU placement (xalancbmk, Reloaded)",
+    headers: &["placement", "wall (ms)", "blocked allocations"],
+    rows: &[
+        ("revoker on spare core (SPEC setup)", &[XALANCBMK_RELOADED]),
+        (
+            "revoker competes for app cores (gRPC setup)",
+            &[Cell(Xalancbmk, RELOADED, SpareRevokerCore(false))],
+        ),
+    ],
+    columns: Columns::Of(|_, stats| vec![wall_ms(stats[0]), stats[0].blocked_allocs.to_string()]),
+    expectation: "Expectation: without a spare core, concurrent revocation steals mutator \
+                  cycles and passes take longer to finish, so allocation blocks more often — \
+                  the §7.7 motivation for tuning the revoker thread's quantum/priority.",
+};
 
 /// Multi-threaded background revocation (§7.1): more revoker threads
 /// shorten the concurrent phase (and with it the window in which
 /// Cornucopia accumulates re-dirtied pages / Reloaded takes faults).
-#[must_use]
-pub fn revoker_threads(workers: usize) -> String {
-    let cells = [1usize, 2];
-    let rows = crate::orchestrator::parallel_cells(cells.len(), workers, |i| {
-        let threads = cells[i];
-        let stats = run_with(SpecProgram::Xalancbmk, Condition::reloaded(), |b| {
-            b.revoker_threads(threads)
-        });
-        let mut concurrent: Vec<u64> = stats
-            .phases
-            .iter()
-            .filter(|p| p.kind == cornucopia::PhaseKind::ReloadedConcurrent)
-            .map(|p| p.cycles)
-            .collect();
-        concurrent.sort_unstable();
-        let median = concurrent.get(concurrent.len() / 2).copied().unwrap_or(0);
-        vec![
-            format!("{threads} background thread(s)"),
-            format!("{:.1}", stats.wall_ms()),
-            ms(median),
-            format!("{}", stats.faults),
-        ]
-    });
-    let mut out =
-        String::from("### Ablation — background revoker threads (§7.1; xalancbmk, Reloaded)\n\n");
-    out.push_str(&markdown_table(
-        &["configuration", "wall (ms)", "median concurrent phase (ms)", "load faults"],
-        &rows,
-    ));
-    out.push_str(
-        "\nExpectation: a second background thread roughly halves the concurrent \
-         phase; the application then takes fewer load-barrier faults because pages \
-         are healed before it touches them.\n",
-    );
-    out
-}
+pub const REVOKER_THREADS: Ablation = Ablation {
+    name: "revoker_threads",
+    heading: "### Ablation — background revoker threads (§7.1; xalancbmk, Reloaded)",
+    headers: &["configuration", "wall (ms)", "median concurrent phase (ms)", "load faults"],
+    rows: &[
+        ("1 background thread(s)", &[XALANCBMK_RELOADED]),
+        ("2 background thread(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
+    ],
+    columns: Columns::Of(|cells, stats| {
+        let s = stats[0];
+        vec![wall_ms(s), ms(median(&concurrent_phases(cells[0].1, s))), s.faults.to_string()]
+    }),
+    expectation: "Expectation: a second background thread roughly halves the concurrent \
+                  phase; the application then takes fewer load-barrier faults because pages \
+                  are healed before it touches them.",
+};
 
-/// Parallel multi-core concurrent sweep (§7.1): revoker_cores ∈ {1, 2, 4}
+/// Parallel multi-core concurrent sweep (§7.1): revoker cores ∈ {1, 2, 4}
 /// × {Cornucopia, Reloaded} on the churn-heaviest workload. Each core
 /// consumes its own worklist shard and charges its own traffic, so the
 /// concurrent phase shrinks to the critical path while per-core DRAM
 /// shows where the sweep's bus pressure actually lands.
-#[must_use]
-pub fn revoker_core_scaling() -> String {
-    let mut rows = Vec::new();
-    for condition in [Condition::cornucopia(), Condition::reloaded()] {
-        for cores in [1usize, 2, 4] {
-            let stats =
-                run_with(SpecProgram::Xalancbmk, condition, |b| b.revoker_threads(cores));
-            let phase_kind = match condition {
-                Condition::Safe(Strategy::Cornucopia) => cornucopia::PhaseKind::CornucopiaConcurrent,
-                _ => cornucopia::PhaseKind::ReloadedConcurrent,
-            };
-            let mut concurrent: Vec<u64> = stats
-                .phases
-                .iter()
-                .filter(|p| p.kind == phase_kind)
-                .map(|p| p.cycles)
-                .collect();
-            concurrent.sort_unstable();
-            let median = concurrent.get(concurrent.len() / 2).copied().unwrap_or(0);
-            let total: u64 = concurrent.iter().sum();
-            let per_core_dram = stats
-                .revoker_dram_per_core
-                .iter()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join(" / ");
-            rows.push(vec![
-                format!("{} × {cores} core(s)", condition.label()),
-                ms(median),
-                ms(total),
-                per_core_dram,
-            ]);
-        }
-    }
-    let mut out = String::from(
-        "### Ablation — parallel sweep core scaling (§7.1; xalancbmk, sharded worklists)\n\n",
-    );
-    out.push_str(&markdown_table(
-        &[
-            "configuration",
-            "median concurrent phase (ms)",
-            "total concurrent (ms)",
-            "revoker DRAM txns per core",
-        ],
-        &rows,
-    ));
-    out.push_str(
-        "\nExpectation: the concurrent-phase critical path falls roughly in proportion \
-         to the core count (identical revocation results — the property suite checks \
-         bit-for-bit equality), DRAM transactions spread across the sweeping cores \
-         instead of piling on `revoker_cores[0]`, and the shorter window reduces \
-         Cornucopia's re-dirtied-page STW work / Reloaded's fault exposure.\n",
-    );
-    out
-}
+pub const REVOKER_CORES: Ablation = Ablation {
+    name: "revoker_cores",
+    heading: "### Ablation — parallel sweep core scaling (§7.1; xalancbmk, sharded worklists)",
+    headers: &[
+        "configuration",
+        "median concurrent phase (ms)",
+        "total concurrent (ms)",
+        "revoker DRAM txns per core",
+    ],
+    rows: &[
+        ("Cornucopia × 1 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, Tweak::None)]),
+        ("Cornucopia × 2 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, RevokerThreads(2))]),
+        ("Cornucopia × 4 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, RevokerThreads(4))]),
+        ("Reloaded × 1 core(s)", &[XALANCBMK_RELOADED]),
+        ("Reloaded × 2 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
+        ("Reloaded × 4 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(4))]),
+    ],
+    columns: Columns::Of(|cells, stats| {
+        let concurrent = concurrent_phases(cells[0].1, stats[0]);
+        let per_core_dram: Vec<String> =
+            stats[0].revoker_dram_per_core.iter().map(u64::to_string).collect();
+        vec![ms(median(&concurrent)), ms(concurrent.iter().sum()), per_core_dram.join(" / ")]
+    }),
+    expectation: "Expectation: the concurrent-phase critical path falls roughly in proportion \
+                  to the core count (identical revocation results — the property suite checks \
+                  bit-for-bit equality), DRAM transactions spread across the sweeping cores \
+                  instead of piling on `revoker_cores[0]`, and the shorter window reduces \
+                  Cornucopia's re-dirtied-page STW work / Reloaded's fault exposure.",
+};
 
 // ---------------------------------------------------------------------
 // §7.3 coloring composition
@@ -274,6 +323,10 @@ pub fn revoker_core_scaling() -> String {
 
 const COLORING_CHURN_OBJECTS: u64 = 4000;
 const COLORING_OBJ_SIZE: u64 = 8 << 10;
+
+fn coloring_layout() -> HeapLayout {
+    HeapLayout::new(0x4000_0000, 64 << 20)
+}
 
 fn coloring_drain(machine: &mut Machine, revoker: &mut Revoker) -> u64 {
     let mut cycles = 0;
@@ -287,89 +340,198 @@ fn coloring_drain(machine: &mut Machine, revoker: &mut Revoker) -> u64 {
     cycles
 }
 
-fn coloring_run_plain() -> Vec<String> {
-    let layout = HeapLayout::new(0x4000_0000, 64 << 20);
-    let mut machine = Machine::new(4);
-    let mut revoker = Revoker::new(
-        RevokerConfig { strategy: Strategy::Reloaded, ..RevokerConfig::default() },
-        layout.base,
-        layout.total_len,
-    );
-    let mut heap = Mrs::new(layout, MrsConfig { min_quarantine_bytes: 1 << 20, ..MrsConfig::default() });
-    let mut rev_cycles = 0;
-    for _ in 0..COLORING_CHURN_OBJECTS {
-        let p = heap.alloc(&mut machine, 3, COLORING_OBJ_SIZE).unwrap().cap;
-        let e = heap.free(&mut machine, &mut revoker, 3, p).unwrap();
-        if e.trigger_revocation {
-            rev_cycles += revoker.start_epoch(&mut machine);
-            rev_cycles += coloring_drain(&mut machine, &mut revoker);
-            heap.poll_release(&mut machine, &mut revoker, 3);
+/// One design's row: churns [`COLORING_CHURN_OBJECTS`] objects through
+/// the shim `$heap` on a bare `Machine` + `Revoker`, revoking whenever a
+/// free asks for it. A macro, because [`Mrs`] and [`ColoredMrs`] share
+/// the three method shapes the loop calls but no trait.
+macro_rules! coloring_row {
+    ($design:expr, $heap:expr, $lifetime:expr) => {{
+        let (layout, mut heap) = (coloring_layout(), $heap);
+        let mut machine = Machine::new(4);
+        let mut revoker = Revoker::new(
+            RevokerConfig { strategy: Strategy::Reloaded, ..RevokerConfig::default() },
+            layout.base,
+            layout.total_len,
+        );
+        let mut rev_cycles = 0;
+        for _ in 0..COLORING_CHURN_OBJECTS {
+            let p = heap.alloc(&mut machine, 3, COLORING_OBJ_SIZE).unwrap().cap;
+            let e = heap.free(&mut machine, &mut revoker, 3, p).unwrap();
+            if e.trigger_revocation {
+                rev_cycles += revoker.start_epoch(&mut machine);
+                rev_cycles += coloring_drain(&mut machine, &mut revoker);
+                heap.poll_release(&mut machine, &mut revoker, 3);
+            }
         }
-    }
-    vec![
-        "plain quarantine (Mrs + Reloaded)".into(),
-        format!("{}", revoker.stats().epochs),
-        format!("{:.2}", rev_cycles as f64 / 2.5e6),
-        "until next epoch (UAF window)".into(),
-    ]
+        vec![
+            $design,
+            format!("{}", revoker.stats().epochs),
+            format!("{:.2}", rev_cycles as f64 / 2.5e6),
+            $lifetime.to_string(),
+        ]
+    }};
 }
-
-fn coloring_run_colored(colors: u8) -> Vec<String> {
-    let layout = HeapLayout::new(0x4000_0000, 64 << 20);
-    let mut machine = Machine::new(4);
-    let mut revoker = Revoker::new(
-        RevokerConfig { strategy: Strategy::Reloaded, ..RevokerConfig::default() },
-        layout.base,
-        layout.total_len,
-    );
-    let mut heap = ColoredMrs::new(layout, colors, 1 << 20);
-    let mut rev_cycles = 0;
-    for _ in 0..COLORING_CHURN_OBJECTS {
-        let p = heap.alloc(&mut machine, 3, COLORING_OBJ_SIZE).unwrap().cap;
-        let e = heap.free(&mut machine, &mut revoker, 3, p).unwrap();
-        if e.trigger_revocation {
-            rev_cycles += revoker.start_epoch(&mut machine);
-            rev_cycles += coloring_drain(&mut machine, &mut revoker);
-            heap.poll_release(&mut machine, &mut revoker, 3);
-        }
-    }
-    vec![
-        format!("coloring, {colors} colors"),
-        format!("{}", revoker.stats().epochs),
-        format!("{:.2}", rev_cycles as f64 / 2.5e6),
-        "instant (fail-stop on free)".into(),
-    ]
-}
-
 
 /// The §7.3 CHERI + memory-coloring composition vs. plain quarantine:
 /// revocation pressure falls with the color count while stale pointers
 /// die at free time.
-#[must_use]
-pub fn coloring() -> String {
-    let rows = vec![coloring_run_plain(), coloring_run_colored(4), coloring_run_colored(8), coloring_run_colored(16)];
-    let mut out = String::from("### Ablation — CHERI + memory coloring (§7.3)\n\n");
-    out.push_str(&markdown_table(
-        &["design", "revocation passes", "revoker ms", "stale-pointer lifetime"],
-        &rows,
-    ));
-    out.push_str(
-        "\nExpectation (§7.3): quarantine pressure — and with it revocation \
-         frequency — falls roughly in proportion to the color count, while the \
-         UAF/UAR gap closes completely (stale pointers die at free time, as in \
-         CHERIoT).\n",
-    );
-    out
-}
+pub const COLORING: Ablation = Ablation {
+    name: "coloring",
+    heading: "### Ablation — CHERI + memory coloring (§7.3)",
+    headers: &["design", "revocation passes", "revoker ms", "stale-pointer lifetime"],
+    rows: &[],
+    columns: Columns::InPlace(|| {
+        let plain = MrsConfig { min_quarantine_bytes: 1 << 20, ..MrsConfig::default() };
+        let mut rows = vec![coloring_row!(
+            "plain quarantine (Mrs + Reloaded)".to_string(),
+            Mrs::new(coloring_layout(), plain),
+            "until next epoch (UAF window)"
+        )];
+        rows.extend([4, 8, 16].map(|colors| {
+            coloring_row!(
+                format!("coloring, {colors} colors"),
+                ColoredMrs::new(coloring_layout(), colors, 1 << 20),
+                "instant (fail-stop on free)"
+            )
+        }));
+        rows
+    }),
+    expectation: "Expectation (§7.3): quarantine pressure — and with it revocation \
+                  frequency — falls roughly in proportion to the color count, while the \
+                  UAF/UAR gap closes completely (stale pointers die at free time, as in \
+                  CHERIoT).",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Scale;
+    use crate::plan::MatrixPlan;
+    use crate::report::ABLATIONS;
 
     #[test]
     fn barrier_ablation_smoke() {
-        let report = barriers(1);
+        let outcome = BARRIERS.run(&RunOptions::new().workers(1));
+        let report = BARRIERS.render(outcome.ablations());
         assert!(report.contains("xalancbmk"));
         assert!(report.contains("pause ratio"));
+    }
+
+    #[test]
+    fn the_24_cell_references_are_17_cells_and_none_is_a_figure_cell() {
+        assert_eq!(ABLATIONS.iter().flat_map(Ablation::cells).count(), 24);
+        let planned = jobs(&ABLATIONS);
+        let ablation_keys: BTreeSet<String> = planned.iter().map(JobSpec::key).collect();
+        assert_eq!((planned.len(), ablation_keys.len()), (17, 17));
+
+        let figure_cells = MatrixPlan::all(Scale::default()).build().unwrap();
+        let figure_keys: BTreeSet<String> = figure_cells.iter().map(JobSpec::key).collect();
+        assert_eq!(figure_keys.len(), 132);
+        assert!(ablation_keys.is_disjoint(&figure_keys));
+
+        // `repro all`'s list: the figure cells, then the ablation cells.
+        let all = MatrixPlan::all(Scale::default()).cells(planned).build().unwrap();
+        assert_eq!(all.len(), 149);
+        assert!(all[132..].iter().all(|job| job.merge_label() == crate::plan::ABLATION_LABEL));
+    }
+
+    #[test]
+    fn every_row_finds_its_cells_in_a_run_that_planned_them() {
+        // The merge `orchestrator::run` performs, over made-up results.
+        let mut results = Suite::new();
+        for job in jobs(&ABLATIONS) {
+            results.insert(job.workload(), job.condition(), RunStats::default());
+        }
+        for study in ABLATIONS.iter().filter(|s| matches!(s.columns, Columns::Of(_))) {
+            let text = study.render(&results);
+            assert!(!text.contains("not evaluable") && !text.contains("NaN"), "{text}");
+        }
+        let empty = PTE_MODE.render(&Suite::new());
+        assert_eq!(empty.matches("not evaluable").count(), 2, "{empty}");
+    }
+
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ablations-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The table rows of a rendered study, keyed by nothing: row order is
+    /// declaration order.
+    fn table_rows(text: &str) -> Vec<&str> {
+        text.lines().filter(|l| l.starts_with("| ")).skip(1).collect()
+    }
+
+    #[test]
+    fn a_panicking_cell_costs_its_row_only_and_a_checkpoint_resumes_the_rest() {
+        let dir = scratch_dir("fault");
+        let opts = RunOptions::new()
+            .workers(2)
+            .checkpoint(dir.join("ck.jsonl"))
+            .repro_dir(dir.join("repro"));
+
+        // One hmmer cell panics on both attempts: a record, not an abort.
+        let doomed = Cell(HmmerNph3, CORNUCOPIA, Tweak::None).job().key();
+        let faulty = BARRIERS.run(&opts.clone().inject_panic(Some(doomed.clone())));
+        assert_eq!((faulty.completed, faulty.failures.len()), (5, 1));
+        assert_eq!(faulty.failures[0].key, doomed);
+        let repro = dir.join("repro").join(orchestrator::repro_file_name(&doomed));
+        let repro = std::fs::read_to_string(repro).expect("the failed cell leaves a repro file");
+        assert!(repro.contains("--ablations --only 'ablation|hmmer nph3|Cornucopia|s77'"), "{repro}");
+        let faulty = BARRIERS.render(faulty.ablations());
+
+        // The same checkpoint, no fault: only the lost cell runs.
+        let healed = BARRIERS.run(&opts);
+        assert_eq!((healed.completed, healed.resumed), (1, 5));
+        let healed = BARRIERS.render(healed.ablations());
+        let (faulty_rows, healed_rows) = (table_rows(&faulty), table_rows(&healed));
+        assert!(faulty_rows[0].starts_with("| low pointer density (hmmer nph3) | not evaluable"));
+        assert!(!healed.contains("not evaluable"), "{healed}");
+        assert_eq!(faulty_rows[1..], healed_rows[1..], "the other rows must not move");
+
+        // Again, with every cell rigged to panic if it ran: none does.
+        let resumed = BARRIERS.run(&opts.inject_panic(Some("|".to_string())));
+        assert_eq!((resumed.completed, resumed.resumed), (0, 6));
+        assert_eq!(BARRIERS.render(resumed.ablations()), healed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tweaked_cells_checkpoint_line_never_replays_into_the_untweaked_cell() {
+        let dir = scratch_dir("tweak");
+        let tweaked = Cell(HmmerNph3, RELOADED, Tweak::RevokerThreads(2)).job();
+        let plain = Cell(HmmerNph3, RELOADED, Tweak::None).job();
+        assert_ne!(tweaked.key(), plain.key());
+
+        let written = dir.join("tweaked.jsonl");
+        let first = orchestrator::run(
+            std::slice::from_ref(&tweaked),
+            &RunOptions::new().checkpoint(&written),
+        );
+        assert_eq!(first.completed, 1);
+        let again = orchestrator::run(
+            std::slice::from_ref(&tweaked),
+            &RunOptions::new().checkpoint(&written),
+        );
+        assert_eq!((again.completed, again.resumed), (0, 1), "its own line replays");
+
+        // By key: the tweak is part of it. And were the keys ever to
+        // collide, by the parameters recorded beside the key.
+        let over_own = orchestrator::run(
+            std::slice::from_ref(&plain),
+            &RunOptions::new().checkpoint(&written),
+        );
+        assert_eq!((over_own.completed, over_own.resumed), (1, 0));
+        let line = std::fs::read_to_string(&written).unwrap();
+        let line = line.lines().next().unwrap();
+        let forged = dir.join("forged.jsonl");
+        std::fs::write(&forged, line.replace(&tweaked.key(), &plain.key()) + "\n").unwrap();
+        let over_forged = orchestrator::run(
+            std::slice::from_ref(&plain),
+            &RunOptions::new().checkpoint(&forged),
+        );
+        assert_eq!((over_forged.completed, over_forged.resumed), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,10 +21,11 @@
 //! Every parser hard-errors (exit 2) on unparsable values: a mistyped
 //! sweep configuration must not silently run a multi-hour default.
 
+use crate::ablations::Ablation;
 use crate::harness::Scale;
 use crate::orchestrator::{parse_jobs, RunOptions, Shard};
 use crate::plan::SuiteKind;
-use crate::report::{Ablation, Section, ABLATIONS, SECTIONS};
+use crate::report::{Section, ABLATIONS, SECTIONS};
 use cornucopia::Strategy;
 use morello_sim::Condition;
 use std::path::PathBuf;
@@ -89,8 +90,8 @@ pub fn env_run_options() -> RunOptions {
 pub enum Command {
     /// `repro <section>`: run the suites one section needs, print it.
     Section(&'static Section),
-    /// `repro ablation <name>`: print one ablation study.
-    Ablation(Ablation),
+    /// `repro ablation <name>`: run one ablation study's cells, print it.
+    Ablation(&'static Ablation),
     /// `repro matrix …` and `repro all …` ([`Args::all`] tells them
     /// apart): run a matrix, write the whole report.
     Matrix(Args),
@@ -157,7 +158,8 @@ pub struct Args {
     pub strict: bool,
     /// `--suites a,b` (default: all four), in the order given.
     pub suites: Vec<SuiteKind>,
-    /// `--ablations`: render the ablation studies too.
+    /// `--ablations`: plan the ablation studies' cells and render the
+    /// studies too.
     pub ablations: bool,
     /// `--csv DIR` (`opcheck`): write each program's RSS-bound curve.
     pub csv: Option<PathBuf>,
@@ -219,7 +221,7 @@ pub fn usage() -> String {
          \x20      repro trace dump <workload> <out.trace>   workloads: pgbench grpc {}\n\
          \x20      repro trace replay <in.trace> [{}]",
         join(SECTIONS.iter().map(|s| s.name)),
-        join(ABLATIONS.iter().map(|(name, _)| *name)),
+        join(ABLATIONS.iter().map(|ablation| ablation.name)),
         flags(MATRIX_FLAGS),
         flags(ALL_FLAGS),
         flags(OPCHECK_FLAGS),
@@ -246,11 +248,11 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
     let command = match word.as_str() {
         "ablation" => {
             let name = args.next().ok_or("ablation needs a name")?;
-            let (_, render) = ABLATIONS
+            let ablation = ABLATIONS
                 .iter()
-                .find(|(known, _)| *known == name)
+                .find(|known| known.name == name)
                 .ok_or_else(|| format!("unknown ablation {name:?}"))?;
-            Command::Ablation(*render)
+            Command::Ablation(ablation)
         }
         "matrix" => Command::Matrix(parse_flags(false, MATRIX_FLAGS, &mut args)?),
         "all" => Command::Matrix(parse_flags(true, ALL_FLAGS, &mut args)?),

@@ -9,9 +9,10 @@
 //! one job list ([`MatrixPlan`]) drained on one worker pool, so cells
 //! interleave across suite boundaries and one `--checkpoint` covers the
 //! whole run ([`orchestrator`] documents resume, `--preflight`, failure
-//! records and sharding). `--shard K/N` runs one shard in this process;
-//! an unsharded run over the same checkpoint directory merges and writes
-//! the report.
+//! records and sharding); with `--ablations` (always, for `all`) the
+//! ablation studies' cells are on that list too. `--shard K/N` runs one
+//! shard in this process; an unsharded run over the same checkpoint
+//! directory merges and writes the report.
 //!
 //! `opcheck` expands the matrix exactly as `matrix` does, then collapses
 //! it to one static analysis per **program**: the analyzer sees ops, not
@@ -21,16 +22,17 @@
 //! exit status is 1 if any program carries malformed-program diagnostics
 //! — the verdict `matrix --preflight` quarantines on.
 
+use crate::ablations::{self, Ablation};
 use crate::cli::{self, Args, Command, TraceWorkload};
 use crate::harness::Scale;
-use crate::orchestrator::{self, parallel_cells, repro_file_name, JobSpec};
+use crate::orchestrator::{self, parallel_cells, repro_file_name, JobFailure, JobSpec};
 use crate::plan::{distinct_programs, MatrixPlan};
 use crate::report::{self, Section};
 use analyze::Report;
 use morello_sim::{trace, Condition, Json, SimConfig, System};
 use std::process::ExitCode;
 use std::time::Instant;
-use workloads::{grpc_qps, pgbench, spec, GrpcParams, PgbenchParams};
+use workloads::{grpc_qps, pgbench, spec_stream, GrpcParams, PgbenchParams};
 
 /// Runs one parsed subcommand to completion.
 ///
@@ -45,8 +47,8 @@ pub fn run(command: &Command) -> Result<ExitCode, String> {
             print_section(section);
             Ok(ExitCode::SUCCESS)
         }
-        Command::Ablation(render) => {
-            println!("{}", render(cli::env_workers()));
+        Command::Ablation(ablation) => {
+            print_ablation(ablation);
             Ok(ExitCode::SUCCESS)
         }
         Command::Matrix(args) => matrix(args),
@@ -56,27 +58,40 @@ pub fn run(command: &Command) -> Result<ExitCode, String> {
     }
 }
 
-fn print_section(section: &Section) {
-    let outcome = section.run(cli::env_scale(), &cli::env_run_options());
-    for f in &outcome.failures {
+fn warn_failures(failures: &[JobFailure]) {
+    for f in failures {
         eprintln!(
             "  [run] WARNING: job {} ({}) failed after {} attempts: {}",
             f.job_id, f.key, f.attempts, f.message
         );
     }
+}
+
+fn print_section(section: &Section) {
+    let outcome = section.run(cli::env_scale(), &cli::env_run_options());
+    warn_failures(&outcome.failures);
     println!("{}", (section.render)(&outcome));
+}
+
+fn print_ablation(ablation: &Ablation) {
+    let outcome = ablation.run(&cli::env_run_options());
+    warn_failures(&outcome.failures);
+    println!("{}", ablation.render(outcome.ablations()));
 }
 
 fn write_file(path: &str, text: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
 }
 
-/// The job list `--suites`, `--only` and `--smoke` (else the
-/// environment's scale) select — shared so `opcheck` analyzes exactly the
-/// programs `matrix` would run.
+/// The job list `--suites`, `--ablations`, `--only` and `--smoke` (else
+/// the environment's scale) select — shared so `opcheck` analyzes exactly
+/// the programs `matrix` would run.
 fn plan_jobs(args: &Args) -> Result<(Scale, Vec<JobSpec>), String> {
     let scale = if args.smoke { Scale::smoke() } else { cli::env_scale() };
     let mut plan = MatrixPlan::new(scale).suites(&args.suites);
+    if args.ablations {
+        plan = plan.cells(ablations::jobs(&report::ABLATIONS));
+    }
     if let Some(needle) = &args.only {
         plan = plan.only(needle.clone());
     }
@@ -164,8 +179,7 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
         return Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS });
     }
 
-    let ablation_workers = args.ablations.then_some(opts.workers);
-    let doc = report::render_report(title, word, scale, &args.suites, &outcome, ablation_workers);
+    let doc = report::render_report(title, word, scale, &args.suites, &outcome, args.ablations);
     let out = args.out.as_deref().unwrap_or(default_out);
     write_file(out, &doc)?;
     eprintln!("repro {word}: wrote {out} in {:.1?}", t0.elapsed());
@@ -274,7 +288,7 @@ fn trace_dump(workload: TraceWorkload, out: &str) -> Result<ExitCode, String> {
             pgbench(PgbenchParams { transactions: 2000, ..Default::default() })
         }
         TraceWorkload::Grpc => grpc_qps(GrpcParams { messages: 2000, ..Default::default() }),
-        TraceWorkload::Spec(program) => spec(program, 42),
+        TraceWorkload::Spec(program) => spec_stream(program, 42).materialize(),
     };
     let mut meta = trace::TraceMeta::new();
     meta.insert("workload".into(), w.name.clone());

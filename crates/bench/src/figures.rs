@@ -168,7 +168,8 @@ pub fn fig4_bus_traffic(spec: &Suite) -> String {
     }
     let mut sorted = rel_vs_corn.clone();
     sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
+    // No engaging workload at all when `--only` filtered the suite away.
+    let median = sorted.get(sorted.len() / 2).copied().unwrap_or(f64::NAN);
     let mut out = String::from("### Figure 4 — DRAM-traffic overheads\n\n");
     out.push_str(&markdown_table(
         &["benchmark (baseline txns)", "CHERIvoke", "Cornucopia", "Reloaded", "Rel/Corn overhead"],

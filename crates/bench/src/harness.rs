@@ -1,14 +1,20 @@
 //! Suites: the index of results the figure generators read, the scale
 //! and condition vocabulary every plan shares, and the serial loops the
 //! orchestrator's merged output is tested against.
+//!
+//! The order contract lives here, with the loops: each `*_suite_serial`
+//! nests rep (outer) → workload → condition (inner) and inserts in that
+//! order; [`crate::plan::MatrixPlan`] expands its jobs in the same
+//! nesting and [`crate::orchestrator::run`] merges in job order, so a
+//! merged [`Suite`] — per-key repetition order included — equals the
+//! serial one byte for byte (`tests/{orchestrator,shard,sched}.rs`).
 
 use morello_sim::{Condition, Op, RunStats, System};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::Arc;
 use workloads::{
-    grpc_qps, pgbench, pgbench_tx_interval, spec, GrpcParams, PgbenchParams, SpecProgram,
-    SPEC_PROGRAMS,
+    grpc_qps, pgbench, pgbench_tx_interval, spec_stream, GrpcParams, PgbenchParams, SPEC_PROGRAMS,
 };
 
 /// The conditions every figure draws from, in the paper's order.
@@ -197,7 +203,7 @@ pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
     let mut suite = Suite::default();
     for rep in 0..scale.reps {
         for program in SPEC_PROGRAMS {
-            let w = spec(program, 1000 + rep);
+            let w = spec_stream(program, 1000 + rep).materialize();
             // One generation serves every condition: the stream is shared
             // (never cloned) and each run replays it by copy of `Op`s.
             let ops: Arc<[Op]> = w.ops.into();
@@ -212,14 +218,6 @@ pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
         }
     }
     suite
-}
-
-/// Runs a single SPEC surrogate under one condition (used by ablations).
-#[must_use]
-pub fn spec_single(program: SpecProgram, condition: Condition, seed: u64) -> RunStats {
-    let w = spec(program, seed);
-    let cfg = w.config.with_condition(condition);
-    System::new(cfg).run(w.ops).expect("spec surrogate must run clean").into_stats()
 }
 
 /// Single-threaded pgbench loop (byte-identity oracle).

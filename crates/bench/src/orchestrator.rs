@@ -262,7 +262,8 @@ pub fn parse_jobs(value: &str) -> Result<usize, String> {
 /// The merged result of one orchestrated matrix run.
 #[derive(Debug, Default)]
 pub struct MatrixOutcome {
-    /// One merged [`Suite`] per suite kind present in the job list.
+    /// One merged [`Suite`] per [`JobSpec::merge_label`] present in the
+    /// job list: the suite kinds', and the ablation cells'.
     pub suites: BTreeMap<&'static str, Suite>,
     /// Jobs that panicked on both attempts, in job order.
     pub failures: Vec<JobFailure>,
@@ -293,10 +294,19 @@ impl MatrixOutcome {
     /// cell or every one of them failed.
     #[must_use]
     pub fn suite(&self, kind: SuiteKind) -> &Suite {
-        static EMPTY: Suite = Suite::new();
-        self.suites.get(kind.label()).unwrap_or(&EMPTY)
+        self.suites.get(kind.label()).unwrap_or(&NO_CELLS)
+    }
+
+    /// The merged ablation cells ([`crate::ablations`]), keyed like a
+    /// suite by each cell's workload name — which carries its tweak — and
+    /// condition.
+    #[must_use]
+    pub fn ablations(&self) -> &Suite {
+        self.suites.get(crate::plan::ABLATION_LABEL).unwrap_or(&NO_CELLS)
     }
 }
+
+static NO_CELLS: Suite = Suite::new();
 
 /// One job's terminal state inside the worker pool.
 type Slot = Option<Result<RunStats, JobFailure>>;
@@ -423,7 +433,7 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
         match slot {
             Some(Ok(stats)) => {
                 out.suites
-                    .entry(job.suite().label())
+                    .entry(job.merge_label())
                     .or_default()
                     .insert(job.workload(), job.condition(), stats);
             }
@@ -442,10 +452,10 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
     out
 }
 
-/// Executes independent ablation cells `0..n` on a pool of `workers`
-/// threads, returning results in cell order. Unlike [`run`], a panicking
-/// cell propagates (ablations keep the serial harness's abort-on-error
-/// contract); the parallelism is purely a wall-clock optimization.
+/// Calls `f` on each of `0..n` from a pool of `workers` threads,
+/// returning the results in index order. Unlike [`run`], a panicking
+/// call propagates: `opcheck` and the oracle tests, which use this, want
+/// the abort.
 #[must_use]
 pub fn parallel_cells<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
@@ -681,8 +691,11 @@ pub fn repro_file_name(key: &str) -> String {
 /// expanded matrix down to exactly this cell; `REPRO_SCALE`/`REPRO_REPS`
 /// must match the failing sweep for the expansion to contain it).
 fn write_repro_file(dir: &Path, job: &JobSpec, failure: &JobFailure, progress: bool) {
+    // An ablation cell is planned only under `--ablations`.
+    let ablations =
+        if job.merge_label() == crate::plan::ABLATION_LABEL { " --ablations" } else { "" };
     let replay = format!(
-        "cargo run --release -p rev-bench --bin repro -- matrix --suites {} --only '{}'",
+        "cargo run --release -p rev-bench --bin repro -- matrix --suites {}{ablations} --only '{}'",
         job.suite().label(),
         failure.key,
     );

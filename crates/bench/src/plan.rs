@@ -5,10 +5,13 @@
 //! order), the [`Scale`], optional condition/rate overrides, and an
 //! optional `--only` substring filter, and produces the ordered
 //! [`JobSpec`] list the orchestrator executes. Expansion order is part of
-//! the byte-identity contract — the loop nesting mirrors the serial
-//! suite runners in [`crate::harness`] exactly, so merging results in
-//! job order reproduces the serial `Suite` (including per-key repetition
-//! order) byte for byte.
+//! the byte-identity contract ([`crate::harness`] states it, beside the
+//! serial loops it is checked against).
+//!
+//! An ablation study's cells ([`JobSpec::ablation`]) are jobs like any
+//! other: a SPEC stream at [`ABLATION_SEED`] under one condition, with a
+//! [`Tweak`] applied to the workload's tuned configuration. They merge
+//! under [`ABLATION_LABEL`], not under a suite of their own.
 //!
 //! ```no_run
 //! use rev_bench::harness::Scale;
@@ -23,6 +26,7 @@
 
 use crate::harness::{Scale, CONDITIONS, GRPC_CONDITIONS, RATE_SCHEDULE};
 use analyze::{Analyzer, AnalyzerConfig, Report};
+use cornucopia::PteUpdateMode;
 use morello_sim::{
     Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig, System, TelemetryConfig,
     OP_BATCH,
@@ -89,6 +93,59 @@ enum Payload {
     Spec { program: SpecProgram, seed: u64 },
     Pgbench { transactions: u64, rate: Option<f64>, seed: u64 },
     Grpc { messages: u64, seed: u64 },
+    /// A SPEC stream at [`ABLATION_SEED`] under a tweaked configuration.
+    Ablation { program: SpecProgram, tweak: Tweak },
+}
+
+/// The workload seed of every ablation cell.
+pub const ABLATION_SEED: u64 = 77;
+
+/// The [`crate::orchestrator::MatrixOutcome::suites`] key ablation cells
+/// merge under, and the first field of their [`JobSpec::key`].
+pub const ABLATION_LABEL: &str = "ablation";
+
+/// How an ablation cell departs from its workload's tuned configuration:
+/// exactly the departures the studies in [`crate::ablations`] make. A
+/// study's paper-default row declares [`Tweak::None`], whatever knob the
+/// study turns, so the studies share that cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tweak {
+    None,
+    PteMode(PteUpdateMode),
+    /// Quarantine divisor, then floor in bytes.
+    Quarantine(u64, u64),
+    SpareRevokerCore(bool),
+    RevokerThreads(usize),
+}
+
+impl Tweak {
+    /// The tweak as `knob=value` text (`None` for [`Tweak::None`]): part
+    /// of the cell's workload name, hence of its key, and its rendering
+    /// in the checkpoint parameters.
+    fn label(self) -> Option<String> {
+        match self {
+            Tweak::None => None,
+            Tweak::PteMode(mode) => Some(format!("pte_mode={mode:?}")),
+            Tweak::Quarantine(divisor, floor) => {
+                Some(format!("quarantine=1/{divisor},floor={floor}"))
+            }
+            Tweak::SpareRevokerCore(spare) => Some(format!("spare_revoker_core={spare}")),
+            Tweak::RevokerThreads(n) => Some(format!("revoker_threads={n}")),
+        }
+    }
+
+    fn apply(self, config: &SimConfig) -> SimConfig {
+        let b = config.to_builder();
+        match self {
+            Tweak::None => b,
+            Tweak::PteMode(mode) => b.pte_mode(mode),
+            Tweak::Quarantine(divisor, floor) => b.quarantine_divisor(divisor).min_quarantine(floor),
+            Tweak::SpareRevokerCore(spare) => b.spare_revoker_core(spare),
+            Tweak::RevokerThreads(n) => b.revoker_threads(n),
+        }
+        .build()
+        .expect("a tuned config stays valid under every study's tweak")
+    }
 }
 
 /// One independent cell of the evaluation matrix.
@@ -101,10 +158,37 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// The suite this job merges into.
+    /// One cell of an ablation study: `program`'s stream at
+    /// [`ABLATION_SEED`] under `condition`, its configuration tweaked.
+    pub(crate) fn ablation(program: SpecProgram, condition: Condition, tweak: Tweak) -> JobSpec {
+        let workload = match tweak.label() {
+            Some(tweak) => format!("{} [{tweak}]", program.name()),
+            None => program.name().to_string(),
+        };
+        JobSpec {
+            suite: SuiteKind::Spec,
+            workload,
+            condition,
+            payload: Payload::Ablation { program, tweak },
+        }
+    }
+
+    /// The generator family the job streams — for every cell but an
+    /// ablation's, also the suite it merges into
+    /// ([`JobSpec::merge_label`]).
     #[must_use]
     pub fn suite(&self) -> SuiteKind {
         self.suite
+    }
+
+    /// The [`crate::orchestrator::MatrixOutcome::suites`] key this job's
+    /// result merges under: its suite's label, or [`ABLATION_LABEL`].
+    #[must_use]
+    pub fn merge_label(&self) -> &'static str {
+        match self.payload {
+            Payload::Ablation { .. } => ABLATION_LABEL,
+            _ => self.suite.label(),
+        }
     }
 
     /// The workload name (the suite's row label).
@@ -126,17 +210,19 @@ impl JobSpec {
             Payload::Spec { seed, .. }
             | Payload::Pgbench { seed, .. }
             | Payload::Grpc { seed, .. } => *seed,
+            Payload::Ablation { .. } => ABLATION_SEED,
         }
     }
 
     /// Unique, stable identity: checkpoint key, progress label, and the
     /// target of `REPRO_INJECT_PANIC` substring matching. Deliberately
     /// independent of job *order*, so checkpoints written by any shard
-    /// topology or suite selection replay under any other.
+    /// topology or suite selection replay under any other. An ablation
+    /// cell's workload name carries its tweak.
     #[must_use]
     pub fn key(&self) -> String {
         let seed = self.seed();
-        format!("{}|{}|{}|s{seed}", self.suite.label(), self.workload, self.condition.label())
+        format!("{}|{}|{}|s{seed}", self.merge_label(), self.workload, self.condition.label())
     }
 
     /// Display id of the program this cell streams: its key minus the
@@ -184,14 +270,21 @@ impl JobSpec {
                 ("messages", Json::from(*messages)),
                 ("seed", Json::from(*seed)),
             ]),
+            Payload::Ablation { program, tweak } => Json::obj([
+                ("kind", Json::from(ABLATION_LABEL)),
+                ("program", Json::from(program.name())),
+                ("seed", Json::from(ABLATION_SEED)),
+                ("tweak", tweak.label().map_or(Json::Null, Json::Str)),
+            ]),
         }
     }
 
     /// Regenerates the cell's op stream from its seed and hands it to
-    /// `f` along with the workload's tuned simulator configuration (the
-    /// cell's condition not yet applied). Shared by [`JobSpec::execute`],
-    /// [`JobSpec::execute_traced`], and [`JobSpec::analyze`], which must
-    /// all observe the same program.
+    /// `f` along with the workload's tuned simulator configuration (an
+    /// ablation cell's tweak applied, the cell's condition not yet).
+    /// Shared by [`JobSpec::execute`], [`JobSpec::execute_traced`],
+    /// [`JobSpec::analyze`] and [`JobSpec::op_count`], which must all
+    /// observe the same program and configuration.
     fn with_stream<R>(&self, f: impl FnOnce(&mut dyn OpSource, SimConfig) -> R) -> R {
         match &self.payload {
             Payload::Spec { program, seed } => {
@@ -213,6 +306,11 @@ impl JobSpec {
                 let (mut source, config) = (w.source, w.config);
                 f(&mut source, config)
             }
+            Payload::Ablation { program, tweak } => {
+                let w = spec_stream(*program, ABLATION_SEED);
+                let (mut source, config) = (w.source, tweak.apply(&w.config));
+                f(&mut source, config)
+            }
         }
     }
 
@@ -230,8 +328,7 @@ impl JobSpec {
     /// Workloads stream straight from their seeds through
     /// [`System::run_stream`]: no cell ever materializes its op vector,
     /// so a worker's resident footprint is one batch buffer plus
-    /// generator state. The serial harness loops collect the same
-    /// streams, so the merged suites stay byte-identical to them.
+    /// generator state.
     pub(crate) fn execute(&self) -> RunStats {
         self.with_stream(|mut source, config| {
             System::new(config.with_condition(self.condition))
@@ -337,6 +434,7 @@ pub struct MatrixPlan {
     scale: Scale,
     conditions: Vec<Condition>,
     rates: Vec<Option<f64>>,
+    extra: Vec<JobSpec>,
     only: Option<String>,
 }
 
@@ -350,6 +448,7 @@ impl MatrixPlan {
             scale,
             conditions: CONDITIONS.to_vec(),
             rates: RATE_SCHEDULE.to_vec(),
+            extra: Vec::new(),
             only: None,
         }
     }
@@ -392,6 +491,15 @@ impl MatrixPlan {
         self
     }
 
+    /// Appends cells planned elsewhere — the ablation studies'
+    /// ([`crate::ablations::jobs`]) — after the suites' own, on the same
+    /// job list: one pool, one checkpoint, one `--only` filter.
+    #[must_use]
+    pub(crate) fn cells(mut self, cells: Vec<JobSpec>) -> Self {
+        self.extra.extend(cells);
+        self
+    }
+
     /// Keeps only cells whose [`JobSpec::key`] contains `needle` (the
     /// `--only` filter; repro files' replay commands use it to re-run a
     /// single cell).
@@ -399,12 +507,6 @@ impl MatrixPlan {
     pub fn only(mut self, needle: impl Into<String>) -> Self {
         self.only = Some(needle.into());
         self
-    }
-
-    /// The scale this plan expands at.
-    #[must_use]
-    pub fn scale(&self) -> Scale {
-        self.scale
     }
 
     /// Expands the plan into the ordered job list.
@@ -428,6 +530,7 @@ impl MatrixPlan {
                 SuiteKind::Grpc => self.expand_grpc(&mut jobs),
             }
         }
+        jobs.extend(self.extra.iter().cloned());
         if let Some(needle) = &self.only {
             jobs.retain(|j| j.key().contains(needle.as_str()));
             if jobs.is_empty() {
@@ -438,7 +541,7 @@ impl MatrixPlan {
     }
 
     /// SPEC: rep (outer) → program → condition (inner), seeds
-    /// `1000 + rep`, as [`crate::harness::spec_suite_serial`] runs them.
+    /// `1000 + rep`.
     fn expand_spec(&self, jobs: &mut Vec<JobSpec>) {
         for rep in 0..self.scale.reps {
             for program in SPEC_PROGRAMS {

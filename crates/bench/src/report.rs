@@ -6,16 +6,19 @@
 //! `repro <section>` runs exactly those suites and prints the section,
 //! and [`render_report`] (`repro matrix`, `repro all`) renders every
 //! section the selected suites can feed. A new figure is a new row.
+//! [`ABLATIONS`] does the same for the design-choice studies, whose
+//! cells ride the same job list.
 //!
 //! Nothing in here — or in [`figures`] and [`ablations`], whose text it
 //! assembles — reads a clock (srclint enforces it): two renders of one
 //! outcome are byte-equal, which is what lets CI `cmp` EXPERIMENTS.md.
 
+use crate::ablations::{self, Ablation};
+use crate::figures;
 use crate::harness::Scale;
 use crate::orchestrator::{self, MatrixOutcome, RunOptions};
 use crate::plan::MatrixPlan;
 use crate::plan::SuiteKind::{self, Grpc, Pgbench, PgbenchRates, Spec};
-use crate::{ablations, figures};
 
 /// One figure, table or check of the report.
 #[derive(Debug)]
@@ -100,19 +103,16 @@ const SHAPE: Section = Section {
     },
 };
 
-/// Renders one ablation study, its cells spread over `workers` threads.
-pub type Ablation = fn(workers: usize) -> String;
-
 /// Every ablation study (`repro ablation <name>`), in report order.
-pub static ABLATIONS: [(&str, Ablation); 8] = [
-    ("barriers", ablations::barriers),
-    ("pte_mode", ablations::pte_mode),
-    ("quarantine_policy", ablations::quarantine_policy),
-    ("cheriot", ablations::cheriot),
-    ("revoker_priority", ablations::revoker_priority),
-    ("revoker_threads", ablations::revoker_threads),
-    ("revoker_cores", |_| ablations::revoker_core_scaling()),
-    ("coloring", |_| ablations::coloring()),
+pub static ABLATIONS: [Ablation; 8] = [
+    ablations::BARRIERS,
+    ablations::PTE_MODE,
+    ablations::QUARANTINE_POLICY,
+    ablations::CHERIOT,
+    ablations::REVOKER_PRIORITY,
+    ablations::REVOKER_THREADS,
+    ablations::REVOKER_CORES,
+    ablations::COLORING,
 ];
 
 /// The shape claims the run's data contradicts. Empty when `suites`
@@ -132,8 +132,8 @@ pub fn violated_claims(suites: &[SuiteKind], outcome: &MatrixOutcome) -> Vec<Str
 
 /// Renders the whole report of `repro <word>` over a complete run of
 /// `suites`: the provenance header, every section those suites feed, the
-/// ablations on `ablation_workers` threads when asked for, then the
-/// shape checks and the failure records.
+/// ablation studies when the run planned their cells
+/// ([`ablations::jobs`]), then the shape checks and the failure records.
 #[must_use]
 pub fn render_report(
     title: &str,
@@ -141,7 +141,7 @@ pub fn render_report(
     scale: Scale,
     suites: &[SuiteKind],
     outcome: &MatrixOutcome,
-    ablation_workers: Option<usize>,
+    ablations: bool,
 ) -> String {
     let mut doc = format!(
         "# {title}\n\n\
@@ -160,10 +160,10 @@ pub fn render_report(
     for section in SECTIONS.iter().filter(|s| s.name != SHAPE.name && s.is_fed_by(suites)) {
         push((section.render)(outcome));
     }
-    if let Some(workers) = ablation_workers {
+    if ablations {
         push("## Ablations (DESIGN.md §design choices)\n".to_string());
-        for (_, render) in &ABLATIONS {
-            push(render(workers));
+        for study in &ABLATIONS {
+            push(study.render(outcome.ablations()));
         }
     }
     if SHAPE.is_fed_by(suites) {

@@ -65,6 +65,10 @@ fn fig4_reports_rel_to_corn_ratio() {
     let out = figures::fig4_bus_traffic(&synthetic_spec());
     // Overheads: Rel 500, Corn 600 -> 83%.
     assert!(out.contains("83%"), "{out}");
+    // A suite `--only` filtered away entirely (the replay of one ablation
+    // cell selects `--suites spec` and keeps none of it) has no median.
+    let empty = figures::fig4_bus_traffic(&Suite::default());
+    assert!(empty.contains("**NaN%**"), "{empty}");
 }
 
 #[test]

@@ -16,10 +16,10 @@ fn single_sections_equal_their_cut_of_the_matrix_report() {
     let outcome = orchestrator::run(&jobs, &opts);
     assert!(outcome.failures.is_empty());
 
-    let report = render_report("Evaluation matrix", "matrix", scale, &suites, &outcome, None);
+    let report = render_report("Evaluation matrix", "matrix", scale, &suites, &outcome, false);
     assert_eq!(
         report,
-        render_report("Evaluation matrix", "matrix", scale, &suites, &outcome, None),
+        render_report("Evaluation matrix", "matrix", scale, &suites, &outcome, false),
         "two renders of one outcome differ"
     );
 

@@ -81,17 +81,17 @@ pub struct RevokerConfig {
     pub revoker_cores: Vec<CoreId>,
     /// PTE maintenance mode (§4.1 ablation).
     pub pte_mode: PteUpdateMode,
-    /// §7.6 proposal: put capability-clean pages in an "always trap" state
-    /// so their generations need no maintenance.
-    pub always_trap_clean: bool,
-    /// Cycles to synchronize/quiesce the requesting thread's own core.
-    pub stw_sync_base_cycles: u64,
-    /// Additional cycles per *other* busy application thread that must be
-    /// interrupted and quiesced (syscall completion/abort; §4.4, §5.4).
-    pub stw_sync_per_busy_thread: u64,
-    /// Trap entry/exit overhead for a load-barrier fault.
-    pub fault_trap_cycles: u64,
 }
+
+/// Cycles to synchronize/quiesce the requesting thread's own core
+/// (~16 us at 2.5 GHz).
+const STW_SYNC_BASE_CYCLES: u64 = 40_000;
+/// Additional cycles per *other* busy application thread that must be
+/// interrupted and quiesced (syscall completion/abort; §4.4, §5.4):
+/// ~300 us of `thread_single()` + syscalls.
+const STW_SYNC_PER_BUSY_THREAD: u64 = 760_000;
+/// Trap entry/exit overhead for a load-barrier fault (~1.2 us).
+const FAULT_TRAP_CYCLES: u64 = 3_000;
 
 impl Default for RevokerConfig {
     fn default() -> Self {
@@ -99,10 +99,6 @@ impl Default for RevokerConfig {
             strategy: Strategy::Reloaded,
             revoker_cores: vec![1],
             pte_mode: PteUpdateMode::Generation,
-            always_trap_clean: false,
-            stw_sync_base_cycles: 40_000,       // ~16 us at 2.5 GHz
-            stw_sync_per_busy_thread: 760_000,  // ~300 us: thread_single() + syscalls
-            fault_trap_cycles: 3_000,           // ~1.2 us trap entry/exit
         }
     }
 }
@@ -632,7 +628,7 @@ impl Revoker {
     /// load can then be retried.
     pub fn handle_load_fault(&mut self, machine: &mut Machine, core: CoreId, vaddr: u64) -> u64 {
         let page = vaddr / PAGE_SIZE * PAGE_SIZE;
-        let mut cycles = self.cfg.fault_trap_cycles;
+        let mut cycles = FAULT_TRAP_CYCLES;
         // Re-check under the pmap lock: another thread may have already
         // revoked this page (§4.3).
         if machine.page_generation(page) == Some(machine.space_generation())
@@ -693,8 +689,7 @@ impl Revoker {
     }
 
     fn sync_cost(&self, busy_threads: usize) -> u64 {
-        self.cfg.stw_sync_base_cycles
-            + self.cfg.stw_sync_per_busy_thread * busy_threads.saturating_sub(1) as u64
+        STW_SYNC_BASE_CYCLES + STW_SYNC_PER_BUSY_THREAD * busy_threads.saturating_sub(1) as u64
     }
 
     fn finish_reloaded_epoch(&mut self) {
@@ -817,13 +812,9 @@ impl Revoker {
             }
         } else {
             // Capability-clean page: maintain its generation bit without a
-            // content scan (§4.1 footnote 19), or park it in the
-            // always-trap disposition (§7.6) at no recurring cost.
+            // content scan (§4.1 footnote 19).
             self.stats.pages_visited_clean += 1;
             cycles += 200;
-            if self.cfg.always_trap_clean {
-                machine.set_always_trap(page, true);
-            }
         }
         machine.set_page_generation(page, machine.space_generation());
         cycles

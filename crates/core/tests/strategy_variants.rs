@@ -1,10 +1,9 @@
 //! Tests for the revoker's variant configurations: the CHERIoT-style
 //! filter's background engine, multi-threaded background revocation
-//! (§7.1), the always-trap-clean-pages disposition (§7.6), and the PTE
-//! rewrite strawman (§4.1).
+//! (§7.1), and the PTE rewrite strawman (§4.1).
 
 use cheri_cap::{Capability, Perms};
-use cheri_vm::{Machine, MapFlags, VmFault};
+use cheri_vm::{Machine, MapFlags};
 use cornucopia::{PteUpdateMode, Revoker, RevokerConfig, StepOutcome, Strategy as RevStrategy};
 
 const HEAP: u64 = 0x4000_0000;
@@ -81,39 +80,6 @@ fn multithreaded_revoker_finishes_in_fewer_steps() {
         step_counts[1],
         step_counts[0]
     );
-}
-
-#[test]
-fn always_trap_clean_pages_skip_generation_maintenance() {
-    let cfg = RevokerConfig {
-        strategy: RevStrategy::Reloaded,
-        always_trap_clean: true,
-        ..RevokerConfig::default()
-    };
-    let (mut m, mut rev, heap) = setup(cfg);
-    // One capability page; the rest are data-only (clean).
-    m.store_cap(3, &heap.set_addr(HEAP), heap.set_bounds(HEAP, 64).unwrap()).unwrap();
-    m.write_data(3, &heap.set_addr(HEAP + 0x8000), 8 * 4096).unwrap();
-    rev.paint(&mut m, 3, HEAP + 0x100, 64);
-    rev.start_epoch(&mut m);
-    drain(&mut m, &mut rev);
-    // Clean pages were parked in the §7.6 disposition...
-    assert!(rev.stats().pages_visited_clean > 0);
-    // ...so a *data* load still works, but the first capability load from
-    // such a page traps regardless of generation state.
-    assert!(m.read_data(3, &heap.set_addr(HEAP + 0x8000), 64).is_ok());
-    let c = heap.set_bounds(HEAP + 0x9000, 64).unwrap();
-    // A store makes the page capability-bearing again; the disposition
-    // still forces the next load to trap for revoker attention.
-    m.store_cap(3, &heap.set_addr(HEAP + 0x9000), c).unwrap();
-    match m.load_cap(3, &heap.set_addr(HEAP + 0x9000)) {
-        Err(VmFault::CapLoadGeneration { vaddr }) => {
-            // The fault handler resolves it like any barrier fault.
-            m.set_always_trap(vaddr, false);
-            assert!(m.load_cap(3, &heap.set_addr(HEAP + 0x9000)).is_ok());
-        }
-        other => panic!("always-trap page must trap on cap load, got {other:?}"),
-    }
 }
 
 #[test]

@@ -4,13 +4,13 @@
 //! [`SimConfig`] fields are crate-private: outside the simulator it can
 //! only be obtained from [`SimConfig::default`] or a
 //! [`SimConfigBuilder`], both of which guarantee the invariants that
-//! [`crate::System::new`] relies on (a revoker core distinct from the app
-//! core, a non-empty page-aligned arena, a root table that fits, ...).
+//! [`crate::System::new`] relies on (a non-empty page-aligned arena, a
+//! root table that fits, at least one revoker thread, ...).
 //! Invalid combinations are rejected with a typed [`ConfigError`] at
 //! build time instead of a panic mid-run.
 
 use cheri_cap::CAP_SIZE;
-use cheri_mem::{CoreId, PAGE_SIZE};
+use cheri_mem::PAGE_SIZE;
 use cornucopia::{PteUpdateMode, Strategy};
 use std::fmt;
 
@@ -139,30 +139,26 @@ impl TelemetryConfig {
 /// use morello_sim::{Condition, SimConfig};
 ///
 /// let cfg = SimConfig::builder()
-///     .cores(4)
-///     .policy(Condition::reloaded())
+///     .revoker_threads(4)
+///     .condition(Condition::reloaded())
+///     .max_objects(1 << 12)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(cfg.revoker_threads(), 4);
+/// assert_eq!(cfg.max_objects(), 1 << 12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub(crate) condition: Condition,
-    pub(crate) heap_base: u64,
     pub(crate) heap_len: u64,
     pub(crate) max_objects: u64,
     pub(crate) min_quarantine: u64,
     pub(crate) quarantine_divisor: u64,
-    pub(crate) app_core: CoreId,
-    pub(crate) rev_core: CoreId,
     pub(crate) app_threads: usize,
     pub(crate) spare_revoker_core: bool,
     pub(crate) pte_mode: PteUpdateMode,
-    pub(crate) always_trap_clean: bool,
     pub(crate) revoker_threads: usize,
     pub(crate) tx_interval: Option<u64>,
     pub(crate) latency_from_arrival: bool,
-    pub(crate) bus_penalty_per_rev_txn: u64,
     pub(crate) telemetry: TelemetryConfig,
 }
 
@@ -170,21 +166,16 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             condition: Condition::reloaded(),
-            heap_base: 0x4000_0000,
             heap_len: 64 << 20,
             max_objects: 1 << 16,
             min_quarantine: 128 << 10, // 8 MiB / 64
             quarantine_divisor: 3,
-            app_core: 3,
-            rev_core: 2,
             app_threads: 1,
             spare_revoker_core: true,
             pte_mode: PteUpdateMode::Generation,
-            always_trap_clean: false,
             revoker_threads: 1,
             tx_interval: None,
             latency_from_arrival: false,
-            bus_penalty_per_rev_txn: 210,
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -212,24 +203,6 @@ impl SimConfig {
         self
     }
 
-    /// Measured condition.
-    #[must_use]
-    pub fn condition(&self) -> Condition {
-        self.condition
-    }
-
-    /// Heap arena base address.
-    #[must_use]
-    pub fn heap_base(&self) -> u64 {
-        self.heap_base
-    }
-
-    /// Heap arena length in bytes.
-    #[must_use]
-    pub fn heap_len(&self) -> u64 {
-        self.heap_len
-    }
-
     /// Root-table capacity (max simultaneously-tracked objects).
     #[must_use]
     pub fn max_objects(&self) -> u64 {
@@ -242,77 +215,10 @@ impl SimConfig {
         self.min_quarantine
     }
 
-    /// mrs quarantine divisor.
-    #[must_use]
-    pub fn quarantine_divisor(&self) -> u64 {
-        self.quarantine_divisor
-    }
-
-    /// Core running the application thread.
-    #[must_use]
-    pub fn app_core(&self) -> CoreId {
-        self.app_core
-    }
-
-    /// Core running the background revoker.
-    #[must_use]
-    pub fn rev_core(&self) -> CoreId {
-        self.rev_core
-    }
-
-    /// Number of busy application threads (affects STW sync cost, §5.3).
-    #[must_use]
-    pub fn app_threads(&self) -> usize {
-        self.app_threads
-    }
-
-    /// Whether the revoker has a spare core to itself.
-    #[must_use]
-    pub fn spare_revoker_core(&self) -> bool {
-        self.spare_revoker_core
-    }
-
-    /// PTE maintenance mode ablation (§4.1).
-    #[must_use]
-    pub fn pte_mode(&self) -> PteUpdateMode {
-        self.pte_mode
-    }
-
-    /// §7.6 always-trap-clean-pages ablation.
-    #[must_use]
-    pub fn always_trap_clean(&self) -> bool {
-        self.always_trap_clean
-    }
-
-    /// Number of background revoker threads (§7.1 ablation).
-    #[must_use]
-    pub fn revoker_threads(&self) -> usize {
-        self.revoker_threads
-    }
-
     /// Fixed transaction arrival interval in cycles, if rate-scheduled.
     #[must_use]
     pub fn tx_interval(&self) -> Option<u64> {
         self.tx_interval
-    }
-
-    /// Whether transaction latency is measured from scheduled arrival.
-    #[must_use]
-    pub fn latency_from_arrival(&self) -> bool {
-        self.latency_from_arrival
-    }
-
-    /// Extra application cycles per revoker DRAM transaction (§5.6 bus
-    /// contention model).
-    #[must_use]
-    pub fn bus_penalty_per_rev_txn(&self) -> u64 {
-        self.bus_penalty_per_rev_txn
-    }
-
-    /// Telemetry recording options.
-    #[must_use]
-    pub fn telemetry(&self) -> &TelemetryConfig {
-        &self.telemetry
     }
 }
 
@@ -320,7 +226,7 @@ impl SimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// `revoker_threads` (or `cores`) was zero — the safe conditions need
+    /// `revoker_threads` was zero — the safe conditions need
     /// at least one background revoker core.
     ZeroRevokerThreads,
     /// `app_threads` was zero — there is always at least the driving
@@ -330,11 +236,6 @@ pub enum ConfigError {
     BadHeapLen {
         /// The rejected length.
         len: u64,
-    },
-    /// The heap base is not page-aligned.
-    UnalignedHeapBase {
-        /// The rejected base.
-        base: u64,
     },
     /// `max_objects` was zero.
     ZeroMaxObjects,
@@ -348,11 +249,6 @@ pub enum ConfigError {
     },
     /// `quarantine_divisor` was zero (division by zero in the policy).
     ZeroQuarantineDivisor,
-    /// The app and revoker were pinned to the same core.
-    CoreCollision {
-        /// The shared core id.
-        core: CoreId,
-    },
     /// `tx_interval` was `Some(0)` — a zero-cycle schedule is meaningless.
     ZeroTxInterval,
     /// Telemetry sampling was enabled with a zero-cycle interval.
@@ -371,9 +267,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadHeapLen { len } => {
                 write!(f, "heap_len {len:#x} must be a nonzero multiple of the page size")
             }
-            ConfigError::UnalignedHeapBase { base } => {
-                write!(f, "heap_base {base:#x} must be page-aligned")
-            }
             ConfigError::ZeroMaxObjects => f.write_str("max_objects must be at least 1"),
             ConfigError::RootTableTooLarge { table_bytes, heap_len } => write!(
                 f,
@@ -381,9 +274,6 @@ impl fmt::Display for ConfigError {
                  (must be at most a quarter of it)"
             ),
             ConfigError::ZeroQuarantineDivisor => f.write_str("quarantine_divisor must be at least 1"),
-            ConfigError::CoreCollision { core } => {
-                write!(f, "app_core and rev_core are both {core}; pin them to distinct cores")
-            }
             ConfigError::ZeroTxInterval => f.write_str("tx_interval must be nonzero when set"),
             ConfigError::ZeroSampleInterval => {
                 f.write_str("telemetry sample_every must be nonzero when set")
@@ -410,19 +300,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn condition(mut self, condition: Condition) -> Self {
         self.cfg.condition = condition;
-        self
-    }
-
-    /// Alias for [`Self::condition`]: the revocation policy under test.
-    #[must_use]
-    pub fn policy(self, condition: Condition) -> Self {
-        self.condition(condition)
-    }
-
-    /// Sets the heap arena base address (page-aligned).
-    #[must_use]
-    pub fn heap_base(mut self, base: u64) -> Self {
-        self.cfg.heap_base = base;
         self
     }
 
@@ -454,20 +331,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Pins the application thread to `core`.
-    #[must_use]
-    pub fn app_core(mut self, core: CoreId) -> Self {
-        self.cfg.app_core = core;
-        self
-    }
-
-    /// Pins the (first) background revoker thread to `core`.
-    #[must_use]
-    pub fn rev_core(mut self, core: CoreId) -> Self {
-        self.cfg.rev_core = core;
-        self
-    }
-
     /// Sets the number of busy application threads.
     #[must_use]
     pub fn app_threads(mut self, n: usize) -> Self {
@@ -489,26 +352,12 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the §7.6 always-trap-clean-pages ablation.
-    #[must_use]
-    pub fn always_trap_clean(mut self, on: bool) -> Self {
-        self.cfg.always_trap_clean = on;
-        self
-    }
-
     /// Sets the number of background revoker threads (§7.1 ablation).
     /// Must be at least 1.
     #[must_use]
     pub fn revoker_threads(mut self, n: usize) -> Self {
         self.cfg.revoker_threads = n;
         self
-    }
-
-    /// Alias for [`Self::revoker_threads`]: how many cores the parallel
-    /// revocation sweep fans out over.
-    #[must_use]
-    pub fn cores(self, n: usize) -> Self {
-        self.revoker_threads(n)
     }
 
     /// Sets the fixed transaction arrival interval in cycles (`None` runs
@@ -523,13 +372,6 @@ impl SimConfigBuilder {
     #[must_use]
     pub fn latency_from_arrival(mut self, on: bool) -> Self {
         self.cfg.latency_from_arrival = on;
-        self
-    }
-
-    /// Sets the §5.6 bus-contention penalty per revoker DRAM transaction.
-    #[must_use]
-    pub fn bus_penalty_per_rev_txn(mut self, cycles: u64) -> Self {
-        self.cfg.bus_penalty_per_rev_txn = cycles;
         self
     }
 
@@ -574,12 +416,8 @@ impl SimConfigBuilder {
         if c.app_threads == 0 {
             return Err(ConfigError::ZeroAppThreads);
         }
-        let page = PAGE_SIZE;
-        if c.heap_len == 0 || !c.heap_len.is_multiple_of(page) {
+        if c.heap_len == 0 || !c.heap_len.is_multiple_of(PAGE_SIZE) {
             return Err(ConfigError::BadHeapLen { len: c.heap_len });
-        }
-        if !c.heap_base.is_multiple_of(page) {
-            return Err(ConfigError::UnalignedHeapBase { base: c.heap_base });
         }
         if c.max_objects == 0 {
             return Err(ConfigError::ZeroMaxObjects);
@@ -593,9 +431,6 @@ impl SimConfigBuilder {
         }
         if c.quarantine_divisor == 0 {
             return Err(ConfigError::ZeroQuarantineDivisor);
-        }
-        if c.app_core == c.rev_core {
-            return Err(ConfigError::CoreCollision { core: c.app_core });
         }
         if c.tx_interval == Some(0) {
             return Err(ConfigError::ZeroTxInterval);
@@ -622,8 +457,8 @@ mod tests {
     #[test]
     fn builder_sets_fields() {
         let cfg = SimConfig::builder()
-            .cores(4)
-            .policy(Condition::cornucopia())
+            .revoker_threads(4)
+            .condition(Condition::cornucopia())
             .heap_len(8 << 20)
             .max_objects(1 << 10)
             .min_quarantine(64 << 10)
@@ -633,18 +468,18 @@ mod tests {
             .record_spans(true)
             .build()
             .unwrap();
-        assert_eq!(cfg.revoker_threads(), 4);
-        assert_eq!(cfg.condition(), Condition::cornucopia());
-        assert_eq!(cfg.heap_len(), 8 << 20);
+        assert_eq!(cfg.revoker_threads, 4);
+        assert_eq!(cfg.condition, Condition::cornucopia());
+        assert_eq!(cfg.heap_len, 8 << 20);
         assert_eq!(cfg.tx_interval(), Some(1_000_000));
-        assert_eq!(cfg.telemetry().sample_every, Some(50_000));
-        assert!(cfg.telemetry().enabled());
+        assert_eq!(cfg.telemetry.sample_every, Some(50_000));
+        assert!(cfg.telemetry.enabled());
     }
 
     #[test]
     fn zero_revoker_cores_rejected() {
         assert_eq!(
-            SimConfig::builder().cores(0).build().unwrap_err(),
+            SimConfig::builder().revoker_threads(0).build().unwrap_err(),
             ConfigError::ZeroRevokerThreads
         );
     }
@@ -664,10 +499,6 @@ mod tests {
             ConfigError::BadHeapLen { len: 4096 + 13 }
         );
         assert_eq!(
-            SimConfig::builder().heap_base(0x1001).build().unwrap_err(),
-            ConfigError::UnalignedHeapBase { base: 0x1001 }
-        );
-        assert_eq!(
             SimConfig::builder().max_objects(0).build().unwrap_err(),
             ConfigError::ZeroMaxObjects
         );
@@ -678,10 +509,6 @@ mod tests {
         assert_eq!(
             SimConfig::builder().quarantine_divisor(0).build().unwrap_err(),
             ConfigError::ZeroQuarantineDivisor
-        );
-        assert_eq!(
-            SimConfig::builder().app_core(2).rev_core(2).build().unwrap_err(),
-            ConfigError::CoreCollision { core: 2 }
         );
         assert_eq!(
             SimConfig::builder().tx_interval(0).build().unwrap_err(),
@@ -703,16 +530,16 @@ mod tests {
     fn with_condition_preserves_everything_else() {
         let a = SimConfig::builder().heap_len(16 << 20).build().unwrap();
         let b = a.clone().with_condition(Condition::baseline());
-        assert_eq!(b.condition(), Condition::baseline());
-        assert_eq!(b.heap_len(), a.heap_len());
-        assert_eq!(b.revoker_threads(), a.revoker_threads());
+        assert_eq!(b.condition, Condition::baseline());
+        assert_eq!(b.heap_len, a.heap_len);
+        assert_eq!(b.revoker_threads, a.revoker_threads);
     }
 
     #[test]
     fn errors_display() {
         for e in [
             ConfigError::ZeroRevokerThreads,
-            ConfigError::CoreCollision { core: 1 },
+            ConfigError::BadHeapLen { len: 13 },
             ConfigError::RootTableTooLarge { table_bytes: 1 << 20, heap_len: 1 << 20 },
         ] {
             assert!(!e.to_string().is_empty());

@@ -15,6 +15,16 @@ use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
+/// Heap arena base address.
+const HEAP_BASE: u64 = 0x4000_0000;
+/// Core running the application thread (§5.1: the app is pinned to core 3).
+const APP_CORE: CoreId = 3;
+/// Core running the (first) background revoker thread (§5.1: core 2).
+const REV_CORE: CoreId = 2;
+/// Extra application cycles per revoker DRAM transaction (§5.6 bus
+/// contention model).
+const BUS_PENALTY_PER_REV_TXN: u64 = 210;
+
 /// Simulation failures (workload or configuration bugs; a correct run
 /// never produces one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +146,7 @@ pub struct System {
 impl System {
     /// Builds a system: maps the arena, allocates the root table, and
     /// configures the revoker per `cfg`. The telemetry sink is chosen from
-    /// `cfg.telemetry()`: a [`Recorder`] when anything is enabled, the
+    /// `cfg`'s telemetry options: a [`Recorder`] when anything is enabled, the
     /// free [`NullSink`] otherwise.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
@@ -153,18 +163,18 @@ impl System {
     /// recording is switched on iff `sink.is_enabled()`.
     #[must_use]
     pub fn with_sink(cfg: SimConfig, sink: Box<dyn TelemetrySink>) -> Self {
-        let layout = HeapLayout::new(cfg.heap_base, cfg.heap_len);
+        let layout = HeapLayout::new(HEAP_BASE, cfg.heap_len);
         let strategy = match cfg.condition {
             Condition::Baseline => Strategy::PaintSync, // unused
             Condition::Safe(s) => s,
         };
-        // Distinct revoker cores (never the app core): rev_core first, then
+        // Distinct revoker cores (never the app core): `REV_CORE` first, then
         // the lowest free core ids. Each shard of the parallel sweep charges
         // its own core's caches, so duplicates would fold traffic together.
-        let mut revoker_cores = vec![cfg.rev_core];
+        let mut revoker_cores = vec![REV_CORE];
         let mut candidate: CoreId = 0;
         while revoker_cores.len() < cfg.revoker_threads.max(1) {
-            if candidate != cfg.app_core && !revoker_cores.contains(&candidate) {
+            if candidate != APP_CORE && !revoker_cores.contains(&candidate) {
                 revoker_cores.push(candidate);
             }
             candidate += 1;
@@ -172,7 +182,7 @@ impl System {
         let num_cores = revoker_cores
             .iter()
             .copied()
-            .chain([cfg.app_core])
+            .chain([APP_CORE])
             .max()
             .unwrap_or(0)
             .max(3)
@@ -183,8 +193,6 @@ impl System {
                 strategy,
                 revoker_cores,
                 pte_mode: cfg.pte_mode,
-                always_trap_clean: cfg.always_trap_clean,
-                ..RevokerConfig::default()
             },
             layout.base,
             layout.total_len,
@@ -200,10 +208,10 @@ impl System {
         // The root table: one permanently-live large allocation holding one
         // capability slot per object id.
         let root = heap
-            .alloc(&mut machine, cfg.app_core, cfg.max_objects * CAP_SIZE)
+            .alloc(&mut machine, APP_CORE, cfg.max_objects * CAP_SIZE)
             .expect("arena must fit the root table")
             .cap;
-        let app_thread = cfg.app_core; // threads are created per core
+        let app_thread = APP_CORE; // threads are created per core
         let mmap_space = cheri_alloc::MmapSpace::new(layout.mmap_base(), layout.mmap_len());
         let telemetry_on = sink.is_enabled();
         let sample_interval = sink.sample_interval().unwrap_or(0);
@@ -561,7 +569,7 @@ impl System {
             // serialized inside its own quantum and the CPU contention
             // factor already accounts for the slowdown.
             let delta = self.revoker_dram_now() - rev_dram_before;
-            let penalty = delta * self.cfg.bus_penalty_per_rev_txn;
+            let penalty = delta * BUS_PENALTY_PER_REV_TXN;
             self.wall += penalty;
             self.app_cpu += penalty;
         }
@@ -623,7 +631,7 @@ impl System {
                 epoch: block_epoch,
                 start: block_start,
                 end: self.wall,
-                core: Some(self.cfg.app_core),
+                core: Some(APP_CORE),
                 busy_cycles: self.wall - block_start,
             });
         }
@@ -658,8 +666,8 @@ impl System {
         let e = self.revoker.epoch();
         if e != self.last_release_epoch {
             self.last_release_epoch = e;
-            let c = self.heap.poll_release(&mut self.machine, &mut self.revoker, self.cfg.app_core);
-            self.mmap_space.poll_release(&mut self.machine, &mut self.revoker, self.cfg.app_core);
+            let c = self.heap.poll_release(&mut self.machine, &mut self.revoker, APP_CORE);
+            self.mmap_space.poll_release(&mut self.machine, &mut self.revoker, APP_CORE);
             self.wall += c;
             self.app_cpu += c;
         }
@@ -825,10 +833,10 @@ impl System {
     fn barrier_load(&mut self, auth: &Capability) -> Result<(Capability, u64), SimError> {
         let mut cycles = 0;
         loop {
-            match self.machine.load_cap(self.cfg.app_core, auth) {
+            match self.machine.load_cap(APP_CORE, auth) {
                 Ok((cap, c)) => {
                     cycles += c;
-                    let (cap, fc) = self.revoker.filter_loaded(&mut self.machine, self.cfg.app_core, cap);
+                    let (cap, fc) = self.revoker.filter_loaded(&mut self.machine, APP_CORE, cap);
                     cycles += fc;
                     // Stash in a register so epoch entry has hoards to scan.
                     self.reg_rr = (self.reg_rr + 1) % 24;
@@ -836,7 +844,7 @@ impl System {
                     return Ok((cap, cycles));
                 }
                 Err(VmFault::CapLoadGeneration { vaddr }) => {
-                    let fc = self.revoker.handle_load_fault(&mut self.machine, self.cfg.app_core, vaddr);
+                    let fc = self.revoker.handle_load_fault(&mut self.machine, APP_CORE, vaddr);
                     cycles += fc;
                     self.stats.faults += 1;
                     self.stats.fault_cycles += fc;
@@ -870,7 +878,7 @@ impl System {
         if matches!(self.cfg.condition, Condition::Safe(_)) && self.heap.must_block(&self.revoker) {
             self.block_on_revocation();
         }
-        let allocation = match self.heap.alloc(&mut self.machine, self.cfg.app_core, size) {
+        let allocation = match self.heap.alloc(&mut self.machine, APP_CORE, size) {
             Ok(a) => a,
             Err(AllocError::OutOfMemory) => {
                 // Force quarantine turnover, then retry once.
@@ -881,7 +889,7 @@ impl System {
                     }
                     self.block_on_revocation();
                     self.heap
-                        .alloc(&mut self.machine, self.cfg.app_core, size)
+                        .alloc(&mut self.machine, APP_CORE, size)
                         .map_err(|_| SimError::OutOfMemory)?
                 } else {
                     return Err(SimError::OutOfMemory);
@@ -890,7 +898,7 @@ impl System {
             Err(e) => return Err(e.into()),
         };
         let auth = self.slot_auth(obj);
-        let c = self.machine.store_cap(self.cfg.app_core, &auth, allocation.cap)?;
+        let c = self.machine.store_cap(APP_CORE, &auth, allocation.cap)?;
         self.live.insert(obj);
         if self.telemetry_on {
             self.instrument_new_object(obj, allocation.cap);
@@ -903,13 +911,13 @@ impl System {
         let (cap, c1) = self.load_obj(obj)?;
         let effect = match self.cfg.condition {
             Condition::Baseline => {
-                let c = self.heap.free_immediate(&mut self.machine, self.cfg.app_core, cap)?;
+                let c = self.heap.free_immediate(&mut self.machine, APP_CORE, cap)?;
                 cheri_alloc::FreeEffect { cycles: c, trigger_revocation: false }
             }
-            Condition::Safe(_) => self.heap.free(&mut self.machine, &mut self.revoker, self.cfg.app_core, cap)?,
+            Condition::Safe(_) => self.heap.free(&mut self.machine, &mut self.revoker, APP_CORE, cap)?,
         };
         let auth = self.slot_auth(obj);
-        let c2 = self.machine.store_cap(self.cfg.app_core, &auth, Capability::null())?;
+        let c2 = self.machine.store_cap(APP_CORE, &auth, Capability::null())?;
         self.live.remove(&obj);
         self.advance(c1 + effect.cycles + c2 + 20, true);
         if effect.trigger_revocation {
@@ -928,9 +936,9 @@ impl System {
         let (cap, c1) = self.load_obj(obj)?;
         let len = len.clamp(1, cap.len().max(1));
         let c2 = if write {
-            self.machine.write_data(self.cfg.app_core, &cap, len)?
+            self.machine.write_data(APP_CORE, &cap, len)?
         } else {
-            self.machine.read_data(self.cfg.app_core, &cap, len)?
+            self.machine.read_data(APP_CORE, &cap, len)?
         };
         if write && self.telemetry_on {
             // The write destroyed the tags of every granule it overlapped.
@@ -947,7 +955,7 @@ impl System {
             self.advance(c1 + c2, true);
             return Ok(());
         };
-        let c3 = self.machine.store_cap(self.cfg.app_core, &auth, tcap)?;
+        let c3 = self.machine.store_cap(APP_CORE, &auth, tcap)?;
         if self.telemetry_on {
             let to_gen = self.obj_gen.get(&to).copied().unwrap_or(0);
             self.link_table.insert(auth.addr(), LinkEntry { to, to_gen });
@@ -999,7 +1007,7 @@ impl System {
             .mmap(&mut self.machine, len)
             .map_err(|_| SimError::OutOfMemory)?;
         let auth = self.slot_auth(obj);
-        let c = self.machine.store_cap(self.cfg.app_core, &auth, cap)?;
+        let c = self.machine.store_cap(APP_CORE, &auth, cap)?;
         self.live.insert(obj);
         if self.telemetry_on {
             self.instrument_new_object(obj, cap);
@@ -1017,16 +1025,16 @@ impl System {
                 .munmap_immediate(&mut self.machine, cap.base(), span)
                 .map_err(SimError::Vm)?;
             let auth = self.slot_auth(obj);
-            let c2 = self.machine.store_cap(self.cfg.app_core, &auth, Capability::null())?;
+            let c2 = self.machine.store_cap(APP_CORE, &auth, Capability::null())?;
             self.live.remove(&obj);
             self.advance(c1 + c2 + 2_000, true);
             return Ok(());
         }
         self.mmap_space
-            .munmap(&mut self.machine, &mut self.revoker, self.cfg.app_core, cap.base(), span)
+            .munmap(&mut self.machine, &mut self.revoker, APP_CORE, cap.base(), span)
             .map_err(SimError::Vm)?;
         let auth = self.slot_auth(obj);
-        let c2 = self.machine.store_cap(self.cfg.app_core, &auth, Capability::null())?;
+        let c2 = self.machine.store_cap(APP_CORE, &auth, Capability::null())?;
         self.live.remove(&obj);
         self.advance(c1 + c2 + 2_500, true); // munmap syscall + guards
         // Reservation quarantine can itself demand a pass (§6.2) once
@@ -1151,14 +1159,14 @@ mod tests {
     #[test]
     fn multi_core_revoker_attributes_dram_per_core() {
         let cfg = SimConfig::builder()
-            .policy(Condition::reloaded())
-            .cores(4)
+            .condition(Condition::reloaded())
+            .revoker_threads(4)
             .min_quarantine(256 << 10)
             .build()
             .unwrap();
         let s = System::new(cfg).run(churn_ops(2000, 4096)).unwrap();
-        assert_eq!(s.revoker_cores.len(), 4);
-        assert!(!s.revoker_cores.contains(&SimConfig::default().app_core()));
+        assert_eq!(s.revoker_cores, [REV_CORE, 0, 1, 4], "REV_CORE, then the lowest ids bar APP_CORE");
+        assert!(!s.revoker_cores.contains(&APP_CORE));
         let mut distinct = s.revoker_cores.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -338,19 +338,16 @@ impl Machine {
         let (tag, color, cap) = self.mem.phys().load_granule(granule);
         // The barrier conditions the trap on the *loaded* tag (§4.1): only
         // valid capabilities flowing into the register file matter.
-        if tag {
-            let mismatch = pte.load_gen != self.core_gen[core] || pte.always_trap_cap_loads;
-            if mismatch {
-                // TLB may be stale: re-walk before declaring a fault.
-                let (fresh, walk) = self.refresh_tlb(core, vaddr)?;
-                cycles += walk;
-                if fresh.load_gen != self.core_gen[core] || fresh.always_trap_cap_loads {
-                    self.stats.load_generation_faults += 1;
-                    if self.log_events {
-                        self.events.push(VmEvent::LoadGenerationFault { vaddr, core });
-                    }
-                    return Err(VmFault::CapLoadGeneration { vaddr });
+        if tag && pte.load_gen != self.core_gen[core] {
+            // TLB may be stale: re-walk before declaring a fault.
+            let (fresh, walk) = self.refresh_tlb(core, vaddr)?;
+            cycles += walk;
+            if fresh.load_gen != self.core_gen[core] {
+                self.stats.load_generation_faults += 1;
+                if self.log_events {
+                    self.events.push(VmEvent::LoadGenerationFault { vaddr, core });
                 }
+                return Err(VmFault::CapLoadGeneration { vaddr });
             }
         }
         if color != auth.color() {
@@ -524,16 +521,6 @@ impl Machine {
                 self.stats.pte_writes += 1;
             }
         }
-    }
-
-    /// Sets the §7.6 "always trap capability loads" disposition on a page.
-    pub fn set_always_trap(&mut self, vaddr: u64, value: bool) {
-        let page = vaddr / PAGE_SIZE * PAGE_SIZE;
-        if let Some(p) = self.pte_mut(page) {
-            p.always_trap_cap_loads = value;
-            self.stats.pte_writes += 1;
-        }
-        self.shootdown(page);
     }
 
     /// Whether the page at `vaddr` is capability-dirty.
@@ -848,15 +835,5 @@ mod tests {
             m.set_page_generation(*p, m.space_generation());
         }
         assert!(m.stale_generation_pages().is_empty());
-    }
-
-    #[test]
-    fn always_trap_disposition_traps_despite_matching_generation() {
-        let (mut m, heap) = setup();
-        m.store_cap(0, &heap.set_addr(0x1_0000), heap).unwrap();
-        m.set_always_trap(0x1_0000, true);
-        assert!(matches!(m.load_cap(0, &heap.set_addr(0x1_0000)), Err(VmFault::CapLoadGeneration { .. })));
-        m.set_always_trap(0x1_0000, false);
-        assert!(m.load_cap(0, &heap.set_addr(0x1_0000)).is_ok());
     }
 }

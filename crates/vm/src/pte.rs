@@ -69,10 +69,6 @@ pub struct Pte {
     pub cap_dirty: bool,
     /// Capability load generation bit.
     pub load_gen: bool,
-    /// §7.6 proposal: a disposition in which capability loads *always*
-    /// trap, regardless of generation, letting clean pages skip generation
-    /// maintenance.
-    pub always_trap_cap_loads: bool,
 }
 
 impl Pte {
@@ -88,7 +84,6 @@ impl Pte {
             guard: flags.guard,
             cap_dirty: false,
             load_gen,
-            always_trap_cap_loads: false,
         }
     }
 }

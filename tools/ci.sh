@@ -2,8 +2,9 @@
 # Tier-1 CI gate: release build + full test suite, the srclint source
 # gate (hermetic manifests, determinism lints), every example,
 # static-analyzer smokes (opcheck digest stability, --preflight
-# quarantine), the EXPERIMENTS.md fixed point (regenerated at full scale
-# and cmp'd), and a quick-mode run of the benchmark so its bit-rot is
+# quarantine), the EXPERIMENTS.md fixed point (regenerated at full scale,
+# cmp'd, and resumed whole from its checkpoint), and a quick-mode run of
+# the benchmark so its bit-rot is
 # caught without paying for a full measurement run; its stats digests are
 # compared with the pinned tools/stats_digests.txt. Run from anywhere.
 set -euo pipefail
@@ -175,16 +176,53 @@ cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
     || { echo "shard smoke: concurrently sharded merge report differs from serial" >&2; exit 1; }
 rm -rf "$shard_dir"
 
-echo "== fixed point (EXPERIMENTS.md regenerates byte for byte) =="
+echo "== ablation smoke (ablation cells are matrix cells: worker counts, shards) =="
+abl_dir="$(mktemp -d)"
+# The study with the most cells (six xalancbmk runs), at 1 and 4 workers.
+for j in 1 4; do
+    REPRO_JOBS=$j cargo run --release --offline -q -p rev-bench --bin repro -- \
+        ablation revoker_cores >"$abl_dir/cores-j$j.md" 2>/dev/null
+done
+cmp -s "$abl_dir/cores-j1.md" "$abl_dir/cores-j4.md" \
+    || { echo "ablation smoke: revoker_cores differs between 1 and 4 workers" >&2; exit 1; }
+# Ablation cells are sharded like any other, not left to the merge run;
+# --only keeps the smoke to the 0.05 s hmmer cells.
+abl_args=(matrix --smoke --suites spec --ablations --only hmmer --repro-dir "$abl_dir/repro")
+cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
+    --out "$abl_dir/unsharded.md" 2>/dev/null
+for k in 0 1; do
+    cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
+        --shard "$k/2" --checkpoint "$abl_dir/ckpt" --out "$abl_dir/s$k.md" 2>"$abl_dir/s$k.log"
+done
+grep -q '"key":"ablation|hmmer' "$abl_dir/ckpt/shard-0-of-2.jsonl" "$abl_dir/ckpt/shard-1-of-2.jsonl" \
+    || { echo "ablation smoke: no shard checkpointed an ablation cell" >&2; exit 1; }
+cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
+    --checkpoint "$abl_dir/ckpt" --out "$abl_dir/merged.md" 2>"$abl_dir/merge.log"
+grep -q ": 0 cell(s) ran," "$abl_dir/merge.log" \
+    || { echo "ablation smoke: the merge ran cells the shards should have checkpointed" >&2; exit 1; }
+cmp -s "$abl_dir/unsharded.md" "$abl_dir/merged.md" \
+    || { echo "ablation smoke: sharded merge report differs from the unsharded run" >&2; exit 1; }
+rm -rf "$abl_dir"
+
+echo "== fixed point (EXPERIMENTS.md regenerates byte for byte, and resumes) =="
 # The path that writes EXPERIMENTS.md, at its default scale: any drift in
 # a simulated number fails here, not in front of a reader.
 exp_dir="$(mktemp -d)"
 env -u REPRO_SCALE -u REPRO_REPS \
     cargo run --release --offline -q -p rev-bench --bin repro -- all "$exp_dir/EXPERIMENTS.md" \
-    2>"$exp_dir/all.log" \
+    --checkpoint "$exp_dir/ckpt.jsonl" 2>"$exp_dir/all.log" \
     || { tail -n 20 "$exp_dir/all.log" >&2; echo "fixed point: repro all failed (a violated shape check exits 1)" >&2; exit 1; }
 cmp "$exp_dir/EXPERIMENTS.md" EXPERIMENTS.md \
     || { echo "fixed point: the regenerated report differs from the committed EXPERIMENTS.md; if intentional, commit the output of 'repro all'" >&2; exit 1; }
+# Every cell of the report — figure cells and ablation cells — resumes
+# from the one checkpoint.
+env -u REPRO_SCALE -u REPRO_REPS \
+    cargo run --release --offline -q -p rev-bench --bin repro -- all "$exp_dir/resumed.md" \
+    --checkpoint "$exp_dir/ckpt.jsonl" 2>"$exp_dir/resume.log"
+grep -q ": 0 cell(s) ran, 149 resumed" "$exp_dir/resume.log" \
+    || { echo "fixed point: a second repro all over the same checkpoint re-ran cells" >&2; exit 1; }
+cmp "$exp_dir/resumed.md" EXPERIMENTS.md \
+    || { echo "fixed point: the resumed report differs from the committed EXPERIMENTS.md" >&2; exit 1; }
 rm -rf "$exp_dir"
 
 echo "ci: all gates passed"
