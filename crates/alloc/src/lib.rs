@@ -11,7 +11,9 @@
 //!   address space in **quarantine**, and triggers revocation when
 //!   quarantine exceeds 1/4 of the total heap (equivalently 1/3 of the
 //!   allocated heap), with an 8 MiB floor — the exact policy of §5's
-//!   experiments (scaled).
+//!   experiments (scaled). With [`MrsConfig::colors`] set it composes
+//!   CHERI with memory colouring (§7.3): `free` recolours and recycles at
+//!   once, and only regions out of colours are quarantined.
 //! * [`MmapSpace`] — reservation-backed `mmap`/`munmap` (§6.2): partial
 //!   unmaps become guard pages, and fully-unmapped reservations are
 //!   quarantined and only recycled after a revocation pass.
@@ -44,13 +46,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coloring;
 mod mrs;
 mod reservations;
 mod size_class;
 mod snmalloc;
 
-pub use coloring::{ColoredMrs, ColoredStats};
 pub use mrs::{AllocEvent, FreeEffect, Mrs, MrsConfig, MrsStats, RevocationReason};
 pub use reservations::MmapSpace;
 pub use size_class::{size_class_for, SizeClass, LARGE_THRESHOLD, NUM_SIZE_CLASSES};

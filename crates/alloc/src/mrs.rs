@@ -12,11 +12,19 @@
 //! * if the accumulating buffer *also* exceeds policy while a pass is in
 //!   flight, allocation blocks until the pass completes (the §5.3
 //!   tail-latency pathology).
+//!
+//! **Colour mode** (§7.3, [`MrsConfig::colors`] > 0) composes CHERI with
+//! memory colouring: each allocation's capability carries its storage's
+//! colour, and `free` recolours the storage and recycles it at once, so
+//! every stale copy dies at free time (loads trap, stores are discarded)
+//! and quarantine pressure falls by roughly the colour count. Only a
+//! region that has used all its colours enters the quarantine above; its
+//! release resets it to colour 0.
 
 use crate::snmalloc::{AllocError, Allocation, FreedRegion, SnmallocLite};
 use crate::HeapLayout;
-use cheri_cap::Capability;
-use cheri_mem::CoreId;
+use cheri_cap::{Capability, Perms};
+use cheri_mem::{CoreId, FastMap};
 use cheri_vm::Machine;
 use cornucopia::{EpochClock, Revoker};
 use std::collections::VecDeque;
@@ -30,9 +38,9 @@ pub struct MrsConfig {
     /// Do not trigger below this many quarantined bytes (paper: 8 MiB;
     /// scale it with the workload's memory scale).
     pub min_quarantine_bytes: u64,
-    /// Whether `free` requests revocation at all (false for Paint+sync
-    /// runs driven externally — kept true in all paper configurations).
-    pub trigger_revocation: bool,
+    /// Memory colours per region (§7.3): 0 is plain quarantine, 2..=16
+    /// enables colour mode (the paper imagines ~16 from a 4-bit tag).
+    pub colors: u8,
 }
 
 impl Default for MrsConfig {
@@ -40,7 +48,7 @@ impl Default for MrsConfig {
         MrsConfig {
             quarantine_divisor: 3,
             min_quarantine_bytes: 8 << 20,
-            trigger_revocation: true,
+            colors: 0,
         }
     }
 }
@@ -95,6 +103,9 @@ pub struct MrsStats {
     pub allocs: u64,
     /// Times allocation had to block on an in-flight pass.
     pub blocked_allocs: u64,
+    /// Frees recycled at once under a fresh colour (colour mode; the
+    /// other `frees` had exhausted their region's colours).
+    pub recolored_frees: u64,
 }
 
 /// A typed allocator event, recorded (when event recording is enabled)
@@ -163,14 +174,30 @@ pub struct Mrs {
     /// Whether allocator events are appended to `events` (off by default).
     log_events: bool,
     events: Vec<AllocEvent>,
+    /// Colour mode: the allocator-private authority to recolour the heap.
+    recolor_root: Capability,
+    /// Colour mode: the current colour of each region (absent = 0).
+    region_colors: FastMap<u64, u8>,
 }
 
 impl Mrs {
     /// Creates the shimmed heap over `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.colors` is 0 or in `2..=16`.
     #[must_use]
     pub fn new(layout: HeapLayout, cfg: MrsConfig) -> Self {
+        assert!(
+            cfg.colors == 0 || (2..=16).contains(&cfg.colors),
+            "colors must be 0 or in 2..=16"
+        );
+        let mut alloc = SnmallocLite::new(layout);
+        // In colour mode zeroing must go through a matching-colour
+        // capability, so the shim takes it over from the allocator.
+        alloc.set_zero_on_reuse(cfg.colors == 0);
         Mrs {
-            alloc: SnmallocLite::new(layout),
+            alloc,
             cfg,
             open: Vec::new(),
             open_bytes: 0,
@@ -179,6 +206,12 @@ impl Mrs {
             stats: MrsStats::default(),
             log_events: false,
             events: Vec::new(),
+            recolor_root: Capability::new_root(
+                layout.base,
+                layout.malloc_len,
+                Perms::rw() | Perms::RECOLOR,
+            ),
+            region_colors: FastMap::default(),
         }
     }
 
@@ -195,11 +228,6 @@ impl Mrs {
     /// Moves all recorded events into `out`, clearing the internal log.
     pub fn drain_events_into(&mut self, out: &mut Vec<AllocEvent>) {
         out.append(&mut self.events);
-    }
-
-    /// The underlying allocator (e.g. to disable zeroing in ablations).
-    pub fn allocator_mut(&mut self) -> &mut SnmallocLite {
-        &mut self.alloc
     }
 
     /// Live heap bytes.
@@ -238,14 +266,28 @@ impl Mrs {
         revoker.is_revoking() && self.open_bytes > self.policy_bound()
     }
 
-    /// Allocates `size` bytes.
+    /// Allocates `size` bytes. In colour mode the capability carries its
+    /// storage's current colour and no RECOLOR authority.
     pub fn alloc(&mut self, machine: &mut Machine, core: CoreId, size: u64) -> Result<Allocation, AllocError> {
         self.stats.allocs += 1;
-        self.alloc.alloc(machine, core, size)
+        let inner = self.alloc.alloc(machine, core, size)?;
+        if self.cfg.colors == 0 {
+            return Ok(inner);
+        }
+        let (base, len) = (inner.cap.base(), inner.cap.len());
+        let color = self.region_colors.get(&base).copied().unwrap_or(0);
+        let cap =
+            self.recolor_authority(base, len).with_color_sealed(color).expect("shim root holds RECOLOR");
+        // Deferred zeroing, through the matching-colour view.
+        let zeroing = machine.write_data(core, &cap, len).expect("heap is mapped writable");
+        Ok(Allocation { cap, cycles: inner.cycles + zeroing })
     }
 
     /// Frees `cap`: paints the bitmap, quarantines the region, and reports
-    /// whether policy wants a revocation pass.
+    /// whether policy wants a revocation pass. In colour mode a stale
+    /// (previous-colour) `cap` is a [`AllocError::BadFree`], and a region
+    /// with colours left is recoloured and recycled at once instead — the
+    /// caller's capability, and every copy of it, is already dead.
     pub fn free(
         &mut self,
         machine: &mut Machine,
@@ -253,6 +295,11 @@ impl Mrs {
         core: CoreId,
         cap: Capability,
     ) -> Result<FreeEffect, AllocError> {
+        if self.cfg.colors > 0 {
+            if let Some(cycles) = self.recycle_recolored(machine, core, cap)? {
+                return Ok(FreeEffect { cycles, trigger_revocation: false });
+            }
+        }
         let region = self.alloc.free_lookup(cap)?;
         self.stats.frees += 1;
         self.stats.total_freed_bytes += region.len;
@@ -261,14 +308,45 @@ impl Mrs {
         self.open.push(region);
         self.open_bytes += region.len;
         let mut trigger = false;
-        if self.cfg.trigger_revocation
-            && !revoker.is_revoking()
-            && self.quarantine_bytes() > self.policy_bound()
-        {
+        if !revoker.is_revoking() && self.quarantine_bytes() > self.policy_bound() {
             trigger = true;
             self.seal_for(revoker, RevocationReason::FreePolicy);
         }
         Ok(FreeEffect { cycles, trigger_revocation: trigger })
+    }
+
+    /// Colour mode's half of `free`: rejects a stale `cap`, and if its
+    /// region has colours left, recolours and recycles it, returning the
+    /// cycles. `None` means the colours ran out: quarantine it.
+    fn recycle_recolored(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        cap: Capability,
+    ) -> Result<Option<u64>, AllocError> {
+        let current = self.region_colors.get(&cap.base()).copied().unwrap_or(0);
+        if cap.color() != current {
+            // A stale capability: a double free through a dangling copy.
+            return Err(AllocError::BadFree);
+        }
+        let next = current + 1;
+        if next == self.cfg.colors {
+            return Ok(None);
+        }
+        let region = self.alloc.free_lookup(cap)?;
+        let auth = self.recolor_authority(region.base, region.len);
+        let cycles = 40 + machine.recolor(core, &auth, region.len, next).expect("heap is mapped writable");
+        self.stats.frees += 1;
+        self.stats.total_freed_bytes += region.len;
+        self.stats.recolored_frees += 1;
+        self.region_colors.insert(region.base, next);
+        self.alloc.recycle(region);
+        Ok(Some(cycles))
+    }
+
+    /// The shim's RECOLOR authority over `[base, base + len)`.
+    fn recolor_authority(&self, base: u64, len: u64) -> Capability {
+        self.recolor_root.set_bounds(base, len).expect("region within heap")
     }
 
     /// Frees `cap` with immediate reuse — **no quarantine, no painting, no
@@ -348,6 +426,12 @@ impl Mrs {
             for region in batch.regions {
                 cycles += revoker.unpaint(machine, core, region.base, region.len);
                 cycles += 20;
+                if self.cfg.colors > 0 {
+                    // The pass killed every holder: the colour cycle restarts.
+                    let auth = self.recolor_authority(region.base, region.len);
+                    cycles += machine.recolor(core, &auth, region.len, 0).expect("heap is mapped writable");
+                    self.region_colors.remove(&region.base);
+                }
                 self.alloc.recycle(region);
             }
         }
@@ -365,7 +449,7 @@ mod tests {
     use super::*;
     use cornucopia::{RevokerConfig, StepOutcome, Strategy};
 
-    fn setup(strategy: Strategy, min_q: u64) -> (Machine, Revoker, Mrs) {
+    fn setup_with(strategy: Strategy, cfg: MrsConfig) -> (Machine, Revoker, Mrs) {
         let layout = HeapLayout::new(0x4000_0000, 64 << 20);
         let machine = Machine::new(2);
         let revoker = Revoker::new(
@@ -373,8 +457,17 @@ mod tests {
             layout.base,
             layout.total_len,
         );
-        let mrs = Mrs::new(layout, MrsConfig { min_quarantine_bytes: min_q, ..MrsConfig::default() });
-        (machine, revoker, mrs)
+        (machine, revoker, Mrs::new(layout, cfg))
+    }
+
+    fn setup(strategy: Strategy, min_q: u64) -> (Machine, Revoker, Mrs) {
+        setup_with(strategy, MrsConfig { min_quarantine_bytes: min_q, ..MrsConfig::default() })
+    }
+
+    /// A colour-mode heap under Reloaded with a 4 KiB floor.
+    fn colored(colors: u8) -> (Machine, Revoker, Mrs) {
+        let cfg = MrsConfig { min_quarantine_bytes: 4 << 10, colors, ..MrsConfig::default() };
+        setup_with(Strategy::Reloaded, cfg)
     }
 
     fn drain(machine: &mut Machine, revoker: &mut Revoker) {
@@ -484,22 +577,8 @@ mod tests {
     /// buffer, not on sealed batches waiting out their release epochs.
     #[test]
     fn blocking_gates_on_open_buffer_not_sealed_backlog() {
-        let layout = HeapLayout::new(0x4000_0000, 64 << 20);
-        let mut m = Machine::new(2);
-        let mut rev = Revoker::new(
-            RevokerConfig { strategy: Strategy::Cornucopia, ..RevokerConfig::default() },
-            layout.base,
-            layout.total_len,
-        );
-        // trigger_revocation off: this test cycles quarantine by hand.
-        let mut mrs = Mrs::new(
-            layout,
-            MrsConfig {
-                min_quarantine_bytes: 1 << 10,
-                trigger_revocation: false,
-                ..MrsConfig::default()
-            },
-        );
+        let (mut m, mut rev, mut mrs) = setup(Strategy::Cornucopia, 1 << 10);
+        // This test cycles quarantine by hand: it ignores the triggers.
         let caps: Vec<_> = (0..10).map(|_| mrs.alloc(&mut m, 0, 4096).unwrap().cap).collect();
         for c in caps {
             mrs.free(&mut m, &mut rev, 0, c).unwrap();
@@ -573,6 +652,111 @@ mod tests {
             drain(&mut m, &mut rev);
             let (stale, _) = m.load_cap(0, &heap_slot).unwrap();
             assert!(!stale.is_tagged(), "{strategy:?} left a stale cap alive");
+        }
+    }
+
+    // Colour mode (§7.3).
+
+    #[test]
+    fn free_kills_stale_caps_immediately() {
+        let (mut m, mut rev, mut heap) = colored(16);
+        let keeper = heap.alloc(&mut m, 0, 64).unwrap().cap;
+        let p = heap.alloc(&mut m, 0, 256).unwrap().cap;
+        m.store_cap(0, &keeper, p).unwrap();
+        heap.free(&mut m, &mut rev, 0, p).unwrap();
+        // NO revocation pass has run, yet the stale pointer is already dead.
+        let (stale, _) = m.load_cap(0, &keeper).unwrap();
+        assert!(stale.is_tagged(), "the capability itself survives in memory...");
+        assert!(
+            matches!(m.read_data(0, &stale, 8), Err(cheri_vm::VmFault::ColorMismatch { .. })),
+            "...but dereference must fail on color mismatch"
+        );
+        // Stores through it are silently discarded.
+        let before = m.vm_stats().discarded_stores;
+        m.write_data(0, &stale, 8).unwrap();
+        assert_eq!(m.vm_stats().discarded_stores, before + 1);
+    }
+
+    #[test]
+    fn storage_reuses_immediately_with_fresh_color() {
+        let (mut m, mut rev, mut heap) = colored(16);
+        let p = heap.alloc(&mut m, 0, 256).unwrap().cap;
+        assert_eq!(p.color(), 0);
+        heap.free(&mut m, &mut rev, 0, p).unwrap();
+        let q = heap.alloc(&mut m, 0, 256).unwrap().cap;
+        assert_eq!(q.base(), p.base(), "no quarantine: instant reuse");
+        assert_eq!(q.color(), 1);
+        // The new owner works; the old capability does not.
+        m.write_data(0, &q, 256).unwrap();
+        assert!(m.read_data(0, &p, 8).is_err());
+        assert_eq!(heap.quarantine_bytes(), 0);
+    }
+
+    #[test]
+    fn client_cannot_forge_colors() {
+        let (mut m, mut rev, mut heap) = colored(16);
+        let p = heap.alloc(&mut m, 0, 256).unwrap().cap;
+        assert!(p.with_color(3).is_err(), "client caps lack RECOLOR");
+        heap.free(&mut m, &mut rev, 0, p).unwrap();
+        assert!(m.recolor(0, &p, 256, 1).is_err(), "client cannot recolor memory");
+    }
+
+    #[test]
+    fn double_free_with_stale_color_is_rejected() {
+        let (mut m, mut rev, mut heap) = colored(16);
+        let p = heap.alloc(&mut m, 0, 256).unwrap().cap;
+        heap.free(&mut m, &mut rev, 0, p).unwrap();
+        assert!(matches!(heap.free(&mut m, &mut rev, 0, p), Err(AllocError::BadFree)));
+    }
+
+    #[test]
+    fn exhausted_colors_fall_back_to_revocation() {
+        let (mut m, mut rev, mut heap) = colored(2); // tiny color space
+        let p0 = heap.alloc(&mut m, 0, 2048).unwrap().cap;
+        heap.free(&mut m, &mut rev, 0, p0).unwrap(); // color 0 -> 1
+        let p1 = heap.alloc(&mut m, 0, 2048).unwrap().cap;
+        assert_eq!(p1.base(), p0.base());
+        assert_eq!(p1.color(), 1);
+        // Freeing at the last color quarantines instead of recycling.
+        let e = heap.free(&mut m, &mut rev, 0, p1).unwrap();
+        assert!(heap.quarantine_bytes() > 0);
+        assert_eq!(heap.stats().frees - heap.stats().recolored_frees, 1, "one exhausted free");
+        let p2 = heap.alloc(&mut m, 0, 2048).unwrap().cap;
+        assert_ne!(p2.base(), p0.base(), "exhausted region must not be reused yet");
+        // A pass resets the region to color 0 and recycles it.
+        if !e.trigger_revocation {
+            heap.seal(&rev);
+        }
+        rev.start_epoch(&mut m);
+        drain(&mut m, &mut rev);
+        heap.poll_release(&mut m, &mut rev, 0);
+        assert_eq!(heap.quarantine_bytes(), 0);
+        // Eventually the region comes back at color 0.
+        let mut seen = false;
+        for _ in 0..4 {
+            let c = heap.alloc(&mut m, 0, 2048).unwrap().cap;
+            if c.base() == p0.base() {
+                assert_eq!(c.color(), 0);
+                seen = true;
+                break;
+            }
+        }
+        assert!(seen, "exhausted region must return to service after the pass");
+    }
+
+    #[test]
+    fn revocation_pressure_drops_with_color_count() {
+        // Same churn; count how many frees would need revocation.
+        for (colors, expected_max) in [(2u8, 60u64), (16, 8)] {
+            let (mut m, mut rev, mut heap) = colored(colors);
+            for _ in 0..100 {
+                let p = heap.alloc(&mut m, 0, 4096).unwrap().cap;
+                heap.free(&mut m, &mut rev, 0, p).unwrap();
+            }
+            let s = heap.stats();
+            let exhausted = s.frees - s.recolored_frees;
+            assert!(exhausted <= expected_max, "{colors} colors: {exhausted} exhausted frees (cap {expected_max})");
+            assert_eq!(s.frees, 100);
         }
     }
 }

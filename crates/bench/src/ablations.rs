@@ -5,17 +5,16 @@
 //! function from a row's looked-up [`RunStats`] to its columns. The cells
 //! become [`JobSpec`]s ([`jobs`]) and run where every other cell runs, on
 //! [`crate::orchestrator::run`]'s pool; a cell several rows or studies
-//! read runs once. `coloring` alone computes its rows in place: its
-//! shim is not one `System` can hold (ROADMAP item 2).
+//! read runs once. All eight studies are such tables: `coloring`'s
+//! coloured rows are xalancbmk cells under Reloaded with a `colors=N`
+//! tweak, simulated by the same `System` as every other cell.
 
 use crate::fmt::{markdown_table, ms};
 use crate::harness::Suite;
 use crate::orchestrator::{self, MatrixOutcome, RunOptions};
 use crate::plan::JobSpec;
-use crate::plan::Tweak::{self, PteMode, Quarantine, RevokerThreads, SpareRevokerCore};
-use cheri_alloc::{ColoredMrs, HeapLayout, Mrs, MrsConfig};
-use cheri_vm::Machine;
-use cornucopia::{PhaseKind, PteUpdateMode, Revoker, RevokerConfig, StepOutcome, Strategy};
+use crate::plan::Tweak::{self, Colors, PteMode, Quarantine, RevokerThreads, SpareRevokerCore};
+use cornucopia::{PhaseKind, PteUpdateMode, Strategy};
 use morello_sim::{Condition, RunStats};
 use std::collections::BTreeSet;
 use workloads::SpecProgram::{self, AstarLakes, HmmerNph3, Omnetpp, Xalancbmk};
@@ -27,7 +26,7 @@ const RELOADED: Condition = Condition::Safe(Strategy::Reloaded);
 #[derive(Debug, Clone, Copy)]
 struct Cell(SpecProgram, Condition, Tweak);
 
-/// The cell five of the studies share: the churn-heaviest workload under
+/// The cell six of the studies share: the churn-heaviest workload under
 /// the paper's design and its tuned configuration.
 const XALANCBMK_RELOADED: Cell = Cell(Xalancbmk, RELOADED, Tweak::None);
 const OMNETPP_RELOADED: Cell = Cell(Omnetpp, RELOADED, Tweak::None);
@@ -53,17 +52,10 @@ pub struct Ablation {
     headers: &'static [&'static str],
     /// Each row over matrix cells: its label and the cells it reads.
     rows: &'static [(&'static str, &'static [Cell])],
-    columns: Columns,
-    expectation: &'static str,
-}
-
-#[derive(Debug)]
-enum Columns {
     /// The columns after a row's label, from the row's cells and their
     /// stats (same order).
-    Of(fn(&[Cell], &[&RunStats]) -> Vec<String>),
-    /// A study with no `rows`: whole table rows computed in place.
-    InPlace(fn() -> Vec<Vec<String>>),
+    columns: fn(&[Cell], &[&RunStats]) -> Vec<String>,
+    expectation: &'static str,
 }
 
 impl Ablation {
@@ -84,26 +76,23 @@ impl Ablation {
     /// out — says so instead of printing numbers.
     #[must_use]
     pub fn render(&self, results: &Suite) -> String {
-        let rows: Vec<Vec<String>> = match self.columns {
-            Columns::InPlace(rows) => rows(),
-            Columns::Of(columns) => self
-                .rows
-                .iter()
-                .map(|&(label, cells)| {
-                    let stats: Option<Vec<&RunStats>> =
-                        cells.iter().map(|cell| cell.lookup(results)).collect();
-                    let mut out = vec![label.to_string()];
-                    match stats {
-                        Some(stats) => out.extend(columns(cells, &stats)),
-                        None => {
-                            out.push("not evaluable (an input cell has no result)".to_string());
-                            out.resize(self.headers.len(), "—".to_string());
-                        }
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|&(label, cells)| {
+                let stats: Option<Vec<&RunStats>> =
+                    cells.iter().map(|cell| cell.lookup(results)).collect();
+                let mut out = vec![label.to_string()];
+                match stats {
+                    Some(stats) => out.extend((self.columns)(cells, &stats)),
+                    None => {
+                        out.push("not evaluable (an input cell has no result)".to_string());
+                        out.resize(self.headers.len(), "—".to_string());
                     }
-                    out
-                })
-                .collect(),
-        };
+                }
+                out
+            })
+            .collect();
         format!(
             "{}\n\n{}\n{}\n",
             self.heading,
@@ -171,10 +160,10 @@ pub const BARRIERS: Ablation = Ablation {
         ),
         ("high (xalancbmk)", &[Cell(Xalancbmk, CORNUCOPIA, Tweak::None), XALANCBMK_RELOADED]),
     ],
-    columns: Columns::Of(|_, stats| {
+    columns: |_, stats| {
         let (corn, rel) = (max_pause(stats[0]), max_pause(stats[1]));
         vec![ms(corn), ms(rel), format!("{:.0}x", corn as f64 / rel.max(1) as f64)]
-    }),
+    },
     expectation: "Expectation: the store-barrier pause grows with pointer-store density; the \
                   load-barrier pause stays flat (register/hoard scan only).",
 };
@@ -191,10 +180,10 @@ pub const PTE_MODE: Ablation = Ablation {
             &[Cell(Omnetpp, RELOADED, PteMode(PteUpdateMode::RewriteEachEpoch))],
         ),
     ],
-    columns: Columns::Of(|_, stats| {
+    columns: |_, stats| {
         let s = stats[0];
         vec![wall_ms(s), ms(max_pause(s)), s.revocations.to_string()]
-    }),
+    },
     expectation: "Expectation: rewriting every PTE at epoch start lengthens the stop-the-world \
                   entry (one PTE write + shootdown per mapped page, twice per epoch) without any \
                   safety benefit — the reason §4.1's generation scheme exists.",
@@ -211,11 +200,11 @@ pub const QUARANTINE_POLICY: Ablation = Ablation {
         ("1/1 of heap, 128 KiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(1, 128 << 10))]),
         ("1/3 of heap, 1 MiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(3, 1 << 20))]),
     ],
-    columns: Columns::Of(|_, stats| {
+    columns: |_, stats| {
         let s = stats[0];
         let peak_mib = s.peak_rss as f64 / (1 << 20) as f64;
         vec![wall_ms(s), s.revocations.to_string(), format!("{peak_mib:.1}")]
-    }),
+    },
     expectation: "Expectation: a larger quarantine trades memory footprint for fewer, larger \
                   revocation passes (§7.2); the paper's 1/3-of-allocated-heap policy sits in the \
                   middle of the curve.",
@@ -233,10 +222,10 @@ pub const CHERIOT: Ablation = Ablation {
             &[Cell(Omnetpp, Condition::Safe(Strategy::CheriotFilter), Tweak::None)],
         ),
     ],
-    columns: Columns::Of(|_, stats| {
+    columns: |_, stats| {
         let s = stats[0];
         vec![wall_ms(s), s.faults.to_string(), ms(max_pause(s))]
-    }),
+    },
     expectation: "Expectation: the filter takes no traps and needs no epoch entry STW at all \
                   (freed objects are dead on load), at the price of probing the bitmap on every \
                   capability load — viable for CHERIoT's tightly-coupled SRAM, costly for a \
@@ -256,7 +245,7 @@ pub const REVOKER_PRIORITY: Ablation = Ablation {
             &[Cell(Xalancbmk, RELOADED, SpareRevokerCore(false))],
         ),
     ],
-    columns: Columns::Of(|_, stats| vec![wall_ms(stats[0]), stats[0].blocked_allocs.to_string()]),
+    columns: |_, stats| vec![wall_ms(stats[0]), stats[0].blocked_allocs.to_string()],
     expectation: "Expectation: without a spare core, concurrent revocation steals mutator \
                   cycles and passes take longer to finish, so allocation blocks more often — \
                   the §7.7 motivation for tuning the revoker thread's quantum/priority.",
@@ -273,10 +262,10 @@ pub const REVOKER_THREADS: Ablation = Ablation {
         ("1 background thread(s)", &[XALANCBMK_RELOADED]),
         ("2 background thread(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
     ],
-    columns: Columns::Of(|cells, stats| {
+    columns: |cells, stats| {
         let s = stats[0];
         vec![wall_ms(s), ms(median(&concurrent_phases(cells[0].1, s))), s.faults.to_string()]
-    }),
+    },
     expectation: "Expectation: a second background thread roughly halves the concurrent \
                   phase; the application then takes fewer load-barrier faults because pages \
                   are healed before it touches them.",
@@ -304,73 +293,18 @@ pub const REVOKER_CORES: Ablation = Ablation {
         ("Reloaded × 2 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
         ("Reloaded × 4 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(4))]),
     ],
-    columns: Columns::Of(|cells, stats| {
+    columns: |cells, stats| {
         let concurrent = concurrent_phases(cells[0].1, stats[0]);
         let per_core_dram: Vec<String> =
             stats[0].revoker_dram_per_core.iter().map(u64::to_string).collect();
         vec![ms(median(&concurrent)), ms(concurrent.iter().sum()), per_core_dram.join(" / ")]
-    }),
+    },
     expectation: "Expectation: the concurrent-phase critical path falls roughly in proportion \
                   to the core count (identical revocation results — the property suite checks \
                   bit-for-bit equality), DRAM transactions spread across the sweeping cores \
                   instead of piling on `revoker_cores[0]`, and the shorter window reduces \
                   Cornucopia's re-dirtied-page STW work / Reloaded's fault exposure.",
 };
-
-// ---------------------------------------------------------------------
-// §7.3 coloring composition
-// ---------------------------------------------------------------------
-
-const COLORING_CHURN_OBJECTS: u64 = 4000;
-const COLORING_OBJ_SIZE: u64 = 8 << 10;
-
-fn coloring_layout() -> HeapLayout {
-    HeapLayout::new(0x4000_0000, 64 << 20)
-}
-
-fn coloring_drain(machine: &mut Machine, revoker: &mut Revoker) -> u64 {
-    let mut cycles = 0;
-    while revoker.is_revoking() {
-        match revoker.background_step(machine, 10_000_000) {
-            StepOutcome::NeedsFinalStw { .. } => cycles += revoker.finish_stw(machine, 1),
-            StepOutcome::Working { used } | StepOutcome::Finished { used } => cycles += used,
-            StepOutcome::Idle => break,
-        }
-    }
-    cycles
-}
-
-/// One design's row: churns [`COLORING_CHURN_OBJECTS`] objects through
-/// the shim `$heap` on a bare `Machine` + `Revoker`, revoking whenever a
-/// free asks for it. A macro, because [`Mrs`] and [`ColoredMrs`] share
-/// the three method shapes the loop calls but no trait.
-macro_rules! coloring_row {
-    ($design:expr, $heap:expr, $lifetime:expr) => {{
-        let (layout, mut heap) = (coloring_layout(), $heap);
-        let mut machine = Machine::new(4);
-        let mut revoker = Revoker::new(
-            RevokerConfig { strategy: Strategy::Reloaded, ..RevokerConfig::default() },
-            layout.base,
-            layout.total_len,
-        );
-        let mut rev_cycles = 0;
-        for _ in 0..COLORING_CHURN_OBJECTS {
-            let p = heap.alloc(&mut machine, 3, COLORING_OBJ_SIZE).unwrap().cap;
-            let e = heap.free(&mut machine, &mut revoker, 3, p).unwrap();
-            if e.trigger_revocation {
-                rev_cycles += revoker.start_epoch(&mut machine);
-                rev_cycles += coloring_drain(&mut machine, &mut revoker);
-                heap.poll_release(&mut machine, &mut revoker, 3);
-            }
-        }
-        vec![
-            $design,
-            format!("{}", revoker.stats().epochs),
-            format!("{:.2}", rev_cycles as f64 / 2.5e6),
-            $lifetime.to_string(),
-        ]
-    }};
-}
 
 /// The §7.3 CHERI + memory-coloring composition vs. plain quarantine:
 /// revocation pressure falls with the color count while stale pointers
@@ -379,23 +313,20 @@ pub const COLORING: Ablation = Ablation {
     name: "coloring",
     heading: "### Ablation — CHERI + memory coloring (§7.3)",
     headers: &["design", "revocation passes", "revoker ms", "stale-pointer lifetime"],
-    rows: &[],
-    columns: Columns::InPlace(|| {
-        let plain = MrsConfig { min_quarantine_bytes: 1 << 20, ..MrsConfig::default() };
-        let mut rows = vec![coloring_row!(
-            "plain quarantine (Mrs + Reloaded)".to_string(),
-            Mrs::new(coloring_layout(), plain),
-            "until next epoch (UAF window)"
-        )];
-        rows.extend([4, 8, 16].map(|colors| {
-            coloring_row!(
-                format!("coloring, {colors} colors"),
-                ColoredMrs::new(coloring_layout(), colors, 1 << 20),
-                "instant (fail-stop on free)"
-            )
-        }));
-        rows
-    }),
+    rows: &[
+        ("plain quarantine (xalancbmk, Reloaded)", &[XALANCBMK_RELOADED]),
+        ("coloring, 4 colors", &[Cell(Xalancbmk, RELOADED, Colors(4))]),
+        ("coloring, 8 colors", &[Cell(Xalancbmk, RELOADED, Colors(8))]),
+        ("coloring, 16 colors", &[Cell(Xalancbmk, RELOADED, Colors(16))]),
+    ],
+    columns: |cells, stats| {
+        let lifetime = match cells[0].2 {
+            Colors(_) => "instant (fail-stop on free)",
+            _ => "until next epoch (UAF window)",
+        };
+        let s = stats[0];
+        vec![s.revocations.to_string(), ms(s.revoker_cpu_cycles), lifetime.to_string()]
+    },
     expectation: "Expectation (§7.3): quarantine pressure — and with it revocation \
                   frequency — falls roughly in proportion to the color count, while the \
                   UAF/UAR gap closes completely (stale pointers die at free time, as in \
@@ -418,11 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn the_24_cell_references_are_17_cells_and_none_is_a_figure_cell() {
-        assert_eq!(ABLATIONS.iter().flat_map(Ablation::cells).count(), 24);
+    fn the_28_cell_references_are_20_cells_and_none_is_a_figure_cell() {
+        assert_eq!(ABLATIONS.iter().flat_map(Ablation::cells).count(), 28);
         let planned = jobs(&ABLATIONS);
         let ablation_keys: BTreeSet<String> = planned.iter().map(JobSpec::key).collect();
-        assert_eq!((planned.len(), ablation_keys.len()), (17, 17));
+        assert_eq!((planned.len(), ablation_keys.len()), (20, 20));
 
         let figure_cells = MatrixPlan::all(Scale::default()).build().unwrap();
         let figure_keys: BTreeSet<String> = figure_cells.iter().map(JobSpec::key).collect();
@@ -431,7 +362,7 @@ mod tests {
 
         // `repro all`'s list: the figure cells, then the ablation cells.
         let all = MatrixPlan::all(Scale::default()).cells(planned).build().unwrap();
-        assert_eq!(all.len(), 149);
+        assert_eq!(all.len(), 152);
         assert!(all[132..].iter().all(|job| job.merge_label() == crate::plan::ABLATION_LABEL));
     }
 
@@ -442,7 +373,7 @@ mod tests {
         for job in jobs(&ABLATIONS) {
             results.insert(job.workload(), job.condition(), RunStats::default());
         }
-        for study in ABLATIONS.iter().filter(|s| matches!(s.columns, Columns::Of(_))) {
+        for study in &ABLATIONS {
             let text = study.render(&results);
             assert!(!text.contains("not evaluable") && !text.contains("NaN"), "{text}");
         }

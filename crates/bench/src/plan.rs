@@ -116,6 +116,8 @@ pub(crate) enum Tweak {
     Quarantine(u64, u64),
     SpareRevokerCore(bool),
     RevokerThreads(usize),
+    /// Memory colours per heap region (§7.3).
+    Colors(u8),
 }
 
 impl Tweak {
@@ -131,6 +133,7 @@ impl Tweak {
             }
             Tweak::SpareRevokerCore(spare) => Some(format!("spare_revoker_core={spare}")),
             Tweak::RevokerThreads(n) => Some(format!("revoker_threads={n}")),
+            Tweak::Colors(n) => Some(format!("colors={n}")),
         }
     }
 
@@ -142,6 +145,7 @@ impl Tweak {
             Tweak::Quarantine(divisor, floor) => b.quarantine_divisor(divisor).min_quarantine(floor),
             Tweak::SpareRevokerCore(spare) => b.spare_revoker_core(spare),
             Tweak::RevokerThreads(n) => b.revoker_threads(n),
+            Tweak::Colors(n) => b.colors(n),
         }
         .build()
         .expect("a tuned config stays valid under every study's tweak")

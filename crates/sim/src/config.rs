@@ -157,6 +157,7 @@ pub struct SimConfig {
     pub(crate) spare_revoker_core: bool,
     pub(crate) pte_mode: PteUpdateMode,
     pub(crate) revoker_threads: usize,
+    pub(crate) colors: u8,
     pub(crate) tx_interval: Option<u64>,
     pub(crate) latency_from_arrival: bool,
     pub(crate) telemetry: TelemetryConfig,
@@ -174,6 +175,7 @@ impl Default for SimConfig {
             spare_revoker_core: true,
             pte_mode: PteUpdateMode::Generation,
             revoker_threads: 1,
+            colors: 0,
             tx_interval: None,
             latency_from_arrival: false,
             telemetry: TelemetryConfig::default(),
@@ -255,6 +257,11 @@ pub enum ConfigError {
     ZeroSampleInterval,
     /// Telemetry sampling was enabled with a zero-capacity series ring.
     ZeroSeriesCapacity,
+    /// `colors` was neither 0 (plain quarantine) nor in `2..=16`.
+    BadColors {
+        /// The rejected colour count.
+        colors: u8,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -280,6 +287,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroSeriesCapacity => {
                 f.write_str("telemetry series_capacity must be nonzero when sampling")
+            }
+            ConfigError::BadColors { colors } => {
+                write!(f, "colors {colors} must be 0 (plain quarantine) or in 2..=16")
             }
         }
     }
@@ -360,6 +370,15 @@ impl SimConfigBuilder {
         self
     }
 
+    /// Sets the memory colours per heap region (§7.3 composition): 0 is
+    /// plain quarantine, 2..=16 recolours on free and quarantines only
+    /// regions whose colours ran out.
+    #[must_use]
+    pub fn colors(mut self, colors: u8) -> Self {
+        self.cfg.colors = colors;
+        self
+    }
+
     /// Sets the fixed transaction arrival interval in cycles (`None` runs
     /// transactions back-to-back). Accepts `u64` or `Option<u64>`.
     #[must_use]
@@ -431,6 +450,9 @@ impl SimConfigBuilder {
         }
         if c.quarantine_divisor == 0 {
             return Err(ConfigError::ZeroQuarantineDivisor);
+        }
+        if c.colors == 1 || c.colors > 16 {
+            return Err(ConfigError::BadColors { colors: c.colors });
         }
         if c.tx_interval == Some(0) {
             return Err(ConfigError::ZeroTxInterval);
@@ -524,6 +546,19 @@ mod tests {
             SimConfig::builder().telemetry(t).build().unwrap_err(),
             ConfigError::ZeroSeriesCapacity
         );
+    }
+
+    #[test]
+    fn color_counts_outside_0_and_2_to_16_are_rejected() {
+        for colors in [1, 17] {
+            assert_eq!(
+                SimConfig::builder().colors(colors).build().unwrap_err(),
+                ConfigError::BadColors { colors }
+            );
+        }
+        for colors in [0, 2, 16] {
+            assert_eq!(SimConfig::builder().colors(colors).build().unwrap().colors, colors);
+        }
     }
 
     #[test]

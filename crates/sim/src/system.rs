@@ -202,7 +202,7 @@ impl System {
             MrsConfig {
                 min_quarantine_bytes: cfg.min_quarantine,
                 quarantine_divisor: cfg.quarantine_divisor,
-                ..MrsConfig::default()
+                colors: cfg.colors,
             },
         );
         // The root table: one permanently-live large allocation holding one
@@ -1176,6 +1176,25 @@ mod tests {
             s.revoker_dram_per_core.iter().filter(|&&d| d > 0).count() >= 2,
             "sweep traffic should land on multiple cores, got {:?}",
             s.revoker_dram_per_core
+        );
+    }
+
+    #[test]
+    fn coloured_reloaded_does_the_same_work_with_fewer_revocations() {
+        let plain = run(Condition::reloaded(), 256 << 10);
+        let cfg = SimConfig::builder()
+            .condition(Condition::reloaded())
+            .min_quarantine(256 << 10)
+            .colors(4)
+            .build()
+            .unwrap();
+        let colored = System::new(cfg).run(churn_ops(2000, 4096)).unwrap();
+        assert_eq!((colored.allocs, colored.frees), (plain.allocs, plain.frees));
+        assert!(
+            colored.revocations < plain.revocations,
+            "4 colours: {} revocations, plain: {}",
+            colored.revocations,
+            plain.revocations
         );
     }
 

@@ -17,25 +17,19 @@
 //! M <obj> <len>       Mmap           U <obj>         Munmap
 //! ```
 //!
-//! **v2** additionally carries metadata lines of the form `#!key value`
-//! immediately after the header (sorted by key on write, so equal traces
-//! serialize identically) — provenance such as the generating workload,
-//! seed, or scale travels with the ops. The reader still accepts v1
-//! traces, where `#!` lines are plain comments and the metadata comes
-//! back empty.
+//! Metadata lines of the form `#!key value` follow the header (sorted by
+//! key on write, so equal traces serialize identically) — provenance such
+//! as the generating workload, seed, or scale travels with the ops.
 
 use crate::ops::Op;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-/// The current format header.
+/// The format header.
 pub const TRACE_HEADER: &str = "#cornucopia-trace v2";
 
-/// The legacy v1 header (no metadata lines); still readable.
-pub const TRACE_HEADER_V1: &str = "#cornucopia-trace v1";
-
-/// Trace metadata: ordered key → value pairs carried by v2 traces. Keys
+/// Trace metadata: ordered key → value pairs carried by a trace. Keys
 /// must be nonempty and free of whitespace; values must be single-line.
 pub type TraceMeta = BTreeMap<String, String>;
 
@@ -80,27 +74,27 @@ impl From<io::Error> for TraceError {
     }
 }
 
-/// Serializes an op stream with no metadata (v2 format).
-pub fn write_ops<W: Write>(ops: &[Op], w: W) -> io::Result<()> {
-    match write_trace(ops, &TraceMeta::new(), w) {
-        Ok(()) => Ok(()),
-        Err(TraceError::Io(e)) => Err(e),
-        Err(other) => Err(io::Error::other(other.to_string())),
-    }
-}
-
-/// Serializes an op stream plus metadata (v2 format: header, `#!key
-/// value` lines in key order, then one op per line).
-pub fn write_trace<W: Write>(ops: &[Op], meta: &TraceMeta, mut w: W) -> Result<(), TraceError> {
-    writeln!(w, "{TRACE_HEADER}").map_err(TraceError::Io)?;
-    for (key, value) in meta {
-        if key.is_empty()
+/// Rejects the first metadata entry that cannot round-trip: an empty key,
+/// whitespace in a key, or a line break in a value.
+fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
+    match meta.iter().find(|(key, value)| {
+        key.is_empty()
             || key.chars().any(char::is_whitespace)
             || value.contains('\n')
             || value.contains('\r')
-        {
-            return Err(TraceError::BadMeta { key: key.clone() });
-        }
+    }) {
+        Some((key, _)) => Err(TraceError::BadMeta { key: key.clone() }),
+        None => Ok(()),
+    }
+}
+
+/// Serializes an op stream plus metadata (header, `#!key value` lines in
+/// key order, then one op per line). Writes nothing if the metadata is
+/// rejected.
+pub fn write_trace<W: Write>(ops: &[Op], meta: &TraceMeta, mut w: W) -> Result<(), TraceError> {
+    check_meta(meta)?;
+    writeln!(w, "{TRACE_HEADER}").map_err(TraceError::Io)?;
+    for (key, value) in meta {
         writeln!(w, "#!{key} {value}").map_err(TraceError::Io)?;
     }
     write_op_lines(ops, w).map_err(TraceError::Io)
@@ -128,29 +122,20 @@ fn write_op_lines<W: Write>(ops: &[Op], mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserializes an op stream, dropping any metadata.
-pub fn read_ops<R: BufRead>(r: R) -> Result<Vec<Op>, TraceError> {
-    read_trace(r).map(|(ops, _)| ops)
-}
-
-/// Deserializes an op stream plus its metadata. Accepts v2 and v1
-/// headers; in v1 input, `#!` lines are plain comments and the returned
-/// metadata is empty.
+/// Deserializes an op stream plus its metadata.
 pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> {
     let mut lines = r.lines();
-    let v2 = match lines.next() {
-        Some(Ok(h)) if h.trim() == TRACE_HEADER => true,
-        Some(Ok(h)) if h.trim() == TRACE_HEADER_V1 => false,
+    match lines.next() {
+        Some(Ok(h)) if h.trim() == TRACE_HEADER => {}
         Some(Err(e)) => return Err(e.into()),
         _ => return Err(TraceError::BadHeader),
-    };
+    }
     let mut meta = TraceMeta::new();
     let mut ops = Vec::new();
     for (i, line) in lines.enumerate() {
         let line = line?;
         let text = line.trim();
-        if v2 && text.starts_with("#!") {
-            let body = &text[2..];
+        if let Some(body) = text.strip_prefix("#!") {
             let lineno = i + 2;
             let (key, value) = body
                 .split_once(char::is_whitespace)
@@ -193,26 +178,16 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
     Ok((ops, meta))
 }
 
-/// Writes a metadata-free trace to `path`.
-pub fn save_to_path(ops: &[Op], path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    let f = std::fs::File::create(path)?;
-    write_ops(ops, io::BufWriter::new(f))
-}
-
-/// Writes a trace with metadata to `path`.
+/// Writes a trace with metadata to `path`. Rejected metadata leaves any
+/// existing file at `path` untouched.
 pub fn save_trace_to_path(
     ops: &[Op],
     meta: &TraceMeta,
     path: impl AsRef<std::path::Path>,
 ) -> Result<(), TraceError> {
+    check_meta(meta)?;
     let f = std::fs::File::create(path).map_err(TraceError::Io)?;
     write_trace(ops, meta, io::BufWriter::new(f))
-}
-
-/// Reads a trace from `path`, dropping metadata.
-pub fn load_from_path(path: impl AsRef<std::path::Path>) -> Result<Vec<Op>, TraceError> {
-    let f = std::fs::File::open(path)?;
-    read_ops(io::BufReader::new(f))
 }
 
 /// Reads a trace plus metadata from `path`.
@@ -246,36 +221,40 @@ mod tests {
         ]
     }
 
+    fn ops_of(text: &[u8]) -> Result<Vec<Op>, TraceError> {
+        read_trace(text).map(|(ops, _)| ops)
+    }
+
     #[test]
     fn roundtrip_preserves_ops() {
         let ops = sample();
         let mut buf = Vec::new();
-        write_ops(&ops, &mut buf).unwrap();
-        let back = read_ops(buf.as_slice()).unwrap();
+        write_trace(&ops, &TraceMeta::new(), &mut buf).unwrap();
+        let back = ops_of(&buf).unwrap();
         assert_eq!(back, ops);
     }
 
     #[test]
     fn comments_and_blank_lines_are_skipped() {
         let text = format!("{TRACE_HEADER}\n# hello\n\nA 1 64\n  \nF 1\n");
-        let ops = read_ops(text.as_bytes()).unwrap();
+        let ops = ops_of(text.as_bytes()).unwrap();
         assert_eq!(ops, vec![Op::Alloc { obj: 1, size: 64 }, Op::Free { obj: 1 }]);
     }
 
     #[test]
     fn missing_header_is_rejected() {
-        assert!(matches!(read_ops("A 1 64\n".as_bytes()), Err(TraceError::BadHeader)));
+        assert!(matches!(ops_of("A 1 64\n".as_bytes()), Err(TraceError::BadHeader)));
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
         let text = format!("{TRACE_HEADER}\nA 1 64\nQ nonsense\n");
-        match read_ops(text.as_bytes()) {
+        match ops_of(text.as_bytes()) {
             Err(TraceError::Parse { line, .. }) => assert_eq!(line, 3),
             other => panic!("expected parse error, got {other:?}"),
         }
         let text = format!("{TRACE_HEADER}\nA 1\n"); // missing size
-        assert!(matches!(read_ops(text.as_bytes()), Err(TraceError::Parse { line: 2, .. })));
+        assert!(matches!(ops_of(text.as_bytes()), Err(TraceError::Parse { line: 2, .. })));
     }
 
     #[test]
@@ -283,8 +262,8 @@ mod tests {
         let dir = std::env::temp_dir().join("cornucopia-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.trace");
-        save_to_path(&sample(), &path).unwrap();
-        assert_eq!(load_from_path(&path).unwrap(), sample());
+        save_trace_to_path(&sample(), &TraceMeta::new(), &path).unwrap();
+        assert_eq!(load_trace_from_path(&path).unwrap(), (sample(), TraceMeta::new()));
         std::fs::remove_file(&path).ok();
     }
 
@@ -293,8 +272,8 @@ mod tests {
         use crate::{Condition, SimConfig, System};
         let ops = sample();
         let mut buf = Vec::new();
-        write_ops(&ops, &mut buf).unwrap();
-        let replayed = read_ops(buf.as_slice()).unwrap();
+        write_trace(&ops, &TraceMeta::new(), &mut buf).unwrap();
+        let replayed = ops_of(&buf).unwrap();
         let cfg = SimConfig::builder().condition(Condition::reloaded()).build().unwrap();
         let a = System::new(cfg.clone()).run(ops).unwrap();
         let b = System::new(cfg).run(replayed).unwrap();
@@ -341,18 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_still_read_with_empty_meta() {
-        let text = format!("{TRACE_HEADER_V1}
-#!not meta in v1
-A 1 64
-F 1
-");
-        let (ops, meta) = read_trace(text.as_bytes()).unwrap();
-        assert_eq!(ops, vec![Op::Alloc { obj: 1, size: 64 }, Op::Free { obj: 1 }]);
-        assert!(meta.is_empty());
-    }
-
-    #[test]
     fn bad_meta_is_rejected_on_write() {
         let ops = sample();
         let mut meta = TraceMeta::new();
@@ -380,5 +347,19 @@ break".to_string());
         assert_eq!(ops, sample());
         assert_eq!(meta, sample_meta());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_rejected_save_leaves_the_previous_file_byte_identical() {
+        let dir = std::env::temp_dir().join(format!("cornucopia-trace-keep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("keep.trace");
+        save_trace_to_path(&sample(), &sample_meta(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut bad = sample_meta();
+        bad.insert("has space".to_string(), "v".to_string());
+        assert!(matches!(save_trace_to_path(&[], &bad, &path), Err(TraceError::BadMeta { .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,7 +9,6 @@
 //!
 //! Run with: `cargo run --example memory_coloring`
 
-use cheri_alloc::ColoredMrs;
 use cornucopia_reloaded::prelude::*;
 
 fn main() {
@@ -20,7 +19,10 @@ fn main() {
         layout.base,
         layout.total_len,
     );
-    let mut heap = ColoredMrs::new(layout, 16, 1 << 20);
+    let mut heap = Mrs::new(
+        layout,
+        MrsConfig { min_quarantine_bytes: 1 << 20, colors: 16, ..MrsConfig::default() },
+    );
 
     // -- Allocate: the capability carries its storage's color -----------
     let keeper = heap.alloc(&mut machine, 3, 64).unwrap().cap;
@@ -62,10 +64,11 @@ fn main() {
         }
     }
     let s = heap.stats();
+    let exhausted = s.frees - s.recolored_frees;
     println!(
-        "600 churn cycles: {} immediate recycles, {} exhausted-quarantines, {passes} revocation pass(es)",
-        s.immediate_recycles, s.exhausted_quarantines
+        "600 churn cycles: {} immediate recycles, {exhausted} exhausted-quarantines, {passes} revocation pass(es)",
+        s.recolored_frees
     );
-    assert!(s.immediate_recycles > s.exhausted_quarantines * 10);
+    assert!(s.recolored_frees > exhausted * 10);
     println!("\nmemory_coloring OK");
 }

@@ -73,7 +73,7 @@ pub use workloads;
 
 /// The most commonly used types, re-exported.
 pub mod prelude {
-    pub use cheri_alloc::{ColoredMrs, HeapLayout, MmapSpace, Mrs, MrsConfig};
+    pub use cheri_alloc::{HeapLayout, MmapSpace, Mrs, MrsConfig};
     pub use cheri_cap::{Capability, Perms};
     pub use cheri_vm::{Machine, MapFlags, VmFault};
     pub use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};

@@ -41,9 +41,11 @@ cmp -s "$report_a" "$report_b" \
     || { echo "telemetry smoke: reports differ across invocations" >&2; exit 1; }
 
 echo "== examples (every one exits 0 and ends in its OK line) =="
-# uaf_failstop and memory_coloring are the only callers of
-# PhysMem::{read,write}_u64 outside tests: the product-side users of a
-# frame's lazily made data plane.
+# The six examples besides export_report, which the telemetry smoke above
+# runs. uaf_failstop and memory_coloring are the only callers of
+# PhysMem::{read,write}_u64 outside tests (the product-side users of a
+# frame's lazily made data plane); memory_coloring also drives Mrs's
+# colour mode by hand, outside System.
 for example in quickstart uaf_failstop memory_coloring mmap_reservations interactive_latency replay_malloc_log; do
     last="$(cargo run --release --offline -q --example "$example" 2>/dev/null | tail -n 1)" \
         || { echo "examples: $example failed" >&2; exit 1; }
@@ -178,13 +180,16 @@ rm -rf "$shard_dir"
 
 echo "== ablation smoke (ablation cells are matrix cells: worker counts, shards) =="
 abl_dir="$(mktemp -d)"
-# The study with the most cells (six xalancbmk runs), at 1 and 4 workers.
-for j in 1 4; do
-    REPRO_JOBS=$j cargo run --release --offline -q -p rev-bench --bin repro -- \
-        ablation revoker_cores >"$abl_dir/cores-j$j.md" 2>/dev/null
+# The study with the most cells (six xalancbmk runs) and the coloured
+# one, at 1 and 4 workers.
+for study in revoker_cores coloring; do
+    for j in 1 4; do
+        REPRO_JOBS=$j cargo run --release --offline -q -p rev-bench --bin repro -- \
+            ablation "$study" >"$abl_dir/$study-j$j.md" 2>/dev/null
+    done
+    cmp -s "$abl_dir/$study-j1.md" "$abl_dir/$study-j4.md" \
+        || { echo "ablation smoke: $study differs between 1 and 4 workers" >&2; exit 1; }
 done
-cmp -s "$abl_dir/cores-j1.md" "$abl_dir/cores-j4.md" \
-    || { echo "ablation smoke: revoker_cores differs between 1 and 4 workers" >&2; exit 1; }
 # Ablation cells are sharded like any other, not left to the merge run;
 # --only keeps the smoke to the 0.05 s hmmer cells.
 abl_args=(matrix --smoke --suites spec --ablations --only hmmer --repro-dir "$abl_dir/repro")
@@ -219,7 +224,7 @@ cmp "$exp_dir/EXPERIMENTS.md" EXPERIMENTS.md \
 env -u REPRO_SCALE -u REPRO_REPS \
     cargo run --release --offline -q -p rev-bench --bin repro -- all "$exp_dir/resumed.md" \
     --checkpoint "$exp_dir/ckpt.jsonl" 2>"$exp_dir/resume.log"
-grep -q ": 0 cell(s) ran, 149 resumed" "$exp_dir/resume.log" \
+grep -q ": 0 cell(s) ran, 152 resumed" "$exp_dir/resume.log" \
     || { echo "fixed point: a second repro all over the same checkpoint re-ran cells" >&2; exit 1; }
 cmp "$exp_dir/resumed.md" EXPERIMENTS.md \
     || { echo "fixed point: the resumed report differs from the committed EXPERIMENTS.md" >&2; exit 1; }
