@@ -86,28 +86,33 @@ impl std::error::Error for CapError {}
 /// A CHERI capability: a tagged, bounded, permissioned pointer.
 ///
 /// The struct stores the *decompressed* view (base, top, address, perms,
-/// tag); the representability constraints of the compressed encoding are
-/// enforced at derivation time by [`compress`]. This mirrors how an
-/// architectural simulator holds capabilities in registers, while memory
-/// stores them in the 128-bit encoding.
+/// colour, tag); the representability constraints of the compressed
+/// encoding are enforced at derivation time by [`compress`]. This mirrors
+/// how an architectural simulator holds capabilities in registers, while
+/// memory stores them in the 128-bit encoding.
+///
+/// The view is four machine words: permissions, colour and tag share one
+/// word. No field has a niche, so an `Option` or `Result` around a
+/// capability carries its own discriminant and the capability moves as
+/// whole words (the compiler would hide the discriminant in a `bool` tag
+/// and split every wrapped capability around that byte).
 ///
 /// `Capability` is `Copy`: copying a capability is exactly what CHERI
 /// permits (capabilities are copyable, non-indirected; paper §2.2), and
 /// revocation exists precisely because copies cannot be tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capability {
-    tag: bool,
     base: u64,
-    /// Exclusive upper bound. `top == u64::MAX` means the capability extends
-    /// to the end of the address space (we do not model the 65th bit).
     top: u64,
     addr: u64,
-    perms: Perms,
-    /// Memory color (paper §7.3): a small tag, protected by the
-    /// capability's integrity, that must match the color of the memory it
-    /// dereferences. `0` in systems that do not use coloring.
-    color: u8,
+    /// Permissions in bits 0..16, colour in bits 16..24, tag in bit 24.
+    meta: u64,
 }
+
+const PERMS_MASK: u64 = 0xffff;
+const COLOR_SHIFT: u32 = 16;
+const COLOR_MASK: u64 = 0xff << COLOR_SHIFT;
+const TAG_BIT: u64 = 1 << 24;
 
 impl Capability {
     /// Creates a primordial (root) capability covering `[base, base+len)`.
@@ -121,7 +126,7 @@ impl Capability {
     #[must_use]
     pub fn new_root(base: u64, len: u64, perms: Perms) -> Self {
         let top = base.checked_add(len).expect("root capability overflows address space");
-        Capability { tag: true, base, top, addr: base, perms, color: 0 }
+        Capability { base, top, addr: base, meta: TAG_BIT | u64::from(perms.bits()) }
     }
 
     /// Returns the canonical null capability: untagged, zero everything.
@@ -130,13 +135,13 @@ impl Capability {
     /// strips a tag in-place.
     #[must_use]
     pub const fn null() -> Self {
-        Capability { tag: false, base: 0, top: 0, addr: 0, perms: Perms::empty(), color: 0 }
+        Capability { base: 0, top: 0, addr: 0, meta: 0 }
     }
 
     /// The validity tag. An untagged capability authorizes nothing.
     #[must_use]
     pub const fn is_tagged(&self) -> bool {
-        self.tag
+        self.meta & TAG_BIT != 0
     }
 
     /// Lower bound (inclusive). Revocation probes the bitmap at this address
@@ -147,7 +152,8 @@ impl Capability {
         self.base
     }
 
-    /// Upper bound (exclusive).
+    /// Upper bound (exclusive). `u64::MAX` means the capability extends to
+    /// the end of the address space (we do not model the 65th bit).
     #[must_use]
     pub const fn top(&self) -> u64 {
         self.top
@@ -174,30 +180,34 @@ impl Capability {
     /// The permission set.
     #[must_use]
     pub const fn perms(&self) -> Perms {
-        self.perms
+        Perms::from_bits_truncate(self.meta as u16)
     }
 
-    /// The capability's memory color (paper §7.3). `0` when coloring is
-    /// unused.
+    /// The capability's memory color (paper §7.3): a small tag, protected
+    /// by the capability's integrity, that must match the color of the
+    /// memory it dereferences. `0` when coloring is unused.
     #[must_use]
     pub const fn color(&self) -> u8 {
-        self.color
+        (self.meta >> COLOR_SHIFT) as u8
     }
 
     /// Derives a capability with a new color. Requires
     /// [`Perms::RECOLOR`] — only the allocator may mint colored views,
     /// otherwise a client could chase recolored memory (§7.3: color bits
     /// live *under* CHERI's integrity protection).
+    ///
+    /// A colour above 15 does not fit the encoding's 4-bit field and is
+    /// [`CapError::NotRepresentable`].
     pub fn with_color(&self, color: u8) -> Result<Capability, CapError> {
         self.require_tag()?;
-        if !self.perms.contains(Perms::RECOLOR) {
+        if !self.perms().contains(Perms::RECOLOR) {
             return Err(CapError::PermissionDenied);
         }
         if color > 0xf {
-            return Err(CapError::AddressOverflow);
+            return Err(CapError::NotRepresentable);
         }
         let mut c = *self;
-        c.color = color;
+        c.meta = self.meta & !COLOR_MASK | u64::from(color) << COLOR_SHIFT;
         Ok(c)
     }
 
@@ -213,7 +223,7 @@ impl Capability {
     /// operation that would otherwise produce an unrepresentable capability.
     #[must_use]
     pub fn with_tag_cleared(mut self) -> Self {
-        self.tag = false;
+        self.meta &= !TAG_BIT;
         self
     }
 
@@ -235,7 +245,7 @@ impl Capability {
         if rbase < self.base || rtop > self.top {
             return Err(CapError::NotRepresentable);
         }
-        Ok(Capability { tag: true, base: rbase, top: rtop, addr: base, perms: self.perms, color: self.color })
+        Ok(Capability { base: rbase, top: rtop, addr: base, meta: self.meta })
     }
 
     /// Derives a capability with exactly the requested bounds
@@ -255,8 +265,8 @@ impl Capability {
     pub fn set_addr(&self, addr: u64) -> Capability {
         let mut c = *self;
         c.addr = addr;
-        if c.tag && !compress::addr_in_representable_window(self.base, self.len(), addr) {
-            c.tag = false;
+        if c.is_tagged() && !compress::addr_in_representable_window(self.base, self.len(), addr) {
+            c = c.with_tag_cleared();
         }
         c
     }
@@ -273,7 +283,7 @@ impl Capability {
     pub fn and_perms(&self, keep: Perms) -> Result<Capability, CapError> {
         self.require_tag()?;
         let mut c = *self;
-        c.perms = self.perms.intersection(keep);
+        c.meta &= !PERMS_MASK | u64::from(keep.bits());
         Ok(c)
     }
 
@@ -281,7 +291,7 @@ impl Capability {
     /// with permissions `need`.
     pub fn check_access(&self, need: Perms, size: u64) -> Result<(), CapError> {
         self.require_tag()?;
-        if !self.perms.contains(need) {
+        if !self.perms().contains(need) {
             return Err(CapError::PermissionDenied);
         }
         let end = self.addr.checked_add(size).ok_or(CapError::AddressOverflow)?;
@@ -303,11 +313,11 @@ impl Capability {
     /// encoder refuses to produce unrepresentable ones.
     #[must_use]
     pub fn from_decoded_parts(base: u64, top: u64, addr: u64, perms: Perms, color: u8) -> Self {
-        Capability { tag: true, base, top, addr, perms, color }
+        Capability { base, top, addr, meta: TAG_BIT | u64::from(color) << COLOR_SHIFT | u64::from(perms.bits()) }
     }
 
     fn require_tag(&self) -> Result<(), CapError> {
-        if self.tag {
+        if self.is_tagged() {
             Ok(())
         } else {
             Err(CapError::Untagged)
@@ -321,16 +331,29 @@ impl Default for Capability {
     }
 }
 
+impl fmt::Debug for Capability {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Capability")
+            .field("tag", &self.is_tagged())
+            .field("base", &self.base)
+            .field("top", &self.top)
+            .field("addr", &self.addr)
+            .field("perms", &self.perms())
+            .field("color", &self.color())
+            .finish()
+    }
+}
+
 impl fmt::Display for Capability {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "cap[{}] {:#x} in [{:#x},{:#x}) {}",
-            if self.tag { "v" } else { "-" },
+            if self.is_tagged() { "v" } else { "-" },
             self.addr,
             self.base,
             self.top,
-            self.perms
+            self.perms()
         )
     }
 }
@@ -421,6 +444,21 @@ mod tests {
         assert!(!n.is_tagged());
         assert_eq!(n.len(), 0);
         assert_eq!(n, Capability::default());
+    }
+
+    #[test]
+    fn capability_is_four_words_without_a_niche() {
+        assert_eq!(std::mem::size_of::<Capability>(), 32);
+        // A niche field would let `Option` hide its discriminant inside the
+        // capability, and the compiler would split every wrapped value.
+        assert!(std::mem::size_of::<Option<Capability>>() > 32);
+    }
+
+    #[test]
+    fn a_colour_above_15_is_not_representable() {
+        let c = Capability::new_root(0x1000, 0x1000, Perms::rw() | Perms::RECOLOR);
+        assert_eq!(c.with_color(16), Err(CapError::NotRepresentable));
+        assert_eq!(c.with_color(15).map(|c| c.color()), Ok(15));
     }
 
     #[test]

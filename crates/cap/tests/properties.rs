@@ -106,4 +106,113 @@ simtest::props! {
             sim_assert!(!far.set_addr(base).is_tagged());
         }
     }
+
+    /// The packed representation loses nothing: after every constructor
+    /// and derivation, the accessors read back exactly the six fields a
+    /// plain struct applying the same rules holds.
+    fn accessors_read_back_every_field(
+        bounds in (0u64..1 << 44, 0u64..1 << 32, 0u64..1 << 33),
+        sub in (0u64..1 << 33, 0u64..1 << 24),
+        cursor in (0u64..1 << 34, 0u8..3),
+        perms in (0u16..256, 0u16..256),
+        colors in (0u8..=15, 0u8..=16),
+        tag in 0u8..2,
+    ) {
+        let (base, len, addr_off) = bounds;
+        let held = Perms::from_bits_truncate(perms.0);
+        let keep = Perms::from_bits_truncate(perms.1);
+        let root = Capability::new_root(base, len, held);
+        sim_assert_eq!(
+            Fields::of(root),
+            Fields { tag: true, base, top: base + len, addr: base, perms: held, color: 0 }
+        );
+
+        let mut cap = Capability::from_decoded_parts(base, base + len, base + addr_off, held, colors.0);
+        let mut model = Fields { tag: true, base, top: base + len, addr: base + addr_off, perms: held, color: colors.0 };
+        if tag == 0 {
+            cap = cap.with_tag_cleared();
+            model.tag = false;
+        }
+        sim_assert_eq!(Fields::of(cap), model);
+        sim_assert_eq!(Fields::of(cap.with_tag_cleared()), Fields { tag: false, ..model });
+
+        let (off, sub_len) = sub;
+        let sub_base = base + off % len.max(1);
+        sim_assert_eq!(cap.set_bounds(sub_base, sub_len).map(Fields::of), model.set_bounds(sub_base, sub_len));
+
+        let (delta, how) = cursor;
+        let target = match how {
+            0 => base + delta,
+            1 => base.wrapping_sub(delta),
+            _ => delta | 1 << 60,
+        };
+        sim_assert_eq!(Fields::of(cap.set_addr(target)), model.set_addr(target));
+
+        sim_assert_eq!(cap.and_perms(keep).map(Fields::of), model.and_perms(keep));
+        let (_, color) = colors;
+        sim_assert_eq!(cap.with_color(color).map(Fields::of), model.with_color(color));
+        sim_assert_eq!(
+            cap.with_color_sealed(color).map(Fields::of),
+            model.with_color(color).and_then(|m| m.and_perms(Perms::from_bits_truncate(!Perms::RECOLOR.bits())))
+        );
+    }
+}
+
+/// The six-field view of a capability, with the derivation rules applied
+/// field by field: the reference the packed `Capability` is compared with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fields {
+    tag: bool,
+    base: u64,
+    top: u64,
+    addr: u64,
+    perms: Perms,
+    color: u8,
+}
+
+impl Fields {
+    fn of(c: Capability) -> Fields {
+        Fields { tag: c.is_tagged(), base: c.base(), top: c.top(), addr: c.addr(), perms: c.perms(), color: c.color() }
+    }
+
+    fn tagged(self) -> Result<Fields, CapError> {
+        if self.tag {
+            Ok(self)
+        } else {
+            Err(CapError::Untagged)
+        }
+    }
+
+    fn set_bounds(self, base: u64, len: u64) -> Result<Fields, CapError> {
+        self.tagged()?;
+        let top = base.checked_add(len).ok_or(CapError::AddressOverflow)?;
+        if base < self.base || top > self.top {
+            return Err(CapError::NotSubset);
+        }
+        let (rbase, rlen) = compress::representable_closure(base, len);
+        let rtop = rbase.checked_add(rlen).ok_or(CapError::AddressOverflow)?;
+        if rbase < self.base || rtop > self.top {
+            return Err(CapError::NotRepresentable);
+        }
+        Ok(Fields { base: rbase, top: rtop, addr: base, ..self })
+    }
+
+    fn set_addr(self, addr: u64) -> Fields {
+        let window = compress::addr_in_representable_window(self.base, self.top - self.base, addr);
+        Fields { addr, tag: self.tag && window, ..self }
+    }
+
+    fn and_perms(self, keep: Perms) -> Result<Fields, CapError> {
+        Ok(Fields { perms: self.tagged()?.perms & keep, ..self })
+    }
+
+    fn with_color(self, color: u8) -> Result<Fields, CapError> {
+        if !self.tagged()?.perms.contains(Perms::RECOLOR) {
+            return Err(CapError::PermissionDenied);
+        }
+        if color > 15 {
+            return Err(CapError::NotRepresentable);
+        }
+        Ok(Fields { color, ..self })
+    }
 }

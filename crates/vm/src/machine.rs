@@ -238,7 +238,7 @@ impl Machine {
         assert_eq!(vaddr % PAGE_SIZE, 0, "map_range: unaligned vaddr");
         assert_eq!(len % PAGE_SIZE, 0, "map_range: unaligned length");
         for page in (vaddr..vaddr + len).step_by(PAGE_SIZE as usize) {
-            let mut pte = Pte::new(page / PAGE_SIZE, flags, self.space_gen);
+            let mut pte = Pte::new(flags, self.space_gen);
             // A *remapping* (e.g. mprotect to read-only) must not lose the
             // revoker's view of the page: the capability-dirty bit and the
             // load generation carry over, or a capability-bearing page
@@ -325,6 +325,7 @@ impl Machine {
     /// tag-asserted load from a page whose generation mismatches the core's
     /// faults with [`VmFault::CapLoadGeneration`]. Returns the capability
     /// and the cycle cost.
+    #[inline]
     pub fn load_cap(&mut self, core: CoreId, auth: &Capability) -> Result<(Capability, u64), VmFault> {
         auth.check_access(Perms::LOAD | Perms::LOAD_CAP, CAP_SIZE)?;
         let vaddr = auth.addr();

@@ -54,8 +54,6 @@ impl MapFlags {
 ///   register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pte {
-    /// Backing frame number (identity-mapped in this simulation).
-    pub frame: u64,
     /// User read permission.
     pub read: bool,
     /// User write permission.
@@ -72,12 +70,12 @@ pub struct Pte {
 }
 
 impl Pte {
-    /// Creates a PTE for `frame` with the given flags, inheriting the
-    /// current address-space load generation.
+    /// Creates a PTE with the given flags, inheriting the current
+    /// address-space load generation. The mapping is the identity, so a
+    /// PTE names no frame.
     #[must_use]
-    pub fn new(frame: u64, flags: MapFlags, load_gen: bool) -> Self {
+    pub fn new(flags: MapFlags, load_gen: bool) -> Self {
         Pte {
-            frame,
             read: flags.read,
             write: flags.write,
             cap_store: flags.cap_store,
@@ -94,7 +92,7 @@ mod tests {
 
     #[test]
     fn new_pte_inherits_generation_and_is_clean() {
-        let p = Pte::new(7, MapFlags::user_rw(), true);
+        let p = Pte::new(MapFlags::user_rw(), true);
         assert!(p.load_gen);
         assert!(!p.cap_dirty);
         assert!(p.cap_store);

@@ -213,10 +213,14 @@ echo "== fixed point (EXPERIMENTS.md regenerates byte for byte, and resumes) =="
 # The path that writes EXPERIMENTS.md, at its default scale: any drift in
 # a simulated number fails here, not in front of a reader.
 exp_dir="$(mktemp -d)"
-env -u REPRO_SCALE -u REPRO_REPS \
+# The whole job's host cost is logged, never written into a checked file.
+TIMEFORMAT='%R %U %S'
+all_times="$( { time env -u REPRO_SCALE -u REPRO_REPS \
     cargo run --release --offline -q -p rev-bench --bin repro -- all "$exp_dir/EXPERIMENTS.md" \
-    --checkpoint "$exp_dir/ckpt.jsonl" 2>"$exp_dir/all.log" \
+    --checkpoint "$exp_dir/ckpt.jsonl" >/dev/null 2>"$exp_dir/all.log"; } 2>&1 )" \
     || { tail -n 20 "$exp_dir/all.log" >&2; echo "fixed point: repro all failed (a violated shape check exits 1)" >&2; exit 1; }
+read -r all_wall all_user all_sys <<<"$all_times"
+echo "repro all: $all_wall s wall, $(awk "BEGIN { print $all_user + $all_sys }") CPU-s, nproc $(nproc)"
 cmp "$exp_dir/EXPERIMENTS.md" EXPERIMENTS.md \
     || { echo "fixed point: the regenerated report differs from the committed EXPERIMENTS.md; if intentional, commit the output of 'repro all'" >&2; exit 1; }
 # Every cell of the report — figure cells and ablation cells — resumes
