@@ -225,9 +225,9 @@ impl Mrs {
         }
     }
 
-    /// Moves all recorded events into `out`, clearing the internal log.
-    pub fn drain_events_into(&mut self, out: &mut Vec<AllocEvent>) {
-        out.append(&mut self.events);
+    /// Drains the recorded events, oldest first, clearing the internal log.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, AllocEvent> {
+        self.events.drain(..)
     }
 
     /// Live heap bytes.
@@ -619,8 +619,7 @@ mod tests {
         mrs.seal(&rev);
         // Sealing an empty buffer is a no-op in both stats and journal.
         mrs.seal_for(&rev, RevocationReason::OomForced);
-        let mut events = Vec::new();
-        mrs.drain_events_into(&mut events);
+        let events: Vec<AllocEvent> = mrs.drain_events().collect();
         let requested: Vec<RevocationReason> = events
             .iter()
             .filter_map(|ev| match ev {

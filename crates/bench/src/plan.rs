@@ -342,21 +342,16 @@ impl JobSpec {
         })
     }
 
-    /// Runs the cell with the full event journal enabled — the dynamic
-    /// half of the static/dynamic cross-check oracle. The journal
-    /// capacity is raised so long smoke cells never drop a stale-chase
-    /// event from the ring.
+    /// Runs the cell with telemetry on — the dynamic half of the
+    /// static/dynamic cross-check oracle reads its event journal. One
+    /// counter sample per 20 ms of simulated time.
     #[must_use]
     pub fn execute_traced(&self) -> RunReport {
         self.with_stream(|mut source, config| {
             let cfg = config
                 .with_condition(self.condition)
                 .to_builder()
-                .telemetry(TelemetryConfig {
-                    record_events: true,
-                    event_capacity: 1 << 20,
-                    ..TelemetryConfig::default()
-                })
+                .telemetry(TelemetryConfig::full(50_000_000))
                 .build()
                 .expect("traced config must validate");
             System::new(cfg).run_stream(&mut source).expect("surrogate must run clean")

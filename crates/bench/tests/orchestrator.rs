@@ -129,6 +129,32 @@ fn checkpoint_resume_skips_completed_cells() {
 }
 
 #[test]
+fn a_deeply_nested_checkpoint_line_costs_only_its_cell() {
+    let jobs = pg_jobs(tiny_scale());
+    let path = std::env::temp_dir()
+        .join(format!("orchestrator-deep-line-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let opts = RunOptions { checkpoint: Some(path.clone()), ..quiet(2) };
+    let first = orchestrator::run(&jobs, &opts);
+    assert_eq!((first.completed, first.failures.len()), (jobs.len(), 0));
+
+    // Corrupt one cell's line into 200 000 open brackets: the parser
+    // must reject it, not overflow the stack and take the run down.
+    let contents = std::fs::read_to_string(&path).unwrap();
+    let mut lines: Vec<String> = contents.lines().map(str::to_string).collect();
+    assert_eq!(lines.len(), jobs.len());
+    lines[2] = "[".repeat(200_000);
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let second = orchestrator::run(&jobs, &opts);
+    assert!(second.failures.is_empty());
+    assert_eq!((second.resumed, second.completed), (jobs.len() - 1, 1));
+    assert_eq!(second.suites.get("pgbench"), first.suites.get("pgbench"));
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn checkpoint_lines_replay_only_at_the_scale_that_wrote_them() {
     // One cheap SPEC cell (its stream ignores the scale) beside pgbench
     // and gRPC cells whose length the scale sets but whose keys do not

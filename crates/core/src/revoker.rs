@@ -330,9 +330,9 @@ impl Revoker {
         }
     }
 
-    /// Moves all recorded events into `out`, clearing the internal log.
-    pub fn drain_events_into(&mut self, out: &mut Vec<RevokerEvent>) {
-        out.append(&mut self.events);
+    /// Drains the recorded events, oldest first, clearing the internal log.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, RevokerEvent> {
+        self.events.drain(..)
     }
 
     /// The strategy in use.

@@ -47,7 +47,15 @@ pub enum AccessKind {
     Write,
 }
 
-/// Cache geometry and latency parameters.
+/// Cycles for an L1 hit.
+pub const L1_HIT_CYCLES: u64 = 2;
+/// Additional cycles for an L2 hit.
+pub const L2_HIT_CYCLES: u64 = 12;
+/// Additional cycles for a DRAM access.
+pub const DRAM_CYCLES: u64 = 120;
+
+/// Cache geometry (the latencies are the constants [`L1_HIT_CYCLES`],
+/// [`L2_HIT_CYCLES`] and [`DRAM_CYCLES`]).
 ///
 /// Each level holds a power of two of lines, at least 64 (a level of the
 /// model is a whole number of 64-set blocks): [`MemSystem::with_config`]
@@ -60,17 +68,11 @@ pub struct CacheConfig {
     pub l1_lines: usize,
     /// Shared L2 lines. Default 16384 (1 MiB).
     pub l2_lines: usize,
-    /// Cycles for an L1 hit.
-    pub l1_hit_cycles: u64,
-    /// Additional cycles for an L2 hit.
-    pub l2_hit_cycles: u64,
-    /// Additional cycles for a DRAM access.
-    pub dram_cycles: u64,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { l1_lines: 1024, l2_lines: 16384, l1_hit_cycles: 2, l2_hit_cycles: 12, dram_cycles: 120 }
+        CacheConfig { l1_lines: 1024, l2_lines: 16384 }
     }
 }
 
@@ -203,7 +205,6 @@ pub(crate) struct Hierarchy {
     l1: Vec<DirectCache>,
     l2: DirectCache,
     stats: Vec<TrafficStats>,
-    config: CacheConfig,
 }
 
 impl Hierarchy {
@@ -214,7 +215,6 @@ impl Hierarchy {
             l1: (0..cores).map(|_| DirectCache::new(config.l1_lines, "l1_lines")).collect(),
             l2: DirectCache::new(config.l2_lines, "l2_lines"),
             stats: vec![TrafficStats::default(); cores],
-            config,
         }
     }
 
@@ -229,30 +229,30 @@ impl Hierarchy {
             return self.access_range(core, first, last, kind);
         }
         // Four calls in five are one line.
-        let Hierarchy { l1, l2, stats, config } = self;
+        let Hierarchy { l1, l2, stats } = self;
         let st = &mut stats[core];
         // The L1s are probed as reads: nothing consumes an L1 victim's
         // dirty bit, so they keep none.
         if l1[core].access_line(first, false).0 {
             st.l1_hits += 1;
-            return config.l1_hit_cycles;
+            return L1_HIT_CYCLES;
         }
         let (l2_hit, evicted_dirty) = l2.access_line(first, kind == AccessKind::Write);
         if l2_hit {
             st.l2_hits += 1;
-            return config.l1_hit_cycles + config.l2_hit_cycles;
+            return L1_HIT_CYCLES + L2_HIT_CYCLES;
         }
         // L2 miss: one fill transaction, plus a write-back if the victim
         // was dirty.
         st.dram_transactions += 1 + u64::from(evicted_dirty);
-        config.l1_hit_cycles + config.l2_hit_cycles + config.dram_cycles
+        L1_HIT_CYCLES + L2_HIT_CYCLES + DRAM_CYCLES
     }
 
     /// Lines `first..=last` (line numbers, not byte addresses), a chunk at
     /// a time: each chunk's L1 misses go to the L2 as one mask.
     fn access_range(&mut self, core: usize, first: u64, last: u64, kind: AccessKind) -> u64 {
         let write = kind == AccessKind::Write;
-        let Hierarchy { l1, l2, stats, config } = self;
+        let Hierarchy { l1, l2, stats } = self;
         let l1 = &mut l1[core];
         let (first_chunk, last_chunk) = (first >> SHIFT, last >> SHIFT);
         let (mut l1_misses, mut fills, mut write_backs) = (0, 0, 0);
@@ -280,7 +280,7 @@ impl Hierarchy {
         st.l1_hits += lines - l1_misses;
         st.l2_hits += l1_misses - fills;
         st.dram_transactions += fills + write_backs;
-        lines * config.l1_hit_cycles + l1_misses * config.l2_hit_cycles + fills * config.dram_cycles
+        lines * L1_HIT_CYCLES + l1_misses * L2_HIT_CYCLES + fills * DRAM_CYCLES
     }
 
     pub(crate) fn stats(&self, core: usize) -> TrafficStats {
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn dirty_eviction_costs_writeback() {
         // The smallest legal geometry: one block per level.
-        let cfg = CacheConfig { l1_lines: BLOCK, l2_lines: BLOCK, ..CacheConfig::default() };
+        let cfg = CacheConfig { l1_lines: BLOCK, l2_lines: BLOCK };
         let mut h = Hierarchy::new(1, cfg);
         h.access(0, 0, 8, AccessKind::Write); // fill, dirty
         h.access(0, BLOCK as u64 * LINE, 8, AccessKind::Read); // evicts dirty line from both

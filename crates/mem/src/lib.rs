@@ -42,7 +42,7 @@ pub mod hash;
 mod pagemap;
 mod phys;
 
-pub use cache::{AccessKind, CacheConfig, TrafficStats};
+pub use cache::{AccessKind, CacheConfig, TrafficStats, DRAM_CYCLES, L1_HIT_CYCLES, L2_HIT_CYCLES};
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use pagemap::PageMap;
 pub use phys::{PhysMem, GRANULES_PER_PAGE, PAGE_SIZE};

@@ -66,66 +66,31 @@ impl Condition {
     }
 }
 
-/// What the telemetry layer records (all off by default: the default
-/// [`NullSink`](crate::telemetry::NullSink) keeps runs bit-identical to a
-/// build without telemetry).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Whether the telemetry layer records, and how often it samples (off by
+/// default: an untraced run's statistics equal a traced run's, and its
+/// recorder stays empty).
+///
+/// On is [`TelemetryConfig::full`]: the event journal, the revocation
+/// spans, and a counter sample every `interval` simulated cycles. The
+/// journal and series are rings of fixed capacity (1 Mi events, 4096
+/// samples); evictions are counted in the report, never silent.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Snapshot the counter time-series every this many simulated cycles
-    /// (`None` disables sampling).
-    pub sample_every: Option<u64>,
-    /// Ring capacity of the sample series: when full, the oldest sample
-    /// is dropped (and counted) so memory stays bounded on long runs.
-    pub series_capacity: usize,
-    /// Ring capacity of the event journal.
-    pub event_capacity: usize,
-    /// Record typed events from the VM, revoker, and allocator.
-    pub record_events: bool,
-    /// Record revocation phase / pause spans.
-    pub record_spans: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            sample_every: None,
-            series_capacity: 4096,
-            event_capacity: 1 << 16,
-            record_events: false,
-            record_spans: false,
-        }
-    }
+    sample_interval: Option<u64>,
 }
 
 impl TelemetryConfig {
-    /// Telemetry fully disabled (the default).
-    #[must_use]
-    pub fn off() -> Self {
-        TelemetryConfig::default()
-    }
-
-    /// Counter sampling only, every `interval` cycles.
-    #[must_use]
-    pub fn sampled(interval: u64) -> Self {
-        TelemetryConfig { sample_every: Some(interval), ..TelemetryConfig::default() }
-    }
-
     /// Everything on: sampling every `interval` cycles plus the event
-    /// journal and span records.
+    /// journal and span records. `interval` must be nonzero
+    /// ([`ConfigError::ZeroSampleInterval`]).
     #[must_use]
     pub fn full(interval: u64) -> Self {
-        TelemetryConfig {
-            sample_every: Some(interval),
-            record_events: true,
-            record_spans: true,
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig { sample_interval: Some(interval) }
     }
 
-    /// Whether anything at all is recorded.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.sample_every.is_some() || self.record_events || self.record_spans
+    /// The sampling period, `None` when telemetry is off.
+    pub(crate) fn sample_interval(&self) -> Option<u64> {
+        self.sample_interval
     }
 }
 
@@ -253,10 +218,8 @@ pub enum ConfigError {
     ZeroQuarantineDivisor,
     /// `tx_interval` was `Some(0)` — a zero-cycle schedule is meaningless.
     ZeroTxInterval,
-    /// Telemetry sampling was enabled with a zero-cycle interval.
+    /// Telemetry was enabled with a zero-cycle sampling interval.
     ZeroSampleInterval,
-    /// Telemetry sampling was enabled with a zero-capacity series ring.
-    ZeroSeriesCapacity,
     /// `colors` was neither 0 (plain quarantine) nor in `2..=16`.
     BadColors {
         /// The rejected colour count.
@@ -283,10 +246,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQuarantineDivisor => f.write_str("quarantine_divisor must be at least 1"),
             ConfigError::ZeroTxInterval => f.write_str("tx_interval must be nonzero when set"),
             ConfigError::ZeroSampleInterval => {
-                f.write_str("telemetry sample_every must be nonzero when set")
-            }
-            ConfigError::ZeroSeriesCapacity => {
-                f.write_str("telemetry series_capacity must be nonzero when sampling")
+                f.write_str("telemetry sampling interval must be nonzero")
             }
             ConfigError::BadColors { colors } => {
                 write!(f, "colors {colors} must be 0 (plain quarantine) or in 2..=16")
@@ -394,31 +354,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Replaces the telemetry options wholesale.
+    /// Sets the telemetry setting ([`TelemetryConfig::full`] turns it on).
     #[must_use]
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.cfg.telemetry = telemetry;
-        self
-    }
-
-    /// Enables counter sampling every `interval` simulated cycles.
-    #[must_use]
-    pub fn sample_every(mut self, interval: u64) -> Self {
-        self.cfg.telemetry.sample_every = Some(interval);
-        self
-    }
-
-    /// Enables the typed event journal.
-    #[must_use]
-    pub fn record_events(mut self, on: bool) -> Self {
-        self.cfg.telemetry.record_events = on;
-        self
-    }
-
-    /// Enables revocation phase / pause span records.
-    #[must_use]
-    pub fn record_spans(mut self, on: bool) -> Self {
-        self.cfg.telemetry.record_spans = on;
         self
     }
 
@@ -457,11 +396,8 @@ impl SimConfigBuilder {
         if c.tx_interval == Some(0) {
             return Err(ConfigError::ZeroTxInterval);
         }
-        if c.telemetry.sample_every == Some(0) {
+        if c.telemetry.sample_interval == Some(0) {
             return Err(ConfigError::ZeroSampleInterval);
-        }
-        if c.telemetry.sample_every.is_some() && c.telemetry.series_capacity == 0 {
-            return Err(ConfigError::ZeroSeriesCapacity);
         }
         Ok(c)
     }
@@ -485,17 +421,14 @@ mod tests {
             .max_objects(1 << 10)
             .min_quarantine(64 << 10)
             .tx_interval(1_000_000)
-            .sample_every(50_000)
-            .record_events(true)
-            .record_spans(true)
+            .telemetry(TelemetryConfig::full(50_000))
             .build()
             .unwrap();
         assert_eq!(cfg.revoker_threads, 4);
         assert_eq!(cfg.condition, Condition::cornucopia());
         assert_eq!(cfg.heap_len, 8 << 20);
         assert_eq!(cfg.tx_interval(), Some(1_000_000));
-        assert_eq!(cfg.telemetry.sample_every, Some(50_000));
-        assert!(cfg.telemetry.enabled());
+        assert_eq!(cfg.telemetry.sample_interval(), Some(50_000));
     }
 
     #[test]
@@ -537,14 +470,8 @@ mod tests {
             ConfigError::ZeroTxInterval
         );
         assert_eq!(
-            SimConfig::builder().sample_every(0).build().unwrap_err(),
+            SimConfig::builder().telemetry(TelemetryConfig::full(0)).build().unwrap_err(),
             ConfigError::ZeroSampleInterval
-        );
-        let mut t = TelemetryConfig::sampled(1000);
-        t.series_capacity = 0;
-        assert_eq!(
-            SimConfig::builder().telemetry(t).build().unwrap_err(),
-            ConfigError::ZeroSeriesCapacity
         );
     }
 

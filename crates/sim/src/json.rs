@@ -150,13 +150,17 @@ impl Json {
         }
     }
 
-    /// Parses JSON text (the integer subset this module writes).
+    /// Parses JSON text (the integer subset this module writes), in time
+    /// linear in its length. Arrays and objects nest at most 64 deep —
+    /// the writer's documents are a few levels deep,
+    /// and a deeper line is corrupt input, not a reason to overflow the
+    /// stack.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -203,9 +207,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deep [`Json::parse`] lets arrays and objects nest.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread char (always a char boundary).
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -247,8 +258,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -304,10 +322,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
+                    // Advance one whole char: `pos` is on a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("nonempty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -403,6 +419,28 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1.5", "1e3", "tru", "\"open", "{}x"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert_eq!(Json::parse(&deep).unwrap_err().msg, "nesting too deep");
+        let deep_obj = "{\"k\":".repeat(200_000);
+        assert_eq!(Json::parse(&deep_obj).unwrap_err().msg, "nesting too deep");
+        // Exactly the cap still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(Json::parse(&over).unwrap_err().pos, MAX_DEPTH);
+    }
+
+    /// A long string decodes in linear time: a 4 MB string would take
+    /// minutes if each char re-validated the rest of the document.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é".repeat(2_000_000);
+        let v = Json::parse(&format!("[\"{body}\",1]")).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   per-core cycle ledgers, and peak RSS from the physical memory's
 //!   high-water mark;
 //! * the [`telemetry`] layer can additionally journal typed events, span
-//!   every revocation phase, and sample a counter time-series — all off
-//!   by default and free when off.
+//!   every revocation phase, and sample a counter time-series — one
+//!   setting, [`TelemetryConfig::full`], turns all three on; off by
+//!   default and free when off. Traced and untraced runs take the same
+//!   batched dispatch path.
 //!
 //! Everything is deterministic: the same op stream produces the same
 //! [`RunStats`], and with telemetry on, the same byte-identical
@@ -63,6 +65,5 @@ pub use report::{RunReport, REPORT_VERSION};
 pub use stats::{percentile, BoxStats, Dist, LatencySummary, RunStats, CYCLES_PER_MS, CYCLES_PER_SEC};
 pub use system::{SimError, System};
 pub use telemetry::{
-    NullSink, Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryData, TelemetryEvent,
-    TelemetrySink, TimedEvent,
+    Sample, Span, SpanKind, StaleChaseOutcome, TelemetryData, TelemetryEvent, TimedEvent,
 };

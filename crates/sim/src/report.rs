@@ -4,8 +4,9 @@
 //! [`RunReport`] is what [`crate::System::run`] returns. It wraps the
 //! familiar [`RunStats`] (and derefs to it, so `report.wall_cycles` and
 //! `report.latency_summary()` keep working at every old call site)
-//! together with whatever the run's [`TelemetrySink`](crate::telemetry::TelemetrySink)
-//! collected. [`RunReport::to_json`] emits a compact, integer-only,
+//! together with whatever the run's telemetry recorded (nothing unless
+//! [`TelemetryConfig::full`](crate::TelemetryConfig::full) turned it on).
+//! [`RunReport::to_json`] emits a compact, integer-only,
 //! key-ordered document — the same run always produces byte-identical
 //! text — with enough structure to plot the paper's Figure 4/6/9
 //! analogues: the sampled counter series, the STW pauses, and the
@@ -47,8 +48,8 @@ impl RunReport {
         &self.stats
     }
 
-    /// Whatever telemetry the run's sink collected (empty under the
-    /// default [`NullSink`](crate::telemetry::NullSink)).
+    /// Whatever telemetry the run recorded (empty with telemetry off, the
+    /// default).
     #[must_use]
     pub fn telemetry(&self) -> &TelemetryData {
         &self.telemetry

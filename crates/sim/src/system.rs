@@ -4,9 +4,7 @@ use crate::config::{Condition, SimConfig};
 use crate::ops::{ObjId, Op, OpSource, OP_BATCH};
 use crate::report::RunReport;
 use crate::stats::RunStats;
-use crate::telemetry::{
-    NullSink, Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent, TelemetrySink,
-};
+use crate::telemetry::{Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent};
 use cheri_cap::{Capability, CAP_SIZE};
 use cheri_mem::{CoreId, FastMap, FastSet};
 use cheri_vm::{Machine, ThreadId, VmFault};
@@ -94,8 +92,7 @@ struct LinkEntry {
     to_gen: u64,
 }
 
-/// The simulated system. Construct with [`System::new`] (or
-/// [`System::with_sink`] for a custom telemetry sink), execute with
+/// The simulated system. Construct with [`System::new`], execute with
 /// [`System::run`], or drive op-by-op with [`System::exec`] and finish
 /// with [`System::finish`].
 #[derive(Debug)]
@@ -119,17 +116,14 @@ pub struct System {
     next_arrival: u64,
     last_release_epoch: u64,
     reg_rr: usize,
-    // Telemetry (all dormant under the default `NullSink`).
-    sink: Box<dyn TelemetrySink>,
-    /// Cached `sink.is_enabled()`: one branch guards every hook.
+    // Telemetry (all dormant, and the recorder empty, while it is off).
+    recorder: Recorder,
+    /// Whether the config turned telemetry on: one branch guards every hook.
     telemetry_on: bool,
     /// Sampling period (`u64::MAX` sentinel disables the sampler).
     next_sample: u64,
     sample_interval: u64,
     epoch_trace: Option<EpochTrace>,
-    scratch_vm: Vec<cheri_vm::VmEvent>,
-    scratch_rev: Vec<cornucopia::RevokerEvent>,
-    scratch_alloc: Vec<cheri_alloc::AllocEvent>,
     // Dangling-pointer instrument (telemetry-gated, zero simulated cost).
     // Why a side table instead of inspecting heap memory: recycled storage
     // is never scrubbed, so physical tags alone cannot distinguish "the
@@ -145,24 +139,10 @@ pub struct System {
 
 impl System {
     /// Builds a system: maps the arena, allocates the root table, and
-    /// configures the revoker per `cfg`. The telemetry sink is chosen from
-    /// `cfg`'s telemetry options: a [`Recorder`] when anything is enabled, the
-    /// free [`NullSink`] otherwise.
+    /// configures the revoker per `cfg`. Component event recording,
+    /// span tracing and sampling are switched on iff `cfg`'s telemetry is.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let sink: Box<dyn TelemetrySink> = if cfg.telemetry.enabled() {
-            Box::new(Recorder::new(cfg.telemetry.clone()))
-        } else {
-            Box::new(NullSink)
-        };
-        System::with_sink(cfg, sink)
-    }
-
-    /// Builds a system delivering telemetry to a caller-supplied sink
-    /// (e.g. one streaming events out of process). Component event
-    /// recording is switched on iff `sink.is_enabled()`.
-    #[must_use]
-    pub fn with_sink(cfg: SimConfig, sink: Box<dyn TelemetrySink>) -> Self {
         let layout = HeapLayout::new(HEAP_BASE, cfg.heap_len);
         let strategy = match cfg.condition {
             Condition::Baseline => Strategy::PaintSync, // unused
@@ -213,9 +193,8 @@ impl System {
             .cap;
         let app_thread = APP_CORE; // threads are created per core
         let mmap_space = cheri_alloc::MmapSpace::new(layout.mmap_base(), layout.mmap_len());
-        let telemetry_on = sink.is_enabled();
-        let sample_interval = sink.sample_interval().unwrap_or(0);
-        let next_sample = if sample_interval > 0 { sample_interval } else { u64::MAX };
+        let interval = cfg.telemetry.sample_interval();
+        let telemetry_on = interval.is_some();
         let mut revoker = revoker;
         if telemetry_on {
             // Component logging never charges cycles, so counters stay
@@ -243,14 +222,11 @@ impl System {
             next_arrival: 0,
             last_release_epoch: 0,
             reg_rr: 0,
-            sink,
+            recorder: Recorder::new(),
             telemetry_on,
-            next_sample,
-            sample_interval,
+            next_sample: interval.unwrap_or(u64::MAX),
+            sample_interval: interval.unwrap_or(0),
             epoch_trace: None,
-            scratch_vm: Vec::new(),
-            scratch_rev: Vec::new(),
-            scratch_alloc: Vec::new(),
             link_table: BTreeMap::new(),
             obj_gen: HashMap::new(),
         }
@@ -316,34 +292,29 @@ impl System {
         Ok(self.finish())
     }
 
-    /// Executes a batch of operations through the fused dispatch path.
+    /// Executes a batch of operations: the one dispatch path, traced or
+    /// not.
     ///
     /// Semantically identical to calling [`System::exec`] per op — the
-    /// goldens pin this — but cheaper: runs of consecutive `Compute` (and
-    /// separately `ThinkIdle`) ops collapse into one `advance` while the
-    /// revoker is idle. That fusion is exact because the idle
-    /// `pump_revoker` path only syncs `rev_mark` to the wall clock (and
-    /// `maybe_release` is a no-op at any op boundary with no pass in
-    /// flight), so N idle advances and one summed advance produce the same
-    /// state. While a pass *is* in flight the per-op path is kept: sweep
-    /// budgets overshoot at page granularity, so `background_step(a)` then
+    /// goldens and `tests/telemetry_paths.rs` pin this — but cheaper: runs
+    /// of consecutive `Compute` (and separately `ThinkIdle`) ops collapse
+    /// into one `advance` while the revoker is idle. That fusion is exact
+    /// because the idle `pump_revoker` path only syncs `rev_mark` to the
+    /// wall clock (and `maybe_release` is a no-op at any op boundary with
+    /// no pass in flight), so N idle advances and one summed advance
+    /// produce the same state. It is exact for telemetry too: an idle
+    /// advance emits no event and moves no sampled counter, so draining
+    /// and sampling after the fused run records what per-op hooks would.
+    /// While a pass *is* in flight the per-op path is kept: sweep budgets
+    /// overshoot at page granularity, so `background_step(a)` then
     /// `background_step(b)` is not `background_step(a + b)`. Data ops are
     /// never fused across op boundaries — each performs an architecturally
     /// visible capability load through the barrier — but each already
     /// issues its byte traffic as a single ranged access internally.
     pub fn exec_batch(&mut self, ops: &[Op]) -> Result<(), SimError> {
-        if self.telemetry_on {
-            // Telemetry journals at op granularity (events drained and
-            // counters sampled between ops); fusing would coarsen the
-            // timeline, so fall back to the per-op path.
-            for &op in ops {
-                self.exec(op)?;
-            }
-            return Ok(());
-        }
         let mut i = 0;
         while i < ops.len() {
-            match ops[i] {
+            let result = match ops[i] {
                 Op::Compute { cycles } if !self.revoker.is_revoking() => {
                     let mut total = cycles;
                     i += 1;
@@ -352,6 +323,7 @@ impl System {
                         i += 1;
                     }
                     self.advance(total, true);
+                    Ok(())
                 }
                 Op::ThinkIdle { cycles } if !self.revoker.is_revoking() => {
                     let mut total = cycles;
@@ -361,18 +333,24 @@ impl System {
                         i += 1;
                     }
                     self.advance(total, false);
+                    Ok(())
                 }
                 op => {
-                    self.exec_op(op)?;
                     i += 1;
+                    self.exec_op(op)
                 }
+            };
+            if self.telemetry_on {
+                self.drain_events();
+                self.poll_sample();
             }
+            result?;
         }
         Ok(())
     }
 
     /// Finalizes the run: drains any in-flight revocation and collects
-    /// statistics plus whatever telemetry the sink gathered.
+    /// statistics plus whatever telemetry was recorded.
     #[must_use]
     pub fn finish(mut self) -> RunReport {
         // Let an in-flight pass finish (without charging the app).
@@ -396,14 +374,7 @@ impl System {
         }
         let condition = self.cfg.condition.label();
         let stats = self.collect_stats();
-        RunReport::new(condition, stats, self.sink.into_data())
-    }
-
-    /// Finalizes the run, discarding telemetry (legacy shorthand for
-    /// `finish().into_stats()`).
-    #[must_use]
-    pub fn into_stats(self) -> RunStats {
-        self.finish().into_stats()
+        RunReport::new(condition, stats, self.recorder.into_data())
     }
 
     fn collect_stats(&mut self) -> RunStats {
@@ -450,14 +421,9 @@ impl System {
         s
     }
 
-    /// Executes one operation.
+    /// Executes one operation (a batch of one: nothing to fuse).
     pub fn exec(&mut self, op: Op) -> Result<(), SimError> {
-        let result = self.exec_op(op);
-        if self.telemetry_on {
-            self.drain_events();
-            self.poll_sample();
-        }
-        result
+        self.exec_batch(std::slice::from_ref(&op))
     }
 
     fn exec_op(&mut self, op: Op) -> Result<(), SimError> {
@@ -626,7 +592,7 @@ impl System {
             }
         }
         if self.telemetry_on && self.wall > block_start {
-            self.sink.record_span(Span {
+            self.recorder.record_span(Span {
                 kind: SpanKind::BlockedAlloc,
                 epoch: block_epoch,
                 start: block_start,
@@ -674,8 +640,8 @@ impl System {
     }
 
     // ------------------------------------------------------------------
-    // Telemetry plumbing (dormant under the default `NullSink`: every
-    // entry point is behind the cached `telemetry_on` flag or the
+    // Telemetry plumbing (dormant while telemetry is off: every entry
+    // point is behind the `telemetry_on` flag or the
     // `next_sample == u64::MAX` sentinel)
     // ------------------------------------------------------------------
 
@@ -686,7 +652,7 @@ impl System {
     /// still gets its true width even though the wall does not move.
     fn note_stw_pause(&mut self, pause: u64) {
         if self.telemetry_on {
-            self.sink.record_span(Span {
+            self.recorder.record_span(Span {
                 kind: SpanKind::StwPause,
                 epoch: self.revoker.epoch(),
                 start: self.wall,
@@ -711,7 +677,7 @@ impl System {
             let delta = per_core.get(i).copied().unwrap_or(0).saturating_sub(before);
             if delta > 0 {
                 busy_total += delta;
-                self.sink.record_span(Span {
+                self.recorder.record_span(Span {
                     kind: SpanKind::ConcurrentSweep,
                     epoch: trace.epoch,
                     start: trace.concurrent_start,
@@ -721,7 +687,7 @@ impl System {
                 });
             }
         }
-        self.sink.record_span(Span {
+        self.recorder.record_span(Span {
             kind: SpanKind::Epoch,
             epoch: trace.epoch,
             start: trace.start,
@@ -731,22 +697,19 @@ impl System {
         });
     }
 
-    /// Moves component event logs into the sink, stamped with the current
-    /// wall cycle (components have no clock of their own; op granularity
-    /// is the journal's resolution).
+    /// Moves component event logs into the recorder, stamped with the
+    /// current wall cycle (components have no clock of their own; op
+    /// granularity is the journal's resolution).
     fn drain_events(&mut self) {
-        let at = self.wall;
-        self.machine.drain_events_into(&mut self.scratch_vm);
-        for e in self.scratch_vm.drain(..) {
-            self.sink.record_event(at, TelemetryEvent::Vm(e));
+        let (at, rec) = (self.wall, &mut self.recorder);
+        for e in self.machine.drain_events() {
+            rec.record_event(at, TelemetryEvent::Vm(e));
         }
-        self.revoker.drain_events_into(&mut self.scratch_rev);
-        for e in self.scratch_rev.drain(..) {
-            self.sink.record_event(at, TelemetryEvent::Revoker(e));
+        for e in self.revoker.drain_events() {
+            rec.record_event(at, TelemetryEvent::Revoker(e));
         }
-        self.heap.drain_events_into(&mut self.scratch_alloc);
-        for e in self.scratch_alloc.drain(..) {
-            self.sink.record_event(at, TelemetryEvent::Alloc(e));
+        for e in self.heap.drain_events() {
+            rec.record_event(at, TelemetryEvent::Alloc(e));
         }
     }
 
@@ -767,7 +730,7 @@ impl System {
             total_dram += self.machine.mem().traffic(core).dram_transactions;
         }
         let vs = self.machine.vm_stats();
-        self.sink.record_sample(Sample {
+        self.recorder.record_sample(Sample {
             at,
             rss_bytes: self.machine.resident_bytes(),
             allocated_bytes: self.heap.allocated_bytes(),
@@ -825,7 +788,7 @@ impl System {
         } else {
             StaleChaseOutcome::Escaped
         };
-        self.sink.record_event(self.wall, TelemetryEvent::StaleChase { from, slot, to, outcome });
+        self.recorder.record_event(self.wall, TelemetryEvent::StaleChase { from, slot, to, outcome });
     }
 
     /// Loads a capability through the load barrier, handling (and
@@ -1070,6 +1033,7 @@ fn cap_slot(obj: &Capability, slot: u64) -> Option<Capability> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TelemetryConfig;
 
     fn churn_ops(n: u64, size: u64) -> Vec<Op> {
         let mut ops = Vec::new();
@@ -1242,7 +1206,7 @@ mod tests {
             .heap_len(4 << 20)
             .max_objects(1 << 10)
             .min_quarantine(4 << 20)
-            .record_events(true)
+            .telemetry(TelemetryConfig::full(50_000_000))
             .build()
             .unwrap();
         let report = System::new(cfg).run(churn_ops(3000, 8192)).unwrap();
@@ -1285,9 +1249,7 @@ mod tests {
         SimConfig::builder()
             .condition(condition)
             .min_quarantine(256 << 10)
-            .sample_every(500_000)
-            .record_events(true)
-            .record_spans(true)
+            .telemetry(TelemetryConfig::full(500_000))
             .build()
             .unwrap()
     }
@@ -1304,6 +1266,7 @@ mod tests {
         assert_eq!(plain.pauses, traced.pauses);
     }
 
+    /// Telemetry off (the default) records nothing.
     #[test]
     fn null_sink_collects_nothing() {
         let cfg = SimConfig::builder().min_quarantine(256 << 10).build().unwrap();
@@ -1368,13 +1331,20 @@ mod tests {
         assert!(!v.get("spans").unwrap().as_arr().unwrap().is_empty());
     }
 
+    /// `TelemetryConfig::full` is the one way telemetry turns on, and it
+    /// turns on all three channels.
     #[test]
     fn custom_sink_receives_telemetry() {
-        use crate::config::TelemetryConfig;
-        use crate::telemetry::Recorder;
-        let cfg = SimConfig::builder().min_quarantine(256 << 10).build().unwrap();
-        let sink = Box::new(Recorder::new(TelemetryConfig::full(1_000_000)));
-        let report = System::with_sink(cfg, sink).run(churn_ops(1000, 4096)).unwrap();
-        assert!(!report.telemetry().is_empty());
+        let cfg = SimConfig::builder()
+            .min_quarantine(256 << 10)
+            .telemetry(TelemetryConfig::full(1_000_000))
+            .build()
+            .unwrap();
+        let report = System::new(cfg).run(churn_ops(1000, 4096)).unwrap();
+        let t = report.telemetry();
+        assert!(!t.events.is_empty(), "no events");
+        assert!(!t.spans.is_empty(), "no spans");
+        assert!(!t.samples.is_empty(), "no samples");
+        assert_eq!((t.dropped_events, t.dropped_samples), (0, 0));
     }
 }

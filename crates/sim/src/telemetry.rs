@@ -1,32 +1,29 @@
 //! Telemetry: a typed span/event journal plus a counter time-series
-//! sampler, behind a sink trait whose default implementation is free.
+//! sampler, switched on by one setting,
+//! [`TelemetryConfig::full`](crate::TelemetryConfig::full).
 //!
 //! The simulated components cannot see the wall clock — the [`crate::System`]
 //! owns time — so each component (the VM layer, the revoker, the
 //! allocator shim) keeps a cheap, gated internal event log
 //! ([`cheri_vm::VmEvent`], [`cornucopia::RevokerEvent`],
-//! [`cheri_alloc::AllocEvent`]). The system drains those logs as it
-//! executes, stamps them with the current wall cycle, and forwards them
-//! into a [`TelemetrySink`]:
-//!
-//! * [`NullSink`] — the default. Component logging stays disabled, every
-//!   hook is a no-op, and runs are bit-identical to a build without
-//!   telemetry (`tests/golden_stats.rs` enforces this).
-//! * [`Recorder`] — ring-buffered storage for the event journal, the
-//!   revocation phase/pause [`Span`]s (Figure 9's raw material), and the
-//!   sampled counter [`Sample`] series (Figures 4/6 analogues), collected
-//!   into a [`TelemetryData`] at the end of the run.
+//! [`cheri_alloc::AllocEvent`]). With telemetry on, the system drains
+//! those logs as it executes, stamps them with the current wall cycle, and
+//! stores them in its one recorder: ring-buffered storage for the event
+//! journal, the revocation phase/pause [`Span`]s (Figure 9's raw
+//! material), and the sampled counter [`Sample`] series (Figures 4/6
+//! analogues), handed out as a [`TelemetryData`] at the end of the run.
+//! With telemetry off (the default) component logging stays disabled, the
+//! recorder stays empty, and runs are bit-identical to a traced run's
+//! statistics (`tests/golden_stats.rs` enforces this).
 //!
 //! Everything here is deterministic: timestamps are simulated cycles and
 //! ring evictions depend only on the op stream.
 
-use crate::config::TelemetryConfig;
 use crate::ops::ObjId;
 use cheri_alloc::AllocEvent;
 use cheri_vm::VmEvent;
 use cornucopia::RevokerEvent;
 use std::collections::VecDeque;
-use std::fmt;
 
 /// How a dynamically observed stale pointer chase resolved — what the
 /// application actually got back when it loaded a pointer whose target
@@ -160,8 +157,8 @@ pub struct Span {
     pub busy_cycles: u64,
 }
 
-/// One snapshot of the run's counters, taken every
-/// [`TelemetryConfig::sample_every`] cycles.
+/// One snapshot of the run's counters, taken every sampling interval
+/// ([`TelemetryConfig::full`](crate::TelemetryConfig::full)).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Sample {
     /// The sample's scheduled wall cycle.
@@ -223,7 +220,7 @@ impl Sample {
     }
 }
 
-/// Everything a sink collected over a run.
+/// Everything the recorder collected over a run.
 #[derive(Debug, Default, Clone)]
 pub struct TelemetryData {
     /// The stamped event journal, in drain order.
@@ -246,123 +243,76 @@ impl TelemetryData {
     }
 }
 
-/// Where the system delivers telemetry. Implemented by [`NullSink`]
-/// (default, free) and [`Recorder`]; external drivers can implement it to
-/// stream events elsewhere via [`crate::System::with_sink`].
-pub trait TelemetrySink: fmt::Debug {
-    /// Whether the system should bother collecting anything at all. When
-    /// `false` the system never enables component event logging, never
-    /// drains, and never samples.
-    fn is_enabled(&self) -> bool;
+/// Ring capacity of the event journal: when full, the oldest event is
+/// dropped (and counted) so memory stays bounded on long runs.
+const EVENT_CAPACITY: usize = 1 << 20;
 
-    /// Sampling period in cycles, if counter sampling is wanted.
-    fn sample_interval(&self) -> Option<u64>;
+/// Ring capacity of the sampled counter series.
+const SERIES_CAPACITY: usize = 4096;
 
-    /// Delivers one stamped event.
-    fn record_event(&mut self, at: u64, event: TelemetryEvent);
-
-    /// Delivers one phase/pause span.
-    fn record_span(&mut self, span: Span);
-
-    /// Delivers one counter snapshot.
-    fn record_sample(&mut self, sample: Sample);
-
-    /// Consumes the sink, yielding whatever it collected.
-    fn into_data(self: Box<Self>) -> TelemetryData;
-}
-
-/// The zero-overhead default sink: everything is a no-op.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn sample_interval(&self) -> Option<u64> {
-        None
-    }
-
-    fn record_event(&mut self, _at: u64, _event: TelemetryEvent) {}
-
-    fn record_span(&mut self, _span: Span) {}
-
-    fn record_sample(&mut self, _sample: Sample) {}
-
-    fn into_data(self: Box<Self>) -> TelemetryData {
-        TelemetryData::default()
-    }
-}
-
-/// The standard in-memory sink: ring-buffered journal and series per the
-/// run's [`TelemetryConfig`].
+/// A bounded FIFO that evicts its oldest entry when full and counts the
+/// evictions.
 #[derive(Debug)]
-pub struct Recorder {
-    cfg: TelemetryConfig,
-    events: VecDeque<TimedEvent>,
-    dropped_events: u64,
+struct Ring<T> {
+    items: VecDeque<T>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    /// An empty ring; allocates nothing until the first push.
+    fn new(capacity: usize) -> Self {
+        Ring { items: VecDeque::new(), capacity, dropped: 0 }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.items.len() == self.capacity {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+}
+
+/// The system's in-memory telemetry store: ring-buffered journal and
+/// series, plus the span list. The system creates one whatever the
+/// configuration and only feeds it while telemetry is on, so an untraced
+/// run's recorder stays empty and never allocates.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    events: Ring<TimedEvent>,
     spans: Vec<Span>,
-    samples: VecDeque<Sample>,
-    dropped_samples: u64,
+    samples: Ring<Sample>,
 }
 
 impl Recorder {
-    /// A recorder honouring `cfg`'s capacities and switches.
-    #[must_use]
-    pub fn new(cfg: TelemetryConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Recorder {
-            cfg,
-            events: VecDeque::new(),
-            dropped_events: 0,
+            events: Ring::new(EVENT_CAPACITY),
             spans: Vec::new(),
-            samples: VecDeque::new(),
-            dropped_samples: 0,
-        }
-    }
-}
-
-impl TelemetrySink for Recorder {
-    fn is_enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
-    fn sample_interval(&self) -> Option<u64> {
-        self.cfg.sample_every
-    }
-
-    fn record_event(&mut self, at: u64, event: TelemetryEvent) {
-        if !self.cfg.record_events {
-            return;
-        }
-        if self.events.len() == self.cfg.event_capacity {
-            self.events.pop_front();
-            self.dropped_events += 1;
-        }
-        self.events.push_back(TimedEvent { at, event });
-    }
-
-    fn record_span(&mut self, span: Span) {
-        if self.cfg.record_spans {
-            self.spans.push(span);
+            samples: Ring::new(SERIES_CAPACITY),
         }
     }
 
-    fn record_sample(&mut self, sample: Sample) {
-        if self.samples.len() == self.cfg.series_capacity {
-            self.samples.pop_front();
-            self.dropped_samples += 1;
-        }
-        self.samples.push_back(sample);
+    pub(crate) fn record_event(&mut self, at: u64, event: TelemetryEvent) {
+        self.events.push(TimedEvent { at, event });
     }
 
-    fn into_data(self: Box<Self>) -> TelemetryData {
+    pub(crate) fn record_span(&mut self, span: Span) {
+        self.spans.push(span);
+    }
+
+    pub(crate) fn record_sample(&mut self, sample: Sample) {
+        self.samples.push(sample);
+    }
+
+    pub(crate) fn into_data(self) -> TelemetryData {
         TelemetryData {
-            events: self.events.into_iter().collect(),
+            events: self.events.items.into(),
             spans: self.spans,
-            samples: self.samples.into_iter().collect(),
-            dropped_events: self.dropped_events,
-            dropped_samples: self.dropped_samples,
+            samples: self.samples.items.into(),
+            dropped_events: self.events.dropped,
+            dropped_samples: self.samples.dropped,
         }
     }
 }
@@ -370,60 +320,66 @@ impl TelemetrySink for Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TelemetryConfig;
 
     fn ev(at: u64) -> (u64, TelemetryEvent) {
         (at, TelemetryEvent::Revoker(RevokerEvent::EpochBegin { epoch: at }))
     }
 
-    #[test]
-    fn null_sink_is_disabled_and_empty() {
-        let mut sink = NullSink;
-        assert!(!sink.is_enabled());
-        assert_eq!(sink.sample_interval(), None);
-        let (at, event) = ev(1);
-        sink.record_event(at, event);
-        sink.record_sample(Sample::default());
-        assert!(Box::new(sink).into_data().is_empty());
+    fn span() -> Span {
+        Span { kind: SpanKind::Epoch, epoch: 1, start: 0, end: 10, core: None, busy_cycles: 10 }
     }
 
+    /// Telemetry off: the default configuration has no sampling interval,
+    /// and the recorder the system then holds is empty and unallocated.
+    #[test]
+    fn null_sink_is_disabled_and_empty() {
+        assert_eq!(TelemetryConfig::default().sample_interval(), None);
+        let rec = Recorder::new();
+        assert_eq!(rec.events.items.capacity(), 0);
+        assert_eq!(rec.samples.items.capacity(), 0);
+        assert!(rec.into_data().is_empty());
+    }
+
+    /// Telemetry on: `full` sets the interval, and the recorder keeps
+    /// every event, span and sample it is handed.
     #[test]
     fn recorder_respects_switches() {
-        let mut sink = Recorder::new(TelemetryConfig::sampled(100));
-        assert!(sink.is_enabled());
-        assert_eq!(sink.sample_interval(), Some(100));
+        assert_eq!(TelemetryConfig::full(100).sample_interval(), Some(100));
+        let mut rec = Recorder::new();
         let (at, event) = ev(5);
-        sink.record_event(at, event); // record_events is off
-        sink.record_span(Span {
-            kind: SpanKind::Epoch,
-            epoch: 1,
-            start: 0,
-            end: 10,
-            core: None,
-            busy_cycles: 10,
-        }); // record_spans is off
-        sink.record_sample(Sample { at: 100, ..Sample::default() });
-        let data = Box::new(sink).into_data();
-        assert!(data.events.is_empty());
-        assert!(data.spans.is_empty());
+        rec.record_event(at, event);
+        rec.record_span(span());
+        rec.record_sample(Sample { at: 100, ..Sample::default() });
+        let data = rec.into_data();
+        assert_eq!(data.events, vec![TimedEvent { at, event }]);
+        assert_eq!(data.spans, vec![span()]);
         assert_eq!(data.samples.len(), 1);
+        assert_eq!((data.dropped_events, data.dropped_samples), (0, 0));
     }
 
     #[test]
     fn rings_evict_oldest_and_count_drops() {
-        let mut cfg = TelemetryConfig::full(10);
-        cfg.event_capacity = 2;
-        cfg.series_capacity = 2;
-        let mut sink = Recorder::new(cfg);
+        let mut rec = Recorder::new();
+        assert_eq!(rec.events.capacity, EVENT_CAPACITY);
+        // The series at its real capacity; the journal's is shrunk so the
+        // test does not push a million events.
+        rec.events = Ring::new(2);
         for i in 0..5 {
             let (at, event) = ev(i);
-            sink.record_event(at, event);
-            sink.record_sample(Sample { at: i, ..Sample::default() });
+            rec.record_event(at, event);
         }
-        let data = Box::new(sink).into_data();
+        let n = SERIES_CAPACITY as u64 + 3;
+        for i in 0..n {
+            rec.record_sample(Sample { at: i, ..Sample::default() });
+        }
+        let data = rec.into_data();
         assert_eq!(data.dropped_events, 3);
         assert_eq!(data.dropped_samples, 3);
         assert_eq!(data.events.iter().map(|e| e.at).collect::<Vec<_>>(), vec![3, 4]);
-        assert_eq!(data.samples.iter().map(|s| s.at).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(data.samples.len(), SERIES_CAPACITY);
+        assert_eq!(data.samples.first().map(|s| s.at), Some(3));
+        assert_eq!(data.samples.last().map(|s| s.at), Some(n - 1));
     }
 
     #[test]

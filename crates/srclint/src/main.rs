@@ -40,7 +40,11 @@
 //!    `scale_churn`, `scaled_keep`, `Truncated::new`) and the second
 //!    partitioner, cost tables and launcher of the scale-out stack
 //!    (`Partition::Modulo`, `LocalSpawn`, `static_table`,
-//!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`) may not
+//!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`), the
+//!    telemetry sink trait and the per-channel switches `TelemetryConfig`
+//!    collapsed into (`TelemetrySink`, `NullSink`, `with_sink`,
+//!    `record_events(`, `record_spans(`, `sample_every(`) and
+//!    `Machine::with_cache_config` may not
 //!    return; nor may the 23 binaries `repro` replaced be invoked by
 //!    name (`--bin run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this
 //!    rule also reads the shell scripts under `tools/`.
@@ -94,6 +98,13 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("calibrate_from_checkpoint", ONE_SCALE_OUT_PATH),
     ("resolve_lpt", ONE_SCALE_OUT_PATH),
     ("Shard::owns", ONE_SCALE_OUT_PATH),
+    ("TelemetrySink", ONE_TELEMETRY_PATH),
+    ("NullSink", ONE_TELEMETRY_PATH),
+    ("with_sink", "System::new with SimConfigBuilder::telemetry"),
+    ("record_events(", ONE_TELEMETRY_PATH),
+    ("record_spans(", ONE_TELEMETRY_PATH),
+    ("sample_every(", ONE_TELEMETRY_PATH),
+    ("with_cache_config", "Machine::new"),
     ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
     ("--bin run_matrix", "--bin repro -- matrix"),
     ("--bin reproduce_all", "--bin repro -- all"),
@@ -105,6 +116,10 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
 /// launchers.
 const ONE_SCALE_OUT_PATH: &str =
     "cost is `JobSpec::op_count`; launch `repro matrix --shard K/N` from a shell loop";
+
+/// The replacement for the deleted telemetry sink trait and per-channel
+/// switches: one setting turns events, spans and samples on together.
+const ONE_TELEMETRY_PATH: &str = "SimConfigBuilder::telemetry(TelemetryConfig::full(interval))";
 
 /// The replacement for the deleted stream truncation, which was the
 /// identity on every stream it was applied to.
@@ -452,6 +467,25 @@ mod tests {
         ] {
             let v = lint_one(&root, "crates/bench/src/bin/repro.rs", line);
             assert!(v.len() == 1 && v[0].contains("JobSpec::op_count"), "{line}: {v:?}");
+        }
+        for line in [
+            "impl TelemetrySink for Streamer {}\n",
+            "let sink = NullSink;\n",
+            "let b = SimConfig::builder().record_events(true);\n",
+            "let b = SimConfig::builder().record_spans(true);\n",
+            "let b = SimConfig::builder().sample_every(50_000);\n",
+        ] {
+            let v = lint_one(&root, "tests/golden_report.rs", line);
+            assert!(v.len() == 1 && v[0].contains("TelemetryConfig::full"), "{line}: {v:?}");
+        }
+        let v = lint_one(&root, "crates/sim/src/system.rs", "System::with_sink(cfg, sink)\n");
+        assert!(v.len() == 1 && v[0].contains("System::new"), "{v:?}");
+        let v = lint_one(&root, "crates/vm/src/machine.rs", "Machine::with_cache_config(4, c)\n");
+        assert!(v.len() == 1 && v[0].contains("Machine::new"), "{v:?}");
+        // Survivors that share a prefix with a banned call stay legal.
+        for line in ["machine.set_event_recording(true);\n", "let r = Recorder::new();\n"] {
+            let v = lint_one(&root, "crates/sim/src/system.rs", line);
+            assert!(v.is_empty(), "{line}: {v:?}");
         }
         // The binaries `repro` replaced, wherever they could be typed.
         for (file, line) in [

@@ -3,7 +3,7 @@
 use crate::pte::{MapFlags, Pte};
 use crate::VmFault;
 use cheri_cap::{Capability, Perms, CAP_SIZE};
-use cheri_mem::{CacheConfig, CoreId, MemSystem, PageMap, PAGE_SIZE};
+use cheri_mem::{CoreId, MemSystem, PageMap, PAGE_SIZE};
 
 /// Registers per simulated thread (Morello has 31 general-purpose
 /// capability registers; we round to 32).
@@ -169,15 +169,9 @@ impl Machine {
     /// register file for its pinned thread) and default cache geometry.
     #[must_use]
     pub fn new(cores: usize) -> Self {
-        Machine::with_cache_config(cores, CacheConfig::default())
-    }
-
-    /// Creates a machine with explicit cache geometry.
-    #[must_use]
-    pub fn with_cache_config(cores: usize, config: CacheConfig) -> Self {
         assert!(cores >= 1, "a machine needs at least one core");
         Machine {
-            mem: MemSystem::with_config(cores, config),
+            mem: MemSystem::new(cores),
             ptes: PageMap::default(),
             tlbs: vec![Tlb::default(); cores],
             core_gen: vec![false; cores],
@@ -200,9 +194,9 @@ impl Machine {
         }
     }
 
-    /// Moves all recorded events into `out`, clearing the internal log.
-    pub fn drain_events_into(&mut self, out: &mut Vec<VmEvent>) {
-        out.append(&mut self.events);
+    /// Drains the recorded events, oldest first, clearing the internal log.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, VmEvent> {
+        self.events.drain(..)
     }
 
     /// Number of cores.

@@ -10,7 +10,7 @@
 //! `TrafficStats` at the end.
 
 use cheri_cap::{Capability, Perms};
-use cheri_mem::{CacheConfig, MemSystem, TrafficStats};
+use cheri_mem::{CacheConfig, MemSystem, TrafficStats, DRAM_CYCLES, L1_HIT_CYCLES, L2_HIT_CYCLES};
 use simtest::check::{vec_of, Config, Gen, GenExt};
 use simtest::{oneof, sim_assert_eq};
 
@@ -48,7 +48,6 @@ struct RefHierarchy {
     l1: Vec<RefLevel>,
     l2: RefLevel,
     stats: Vec<TrafficStats>,
-    config: CacheConfig,
 }
 
 impl RefHierarchy {
@@ -57,28 +56,27 @@ impl RefHierarchy {
             l1: (0..cores).map(|_| RefLevel::new(config.l1_lines)).collect(),
             l2: RefLevel::new(config.l2_lines),
             stats: vec![TrafficStats::default(); cores],
-            config,
         }
     }
 
     fn access(&mut self, core: usize, addr: u64, len: u64, write: bool) -> u64 {
         let first = addr / LINE;
         let last = addr.saturating_add(len.max(1) - 1) / LINE;
-        let (c, st) = (self.config, &mut self.stats[core]);
+        let st = &mut self.stats[core];
         let mut cycles = 0;
         for line in first..=last {
-            cycles += c.l1_hit_cycles;
+            cycles += L1_HIT_CYCLES;
             if self.l1[core].probe(line, write).0 {
                 st.l1_hits += 1;
                 continue;
             }
-            cycles += c.l2_hit_cycles;
+            cycles += L2_HIT_CYCLES;
             let (hit, evicted_dirty) = self.l2.probe(line, write);
             if hit {
                 st.l2_hits += 1;
             } else {
                 // One fill, plus the write-back of a dirty victim.
-                cycles += c.dram_cycles;
+                cycles += DRAM_CYCLES;
                 st.dram_transactions += 1 + u64::from(evicted_dirty);
             }
         }
@@ -205,7 +203,7 @@ simtest::props! {
     /// wraps, and whole-block accesses land on blocks full of single-line
     /// exceptions.
     fn small_geometry_matches_the_per_line_walk(trace in vec_of(access(), 1..160)) {
-        let config = CacheConfig { l1_lines: 128, l2_lines: 512, ..CacheConfig::default() };
+        let config = CacheConfig { l1_lines: 128, l2_lines: 512 };
         check(config, &trace)?;
     }
 }

@@ -11,7 +11,7 @@
 //! GOLDEN_PRINT=1 cargo test --test golden_report -- --nocapture
 //! ```
 
-use morello_sim::{Condition, Json, Sample, SimConfig, System, REPORT_VERSION};
+use morello_sim::{Condition, Json, Sample, SimConfig, System, TelemetryConfig, REPORT_VERSION};
 use workloads::{spec, SpecProgram};
 
 /// FNV-1a 64-bit over the rendered JSON: a short, committable stand-in
@@ -32,9 +32,7 @@ fn golden_cfg(config: SimConfig) -> SimConfig {
         .to_builder()
         .condition(Condition::reloaded())
         .revoker_threads(1)
-        .sample_every(50_000_000)
-        .record_events(true)
-        .record_spans(true)
+        .telemetry(TelemetryConfig::full(50_000_000))
         .build()
         .expect("golden telemetry config")
 }

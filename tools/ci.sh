@@ -37,6 +37,11 @@ head -c 12 "$report_a" | grep -q '{"version":1' \
     || { echo "telemetry smoke: report is not v1 JSON" >&2; exit 1; }
 grep -q '"spans":\[{' "$report_a" \
     || { echo "telemetry smoke: report has no phase spans" >&2; exit 1; }
+# A truncated journal or series is a smoke failure, not a footnote.
+for ring in dropped_events dropped_samples; do
+    grep -q "\"$ring\":0[,}]" "$report_a" \
+        || { echo "telemetry smoke: report has $ring > 0 (the ring overflowed)" >&2; exit 1; }
+done
 cmp -s "$report_a" "$report_b" \
     || { echo "telemetry smoke: reports differ across invocations" >&2; exit 1; }
 
