@@ -1,21 +1,15 @@
-//! Suites: the index of results the figure generators read, the scale
-//! and condition vocabulary every plan shares, and the serial loops the
-//! orchestrator's merged output is tested against.
+//! Suites: the index of results the figure generators read, and the
+//! scale and condition vocabulary every plan shares.
 //!
-//! The order contract lives here, with the loops: each `*_suite_serial`
-//! nests rep (outer) → workload → condition (inner) and inserts in that
-//! order; [`crate::plan::MatrixPlan`] expands its jobs in the same
-//! nesting and [`crate::orchestrator::run`] merges in job order, so a
-//! merged [`Suite`] — per-key repetition order included — equals the
-//! serial one byte for byte (`tests/{orchestrator,shard,sched}.rs`).
+//! A [`Suite`] keeps each `(workload, condition)`'s repetitions in the
+//! order they were inserted. [`crate::plan::MatrixPlan`] expands a suite's
+//! jobs rep (outer) → workload → condition (inner) and
+//! [`crate::orchestrator::run`] merges in job order, so a merged suite —
+//! per-key repetition order included — is the same at every worker and
+//! shard count (`tests/suite_goldens.rs` pins it).
 
-use morello_sim::{Condition, Op, RunStats, System};
+use morello_sim::{Condition, RunStats};
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::sync::Arc;
-use workloads::{
-    grpc_qps, pgbench, pgbench_tx_interval, spec_stream, GrpcParams, PgbenchParams, SPEC_PROGRAMS,
-};
 
 /// The conditions every figure draws from, in the paper's order.
 pub const CONDITIONS: [Condition; 5] = [
@@ -153,7 +147,7 @@ impl Suite {
             .map_or(&[], Vec::as_slice)
     }
 
-    /// Workload names present, in insertion (BTree) order.
+    /// Workload names present, sorted (the index is a `BTreeMap`).
     #[must_use]
     pub fn workloads(&self) -> Vec<String> {
         let mut v: Vec<String> = self.runs.keys().map(|(w, _)| w.clone()).collect();
@@ -189,102 +183,6 @@ impl Suite {
     ) -> f64 {
         self.mean(workload, condition, metric) / self.mean(workload, "baseline", metric)
     }
-}
-
-fn progress(msg: &str) {
-    let mut err = std::io::stderr();
-    let _ = writeln!(err, "  [run] {msg}");
-}
-
-/// The original single-threaded SPEC loop, kept as the byte-identity
-/// oracle the orchestrator tests compare against.
-#[must_use]
-pub fn spec_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
-    let mut suite = Suite::default();
-    for rep in 0..scale.reps {
-        for program in SPEC_PROGRAMS {
-            let w = spec_stream(program, 1000 + rep).materialize();
-            // One generation serves every condition: the stream is shared
-            // (never cloned) and each run replays it by copy of `Op`s.
-            let ops: Arc<[Op]> = w.ops.into();
-            for &cond in conditions {
-                progress(&format!("spec {} rep {rep} {}", w.name, cond.label()));
-                let cfg = w.config.clone().with_condition(cond);
-                let report = System::new(cfg)
-                    .run(ops.iter().copied())
-                    .expect("spec surrogate must run clean");
-                suite.insert(&w.name, cond, report.into_stats());
-            }
-        }
-    }
-    suite
-}
-
-/// Single-threaded pgbench loop (byte-identity oracle).
-#[must_use]
-pub fn pgbench_suite_serial(conditions: &[Condition], scale: Scale) -> Suite {
-    let mut suite = Suite::default();
-    let tx = pgbench_transactions(scale);
-    for rep in 0..scale.reps {
-        let w = pgbench(PgbenchParams { transactions: tx, rate: None, seed: 2000 + rep });
-        let ops: Arc<[Op]> = w.ops.into();
-        for &cond in conditions {
-            progress(&format!("pgbench rep {rep} {}", cond.label()));
-            let cfg = w.config.clone().with_condition(cond);
-            let report = System::new(cfg)
-                .run(ops.iter().copied())
-                .expect("pgbench surrogate must run clean");
-            suite.insert(&w.name, cond, report.into_stats());
-        }
-    }
-    suite
-}
-
-/// Single-threaded pgbench-rate loop (byte-identity oracle).
-#[must_use]
-pub fn pgbench_rate_suite_serial(rates: &[Option<f64>], scale: Scale) -> Suite {
-    let mut suite = Suite::default();
-    let tx = pgbench_transactions(scale);
-    // The op stream is rate-independent (the arrival rate only sets the
-    // config's `tx_interval`), so one generation serves every rate row.
-    let w = pgbench(PgbenchParams { transactions: tx, rate: None, seed: 3000 });
-    let ops: Arc<[Op]> = w.ops.into();
-    for &rate in rates {
-        let label = rate_label(rate);
-        progress(&format!("pgbench --rate {label}"));
-        let cfg = w
-            .config
-            .to_builder()
-            .tx_interval(pgbench_tx_interval(rate))
-            .build()
-            .expect("rate-adjusted pgbench config")
-            .with_condition(Condition::reloaded());
-        let report = System::new(cfg)
-            .run(ops.iter().copied())
-            .expect("pgbench rate run must run clean");
-        suite.insert(&label, Condition::reloaded(), report.into_stats());
-    }
-    suite
-}
-
-/// Single-threaded gRPC loop (byte-identity oracle).
-#[must_use]
-pub fn grpc_suite_serial(scale: Scale) -> Suite {
-    let mut suite = Suite::default();
-    let msgs = grpc_messages(scale);
-    for rep in 0..scale.reps {
-        let w = grpc_qps(GrpcParams { messages: msgs, seed: 4000 + rep });
-        let ops: Arc<[Op]> = w.ops.into();
-        for cond in GRPC_CONDITIONS {
-            progress(&format!("grpc rep {rep} {}", cond.label()));
-            let cfg = w.config.clone().with_condition(cond);
-            let report = System::new(cfg)
-                .run(ops.iter().copied())
-                .expect("grpc surrogate must run clean");
-            suite.insert(&w.name, cond, report.into_stats());
-        }
-    }
-    suite
 }
 
 #[cfg(test)]

@@ -4,10 +4,11 @@
 //! completely independent: each one generates its own op stream from a
 //! seed and runs its own deterministic `System`. This module takes the
 //! [`JobSpec`] list a [`crate::plan::MatrixPlan`] expanded, executes it
-//! on a work-stealing `std::thread` pool, and merges the results back
-//! into [`Suite`] indexes **in job order**, so the merged output is
-//! byte-identical to the serial loops in [`crate::harness`] no matter
-//! how many workers ran or in what order cells finished.
+//! on [`parallel_cells`]' work-stealing `std::thread` pool, and merges the
+//! results back into [`Suite`] indexes **in job order**, so the merged
+//! output is byte-identical to a one-worker run's no matter how many
+//! workers ran or in what order cells finished
+//! (`tests/suite_goldens.rs` pins it).
 //!
 //! Fault isolation: every job runs under `catch_unwind` with one retry; a
 //! job that panics twice degrades into a typed [`JobFailure`] record in
@@ -21,11 +22,12 @@
 //! pending cells ([`crate::plan::JobSpec::program_key`] — the conditions
 //! of one workload and seed all stream the same ops) first passes through
 //! the static temporal-safety analyzer
-//! ([`crate::plan::JobSpec::analyze`]), once, and every cell that streams
-//! it receives the verdict; a malformed program (double free,
-//! use-after-free, …) short-circuits each of its cells into the same
-//! typed [`JobFailure`] / repro-file path with `attempts == 0` — the
-//! deterministic analyzer verdict makes the retry loop pointless.
+//! ([`crate::plan::JobSpec::analyze`]), once, on the pool, before any
+//! cell simulates, and every cell that streams it receives the verdict;
+//! a malformed program (double free, use-after-free, …) short-circuits
+//! each of its cells into the same typed [`JobFailure`] / repro-file
+//! path with `attempts == 0` — the deterministic analyzer verdict makes
+//! the retry loop pointless.
 //!
 //! # Multi-process sharding
 //!
@@ -42,12 +44,11 @@
 //! directory. Because cell keys are topology-independent
 //! (`suite|workload|condition|seed`) and the final reduction is in job
 //! order, a checkpoint written by N shards replays under M shards or
-//! serially, and the merged output is byte-identical to the serial
-//! loops. The
-//! conventional merge step is simply an unsharded run over the same
-//! checkpoint directory: every completed cell resumes, stragglers
-//! (including cells whose shard failed) execute locally, and the
-//! job-order reduction produces the report.
+//! unsharded, and the merged output is byte-identical to an unsharded
+//! one-worker run's. The conventional merge step is simply an unsharded
+//! run over the same checkpoint directory: every completed cell resumes,
+//! stragglers (including cells whose shard failed) execute locally, and
+//! the job-order reduction produces the report.
 //!
 //! Configuration is fully typed through [`RunOptions`]; `repro`
 //! translates `REPRO_JOBS` / `REPRO_INJECT_PANIC` /
@@ -56,11 +57,11 @@
 use crate::harness::Suite;
 use morello_sim::{Json, RunStats};
 use std::collections::BTreeMap;
-use std::io::{BufRead as _, BufWriter, Write as _};
+use std::io::{BufWriter, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 pub use crate::plan::{JobSpec, SuiteKind};
@@ -308,16 +309,16 @@ impl MatrixOutcome {
 
 static NO_CELLS: Suite = Suite::new();
 
-/// One job's terminal state inside the worker pool.
+/// One job's terminal state; `None` until it is resumed or settled.
 type Slot = Option<Result<RunStats, JobFailure>>;
 
 /// Executes `jobs` and merges the results in job order.
 ///
-/// With `opts.workers <= 1` the jobs run inline on the calling thread in
-/// job order (the serial path); otherwise a work-stealing pool of scoped
-/// threads pulls jobs off a shared cursor. Either way the merge happens
-/// after all jobs settle, in job order, so both paths produce identical
-/// [`Suite`]s.
+/// The run is two [`parallel_cells`] calls on `opts.workers` threads:
+/// with [`RunOptions::preflight`], first one static analysis per distinct
+/// program of the pending cells, then the pending cells themselves. The
+/// merge happens after all jobs settle, in job order, so every worker
+/// count produces identical [`Suite`]s.
 ///
 /// With a sharded [`RunOptions::shard`], only the pending jobs
 /// [`crate::sched::assignment`] gives this shard execute; cells owned by
@@ -353,68 +354,49 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
 
     let checkpoint_writer =
         opts.checkpoint.as_deref().map(|path| CheckpointWriter::open(path, shard, &assigned));
-    let preflight = opts.preflight.then(|| Preflight::plan(jobs, &pending, opts, analyse));
-    if let (Some(preflight), true) = (&preflight, opts.progress) {
-        eprintln!(
-            "  preflight: {} program(s) for {} cell(s)",
-            preflight.programs.len(),
-            pending.len()
-        );
+
+    // Phase 1: one verdict per distinct program of the pending cells.
+    let (verdicts, program_of) = if opts.preflight {
+        preflight(jobs, &pending, opts, analyse)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    if opts.preflight && opts.progress {
+        eprintln!("  preflight: {} program(s) for {} cell(s)", verdicts.len(), pending.len());
     }
 
-    // Progress denominator: the cells *this process* will settle (its own
-    // pending jobs plus everything resumed), not the global matrix.
+    // Phase 2: the pending cells. Progress denominator: the cells *this
+    // process* will settle (its own pending jobs plus everything
+    // resumed), not the global matrix.
     let total = resumed + pending.len();
-    let slots_shared = Mutex::new(&mut slots);
-    let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let started = Instant::now();
-
-    // Work-stealing loop: workers first drain the distinct programs (so
-    // no cell waits for a verdict another worker has not started on),
-    // then race on `cursor` for the next pending job id; completion order
-    // is nondeterministic, the slot vector is not.
-    let worker_loop = || {
-        if let Some(preflight) = &preflight {
-            preflight.analyse_programs();
+    let outcomes = parallel_cells(pending.len(), opts.workers, |i| {
+        let job_id = pending[i];
+        let job = &jobs[job_id];
+        let outcome = match program_of.get(i).map(|&program| &verdicts[program]) {
+            Some(Err(message)) => Err(JobFailure {
+                job_id,
+                key: job.key(),
+                attempts: 0,
+                message: message.clone(),
+            }),
+            _ => attempt_job(job_id, job, opts),
+        };
+        if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
+            writer.append(job, stats);
         }
-        loop {
-            let next = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&job_id) = pending.get(next) else { break };
-            let job = &jobs[job_id];
-            let verdict = preflight.as_ref().map_or(&Ok(()), |p| p.verdict(p.program_of[next]));
-            let outcome = match verdict {
-                Ok(()) => attempt_job(job_id, job, opts),
-                Err(message) => Err(JobFailure {
-                    job_id,
-                    key: job.key(),
-                    attempts: 0,
-                    message: message.clone(),
-                }),
-            };
-            if let (Some(writer), Ok(stats)) = (&checkpoint_writer, &outcome) {
-                writer.append(job, stats);
-            }
-            let executed = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if opts.progress {
-                let elapsed = started.elapsed().as_secs_f64();
-                let finished = resumed + executed;
-                let eta = eta_secs(elapsed, executed, finished, total);
-                progress_line(shard, finished, total, &job.key(), outcome.is_err(), elapsed, eta);
-            }
-            slots_shared.lock().expect("slot store")[job_id] = Some(outcome);
+        let executed = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if opts.progress {
+            let elapsed = started.elapsed().as_secs_f64();
+            let finished = resumed + executed;
+            let eta = eta_secs(elapsed, executed, finished, total);
+            progress_line(shard, finished, total, &job.key(), outcome.is_err(), elapsed, eta);
         }
-    };
-
-    let workers = opts.workers.clamp(1, pending.len().max(1));
-    if workers <= 1 {
-        worker_loop();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker_loop);
-            }
-        });
+        outcome
+    });
+    for (&job_id, outcome) in pending.iter().zip(outcomes) {
+        slots[job_id] = Some(outcome);
     }
 
     // Push buffered checkpoint lines to disk before reporting success:
@@ -424,11 +406,8 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
     }
 
     // Deterministic reduction: job order, not completion order.
-    let mut out = MatrixOutcome {
-        resumed,
-        preflight_programs: preflight.map_or(0, |p| p.analysed()),
-        ..MatrixOutcome::default()
-    };
+    let mut out =
+        MatrixOutcome { resumed, preflight_programs: verdicts.len(), ..MatrixOutcome::default() };
     for (job, slot) in jobs.iter().zip(slots) {
         match slot {
             Some(Ok(stats)) => {
@@ -452,10 +431,12 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
     out
 }
 
-/// Calls `f` on each of `0..n` from a pool of `workers` threads,
-/// returning the results in index order. Unlike [`run`], a panicking
-/// call propagates: `opcheck` and the oracle tests, which use this, want
-/// the abort.
+/// Calls `f` on each of `0..n` from a work-stealing pool of `workers`
+/// scoped threads (inline on the calling thread for `workers <= 1`),
+/// returning the results in index order whatever order they finished in.
+/// The one pool of the crate: [`run`]'s pre-flight and cells, `opcheck`
+/// and the oracle tests all go through it. A panicking call propagates;
+/// [`run`] catches a cell's or an analysis's panic inside `f`.
 #[must_use]
 pub fn parallel_cells<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
@@ -469,15 +450,26 @@ where
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *slots[i].lock().expect("cell slot") = Some(v);
-            });
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let v = f(i);
+                    *slots[i].lock().expect("cell slot") = Some(v);
+                })
+            })
+            .collect();
+        // The scope alone waits for each closure, not for its thread to
+        // exit; a thread still exiting has not handed its malloc arena
+        // back, so a pool started right after (`run`'s phase 2) would
+        // make fresh arenas and grow peak RSS run after run.
+        for worker in pool {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     slots
@@ -490,87 +482,50 @@ where
 /// from, and whether to append the `inject_malformed` epilogue.
 type Analysis = dyn Fn(&JobSpec, bool) -> analyze::Report + Sync;
 
-/// The pre-flight gate of one run: every distinct program among the
-/// pending cells, analysed at most once, its verdict shared by every cell
-/// that streams it. A program is its generation parameters
-/// ([`JobSpec::program_key`]) plus the `inject_malformed` flag — never
-/// the display label, which carries no stream length.
-struct Preflight<'a> {
-    analyse: &'a Analysis,
-    programs: Vec<Program<'a>>,
-    /// For each pending cell (by position in `pending`), its program.
-    program_of: Vec<usize>,
-    cursor: AtomicUsize,
-}
-
-struct Program<'a> {
-    /// The first pending cell that streams the program.
-    job: &'a JobSpec,
-    corrupt: bool,
-    /// `Err` carries the [`JobFailure::message`] of every cell.
-    verdict: OnceLock<Result<(), String>>,
-}
-
-impl<'a> Preflight<'a> {
-    fn plan(
-        jobs: &'a [JobSpec],
-        pending: &[usize],
-        opts: &RunOptions,
-        analyse: &'a Analysis,
-    ) -> Self {
-        let mut index: BTreeMap<(String, bool), usize> = BTreeMap::new();
-        let mut programs = Vec::new();
-        let program_of = pending
-            .iter()
-            .map(|&id| {
-                let job = &jobs[id];
-                let corrupt = opts
-                    .inject_malformed
-                    .as_deref()
-                    .is_some_and(|needle| job.key().contains(needle));
-                *index.entry((job.program_key(), corrupt)).or_insert_with(|| {
-                    programs.push(Program { job, corrupt, verdict: OnceLock::new() });
-                    programs.len() - 1
-                })
+/// The pre-flight gate of one run: analyses every distinct program among
+/// the `pending` cells once, on the pool, before any cell simulates. A
+/// program is its generation parameters ([`JobSpec::program_key`]) plus
+/// the `inject_malformed` flag — never the display label, which carries
+/// no stream length. Returns one verdict per program (`Err` carries the
+/// [`JobFailure::message`] of every cell that streams it) and, for each
+/// pending cell by position in `pending`, the index of its program.
+fn preflight(
+    jobs: &[JobSpec],
+    pending: &[usize],
+    opts: &RunOptions,
+    analyse: &Analysis,
+) -> (Vec<Result<(), String>>, Vec<usize>) {
+    let mut index: BTreeMap<(String, bool), usize> = BTreeMap::new();
+    let mut programs = Vec::new();
+    let program_of = pending
+        .iter()
+        .map(|&id| {
+            let job = &jobs[id];
+            let corrupt =
+                opts.inject_malformed.as_deref().is_some_and(|needle| job.key().contains(needle));
+            *index.entry((job.program_key(), corrupt)).or_insert_with(|| {
+                programs.push((job, corrupt));
+                programs.len() - 1
             })
-            .collect();
-        Preflight { analyse, programs, program_of, cursor: AtomicUsize::new(0) }
-    }
-
-    /// Analyses programs off the shared cursor until none is left
-    /// unclaimed.
-    fn analyse_programs(&self) {
-        loop {
-            let next = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if next >= self.programs.len() {
-                break;
-            }
-            self.verdict(next);
-        }
-    }
-
-    /// The verdict on program `index`: analyses it if no worker has yet,
-    /// waits if one is at it. The analysis drives a workload generator; a
-    /// panic in there must cost that program's cells, not unwind through
-    /// the worker pool and kill the sweep.
-    fn verdict(&self, index: usize) -> &Result<(), String> {
-        let program = &self.programs[index];
-        program.verdict.get_or_init(|| {
-            let analysis = || (self.analyse)(program.job, program.corrupt);
-            match catch_unwind(AssertUnwindSafe(analysis)) {
-                Ok(report) if report.malformed => Err(preflight_message(&report)),
-                Ok(_) => Ok(()),
-                Err(payload) => Err(format!(
-                    "preflight: analyzer panicked: {}",
-                    panic_message(payload.as_ref())
-                )),
-            }
         })
-    }
+        .collect();
+    let verdicts = parallel_cells(programs.len(), opts.workers, |i| {
+        let (job, corrupt) = programs[i];
+        verdict(analyse, job, corrupt)
+    });
+    (verdicts, program_of)
+}
 
-    /// Analyses actually run: the verdicts that are in.
-    fn analysed(&self) -> usize {
-        self.programs.iter().filter(|p| p.verdict.get().is_some()).count()
+/// One program's pre-flight verdict. The analysis drives a workload
+/// generator; a panic in there must cost that program's cells, not unwind
+/// through the pool and kill the sweep.
+fn verdict(analyse: &Analysis, job: &JobSpec, corrupt: bool) -> Result<(), String> {
+    match catch_unwind(AssertUnwindSafe(|| analyse(job, corrupt))) {
+        Ok(report) if report.malformed => Err(preflight_message(&report)),
+        Ok(_) => Ok(()),
+        Err(payload) => {
+            Err(format!("preflight: analyzer panicked: {}", panic_message(payload.as_ref())))
+        }
     }
 }
 
@@ -755,18 +710,24 @@ fn checkpoint_dir_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
+/// The non-blank lines of a checkpoint file's bytes. A line that is not
+/// UTF-8 is `None`: like a torn line it costs only its own cell, never
+/// the lines after it.
+fn checkpoint_lines(bytes: &[u8]) -> impl Iterator<Item = Option<&str>> {
+    bytes
+        .split(|&b| b == b'\n')
+        .map(|line| std::str::from_utf8(line).ok())
+        .filter(|line| line.is_none_or(|line| !line.trim().is_empty()))
+}
+
 fn load_checkpoint_file(
     path: &Path,
     wanted: &BTreeMap<String, Json>,
     map: &mut BTreeMap<String, RunStats>,
 ) {
-    let Ok(file) = std::fs::File::open(path) else { return };
-    for line in std::io::BufReader::new(file).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some((key, params, stats)) = parse_checkpoint_line(&line) {
+    let Ok(bytes) = std::fs::read(path) else { return };
+    for line in checkpoint_lines(&bytes).flatten() {
+        if let Some((key, params, stats)) = parse_checkpoint_line(line) {
             if wanted.get(&key) == Some(&params) {
                 map.insert(key, stats);
             }
@@ -801,10 +762,10 @@ fn load_checkpoint(path: &Path, jobs: &[JobSpec]) -> BTreeMap<String, RunStats> 
 
 /// Rewrites an append-only checkpoint so it holds exactly one line per
 /// cell key — the last write wins, matching [`load_checkpoint`]'s replay
-/// semantics — and drops superseded or unparsable lines (including shard
-/// metadata headers). Long interrupted sweeps re-append every re-run
-/// cell, so the checkpoint otherwise grows without bound; compaction
-/// returns it to O(cells).
+/// semantics — and drops superseded, unparsable or non-UTF-8 lines
+/// (including shard metadata headers). Long interrupted sweeps re-append
+/// every re-run cell, so the checkpoint otherwise grows without bound;
+/// compaction returns it to O(cells).
 ///
 /// A single-file checkpoint is rewritten in place. A checkpoint
 /// *directory* is merged: every per-shard `*.jsonl` file folds into one
@@ -840,11 +801,9 @@ pub fn compact_checkpoint(path: &Path) -> std::io::Result<(usize, usize)> {
     let mut total = 0usize;
     let mut map: BTreeMap<String, String> = BTreeMap::new();
     for source in &sources {
-        for line in std::fs::read_to_string(source)?.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        for line in checkpoint_lines(&std::fs::read(source)?) {
             total += 1;
+            let Some(line) = line else { continue };
             if let Some((key, ..)) = parse_checkpoint_line(line) {
                 map.insert(key, line.to_string());
             }

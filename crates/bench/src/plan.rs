@@ -5,8 +5,8 @@
 //! order), the [`Scale`], optional condition/rate overrides, and an
 //! optional `--only` substring filter, and produces the ordered
 //! [`JobSpec`] list the orchestrator executes. Expansion order is part of
-//! the byte-identity contract ([`crate::harness`] states it, beside the
-//! serial loops it is checked against).
+//! the byte-identity contract ([`crate::harness`] states it;
+//! `tests/suite_goldens.rs` pins it).
 //!
 //! An ablation study's cells ([`JobSpec::ablation`]) are jobs like any
 //! other: a SPEC stream at [`ABLATION_SEED`] under one condition, with a
@@ -326,8 +326,8 @@ impl JobSpec {
         self.with_stream(|mut source, _| count_ops(&mut source) as u64)
     }
 
-    /// Runs the cell to completion. Panics on simulator error (exactly as
-    /// the serial harness does) — the orchestrator catches it.
+    /// Runs the cell to completion. Panics on simulator error — the
+    /// orchestrator catches it.
     ///
     /// Workloads stream straight from their seeds through
     /// [`System::run_stream`]: no cell ever materializes its op vector,

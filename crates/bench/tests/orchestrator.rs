@@ -1,8 +1,10 @@
-//! Integration tests of the parallel orchestrator: byte-identity with
-//! the serial harness, fault isolation, and checkpoint resume.
+//! Integration tests of the parallel orchestrator: byte-identity across
+//! worker counts, fault isolation, and checkpoint resume. What a run
+//! merges is pinned by `suite_goldens.rs`; these tests compare runs with
+//! each other.
 
-use rev_bench::harness::{pgbench_suite_serial, spec_suite_serial, Scale, CONDITIONS};
-use rev_bench::orchestrator::{self, JobSpec, RunOptions};
+use rev_bench::harness::{Scale, CONDITIONS};
+use rev_bench::orchestrator::{self, JobSpec, MatrixOutcome, RunOptions};
 use rev_bench::plan::{distinct_programs, MatrixPlan, SuiteKind};
 use morello_sim::Condition;
 
@@ -22,40 +24,56 @@ fn pg_jobs(scale: Scale) -> Vec<JobSpec> {
 
 #[test]
 fn parallel_run_is_identical_to_serial_loops() {
-    let scale = tiny_scale();
-    let jobs = pg_jobs(scale);
+    let jobs = pg_jobs(tiny_scale());
     assert_eq!(jobs.len(), CONDITIONS.len());
 
-    let serial = pgbench_suite_serial(&CONDITIONS, scale);
-    for workers in [1, 4] {
-        let outcome = orchestrator::run(&jobs, &quiet(workers));
+    // One worker runs the cells inline, in job order.
+    let serial = orchestrator::run(&jobs, &quiet(1));
+    let parallel = orchestrator::run(&jobs, &quiet(4));
+    for outcome in [&serial, &parallel] {
         assert!(outcome.failures.is_empty());
         assert_eq!(outcome.completed, jobs.len());
-        assert_eq!(outcome.suites.get("pgbench"), Some(&serial), "workers={workers}");
+    }
+    assert_eq!(parallel.suites, serial.suites);
+}
+
+#[test]
+fn worker_count_changes_nothing_under_both_fault_kinds() {
+    let jobs = MatrixPlan::new(tiny_scale())
+        .suites(&[SuiteKind::Pgbench, SuiteKind::Grpc])
+        .build()
+        .unwrap();
+    // The gRPC program fails pre-flight (phase 1); one pgbench cell
+    // panics on both attempts (phase 2).
+    let opts = |workers| RunOptions {
+        preflight: true,
+        inject_malformed: Some("|s4000".to_string()),
+        inject_panic: Some(jobs[1].key()),
+        ..quiet(workers)
+    };
+    let faults = |outcome: &MatrixOutcome| {
+        let failures = outcome.failures.iter();
+        let failures: Vec<_> = failures.map(|f| (f.job_id, f.attempts, f.message.clone())).collect();
+        (failures, outcome.preflight_programs)
+    };
+
+    let one = orchestrator::run(&jobs, &opts(1));
+    let grpc = jobs.iter().filter(|j| j.suite() == SuiteKind::Grpc).count();
+    let (failures, programs) = faults(&one);
+    assert_eq!(programs, 2);
+    assert_eq!(failures.len(), grpc + 1);
+    assert_eq!(failures.iter().filter(|f| f.1 == 0).count(), grpc);
+    assert_eq!(failures.iter().filter(|f| f.1 == 2).map(|f| f.0).collect::<Vec<_>>(), [1]);
+    for workers in [2, 4] {
+        let other = orchestrator::run(&jobs, &opts(workers));
+        assert_eq!(other.suites, one.suites, "workers={workers}");
+        assert_eq!(faults(&other), faults(&one), "workers={workers}");
     }
 }
 
 #[test]
-fn spec_expansion_matches_serial_repetition_order() {
-    // Two reps so per-key repetition *order* (not just the set) is
-    // checked: Suite stores a Vec per (workload, condition).
-    let scale = Scale { fraction: 0.005, reps: 2 };
-    let conditions = [Condition::Baseline, Condition::reloaded()];
-    let jobs = MatrixPlan::new(scale)
-        .suite(SuiteKind::Spec)
-        .conditions(&conditions)
-        .build()
-        .unwrap();
-    let serial = spec_suite_serial(&conditions, scale);
-    let outcome = orchestrator::run(&jobs, &quiet(4));
-    assert!(outcome.failures.is_empty());
-    assert_eq!(outcome.suites.get("spec"), Some(&serial));
-}
-
-#[test]
 fn injected_panic_degrades_to_a_failure_record_without_poisoning_the_sweep() {
-    let scale = tiny_scale();
-    let jobs = pg_jobs(scale);
+    let jobs = pg_jobs(tiny_scale());
     let victim = jobs[2].key();
     let opts = RunOptions { inject_panic: Some(victim.clone()), ..quiet(4) };
 
@@ -67,9 +85,9 @@ fn injected_panic_degrades_to_a_failure_record_without_poisoning_the_sweep() {
     assert_eq!(failure.attempts, 2, "one retry before giving up");
     assert!(failure.message.contains("injected panic"), "{}", failure.message);
 
-    // Every other cell completed and matches its serial twin.
+    // Every other cell completed and matches an untouched run.
     let suite = &outcome.suites["pgbench"];
-    let serial = pgbench_suite_serial(&CONDITIONS, scale);
+    let serial = &orchestrator::run(&jobs, &quiet(1)).suites["pgbench"];
     for (i, cond) in CONDITIONS.iter().enumerate() {
         let got = suite.stats("pgbench", cond.label());
         if i == 2 {
@@ -149,6 +167,34 @@ fn a_deeply_nested_checkpoint_line_costs_only_its_cell() {
     let second = orchestrator::run(&jobs, &opts);
     assert!(second.failures.is_empty());
     assert_eq!((second.resumed, second.completed), (jobs.len() - 1, 1));
+    assert_eq!(second.suites.get("pgbench"), first.suites.get("pgbench"));
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_non_utf8_byte_in_a_checkpoint_line_costs_only_its_cell() {
+    let jobs = pg_jobs(tiny_scale());
+    let path = std::env::temp_dir()
+        .join(format!("orchestrator-non-utf8-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let opts = RunOptions { checkpoint: Some(path.clone()), ..quiet(2) };
+    let first = orchestrator::run(&jobs, &opts);
+    assert_eq!((first.completed, first.failures.len()), (jobs.len(), 0));
+
+    // 0xFF inside line 2's key: that line is not UTF-8, the lines after
+    // it are untouched.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let line2 = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes[line2 + 3] = 0xFF;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let (healthy, corrupt) = (jobs.len() - 1, 1);
+    assert_eq!(orchestrator::compact_checkpoint(&path).unwrap(), (healthy, corrupt));
+    std::fs::write(&path, &bytes).unwrap();
+    let second = orchestrator::run(&jobs, &opts);
+    assert!(second.failures.is_empty());
+    assert_eq!((second.resumed, second.completed), (healthy, corrupt));
     assert_eq!(second.suites.get("pgbench"), first.suites.get("pgbench"));
 
     let _ = std::fs::remove_file(&path);
@@ -284,8 +330,7 @@ fn compacting_a_missing_checkpoint_is_a_no_op() {
 
 #[test]
 fn preflight_quarantines_a_corrupt_program_without_retry_or_simulation() {
-    let scale = tiny_scale();
-    let jobs = pg_jobs(scale);
+    let jobs = pg_jobs(tiny_scale());
     let victim = jobs[2].key();
     let repro = std::env::temp_dir()
         .join(format!("orchestrator-preflight-repro-{}", std::process::id()));
@@ -318,9 +363,9 @@ fn preflight_quarantines_a_corrupt_program_without_retry_or_simulation() {
     assert!(doc.contains("\"attempts\":0"), "{doc}");
     assert!(doc.contains("preflight: "), "{doc}");
 
-    // Every healthy cell still ran and matches its serial twin.
+    // Every healthy cell still ran and matches an untouched run.
     assert_eq!(outcome.completed, jobs.len() - 1);
-    let serial = pgbench_suite_serial(&CONDITIONS, scale);
+    let serial = &orchestrator::run(&jobs, &quiet(1)).suites["pgbench"];
     let suite = &outcome.suites["pgbench"];
     for (i, cond) in CONDITIONS.iter().enumerate() {
         let got = suite.stats("pgbench", cond.label());

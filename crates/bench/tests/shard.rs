@@ -1,13 +1,14 @@
 //! Integration tests of multi-process sharding: shard-partitioned
 //! execution against a shared checkpoint directory, topology-agnostic
-//! resume, byte-identical merge against the serial oracle, fault
-//! isolation inside one shard, and repro-file replay.
+//! resume, byte-identical merge against an unsharded one-worker run,
+//! fault isolation inside one shard, and repro-file replay.
 
 use morello_sim::Json;
-use rev_bench::harness::{pgbench_rate_suite_serial, pgbench_suite_serial, Scale, CONDITIONS, RATE_SCHEDULE};
+use rev_bench::harness::{Scale, Suite, CONDITIONS};
 use rev_bench::orchestrator::{self, repro_file_name, JobSpec, RunOptions, Shard};
 use rev_bench::plan::{MatrixPlan, SuiteKind};
 use rev_bench::sched;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// A cheap cross-suite matrix: 5 pgbench cells + 4 rate cells at the
@@ -37,12 +38,10 @@ fn shard_opts(k: usize, n: usize, dir: &Path) -> RunOptions {
     }
 }
 
-/// Serial oracle suites for the tiny matrix.
-fn serial_suites() -> (rev_bench::harness::Suite, rev_bench::harness::Suite) {
-    (
-        pgbench_suite_serial(&CONDITIONS, tiny_scale()),
-        pgbench_rate_suite_serial(&RATE_SCHEDULE, tiny_scale()),
-    )
+/// The suites of an untouched unsharded one-worker run of the tiny
+/// matrix (`suite_goldens.rs` pins them).
+fn untouched() -> BTreeMap<&'static str, Suite> {
+    orchestrator::run(&jobs(), &quiet(1)).suites
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -74,16 +73,13 @@ fn two_shards_merge_byte_identical_to_serial() {
     let serial_file = tmp("two-serial.jsonl");
     cleanup(&serial_file);
 
-    // Serial oracle with a single-file checkpoint.
+    // Unsharded one-worker run with a single-file checkpoint.
     let serial = orchestrator::run(
         &jobs,
         &RunOptions { checkpoint: Some(serial_file.clone()), ..quiet(1) },
     );
     assert!(serial.failures.is_empty());
     assert_eq!(serial.completed, jobs.len());
-    let (pg_oracle, rates_oracle) = serial_suites();
-    assert_eq!(serial.suites.get("pgbench"), Some(&pg_oracle));
-    assert_eq!(serial.suites.get("pgbench-rates"), Some(&rates_oracle));
 
     // Two shards, each settling only its own slice.
     for (k, assigned) in sched::assignment(&jobs, 2).iter().enumerate() {
@@ -121,8 +117,7 @@ fn two_shards_merge_byte_identical_to_serial() {
     assert!(merged.failures.is_empty(), "merge must not re-execute any cell");
     assert_eq!(merged.resumed, jobs.len());
     assert!(merged.is_complete());
-    assert_eq!(merged.suites.get("pgbench"), Some(&pg_oracle));
-    assert_eq!(merged.suites.get("pgbench-rates"), Some(&rates_oracle));
+    assert_eq!(merged.suites, serial.suites);
 
     // On-disk identity: compacting the shard directory and the serial
     // file must yield byte-identical cell lines.
@@ -186,9 +181,7 @@ fn topology_change_resume_three_to_two_shards() {
     );
     assert!(merged.failures.is_empty());
     assert_eq!(merged.resumed, jobs.len());
-    let (pg_oracle, rates_oracle) = serial_suites();
-    assert_eq!(merged.suites.get("pgbench"), Some(&pg_oracle));
-    assert_eq!(merged.suites.get("pgbench-rates"), Some(&rates_oracle));
+    assert_eq!(merged.suites, untouched());
 
     cleanup(&dir);
 }
@@ -247,9 +240,7 @@ fn injected_panic_in_one_shard_is_isolated_and_survives_merge() {
     assert!(healed.failures.is_empty());
     assert_eq!(healed.completed, 1);
     assert_eq!(healed.resumed, jobs.len() - 1);
-    let (pg_oracle, rates_oracle) = serial_suites();
-    assert_eq!(healed.suites.get("pgbench"), Some(&pg_oracle));
-    assert_eq!(healed.suites.get("pgbench-rates"), Some(&rates_oracle));
+    assert_eq!(healed.suites, untouched());
 
     cleanup(&dir);
 }
@@ -289,18 +280,17 @@ fn failed_cell_writes_replayable_repro_file() {
 
     // The replay command's core: filtering the expansion by the recorded
     // key yields exactly the failing cell, which (without the injector)
-    // runs clean and matches its serial twin.
+    // runs clean and matches an untouched run.
     let filtered: Vec<JobSpec> =
         jobs.iter().filter(|j| j.key().contains(victim.as_str())).cloned().collect();
     assert_eq!(filtered.len(), 1);
     let replayed = orchestrator::run(&filtered, &quiet(1));
     assert!(replayed.failures.is_empty());
     assert_eq!(replayed.completed, 1);
-    let serial = serial_suites().0;
     let cond = CONDITIONS[1].label();
     assert_eq!(
-        replayed.suites.get("pgbench").unwrap().stats("pgbench", cond),
-        serial.stats("pgbench", cond)
+        replayed.suites["pgbench"].stats("pgbench", cond),
+        untouched()["pgbench"].stats("pgbench", cond)
     );
 
     cleanup(&repro);
@@ -336,9 +326,7 @@ fn sharded_checkpoint_tolerates_torn_tail_in_one_shard_file() {
     assert!(merged.failures.is_empty());
     assert_eq!(merged.resumed, jobs.len() - 1);
     assert_eq!(merged.completed, 1);
-    let (pg_oracle, rates_oracle) = serial_suites();
-    assert_eq!(merged.suites.get("pgbench"), Some(&pg_oracle));
-    assert_eq!(merged.suites.get("pgbench-rates"), Some(&rates_oracle));
+    assert_eq!(merged.suites, untouched());
 
     cleanup(&dir);
 }

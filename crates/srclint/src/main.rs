@@ -43,8 +43,9 @@
 //!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`), the
 //!    telemetry sink trait and the per-channel switches `TelemetryConfig`
 //!    collapsed into (`TelemetrySink`, `NullSink`, `with_sink`,
-//!    `record_events(`, `record_spans(`, `sample_every(`) and
-//!    `Machine::with_cache_config` may not
+//!    `record_events(`, `record_spans(`, `sample_every(`),
+//!    `Machine::with_cache_config` and the four single-threaded suite
+//!    loops `tests/suite_goldens.rs` replaced (`spec_suite_serial`, …) may not
 //!    return; nor may the 23 binaries `repro` replaced be invoked by
 //!    name (`--bin run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this
 //!    rule also reads the shell scripts under `tools/`.
@@ -105,6 +106,10 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("record_spans(", ONE_TELEMETRY_PATH),
     ("sample_every(", ONE_TELEMETRY_PATH),
     ("with_cache_config", "Machine::new"),
+    ("spec_suite_serial", SUITE_GOLDENS),
+    ("pgbench_suite_serial", SUITE_GOLDENS),
+    ("pgbench_rate_suite_serial", SUITE_GOLDENS),
+    ("grpc_suite_serial", SUITE_GOLDENS),
     ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
     ("--bin run_matrix", "--bin repro -- matrix"),
     ("--bin reproduce_all", "--bin repro -- all"),
@@ -120,6 +125,11 @@ const ONE_SCALE_OUT_PATH: &str =
 /// The replacement for the deleted telemetry sink trait and per-channel
 /// switches: one setting turns events, spans and samples on together.
 const ONE_TELEMETRY_PATH: &str = "SimConfigBuilder::telemetry(TelemetryConfig::full(interval))";
+
+/// The replacement for the deleted single-threaded suite loops, which
+/// were the oracle for the orchestrator's merged suites.
+const SUITE_GOLDENS: &str =
+    "crates/bench/tests/suite_goldens.rs, or an orchestrator::run at workers(1)";
 
 /// The replacement for the deleted stream truncation, which was the
 /// identity on every stream it was applied to.
@@ -482,6 +492,15 @@ mod tests {
         assert!(v.len() == 1 && v[0].contains("System::new"), "{v:?}");
         let v = lint_one(&root, "crates/vm/src/machine.rs", "Machine::with_cache_config(4, c)\n");
         assert!(v.len() == 1 && v[0].contains("Machine::new"), "{v:?}");
+        for line in [
+            "let s = spec_suite_serial(&conditions, scale);\n",
+            "let s = pgbench_suite_serial(&CONDITIONS, scale);\n",
+            "let s = pgbench_rate_suite_serial(&RATE_SCHEDULE, scale);\n",
+            "let s = harness::grpc_suite_serial(scale);\n",
+        ] {
+            let v = lint_one(&root, "crates/bench/tests/orchestrator.rs", line);
+            assert!(v.len() == 1 && v[0].contains("suite_goldens.rs"), "{line}: {v:?}");
+        }
         // Survivors that share a prefix with a banned call stay legal.
         for line in ["machine.set_event_recording(true);\n", "let r = Recorder::new();\n"] {
             let v = lint_one(&root, "crates/sim/src/system.rs", line);

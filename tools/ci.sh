@@ -121,6 +121,7 @@ done <tools/stats_digests.txt
 echo "== matrix smoke (parallel orchestrator) =="
 # 1. Byte-identity: the same smoke matrix at 1 and 4 workers must render
 #    the exact same report (merging is in job order, not completion order).
+#    serial.md is also the reference of the shard smoke below.
 matrix_dir="$(mktemp -d)"
 REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$matrix_dir/serial.md" 2>/dev/null
@@ -152,13 +153,9 @@ cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench --only 'pgbench|pgbench|Cornucopia' --strict \
     --out "$matrix_dir/replay.md" --repro-dir "$matrix_dir/repro" 2>/dev/null \
     || { echo "matrix smoke: repro replay of the poisoned cell failed" >&2; exit 1; }
-rm -rf "$matrix_dir"
 
 echo "== shard smoke (multi-process byte-identity) =="
 shard_dir="$(mktemp -d)"
-REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --out "$shard_dir/serial.md" \
-    --repro-dir "$shard_dir/repro" 2>/dev/null
 # Shards 0/2 and 1/2 as two concurrent processes appending to one shared
 # checkpoint directory (as separate cluster nodes would), then an
 # unsharded merge run that resumes every cell and must reproduce the
@@ -179,9 +176,9 @@ cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>"$shard_dir/merge.log"
 grep -q ": 0 cell(s) ran," "$shard_dir/merge.log" \
     || { echo "shard smoke: the merge re-ran cells the shards should have checkpointed" >&2; exit 1; }
-cmp -s "$shard_dir/serial.md" "$shard_dir/merged.md" \
+cmp -s "$matrix_dir/serial.md" "$shard_dir/merged.md" \
     || { echo "shard smoke: concurrently sharded merge report differs from serial" >&2; exit 1; }
-rm -rf "$shard_dir"
+rm -rf "$matrix_dir" "$shard_dir"
 
 echo "== ablation smoke (ablation cells are matrix cells: worker counts, shards) =="
 abl_dir="$(mktemp -d)"
