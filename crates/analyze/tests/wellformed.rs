@@ -11,7 +11,7 @@ use morello_sim::{OpSource, OP_BATCH};
 use simtest::sim_assert_eq;
 use workloads::{
     file_copy_stream, grpc_stream, pgbench_stream, spec_stream, FileCopyParams, GrpcParams,
-    ImportOptions, ImportSource, PgbenchParams, StreamedWorkload, SPEC_PROGRAMS,
+    PgbenchParams, StreamedWorkload, SPEC_PROGRAMS,
 };
 
 /// Analyzes at most `max_ops` ops of `source` — a prefix of a well-formed
@@ -41,43 +41,6 @@ fn assert_well_formed<S: OpSource>(w: StreamedWorkload<S>) -> simtest::CaseResul
     sim_assert_eq!(report.malformed_count(), 0, "{} is malformed", w.name);
     sim_assert_eq!(report.malformed, false);
     Ok(())
-}
-
-/// A deterministic synthetic malloc log: a pointer-bump allocator with a
-/// random free pattern, occasionally reallocating.
-fn synth_log(seed: u64, events: u64) -> String {
-    let mut rng = simtest::rng::Rng::seed_from_u64(seed);
-    let mut log = String::from("# synthetic shim output\n");
-    let mut next = 0x4000_0000u64;
-    let mut live: Vec<(u64, u64)> = Vec::new(); // (ptr, size)
-    for _ in 0..events {
-        let roll = rng.gen_range(0u32..10);
-        if roll < 5 || live.is_empty() {
-            let size = rng.gen_range(1u64..8192);
-            let ptr = next;
-            next += 16 * size.div_ceil(16).max(1);
-            if roll.is_multiple_of(2) {
-                log.push_str(&format!("malloc({size}) = {ptr:#x}\n"));
-            } else {
-                let n = rng.gen_range(1u64..16);
-                log.push_str(&format!("calloc({n}, {}) = {ptr:#x}\n", size.div_ceil(n)));
-            }
-            live.push((ptr, size));
-        } else if roll < 8 {
-            let idx = rng.gen_range(0usize..live.len());
-            let (ptr, _) = live.swap_remove(idx);
-            log.push_str(&format!("free({ptr:#x})\n"));
-        } else {
-            let idx = rng.gen_range(0usize..live.len());
-            let (old, _) = live.swap_remove(idx);
-            let size = rng.gen_range(1u64..8192);
-            let ptr = next;
-            next += 16 * size.div_ceil(16).max(1);
-            log.push_str(&format!("realloc({old:#x}, {size}) = {ptr:#x}\n"));
-            live.push((ptr, size));
-        }
-    }
-    log
 }
 
 simtest::props! {
@@ -110,14 +73,5 @@ simtest::props! {
     /// File-copy streams are well-formed at any file count.
     fn filecopy_streams_are_well_formed(seed in 0u64..1_000_000, files in 1u64..250) {
         assert_well_formed(file_copy_stream(FileCopyParams { files, seed }))?;
-    }
-
-    /// Imported malloc logs stream well-formed programs: the importer's
-    /// slot recycling never aliases, frees always balance.
-    fn import_streams_are_well_formed(seed in 0u64..1_000_000, events in 1u64..400) {
-        let log = synth_log(seed, events);
-        let source = ImportSource::new(&log, ImportOptions::default());
-        let report = analyze_prefix(source, AnalyzerConfig::default(), 200_000);
-        sim_assert_eq!(report.malformed_count(), 0);
     }
 }

@@ -1,9 +1,11 @@
 //! Workload trace serialization.
 //!
 //! Op streams can be recorded to (and replayed from) a compact, line-based
-//! text format, so workloads captured elsewhere — e.g. converted from a
-//! real allocator trace — can be replayed against any revocation strategy,
-//! and surrogate workloads can be archived alongside results.
+//! text format. A program saved this way replays bit-identically against
+//! any revocation strategy even after the generator that produced it
+//! changes, so it can be archived alongside results or kept as a corpus
+//! file (a minimal failing program) that a test replays. A damaged file is
+//! a typed error, never a different program.
 //!
 //! Format (`#cornucopia-trace v2` header, one op per line, `#` comments):
 //!
@@ -90,14 +92,16 @@ fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
 
 /// Serializes an op stream plus metadata (header, `#!key value` lines in
 /// key order, then one op per line). Writes nothing if the metadata is
-/// rejected.
+/// rejected. Flushes `w` before returning, so a buffered writer's failed
+/// final write is an error here rather than lost in its `Drop`.
 pub fn write_trace<W: Write>(ops: &[Op], meta: &TraceMeta, mut w: W) -> Result<(), TraceError> {
     check_meta(meta)?;
     writeln!(w, "{TRACE_HEADER}").map_err(TraceError::Io)?;
     for (key, value) in meta {
         writeln!(w, "#!{key} {value}").map_err(TraceError::Io)?;
     }
-    write_op_lines(ops, w).map_err(TraceError::Io)
+    write_op_lines(ops, &mut w).map_err(TraceError::Io)?;
+    w.flush().map_err(TraceError::Io)
 }
 
 fn write_op_lines<W: Write>(ops: &[Op], mut w: W) -> io::Result<()> {
@@ -173,6 +177,9 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
             "E" => Op::TxEnd { id: num()? },
             _ => return Err(bad()),
         };
+        if parts.next().is_some() {
+            return Err(bad());
+        }
         ops.push(op);
     }
     Ok((ops, meta))
@@ -255,6 +262,37 @@ mod tests {
         }
         let text = format!("{TRACE_HEADER}\nA 1\n"); // missing size
         assert!(matches!(ops_of(text.as_bytes()), Err(TraceError::Parse { line: 2, .. })));
+    }
+
+    #[test]
+    fn trailing_tokens_are_parse_errors() {
+        // A damaged line must not read back as a shorter, different op.
+        let text = format!("{TRACE_HEADER}\nA 1 64 999\nF 1\n");
+        assert!(matches!(ops_of(text.as_bytes()), Err(TraceError::Parse { line: 2, .. })));
+        let text = format!("{TRACE_HEADER}\nA 1 64\n# note\nF 1 junk\n");
+        assert!(matches!(ops_of(text.as_bytes()), Err(TraceError::Parse { line: 4, .. })));
+    }
+
+    /// A writer whose every `write` fails, as a full disk does.
+    struct FullDisk;
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("no space left on device"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_buffered_write_is_an_error() {
+        let w = io::BufWriter::new(FullDisk);
+        assert!(matches!(
+            write_trace(&sample(), &sample_meta(), w),
+            Err(TraceError::Io(_))
+        ));
     }
 
     #[test]

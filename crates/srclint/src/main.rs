@@ -44,11 +44,13 @@
 //!    telemetry sink trait and the per-channel switches `TelemetryConfig`
 //!    collapsed into (`TelemetrySink`, `NullSink`, `with_sink`,
 //!    `record_events(`, `record_spans(`, `sample_every(`),
-//!    `Machine::with_cache_config` and the four single-threaded suite
-//!    loops `tests/suite_goldens.rs` replaced (`spec_suite_serial`, …) may not
-//!    return; nor may the 23 binaries `repro` replaced be invoked by
-//!    name (`--bin run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this
-//!    rule also reads the shell scripts under `tools/`.
+//!    `Machine::with_cache_config`, the four single-threaded suite
+//!    loops `tests/suite_goldens.rs` replaced (`spec_suite_serial`, …) and
+//!    the malloc-log importer with its example (`import_malloc_log`,
+//!    `ImportSource`, `replay_malloc_log`) may not return; nor may the
+//!    23 binaries `repro` replaced be invoked by name (`--bin
+//!    run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this rule also reads
+//!    the shell scripts under `tools/`.
 //!
 //! Comment lines (`//`, `///`, `//!`; `#` in scripts) are skipped, so
 //! prose may discuss a banned token. This linter's own sources are excluded from the token
@@ -110,6 +112,9 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("pgbench_suite_serial", SUITE_GOLDENS),
     ("pgbench_rate_suite_serial", SUITE_GOLDENS),
     ("grpc_suite_serial", SUITE_GOLDENS),
+    ("import_malloc_log", EARN_A_ROW),
+    ("ImportSource", EARN_A_ROW),
+    ("replay_malloc_log", EARN_A_ROW),
     ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
     ("--bin run_matrix", "--bin repro -- matrix"),
     ("--bin reproduce_all", "--bin repro -- all"),
@@ -130,6 +135,11 @@ const ONE_TELEMETRY_PATH: &str = "SimConfigBuilder::telemetry(TelemetryConfig::f
 /// were the oracle for the orchestrator's merged suites.
 const SUITE_GOLDENS: &str =
     "crates/bench/tests/suite_goldens.rs, or an orchestrator::run at workers(1)";
+
+/// Why the malloc-log importer and its example were deleted rather than
+/// replaced: an input format no checked row reaches.
+const EARN_A_ROW: &str = "nothing — an input format must earn a repro section, \
+     ablation or benchmark row first (ROADMAP.md item 6(b)); replay programs with sim::trace";
 
 /// The replacement for the deleted stream truncation, which was the
 /// identity on every stream it was applied to.
@@ -500,6 +510,14 @@ mod tests {
         ] {
             let v = lint_one(&root, "crates/bench/tests/orchestrator.rs", line);
             assert!(v.len() == 1 && v[0].contains("suite_goldens.rs"), "{line}: {v:?}");
+        }
+        for (file, line) in [
+            ("tests/seed_stability.rs", "let (ops, n) = import_malloc_log(LOG, opts)?;\n"),
+            ("crates/analyze/tests/wellformed.rs", "let s = ImportSource::new(&log, opts);\n"),
+            ("tools/ci.sh", "cargo run -q --example replay_malloc_log\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("item 6(b)"), "{file}: {line}: {v:?}");
         }
         // Survivors that share a prefix with a banned call stay legal.
         for line in ["machine.set_event_recording(true);\n", "let r = Recorder::new();\n"] {

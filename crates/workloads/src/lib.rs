@@ -32,14 +32,12 @@
 
 mod churn;
 mod filecopy;
-mod import;
 mod interactive;
 mod spec;
 mod stream;
 
 pub use churn::{ChurnProfile, ChurnSource, SizeDist};
 pub use filecopy::{file_copy, file_copy_stream, FileCopyParams, FileCopySource};
-pub use import::{import_malloc_log, ImportError, ImportOptions, ImportSource};
 pub use interactive::{
     grpc_qps, grpc_stream, pgbench, pgbench_stream, pgbench_tx_interval, GrpcParams, GrpcSource,
     PgbenchParams, PgbenchSource,

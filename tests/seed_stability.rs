@@ -13,8 +13,8 @@
 
 use morello_sim::Op;
 use workloads::{
-    file_copy, grpc_qps, import_malloc_log, pgbench, spec, ChurnProfile, FileCopyParams,
-    GrpcParams, ImportOptions, PgbenchParams, SizeDist, SpecProgram, SPEC_PROGRAMS,
+    file_copy, grpc_qps, pgbench, spec, ChurnProfile, FileCopyParams, GrpcParams, PgbenchParams,
+    SizeDist, SpecProgram, SPEC_PROGRAMS,
 };
 
 /// A small-but-nontrivial churn profile so the test exercises the full
@@ -125,17 +125,6 @@ fn digest(ops: &[Op]) -> u64 {
     h
 }
 
-/// The fixture `crates/workloads/src/import.rs` tests against.
-const IMPORT_LOG: &str = "\
-# a tiny session
-malloc(100) = 0x1000
-calloc(4, 32) = 0x2000
-realloc(0x1000, 300) = 0x3000
-free(0x2000)
-free(0)
-free(0x3000)
-";
-
 #[test]
 fn op_streams_match_builder_goldens() {
     let mut actual: Vec<(String, usize, u64)> = Vec::new();
@@ -154,9 +143,6 @@ fn op_streams_match_builder_goldens() {
         pin(format!("filecopy/200/{seed}"), &file_copy(FileCopyParams { files: 200, seed }).ops);
         pin(format!("churn/tiny/{seed}"), &tiny_churn().generate(seed));
     }
-    let (ops, slots) = import_malloc_log(IMPORT_LOG, ImportOptions::default()).unwrap();
-    assert_eq!(slots, 3, "import LOG: root-table slots");
-    pin("import/LOG".to_string(), &ops);
 
     let rendered: String =
         actual.iter().map(|(l, n, h)| format!("    (\"{l}\", {n}, {h:#018x}),\n")).collect();
@@ -165,8 +151,8 @@ fn op_streams_match_builder_goldens() {
 }
 
 /// Captured from the `Vec<Op>` builders (`ChurnProfile::generate`,
-/// `pgbench`, `grpc_qps`, `file_copy`, `import_malloc_log` as loops over a
-/// local `ops` vector) at the commit before they were deleted.
+/// `pgbench`, `grpc_qps`, `file_copy` as loops over a local `ops` vector)
+/// at the commit before they were deleted.
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("spec/astar lakes/1000", 108806, 0x1f7a1723d92cc4d7),
     ("spec/astar biglakes/1000", 44665, 0x732975bb9cf031a0),
@@ -200,5 +186,4 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("grpc/500/42", 6400, 0x09e7cc0fea63ab0f),
     ("filecopy/200/42", 1802, 0x5017f5da522474e5),
     ("churn/tiny/42", 9544, 0x3d2e3a02639118cb),
-    ("import/LOG", 15, 0xcfbe838b3e5857d6),
 ];

@@ -46,12 +46,14 @@ cmp -s "$report_a" "$report_b" \
     || { echo "telemetry smoke: reports differ across invocations" >&2; exit 1; }
 
 echo "== examples (every one exits 0 and ends in its OK line) =="
-# The six examples besides export_report, which the telemetry smoke above
-# runs. uaf_failstop and memory_coloring are the only callers of
+# Every examples/*.rs besides export_report, which the telemetry smoke
+# above runs. uaf_failstop and memory_coloring are the only callers of
 # PhysMem::{read,write}_u64 outside tests (the product-side users of a
 # frame's lazily made data plane); memory_coloring also drives Mrs's
 # colour mode by hand, outside System.
-for example in quickstart uaf_failstop memory_coloring mmap_reservations interactive_latency replay_malloc_log; do
+for path in examples/*.rs; do
+    example="$(basename "$path" .rs)"
+    [ "$example" = export_report ] && continue
     last="$(cargo run --release --offline -q --example "$example" 2>/dev/null | tail -n 1)" \
         || { echo "examples: $example failed" >&2; exit 1; }
     case "$last" in
