@@ -2,17 +2,14 @@
 //! has turned argv into a [`Command`].
 //!
 //! Progress, ETA and timing lines go to stderr only; everything written
-//! to stdout or a report file is independent of worker count, shard
-//! topology and process count.
+//! to stdout or a report file is independent of worker count.
 //!
 //! `matrix` and `all` are one body: every requested suite expands into
-//! one job list ([`MatrixPlan`]) drained on one worker pool, so cells
-//! interleave across suite boundaries and one `--checkpoint` covers the
-//! whole run ([`orchestrator`] documents resume, `--preflight`, failure
-//! records and sharding); with `--ablations` (always, for `all`) the
-//! ablation studies' cells are on that list too. `--shard K/N` runs one
-//! shard in this process; an unsharded run over the same checkpoint
-//! directory merges and writes the report.
+//! one job list ([`MatrixPlan`]) drained on one worker pool in this one
+//! process, so cells interleave across suite boundaries and one
+//! `--checkpoint` file covers the whole run ([`orchestrator`] documents
+//! resume, `--preflight` and failure records); with `--ablations`
+//! (always, for `all`) the ablation studies' cells are on that list too.
 //!
 //! `opcheck` expands the matrix exactly as `matrix` does, then collapses
 //! it to one static analysis per **program**: the analyzer sees ops, not
@@ -30,6 +27,7 @@ use crate::plan::{distinct_programs, MatrixPlan};
 use crate::report::{self, Section};
 use analyze::Report;
 use morello_sim::{trace, Condition, Json, SimConfig, System};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 use workloads::{grpc_qps, pgbench, spec_stream, GrpcParams, PgbenchParams};
@@ -39,8 +37,8 @@ use workloads::{grpc_qps, pgbench, spec_stream, GrpcParams, PgbenchParams};
 /// # Errors
 ///
 /// A configuration that parsed but cannot run (an `--only` filter that
-/// matches no cell, an unwritable output path, …); the caller prints it
-/// and exits 2.
+/// matches no cell, an unopenable checkpoint, a failed `--compact`, an
+/// unwritable output path, …); the caller prints it and exits 2.
 pub fn run(command: &Command) -> Result<ExitCode, String> {
     match command {
         Command::Section(section) => {
@@ -106,39 +104,31 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
     };
     let t0 = Instant::now();
 
-    if args.compact {
-        let path = args.checkpoint.as_deref().expect("--compact parsed with --checkpoint");
-        match orchestrator::compact_checkpoint(path) {
-            Ok((kept, dropped)) => eprintln!(
+    // `cli` refuses `--compact` without `--checkpoint`.
+    if let Some(path) = args.checkpoint.as_deref() {
+        check_checkpoint(path)?;
+        if args.compact {
+            let (kept, dropped) = orchestrator::compact_checkpoint(path)
+                .map_err(|e| format!("compacting {}: {e}", path.display()))?;
+            eprintln!(
                 "repro {word}: compacted checkpoint {} ({kept} cell(s) kept, {dropped} \
                  stale/torn line(s) dropped)",
                 path.display()
-            ),
-            Err(e) => {
-                eprintln!("error: compacting {}: {e}", path.display());
-                return Ok(ExitCode::FAILURE);
-            }
+            );
         }
     }
 
     let (scale, jobs) = plan_jobs(args)?;
-    let mut opts = cli::env_run_options()
-        .shard(args.shard)
-        .repro_dir(args.repro_dir.clone())
-        .preflight(args.preflight);
+    let mut opts =
+        cli::env_run_options().repro_dir(args.repro_dir.clone()).preflight(args.preflight);
     if let Some(jobs_override) = args.jobs {
         opts.workers = jobs_override;
     }
     opts.checkpoint = args.checkpoint.clone();
 
     eprintln!(
-        "repro {word}: {} job(s){}, {} worker(s), scale={:.3} reps={}{}",
+        "repro {word}: {} job(s), {} worker(s), scale={:.3} reps={}{}",
         jobs.len(),
-        if args.shard.is_sharded() {
-            format!(" (shard {}/{})", args.shard.index, args.shard.count)
-        } else {
-            String::new()
-        },
         opts.workers.clamp(1, jobs.len().max(1)),
         scale.fraction,
         scale.reps,
@@ -150,12 +140,10 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
 
     let outcome = orchestrator::run(&jobs, &opts);
     eprintln!(
-        "repro {word}: {} cell(s) ran, {} resumed from checkpoint, {} failed, {} left to \
-         other shards ({:.1?})",
+        "repro {word}: {} cell(s) ran, {} resumed from checkpoint, {} failed ({:.1?})",
         outcome.completed,
         outcome.resumed,
         outcome.failures.len(),
-        outcome.skipped,
         t0.elapsed()
     );
     for failure in &outcome.failures {
@@ -163,20 +151,6 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
             "repro {word}: FAILED cell {} ({}) after {} attempts: {}",
             failure.job_id, failure.key, failure.attempts, failure.message
         );
-    }
-
-    // A partial shard run holds only its own slice of the matrix: writing
-    // the report would bake in partial means. Leave that to the merge.
-    if !outcome.is_complete() {
-        eprintln!(
-            "repro {word}: shard run settled {}/{} cell(s); run the remaining shard(s) \
-             against this checkpoint, then merge with an unsharded run (no --shard) to \
-             write the report",
-            jobs.len() - outcome.skipped,
-            jobs.len()
-        );
-        let failed = args.strict && !outcome.failures.is_empty();
-        return Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS });
     }
 
     let doc = report::render_report(title, word, scale, &args.suites, &outcome, args.ablations);
@@ -199,6 +173,25 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
         args.strict && (!outcome.failures.is_empty() || !violated.is_empty())
     };
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+/// Refuses a `--checkpoint` path the run could not append to, before
+/// anything runs: the orchestrator would panic on it after the plan.
+/// Opening for append creates a missing file, as the run would.
+fn check_checkpoint(path: &Path) -> Result<(), String> {
+    if path.is_dir() {
+        return Err(format!(
+            "checkpoint {0} is a directory: a checkpoint is one JSONL file (`cat {0}/*.jsonl > \
+             FILE` converts an old shard directory)",
+            path.display()
+        ));
+    }
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map(drop)
+        .map_err(|e| format!("cannot open checkpoint {}: {e}", path.display()))
 }
 
 fn opcheck(args: &Args) -> Result<ExitCode, String> {

@@ -5,8 +5,8 @@
 //! order they were inserted. [`crate::plan::MatrixPlan`] expands a suite's
 //! jobs rep (outer) → workload → condition (inner) and
 //! [`crate::orchestrator::run`] merges in job order, so a merged suite —
-//! per-key repetition order included — is the same at every worker and
-//! shard count (`tests/suite_goldens.rs` pins it).
+//! per-key repetition order included — is the same at every worker
+//! count (`tests/suite_goldens.rs` pins it).
 
 use morello_sim::{Condition, RunStats};
 use std::collections::BTreeMap;

@@ -27,7 +27,7 @@
 //! | `shape` | The paper's qualitative claims, graded |
 //! | `ablation <name>` | One of DESIGN.md's ablation studies: `barriers`, `pte_mode`, `quarantine_policy`, `cheriot`, `revoker_priority`, `revoker_threads`, `revoker_cores`, `coloring` |
 //! | `all` | Everything, into `EXPERIMENTS.md` (one global job list, resumable via `--checkpoint`) |
-//! | `matrix` | Any selection of suites via the parallel orchestrator (`--shard K/N` for multi-process runs) |
+//! | `matrix` | Any selection of suites via the parallel orchestrator, resumable via `--checkpoint` |
 //! | `opcheck` | Static temporal-safety analysis of a matrix's programs, no simulation |
 //! | `trace dump` / `trace replay` | A surrogate workload as a portable trace file, and back |
 //!
@@ -38,19 +38,12 @@
 //! Every subcommand executes its matrix on a fault-isolated worker
 //! pool (see [`orchestrator`]); `REPRO_JOBS` picks the worker count and
 //! `REPRO_JOBS=1` recovers the serial path. Output is byte-identical
-//! either way — including across process counts: shards of the matrix
-//! append to per-shard files in a shared checkpoint directory and any
-//! later run merges them in deterministic job order, so an N-shard
-//! cluster run renders the same bytes as a laptop run. Which cells a
-//! shard executes is greedy LPT bin-packing over each cell's own op
-//! count ([`sched`]); the shard processes are launched by whatever
-//! launches processes on the hosts at hand — a shell loop, ssh, a batch
-//! scheduler — as `repro matrix --shard K/N --checkpoint DIR`. Cells
-//! that fail both attempts leave replayable `repro/<key>.json` files
-//! behind.
+//! either way: the whole matrix runs in one process and merges in
+//! deterministic job order. Cells that fail both attempts leave
+//! replayable `repro/<key>.json` files behind.
 //!
-//! Layering: [`plan`] expands the matrix, [`sched`] partitions it,
-//! [`orchestrator`] executes it, [`report`] renders it, [`commands`]
+//! Layering: [`plan`] expands the matrix, [`orchestrator`] executes it,
+//! [`report`] renders it, [`commands`]
 //! holds the subcommand bodies, and [`cli`] is the only module that
 //! reads argv or the environment.
 
@@ -66,4 +59,3 @@ pub mod harness;
 pub mod orchestrator;
 pub mod plan;
 pub mod report;
-pub mod sched;

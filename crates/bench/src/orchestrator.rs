@@ -15,8 +15,10 @@
 //! the final report instead of killing the whole sweep, and (when a repro
 //! directory is configured) into a `repro/<key>.json` file that
 //! `repro matrix --suites ... --only <key>` replays directly. A resumable
-//! checkpoint (one `morello_sim::Json` object per line) lets an
-//! interrupted sweep continue without re-running completed cells.
+//! checkpoint file (one `morello_sim::Json` object per line) lets an
+//! interrupted sweep continue without re-running completed cells. The
+//! whole matrix runs in this one process; `RunOptions::workers` is its
+//! only parallelism.
 //!
 //! With [`RunOptions::preflight`], each distinct program among the
 //! pending cells ([`crate::plan::JobSpec::program_key`] — the conditions
@@ -28,27 +30,6 @@
 //! each of its cells into the same typed [`JobFailure`] / repro-file
 //! path with `attempts == 0` — the deterministic analyzer verdict makes
 //! the retry loop pointless.
-//!
-//! # Multi-process sharding
-//!
-//! The worker pool is in-process threads; to scale past one process, a
-//! run can take a [`Shard`] identity `K/N`: it executes only the jobs
-//! [`crate::sched::assignment`] packs onto shard `K` (greedy LPT over
-//! each cell's op count) and skips the rest, while **resume** stays
-//! global — any cell already in the checkpoint is replayed no matter
-//! which shard wrote it.
-//! Sharded runs require the checkpoint to be a *directory*: each shard
-//! appends to its own `shard-K-of-N.jsonl` file (headed by a
-//! shard-metadata line recording the assigned job set), so shards never
-//! contend on a file, and loading reads every `*.jsonl` in the
-//! directory. Because cell keys are topology-independent
-//! (`suite|workload|condition|seed`) and the final reduction is in job
-//! order, a checkpoint written by N shards replays under M shards or
-//! unsharded, and the merged output is byte-identical to an unsharded
-//! one-worker run's. The conventional merge step is simply an unsharded
-//! run over the same checkpoint directory: every completed cell resumes,
-//! stragglers (including cells whose shard failed) execute locally, and
-//! the job-order reduction produces the report.
 //!
 //! Configuration is fully typed through [`RunOptions`]; `repro`
 //! translates `REPRO_JOBS` / `REPRO_INJECT_PANIC` /
@@ -65,57 +46,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 pub use crate::plan::{JobSpec, SuiteKind};
-
-/// A process's identity in a sharded run: this process executes exactly
-/// the jobs [`crate::sched::assignment`] gives `index`. The default
-/// `0/1` owns every job (unsharded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// This process's shard index, `0 <= index < count`.
-    pub index: usize,
-    /// Total shard count.
-    pub count: usize,
-}
-
-impl Default for Shard {
-    fn default() -> Self {
-        Shard { index: 0, count: 1 }
-    }
-}
-
-impl Shard {
-    /// Parses a `K/N` shard spec.
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed specs, `N == 0`, and `K >= N`, naming the value.
-    pub fn parse(spec: &str) -> Result<Shard, String> {
-        let (k, n) = spec
-            .split_once('/')
-            .ok_or_else(|| format!("shard {spec:?}: expected K/N (e.g. 0/2)"))?;
-        let index = k
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| format!("shard {spec:?}: K is not a number"))?;
-        let count = n
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| format!("shard {spec:?}: N is not a number"))?;
-        if count == 0 {
-            return Err(format!("shard {spec:?}: N must be ≥ 1"));
-        }
-        if index >= count {
-            return Err(format!("shard {spec:?}: K must be < N"));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// True when the run is split across more than one process.
-    #[must_use]
-    pub fn is_sharded(&self) -> bool {
-        self.count > 1
-    }
-}
 
 // ---------------------------------------------------------------------
 // Execution
@@ -150,19 +80,13 @@ pub struct RunOptions {
     /// Worker threads; `0` or `1` runs the jobs inline (serial).
     pub workers: usize,
     /// Checkpoint: completed cells are appended as they finish and
-    /// replayed (skipping execution) on the next run. A plain file in
-    /// unsharded runs; a *directory* of per-shard `*.jsonl` files when
-    /// the path is a directory or [`RunOptions::shard`] is sharded.
+    /// replayed (skipping execution) on the next run: one JSONL file.
     pub checkpoint: Option<PathBuf>,
-    /// Emit per-job progress/ETA lines to stderr (prefixed `[shard K/N]`
-    /// in sharded runs).
+    /// Emit per-job progress/ETA lines to stderr.
     pub progress: bool,
     /// Test hook: jobs whose [`JobSpec::key`] contains this substring
     /// panic on every attempt.
     pub inject_panic: Option<String>,
-    /// This process's shard identity; the default `0/1` executes every
-    /// pending job.
-    pub shard: Shard,
     /// When set, each job that fails both attempts writes a
     /// `<dir>/<sanitized key>.json` repro file recording its seed,
     /// condition, workload, generation parameters, and a replay command.
@@ -184,7 +108,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// All defaults: serial, no checkpoint, no progress, unsharded.
+    /// All defaults: serial, no checkpoint, no progress.
     #[must_use]
     pub fn new() -> Self {
         RunOptions::default()
@@ -197,7 +121,7 @@ impl RunOptions {
         self
     }
 
-    /// Sets the checkpoint path (file or directory).
+    /// Sets the checkpoint file.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
@@ -215,13 +139,6 @@ impl RunOptions {
     #[must_use]
     pub fn inject_panic(mut self, needle: Option<String>) -> Self {
         self.inject_panic = needle;
-        self
-    }
-
-    /// Sets this process's shard identity.
-    #[must_use]
-    pub fn shard(mut self, shard: Shard) -> Self {
-        self.shard = shard;
         self
     }
 
@@ -272,9 +189,8 @@ pub struct MatrixOutcome {
     pub completed: usize,
     /// Cells replayed from the checkpoint without execution.
     pub resumed: usize,
-    /// Cells owned by *other* shards that were neither resumed nor
-    /// executed. Always zero in unsharded runs; nonzero means the merged
-    /// suites are partial and the report should not be rendered yet.
+    /// Always `0`: every job is resumed or executed. Kept only because
+    /// the frozen `benchmark/` crate still reads it.
     pub skipped: usize,
     /// Static analyses this run performed: one per distinct program among
     /// the cells it had to execute. Zero without
@@ -283,9 +199,8 @@ pub struct MatrixOutcome {
 }
 
 impl MatrixOutcome {
-    /// True when every submitted job settled (resumed, executed, or
-    /// failed) — i.e. the suites cover the whole matrix and the report
-    /// can be rendered. Only a sharded run with stragglers is incomplete.
+    /// Always `true`: every job is resumed or executed. Kept only
+    /// because the frozen `benchmark/` crate still reads it.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.skipped == 0
@@ -320,14 +235,10 @@ type Slot = Option<Result<RunStats, JobFailure>>;
 /// merge happens after all jobs settle, in job order, so every worker
 /// count produces identical [`Suite`]s.
 ///
-/// With a sharded [`RunOptions::shard`], only the pending jobs
-/// [`crate::sched::assignment`] gives this shard execute; cells owned by
-/// other shards (and absent from the checkpoint) are counted in
-/// [`MatrixOutcome::skipped`] and excluded from the merged suites —
-/// re-run unsharded over the same checkpoint to merge a complete matrix.
-/// The assignment only decides *who executes what*; resume and the merge
-/// are keyed by topology-agnostic cell keys, so checkpoints written
-/// under any shard count replay under any other.
+/// # Panics
+///
+/// When the checkpoint file cannot be opened for appending; `repro`
+/// checks the path before it calls this.
 #[must_use]
 pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
     run_with(jobs, opts, &JobSpec::analyze)
@@ -336,24 +247,14 @@ pub fn run(jobs: &[JobSpec], opts: &RunOptions) -> MatrixOutcome {
 /// [`run`] with the pre-flight analysis as a parameter, so a test can
 /// substitute one that panics.
 fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOutcome {
-    let shard = opts.shard;
-    // Only a sharded run pays for the assignment's op-count pass.
-    let assigned: Vec<usize> = if shard.is_sharded() {
-        crate::sched::assignment(jobs, shard.count).swap_remove(shard.index)
-    } else {
-        (0..jobs.len()).collect()
-    };
     let resumed_stats =
         opts.checkpoint.as_deref().map(|path| load_checkpoint(path, jobs)).unwrap_or_default();
     let mut slots: Vec<Slot> =
         jobs.iter().map(|job| resumed_stats.get(&job.key()).cloned().map(Ok)).collect();
     let resumed = slots.iter().flatten().count();
-    // `assigned` is ascending, so owned pending jobs run in job order.
-    let pending: Vec<usize> =
-        assigned.iter().copied().filter(|&id| slots[id].is_none()).collect();
+    let pending: Vec<usize> = (0..jobs.len()).filter(|&id| slots[id].is_none()).collect();
 
-    let checkpoint_writer =
-        opts.checkpoint.as_deref().map(|path| CheckpointWriter::open(path, shard, &assigned));
+    let checkpoint_writer = opts.checkpoint.as_deref().map(CheckpointWriter::open);
 
     // Phase 1: one verdict per distinct program of the pending cells.
     let (verdicts, program_of) = if opts.preflight {
@@ -365,10 +266,8 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
         eprintln!("  preflight: {} program(s) for {} cell(s)", verdicts.len(), pending.len());
     }
 
-    // Phase 2: the pending cells. Progress denominator: the cells *this
-    // process* will settle (its own pending jobs plus everything
-    // resumed), not the global matrix.
-    let total = resumed + pending.len();
+    // Phase 2: the pending cells.
+    let total = jobs.len();
     let done = AtomicUsize::new(0);
     let started = Instant::now();
     let outcomes = parallel_cells(pending.len(), opts.workers, |i| {
@@ -391,7 +290,7 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
             let elapsed = started.elapsed().as_secs_f64();
             let finished = resumed + executed;
             let eta = eta_secs(elapsed, executed, finished, total);
-            progress_line(shard, finished, total, &job.key(), outcome.is_err(), elapsed, eta);
+            progress_line(finished, total, &job.key(), outcome.is_err(), elapsed, eta);
         }
         outcome
     });
@@ -409,25 +308,22 @@ fn run_with(jobs: &[JobSpec], opts: &RunOptions, analyse: &Analysis) -> MatrixOu
     let mut out =
         MatrixOutcome { resumed, preflight_programs: verdicts.len(), ..MatrixOutcome::default() };
     for (job, slot) in jobs.iter().zip(slots) {
-        match slot {
-            Some(Ok(stats)) => {
+        match slot.expect("every job is resumed or executed") {
+            Ok(stats) => {
                 out.suites
                     .entry(job.merge_label())
                     .or_default()
                     .insert(job.workload(), job.condition(), stats);
             }
-            Some(Err(failure)) => {
+            Err(failure) => {
                 if let Some(dir) = opts.repro_dir.as_deref() {
                     write_repro_file(dir, job, &failure, opts.progress);
                 }
                 out.failures.push(failure);
             }
-            // Owned pending jobs always settle; only foreign-shard cells
-            // can remain unsettled.
-            None => out.skipped += 1,
         }
     }
-    out.completed = jobs.len() - out.resumed - out.failures.len() - out.skipped;
+    out.completed = jobs.len() - out.resumed - out.failures.len();
     out
 }
 
@@ -602,10 +498,8 @@ fn eta_secs(elapsed: f64, executed: usize, finished: usize, total: usize) -> Opt
         .then(|| elapsed / executed as f64 * (total - finished) as f64)
 }
 
-/// Stderr progress line. Sharded runs prefix `[shard K/N]` so the
-/// interleaved output of concurrent shard processes stays attributable.
+/// Stderr progress line.
 fn progress_line(
-    shard: Shard,
     finished: usize,
     total: usize,
     key: &str,
@@ -615,12 +509,7 @@ fn progress_line(
 ) {
     let eta = eta.map(|secs| format!(", ~{secs:.0}s left")).unwrap_or_default();
     let status = if failed { "FAILED" } else { "done" };
-    let tag = if shard.is_sharded() {
-        format!("shard {}/{}", shard.index, shard.count)
-    } else {
-        "matrix".to_string()
-    };
-    eprintln!("  [{tag}] {finished}/{total} {status} {key} ({elapsed:.1}s elapsed{eta})");
+    eprintln!("  [matrix] {finished}/{total} {status} {key} ({elapsed:.1}s elapsed{eta})");
 }
 
 // ---------------------------------------------------------------------
@@ -680,9 +569,8 @@ fn write_repro_file(dir: &Path, job: &JobSpec, failure: &JobFailure, progress: b
 }
 
 // ---------------------------------------------------------------------
-// Checkpointing — one JSON object per line, rendered and parsed by the
-// deterministic in-tree `morello_sim::Json`. Unsharded runs use a single
-// append-only file; sharded runs use a directory of per-shard files.
+// Checkpointing — one append-only file, one JSON object per line,
+// rendered and parsed by the deterministic in-tree `morello_sim::Json`.
 // ---------------------------------------------------------------------
 
 /// Parses one checkpoint line into its cell key, the generation
@@ -697,19 +585,6 @@ fn parse_checkpoint_line(line: &str) -> Option<(String, Json, RunStats)> {
     Some((key.to_string(), params, stats))
 }
 
-/// The `*.jsonl` files under a checkpoint directory, sorted by name for
-/// a deterministic load order.
-fn checkpoint_dir_files(dir: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "jsonl") && p.is_file())
-        .collect();
-    files.sort();
-    files
-}
-
 /// The non-blank lines of a checkpoint file's bytes. A line that is not
 /// UTF-8 is `None`: like a torn line it costs only its own cell, never
 /// the lines after it.
@@ -720,12 +595,19 @@ fn checkpoint_lines(bytes: &[u8]) -> impl Iterator<Item = Option<&str>> {
         .filter(|line| line.is_none_or(|line| !line.trim().is_empty()))
 }
 
-fn load_checkpoint_file(
-    path: &Path,
-    wanted: &BTreeMap<String, Json>,
-    map: &mut BTreeMap<String, RunStats>,
-) {
-    let Ok(bytes) = std::fs::read(path) else { return };
+/// Loads the completed cells recorded in the checkpoint file `path` that
+/// one of `jobs` can replay: the line's key *and* generation parameters
+/// must equal the job's. The key carries no stream length, so a pgbench
+/// or gRPC line written at another `REPRO_SCALE` shares its key with
+/// this run's cell; replaying it would print that scale's numbers under
+/// this scale's header. Such a line is skipped like one from another
+/// code version: the cell re-runs and appends a line of its own. The
+/// last matching write per key wins. A missing file loads nothing.
+fn load_checkpoint(path: &Path, jobs: &[JobSpec]) -> BTreeMap<String, RunStats> {
+    let wanted: BTreeMap<String, Json> =
+        jobs.iter().map(|job| (job.key(), job.payload_json())).collect();
+    let mut map = BTreeMap::new();
+    let Ok(bytes) = std::fs::read(path) else { return map };
     for line in checkpoint_lines(&bytes).flatten() {
         if let Some((key, params, stats)) = parse_checkpoint_line(line) {
             if wanted.get(&key) == Some(&params) {
@@ -733,46 +615,15 @@ fn load_checkpoint_file(
             }
         }
     }
-}
-
-/// Loads the completed cells recorded under `path` — a single checkpoint
-/// file, or a directory of per-shard `*.jsonl` files — that one of
-/// `jobs` can replay: the line's key *and* generation parameters must
-/// equal the job's. The key carries no stream length, so a pgbench or
-/// gRPC line written at another `REPRO_SCALE` shares its key with this
-/// run's cell; replaying it would print that scale's numbers under this
-/// scale's header. Such a line is skipped like one from another code
-/// version: the cell re-runs and appends a line of its own. Within a
-/// file the last matching write per key wins; across files the values
-/// are interchangeable (a cell's stats are deterministic), so file order
-/// only needs to be stable, not meaningful.
-fn load_checkpoint(path: &Path, jobs: &[JobSpec]) -> BTreeMap<String, RunStats> {
-    let wanted: BTreeMap<String, Json> =
-        jobs.iter().map(|job| (job.key(), job.payload_json())).collect();
-    let mut map = BTreeMap::new();
-    if path.is_dir() {
-        for file in checkpoint_dir_files(path) {
-            load_checkpoint_file(&file, &wanted, &mut map);
-        }
-    } else {
-        load_checkpoint_file(path, &wanted, &mut map);
-    }
     map
 }
 
-/// Rewrites an append-only checkpoint so it holds exactly one line per
-/// cell key — the last write wins, matching [`load_checkpoint`]'s replay
-/// semantics — and drops superseded, unparsable or non-UTF-8 lines
-/// (including shard metadata headers). Long interrupted sweeps re-append
-/// every re-run cell, so the checkpoint otherwise grows without bound;
-/// compaction returns it to O(cells).
-///
-/// A single-file checkpoint is rewritten in place. A checkpoint
-/// *directory* is merged: every per-shard `*.jsonl` file folds into one
-/// `merged.jsonl` and the shard files are removed, so the directory
-/// compacts to exactly the same bytes a compacted single-file checkpoint
-/// of the same cells would hold (sorted key order, cell lines only) —
-/// the on-disk half of the byte-identity contract.
+/// Rewrites an append-only checkpoint file so it holds exactly one line
+/// per cell key — the last write wins, matching [`load_checkpoint`]'s
+/// replay semantics — and drops superseded, unparsable or non-UTF-8
+/// lines. Long interrupted sweeps re-append every re-run cell, so the
+/// checkpoint otherwise grows without bound; compaction returns it to
+/// O(cells).
 ///
 /// The rewrite goes through a sibling temp file and a rename, so an
 /// interrupted compaction leaves the original checkpoint loadable.
@@ -785,31 +636,21 @@ fn load_checkpoint(path: &Path, jobs: &[JobSpec]) -> BTreeMap<String, RunStats> 
 ///
 /// Propagates I/O failures from reading or rewriting the checkpoint.
 pub fn compact_checkpoint(path: &Path) -> std::io::Result<(usize, usize)> {
-    let (sources, target) = if path.is_dir() {
-        let files = checkpoint_dir_files(path);
-        if files.is_empty() {
-            return Ok((0, 0));
-        }
-        (files, path.join("merged.jsonl"))
-    } else {
-        match std::fs::metadata(path) {
-            Ok(_) => (vec![path.to_path_buf()], path.to_path_buf()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-            Err(e) => return Err(e),
-        }
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
+        Err(e) => return Err(e),
     };
     let mut total = 0usize;
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
-    for source in &sources {
-        for line in checkpoint_lines(&std::fs::read(source)?) {
-            total += 1;
-            let Some(line) = line else { continue };
-            if let Some((key, ..)) = parse_checkpoint_line(line) {
-                map.insert(key, line.to_string());
-            }
+    let mut map: BTreeMap<String, &str> = BTreeMap::new();
+    for line in checkpoint_lines(&bytes) {
+        total += 1;
+        let Some(line) = line else { continue };
+        if let Some((key, ..)) = parse_checkpoint_line(line) {
+            map.insert(key, line);
         }
     }
-    let tmp = target.with_extension("compact.tmp");
+    let tmp = path.with_extension("compact.tmp");
     {
         let mut out = BufWriter::new(std::fs::File::create(&tmp)?);
         for line in map.values() {
@@ -818,12 +659,7 @@ pub fn compact_checkpoint(path: &Path) -> std::io::Result<(usize, usize)> {
         }
         out.flush()?;
     }
-    std::fs::rename(&tmp, &target)?;
-    for source in &sources {
-        if *source != target {
-            std::fs::remove_file(source)?;
-        }
-    }
+    std::fs::rename(&tmp, path)?;
     Ok((map.len(), total - map.len()))
 }
 
@@ -844,54 +680,16 @@ struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Opens the append target for this shard: `path` itself for an
-    /// unsharded single-file checkpoint, `path/shard-K-of-N.jsonl` when
-    /// `path` is (or must become) a directory. A freshly created
-    /// per-shard file is headed by a `shard_meta` line recording the
-    /// topology and (in sharded runs) the explicit job ids assigned to
-    /// this shard — provenance for debugging, skipped by the loader like
-    /// any non-cell line. Resume never reads the assignment back: cell
-    /// keys are topology-agnostic, which is what lets an N-shard
-    /// checkpoint replay under M shards or serially.
-    fn open(path: &Path, shard: Shard, assigned: &[usize]) -> CheckpointWriter {
-        let dir_mode = shard.is_sharded() || path.is_dir();
-        let file_path = if dir_mode {
-            std::fs::create_dir_all(path).unwrap_or_else(|e| {
-                panic!("cannot create checkpoint directory {}: {e}", path.display())
-            });
-            path.join(format!("shard-{}-of-{}.jsonl", shard.index, shard.count))
-        } else {
-            path.to_path_buf()
-        };
+    /// Opens the checkpoint file for appending, creating it if missing.
+    /// Failures here (and below) abort the run: continuing would silently
+    /// produce an unresumable sweep.
+    fn open(path: &Path) -> CheckpointWriter {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&file_path)
-            .unwrap_or_else(|e| panic!("cannot open checkpoint {}: {e}", file_path.display()));
-        let fresh = file.metadata().map(|m| m.len() == 0).unwrap_or(false);
-        let mut out = BufWriter::with_capacity(128 * 1024, file);
-        if dir_mode && fresh {
-            let mut fields = vec![
-                ("format", Json::from(2u64)),
-                ("shard", Json::from(shard.index)),
-                ("shards", Json::from(shard.count)),
-            ];
-            if shard.is_sharded() {
-                fields.push((
-                    "assigned",
-                    Json::Arr(assigned.iter().map(|&id| Json::from(id)).collect()),
-                ));
-            }
-            let meta = Json::obj([("shard_meta", Json::Obj(
-                fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            ))]);
-            // Failures here (and below) abort the run: continuing would
-            // silently produce an unresumable sweep.
-            out.write_all(meta.render().as_bytes()).expect("write shard metadata");
-            out.write_all(b"\n").expect("write shard metadata newline");
-            out.flush().expect("flush shard metadata");
-        }
-        CheckpointWriter { out: Mutex::new((out, 0)) }
+            .open(path)
+            .unwrap_or_else(|e| panic!("cannot open checkpoint {}: {e}", path.display()));
+        CheckpointWriter { out: Mutex::new((BufWriter::with_capacity(128 * 1024, file), 0)) }
     }
 
     fn append(&self, job: &JobSpec, stats: &RunStats) {

@@ -33,8 +33,7 @@ use morello_sim::{
 };
 use std::collections::BTreeSet;
 use workloads::{
-    count_ops, grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram,
-    SPEC_PROGRAMS,
+    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram, SPEC_PROGRAMS,
 };
 
 /// Which suite a job belongs to (the key of
@@ -220,8 +219,8 @@ impl JobSpec {
 
     /// Unique, stable identity: checkpoint key, progress label, and the
     /// target of `REPRO_INJECT_PANIC` substring matching. Deliberately
-    /// independent of job *order*, so checkpoints written by any shard
-    /// topology or suite selection replay under any other. An ablation
+    /// independent of job *order*, so a checkpoint written under any
+    /// suite selection or worker count replays under any other. An ablation
     /// cell's workload name carries its tweak.
     #[must_use]
     pub fn key(&self) -> String {
@@ -286,9 +285,9 @@ impl JobSpec {
     /// Regenerates the cell's op stream from its seed and hands it to
     /// `f` along with the workload's tuned simulator configuration (an
     /// ablation cell's tweak applied, the cell's condition not yet).
-    /// Shared by [`JobSpec::execute`], [`JobSpec::execute_traced`],
-    /// [`JobSpec::analyze`] and [`JobSpec::op_count`], which must all
-    /// observe the same program and configuration.
+    /// Shared by [`JobSpec::execute`], [`JobSpec::execute_traced`] and
+    /// [`JobSpec::analyze`], which must all observe the same program and
+    /// configuration.
     fn with_stream<R>(&self, f: impl FnOnce(&mut dyn OpSource, SimConfig) -> R) -> R {
         match &self.payload {
             Payload::Spec { program, seed } => {
@@ -316,14 +315,6 @@ impl JobSpec {
                 f(&mut source, config)
             }
         }
-    }
-
-    /// The number of ops in the cell's stream — its scheduling cost
-    /// ([`crate::sched`]). Generates the whole stream, so callers count
-    /// once per workload and only when a run is actually sharded.
-    #[must_use]
-    pub fn op_count(&self) -> u64 {
-        self.with_stream(|mut source, _| count_ops(&mut source) as u64)
     }
 
     /// Runs the cell to completion. Panics on simulator error — the

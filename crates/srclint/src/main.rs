@@ -41,6 +41,8 @@
 //!    partitioner, cost tables and launcher of the scale-out stack
 //!    (`Partition::Modulo`, `LocalSpawn`, `static_table`,
 //!    `calibrate_from_checkpoint`, `resolve_lpt`, `Shard::owns`), the
+//!    multi-process sharding that followed them (the sharding flag,
+//!    `sched`, `op_count(`, the shard metadata header), the
 //!    telemetry sink trait and the per-channel switches `TelemetryConfig`
 //!    collapsed into (`TelemetrySink`, `NullSink`, `with_sink`,
 //!    `record_events(`, `record_spans(`, `sample_every(`),
@@ -101,6 +103,11 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("calibrate_from_checkpoint", ONE_SCALE_OUT_PATH),
     ("resolve_lpt", ONE_SCALE_OUT_PATH),
     ("Shard::owns", ONE_SCALE_OUT_PATH),
+    ("--shard", ONE_SCALE_OUT_PATH),
+    ("crate::sched", ONE_SCALE_OUT_PATH),
+    ("rev_bench::sched", ONE_SCALE_OUT_PATH),
+    ("shard_meta", ONE_SCALE_OUT_PATH),
+    ("op_count(", ONE_SCALE_OUT_PATH),
     ("TelemetrySink", ONE_TELEMETRY_PATH),
     ("NullSink", ONE_TELEMETRY_PATH),
     ("with_sink", "System::new with SimConfigBuilder::telemetry"),
@@ -122,10 +129,10 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("--bin dump_trace", "--bin repro -- trace"),
 ];
 
-/// The replacement for the deleted stride partition, cost tables and
-/// launchers.
+/// The replacement for the deleted partitioners, cost tables, launchers
+/// and shard processes.
 const ONE_SCALE_OUT_PATH: &str =
-    "cost is `JobSpec::op_count`; launch `repro matrix --shard K/N` from a shell loop";
+    "one process over one checkpoint file; its workers are `--jobs N` / REPRO_JOBS";
 
 /// The replacement for the deleted telemetry sink trait and per-channel
 /// switches: one setting turns events, spans and samples on together.
@@ -486,7 +493,23 @@ mod tests {
             "let mine = Shard::owns(&shard, 3);\n",
         ] {
             let v = lint_one(&root, "crates/bench/src/bin/repro.rs", line);
-            assert!(v.len() == 1 && v[0].contains("JobSpec::op_count"), "{line}: {v:?}");
+            assert!(v.len() == 1 && v[0].contains("--jobs N"), "{line}: {v:?}");
+        }
+        // Multi-process sharding, wherever it could be typed again.
+        for (file, line) in [
+            ("tools/ci.sh", "repro matrix --smoke --shard 0/2 --checkpoint ck &\n"),
+            ("crates/bench/src/orchestrator.rs", "let ids = crate::sched::assignment(jobs, 2);\n"),
+            ("crates/bench/tests/x.rs", "use rev_bench::sched;\n"),
+            ("crates/bench/src/orchestrator.rs", "let meta = Json::obj([(\"shard_meta\", m)]);\n"),
+            ("crates/bench/src/plan.rs", "let cost = job.op_count();\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("REPRO_JOBS"), "{file}: {line}: {v:?}");
+        }
+        // The revoker's sweep shards are no process shards.
+        for line in ["let work = self.shard(pages);\n", "let w = ShardedWorklist::new(2);\n"] {
+            let v = lint_one(&root, "crates/core/src/revoker.rs", line);
+            assert!(v.is_empty(), "{line}: {v:?}");
         }
         for line in [
             "impl TelemetrySink for Streamer {}\n",

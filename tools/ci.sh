@@ -2,8 +2,10 @@
 # Tier-1 CI gate: release build + full test suite, the srclint source
 # gate (hermetic manifests, determinism lints), every example,
 # static-analyzer smokes (opcheck digest stability, --preflight
-# quarantine), the EXPERIMENTS.md fixed point (regenerated at full scale,
-# cmp'd, and resumed whole from its checkpoint), and a quick-mode run of
+# quarantine), the matrix and ablation smokes (one process: byte-identity
+# across worker counts, fault isolation, repro replay), the EXPERIMENTS.md
+# fixed point (regenerated at full scale, cmp'd, and resumed whole from
+# its one checkpoint file), and a quick-mode run of
 # the benchmark so its bit-rot is
 # caught without paying for a full measurement run; its stats digests are
 # compared with the pinned tools/stats_digests.txt. Run from anywhere.
@@ -123,7 +125,6 @@ done <tools/stats_digests.txt
 echo "== matrix smoke (parallel orchestrator) =="
 # 1. Byte-identity: the same smoke matrix at 1 and 4 workers must render
 #    the exact same report (merging is in job order, not completion order).
-#    serial.md is also the reference of the shard smoke below.
 matrix_dir="$(mktemp -d)"
 REPRO_JOBS=1 cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench,pgbench-rates,grpc --out "$matrix_dir/serial.md" 2>/dev/null
@@ -155,34 +156,9 @@ cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
     --smoke --suites pgbench --only 'pgbench|pgbench|Cornucopia' --strict \
     --out "$matrix_dir/replay.md" --repro-dir "$matrix_dir/repro" 2>/dev/null \
     || { echo "matrix smoke: repro replay of the poisoned cell failed" >&2; exit 1; }
+rm -rf "$matrix_dir"
 
-echo "== shard smoke (multi-process byte-identity) =="
-shard_dir="$(mktemp -d)"
-# Shards 0/2 and 1/2 as two concurrent processes appending to one shared
-# checkpoint directory (as separate cluster nodes would), then an
-# unsharded merge run that resumes every cell and must reproduce the
-# serial report.
-ck="$shard_dir/ckpt"
-shard_pids=()
-for k in 0 1; do
-    cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-        --smoke --suites pgbench,pgbench-rates,grpc --shard "$k/2" --jobs 1 \
-        --checkpoint "$ck" --out "$shard_dir/s$k.md" --repro-dir "$shard_dir/repro" 2>/dev/null &
-    shard_pids+=("$!")
-done
-for pid in "${shard_pids[@]}"; do
-    wait "$pid" || { echo "shard smoke: a --shard K/2 process failed" >&2; exit 1; }
-done
-cargo run --release --offline -q -p rev-bench --bin repro -- matrix \
-    --smoke --suites pgbench,pgbench-rates,grpc --checkpoint "$ck" \
-    --out "$shard_dir/merged.md" --repro-dir "$shard_dir/repro" 2>"$shard_dir/merge.log"
-grep -q ": 0 cell(s) ran," "$shard_dir/merge.log" \
-    || { echo "shard smoke: the merge re-ran cells the shards should have checkpointed" >&2; exit 1; }
-cmp -s "$matrix_dir/serial.md" "$shard_dir/merged.md" \
-    || { echo "shard smoke: concurrently sharded merge report differs from serial" >&2; exit 1; }
-rm -rf "$matrix_dir" "$shard_dir"
-
-echo "== ablation smoke (ablation cells are matrix cells: worker counts, shards) =="
+echo "== ablation smoke (ablation cells are matrix cells: worker counts) =="
 abl_dir="$(mktemp -d)"
 # The study with the most cells (six xalancbmk runs) and the coloured
 # one, at 1 and 4 workers.
@@ -194,23 +170,6 @@ for study in revoker_cores coloring; do
     cmp -s "$abl_dir/$study-j1.md" "$abl_dir/$study-j4.md" \
         || { echo "ablation smoke: $study differs between 1 and 4 workers" >&2; exit 1; }
 done
-# Ablation cells are sharded like any other, not left to the merge run;
-# --only keeps the smoke to the 0.05 s hmmer cells.
-abl_args=(matrix --smoke --suites spec --ablations --only hmmer --repro-dir "$abl_dir/repro")
-cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
-    --out "$abl_dir/unsharded.md" 2>/dev/null
-for k in 0 1; do
-    cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
-        --shard "$k/2" --checkpoint "$abl_dir/ckpt" --out "$abl_dir/s$k.md" 2>"$abl_dir/s$k.log"
-done
-grep -q '"key":"ablation|hmmer' "$abl_dir/ckpt/shard-0-of-2.jsonl" "$abl_dir/ckpt/shard-1-of-2.jsonl" \
-    || { echo "ablation smoke: no shard checkpointed an ablation cell" >&2; exit 1; }
-cargo run --release --offline -q -p rev-bench --bin repro -- "${abl_args[@]}" \
-    --checkpoint "$abl_dir/ckpt" --out "$abl_dir/merged.md" 2>"$abl_dir/merge.log"
-grep -q ": 0 cell(s) ran," "$abl_dir/merge.log" \
-    || { echo "ablation smoke: the merge ran cells the shards should have checkpointed" >&2; exit 1; }
-cmp -s "$abl_dir/unsharded.md" "$abl_dir/merged.md" \
-    || { echo "ablation smoke: sharded merge report differs from the unsharded run" >&2; exit 1; }
 rm -rf "$abl_dir"
 
 echo "== fixed point (EXPERIMENTS.md regenerates byte for byte, and resumes) =="
