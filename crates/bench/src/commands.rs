@@ -103,6 +103,8 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
         ("matrix", "Evaluation matrix", "MATRIX.md")
     };
     let t0 = Instant::now();
+    let out = args.out.as_deref().unwrap_or(default_out);
+    check_out(out)?;
 
     // `cli` refuses `--compact` without `--checkpoint`.
     if let Some(path) = args.checkpoint.as_deref() {
@@ -154,7 +156,6 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
     }
 
     let doc = report::render_report(title, word, scale, &args.suites, &outcome, args.ablations);
-    let out = args.out.as_deref().unwrap_or(default_out);
     write_file(out, &doc)?;
     eprintln!("repro {word}: wrote {out} in {:.1?}", t0.elapsed());
 
@@ -173,6 +174,24 @@ fn matrix(args: &Args) -> Result<ExitCode, String> {
         args.strict && (!outcome.failures.is_empty() || !violated.is_empty())
     };
     Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+}
+
+/// Refuses an output path that cannot become a file — a directory, or a
+/// name in a missing directory — before anything runs: the write comes
+/// only after the whole run.
+fn check_out(path: &str) -> Result<(), String> {
+    let path = Path::new(path);
+    if path.is_dir() {
+        return Err(format!("cannot write {}: it is a directory", path.display()));
+    }
+    match path.parent().filter(|dir| !dir.as_os_str().is_empty()) {
+        Some(dir) if !dir.is_dir() => Err(format!(
+            "cannot write {}: {} is not a directory",
+            path.display(),
+            dir.display()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Refuses a `--checkpoint` path the run could not append to, before
@@ -196,7 +215,14 @@ fn check_checkpoint(path: &Path) -> Result<(), String> {
 
 fn opcheck(args: &Args) -> Result<ExitCode, String> {
     let t0 = Instant::now();
+    if let Some(path) = &args.out {
+        check_out(path)?;
+    }
     let (scale, jobs) = plan_jobs(args)?;
+    if let Some(dir) = &args.csv {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
 
     // One analysis per program, in first-appearance (job) order.
     let programs: Vec<(String, &JobSpec)> =
@@ -236,8 +262,6 @@ fn opcheck(args: &Args) -> Result<ExitCode, String> {
     }
 
     if let Some(dir) = &args.csv {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for ((id, _), report) in programs.iter().zip(&reports) {
             // Reuse the repro-file sanitizer, swapping its .json suffix.
             let path = dir.join(repro_file_name(id).replace(".json", ".csv"));

@@ -1,7 +1,8 @@
 //! The `repro` command line: every word of the section and ablation
 //! tables is a subcommand, and what the old binaries never accepted is
-//! refused with exit status 2, not run under a default — as is a
-//! checkpoint the run cannot open or compact.
+//! refused with exit status 2, not run under a default — as are a
+//! checkpoint the run cannot open or compact and an output path it could
+//! not write once the work is done.
 
 use morello_sim::Condition;
 use rev_bench::cli::{self, Command};
@@ -141,5 +142,49 @@ fn a_failed_compaction_exits_2() {
     assert_eq!(output.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains(&format!("compacting {}", checkpoint.display())), "{stderr}");
     assert!(!stderr.contains("cell(s) ran"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro argv` must exit 2 naming `path`, before any cell or analysis
+/// ran and with nothing on stdout.
+fn assert_refused_up_front(argv: &[&str], path: &str) {
+    let output = repro(argv);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "repro {argv:?}: {stderr}");
+    assert!(stderr.contains(path), "{stderr}");
+    assert!(!stderr.contains("cell(s) ran") && !stderr.contains("op(s),"), "{stderr}");
+    assert!(output.stdout.is_empty(), "repro {argv:?} printed to stdout");
+}
+
+const SMOKE_MATRIX: [&str; 4] = ["matrix", "--smoke", "--suites", "pgbench-rates"];
+
+#[test]
+fn matrix_out_that_is_a_directory_exits_2_before_any_cell_runs() {
+    let dir = scratch("out-dir");
+    let out = format!("{}/", dir.display());
+    assert_refused_up_front(&[&SMOKE_MATRIX[..], &["--out", &out]].concat(), &out);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the directory stays empty");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn matrix_out_in_a_missing_directory_exits_2_before_any_cell_runs() {
+    let dir = scratch("out-missing");
+    let out = dir.join("missing").join("x.md");
+    let out = out.to_str().unwrap();
+    assert_refused_up_front(&[&SMOKE_MATRIX[..], &["--out", out]].concat(), out);
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the directory stays empty");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn opcheck_csv_that_is_a_file_exits_2_before_any_analysis() {
+    let dir = scratch("csv-file");
+    let csv = dir.join("curves");
+    std::fs::write(&csv, "").unwrap();
+    let (csv, out) = (csv.to_str().unwrap(), dir.join("o.json"));
+    let argv = ["opcheck", "--smoke", "--suites", "pgbench-rates", "--csv", csv, "--out"];
+    assert_refused_up_front(&[&argv[..], &[out.to_str().unwrap()]].concat(), csv);
+    assert!(!out.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

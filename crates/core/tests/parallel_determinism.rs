@@ -100,7 +100,7 @@ fn run_epoch(strategy: Strategy, cores: usize, setup: &[Setup], budget: u64) -> 
     }
     let mut mem_tags = Vec::new();
     for page in 0..PAGES {
-        for (addr, cap) in m.peek_tagged_caps(HEAP + page * PAGE_SIZE) {
+        for (addr, cap) in m.mem().phys().tagged_caps_in_page(HEAP + page * PAGE_SIZE) {
             mem_tags.push((addr, cap.base()));
         }
     }
@@ -194,7 +194,7 @@ fn four_cores_halve_critical_path_with_identical_results() {
         }
         let mut tags = Vec::new();
         for page in 0..PAGES {
-            for (addr, cap) in m.peek_tagged_caps(HEAP + page * PAGE_SIZE) {
+            for (addr, cap) in m.mem().phys().tagged_caps_in_page(HEAP + page * PAGE_SIZE) {
                 tags.push((addr, cap.base()));
             }
         }

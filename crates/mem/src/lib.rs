@@ -6,11 +6,13 @@
 //! simulation:
 //!
 //! * [`PhysMem`] — a sparse, demand-zero physical memory with one validity
-//!   tag per naturally-aligned 16-byte granule. Data writes atomically clear
-//!   the tags of the granules they touch; capability stores set them. A
-//!   page costs the host what it holds: a frame's capability shadow, its
-//!   colours and its data bytes are each allocated on first need, and the
-//!   shadows of a dropped memory go to one process-wide pool.
+//!   tag per naturally-aligned 16-byte granule. It holds what capability
+//!   stores put there and no bytes besides: a data write is a
+//!   [`PhysMem::clear_tag_range`] over the granules it touches, and an
+//!   untagged granule loads as the address last stored to it. A page costs
+//!   the host what it holds: a frame's capability shadow and its colours
+//!   are each allocated on first need, and the shadows of a dropped memory
+//!   go to one process-wide pool.
 //! * [`MemSystem`] — wraps [`PhysMem`] with per-core L1 caches and a shared
 //!   L2, metering DRAM transactions per core. The paper's Figures 4 and 6
 //!   report revocation's *bus traffic* overheads; this model is what lets
@@ -28,10 +30,11 @@
 //! let cap = Capability::new_root(0x1000, 64, Perms::rw());
 //! mem.store_cap(0x2000, cap);
 //! assert!(mem.tag(0x2000));
-//! // Overwriting any byte of the granule with data clears the tag.
-//! mem.write_bytes(0x2008, &[0xff]);
+//! // A data write over any byte of the granule clears the tag; the
+//! // address stays readable, the capability does not.
+//! mem.clear_tag_range(0x2008, 1);
 //! assert!(!mem.tag(0x2000));
-//! assert!(!mem.load_cap(0x2000).is_tagged());
+//! assert_eq!(mem.load_cap(0x2000), Capability::null().set_addr(0x1000));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -98,31 +101,6 @@ impl MemSystem {
         &mut self.mem
     }
 
-    /// Reads `buf.len()` bytes at `addr` on behalf of `core`, returning the
-    /// cycle cost.
-    #[inline]
-    pub fn read_bytes(&mut self, core: CoreId, addr: u64, buf: &mut [u8]) -> u64 {
-        let cost = self.caches.access(core, addr, buf.len() as u64, AccessKind::Read);
-        self.mem.read_bytes(addr, buf);
-        cost
-    }
-
-    /// Writes `buf` at `addr` on behalf of `core` (clearing covered tags),
-    /// returning the cycle cost.
-    #[inline]
-    pub fn write_bytes(&mut self, core: CoreId, addr: u64, buf: &[u8]) -> u64 {
-        let cost = self.caches.access(core, addr, buf.len() as u64, AccessKind::Write);
-        self.mem.write_bytes(addr, buf);
-        cost
-    }
-
-    /// Loads the capability (or untagged residue) at 16-byte-aligned `addr`.
-    #[inline]
-    pub fn load_cap(&mut self, core: CoreId, addr: u64) -> (Capability, u64) {
-        let cost = self.caches.access(core, addr, cheri_cap::CAP_SIZE, AccessKind::Read);
-        (self.mem.load_cap(addr), cost)
-    }
-
     /// Stores a capability at 16-byte-aligned `addr`, setting the granule
     /// tag iff the capability is tagged.
     #[inline]
@@ -132,9 +110,10 @@ impl MemSystem {
         cost
     }
 
-    /// Charges the cache/bus cost of touching `[addr, addr+len)` for reading
-    /// without moving data (used for bulk sweep loops, which inspect tags
-    /// and only occasionally rewrite granules).
+    /// Charges the cache/bus cost of reading `[addr, addr+len)`. Memory
+    /// holds no bytes to move, so this is all a data read costs; a
+    /// capability load pairs it with [`PhysMem::load_granule`], and a sweep
+    /// with [`PhysMem::tagged_caps_in_page`].
     #[inline]
     pub fn touch_read(&mut self, core: CoreId, addr: u64, len: u64) -> u64 {
         self.caches.access(core, addr, len, AccessKind::Read)
@@ -162,12 +141,11 @@ mod tests {
     #[test]
     fn cached_rereads_do_not_hit_dram() {
         let mut ms = MemSystem::new(1);
-        let mut buf = [0u8; 64];
-        ms.read_bytes(0, 0x1000, &mut buf);
+        ms.touch_read(0, 0x1000, 64);
         let first = ms.traffic(0).dram_transactions;
         assert!(first > 0);
         for _ in 0..10 {
-            ms.read_bytes(0, 0x1000, &mut buf);
+            ms.touch_read(0, 0x1000, 64);
         }
         assert_eq!(ms.traffic(0).dram_transactions, first);
     }
@@ -175,11 +153,10 @@ mod tests {
     #[test]
     fn distinct_cores_have_distinct_l1s() {
         let mut ms = MemSystem::new(2);
-        let mut buf = [0u8; 64];
-        ms.read_bytes(0, 0x1000, &mut buf);
+        ms.touch_read(0, 0x1000, 64);
         let before = ms.traffic(1).dram_transactions;
         // Core 1 misses its own L1 but hits the shared L2: no new DRAM.
-        ms.read_bytes(1, 0x1000, &mut buf);
+        ms.touch_read(1, 0x1000, 64);
         assert_eq!(ms.traffic(1).dram_transactions, before);
         assert!(ms.traffic(1).l2_hits > 0);
     }
@@ -189,8 +166,7 @@ mod tests {
         let mut ms = MemSystem::new(1);
         let cap = Capability::new_root(0x4000, 128, Perms::rw());
         ms.store_cap(0, 0x9000, cap);
-        let (got, _) = ms.load_cap(0, 0x9000);
-        assert_eq!(got, cap);
+        assert_eq!(ms.phys().load_cap(0x9000), cap);
     }
 
     #[test]

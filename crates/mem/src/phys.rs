@@ -2,19 +2,18 @@
 //!
 //! Host performance: a page costs the host what it holds. Frames live in
 //! a dense slab (`Vec<Frame>`) behind a page-number → slot [`PageMap`],
-//! and each of a frame's planes — capability shadow, colours, data bytes —
-//! is allocated on first need: a page that is only ever touched owns no
-//! box at all. A released frame parks on a free list and is reset (not
+//! and each of a frame's two planes — capability shadow and colours — is
+//! allocated on first need: a page that is only ever touched owns no box
+//! at all. A released frame parks on a free list and is reset (not
 //! reallocated) on reuse; a dropped memory leaves its shadows, as they
 //! are, to the process's next memories. None of this is visible to the
-//! simulation: counters, tags and data are bit-identical to a naive map
-//! of pages. Two invariants keep it so:
+//! simulation: counters, tags and loaded capabilities are bit-identical
+//! to a naive map of granules. Two invariants keep it so:
 //!
 //! * a shadow entry is read only under its `tags` or `written` bit, so a
 //!   recycled shadow needs no zeroing;
-//! * a granule's bytes are the data plane's if the frame has one, and
-//!   otherwise the shadow entry's address, little-endian and zero-extended
-//!   (zero where `written` is clear).
+//! * an untagged granule loads as a null capability whose address is its
+//!   shadow entry's (its residue), or zero where `written` is clear.
 
 use cheri_cap::{Capability, CAP_SIZE};
 use crate::pagemap::PageMap;
@@ -27,8 +26,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub const GRANULES_PER_PAGE: usize = (PAGE_SIZE / CAP_SIZE) as usize;
 
 const TAG_WORDS: usize = GRANULES_PER_PAGE / 64;
-
-const GRANULE: usize = CAP_SIZE as usize;
 
 /// One frame's capability plane: the last capability stored to each granule.
 type Shadow = Box<[Capability]>;
@@ -102,16 +99,15 @@ fn bit(words: &[u64; TAG_WORDS], granule: usize) -> bool {
     words[granule / 64] >> (granule % 64) & 1 == 1
 }
 
-/// One physical page frame: a 256-bit tag vector and, each allocated on
-/// first need, the shadow of the capabilities stored to it, its granules'
-/// colours and its data bytes.
+/// One physical page frame: a 256-bit tag vector, a 256-bit written
+/// vector and, each allocated on first need, the shadow of the
+/// capabilities stored to it and its granules' colours.
 ///
 /// The simulator holds full (decompressed) capabilities out-of-band rather
-/// than implementing a bit-exact 128-bit codec; a *data* read of a pointer
-/// still sees the capability's address (programs do inspect pointer
-/// values). No simulated access moves bytes, so a frame has a data plane
-/// only once [`PhysMem::write_bytes`] gave it bytes no capability store
-/// could have.
+/// than implementing a bit-exact 128-bit codec. No simulated access moves
+/// bytes: a frame holds what capability stores put there, and a data
+/// write only clears tags. An untagged granule still shows the address of
+/// the last capability stored to it (programs do inspect pointer values).
 #[derive(Debug, Default)]
 struct Frame {
     /// One bit per granule; bit set ⇒ the granule holds a valid capability.
@@ -124,8 +120,6 @@ struct Frame {
     caps: Option<Shadow>,
     /// Per-granule memory colors (paper §7.3), allocated on first recolor.
     colors: Option<Box<[u8]>>,
-    /// The page's bytes, once they stopped being a function of `caps`.
-    data: Option<Box<[u8]>>,
 }
 
 impl Frame {
@@ -136,7 +130,6 @@ impl Frame {
         self.tags = [0; TAG_WORDS];
         self.written = [0; TAG_WORDS];
         self.colors = None;
-        self.data = None;
     }
 
     fn tag(&self, granule: usize) -> bool {
@@ -160,27 +153,18 @@ impl Frame {
         let (w, b) = (granule / 64, granule % 64);
         self.written[w] |= 1 << b;
         self.tags[w] = self.tags[w] & !(1 << b) | u64::from(cap.is_tagged()) << b;
-        if let Some(data) = &mut self.data {
-            let bytes = &mut data[granule * GRANULE..][..GRANULE];
-            bytes[..8].copy_from_slice(&cap.addr().to_le_bytes());
-            bytes[8..].fill(0);
-        }
     }
 
-    /// The first eight bytes of `granule`, little-endian: what a data load
-    /// of a pointer sees.
+    /// The address last stored to `granule`, or zero if none was: what a
+    /// data load of a pointer sees.
     fn residue(&self, granule: usize) -> u64 {
-        match (&self.data, &self.caps) {
-            (Some(data), _) => {
-                let bytes = &data[granule * GRANULE..][..8];
-                u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
-            }
-            (None, Some(caps)) if bit(&self.written, granule) => caps[granule].addr(),
+        match &self.caps {
+            Some(caps) if bit(&self.written, granule) => caps[granule].addr(),
             _ => 0,
         }
     }
 
-    /// The capability in `granule`, or the untagged residue of its bytes.
+    /// The capability in `granule`, or its untagged residue.
     fn load(&self, granule: usize) -> Capability {
         if self.tag(granule) {
             self.caps.as_ref().expect("tagged granule must have shadow storage")[granule]
@@ -191,36 +175,6 @@ impl Frame {
 
     fn color(&self, granule: usize) -> u8 {
         self.colors.as_ref().map_or(0, |c| c[granule])
-    }
-
-    /// Copies the page's bytes from offset `start` into `buf`.
-    fn read(&self, start: usize, buf: &mut [u8]) {
-        if let Some(data) = &self.data {
-            buf.copy_from_slice(&data[start..start + buf.len()]);
-            return;
-        }
-        let mut done = 0;
-        while done < buf.len() {
-            let (granule, lo) = ((start + done) / GRANULE, (start + done) % GRANULE);
-            let n = (GRANULE - lo).min(buf.len() - done);
-            let mut bytes = [0u8; GRANULE];
-            bytes[..8].copy_from_slice(&self.residue(granule).to_le_bytes());
-            buf[done..done + n].copy_from_slice(&bytes[lo..lo + n]);
-            done += n;
-        }
-    }
-
-    /// The data plane, rendered from the shadow if this is its first use.
-    fn data_mut(&mut self) -> &mut [u8] {
-        let (written, caps) = (self.written, &self.caps);
-        self.data.get_or_insert_with(|| {
-            let mut data = vec![0u8; PAGE_SIZE as usize].into_boxed_slice();
-            for granule in SetBits::new(written) {
-                let addr = caps.as_ref().expect("a written granule has a shadow")[granule].addr();
-                data[granule * GRANULE..][..8].copy_from_slice(&addr.to_le_bytes());
-            }
-            data
-        })
     }
 
     fn any_tag(&self) -> bool {
@@ -252,7 +206,7 @@ impl Drop for PhysMem {
 }
 
 impl PhysMem {
-    /// Creates an empty memory; every page reads as zero until written.
+    /// Creates an empty memory; every granule loads as null until stored to.
     #[must_use]
     pub fn new() -> Self {
         PhysMem::default()
@@ -297,53 +251,9 @@ impl PhysMem {
         let _ = self.frame_mut(addr);
     }
 
-    /// Reads bytes starting at `addr`. Unmaterialized memory reads as zero.
-    pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr + off as u64;
-            let in_page = (PAGE_SIZE - a % PAGE_SIZE) as usize;
-            let n = in_page.min(buf.len() - off);
-            match self.frame(a) {
-                Some(f) => f.read((a % PAGE_SIZE) as usize, &mut buf[off..off + n]),
-                None => buf[off..off + n].fill(0),
-            }
-            off += n;
-        }
-    }
-
-    /// Writes bytes starting at `addr`, clearing the tag of every granule
-    /// the write overlaps (data stores never preserve capability validity).
-    pub fn write_bytes(&mut self, addr: u64, buf: &[u8]) {
-        let mut off = 0usize;
-        while off < buf.len() {
-            let a = addr + off as u64;
-            let in_page = (PAGE_SIZE - a % PAGE_SIZE) as usize;
-            let n = in_page.min(buf.len() - off);
-            let frame = self.frame_mut(a);
-            let s = (a % PAGE_SIZE) as usize;
-            frame.data_mut()[s..s + n].copy_from_slice(&buf[off..off + n]);
-            frame.clear_tag_span(s / GRANULE, (s + n - 1) / GRANULE);
-            off += n;
-        }
-    }
-
-    /// Convenience: reads a little-endian `u64`.
-    #[must_use]
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes(addr, &mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Convenience: writes a little-endian `u64`.
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-
     /// Loads the capability at 16-byte-aligned `addr`. If the granule's tag
-    /// is clear, the result is an untagged capability whose address is the
-    /// granule's first 8 data bytes (what a data load would see).
+    /// is clear, the result is a null capability whose address is the last
+    /// one stored there, or zero (what a data load of a pointer would see).
     ///
     /// # Panics
     ///
@@ -373,7 +283,8 @@ impl PhysMem {
     }
 
     /// Stores `cap` at 16-byte-aligned `addr`. The granule's tag follows the
-    /// capability's tag; the data bytes record the cursor address.
+    /// capability's tag; its cursor address stays the granule's residue
+    /// until the next store (see [`PhysMem::load_cap`]).
     ///
     /// # Panics
     ///
@@ -450,7 +361,7 @@ impl PhysMem {
     }
 
     /// Releases the frame backing `page_addr` (munmap / page reclaim). The
-    /// page's contents and tags are discarded; subsequent reads see zero.
+    /// page's contents and tags are discarded; subsequent loads see null.
     pub fn release_page(&mut self, page_addr: u64) {
         if let Some(slot) = self.index.remove(page_addr / PAGE_SIZE) {
             self.free_slots.push(slot);
@@ -533,9 +444,8 @@ mod tests {
     #[test]
     fn unmapped_memory_reads_zero() {
         let mem = PhysMem::new();
-        assert_eq!(mem.read_u64(0xdead_0000), 0);
         assert!(!mem.tag(0xdead_0000));
-        assert!(!mem.load_cap(0xdead_0000).is_tagged());
+        assert_eq!(mem.load_cap(0xdead_0000), Capability::null());
     }
 
     #[test]
@@ -545,20 +455,18 @@ mod tests {
         // undisturbed round shows the shadow did travel.
         let recycled = (0..64).any(|_| {
             let mut mem = PhysMem::new();
-            mem.write_bytes(0x4000, &[0xab; 64]);
+            mem.store_cap(0x4000, cap(0xabab_0000).with_tag_cleared());
             mem.store_cap(0x4040, cap(0x1234_0000));
             drop(mem);
             // The next memory takes the shadow and sees none of it.
             let mut mem = PhysMem::new();
             mem.materialize_page(0x4000);
-            let mut back = [0xffu8; 128];
-            mem.read_bytes(0x4000, &mut back);
-            assert_eq!(back, [0u8; 128]);
             assert!(!mem.page_has_tags(0x4000));
             // A recycled shadow shows no capability and no residue.
             mem.store_cap(0x4080, Capability::null());
-            assert_eq!(mem.load_cap(0x4040), Capability::null());
-            assert_eq!(mem.read_u64(0x4040), 0);
+            for a in (0x4000..0x4080).step_by(CAP_SIZE as usize) {
+                assert_eq!(mem.load_cap(a), Capability::null(), "granule {a:#x}");
+            }
             assert_eq!(mem.tagged_caps_in_page(0x4000).count(), 0);
             let shadow = mem.slab[0].caps.as_ref().expect("a capability store makes the shadow");
             shadow[4] == cap(0x1234_0000)
@@ -590,26 +498,7 @@ mod tests {
         }
         assert_eq!(mem.resident_bytes(), 1000 * PAGE_SIZE);
         // No shadow to park, no plane to free: the frame is all a page costs.
-        assert!(mem.slab.iter().all(|f| f.caps.is_none() && f.colors.is_none() && f.data.is_none()));
-    }
-
-    #[test]
-    fn first_byte_write_renders_the_shadow() {
-        let mut mem = PhysMem::new();
-        mem.store_cap(0x8000, cap(0x1000));
-        mem.store_cap(0x8010, cap(0x2000).with_tag_cleared());
-        assert!(mem.slab[0].data.is_none(), "capability stores need no data plane");
-        assert_eq!((mem.read_u64(0x8000), mem.read_u64(0x8008), mem.read_u64(0x8010)), (0x1000, 0, 0x2000));
-        mem.write_bytes(0x802c, &[7]);
-        assert!(mem.slab[0].data.is_some());
-        assert_eq!((mem.read_u64(0x8000), mem.read_u64(0x8008), mem.read_u64(0x8010)), (0x1000, 0, 0x2000));
-        assert_eq!(mem.load_cap(0x8000), cap(0x1000));
-        assert_eq!(mem.load_cap(0x8010), Capability::null().set_addr(0x2000));
-        // With a data plane, a capability store keeps both views in step.
-        mem.store_cap(0x8020, cap(0x3000));
-        assert_eq!((mem.read_u64(0x8020), mem.read_u64(0x8028)), (0x3000, 0));
-        mem.write_bytes(0x8020, &[9]);
-        assert_eq!(mem.load_cap(0x8020), Capability::null().set_addr(0x3009));
+        assert!(mem.slab.iter().all(|f| f.caps.is_none() && f.colors.is_none()));
     }
 
     /// Runs `f` on a thread of its own and fails, instead of hanging the
@@ -638,25 +527,15 @@ mod tests {
     }
 
     #[test]
-    fn data_roundtrip_across_page_boundary() {
-        let mut mem = PhysMem::new();
-        let data: Vec<u8> = (0..100u8).collect();
-        mem.write_bytes(PAGE_SIZE - 50, &data);
-        let mut back = vec![0u8; 100];
-        mem.read_bytes(PAGE_SIZE - 50, &mut back);
-        assert_eq!(back, data);
-        assert_eq!(mem.resident_bytes(), 2 * PAGE_SIZE);
-    }
-
-    #[test]
     fn cap_store_sets_tag_and_roundtrips() {
         let mut mem = PhysMem::new();
         let c = cap(0x1234_0000);
         mem.store_cap(0x8000, c);
         assert!(mem.tag(0x8000));
         assert_eq!(mem.load_cap(0x8000), c);
-        // Data view of the granule shows the address.
-        assert_eq!(mem.read_u64(0x8000), 0x1234_0000);
+        // An untagged store leaves only the address.
+        mem.store_cap(0x8000, c.with_tag_cleared());
+        assert_eq!(mem.load_cap(0x8000), Capability::null().set_addr(0x1234_0000));
     }
 
     #[test]
@@ -665,11 +544,11 @@ mod tests {
         mem.store_cap(0x8000, cap(0x1000));
         mem.store_cap(0x8010, cap(0x2000));
         // A single byte write into the second granule clears only its tag.
-        mem.write_bytes(0x8017, &[1]);
+        mem.clear_tag_range(0x8017, 1);
         assert!(mem.tag(0x8000));
         assert!(!mem.tag(0x8010));
         // A spanning write clears both.
-        mem.write_bytes(0x8008, &[0u8; 16]);
+        mem.clear_tag_range(0x8008, 16);
         assert!(!mem.tag(0x8000));
     }
 
@@ -688,7 +567,7 @@ mod tests {
         for (i, &a) in addrs.iter().enumerate() {
             mem.store_cap(a, cap(0x1000 * (i as u64 + 1)));
         }
-        mem.write_bytes(0x8040, &[0]); // kill the middle one
+        mem.clear_tag_range(0x8040, 1); // kill the middle one
         let got_addrs: Vec<u64> = mem.tagged_caps_in_page(0x8000).map(|(a, _)| a).collect();
         assert_eq!(got_addrs, vec![0x8000, 0x8ff0]);
     }
@@ -725,18 +604,18 @@ mod tests {
         assert!(!mem.load_cap(0x8000).is_tagged());
         // The address residue is still readable as data (paper §2.2.2: we
         // tolerate address extraction, not dereference).
-        assert_eq!(mem.read_u64(0x8000), 0x1000);
+        assert_eq!(mem.load_cap(0x8000).addr(), 0x1000);
     }
 
     #[test]
     fn release_page_drops_residency_and_contents() {
         let mut mem = PhysMem::new();
-        mem.write_u64(0x8000, 7);
+        mem.store_cap(0x8000, Capability::null().set_addr(7));
         let peak = mem.peak_resident_bytes();
         mem.release_page(0x8000);
         assert_eq!(mem.resident_bytes(), 0);
         assert_eq!(mem.peak_resident_bytes(), peak);
-        assert_eq!(mem.read_u64(0x8000), 0);
+        assert_eq!(mem.load_cap(0x8000), Capability::null());
     }
 
     #[test]
@@ -746,9 +625,10 @@ mod tests {
         mem.set_color_range(0x8000, 64, 3);
         mem.release_page(0x8000);
         // A different page reuses the slot; nothing leaks through.
-        mem.write_u64(0x2_0000, 9);
-        assert_eq!(mem.read_u64(0x8000), 0);
-        assert_eq!(mem.read_u64(0x2_0000 + 8), 0);
+        mem.store_cap(0x2_0010, Capability::null().set_addr(9));
+        assert_eq!(mem.load_cap(0x8000), Capability::null());
+        assert_eq!(mem.load_cap(0x2_0000), Capability::null());
+        assert_eq!(mem.load_cap(0x2_0010).addr(), 9);
         assert!(!mem.tag(0x2_0000));
         assert_eq!(mem.granule_color(0x2_0000), 0);
         assert_eq!(mem.resident_bytes(), PAGE_SIZE);
@@ -757,20 +637,21 @@ mod tests {
     #[test]
     fn peak_watermark_moves_only_on_materialization() {
         let mut mem = PhysMem::new();
-        mem.write_u64(0x8000, 7);
-        mem.write_u64(0x9000, 7);
+        mem.materialize_page(0x8000);
+        mem.materialize_page(0x9000);
         let peak = mem.peak_resident_bytes();
         assert_eq!(peak, 2 * PAGE_SIZE);
         mem.release_page(0x8000);
         // Accesses to the survivor never move the watermark.
         for _ in 0..100 {
-            mem.write_u64(0x9000, 7);
+            mem.store_cap(0x9000, cap(0x1000));
+            mem.clear_tag_range(0x9000, 8);
         }
         assert_eq!(mem.peak_resident_bytes(), peak);
         // Rematerializing the released page only restores the old level.
-        mem.write_u64(0x8000, 7);
+        mem.store_cap(0x8000, cap(0x1000));
         assert_eq!(mem.peak_resident_bytes(), peak);
-        mem.write_u64(0xa000, 7);
+        mem.materialize_page(0xa000);
         assert_eq!(mem.peak_resident_bytes(), 3 * PAGE_SIZE);
     }
 

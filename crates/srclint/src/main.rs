@@ -119,6 +119,10 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("pgbench_suite_serial", SUITE_GOLDENS),
     ("pgbench_rate_suite_serial", SUITE_GOLDENS),
     ("grpc_suite_serial", SUITE_GOLDENS),
+    ("read_bytes(", ONE_VIEW_OF_MEMORY),
+    ("write_bytes(", ONE_VIEW_OF_MEMORY),
+    ("read_u64(", ONE_VIEW_OF_MEMORY),
+    ("peek_tagged_caps(", ONE_VIEW_OF_MEMORY),
     ("import_malloc_log", EARN_A_ROW),
     ("ImportSource", EARN_A_ROW),
     ("replay_malloc_log", EARN_A_ROW),
@@ -147,6 +151,12 @@ const SUITE_GOLDENS: &str =
 /// replaced: an input format no checked row reaches.
 const EARN_A_ROW: &str = "nothing — an input format must earn a repro section, \
      ablation or benchmark row first (ROADMAP.md item 6(b)); replay programs with sim::trace";
+
+/// The replacement for the deleted byte plane: memory holds what
+/// capability stores put there, and nothing reads it as bytes. (Not
+/// `write_u64(`: `FastHasher` implements `Hasher::write_u64`.)
+const ONE_VIEW_OF_MEMORY: &str =
+    "Machine::store_cap to store; PhysMem::{load_cap, tag} or tagged_caps_in_page to observe";
 
 /// The replacement for the deleted stream truncation, which was the
 /// identity on every stream it was applied to.
@@ -541,6 +551,23 @@ mod tests {
         ] {
             let v = lint_one(&root, file, line);
             assert!(v.len() == 1 && v[0].contains("item 6(b)"), "{file}: {line}: {v:?}");
+        }
+        // The byte plane: memory is read as capabilities only.
+        for line in [
+            "mem.read_bytes(0x4000, &mut buf);\n",
+            "ms.write_bytes(0, 0x4000, &[0xab; 64]);\n",
+            "let leaked = machine.mem().phys().read_u64(stale.base());\n",
+            "for (a, c) in m.peek_tagged_caps(page) {}\n",
+        ] {
+            let v = lint_one(&root, "examples/uaf_failstop.rs", line);
+            assert!(v.len() == 1 && v[0].contains("PhysMem::{load_cap, tag}"), "{line}: {v:?}");
+        }
+        for (file, line) in [
+            ("crates/core/src/revoker.rs", "machine.peek_tagged_caps_into(page, &mut caps);\n"),
+            ("crates/mem/src/hash.rs", "h.write_u64(id);\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.is_empty(), "{file}: {line}: {v:?}");
         }
         // Survivors that share a prefix with a banned call stay legal.
         for line in ["machine.set_event_recording(true);\n", "let r = Recorder::new();\n"] {

@@ -561,15 +561,9 @@ impl Machine {
 
     /// Kernel-mode peek at the tagged capabilities on a page, with no
     /// architectural checks and no traffic (the revoker charges traffic
-    /// separately via [`Machine::charge_page_scan`]).
-    #[must_use]
-    pub fn peek_tagged_caps(&self, page_addr: u64) -> Vec<(u64, Capability)> {
-        self.mem.phys().tagged_caps_in_page(page_addr).collect()
-    }
-
-    /// Allocation-free variant of [`Machine::peek_tagged_caps`]: clears
-    /// `out` and fills it with the page's tagged capabilities. The sweep
-    /// loop reuses one scratch buffer across every page it visits.
+    /// separately via [`Machine::charge_page_scan`]): clears `out` and
+    /// fills it with the page's tagged capabilities. The sweep loop reuses
+    /// one scratch buffer across every page it visits.
     pub fn peek_tagged_caps_into(&self, page_addr: u64, out: &mut Vec<(u64, Capability)>) {
         out.clear();
         out.extend(self.mem.phys().tagged_caps_in_page(page_addr));

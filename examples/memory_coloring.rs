@@ -43,10 +43,13 @@ fn main() {
     assert_eq!(q.color(), p.color() + 1);
 
     // Stores through the stale pointer are silently discarded: the new
-    // owner's data cannot be corrupted.
+    // owner's data cannot be corrupted. Its first word is a pointer, whose
+    // tag a data write that landed would clear.
     machine.write_data(3, &q, 1024).unwrap();
-    machine.mem_mut().phys_mut().write_u64(q.base(), 0x1a1a_1a1a);
+    machine.store_cap(3, &q, keeper).unwrap();
     let _ = machine.write_data(3, &stale, 8); // discarded
+    let (word, _) = machine.load_cap(3, &q).unwrap();
+    assert_eq!(word, keeper, "a stale store reached the new owner");
     println!("discarded stores so far: {}", machine.vm_stats().discarded_stores);
 
     // -- Revocation pressure drops ~16x ----------------------------------

@@ -36,14 +36,15 @@ fn attack_without_revocation() {
     // Victim allocates; LIFO free lists hand it the same storage.
     let victim = heap.alloc(&mut machine, 3, 256).unwrap().cap;
     assert_eq!(victim.base(), p.base(), "storage reused immediately");
-    machine.write_data(3, &victim, 8).unwrap();
-    machine.mem_mut().phys_mut().write_u64(victim.base(), SECRET);
+    // The secret is a plain word: an untagged capability carrying it.
+    machine.store_cap(3, &victim, Capability::null().set_addr(SECRET)).unwrap();
 
     // The attacker reads the victim's data through the stale pointer.
     let (stale, _) = machine.load_cap(3, &stash).unwrap();
     assert!(stale.is_tagged(), "without revocation the alias stays live");
-    machine.read_data(3, &stale, 8).unwrap();
-    let leaked = machine.mem().phys().read_u64(stale.base());
+    let (word, _) = machine.load_cap(3, &stale).unwrap();
+    assert!(!word.is_tagged(), "the victim's word is data, not a capability");
+    let leaked = word.addr();
     assert_eq!(leaked, SECRET);
     println!("baseline:        UAR succeeded — leaked {leaked:#x} through the dangling pointer");
 }

@@ -88,6 +88,8 @@ impl RefHierarchy {
 enum Via {
     TouchRead,
     TouchWrite,
+    /// A capability load, charged as `Machine::load_cap` charges it: a
+    /// read of its slot.
     LoadCap,
     StoreCap,
 }
@@ -118,9 +120,8 @@ impl Access {
     fn apply(&self, sys: &mut MemSystem) -> u64 {
         let (addr, len, _) = self.extent();
         match self.via {
-            Via::TouchRead => sys.touch_read(self.core, addr, len),
+            Via::TouchRead | Via::LoadCap => sys.touch_read(self.core, addr, len),
             Via::TouchWrite => sys.touch_write(self.core, addr, len),
-            Via::LoadCap => sys.load_cap(self.core, addr).1,
             Via::StoreCap => {
                 sys.store_cap(self.core, addr, Capability::new_root(0x4000, 128, Perms::rw()))
             }

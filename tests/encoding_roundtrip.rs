@@ -22,7 +22,7 @@ fn run_checked(label: &str, source: &mut dyn OpSource, config: SimConfig) -> usi
         sys.exec_batch(&buf).unwrap_or_else(|e| panic!("{label}: {e}"));
         let m = sys.machine();
         for page in m.mapped_pages() {
-            for (addr, cap) in m.peek_tagged_caps(page) {
+            for (addr, cap) in m.mem().phys().tagged_caps_in_page(page) {
                 assert_eq!(encode(&cap).map(decode), Ok(cap), "{label}: the capability at {addr:#x} does not round-trip");
                 checked += 1;
             }

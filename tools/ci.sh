@@ -49,10 +49,9 @@ cmp -s "$report_a" "$report_b" \
 
 echo "== examples (every one exits 0 and ends in its OK line) =="
 # Every examples/*.rs besides export_report, which the telemetry smoke
-# above runs. uaf_failstop and memory_coloring are the only callers of
-# PhysMem::{read,write}_u64 outside tests (the product-side users of a
-# frame's lazily made data plane); memory_coloring also drives Mrs's
-# colour mode by hand, outside System.
+# above runs. Each goes through Machine only: uaf_failstop reads its
+# leaked word through an untagged load's address residue, and
+# memory_coloring also drives Mrs's colour mode by hand, outside System.
 for path in examples/*.rs; do
     example="$(basename "$path" .rs)"
     [ "$example" = export_report ] && continue
