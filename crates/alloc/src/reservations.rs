@@ -54,9 +54,15 @@ impl MmapSpace {
     /// over a fresh (or recycled, post-revocation) reservation. The
     /// reservation is padded to CHERI representability; padding is guard-
     /// backed so it can never alias another mapping (footnote 26).
+    /// A length whose rounding overflows the address space, like one the
+    /// space cannot fit, is a [`VmFault::NotMapped`] at the bump pointer.
     pub fn mmap(&mut self, machine: &mut Machine, len: u64) -> Result<Capability, VmFault> {
-        let span = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let exhausted = VmFault::NotMapped { vaddr: self.bump };
+        let span = len.checked_next_multiple_of(PAGE_SIZE).ok_or(exhausted)?;
         let rlen = compress::representable_length(span);
+        if rlen < span {
+            return Err(exhausted);
+        }
         let align = compress::representable_alignment(rlen).max(PAGE_SIZE);
         let base = self
             .free
@@ -65,17 +71,14 @@ impl MmapSpace {
             .map(|i| self.free.swap_remove(i).0)
             .map_or_else(
                 || {
-                    let b = self.bump.div_ceil(align) * align;
-                    if b + rlen > self.base + self.len {
-                        None
-                    } else {
-                        self.bump = b + rlen;
-                        Some(b)
-                    }
+                    let b = self.bump.checked_next_multiple_of(align)?;
+                    let end = b.checked_add(rlen).filter(|&end| end <= self.base + self.len)?;
+                    self.bump = end;
+                    Some(b)
                 },
                 Some,
             )
-            .ok_or(VmFault::NotMapped { vaddr: self.bump })?;
+            .ok_or(exhausted)?;
         machine.map_range(base, span, MapFlags::user_rw())?;
         if rlen > span {
             machine.map_range(base + span, rlen - span, MapFlags::guard())?;
@@ -199,6 +202,15 @@ mod tests {
                 rev.finish_stw(m, 1);
             }
         }
+    }
+
+    #[test]
+    fn an_mmap_whose_rounding_overflows_faults_instead_of_panicking() {
+        let (mut m, _, mut sp) = setup();
+        for len in [u64::MAX, u64::MAX - PAGE_SIZE + 1, u64::MAX - (1 << 40)] {
+            assert!(matches!(sp.mmap(&mut m, len), Err(VmFault::NotMapped { .. })), "{len:#x}");
+        }
+        assert_eq!(sp.mmap(&mut m, 10_000).unwrap().len(), 10_000);
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl SnmallocLite {
             };
             (base, c.size, Some(c.index))
         } else {
-            let len = chunk_len(size);
+            let len = chunk_len(size).ok_or(AllocError::OutOfMemory)?;
             // Best-fit reuse: the smallest recycled chunk that fits with at
             // most 2x waste (chunk lengths are quantized by `chunk_len` to
             // keep the bucket count small).
@@ -256,11 +256,11 @@ impl SnmallocLite {
 
 /// Rounds a large request to whole pages, quantized to 16 KiB buckets
 /// (limiting the number of distinct free-chunk sizes), and to CHERI
-/// representability.
-fn chunk_len(size: u64) -> u64 {
+/// representability; `None` when the rounding overflows the address space.
+fn chunk_len(size: u64) -> Option<u64> {
     let quantum = (16 * 1024).max(cheri_mem::PAGE_SIZE);
-    let quantized = size.div_ceil(quantum) * quantum;
-    compress::representable_length(quantized)
+    let quantized = size.checked_next_multiple_of(quantum)?;
+    Some(compress::representable_length(quantized)).filter(|&len| len >= quantized)
 }
 
 #[cfg(test)]
@@ -270,6 +270,15 @@ mod tests {
     fn setup() -> (Machine, SnmallocLite) {
         let layout = HeapLayout::new(0x4000_0000, 16 << 20);
         (Machine::new(1), SnmallocLite::new(layout))
+    }
+
+    #[test]
+    fn a_size_whose_rounding_overflows_is_out_of_memory() {
+        let (mut m, mut a) = setup();
+        for size in [u64::MAX, u64::MAX - (16 << 10) + 1, u64::MAX - (1 << 40)] {
+            assert_eq!(a.alloc(&mut m, 0, size).unwrap_err(), AllocError::OutOfMemory, "{size:#x}");
+        }
+        assert_eq!(a.alloc(&mut m, 0, 100).unwrap().cap.len(), 100);
     }
 
     #[test]

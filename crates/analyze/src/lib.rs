@@ -37,32 +37,17 @@
 //!     Op::Free { obj: 1 },
 //!     Op::ReadData { obj: 1, len: 8 }, // use-after-free
 //! ];
-//! let report = analyze(workloads_free_slice(ops), AnalyzerConfig::default());
+//! let report = analyze(ops.into_iter(), AnalyzerConfig::default());
 //! assert!(report.malformed);
 //! assert_eq!(report.count(DiagnosticKind::UseAfterFree), 1);
-//!
-//! // A minimal in-crate OpSource so the doctest has no workloads dep.
-//! fn workloads_free_slice(ops: Vec<morello_sim::Op>) -> impl morello_sim::OpSource {
-//!     struct V(std::vec::IntoIter<morello_sim::Op>);
-//!     impl morello_sim::OpSource for V {
-//!         fn refill(&mut self, buf: &mut Vec<morello_sim::Op>) -> usize {
-//!             let mut n = 0;
-//!             for op in self.0.by_ref().take(morello_sim::OP_BATCH) {
-//!                 buf.push(op);
-//!                 n += 1;
-//!             }
-//!             n
-//!         }
-//!     }
-//!     V(ops.into_iter())
-//! }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cheri_mem::{FastMap, FastSet};
-use morello_sim::{Json, ObjId, Op, OpSource, SimConfig, OP_BATCH};
+use morello_sim::{for_each_batch, Json, ObjId, Op, OpSource, SimConfig};
+use std::convert::Infallible;
 
 /// Capability granule: slot addresses and tag coverage are 16-byte units.
 const CAP_SIZE: u64 = 16;
@@ -868,16 +853,10 @@ impl Analyzer {
 /// Drains `source` through a fresh [`Analyzer`].
 pub fn analyze<S: OpSource>(mut source: S, cfg: AnalyzerConfig) -> Report {
     let mut a = Analyzer::new(cfg);
-    let mut buf = Vec::with_capacity(OP_BATCH);
-    loop {
-        buf.clear();
-        if source.refill(&mut buf) == 0 {
-            break;
-        }
-        for &op in &buf {
-            a.push(op);
-        }
-    }
+    let Ok(()) = for_each_batch(&mut source, |batch| {
+        batch.iter().for_each(|&op| a.push(op));
+        Ok::<(), Infallible>(())
+    });
     a.finish()
 }
 

@@ -1,10 +1,9 @@
-//! Hand-built [`SliceSource`] fixtures exercising every diagnostic kind
+//! Hand-built op-list fixtures exercising every diagnostic kind
 //! the analyzer can report, plus the recovery semantics (malformed ops
 //! are skipped, not cascaded).
 
 use analyze::{analyze, AnalyzerConfig, DiagnosticKind, Severity, StaleChase};
 use morello_sim::Op;
-use workloads::SliceSource;
 
 fn cfg() -> AnalyzerConfig {
     // A tiny root table so the fixture can trigger aliasing with small IDs.
@@ -42,7 +41,7 @@ fn kitchen_sink() -> Vec<Op> {
 
 #[test]
 fn every_diagnostic_kind_fires_once_in_the_fixture() {
-    let report = analyze(SliceSource::new(kitchen_sink()), cfg());
+    let report = analyze(kitchen_sink().into_iter(), cfg());
     assert!(report.malformed);
     for kind in DiagnosticKind::ALL {
         let expected = match kind {
@@ -59,7 +58,7 @@ fn every_diagnostic_kind_fires_once_in_the_fixture() {
 
 #[test]
 fn severities_partition_the_kinds() {
-    let report = analyze(SliceSource::new(kitchen_sink()), cfg());
+    let report = analyze(kitchen_sink().into_iter(), cfg());
     let malformed: u64 = DiagnosticKind::ALL
         .iter()
         .filter(|k| k.severity() == Severity::Malformed)
@@ -74,7 +73,7 @@ fn severities_partition_the_kinds() {
 
 #[test]
 fn diagnostics_carry_op_indices_in_program_order() {
-    let report = analyze(SliceSource::new(kitchen_sink()), cfg());
+    let report = analyze(kitchen_sink().into_iter(), cfg());
     let indices: Vec<u64> = report.diagnostics.iter().map(|d| d.op_index).collect();
     let mut sorted = indices.clone();
     sorted.sort_unstable();
@@ -88,8 +87,8 @@ fn diagnostics_carry_op_indices_in_program_order() {
 
 #[test]
 fn fixture_report_json_is_digest_stable() {
-    let a = analyze(SliceSource::new(kitchen_sink()), cfg()).to_json().render();
-    let b = analyze(SliceSource::new(kitchen_sink()), cfg()).to_json().render();
+    let a = analyze(kitchen_sink().into_iter(), cfg()).to_json().render();
+    let b = analyze(kitchen_sink().into_iter(), cfg()).to_json().render();
     assert_eq!(a, b);
     assert!(a.contains("\"malformed\":true"));
     // FNV-1a 64 of the document, captured from the `BTreeMap`/SipHash
@@ -111,7 +110,7 @@ fn recovery_keeps_later_analysis_accurate() {
         Op::WriteData { obj: 5, len: 128 },
         Op::Free { obj: 5 },
     ]);
-    let report = analyze(SliceSource::new(ops), cfg());
+    let report = analyze(ops.into_iter(), cfg());
     // The epilogue added no new malformed diagnostics.
     assert_eq!(report.malformed_count(), 6);
     // And obj 5's lifetime is recorded as closed.

@@ -13,7 +13,6 @@ use morello_sim::{ObjId, Op};
 use simtest::check::vec_of;
 use simtest::sim_assert_eq;
 use std::collections::BTreeMap;
-use workloads::SliceSource;
 
 /// A root table smaller than the id space, so ids alias.
 const MAX_OBJECTS: u64 = 8;
@@ -195,7 +194,7 @@ simtest::props! {
         }
 
         let cfg = AnalyzerConfig { max_objects: MAX_OBJECTS, ..AnalyzerConfig::default() };
-        let report = analyze(SliceSource::new(ops), cfg);
+        let report = analyze(ops.into_iter(), cfg);
 
         let mut seen = [0usize; DiagnosticKind::ALL.len()];
         let kind_index = |k| DiagnosticKind::ALL.iter().position(|&x| x == k).expect("in ALL");

@@ -104,7 +104,8 @@ pub enum Command {
         /// Where the trace file goes.
         out: String,
     },
-    /// `repro trace replay <in.trace> [condition]`.
+    /// `repro trace replay <in.trace> [condition]`: runs the trace under
+    /// the configuration its `#!sim.*` lines record.
     TraceReplay {
         /// The trace file to load.
         path: String,

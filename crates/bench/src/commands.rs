@@ -26,11 +26,13 @@ use crate::orchestrator::{self, parallel_cells, repro_file_name, JobFailure, Job
 use crate::plan::{distinct_programs, MatrixPlan};
 use crate::report::{self, Section};
 use analyze::Report;
-use morello_sim::{trace, Condition, Json, SimConfig, System};
+use morello_sim::{trace, Condition, Json, Op, OpSource, SimConfig, System};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
-use workloads::{grpc_qps, pgbench, spec_stream, GrpcParams, PgbenchParams};
+use workloads::{
+    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, StreamedWorkload,
+};
 
 /// Runs one parsed subcommand to completion.
 ///
@@ -300,32 +302,36 @@ fn opcheck(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn trace_dump(workload: TraceWorkload, out: &str) -> Result<ExitCode, String> {
-    let w = match workload {
+    let (name, config, ops) = match workload {
         TraceWorkload::Pgbench => {
-            pgbench(PgbenchParams { transactions: 2000, ..Default::default() })
+            collected(pgbench_stream(PgbenchParams { transactions: 2000, ..Default::default() }))
         }
-        TraceWorkload::Grpc => grpc_qps(GrpcParams { messages: 2000, ..Default::default() }),
-        TraceWorkload::Spec(program) => spec_stream(program, 42).materialize(),
+        TraceWorkload::Grpc => {
+            collected(grpc_stream(GrpcParams { messages: 2000, ..Default::default() }))
+        }
+        TraceWorkload::Spec(program) => collected(spec_stream(program, 42)),
     };
     let mut meta = trace::TraceMeta::new();
-    meta.insert("workload".into(), w.name.clone());
-    meta.insert("ops".into(), w.ops.len().to_string());
-    trace::save_trace_to_path(&w.ops, &meta, out).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {} ops of {} to {out}", w.ops.len(), w.name);
+    meta.insert("workload".into(), name.clone());
+    meta.insert("ops".into(), ops.len().to_string());
+    trace::insert_config(&mut meta, &config);
+    trace::save_trace_to_path(&ops, &meta, out).map_err(|e| format!("write {out}: {e}"))?;
+    println!("wrote {} ops of {name} to {out}", ops.len());
     Ok(ExitCode::SUCCESS)
+}
+
+/// A workload's name, tuned configuration and collected ops.
+fn collected<S: OpSource>(w: StreamedWorkload<S>) -> (String, SimConfig, Vec<Op>) {
+    (w.name, w.config, w.source.collect_ops())
 }
 
 fn trace_replay(path: &str, condition: Condition) -> Result<ExitCode, String> {
     let (ops, meta) = trace::load_trace_from_path(path).map_err(|e| e.to_string())?;
+    let cfg = trace::config_from_meta(&meta).map_err(|e| format!("{path}: {e}"))?;
     if let Some(workload) = meta.get("workload") {
         println!("trace metadata: workload {workload}");
     }
-    let cfg = SimConfig::builder()
-        .condition(condition)
-        .min_quarantine(128 << 10)
-        .build()
-        .expect("replay config");
-    match System::new(cfg).run(ops) {
+    match System::new(cfg.with_condition(condition)).run_stream(&mut ops.into_iter()) {
         Ok(s) => println!(
             "{}: wall {:.1} ms, {} revocations, {} faults, max pause {:.3} ms, {} MDRAM",
             condition.label(),

@@ -28,10 +28,11 @@ use crate::harness::{Scale, CONDITIONS, GRPC_CONDITIONS, RATE_SCHEDULE};
 use analyze::{Analyzer, AnalyzerConfig, Report};
 use cornucopia::PteUpdateMode;
 use morello_sim::{
-    Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig, System, TelemetryConfig,
-    OP_BATCH,
+    for_each_batch, Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig, System,
+    TelemetryConfig,
 };
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use workloads::{
     grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram, SPEC_PROGRAMS,
 };
@@ -360,16 +361,10 @@ impl JobSpec {
     pub fn analyze(&self, corrupt_double_free: bool) -> Report {
         self.with_stream(|source, config| {
             let mut a = Analyzer::new(AnalyzerConfig::from_sim(&config));
-            let mut buf = Vec::with_capacity(OP_BATCH);
-            loop {
-                buf.clear();
-                if source.refill(&mut buf) == 0 {
-                    break;
-                }
-                for &op in &buf {
-                    a.push(op);
-                }
-            }
+            let Ok(()) = for_each_batch(source, |batch| {
+                batch.iter().for_each(|&op| a.push(op));
+                Ok::<(), Infallible>(())
+            });
             if corrupt_double_free {
                 a.push(Op::Alloc { obj: u64::MAX, size: 64 });
                 a.push(Op::Free { obj: u64::MAX });

@@ -4,11 +4,12 @@
 //! checkpoint the run cannot open or compact and an output path it could
 //! not write once the work is done.
 
-use morello_sim::Condition;
+use morello_sim::{Condition, System};
 use rev_bench::cli::{self, Command};
 use rev_bench::report::{ABLATIONS, SECTIONS};
 use std::path::{Path, PathBuf};
 use std::process::Output;
+use workloads::{grpc_stream, GrpcParams};
 
 fn parse(args: &[&str]) -> Result<Command, String> {
     cli::parse(args.iter().map(ToString::to_string))
@@ -78,6 +79,39 @@ fn trace_replay_defaults_to_reloaded_but_rejects_a_mistyped_condition() {
     }
     let e = parse(&["trace", "replay", "p.trace", "cornucopa"]).unwrap_err();
     assert!(e.contains("cornucopa") && e.contains("baseline|cherivoke|cornucopia"), "{e}");
+}
+
+#[test]
+fn trace_replay_runs_under_the_dumped_workloads_config() {
+    let dir = scratch("trace-replay");
+    let path = dir.join("grpc.trace");
+    let path = path.to_str().unwrap();
+    assert!(repro(&["trace", "dump", "grpc", path]).status.success());
+    let replay = repro(&["trace", "replay", path]);
+    let stdout = String::from_utf8_lossy(&replay.stdout);
+    assert!(replay.status.success(), "{stdout}");
+
+    let mut w = grpc_stream(GrpcParams { messages: 2000, ..Default::default() });
+    let tuned = System::new(w.config.with_condition(Condition::reloaded()))
+        .run_stream(&mut w.source)
+        .unwrap();
+    let expect =
+        format!("Reloaded: wall {:.1} ms, {} revocations,", tuned.wall_ms(), tuned.revocations);
+    assert!(stdout.contains(&expect), "expected {expect:?} in {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_trace_with_a_bad_config_value_exits_2_naming_the_key() {
+    let dir = scratch("trace-bad-config");
+    let path = dir.join("bad.trace");
+    std::fs::write(&path, "#cornucopia-trace v2\n#!sim.revoker_threads 0\nA 1 64\n").unwrap();
+    let replay = repro(&["trace", "replay", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&replay.stderr);
+    assert_eq!(replay.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("sim.revoker_threads"), "{stderr}");
+    assert!(replay.stdout.is_empty(), "a refused trace runs nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -43,8 +43,10 @@ pub fn representable_alignment(len: u64) -> u64 {
 
 /// Rounds `len` up to the next representable length (the CRRL operation).
 ///
-/// Guarantees `representable_length(len) >= len` and that the result is a
-/// multiple of [`representable_alignment`] of itself.
+/// The result is a multiple of [`representable_alignment`] of itself, and
+/// `>= len` unless rounding up overflows 64 bits (`len` within one
+/// alignment step of `u64::MAX`): then it is `len` rounded *down*, so a
+/// caller that needs the bound checks `representable_length(len) >= len`.
 #[must_use]
 pub fn representable_length(len: u64) -> u64 {
     let e = exponent_stable(len);
@@ -159,6 +161,15 @@ mod tests {
         let r = representable_length(len);
         assert!(r >= len);
         assert_eq!(r % representable_alignment(r), 0);
+    }
+
+    #[test]
+    fn rounding_that_overflows_rounds_down() {
+        for len in [u64::MAX, u64::MAX - (1 << 40)] {
+            let r = representable_length(len);
+            assert!(r < len, "len={len:#x}");
+            assert_eq!(r % representable_alignment(r), 0);
+        }
     }
 
     #[test]

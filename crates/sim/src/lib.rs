@@ -41,7 +41,7 @@
 //! ops.push(Op::TxEnd { id: 0 });
 //!
 //! let cfg = SimConfig::builder().condition(Condition::reloaded()).build().unwrap();
-//! let report = System::new(cfg).run(ops).unwrap();
+//! let report = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
 //! assert!(report.wall_cycles > 0); // derefs to RunStats
 //! assert_eq!(report.tx_latencies.len(), 1);
 //! ```
@@ -60,7 +60,7 @@ pub mod trace;
 
 pub use config::{Condition, ConfigError, SimConfig, SimConfigBuilder, TelemetryConfig};
 pub use json::{Json, JsonError};
-pub use ops::{ObjId, Op, OpSource, OP_BATCH};
+pub use ops::{for_each_batch, ObjId, Op, OpSource, OP_BATCH};
 pub use report::{RunReport, REPORT_VERSION};
 pub use stats::{percentile, BoxStats, Dist, LatencySummary, RunStats, CYCLES_PER_MS, CYCLES_PER_SEC};
 pub use system::{SimError, System};

@@ -117,12 +117,12 @@ pub enum Op {
 /// buffer stays comfortably inside one L1 data cache's worth of stream.
 pub const OP_BATCH: usize = 1024;
 
-/// A pull-based supplier of operations.
+/// A pull-based supplier of operations: the one form a workload takes.
 ///
-/// This is the streaming alternative to materializing a whole workload as
-/// a `Vec<Op>`: a source regenerates its stream lazily from internal
-/// (typically RNG) state, so the resident footprint is one batch buffer
-/// plus the generator state instead of the entire op vector.
+/// A source regenerates its stream lazily from internal (typically RNG)
+/// state, so the resident footprint is one batch buffer plus the
+/// generator state instead of the entire op vector. A literal op list is
+/// a source too: `ops.into_iter()`.
 ///
 /// The contract: `refill` **appends** a source-chosen batch of ops to
 /// `buf` (aiming for about [`OP_BATCH`], but any positive amount is legal)
@@ -136,8 +136,8 @@ pub trait OpSource {
     /// appended, with `0` signalling exhaustion.
     fn refill(&mut self, buf: &mut Vec<Op>) -> usize;
 
-    /// Drains the remaining stream into a fresh vector (the materialized
-    /// form; useful for oracles and tests).
+    /// Drains the remaining stream into a fresh vector: the one
+    /// materializer (for oracles, traces and tests).
     fn collect_ops(mut self) -> Vec<Op>
     where
         Self: Sized,
@@ -151,5 +151,67 @@ pub trait OpSource {
 impl<S: OpSource + ?Sized> OpSource for &mut S {
     fn refill(&mut self, buf: &mut Vec<Op>) -> usize {
         (**self).refill(buf)
+    }
+}
+
+/// A literal op list streams in [`OP_BATCH`]-sized batches.
+impl OpSource for std::vec::IntoIter<Op> {
+    fn refill(&mut self, buf: &mut Vec<Op>) -> usize {
+        let before = buf.len();
+        buf.extend(self.by_ref().take(OP_BATCH));
+        buf.len() - before
+    }
+}
+
+/// Drains `source` batch by batch through one reused buffer, handing each
+/// batch to `f`; stops when the stream ends or at `f`'s first error. The
+/// one refill loop: running, analysing and counting a stream all go
+/// through here.
+#[inline]
+pub fn for_each_batch<S: OpSource + ?Sized, E>(
+    source: &mut S,
+    mut f: impl FnMut(&[Op]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut buf = Vec::with_capacity(OP_BATCH);
+    loop {
+        buf.clear();
+        if source.refill(&mut buf) == 0 {
+            return Ok(());
+        }
+        f(&buf)?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_vec_streams_in_full_batches_then_the_rest() {
+        let ops: Vec<Op> = (0..2_500).map(|i| Op::Compute { cycles: i }).collect();
+        let mut src = ops.clone().into_iter();
+        let mut first = Vec::new();
+        assert_eq!(src.refill(&mut first), OP_BATCH, "full batches first");
+        let mut rest = first.clone();
+        while src.refill(&mut rest) > 0 {}
+        assert_eq!(rest, ops);
+        assert_eq!(src.refill(&mut rest), 0, "an exhausted list stays exhausted");
+    }
+
+    #[test]
+    fn for_each_batch_sees_every_op_and_stops_at_the_first_error() {
+        let ops: Vec<Op> = (0..2_500).map(|i| Op::Compute { cycles: i }).collect();
+        let mut seen = Vec::new();
+        let done: Result<(), ()> = for_each_batch(&mut ops.clone().into_iter(), |batch| {
+            seen.extend_from_slice(batch);
+            Ok(())
+        });
+        assert_eq!((done, seen), (Ok(()), ops.clone()));
+        let mut batches = 0;
+        let err = for_each_batch(&mut ops.into_iter(), |_| {
+            batches += 1;
+            Err(batches)
+        });
+        assert_eq!((err, batches), (Err(1), 1));
     }
 }

@@ -1,7 +1,7 @@
 //! The unified run artifact: statistics plus telemetry, exportable as
 //! deterministic JSON and CSV.
 //!
-//! [`RunReport`] is what [`crate::System::run`] returns. It wraps the
+//! [`RunReport`] is what [`crate::System::run_stream`] returns. It wraps the
 //! familiar [`RunStats`] (and derefs to it, so `report.wall_cycles` and
 //! `report.latency_summary()` keep working at every old call site)
 //! together with whatever the run's telemetry recorded (nothing unless

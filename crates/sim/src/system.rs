@@ -1,7 +1,7 @@
 //! The simulated system: machine + revoker + heap, driven by an op stream.
 
 use crate::config::{Condition, SimConfig};
-use crate::ops::{ObjId, Op, OpSource, OP_BATCH};
+use crate::ops::{for_each_batch, ObjId, Op, OpSource};
 use crate::report::RunReport;
 use crate::stats::RunStats;
 use crate::telemetry::{Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent};
@@ -93,7 +93,7 @@ struct LinkEntry {
 }
 
 /// The simulated system. Construct with [`System::new`], execute with
-/// [`System::run`], or drive op-by-op with [`System::exec`] and finish
+/// [`System::run_stream`], or drive op-by-op with [`System::exec`] and finish
 /// with [`System::finish`].
 #[derive(Debug)]
 pub struct System {
@@ -257,38 +257,15 @@ impl System {
     }
 
     /// Runs an op stream to completion and returns the [`RunReport`]
-    /// (statistics + telemetry; derefs to [`RunStats`]).
-    pub fn run(mut self, ops: impl IntoIterator<Item = Op>) -> Result<RunReport, SimError> {
-        let mut iter = ops.into_iter();
-        let mut buf = Vec::with_capacity(OP_BATCH);
-        loop {
-            buf.clear();
-            buf.extend(iter.by_ref().take(OP_BATCH));
-            if buf.is_empty() {
-                break;
-            }
-            self.exec_batch(&buf)?;
-        }
-        Ok(self.finish())
-    }
-
-    /// Runs a lazily-generated op stream to completion, pulling batches
-    /// from `source` into one reused buffer. Resident footprint is
-    /// O([`OP_BATCH`] + generator state) instead of O(stream length), and
-    /// the resulting [`RunStats`] are bit-identical to materializing the
-    /// same stream and calling [`System::run`].
+    /// (statistics + telemetry; derefs to [`RunStats`]). Batches are
+    /// pulled from `source` into one reused buffer, so the resident
+    /// footprint is O([`OP_BATCH`](crate::OP_BATCH) + generator state); a
+    /// literal op list runs as `&mut ops.into_iter()`.
     pub fn run_stream<S: OpSource + ?Sized>(
         mut self,
         source: &mut S,
     ) -> Result<RunReport, SimError> {
-        let mut buf = Vec::with_capacity(OP_BATCH);
-        loop {
-            buf.clear();
-            if source.refill(&mut buf) == 0 {
-                break;
-            }
-            self.exec_batch(&buf)?;
-        }
+        for_each_batch(source, |batch| self.exec_batch(batch))?;
         Ok(self.finish())
     }
 
@@ -1035,7 +1012,7 @@ mod tests {
     use super::*;
     use crate::config::TelemetryConfig;
 
-    fn churn_ops(n: u64, size: u64) -> Vec<Op> {
+    fn churn_ops(n: u64, size: u64) -> std::vec::IntoIter<Op> {
         let mut ops = Vec::new();
         for i in 0..n {
             ops.push(Op::TxBegin { id: i });
@@ -1046,12 +1023,12 @@ mod tests {
             ops.push(Op::Free { obj: i % 64 });
             ops.push(Op::TxEnd { id: i });
         }
-        ops
+        ops.into_iter()
     }
 
     fn run(condition: Condition, min_q: u64) -> RunStats {
         let cfg = SimConfig::builder().condition(condition).min_quarantine(min_q).build().unwrap();
-        System::new(cfg).run(churn_ops(2000, 4096)).unwrap().into_stats()
+        System::new(cfg).run_stream(&mut churn_ops(2000, 4096)).unwrap().into_stats()
     }
 
     #[test]
@@ -1128,7 +1105,7 @@ mod tests {
             .min_quarantine(256 << 10)
             .build()
             .unwrap();
-        let s = System::new(cfg).run(churn_ops(2000, 4096)).unwrap();
+        let s = System::new(cfg).run_stream(&mut churn_ops(2000, 4096)).unwrap();
         assert_eq!(s.revoker_cores, [REV_CORE, 0, 1, 4], "REV_CORE, then the lowest ids bar APP_CORE");
         assert!(!s.revoker_cores.contains(&APP_CORE));
         let mut distinct = s.revoker_cores.clone();
@@ -1152,7 +1129,7 @@ mod tests {
             .colors(4)
             .build()
             .unwrap();
-        let colored = System::new(cfg).run(churn_ops(2000, 4096)).unwrap();
+        let colored = System::new(cfg).run_stream(&mut churn_ops(2000, 4096)).unwrap();
         assert_eq!((colored.allocs, colored.frees), (plain.allocs, plain.frees));
         assert!(
             colored.revocations < plain.revocations,
@@ -1177,7 +1154,7 @@ mod tests {
             .tx_interval(interval)
             .build()
             .unwrap();
-        let s = System::new(cfg).run(churn_ops(50, 256)).unwrap();
+        let s = System::new(cfg).run_stream(&mut churn_ops(50, 256)).unwrap();
         // Wall must cover the schedule span.
         assert!(s.wall_cycles >= interval * 49);
     }
@@ -1192,7 +1169,7 @@ mod tests {
             .min_quarantine(64 << 10)
             .build()
             .unwrap();
-        let s = System::new(cfg).run(churn_ops(3000, 8192)).unwrap();
+        let s = System::new(cfg).run_stream(&mut churn_ops(3000, 8192)).unwrap();
         assert!(s.revocations > 0);
     }
 
@@ -1209,7 +1186,7 @@ mod tests {
             .telemetry(TelemetryConfig::full(50_000_000))
             .build()
             .unwrap();
-        let report = System::new(cfg).run(churn_ops(3000, 8192)).unwrap();
+        let report = System::new(cfg).run_stream(&mut churn_ops(3000, 8192)).unwrap();
         // Every retry succeeded (run returned Ok) and every pass was forced
         // by OOM, never by free-path policy.
         assert!(report.revocations > 0, "forced turnover never ran");
@@ -1245,6 +1222,34 @@ mod tests {
         assert_eq!(sys.exec(Op::Alloc { obj: 7, size: 64 }), Err(SimError::SlotBusy(7)));
     }
 
+    #[test]
+    fn a_malloc_near_size_max_is_out_of_memory() {
+        for condition in [Condition::baseline(), Condition::reloaded()] {
+            let mut sys = System::new(SimConfig::default().with_condition(condition));
+            for size in [u64::MAX, u64::MAX - (16 << 10) + 1] {
+                let got = sys.exec(Op::Alloc { obj: 1, size });
+                assert_eq!(got, Err(SimError::OutOfMemory), "{} size {size:#x}", condition.label());
+            }
+            sys.exec(Op::Alloc { obj: 1, size: 64 }).unwrap();
+        }
+    }
+
+    #[test]
+    fn an_mmap_of_size_max_is_out_of_memory_under_every_condition() {
+        for condition in [
+            Condition::baseline(),
+            Condition::paint_sync(),
+            Condition::cherivoke(),
+            Condition::cornucopia(),
+            Condition::reloaded(),
+        ] {
+            let mut sys = System::new(SimConfig::default().with_condition(condition));
+            let got = sys.exec(Op::Mmap { obj: 1, len: u64::MAX });
+            assert_eq!(got, Err(SimError::OutOfMemory), "{}", condition.label());
+            sys.exec(Op::Mmap { obj: 1, len: 8192 }).unwrap();
+        }
+    }
+
     fn telemetry_cfg(condition: Condition) -> SimConfig {
         SimConfig::builder()
             .condition(condition)
@@ -1258,7 +1263,7 @@ mod tests {
     fn telemetry_does_not_perturb_the_simulation() {
         let plain = run(Condition::reloaded(), 256 << 10);
         let traced = System::new(telemetry_cfg(Condition::reloaded()))
-            .run(churn_ops(2000, 4096))
+            .run_stream(&mut churn_ops(2000, 4096))
             .unwrap();
         assert_eq!(plain.wall_cycles, traced.wall_cycles);
         assert_eq!(plain.tx_latencies, traced.tx_latencies);
@@ -1270,7 +1275,7 @@ mod tests {
     #[test]
     fn null_sink_collects_nothing() {
         let cfg = SimConfig::builder().min_quarantine(256 << 10).build().unwrap();
-        let report = System::new(cfg).run(churn_ops(500, 4096)).unwrap();
+        let report = System::new(cfg).run_stream(&mut churn_ops(500, 4096)).unwrap();
         assert!(report.telemetry().is_empty());
     }
 
@@ -1278,7 +1283,7 @@ mod tests {
     fn recorder_captures_events_spans_and_samples() {
         use crate::telemetry::{SpanKind, TelemetryEvent};
         let report = System::new(telemetry_cfg(Condition::reloaded()))
-            .run(churn_ops(2000, 4096))
+            .run_stream(&mut churn_ops(2000, 4096))
             .unwrap();
         let t = report.telemetry();
         assert!(!t.samples.is_empty(), "sampler never fired");
@@ -1318,11 +1323,11 @@ mod tests {
     #[test]
     fn report_json_is_byte_identical_across_runs() {
         let a = System::new(telemetry_cfg(Condition::reloaded()))
-            .run(churn_ops(1000, 4096))
+            .run_stream(&mut churn_ops(1000, 4096))
             .unwrap()
             .to_json();
         let b = System::new(telemetry_cfg(Condition::reloaded()))
-            .run(churn_ops(1000, 4096))
+            .run_stream(&mut churn_ops(1000, 4096))
             .unwrap()
             .to_json();
         assert_eq!(a, b);
@@ -1340,7 +1345,7 @@ mod tests {
             .telemetry(TelemetryConfig::full(1_000_000))
             .build()
             .unwrap();
-        let report = System::new(cfg).run(churn_ops(1000, 4096)).unwrap();
+        let report = System::new(cfg).run_stream(&mut churn_ops(1000, 4096)).unwrap();
         let t = report.telemetry();
         assert!(!t.events.is_empty(), "no events");
         assert!(!t.spans.is_empty(), "no spans");

@@ -21,9 +21,13 @@
 //!
 //! Metadata lines of the form `#!key value` follow the header (sorted by
 //! key on write, so equal traces serialize identically) — provenance such
-//! as the generating workload, seed, or scale travels with the ops.
+//! as the generating workload, seed, or scale travels with the ops, and so
+//! does the [`SimConfig`] the workload was tuned for, as `#!sim.<field>`
+//! keys ([`insert_config`], [`config_from_meta`]).
 
+use crate::config::{ConfigError, SimConfig, SimConfigBuilder};
 use crate::ops::Op;
+use cornucopia::PteUpdateMode;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -55,6 +59,14 @@ pub enum TraceError {
         /// The offending key.
         key: String,
     },
+    /// A `#!sim.<field>` key is unknown, its value does not parse, or the
+    /// configuration it sets is rejected by the builder.
+    BadConfig {
+        /// The offending key.
+        key: String,
+        /// Why it was refused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -64,6 +76,7 @@ impl fmt::Display for TraceError {
             TraceError::BadHeader => write!(f, "missing `{TRACE_HEADER}` header"),
             TraceError::Parse { line, text } => write!(f, "trace parse error at line {line}: {text:?}"),
             TraceError::BadMeta { key } => write!(f, "unserializable trace metadata key {key:?}"),
+            TraceError::BadConfig { key, reason } => write!(f, "trace metadata key {key}: {reason}"),
         }
     }
 }
@@ -87,6 +100,96 @@ fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
     }) {
         Some((key, _)) => Err(TraceError::BadMeta { key: key.clone() }),
         None => Ok(()),
+    }
+}
+
+/// Prefix of the metadata keys that carry a trace's [`SimConfig`].
+const CONFIG_PREFIX: &str = "sim.";
+
+/// A recorded [`SimConfig`] field: its name, its value as written, and
+/// its setter from that text (`None` when the text does not parse).
+type ConfigField =
+    (&'static str, fn(&SimConfig) -> String, fn(SimConfigBuilder, &str) -> Option<SimConfigBuilder>);
+
+/// A field written with `Display` and read back with `FromStr`.
+macro_rules! plain_field {
+    ($name:ident) => {
+        (stringify!($name), |c| c.$name.to_string(), |b, v| Some(b.$name(v.parse().ok()?)))
+    };
+}
+
+/// Every field a workload tunes: all but the condition (a replay chooses
+/// it) and telemetry.
+const CONFIG_FIELDS: [ConfigField; 11] = [
+    plain_field!(heap_len),
+    plain_field!(max_objects),
+    plain_field!(min_quarantine),
+    plain_field!(quarantine_divisor),
+    plain_field!(app_threads),
+    plain_field!(spare_revoker_core),
+    plain_field!(revoker_threads),
+    plain_field!(colors),
+    plain_field!(latency_from_arrival),
+    (
+        "tx_interval",
+        |c| c.tx_interval.map_or_else(|| "none".to_string(), |t| t.to_string()),
+        |b, v| Some(b.tx_interval(if v == "none" { None } else { Some(v.parse().ok()?) })),
+    ),
+    (
+        "pte_mode",
+        |c| match c.pte_mode {
+            PteUpdateMode::Generation => "generation".to_string(),
+            PteUpdateMode::RewriteEachEpoch => "rewrite-each-epoch".to_string(),
+        },
+        |b, v| match v {
+            "generation" => Some(b.pte_mode(PteUpdateMode::Generation)),
+            "rewrite-each-epoch" => Some(b.pte_mode(PteUpdateMode::RewriteEachEpoch)),
+            _ => None,
+        },
+    ),
+];
+
+/// Records `cfg` in `meta` as one `#!sim.<field> value` key per
+/// [`CONFIG_FIELDS`] entry; [`config_from_meta`] reads them back.
+pub fn insert_config(meta: &mut TraceMeta, cfg: &SimConfig) {
+    for (field, value, _) in CONFIG_FIELDS {
+        meta.insert(format!("{CONFIG_PREFIX}{field}"), value(cfg));
+    }
+}
+
+/// The configuration a trace's `#!sim.<field>` keys describe, built
+/// through [`SimConfig::builder`]: a missing key keeps
+/// [`SimConfig::default`]'s value, so a trace dumped without them replays
+/// under the defaults. Set the condition with [`SimConfig::with_condition`].
+///
+/// # Errors
+///
+/// [`TraceError::BadConfig`] naming the key, for an unknown `sim.` key,
+/// an unparsable value, or a value the builder rejects.
+pub fn config_from_meta(meta: &TraceMeta) -> Result<SimConfig, TraceError> {
+    let bad = |key: &str, reason: String| TraceError::BadConfig { key: key.to_string(), reason };
+    let mut b = SimConfig::builder();
+    for (key, value) in meta {
+        let Some(field) = key.strip_prefix(CONFIG_PREFIX) else { continue };
+        let Some((_, _, set)) = CONFIG_FIELDS.iter().find(|(name, ..)| *name == field) else {
+            return Err(bad(key, "not a configuration field".to_string()));
+        };
+        b = set(b, value).ok_or_else(|| bad(key, format!("unparsable value {value:?}")))?;
+    }
+    b.build().map_err(|e| bad(&format!("{CONFIG_PREFIX}{}", rejected_field(e)), e.to_string()))
+}
+
+/// The field a builder rejection is about.
+fn rejected_field(e: ConfigError) -> &'static str {
+    match e {
+        ConfigError::ZeroRevokerThreads => "revoker_threads",
+        ConfigError::ZeroAppThreads => "app_threads",
+        ConfigError::BadHeapLen { .. } => "heap_len",
+        ConfigError::ZeroMaxObjects | ConfigError::RootTableTooLarge { .. } => "max_objects",
+        ConfigError::ZeroQuarantineDivisor => "quarantine_divisor",
+        ConfigError::ZeroTxInterval => "tx_interval",
+        ConfigError::BadColors { .. } => "colors",
+        ConfigError::ZeroSampleInterval => "telemetry",
     }
 }
 
@@ -313,10 +416,77 @@ mod tests {
         write_trace(&ops, &TraceMeta::new(), &mut buf).unwrap();
         let replayed = ops_of(&buf).unwrap();
         let cfg = SimConfig::builder().condition(Condition::reloaded()).build().unwrap();
-        let a = System::new(cfg.clone()).run(ops).unwrap();
-        let b = System::new(cfg).run(replayed).unwrap();
+        let a = System::new(cfg.clone()).run_stream(&mut ops.into_iter()).unwrap();
+        let b = System::new(cfg).run_stream(&mut replayed.into_iter()).unwrap();
         assert_eq!(a.wall_cycles, b.wall_cycles);
         assert_eq!(a.total_dram(), b.total_dram());
+    }
+
+    /// A configuration with every recorded field off its default.
+    fn tuned() -> SimConfig {
+        SimConfig::builder()
+            .heap_len(32 << 20)
+            .max_objects(4096)
+            .min_quarantine(1 << 20)
+            .quarantine_divisor(5)
+            .app_threads(2)
+            .spare_revoker_core(false)
+            .pte_mode(PteUpdateMode::RewriteEachEpoch)
+            .revoker_threads(3)
+            .colors(4)
+            .tx_interval(800_000)
+            .latency_from_arrival(true)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn the_config_round_trips_through_a_trace_file() {
+        let mut meta = sample_meta();
+        insert_config(&mut meta, &tuned());
+        assert_eq!(meta.keys().filter(|k| k.starts_with(CONFIG_PREFIX)).count(), 11);
+        let mut buf = Vec::new();
+        write_trace(&sample(), &meta, &mut buf).unwrap();
+        let (_, back) = read_trace(buf.as_slice()).unwrap();
+        let cfg = config_from_meta(&back).unwrap();
+        assert_eq!(format!("{cfg:?}"), format!("{:?}", tuned()));
+    }
+
+    #[test]
+    fn missing_config_keys_keep_the_defaults() {
+        let cfg = config_from_meta(&sample_meta()).unwrap();
+        assert_eq!(format!("{cfg:?}"), format!("{:?}", SimConfig::default()));
+        let mut meta = sample_meta();
+        meta.insert("sim.tx_interval".to_string(), "none".to_string());
+        meta.insert("sim.app_threads".to_string(), "2".to_string());
+        let cfg = config_from_meta(&meta).unwrap();
+        let expect = SimConfig::builder().app_threads(2).build().unwrap();
+        assert_eq!(format!("{cfg:?}"), format!("{expect:?}"));
+    }
+
+    #[test]
+    fn a_bad_config_value_is_an_error_naming_its_key() {
+        for (key, value) in [
+            ("sim.heap_len", "64MiB"),
+            ("sim.colors", "300"),
+            ("sim.spare_revoker_core", "yes"),
+            ("sim.pte_mode", "eager"),
+            ("sim.tx_interval", "-1"),
+            ("sim.bogus", "1"),
+            ("sim.revoker_threads", "0"),
+            ("sim.heap_len", "4097"),
+            ("sim.max_objects", "1000000000"),
+            ("sim.tx_interval", "0"),
+        ] {
+            let mut meta = sample_meta();
+            meta.insert(key.to_string(), value.to_string());
+            match config_from_meta(&meta) {
+                Err(e @ TraceError::BadConfig { .. }) => {
+                    assert!(e.to_string().contains(key), "{key} {value}: {e}");
+                }
+                other => panic!("{key} {value}: {other:?}"),
+            }
+        }
     }
 
     fn sample_meta() -> TraceMeta {

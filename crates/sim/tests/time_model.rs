@@ -14,7 +14,7 @@ fn unscheduled_latency_is_service_time() {
     for i in 0..10 {
         ops.extend(tx(i, 100_000));
     }
-    let s = System::new(cfg).run(ops).unwrap();
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     for &l in &s.tx_latencies {
         assert!((100_000..110_000).contains(&l), "latency {l} should be ~service time");
     }
@@ -32,7 +32,7 @@ fn scheduled_arrivals_space_the_run_and_hide_pauses() {
     for i in 0..20 {
         ops.extend(tx(i, 100_000));
     }
-    let s = System::new(cfg).run(ops).unwrap();
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     assert!(s.wall_cycles >= interval * 19, "schedule must stretch the run");
     // Without latency_from_arrival, latencies exclude schedule slack.
     assert!(s.tx_latencies.iter().all(|&l| l < interval / 2));
@@ -52,7 +52,7 @@ fn arrival_latency_includes_queueing_when_behind() {
     for i in 0..20 {
         ops.extend(tx(i, 300_000));
     }
-    let s = System::new(cfg).run(ops).unwrap();
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     let first = s.tx_latencies[0];
     let last = *s.tx_latencies.last().unwrap();
     assert!(last > first + 15 * 200_000, "queueing delay must accumulate: {first} -> {last}");
@@ -62,7 +62,7 @@ fn arrival_latency_includes_queueing_when_behind() {
 fn idle_time_consumes_wall_but_not_cpu() {
     let cfg = SimConfig::builder().condition(Condition::baseline()).build().unwrap();
     let ops = vec![Op::Compute { cycles: 50_000 }, Op::ThinkIdle { cycles: 450_000 }];
-    let s = System::new(cfg).run(ops).unwrap();
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     assert!(s.wall_cycles >= 500_000);
     assert!(s.app_cpu_cycles >= 50_000);
     assert!(s.app_cpu_cycles < 120_000, "idle must not count as CPU time");
@@ -84,7 +84,7 @@ fn contention_slows_ops_only_while_revoking() {
             ops.push(Op::Compute { cycles: 20_000 });
             ops.push(Op::Free { obj: i % 16 });
         }
-        System::new(cfg).run(ops).unwrap()
+        System::new(cfg).run_stream(&mut ops.into_iter()).unwrap()
     };
     let spare = mk(true);
     let shared = mk(false);
@@ -95,7 +95,8 @@ fn contention_slows_ops_only_while_revoking() {
 fn cycles_constants_are_consistent() {
     assert_eq!(CYCLES_PER_SEC, 2_500_000_000);
     let cfg = SimConfig::builder().condition(Condition::baseline()).build().unwrap();
-    let s = System::new(cfg).run(vec![Op::Compute { cycles: CYCLES_PER_SEC / 100 }]).unwrap();
+    let ops = vec![Op::Compute { cycles: CYCLES_PER_SEC / 100 }];
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     assert!((9.0..12.0).contains(&s.wall_ms()), "10 ms of compute should read ~10 ms");
 }
 
@@ -114,7 +115,7 @@ fn blocked_allocations_are_accounted() {
         ops.push(Op::Alloc { obj: i % 8, size: 16 << 10 });
         ops.push(Op::Free { obj: i % 8 });
     }
-    let s = System::new(cfg).run(ops).unwrap();
+    let s = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
     assert!(s.revocations > 0);
     // Blocking may or may not trigger depending on pass timing, but the
     // counter must never be negative garbage and the run must finish.

@@ -49,7 +49,9 @@
 //!    `Machine::with_cache_config`, the four single-threaded suite
 //!    loops `tests/suite_goldens.rs` replaced (`spec_suite_serial`, …) and
 //!    the malloc-log importer with its example (`import_malloc_log`,
-//!    `ImportSource`, `replay_malloc_log`) may not return; nor may the
+//!    `ImportSource`, `replay_malloc_log`) and the materialized workload
+//!    twins (`GeneratedWorkload`, `SliceSource`, `.materialize()`,
+//!    `grpc_qps(`, `file_copy(`) may not return; nor may the
 //!    23 binaries `repro` replaced be invoked by name (`--bin
 //!    run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this rule also reads
 //!    the shell scripts under `tools/`.
@@ -126,6 +128,11 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("import_malloc_log", EARN_A_ROW),
     ("ImportSource", EARN_A_ROW),
     ("replay_malloc_log", EARN_A_ROW),
+    ("GeneratedWorkload", ONE_WORKLOAD_FORM),
+    ("SliceSource", ONE_WORKLOAD_FORM),
+    (".materialize()", ONE_WORKLOAD_FORM),
+    ("grpc_qps(", ONE_WORKLOAD_FORM),
+    ("file_copy(", ONE_WORKLOAD_FORM),
     ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
     ("--bin run_matrix", "--bin repro -- matrix"),
     ("--bin reproduce_all", "--bin repro -- all"),
@@ -151,6 +158,12 @@ const SUITE_GOLDENS: &str =
 /// replaced: an input format no checked row reaches.
 const EARN_A_ROW: &str = "nothing — an input format must earn a repro section, \
      ablation or benchmark row first (ROADMAP.md item 6(b)); replay programs with sim::trace";
+
+/// The replacement for the deleted materialized workloads: a workload is
+/// a stream. (Not `spec(` or `pgbench(`: `expand_spec(` and the
+/// benchmark's `pgbench(None)` closure would match them.)
+const ONE_WORKLOAD_FORM: &str =
+    "the *_stream constructor, plus OpSource::collect_ops where a Vec<Op> is needed";
 
 /// The replacement for the deleted byte plane: memory holds what
 /// capability stores put there, and nothing reads it as bytes. (Not
@@ -565,6 +578,24 @@ mod tests {
         for (file, line) in [
             ("crates/core/src/revoker.rs", "machine.peek_tagged_caps_into(page, &mut caps);\n"),
             ("crates/mem/src/hash.rs", "h.write_u64(id);\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.is_empty(), "{file}: {line}: {v:?}");
+        }
+        // The materialized twins: a workload is a stream.
+        for (file, line) in [
+            ("tests/golden_stats.rs", "fn workload() -> GeneratedWorkload {\n"),
+            ("crates/analyze/tests/diagnostics.rs", "analyze(SliceSource::new(ops), cfg())\n"),
+            ("crates/bench/src/commands.rs", "let w = spec_stream(p, 42).materialize();\n"),
+            ("tests/workload_shapes.rs", "let w = grpc_qps(GrpcParams::default());\n"),
+            ("tests/seed_stability.rs", "let w = workloads::file_copy(params);\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("collect_ops"), "{file}: {line}: {v:?}");
+        }
+        for (file, line) in [
+            ("crates/mem/src/phys.rs", "let f = self.materialize_page(page);\n"),
+            ("tests/seed_stability.rs", "let w = file_copy_stream(params);\n"),
         ] {
             let v = lint_one(&root, file, line);
             assert!(v.is_empty(), "{file}: {line}: {v:?}");

@@ -2,7 +2,6 @@
 //!
 //! [`ChurnSource`] is the one implementation: a resumable state machine
 //! that emits a profile's op stream batch by batch in O(live set) memory.
-//! [`ChurnProfile::generate`] is that stream collected into a `Vec<Op>`.
 //! `tests/seed_stability.rs` pins the emitted streams by digest.
 
 use morello_sim::{ObjId, Op, OpSource, OP_BATCH};
@@ -76,13 +75,6 @@ pub struct ChurnProfile {
 }
 
 impl ChurnProfile {
-    /// Generates the op stream: a warmup that builds the live heap, then
-    /// steady-state churn until `total_churn` bytes have been freed.
-    #[must_use]
-    pub fn generate(&self, seed: u64) -> Vec<Op> {
-        self.source(seed).collect_ops()
-    }
-
     /// The number of root-table slots the generated stream needs.
     #[must_use]
     pub fn max_objects(&self) -> u64 {
@@ -90,10 +82,28 @@ impl ChurnProfile {
         (self.target_heap / self.obj_size.approx_mean().max(16) + 64) * 2
     }
 
-    /// A streaming source over this profile's op stream for `seed`.
+    /// The op stream for `seed`: a warmup that builds the live heap, then
+    /// steady-state churn until `total_churn` bytes have been freed.
     #[must_use]
     pub fn source(&self, seed: u64) -> ChurnSource {
-        ChurnSource::new(self, seed)
+        let access_ops = 2
+            + self.links_per_step as u64
+            + self.chases_per_step as u64
+            + self.reads_per_step as u64;
+        ChurnSource {
+            profile: self.clone(),
+            rng: Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
+            live: Vec::new(),
+            free_slots: Vec::new(),
+            hot_links: Vec::new(),
+            links_from: Vec::new(),
+            next_slot: 0,
+            live_bytes: 0,
+            churned: 0,
+            step: 0,
+            chunk: self.compute_per_step / access_ops.max(1),
+            warm: false,
+        }
     }
 }
 
@@ -123,29 +133,6 @@ pub struct ChurnSource {
 }
 
 impl ChurnSource {
-    /// Starts a fresh stream for `profile` at `seed`.
-    #[must_use]
-    pub fn new(profile: &ChurnProfile, seed: u64) -> Self {
-        let access_ops = 2
-            + profile.links_per_step as u64
-            + profile.chases_per_step as u64
-            + profile.reads_per_step as u64;
-        ChurnSource {
-            profile: profile.clone(),
-            rng: Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            live: Vec::new(),
-            free_slots: Vec::new(),
-            hot_links: Vec::new(),
-            links_from: Vec::new(),
-            next_slot: 0,
-            live_bytes: 0,
-            churned: 0,
-            step: 0,
-            chunk: profile.compute_per_step / access_ops.max(1),
-            warm: false,
-        }
-    }
-
     fn emit_alloc(&mut self, ops: &mut Vec<Op>) {
         let size = self.profile.obj_size.sample(&mut self.rng);
         let obj = self.free_slots.pop().unwrap_or_else(|| {
@@ -266,14 +253,15 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let p = tiny();
-        assert_eq!(p.generate(7), p.generate(7));
-        assert_ne!(p.generate(7), p.generate(8));
+        let ops = |seed| p.source(seed).collect_ops();
+        assert_eq!(ops(7), ops(7));
+        assert_ne!(ops(7), ops(8));
     }
 
     #[test]
     fn churn_budget_is_respected() {
         let p = tiny();
-        let ops = p.generate(1);
+        let ops = p.source(1).collect_ops();
         let frees = ops.iter().filter(|o| matches!(o, Op::Free { .. })).count();
         let mean = p.obj_size.approx_mean();
         let implied = frees as u64 * mean;
@@ -284,7 +272,7 @@ mod tests {
     #[test]
     fn allocs_exceed_frees_by_live_set() {
         let p = tiny();
-        let ops = p.generate(1);
+        let ops = p.source(1).collect_ops();
         let allocs = ops.iter().filter(|o| matches!(o, Op::Alloc { .. })).count();
         let frees = ops.iter().filter(|o| matches!(o, Op::Free { .. })).count();
         assert!(allocs > frees);
@@ -323,7 +311,7 @@ mod tests {
             .max_objects(p.max_objects())
             .build()
             .unwrap();
-        let stats = System::new(cfg).run(p.generate(5)).unwrap();
+        let stats = System::new(cfg).run_stream(&mut p.source(5)).unwrap();
         assert!(stats.revocations > 0);
         assert!(stats.faults > 0);
     }

@@ -8,7 +8,7 @@
 //! with occasional stale cross-references from the staging area into
 //! mapped files (exactly the pointers the reservation sweep must revoke).
 
-use crate::{GeneratedWorkload, StreamedWorkload};
+use crate::StreamedWorkload;
 use morello_sim::{ObjId, Op, OpSource, SimConfig, OP_BATCH};
 use simtest::Rng;
 
@@ -30,12 +30,6 @@ impl Default for FileCopyParams {
 /// The persistent malloc'd staging buffer's root slot.
 const STAGING: ObjId = 0;
 
-/// Generates the file-copier workload.
-#[must_use]
-pub fn file_copy(params: FileCopyParams) -> GeneratedWorkload {
-    file_copy_stream(params).materialize()
-}
-
 fn file_copy_config() -> SimConfig {
     SimConfig::builder()
         .heap_len(64 << 20) // 48 MiB malloc + 16 MiB mmap space
@@ -45,8 +39,8 @@ fn file_copy_config() -> SimConfig {
         .expect("static workload config")
 }
 
-/// The streaming form of [`file_copy`]: the ops are regenerated lazily
-/// from the seed.
+/// The file-copier workload; the ops are regenerated lazily from the
+/// seed.
 #[must_use]
 pub fn file_copy_stream(params: FileCopyParams) -> StreamedWorkload<FileCopySource> {
     StreamedWorkload {
@@ -56,7 +50,7 @@ pub fn file_copy_stream(params: FileCopyParams) -> StreamedWorkload<FileCopySour
     }
 }
 
-/// Resumable state machine emitting [`file_copy`]'s op stream batch by
+/// Resumable state machine emitting [`file_copy_stream`]'s ops batch by
 /// batch: the staging-buffer prologue, then one copied file at a time.
 #[derive(Debug, Clone)]
 pub struct FileCopySource {
@@ -121,9 +115,9 @@ mod tests {
 
     #[test]
     fn mmap_churn_triggers_reservation_revocation() {
-        let mut w = file_copy(FileCopyParams { files: 300, ..Default::default() });
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = file_copy_stream(FileCopyParams { files: 300, ..Default::default() });
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 300);
         assert!(
             stats.revocations > 2,
@@ -136,9 +130,9 @@ mod tests {
     fn address_space_is_recycled_not_leaked() {
         // If quarantined reservations were never recycled, the 16 MiB mmap
         // space would be exhausted by ~150 x 160 KiB mappings.
-        let mut w = file_copy(FileCopyParams { files: 1_000, seed: 5 });
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = file_copy_stream(FileCopyParams { files: 1_000, seed: 5 });
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 1_000, "every copy must complete");
     }
 
@@ -146,9 +140,9 @@ mod tests {
     fn baseline_runs_but_mmap_quarantine_still_applies() {
         // Reservations quarantine independently of the malloc shim, so
         // even the PaintSync pseudo-passes recycle them.
-        let mut w = file_copy(FileCopyParams { files: 300, seed: 9 });
-        w.config = w.config.with_condition(Condition::paint_sync());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = file_copy_stream(FileCopyParams { files: 300, seed: 9 });
+        let config = w.config.with_condition(Condition::paint_sync());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 300);
     }
 }

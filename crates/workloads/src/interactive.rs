@@ -10,9 +10,9 @@
 //! comparable quantities.
 //!
 //! [`PgbenchSource`] and [`GrpcSource`] are the implementations;
-//! [`pgbench`] and [`grpc_qps`] collect their streams into a `Vec<Op>`.
+//! [`pgbench_stream`] and [`grpc_stream`] pair each with its tuned config.
 
-use crate::{GeneratedWorkload, StreamedWorkload};
+use crate::StreamedWorkload;
 use morello_sim::{ObjId, Op, OpSource, SimConfig, CYCLES_PER_SEC, OP_BATCH};
 use simtest::Rng;
 
@@ -47,37 +47,23 @@ const PG_TABLE_BYTES: u64 = 240 << 10; // 48 x 240 KiB ~ 11.25 MiB (23 MiB / 2)
 const PG_PAGES_PER_TABLE: u64 = PG_TABLE_BYTES / 4096;
 const PG_LINK_STRIDE: u64 = 250; // one capability per page of each table
 
-/// Generates the `pgbench` surrogate.
-///
-/// Calibration: worker heap ~11.25 MiB (23 MiB / 2) of pointer-rich
-/// "memory context" tables; ~170 KiB freed per transaction (preserving
-/// Table 2's per-transaction freed:heap ratio of ~1.5%); one revocation
-/// roughly every 22 transactions (paper: every ~17).
-#[must_use]
-pub fn pgbench(params: PgbenchParams) -> GeneratedWorkload {
-    pgbench_stream(params).materialize()
-}
-
-/// The arrival interval (in cycles) for a `--rate` setting, shared by the
-/// generator and by harness code that re-derives per-rate configs from one
-/// generated op stream (the ops themselves are rate-independent).
-#[must_use]
-pub fn pgbench_tx_interval(rate: Option<f64>) -> Option<u64> {
-    rate.map(|r| (CYCLES_PER_SEC as f64 / r) as u64)
-}
-
 fn pgbench_config(params: PgbenchParams) -> SimConfig {
     SimConfig::builder()
         .heap_len(64 << 20)
         .max_objects(2048)
         .min_quarantine(2 << 20) // 8 MiB / 4
-        .tx_interval(pgbench_tx_interval(params.rate))
+        // The `--rate` arrival interval; the ops themselves are rate-independent.
+        .tx_interval(params.rate.map(|r| (CYCLES_PER_SEC as f64 / r) as u64))
         .build()
         .expect("static workload config")
 }
 
-/// The streaming form of [`pgbench`]: the ops are regenerated lazily from
-/// the seed instead of materialized.
+/// The `pgbench` surrogate; the ops are regenerated lazily from the seed.
+///
+/// Calibration: worker heap ~11.25 MiB (23 MiB / 2) of pointer-rich
+/// "memory context" tables; ~170 KiB freed per transaction (preserving
+/// Table 2's per-transaction freed:heap ratio of ~1.5%); one revocation
+/// roughly every 22 transactions (paper: every ~17).
 #[must_use]
 pub fn pgbench_stream(params: PgbenchParams) -> StreamedWorkload<PgbenchSource> {
     StreamedWorkload {
@@ -87,7 +73,7 @@ pub fn pgbench_stream(params: PgbenchParams) -> StreamedWorkload<PgbenchSource> 
     }
 }
 
-/// Resumable state machine emitting [`pgbench`]'s op stream batch by
+/// Resumable state machine emitting [`pgbench_stream`]'s ops batch by
 /// batch: the pointer-rich table warmup first, then one transaction at a
 /// time.
 #[derive(Debug, Clone)]
@@ -223,18 +209,6 @@ const GRPC_CHANNEL_BYTES: u64 = 272 << 10; // 20 x 272 KiB ~ 5.3 MiB (340/64)
 const GRPC_PAGES_PER_CHANNEL: u64 = GRPC_CHANNEL_BYTES / 4096;
 const GRPC_LINK_STRIDE: u64 = 250;
 
-/// Generates the gRPC QPS surrogate.
-///
-/// The server is two threads pinned to cores 2–3 and the revoker is *not*
-/// pinned to a spare core (§5.3): application work slows while a pass is
-/// in flight (three runnable threads on two cores), and a pass sweeping
-/// the ~5.3 MiB (scaled) of pointer-rich channel state spans hundreds of
-/// messages — producing the paper's tail-latency picture.
-#[must_use]
-pub fn grpc_qps(params: GrpcParams) -> GeneratedWorkload {
-    grpc_stream(params).materialize()
-}
-
 fn grpc_config() -> SimConfig {
     SimConfig::builder()
         .heap_len(32 << 20)
@@ -252,8 +226,13 @@ fn grpc_config() -> SimConfig {
         .expect("static workload config")
 }
 
-/// The streaming form of [`grpc_qps`]: the ops are regenerated lazily
-/// from the seed.
+/// The gRPC QPS surrogate; the ops are regenerated lazily from the seed.
+///
+/// The server is two threads pinned to cores 2–3 and the revoker is *not*
+/// pinned to a spare core (§5.3): application work slows while a pass is
+/// in flight (three runnable threads on two cores), and a pass sweeping
+/// the ~5.3 MiB (scaled) of pointer-rich channel state spans hundreds of
+/// messages — producing the paper's tail-latency picture.
 #[must_use]
 pub fn grpc_stream(params: GrpcParams) -> StreamedWorkload<GrpcSource> {
     StreamedWorkload {
@@ -263,7 +242,7 @@ pub fn grpc_stream(params: GrpcParams) -> StreamedWorkload<GrpcSource> {
     }
 }
 
-/// Resumable state machine emitting [`grpc_qps`]'s op stream batch by
+/// Resumable state machine emitting [`grpc_stream`]'s ops batch by
 /// batch: the channel-state warmup first, then one message at a time.
 #[derive(Debug, Clone)]
 pub struct GrpcSource {
@@ -348,9 +327,9 @@ mod tests {
 
     #[test]
     fn pgbench_transactions_complete_and_revoke() {
-        let mut w = pgbench(PgbenchParams { transactions: 600, ..PgbenchParams::default() });
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = pgbench_stream(PgbenchParams { transactions: 600, ..PgbenchParams::default() });
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 600);
         assert!(stats.revocations >= 10, "pgbench must revoke frequently (got {})", stats.revocations);
     }
@@ -358,9 +337,9 @@ mod tests {
     #[test]
     fn pgbench_revocation_cadence_matches_paper_band() {
         // Paper: one revocation per ~17 transactions.
-        let mut w = pgbench(PgbenchParams { transactions: 2_000, ..PgbenchParams::default() });
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = pgbench_stream(PgbenchParams { transactions: 2_000, ..PgbenchParams::default() });
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         let per_rev = 2_000 / stats.revocations.max(1);
         assert!(
             (8..=60).contains(&per_rev),
@@ -370,10 +349,10 @@ mod tests {
 
     #[test]
     fn pgbench_rate_mode_spaces_arrivals() {
-        let mut w = pgbench(PgbenchParams { transactions: 200, rate: Some(1000.0), seed: 1 });
+        let mut w = pgbench_stream(PgbenchParams { transactions: 200, rate: Some(1000.0), seed: 1 });
         assert!(w.config.tx_interval().is_some());
-        w.config = w.config.with_condition(Condition::baseline());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let config = w.config.with_condition(Condition::baseline());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         // 200 tx at 1000/s is at least 0.14 simulated seconds.
         assert!(stats.wall_cycles > CYCLES_PER_SEC / 7);
     }
@@ -382,9 +361,9 @@ mod tests {
     fn pgbench_tail_orders_by_strategy() {
         let mut runs = Vec::new();
         for cond in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded()] {
-            let mut w = pgbench(PgbenchParams { transactions: 3_000, ..PgbenchParams::default() });
-            w.config = w.config.with_condition(cond);
-            let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+            let mut w = pgbench_stream(PgbenchParams { transactions: 3_000, ..PgbenchParams::default() });
+            let config = w.config.with_condition(cond);
+            let stats = System::new(config).run_stream(&mut w.source).unwrap();
             runs.push(stats.latency_summary().p99);
         }
         assert!(runs[2] <= runs[1], "Reloaded p99 {} > Cornucopia {}", runs[2], runs[1]);
@@ -393,17 +372,17 @@ mod tests {
 
     #[test]
     fn grpc_runs_with_shared_cores_and_revokes() {
-        let mut w = grpc_qps(GrpcParams { messages: 4_000, seed: 3 });
-        w.config = w.config.with_condition(Condition::cornucopia());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = grpc_stream(GrpcParams { messages: 4_000, seed: 3 });
+        let config = w.config.with_condition(Condition::cornucopia());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 4_000);
         assert!(stats.revocations >= 3, "got {} revocations", stats.revocations);
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = pgbench(PgbenchParams::default());
-        let b = pgbench(PgbenchParams::default());
-        assert_eq!(a.ops, b.ops);
+        let a = pgbench_stream(PgbenchParams::default()).source.collect_ops();
+        let b = pgbench_stream(PgbenchParams::default()).source.collect_ops();
+        assert_eq!(a, b);
     }
 }

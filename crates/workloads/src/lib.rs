@@ -12,8 +12,13 @@
 //! | Surrogate | Calibration source |
 //! |---|---|
 //! | [`SpecProgram`] profiles | Table 2 (mean alloc, sum freed, revocations) + §5.4's pointer-chase characterization |
-//! | [`pgbench`] | §5.2: scale-10 TPC-B-like transactions, ~50% server idle, ~5 statements/tx |
-//! | [`grpc_qps`] | §5.3: 2 server threads sharing cores with the revoker |
+//! | [`pgbench_stream`] | §5.2: scale-10 TPC-B-like transactions, ~50% server idle, ~5 statements/tx |
+//! | [`grpc_stream`] | §5.3: 2 server threads sharing cores with the revoker |
+//!
+//! Every workload is a stream: a `*_stream` function returns a
+//! [`StreamedWorkload`] whose [`OpSource`] regenerates the ops from the
+//! seed. Where a `Vec<Op>` is needed, [`OpSource::collect_ops`] collects
+//! one.
 //!
 //! # Example
 //!
@@ -34,40 +39,25 @@ mod churn;
 mod filecopy;
 mod interactive;
 mod spec;
-mod stream;
 
 pub use churn::{ChurnProfile, ChurnSource, SizeDist};
-pub use filecopy::{file_copy, file_copy_stream, FileCopyParams, FileCopySource};
+pub use filecopy::{file_copy_stream, FileCopyParams, FileCopySource};
 pub use interactive::{
-    grpc_qps, grpc_stream, pgbench, pgbench_stream, pgbench_tx_interval, GrpcParams, GrpcSource,
-    PgbenchParams, PgbenchSource,
+    grpc_stream, pgbench_stream, GrpcParams, GrpcSource, PgbenchParams, PgbenchSource,
 };
 pub use morello_sim::OpSource;
-pub use spec::{spec, spec_stream, SpecProgram, SPEC_PROGRAMS};
-pub use stream::{count_ops, SliceSource};
+pub use spec::{spec_stream, SpecProgram, SPEC_PROGRAMS};
 
-use morello_sim::{Op, SimConfig};
+use morello_sim::{for_each_batch, SimConfig};
+use std::convert::Infallible;
 
 /// Memory scale factor relative to the paper: all byte quantities
 /// (heaps, churn, quarantine floor) are divided by this.
 pub const MEM_SCALE: u64 = 64;
 
-/// A materialized workload — a [`StreamedWorkload`] with its stream
-/// collected: the ops plus a [`SimConfig`] pre-tuned for them (arena size,
-/// quarantine floor, thread/core placement). Callers set
-/// `config.condition` and run.
-#[derive(Debug, Clone)]
-pub struct GeneratedWorkload {
-    /// Workload name (figure row label).
-    pub name: String,
-    /// The operation stream.
-    pub ops: Vec<Op>,
-    /// Simulator configuration tuned for this workload.
-    pub config: SimConfig,
-}
-
-/// A workload whose ops are produced lazily by an [`OpSource`]: the form
-/// every generator in this crate is written in. Resident memory is one
+/// A workload: ops produced lazily by an [`OpSource`] plus a [`SimConfig`]
+/// pre-tuned for them (arena size, quarantine floor, thread/core
+/// placement). Callers set the condition and run. Resident memory is one
 /// batch buffer plus generator state (a few KiB) rather than the whole op
 /// stream (tens of MiB for the big SPEC rows).
 #[derive(Debug, Clone)]
@@ -80,15 +70,27 @@ pub struct StreamedWorkload<S> {
     pub config: SimConfig,
 }
 
-impl<S: OpSource> StreamedWorkload<S> {
-    /// Drains the stream into a [`GeneratedWorkload`] (the two run
-    /// bit-identically under the simulator).
-    #[must_use]
-    pub fn materialize(self) -> GeneratedWorkload {
-        GeneratedWorkload {
-            name: self.name,
-            ops: self.source.collect_ops(),
-            config: self.config,
-        }
+/// Drains `source` to count its remaining ops in O(batch) memory.
+pub fn count_ops<S: OpSource>(source: &mut S) -> usize {
+    let mut total = 0;
+    let Ok(()) = for_each_batch(source, |batch| {
+        total += batch.len();
+        Ok::<(), Infallible>(())
+    });
+    total
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use morello_sim::Op;
+
+    #[test]
+    fn count_ops_counts_every_batch() {
+        let ops: Vec<Op> = (0..2_500).map(|i| Op::Compute { cycles: i }).collect();
+        assert_eq!(count_ops(&mut ops.into_iter()), 2_500);
+        let params = FileCopyParams { files: 50, seed: 1 };
+        let collected = file_copy_stream(params).source.collect_ops();
+        assert_eq!(count_ops(&mut file_copy_stream(params).source), collected.len());
     }
 }

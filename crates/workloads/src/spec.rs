@@ -10,7 +10,7 @@
 //! never engage revocation).
 
 use crate::churn::{ChurnProfile, ChurnSource, SizeDist};
-use crate::{GeneratedWorkload, StreamedWorkload, MEM_SCALE};
+use crate::{StreamedWorkload, MEM_SCALE};
 use morello_sim::SimConfig;
 
 /// The eight CHERI-compatible SPEC CPU2006 INT workloads (named workload
@@ -221,21 +221,6 @@ impl SpecProgram {
             },
         }
     }
-
-    /// Whether the paper reports this benchmark as engaging revocation at
-    /// all (bzip2 and sjeng do not; Figure 1 excludes them downstream).
-    #[must_use]
-    pub fn engages_revocation(&self) -> bool {
-        !matches!(self, SpecProgram::Bzip2 | SpecProgram::Sjeng)
-    }
-}
-
-/// Generates the surrogate workload for `program` with a tuned
-/// [`SimConfig`] (arena sized 4x the steady heap; paper quarantine policy
-/// scaled by [`MEM_SCALE`]).
-#[must_use]
-pub fn spec(program: SpecProgram, seed: u64) -> GeneratedWorkload {
-    spec_stream(program, seed).materialize()
 }
 
 fn spec_config(profile: &ChurnProfile) -> SimConfig {
@@ -248,8 +233,10 @@ fn spec_config(profile: &ChurnProfile) -> SimConfig {
         .expect("profile-derived config")
 }
 
-/// The streaming form of [`spec`]: the ops are regenerated lazily from
-/// the profile's RNG schedule.
+/// The surrogate workload for `program` with a tuned [`SimConfig`] (arena
+/// sized 4x the steady heap; paper quarantine policy scaled by
+/// [`MEM_SCALE`]). The ops are regenerated lazily from the profile's RNG
+/// schedule.
 #[must_use]
 pub fn spec_stream(program: SpecProgram, seed: u64) -> StreamedWorkload<ChurnSource> {
     let profile = program.profile();
@@ -260,7 +247,7 @@ pub fn spec_stream(program: SpecProgram, seed: u64) -> StreamedWorkload<ChurnSou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morello_sim::{Condition, Op, System};
+    use morello_sim::{Condition, Op, OpSource, System};
 
     #[test]
     fn profiles_cover_all_programs_with_distinct_names() {
@@ -273,20 +260,19 @@ mod tests {
     #[test]
     fn bzip2_and_sjeng_never_trigger_revocation() {
         for p in [SpecProgram::Bzip2, SpecProgram::Sjeng] {
-            let mut w = spec(p, 11);
-            w.config = w.config.with_condition(Condition::reloaded());
-            let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+            let mut w = spec_stream(p, 11);
+            let config = w.config.with_condition(Condition::reloaded());
+            let stats = System::new(config).run_stream(&mut w.source).unwrap();
             assert_eq!(stats.revocations, 0, "{}", p.name());
-            assert!(!p.engages_revocation());
         }
     }
 
     #[test]
     fn gobmk_triggers_a_handful_of_revocations() {
         // Table 2 says 7 revocations for gobmk trevord; accept the band.
-        let mut w = spec(SpecProgram::GobmkTrevord, 11);
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = spec_stream(SpecProgram::GobmkTrevord, 11);
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert!(
             (3..=15).contains(&stats.revocations),
             "gobmk revocations {} outside Table 2 band",
@@ -296,9 +282,9 @@ mod tests {
 
     #[test]
     fn astar_revocation_count_matches_table2_band() {
-        let mut w = spec(SpecProgram::AstarLakes, 11);
-        w.config = w.config.with_condition(Condition::reloaded());
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = spec_stream(SpecProgram::AstarLakes, 11);
+        let config = w.config.with_condition(Condition::reloaded());
+        let stats = System::new(config).run_stream(&mut w.source).unwrap();
         // Table 2: 39 revocations at full scale.
         assert!(
             (20..=80).contains(&stats.revocations),
@@ -311,12 +297,12 @@ mod tests {
     fn scaled_heaps_match_table2_within_factor_two() {
         for p in [SpecProgram::AstarLakes, SpecProgram::HmmerNph3, SpecProgram::Omnetpp] {
             let profile = p.profile();
-            let w = spec(p, 3);
+            let ops = spec_stream(p, 3).source.collect_ops();
             // Count implied live bytes at end of warmup from the op stream.
             let mut live = 0i64;
             let mut peak = 0i64;
             let mut sizes = std::collections::HashMap::new();
-            for op in &w.ops {
+            for op in &ops {
                 match *op {
                     Op::Alloc { obj, size } => {
                         live += size as i64;

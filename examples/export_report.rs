@@ -13,7 +13,7 @@
 
 use cornucopia_reloaded::prelude::*;
 use cornucopia_reloaded::{morello_sim, workloads};
-use workloads::{spec, SPEC_PROGRAMS};
+use workloads::{spec_stream, SPEC_PROGRAMS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -31,7 +31,7 @@ fn main() {
         std::process::exit(2);
     };
 
-    let w = spec(program, 1234);
+    let mut w = spec_stream(program, 1234);
     let cfg = w
         .config
         .to_builder()
@@ -42,7 +42,7 @@ fn main() {
         .build()
         .expect("telemetry config");
 
-    let report: RunReport = System::new(cfg).run(w.ops).expect("run must complete");
+    let report: RunReport = System::new(cfg).run_stream(&mut w.source).expect("run must complete");
     match format {
         "csv" => print!("{}", report.series_csv()),
         "json" => println!("{}", report.to_json()),

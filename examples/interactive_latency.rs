@@ -12,7 +12,7 @@
 
 use cornucopia_reloaded::prelude::*;
 use morello_sim::CYCLES_PER_MS;
-use workloads::{pgbench, PgbenchParams};
+use workloads::{pgbench_stream, PgbenchParams};
 
 fn main() {
     let conditions = [
@@ -31,9 +31,8 @@ fn main() {
 
     let mut tails = Vec::new();
     for cond in conditions {
-        let mut w = pgbench(PgbenchParams { transactions: 4000, ..Default::default() });
-        w.config = w.config.with_condition(cond);
-        let stats = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = pgbench_stream(PgbenchParams { transactions: 4000, ..Default::default() });
+        let stats = System::new(w.config.with_condition(cond)).run_stream(&mut w.source).unwrap();
         let l = stats.latency_summary();
         let ms = |c: u64| c as f64 / CYCLES_PER_MS as f64;
         println!(

@@ -25,13 +25,13 @@
 //! ```
 //! use cornucopia_reloaded::prelude::*;
 //!
-//! // Build a pgbench-like workload and run it under Cornucopia Reloaded.
-//! let mut w = workloads::pgbench(workloads::PgbenchParams {
+//! // Stream a pgbench-like workload through Cornucopia Reloaded.
+//! let mut w = workloads::pgbench_stream(workloads::PgbenchParams {
 //!     transactions: 200,
 //!     ..Default::default()
 //! });
-//! w.config = w.config.with_condition(Condition::reloaded());
-//! let report = System::new(w.config.clone()).run(w.ops).unwrap();
+//! let cfg = w.config.with_condition(Condition::reloaded());
+//! let report = System::new(cfg).run_stream(&mut w.source).unwrap();
 //!
 //! assert_eq!(report.tx_latencies.len(), 200); // derefs to `RunStats`
 //! let lat = report.latency_summary();
@@ -51,7 +51,8 @@
 //!     .telemetry(morello_sim::TelemetryConfig::full(1_000_000))
 //!     .build()
 //!     .unwrap();
-//! let report = System::new(cfg).run(vec![Op::Compute { cycles: 10 }]).unwrap();
+//! let ops = vec![Op::Compute { cycles: 10 }]; // a literal op list streams too
+//! let report = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap();
 //! let json = report.to_json(); // byte-identical for identical runs
 //! assert!(json.starts_with("{\"version\":"));
 //! ```

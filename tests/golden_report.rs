@@ -12,7 +12,7 @@
 //! ```
 
 use morello_sim::{Condition, Json, Sample, SimConfig, System, TelemetryConfig, REPORT_VERSION};
-use workloads::{spec, SpecProgram};
+use workloads::{spec_stream, SpecProgram};
 
 /// FNV-1a 64-bit over the rendered JSON: a short, committable stand-in
 /// for the multi-kilobyte document itself.
@@ -38,9 +38,9 @@ fn golden_cfg(config: SimConfig) -> SimConfig {
 }
 
 fn golden_json() -> String {
-    let w = spec(SpecProgram::GobmkTrevord, 1234);
+    let mut w = spec_stream(SpecProgram::GobmkTrevord, 1234);
     let cfg = golden_cfg(w.config);
-    System::new(cfg).run(w.ops).expect("golden workload must complete").to_json()
+    System::new(cfg).run_stream(&mut w.source).expect("golden workload must complete").to_json()
 }
 
 /// Digest of the full JSON document, captured when the exporter landed.

@@ -15,16 +15,16 @@
 //! GOLDEN_PRINT=1 cargo test --test golden_stats -- --nocapture
 //! ```
 
-use morello_sim::{Condition, RunStats, SimConfig, System};
-use workloads::{spec, SpecProgram};
+use morello_sim::{Condition, Op, OpSource, RunStats, SimConfig, System};
+use workloads::{spec_stream, SpecProgram};
 
 /// The standard workload: a SPEC churn surrogate scaled down so all
 /// eight combinations run in seconds, with enough churn to drive
 /// several revocation epochs, pointer chases (load barriers), and
 /// quarantine turnover.
-fn workload() -> (Vec<morello_sim::Op>, SimConfig) {
-    let w = spec(SpecProgram::GobmkTrevord, 1234);
-    (w.ops, w.config)
+fn workload() -> (Vec<Op>, SimConfig) {
+    let w = spec_stream(SpecProgram::GobmkTrevord, 1234);
+    (w.source.collect_ops(), w.config)
 }
 
 /// Everything the acceptance gate cares about, in one comparable line:
@@ -62,7 +62,7 @@ fn run(condition: Condition, revoker_threads: usize) -> String {
         .revoker_threads(revoker_threads)
         .build()
         .expect("golden config");
-    digest(&System::new(cfg).run(ops).expect("golden workload must complete"))
+    digest(&System::new(cfg).run_stream(&mut ops.into_iter()).expect("golden workload must complete"))
 }
 
 /// Pre-optimization snapshots: (strategy label, revoker cores, digest).

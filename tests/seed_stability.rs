@@ -11,10 +11,10 @@
 //! machines. A generator edit that moves any op fails here even when it
 //! stays deterministic.
 
-use morello_sim::Op;
+use morello_sim::{Op, OpSource};
 use workloads::{
-    file_copy, grpc_qps, pgbench, spec, ChurnProfile, FileCopyParams, GrpcParams, PgbenchParams,
-    SizeDist, SpecProgram, SPEC_PROGRAMS,
+    file_copy_stream, grpc_stream, pgbench_stream, spec_stream, ChurnProfile, FileCopyParams,
+    GrpcParams, PgbenchParams, SizeDist, SpecProgram, SPEC_PROGRAMS,
 };
 
 /// A small-but-nontrivial churn profile so the test exercises the full
@@ -48,34 +48,34 @@ fn assert_seed_stable(name: &str, gen: impl Fn(u64) -> Vec<Op>) {
 #[test]
 fn churn_trace_is_seed_stable() {
     let profile = tiny_churn();
-    assert_seed_stable("churn", |seed| profile.generate(seed));
+    assert_seed_stable("churn", |seed| profile.source(seed).collect_ops());
 }
 
 #[test]
 fn spec_surrogate_trace_is_seed_stable() {
     assert_seed_stable("spec/gobmk", |seed| {
-        spec(SpecProgram::GobmkTrevord, seed).ops
+        spec_stream(SpecProgram::GobmkTrevord, seed).source.collect_ops()
     });
 }
 
 #[test]
 fn filecopy_trace_is_seed_stable() {
     assert_seed_stable("filecopy", |seed| {
-        file_copy(FileCopyParams { files: 200, seed }).ops
+        file_copy_stream(FileCopyParams { files: 200, seed }).source.collect_ops()
     });
 }
 
 #[test]
 fn pgbench_trace_is_seed_stable() {
     assert_seed_stable("pgbench", |seed| {
-        pgbench(PgbenchParams { transactions: 300, rate: None, seed }).ops
+        pgbench_stream(PgbenchParams { transactions: 300, rate: None, seed }).source.collect_ops()
     });
 }
 
 #[test]
 fn grpc_trace_is_seed_stable() {
     assert_seed_stable("grpc_qps", |seed| {
-        grpc_qps(GrpcParams { messages: 500, seed }).ops
+        grpc_stream(GrpcParams { messages: 500, seed }).source.collect_ops()
     });
 }
 
@@ -83,8 +83,8 @@ fn grpc_trace_is_seed_stable() {
 fn workload_configs_are_seed_independent() {
     // The tuned SimConfig must not depend on the seed — otherwise two
     // conditions run "the same workload" under different arena geometry.
-    let a = pgbench(PgbenchParams { transactions: 100, rate: None, seed: 1 });
-    let b = pgbench(PgbenchParams { transactions: 100, rate: None, seed: 2 });
+    let a = pgbench_stream(PgbenchParams { transactions: 100, rate: None, seed: 1 });
+    let b = pgbench_stream(PgbenchParams { transactions: 100, rate: None, seed: 2 });
     assert_eq!(format!("{:?}", a.config), format!("{:?}", b.config));
     assert_eq!(a.name, b.name);
 }
@@ -131,17 +131,20 @@ fn op_streams_match_builder_goldens() {
     let mut pin = |label: String, ops: &[Op]| actual.push((label, ops.len(), digest(ops)));
     for seed in [1000, 41] {
         for program in SPEC_PROGRAMS {
-            pin(format!("spec/{}/{seed}", program.name()), &spec(program, seed).ops);
+            let ops = spec_stream(program, seed).source.collect_ops();
+            pin(format!("spec/{}/{seed}", program.name()), &ops);
         }
     }
     for seed in [41, 42] {
         for rate in [None, Some(900.0)] {
-            let w = pgbench(PgbenchParams { transactions: 300, rate, seed });
-            pin(format!("pgbench/300/{rate:?}/{seed}"), &w.ops);
+            let ops = pgbench_stream(PgbenchParams { transactions: 300, rate, seed }).source;
+            pin(format!("pgbench/300/{rate:?}/{seed}"), &ops.collect_ops());
         }
-        pin(format!("grpc/500/{seed}"), &grpc_qps(GrpcParams { messages: 500, seed }).ops);
-        pin(format!("filecopy/200/{seed}"), &file_copy(FileCopyParams { files: 200, seed }).ops);
-        pin(format!("churn/tiny/{seed}"), &tiny_churn().generate(seed));
+        let grpc = grpc_stream(GrpcParams { messages: 500, seed }).source;
+        pin(format!("grpc/500/{seed}"), &grpc.collect_ops());
+        let filecopy = file_copy_stream(FileCopyParams { files: 200, seed }).source;
+        pin(format!("filecopy/200/{seed}"), &filecopy.collect_ops());
+        pin(format!("churn/tiny/{seed}"), &tiny_churn().source(seed).collect_ops());
     }
 
     let rendered: String =
@@ -150,9 +153,9 @@ fn op_streams_match_builder_goldens() {
     assert!(actual == GOLDEN, "op streams moved; the generators now produce:\n{rendered}");
 }
 
-/// Captured from the `Vec<Op>` builders (`ChurnProfile::generate`,
-/// `pgbench`, `grpc_qps`, `file_copy` as loops over a local `ops` vector)
-/// at the commit before they were deleted.
+/// Captured from the `Vec<Op>` builders (the churn, pgbench, gRPC and
+/// file-copy generators as loops over a local `ops` vector) at the commit
+/// before they were deleted.
 const GOLDEN: &[(&str, usize, u64)] = &[
     ("spec/astar lakes/1000", 108806, 0x1f7a1723d92cc4d7),
     ("spec/astar biglakes/1000", 44665, 0x732975bb9cf031a0),

@@ -6,10 +6,8 @@
 //!
 //! One test function, so that "first in the process" means it.
 
-use cornucopia_reloaded::morello_sim::{Condition, Op, RunStats, SimConfig, System};
-use cornucopia_reloaded::workloads::{
-    pgbench, pgbench_stream, spec, spec_stream, PgbenchParams, SpecProgram,
-};
+use cornucopia_reloaded::morello_sim::{Condition, Op, OpSource, RunStats, SimConfig, System};
+use cornucopia_reloaded::workloads::{pgbench_stream, spec_stream, PgbenchParams, SpecProgram};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
@@ -34,9 +32,11 @@ fn cells() -> [RunStats; 2] {
 
 /// The same two cells over the materialised `Vec<Op>`.
 fn materialized_cells() -> [RunStats; 2] {
-    [pgbench(PGBENCH), spec(SpecProgram::Omnetpp, 5)].map(|w| {
-        System::new(w.config.with_condition(Condition::reloaded()))
-            .run(w.ops)
+    let pg = pgbench_stream(PGBENCH);
+    let om = spec_stream(SpecProgram::Omnetpp, 5);
+    [(pg.source.collect_ops(), pg.config), (om.source.collect_ops(), om.config)].map(|(ops, config)| {
+        System::new(config.with_condition(Condition::reloaded()))
+            .run_stream(&mut ops.into_iter())
             .expect("materialised cell")
             .into_stats()
     })

@@ -12,7 +12,6 @@
 use cornucopia_reloaded::morello_sim::{
     Condition, Op, RunReport, SimConfig, System, TelemetryConfig,
 };
-use cornucopia_reloaded::workloads::SliceSource;
 
 /// Live objects at a time: slot `i % SLOTS` is freed and reallocated at
 /// step `i`.
@@ -86,8 +85,8 @@ fn run_op_by_op(cfg: SimConfig, ops: &[Op]) -> (RunReport, [usize; 2]) {
     (sys.finish(), run_ops)
 }
 
-fn run_streamed(cfg: SimConfig, ops: &[Op]) -> RunReport {
-    System::new(cfg).run_stream(&mut SliceSource::new(ops)).expect("stream runs clean")
+fn run_streamed(cfg: SimConfig, ops: Vec<Op>) -> RunReport {
+    System::new(cfg).run_stream(&mut ops.into_iter()).expect("stream runs clean")
 }
 
 #[test]
@@ -97,8 +96,8 @@ fn traced_runs_fuse_exactly_op_by_op_equals_batched() {
         for cores in [1, 4] {
             let at = format!("{} at {cores} revoker core(s)", condition.label());
             let (per_op, [outside, during]) = run_op_by_op(config(condition, cores, true), &ops);
-            let batched = run_streamed(config(condition, cores, true), &ops);
-            let untraced = run_streamed(config(condition, cores, false), &ops);
+            let batched = run_streamed(config(condition, cores, true), ops.clone());
+            let untraced = run_streamed(config(condition, cores, false), ops.clone());
 
             assert!(outside > 0, "{at}: no idle run outside a pass");
             let t = per_op.telemetry();

@@ -216,7 +216,7 @@ fn system_level_safety_differs_by_condition() {
     for cond in [Condition::baseline(), Condition::reloaded()] {
         let cfg =
             SimConfig::builder().condition(cond).min_quarantine(16 << 10).build().unwrap();
-        let stats = System::new(cfg).run(ops(2000)).unwrap();
+        let stats = System::new(cfg).run_stream(&mut ops(2000).into_iter()).unwrap();
         match cond {
             Condition::Baseline => assert_eq!(stats.revocations, 0),
             _ => assert!(stats.revocations > 0),

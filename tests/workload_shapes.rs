@@ -3,12 +3,11 @@
 //! full scale.
 
 use morello_sim::{Condition, RunStats, System};
-use workloads::{grpc_qps, pgbench, spec, GrpcParams, PgbenchParams, SpecProgram};
+use workloads::{grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram};
 
 fn run_spec(program: SpecProgram, cond: Condition) -> RunStats {
-    let mut w = spec(program, 9);
-    w.config = w.config.with_condition(cond);
-    System::new(w.config.clone()).run(w.ops).unwrap().into_stats()
+    let mut w = spec_stream(program, 9);
+    System::new(w.config.with_condition(cond)).run_stream(&mut w.source).unwrap().into_stats()
 }
 
 /// Reloaded must not pause longer than a fraction of CHERIvoke on a
@@ -57,9 +56,8 @@ fn pgbench_tail_ordering() {
     let mut p99s = Vec::new();
     let mut p50s = Vec::new();
     for cond in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded()] {
-        let mut w = pgbench(PgbenchParams { transactions: 2500, ..Default::default() });
-        w.config = w.config.with_condition(cond);
-        let s = System::new(w.config.clone()).run(w.ops).unwrap();
+        let mut w = pgbench_stream(PgbenchParams { transactions: 2500, ..Default::default() });
+        let s = System::new(w.config.with_condition(cond)).run_stream(&mut w.source).unwrap();
         let l = s.latency_summary();
         p99s.push(l.p99);
         p50s.push(l.p50);
@@ -78,9 +76,9 @@ fn pgbench_tail_ordering() {
 fn grpc_tail_and_capacity() {
     let mut results = Vec::new();
     for cond in [Condition::baseline(), Condition::cornucopia(), Condition::reloaded()] {
-        let w = grpc_qps(GrpcParams { messages: 8000, seed: 5 });
-        let cfg = w.config.clone().with_condition(cond);
-        let s = System::new(cfg).run(w.ops).unwrap();
+        let mut w = grpc_stream(GrpcParams { messages: 8000, seed: 5 });
+        let cfg = w.config.with_condition(cond);
+        let s = System::new(cfg).run_stream(&mut w.source).unwrap();
         results.push((s.latency_summary(), s.app_cpu_cycles));
     }
     let (base, corn, rel) = (&results[0], &results[1], &results[2]);
@@ -94,9 +92,9 @@ fn grpc_tail_and_capacity() {
 /// for the 2-thread gRPC setup sits near the paper's 323 us median.
 #[test]
 fn grpc_reloaded_stw_in_paper_band() {
-    let w = grpc_qps(GrpcParams { messages: 4000, seed: 6 });
-    let cfg = w.config.clone().with_condition(Condition::reloaded());
-    let s = System::new(cfg).run(w.ops).unwrap();
+    let mut w = grpc_stream(GrpcParams { messages: 4000, seed: 6 });
+    let cfg = w.config.with_condition(Condition::reloaded());
+    let s = System::new(cfg).run_stream(&mut w.source).unwrap();
     assert!(s.faults > 0);
     let stw: Vec<u64> = s
         .phases
@@ -119,9 +117,8 @@ fn grpc_reloaded_stw_in_paper_band() {
 #[test]
 fn end_to_end_determinism() {
     let run = || {
-        let mut w = spec(SpecProgram::HmmerRetro, 4);
-        w.config = w.config.with_condition(Condition::reloaded());
-        System::new(w.config.clone()).run(w.ops).unwrap()
+        let mut w = spec_stream(SpecProgram::HmmerRetro, 4);
+        System::new(w.config.with_condition(Condition::reloaded())).run_stream(&mut w.source).unwrap()
     };
     let (a, b) = (run(), run());
     assert_eq!(a.wall_cycles, b.wall_cycles);
