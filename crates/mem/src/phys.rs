@@ -501,18 +501,10 @@ mod tests {
         assert!(mem.slab.iter().all(|f| f.caps.is_none() && f.colors.is_none()));
     }
 
-    /// Runs `f` on a thread of its own and fails, instead of hanging the
-    /// suite, if it has not returned within 3 s.
-    fn within_3s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done, result) = std::sync::mpsc::channel();
-        std::thread::spawn(move || done.send(f()));
-        result.recv_timeout(std::time::Duration::from_secs(3)).expect("no result within 3 s")
-    }
-
     #[test]
     fn recolor_of_a_ragged_length_covers_every_overlapped_granule() {
         for len in [1, 8, 24, PAGE_SIZE + 8] {
-            let mem = within_3s(move || {
+            let mem = simtest::within_3s(move || {
                 let mut mem = PhysMem::new();
                 mem.set_color_range(0x8000, len, 3);
                 mem

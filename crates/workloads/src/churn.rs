@@ -23,25 +23,33 @@ impl SizeDist {
         SizeDist { min: size, max: size }
     }
 
-    fn sample(&self, rng: &mut Rng) -> u64 {
-        if self.min >= self.max {
-            return self.min;
-        }
-        // Log-uniform: uniform exponent between log2(min) and log2(max).
-        let lo = (self.min as f64).log2();
-        let hi = (self.max as f64).log2();
-        let e = rng.gen_range(lo..hi);
-        (e.exp2() as u64).clamp(self.min, self.max)
+    /// The smallest size drawn: `min`, floored at 1 byte (a zero floor
+    /// would put the log-uniform exponent at −∞).
+    fn floor(&self) -> u64 {
+        self.min.max(1)
     }
 
-    /// Approximate mean of the distribution.
+    fn sample(&self, rng: &mut Rng) -> u64 {
+        let min = self.floor();
+        if min >= self.max {
+            return min;
+        }
+        // Log-uniform: uniform exponent between log2(min) and log2(max).
+        let lo = (min as f64).log2();
+        let hi = (self.max as f64).log2();
+        let e = rng.gen_range(lo..hi);
+        (e.exp2() as u64).clamp(min, self.max)
+    }
+
+    /// Approximate mean of the distribution (sizes are at least 1 byte).
     #[must_use]
     pub fn approx_mean(&self) -> u64 {
-        if self.min >= self.max {
-            return self.min;
+        let min = self.floor();
+        if min >= self.max {
+            return min;
         }
-        let ratio = self.max as f64 / self.min as f64;
-        ((self.max - self.min) as f64 / ratio.ln()) as u64
+        let ratio = self.max as f64 / min as f64;
+        ((self.max - min) as f64 / ratio.ln()) as u64
     }
 }
 
@@ -95,8 +103,7 @@ impl ChurnProfile {
             rng: Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             live: Vec::new(),
             free_slots: Vec::new(),
-            hot_links: Vec::new(),
-            links_from: Vec::new(),
+            hot_links: HotLinks::default(),
             next_slot: 0,
             live_bytes: 0,
             churned: 0,
@@ -117,10 +124,7 @@ pub struct ChurnSource {
     free_slots: Vec<ObjId>,
     /// Recently-written pointer slots: chases follow real pointers so
     /// they load tagged granules (and hence exercise the load barrier).
-    hot_links: Vec<(ObjId, u64)>,
-    /// Entries of `hot_links` per source slot: a free whose victim has
-    /// none — most of them — skips the scan for its links.
-    links_from: Vec<u32>,
+    hot_links: HotLinks,
     next_slot: ObjId,
     live_bytes: u64,
     churned: u64,
@@ -132,13 +136,128 @@ pub struct ChurnSource {
     warm: bool,
 }
 
+/// The hot-link set: an ordered list of `(from, slot)` pointer slots with
+/// the semantics of a `Vec<(ObjId, u64)>` — [`HotLinks::unlink`] is an
+/// order-preserving `retain` — stored as two narrow arrays plus a count
+/// of entries per source. Churn ids are dense slot numbers (`u32`) and
+/// link slots are `< 64` (`u8`), so the scan `unlink` makes over up to
+/// [`HOT_LINKS_MAX`] sources is a chunked compare LLVM vectorizes, not a
+/// walk over 16-byte pairs; the counts let most frees skip it and the
+/// rest stop at their victim's last entry.
+#[derive(Debug, Clone)]
+struct HotLinks {
+    from: Vec<u32>,
+    slot: Vec<u8>,
+    /// Entries per source id, indexed by id: one slot per
+    /// [`HotLinks::add_source`].
+    per_source: Vec<u32>,
+}
+
+/// Most pointer slots the hot-link set holds; a link store past it
+/// evicts a random entry.
+const HOT_LINKS_MAX: usize = 512;
+
+/// Sources compared per step of [`HotLinks::find`]; a whole chunk is
+/// compared branch-free before any hit is located.
+const FIND_CHUNK: usize = 32;
+
+impl Default for HotLinks {
+    /// An empty set, allocated at its cap.
+    fn default() -> Self {
+        HotLinks {
+            from: Vec::with_capacity(HOT_LINKS_MAX),
+            slot: Vec::with_capacity(HOT_LINKS_MAX),
+            per_source: Vec::new(),
+        }
+    }
+}
+
+impl HotLinks {
+    /// Makes the next id a source: ids are minted in order, from 0.
+    fn add_source(&mut self) {
+        self.per_source.push(0);
+    }
+
+    fn len(&self) -> usize {
+        self.from.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.from.is_empty()
+    }
+
+    fn get(&self, i: usize) -> (ObjId, u64) {
+        (ObjId::from(self.from[i]), u64::from(self.slot[i]))
+    }
+
+    fn push(&mut self, from: ObjId, slot: u64) {
+        let from = u32::try_from(from).expect("churn ids are dense slot numbers");
+        self.per_source[from as usize] += 1;
+        self.from.push(from);
+        self.slot.push(u8::try_from(slot).expect("link slots are < 64"));
+    }
+
+    fn swap_remove(&mut self, i: usize) -> (ObjId, u64) {
+        let from = self.from.swap_remove(i);
+        self.per_source[from as usize] -= 1;
+        (ObjId::from(from), u64::from(self.slot.swap_remove(i)))
+    }
+
+    /// Removes every entry whose source is `victim`, keeping the order of
+    /// the rest: `retain(|&(o, _)| o != victim)`, closing each gap with
+    /// one block move per array.
+    fn unlink(&mut self, victim: ObjId) {
+        let Some(count) = usize::try_from(victim).ok().and_then(|v| self.per_source.get_mut(v)) else {
+            return;
+        };
+        let hits = std::mem::take(count);
+        if hits == 0 {
+            return;
+        }
+        // A counted source fits in `u32`: `push` checked it.
+        let victim = victim as u32;
+        let first = self.find(victim, 0).expect("every counted entry is present");
+        let (mut kept, mut next) = (first, first + 1);
+        for _ in 1..hits {
+            let hit = self.find(victim, next).expect("every counted entry is present");
+            self.move_down(next..hit, kept);
+            kept += hit - next;
+            next = hit + 1;
+        }
+        let len = self.len();
+        self.move_down(next..len, kept);
+        self.from.truncate(kept + len - next);
+        self.slot.truncate(kept + len - next);
+    }
+
+    /// Moves the entries in `range` to start at index `to`.
+    fn move_down(&mut self, range: std::ops::Range<usize>, to: usize) {
+        self.from.copy_within(range.clone(), to);
+        self.slot.copy_within(range, to);
+    }
+
+    /// Index of the first entry at or after `start` whose source is `v`.
+    fn find(&self, v: u32, start: usize) -> Option<usize> {
+        let tail = &self.from[start..];
+        let mut chunks = tail.chunks_exact(FIND_CHUNK);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            // `fold`, not `any`: no early exit, so the compare vectorizes.
+            if chunk.iter().fold(false, |hit, &x| hit | (x == v)) {
+                return chunk.iter().position(|&x| x == v).map(|i| start + c * FIND_CHUNK + i);
+            }
+        }
+        let done = tail.len() - chunks.remainder().len();
+        chunks.remainder().iter().position(|&x| x == v).map(|i| start + done + i)
+    }
+}
+
 impl ChurnSource {
     fn emit_alloc(&mut self, ops: &mut Vec<Op>) {
         let size = self.profile.obj_size.sample(&mut self.rng);
         let obj = self.free_slots.pop().unwrap_or_else(|| {
             let s = self.next_slot;
             self.next_slot += 1;
-            self.links_from.push(0);
+            self.hot_links.add_source();
             s
         });
         ops.push(Op::Alloc { obj, size });
@@ -164,9 +283,7 @@ impl ChurnSource {
         self.free_slots.push(victim);
         self.live_bytes -= vsize;
         self.churned += vsize;
-        if std::mem::take(&mut self.links_from[victim as usize]) != 0 {
-            self.hot_links.retain(|&(o, _)| o != victim);
-        }
+        self.hot_links.unlink(victim);
         self.emit_compute(ops);
         self.emit_alloc(ops);
 
@@ -176,13 +293,11 @@ impl ChurnSource {
             let to = self.live[self.rng.gen_range(0..self.live.len())].0;
             let slot = self.rng.gen_range(0..64);
             ops.push(Op::LinkPtr { from, slot, to });
-            if self.hot_links.len() >= 512 {
+            if self.hot_links.len() >= HOT_LINKS_MAX {
                 let i = self.rng.gen_range(0..self.hot_links.len());
-                let (dropped, _) = self.hot_links.swap_remove(i);
-                self.links_from[dropped as usize] -= 1;
+                self.hot_links.swap_remove(i);
             }
-            self.hot_links.push((from, slot));
-            self.links_from[from as usize] += 1;
+            self.hot_links.push(from, slot);
         }
         for _ in 0..self.profile.chases_per_step {
             self.emit_compute(ops);
@@ -193,7 +308,7 @@ impl ChurnSource {
                     self.rng.gen_range(0..64),
                 )
             } else {
-                self.hot_links[self.rng.gen_range(0..self.hot_links.len())]
+                self.hot_links.get(self.rng.gen_range(0..self.hot_links.len()))
             };
             ops.push(Op::ChasePtr { from, slot });
         }
@@ -234,6 +349,8 @@ impl OpSource for ChurnSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtest::check::{vec_of, Gen, GenExt, Just};
+    use simtest::{oneof, sim_assert_eq};
 
     fn tiny() -> ChurnProfile {
         ChurnProfile {
@@ -291,6 +408,106 @@ mod tests {
             assert!((100..=10_000).contains(&s));
         }
         assert_eq!(SizeDist::fixed(64).sample(&mut rng), 64);
+    }
+
+    #[test]
+    fn a_zero_size_floor_draws_from_one_byte_and_the_stream_ends() {
+        let d = SizeDist { min: 0, max: 4096 };
+        assert!(d.approx_mean() > 0);
+        assert_eq!(SizeDist::fixed(0).approx_mean(), 1);
+        let p = ChurnProfile { obj_size: d, ..tiny() };
+        let ops = simtest::within_3s(move || p.source(9).collect_ops());
+        let sizes: Vec<u64> = ops
+            .iter()
+            .filter_map(|o| match *o {
+                Op::Alloc { size, .. } => Some(size),
+                _ => None,
+            })
+            .collect();
+        assert!(ops.iter().any(|o| matches!(o, Op::Free { .. })), "the stream must leave warm-up");
+        assert!(sizes.iter().all(|&s| (1..=4096).contains(&s)), "sizes {:?}", &sizes[..8]);
+    }
+
+    /// One step of the hot-link model test: what `ChurnSource` does to
+    /// its set, with ids drawn from a small range so sources repeat.
+    #[derive(Debug, Clone)]
+    enum LinkOp {
+        /// A link store: evict entry `pick % len` at the cap, then push.
+        Link { from: ObjId, slot: u64, pick: usize },
+        /// `n` link stores at once, so the cap is reached in a few ops.
+        Burst { n: usize, salt: u64 },
+        SwapRemove(usize),
+        /// Ids from 24 up are never pushed: an absent victim, up to one
+        /// no `u32` holds.
+        Unlink(ObjId),
+        /// Unlink every id: the set ends empty.
+        UnlinkAll,
+    }
+
+    fn link_op() -> impl Gen<Value = LinkOp> {
+        oneof![
+            3 => (0u64..24, 0u64..64, 0usize..HOT_LINKS_MAX)
+                .gmap(|(from, slot, pick)| LinkOp::Link { from, slot, pick }),
+            1 => (0usize..600, 0u64..1000).gmap(|(n, salt)| LinkOp::Burst { n, salt }),
+            1 => (0usize..HOT_LINKS_MAX).gmap(LinkOp::SwapRemove),
+            3 => (0u64..32).gmap(LinkOp::Unlink),
+            1 => Just(LinkOp::Unlink(ObjId::MAX)),
+            1 => Just(LinkOp::UnlinkAll),
+        ]
+    }
+
+    fn link(set: &mut HotLinks, model: &mut Vec<(ObjId, u64)>, from: ObjId, slot: u64, pick: usize) {
+        if model.len() >= HOT_LINKS_MAX {
+            let i = pick % model.len();
+            assert_eq!(set.swap_remove(i), model.swap_remove(i));
+        }
+        set.push(from, slot);
+        model.push((from, slot));
+    }
+
+    simtest::props! {
+        /// `HotLinks` reads exactly as the `Vec<(ObjId, u64)>` it replaced,
+        /// driven by `retain`, `swap_remove` and indexing, after every op.
+        fn hot_links_agree_with_the_vec_they_replace(ops in vec_of(link_op(), 1..60)) {
+            let mut set = HotLinks::default();
+            for _ in 0..24 {
+                set.add_source();
+            }
+            let mut model: Vec<(ObjId, u64)> = Vec::new();
+            for op in ops {
+                match op {
+                    LinkOp::Link { from, slot, pick } => link(&mut set, &mut model, from, slot, pick),
+                    LinkOp::Burst { n, salt } => {
+                        for k in 0..n as u64 {
+                            let x = (salt + k).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+                            link(&mut set, &mut model, x % 24, x % 64, (x >> 8) as usize);
+                        }
+                    }
+                    LinkOp::SwapRemove(i) => {
+                        if !model.is_empty() {
+                            let i = i % model.len();
+                            sim_assert_eq!(set.swap_remove(i), model.swap_remove(i));
+                        }
+                    }
+                    LinkOp::Unlink(victim) => {
+                        set.unlink(victim);
+                        model.retain(|&(o, _)| o != victim);
+                    }
+                    LinkOp::UnlinkAll => {
+                        for victim in 0..32 {
+                            set.unlink(victim);
+                            model.retain(|&(o, _)| o != victim);
+                        }
+                        sim_assert_eq!(set.is_empty(), true);
+                    }
+                }
+                sim_assert_eq!(set.len(), model.len());
+                sim_assert_eq!(set.is_empty(), model.is_empty());
+                for (i, &entry) in model.iter().enumerate() {
+                    sim_assert_eq!(set.get(i), entry);
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub struct PgbenchParams {
     pub transactions: u64,
     /// Fixed arrival rate in tx/s (`--rate`, Table 1), or `None` for
     /// back-to-back serial transactions. Remember the x8 compressed
-    /// timebase when comparing with the paper's 100/150/250 tx/s.
+    /// timebase when comparing with the paper's 100/150/250 tx/s. Must be
+    /// finite and positive; a rate above `CYCLES_PER_SEC` arrives every
+    /// cycle.
     pub rate: Option<f64>,
     /// RNG seed.
     pub seed: u64,
@@ -53,7 +55,10 @@ fn pgbench_config(params: PgbenchParams) -> SimConfig {
         .max_objects(2048)
         .min_quarantine(2 << 20) // 8 MiB / 4
         // The `--rate` arrival interval; the ops themselves are rate-independent.
-        .tx_interval(params.rate.map(|r| (CYCLES_PER_SEC as f64 / r) as u64))
+        .tx_interval(params.rate.map(|r| {
+            assert!(r.is_finite() && r > 0.0, "PgbenchParams::rate must be finite and positive, got {r}");
+            ((CYCLES_PER_SEC as f64 / r) as u64).max(1)
+        }))
         .build()
         .expect("static workload config")
 }
@@ -64,6 +69,10 @@ fn pgbench_config(params: PgbenchParams) -> SimConfig {
 /// "memory context" tables; ~170 KiB freed per transaction (preserving
 /// Table 2's per-transaction freed:heap ratio of ~1.5%); one revocation
 /// roughly every 22 transactions (paper: every ~17).
+///
+/// # Panics
+///
+/// If `params.rate` is `Some` of a non-finite or non-positive rate.
 #[must_use]
 pub fn pgbench_stream(params: PgbenchParams) -> StreamedWorkload<PgbenchSource> {
     StreamedWorkload {
@@ -332,6 +341,30 @@ mod tests {
         let stats = System::new(config).run_stream(&mut w.source).unwrap();
         assert_eq!(stats.tx_latencies.len(), 600);
         assert!(stats.revocations >= 10, "pgbench must revoke frequently (got {})", stats.revocations);
+    }
+
+    #[test]
+    fn an_arrival_rate_past_the_clock_arrives_every_cycle() {
+        for rate in [3e9, 1e10, f64::MAX] {
+            let mut w = pgbench_stream(PgbenchParams { transactions: 20, rate: Some(rate), seed: 1 });
+            assert_eq!(w.config.tx_interval(), Some(1), "rate {rate}");
+            let stats =
+                simtest::within_3s(move || System::new(w.config.clone()).run_stream(&mut w.source).unwrap());
+            assert_eq!(stats.tx_latencies.len(), 20, "rate {rate}");
+        }
+        let slow = pgbench_stream(PgbenchParams { rate: Some(100.0), ..PgbenchParams::default() });
+        assert_eq!(slow.config.tx_interval(), Some(CYCLES_PER_SEC / 100));
+    }
+
+    #[test]
+    fn a_rate_that_is_not_finite_and_positive_is_refused() {
+        for rate in [0.0, -0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let refused = std::panic::catch_unwind(|| {
+                pgbench_stream(PgbenchParams { rate: Some(rate), ..PgbenchParams::default() })
+            });
+            let msg = *refused.expect_err("a bad rate must panic").downcast::<String>().unwrap();
+            assert!(msg.contains("PgbenchParams::rate"), "rate {rate}: {msg}");
+        }
     }
 
     #[test]
