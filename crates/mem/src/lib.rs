@@ -10,9 +10,8 @@
 //!   stores put there and no bytes besides: a data write is a
 //!   [`PhysMem::clear_tag_range`] over the granules it touches, and an
 //!   untagged granule loads as the address last stored to it. A page costs
-//!   the host what it holds: a frame's capability shadow and its colours
-//!   are each allocated on first need, and the shadows of a dropped memory
-//!   go to one process-wide pool.
+//!   the host what it holds: a frame's capability shadow has one entry per
+//!   granule stored to it, and its colours are allocated on first recolor.
 //! * [`MemSystem`] — wraps [`PhysMem`] with per-core L1 caches and a shared
 //!   L2, metering DRAM transactions per core. The paper's Figures 4 and 6
 //!   report revocation's *bus traffic* overheads; this model is what lets

@@ -1,23 +1,27 @@
 //! Sparse, demand-zero tagged physical memory.
 //!
 //! Host performance: a page costs the host what it holds. Frames live in
-//! a dense slab (`Vec<Frame>`) behind a page-number → slot [`PageMap`],
-//! and each of a frame's two planes — capability shadow and colours — is
-//! allocated on first need: a page that is only ever touched owns no box
-//! at all. A released frame parks on a free list and is reset (not
-//! reallocated) on reuse; a dropped memory leaves its shadows, as they
-//! are, to the process's next memories. None of this is visible to the
+//! a slab of fixed-size chunks behind a page-number → slot [`PageMap`];
+//! a chunk is written whole when it is added, so the slab never holds
+//! the untouched capacity a doubling `Vec<Frame>` leaves behind, whose
+//! residency would turn on where the host allocator happened to put it.
+//! A frame's capability shadow is packed: one entry per granule stored
+//! in the frame's lifetime, in first-store order, found through a
+//! per-granule byte index; its colours are allocated on first recolor.
+//! A page that is only ever touched owns no allocation at all. A released
+//! frame parks on a free list and is reset (not reallocated) on reuse,
+//! keeping its shadow's capacity. None of this is visible to the
 //! simulation: counters, tags and loaded capabilities are bit-identical
 //! to a naive map of granules. Two invariants keep it so:
 //!
-//! * a shadow entry is read only under its `tags` or `written` bit, so a
-//!   recycled shadow needs no zeroing;
+//! * a granule's index byte, and the shadow entry it names, are read only
+//!   under the granule's `written` bit, so a reset frame needs no zeroing
+//!   beyond its masks and an emptied shadow;
 //! * an untagged granule loads as a null capability whose address is its
 //!   shadow entry's (its residue), or zero where `written` is clear.
 
 use cheri_cap::{Capability, CAP_SIZE};
 use crate::pagemap::PageMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Page size in bytes (Morello and CheriBSD use 4 KiB base pages).
 pub const PAGE_SIZE: u64 = 4096;
@@ -26,38 +30,6 @@ pub const PAGE_SIZE: u64 = 4096;
 pub const GRANULES_PER_PAGE: usize = (PAGE_SIZE / CAP_SIZE) as usize;
 
 const TAG_WORDS: usize = GRANULES_PER_PAGE / 64;
-
-/// One frame's capability plane: the last capability stored to each granule.
-type Shadow = Box<[Capability]>;
-
-/// Most shadows kept for the process's next memories (2¹³ × 8 KiB = 64 MiB).
-const SHADOW_POOL_MAX: usize = 1 << 13;
-
-/// Shadows of dropped memories, handed on unzeroed (the taker's `written`
-/// mask starts clear). Keeping them stops the host allocator from
-/// returning a short cell's heap to the OS and faulting it back in for
-/// the next cell. One pool for the process, not one per thread: a matrix
-/// run's workers die with the run, and N of them must not each park the
-/// bound.
-static SHADOW_POOL: Mutex<Vec<Shadow>> = Mutex::new(Vec::new());
-
-fn shadow_pool() -> MutexGuard<'static, Vec<Shadow>> {
-    // A push or a pop leaves the list valid at every step, so the lock of
-    // a thread that panicked (a poisoned cell's) guards nothing broken.
-    SHADOW_POOL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn take_shadow() -> Shadow {
-    let pooled = shadow_pool().pop();
-    pooled.unwrap_or_else(|| vec![Capability::null(); GRANULES_PER_PAGE].into_boxed_slice())
-}
-
-/// Moves `shadows` into `pool` until it holds [`SHADOW_POOL_MAX`]; the
-/// rest stay with their owner.
-fn park_shadows(pool: &mut Vec<Shadow>, shadows: impl Iterator<Item = Shadow>) {
-    let room = SHADOW_POOL_MAX.saturating_sub(pool.len());
-    pool.extend(shadows.take(room));
-}
 
 /// The set bits of a page-wide mask, ascending.
 #[derive(Debug)]
@@ -100,35 +72,53 @@ fn bit(words: &[u64; TAG_WORDS], granule: usize) -> bool {
 }
 
 /// One physical page frame: a 256-bit tag vector, a 256-bit written
-/// vector and, each allocated on first need, the shadow of the
-/// capabilities stored to it and its granules' colours.
+/// vector, the capabilities stored to it (packed, with a per-granule
+/// index into them) and, allocated on first need, its granules' colours.
 ///
 /// The simulator holds full (decompressed) capabilities out-of-band rather
 /// than implementing a bit-exact 128-bit codec. No simulated access moves
 /// bytes: a frame holds what capability stores put there, and a data
 /// write only clears tags. An untagged granule still shows the address of
 /// the last capability stored to it (programs do inspect pointer values).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Frame {
     /// One bit per granule; bit set ⇒ the granule holds a valid capability.
     tags: [u64; TAG_WORDS],
-    /// One bit per granule; bit set ⇒ `caps[g]` was stored in this frame's
-    /// lifetime. A superset of `tags`.
+    /// One bit per granule; bit set ⇒ the granule was stored in this
+    /// frame's lifetime and `slot[g]` names its entry in `caps`. A
+    /// superset of `tags`.
     written: [u64; TAG_WORDS],
-    /// The last capability stored to each granule, tagged or not. Entries
-    /// whose `written` bit is clear are whatever the box last held.
-    caps: Option<Shadow>,
+    /// Per granule, the index of its entry in `caps`. Stale where the
+    /// granule's `written` bit is clear.
+    slot: [u8; GRANULES_PER_PAGE],
+    /// The last capability stored to each written granule, tagged or not,
+    /// one entry per granule in the order of their first stores.
+    caps: Vec<Capability>,
     /// Per-granule memory colors (paper §7.3), allocated on first recolor.
     colors: Option<Box<[u8]>>,
 }
 
+/// The frame of a page never materialized: no tags, nothing written.
+static UNTOUCHED: Frame = Frame::new();
+
 impl Frame {
-    /// Returns the frame to its demand-zero state. The shadow stays (slab
-    /// slots are recycled across release/materialize): with `written`
-    /// clear, nothing reads it.
+    const fn new() -> Frame {
+        Frame {
+            tags: [0; TAG_WORDS],
+            written: [0; TAG_WORDS],
+            slot: [0; GRANULES_PER_PAGE],
+            caps: Vec::new(),
+            colors: None,
+        }
+    }
+
+    /// Returns the frame to its demand-zero state. The shadow keeps its
+    /// capacity (slab slots are recycled across release/materialize) and
+    /// `slot` its bytes: with `written` clear, nothing reads them.
     fn reset(&mut self) {
         self.tags = [0; TAG_WORDS];
         self.written = [0; TAG_WORDS];
+        self.caps.clear();
         self.colors = None;
     }
 
@@ -147,27 +137,41 @@ impl Frame {
         }
     }
 
-    /// Records `cap` as the content of `granule`.
+    /// The shadow entry of a written `granule`.
+    #[inline]
+    fn entry(&self, granule: usize) -> Capability {
+        self.caps[usize::from(self.slot[granule])]
+    }
+
+    /// Records `cap` as the content of `granule`: a granule's first store
+    /// appends its entry, later ones overwrite it.
     fn store(&mut self, granule: usize, cap: Capability) {
-        self.caps.get_or_insert_with(take_shadow)[granule] = cap;
         let (w, b) = (granule / 64, granule % 64);
-        self.written[w] |= 1 << b;
+        if bit(&self.written, granule) {
+            self.caps[usize::from(self.slot[granule])] = cap;
+        } else {
+            // At most one entry per granule: the index fits a byte.
+            self.slot[granule] = self.caps.len() as u8;
+            self.caps.push(cap);
+            self.written[w] |= 1 << b;
+        }
         self.tags[w] = self.tags[w] & !(1 << b) | u64::from(cap.is_tagged()) << b;
     }
 
     /// The address last stored to `granule`, or zero if none was: what a
     /// data load of a pointer sees.
     fn residue(&self, granule: usize) -> u64 {
-        match &self.caps {
-            Some(caps) if bit(&self.written, granule) => caps[granule].addr(),
-            _ => 0,
+        if bit(&self.written, granule) {
+            self.entry(granule).addr()
+        } else {
+            0
         }
     }
 
     /// The capability in `granule`, or its untagged residue.
     fn load(&self, granule: usize) -> Capability {
         if self.tag(granule) {
-            self.caps.as_ref().expect("tagged granule must have shadow storage")[granule]
+            self.entry(granule)
         } else {
             Capability::null().set_addr(self.residue(granule))
         }
@@ -182,6 +186,9 @@ impl Frame {
     }
 }
 
+/// Frames per slab chunk (64 × 360 B ≈ 23 KiB).
+const CHUNK_FRAMES: usize = 64;
+
 /// Sparse physical memory with per-granule capability tags.
 ///
 /// Frames materialize (zero-filled) on first touch and are accounted toward
@@ -190,19 +197,16 @@ impl Frame {
 /// inserted — never on plain accesses.
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    /// Dense frame storage; slots are stable for the life of the memory.
-    slab: Vec<Frame>,
+    /// Frame storage: slot `s` is frame `s % CHUNK_FRAMES` of chunk
+    /// `s / CHUNK_FRAMES`. Slots are stable for the life of the memory.
+    slab: Vec<Box<[Frame; CHUNK_FRAMES]>>,
+    /// Slots handed out so far; the last chunk's frames past it are unused.
+    slots: u32,
     /// Page number → slab slot for materialized pages.
     index: PageMap<u32>,
     /// Slots whose pages were released, available for reuse.
     free_slots: Vec<u32>,
     peak_resident: u64,
-}
-
-impl Drop for PhysMem {
-    fn drop(&mut self) {
-        park_shadows(&mut shadow_pool(), self.slab.iter_mut().filter_map(|frame| frame.caps.take()));
-    }
 }
 
 impl PhysMem {
@@ -213,13 +217,24 @@ impl PhysMem {
     }
 
     #[inline]
+    fn slot(&self, s: u32) -> &Frame {
+        &self.slab[s as usize / CHUNK_FRAMES][s as usize % CHUNK_FRAMES]
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, s: u32) -> &mut Frame {
+        &mut self.slab[s as usize / CHUNK_FRAMES][s as usize % CHUNK_FRAMES]
+    }
+
+    #[inline]
     fn frame(&self, addr: u64) -> Option<&Frame> {
-        self.index.get(addr / PAGE_SIZE).map(|&s| &self.slab[s as usize])
+        self.index.get(addr / PAGE_SIZE).map(|&s| self.slot(s))
     }
 
     #[inline]
     fn frame_mut_existing(&mut self, addr: u64) -> Option<&mut Frame> {
-        self.index.get(addr / PAGE_SIZE).map(|&s| &mut self.slab[s as usize])
+        let s = *self.index.get(addr / PAGE_SIZE)?;
+        Some(self.slot_mut(s))
     }
 
     /// Locates (materializing on demand) the frame backing `addr`. The
@@ -227,22 +242,25 @@ impl PhysMem {
     fn frame_mut(&mut self, addr: u64) -> &mut Frame {
         let fno = addr / PAGE_SIZE;
         if let Some(&s) = self.index.get(fno) {
-            return &mut self.slab[s as usize];
+            return self.slot_mut(s);
         }
         let slot = match self.free_slots.pop() {
             Some(s) => {
-                self.slab[s as usize].reset();
+                self.slot_mut(s).reset();
                 s
             }
             None => {
-                assert!(self.slab.len() < u32::MAX as usize, "slab full");
-                self.slab.push(Frame::default());
-                (self.slab.len() - 1) as u32
+                assert!(self.slots < u32::MAX, "slab full");
+                if (self.slots as usize).is_multiple_of(CHUNK_FRAMES) {
+                    self.slab.push(Box::new([const { Frame::new() }; CHUNK_FRAMES]));
+                }
+                self.slots += 1;
+                self.slots - 1
             }
         };
         self.index.insert(fno, slot);
         self.peak_resident = self.peak_resident.max(self.resident_bytes());
-        &mut self.slab[slot as usize]
+        self.slot_mut(slot)
     }
 
     /// Materializes (demand-zeroes) the frame backing `addr`, as a store
@@ -353,11 +371,8 @@ impl PhysMem {
             0,
             "tagged_caps_in_page requires a page-aligned address"
         );
-        let (tags, caps) = match self.frame(page_addr).and_then(|f| f.caps.as_ref().map(|c| (f.tags, c))) {
-            Some((tags, caps)) => (tags, &caps[..]),
-            None => ([0; TAG_WORDS], &[][..]),
-        };
-        TaggedCapsInPage { base: page_addr, caps, tagged: SetBits::new(tags) }
+        let frame = self.frame(page_addr).unwrap_or(&UNTOUCHED);
+        TaggedCapsInPage { base: page_addr, frame, tagged: SetBits::new(frame.tags) }
     }
 
     /// Releases the frame backing `page_addr` (munmap / page reclaim). The
@@ -377,11 +392,10 @@ impl PhysMem {
     }
 
     /// Recolors every granule overlapping `[base, base+len)` (the
-    /// allocator's free-time recoloring; paper §7.3). `base` is
-    /// granule-aligned; a `len` that is not recolors the granule its tail
-    /// falls in, as [`PhysMem::clear_tag_range`] clears that granule's tag.
+    /// allocator's free-time recoloring; paper §7.3): a ragged head or
+    /// tail recolors the granule it falls in, as
+    /// [`PhysMem::clear_tag_range`] clears that granule's tag.
     pub fn set_color_range(&mut self, base: u64, len: u64, color: u8) {
-        assert_eq!(base % CAP_SIZE, 0, "recolor must be granule-aligned");
         let end = base.saturating_add(len);
         let mut addr = base;
         while addr < end {
@@ -414,11 +428,12 @@ impl PhysMem {
 
 /// Zero-allocation iterator over a page's tagged capabilities, from
 /// [`PhysMem::tagged_caps_in_page`]. Snapshots the page's tag words at
-/// creation; capability payloads are read from the frame's shadow storage.
+/// creation; capability payloads are read through the frame's shadow
+/// index.
 #[derive(Debug)]
 pub struct TaggedCapsInPage<'a> {
     base: u64,
-    caps: &'a [Capability],
+    frame: &'a Frame,
     tagged: SetBits,
 }
 
@@ -428,7 +443,7 @@ impl Iterator for TaggedCapsInPage<'_> {
     #[inline]
     fn next(&mut self) -> Option<(u64, Capability)> {
         let g = self.tagged.next()?;
-        Some((self.base + g as u64 * CAP_SIZE, self.caps[g]))
+        Some((self.base + g as u64 * CAP_SIZE, self.frame.entry(g)))
     }
 }
 
@@ -450,42 +465,64 @@ mod tests {
 
     #[test]
     fn pages_of_a_dropped_memory_come_back_zeroed() {
-        // Sibling tests draw on the same pool and can take the shadow this
-        // one parked: every round checks what a memory may see, and one
-        // undisturbed round shows the shadow did travel.
-        let recycled = (0..64).any(|_| {
-            let mut mem = PhysMem::new();
-            mem.store_cap(0x4000, cap(0xabab_0000).with_tag_cleared());
-            mem.store_cap(0x4040, cap(0x1234_0000));
-            drop(mem);
-            // The next memory takes the shadow and sees none of it.
-            let mut mem = PhysMem::new();
-            mem.materialize_page(0x4000);
-            assert!(!mem.page_has_tags(0x4000));
-            // A recycled shadow shows no capability and no residue.
-            mem.store_cap(0x4080, Capability::null());
-            for a in (0x4000..0x4080).step_by(CAP_SIZE as usize) {
-                assert_eq!(mem.load_cap(a), Capability::null(), "granule {a:#x}");
-            }
-            assert_eq!(mem.tagged_caps_in_page(0x4000).count(), 0);
-            let shadow = mem.slab[0].caps.as_ref().expect("a capability store makes the shadow");
-            shadow[4] == cap(0x1234_0000)
-        });
-        assert!(recycled, "the dropped memory's shadow was not kept, or not handed on as it was");
-        assert!(shadow_pool().len() <= SHADOW_POOL_MAX);
+        let mut mem = PhysMem::new();
+        mem.store_cap(0x4000, cap(0xabab_0000).with_tag_cleared());
+        mem.store_cap(0x4040, cap(0x1234_0000));
+        mem.set_color_range(0x4000, 64, 5);
+        mem.release_page(0x4000);
+        // The page comes back in the same slab slot and sees none of it;
+        // its shadow was emptied, not freed, so reuse allocates nothing.
+        mem.materialize_page(0x4000);
+        assert_eq!(mem.slots, 1);
+        assert!(mem.slot(0).caps.is_empty() && mem.slot(0).caps.capacity() >= 2);
+        assert!(!mem.page_has_tags(0x4000));
+        assert_eq!(mem.tagged_caps_in_page(0x4000).count(), 0);
+        mem.store_cap(0x4080, Capability::null());
+        for a in (0x4000..0x4080).step_by(CAP_SIZE as usize) {
+            assert_eq!(mem.load_cap(a), Capability::null(), "granule {a:#x}");
+            assert_eq!(mem.granule_color(a), 0, "granule {a:#x}");
+        }
+        assert_eq!(mem.slot(0).caps.len(), 1);
     }
 
     #[test]
-    fn the_pool_is_bounded_once() {
-        // `park_shadows` never looks inside a shadow: empty ones do.
-        let mut pool = Vec::new();
-        for _ in 0..3 {
-            park_shadows(&mut pool, (0..SHADOW_POOL_MAX).map(|_| Shadow::default()));
-            assert_eq!(pool.len(), SHADOW_POOL_MAX);
+    fn shadow_entries_grow_with_the_granules_stored_not_the_pages() {
+        // One capability store on each of P pages: a whole-page shadow
+        // would hold 256·P entries.
+        const P: u64 = 1000;
+        let mut mem = PhysMem::new();
+        for page in 0..P {
+            mem.store_cap(page * PAGE_SIZE + (page % 256) * CAP_SIZE, cap(0x1000 * page));
         }
-        let mut last = vec![Shadow::default()].into_iter();
-        park_shadows(&mut pool, &mut last);
-        assert_eq!(last.len(), 1, "a full pool leaves a shadow with its owner");
+        let entries: usize = mem.slab.iter().flat_map(|c| c.iter()).map(|f| f.caps.capacity()).sum();
+        assert!(entries as u64 <= 4 * P, "{entries} shadow entries for {P} stored granules");
+        // A full page holds one entry per granule, whatever the order of
+        // its stores and however often each is re-stored.
+        for round in 0..3 {
+            for g in (0..GRANULES_PER_PAGE as u64).rev() {
+                mem.store_cap(0x80_0000 + g * CAP_SIZE, cap(0x1000 * round));
+            }
+        }
+        assert_eq!(mem.frame(0x80_0000).expect("stored").caps.len(), GRANULES_PER_PAGE);
+    }
+
+    #[test]
+    fn the_slab_grows_one_chunk_at_a_time() {
+        // A doubling `Vec<Frame>` would hold up to twice the frames in use;
+        // the chunks hold at most one chunk's worth beyond them.
+        let mut mem = PhysMem::new();
+        for page in 0..1000 {
+            mem.materialize_page(page * PAGE_SIZE);
+            assert_eq!(mem.slab.len(), (page as usize + 1).div_ceil(CHUNK_FRAMES));
+        }
+        // Released slots are reused before a chunk is added.
+        for page in 0..100 {
+            mem.release_page(page * PAGE_SIZE);
+        }
+        for page in 1000..1100 {
+            mem.materialize_page(page * PAGE_SIZE);
+        }
+        assert_eq!((mem.slots, mem.slab.len()), (1000, 16));
     }
 
     #[test]
@@ -497,8 +534,8 @@ mod tests {
             assert_eq!(mem.load_cap(page * PAGE_SIZE), Capability::null());
         }
         assert_eq!(mem.resident_bytes(), 1000 * PAGE_SIZE);
-        // No shadow to park, no plane to free: the frame is all a page costs.
-        assert!(mem.slab.iter().all(|f| f.caps.is_none() && f.colors.is_none()));
+        // No shadow, no colour plane: the frame is all a page costs.
+        assert!(mem.slab.iter().flat_map(|c| c.iter()).all(|f| f.caps.capacity() == 0 && f.colors.is_none()));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! stores, tag clears and page releases.
 
 use cheri_cap::{Capability, Perms, CAP_SIZE};
-use cheri_mem::{PhysMem, PAGE_SIZE};
+use cheri_mem::{PhysMem, GRANULES_PER_PAGE, PAGE_SIZE};
 use simtest::check::{vec_of, CaseResult, Gen, GenExt, Just};
-use simtest::{oneof, sim_assert, sim_assert_eq};
+use simtest::{oneof, sim_assert, sim_assert_eq, Rng};
 use std::collections::{BTreeSet, HashMap};
 
 #[derive(Debug, Clone)]
@@ -174,6 +174,70 @@ simtest::props! {
             }
             model.check(&mem)?;
         }
+    }
+
+    /// A page filled to its last granule agrees with the same model, in
+    /// every phase of its life: all 256 granules stored in a shuffled
+    /// order, re-stored (tagged, untagged or null) in another, tags
+    /// cleared, the page released and re-materialized and half-filled
+    /// again, and the memory rebuilt.
+    fn a_dense_page_follows_the_model(seed in 0u64..=u64::MAX, page in 0u64..MODEL_PAGES) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let base = page * PAGE_SIZE;
+        let mut order: Vec<u64> = (0..GRANULES_PER_PAGE as u64).collect();
+        let mut mem = PhysMem::new();
+        let mut model = CapModel::default();
+        let store = |mem: &mut PhysMem, model: &mut CapModel, g: u64, cap: Capability| {
+            mem.store_cap(base + g * CAP_SIZE, cap);
+            model.store(base + g * CAP_SIZE, cap);
+        };
+        // Distinct per granule and per phase, so a misplaced entry shows.
+        let tagged = |g: u64, phase: u64| {
+            let root = 0x10_0000 * (phase + 1) + g * 0x100;
+            Capability::new_root(root, 64, Perms::rw()).set_addr(root + g % 64)
+        };
+        rng.shuffle(&mut order);
+        for &g in &order {
+            store(&mut mem, &mut model, g, tagged(g, 0));
+        }
+        model.check(&mem)?;
+        rng.shuffle(&mut order);
+        for &g in &order {
+            let cap = match rng.gen_range(0..3u8) {
+                0 => tagged(g, 1),
+                1 => tagged(g, 1).with_tag_cleared().set_addr(0xdead_0000 + g),
+                _ => Capability::null(),
+            };
+            store(&mut mem, &mut model, g, cap);
+        }
+        model.check(&mem)?;
+        let (from, len) = (rng.gen_range(0..PAGE_SIZE), rng.gen_range(1..PAGE_SIZE));
+        mem.clear_tag_range(base + from, len);
+        model.clear_tags(base + from, len);
+        for _ in 0..16 {
+            let a = base + rng.gen_range(0..PAGE_SIZE);
+            mem.clear_tag(a);
+            model.clear_tags(a, 1);
+        }
+        model.check(&mem)?;
+        mem.release_page(base);
+        model.granules.retain(|&a, _| a / PAGE_SIZE != page);
+        model.resident.remove(&page);
+        model.check(&mem)?;
+        mem.materialize_page(base + rng.gen_range(0..PAGE_SIZE));
+        model.resident.insert(page);
+        model.check(&mem)?;
+        rng.shuffle(&mut order);
+        for &g in &order[..GRANULES_PER_PAGE / 2] {
+            store(&mut mem, &mut model, g, tagged(g, 2));
+        }
+        model.check(&mem)?;
+        mem = PhysMem::new();
+        model = CapModel::default();
+        for &g in &order[GRANULES_PER_PAGE / 2..] {
+            store(&mut mem, &mut model, g, tagged(g, 3));
+        }
+        model.check(&mem)?;
     }
 
     /// A shadow model of tag state agrees with the memory after any op

@@ -227,11 +227,17 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Maps `[vaddr, vaddr+len)` with `flags`. Both must be page-aligned.
-    /// Remapping an existing page replaces it (used to flip guards).
+    /// Remapping an existing page replaces it (used to flip guards). A
+    /// range may end at 2^64 exactly; one that runs past it is refused
+    /// with [`VmFault::NotMapped`] before any PTE changes.
     pub fn map_range(&mut self, vaddr: u64, len: u64, flags: MapFlags) -> Result<(), VmFault> {
         assert_eq!(vaddr % PAGE_SIZE, 0, "map_range: unaligned vaddr");
         assert_eq!(len % PAGE_SIZE, 0, "map_range: unaligned length");
-        for page in (vaddr..vaddr + len).step_by(PAGE_SIZE as usize) {
+        let pages = len / PAGE_SIZE;
+        if pages > PAGES_IN_SPACE - vaddr / PAGE_SIZE {
+            return Err(VmFault::NotMapped { vaddr });
+        }
+        for page in (0..pages).map(|i| vaddr + i * PAGE_SIZE) {
             let mut pte = Pte::new(flags, self.space_gen);
             // A *remapping* (e.g. mprotect to read-only) must not lose the
             // revoker's view of the page: the capability-dirty bit and the
@@ -250,10 +256,12 @@ impl Machine {
         Ok(())
     }
 
-    /// Unmaps `[vaddr, vaddr+len)`, releasing backing frames.
+    /// Unmaps every page `[vaddr, vaddr+len)` overlaps, releasing backing
+    /// frames. The part of a range past 2^64 holds no page to unmap.
     pub fn unmap_range(&mut self, vaddr: u64, len: u64) {
         assert_eq!(vaddr % PAGE_SIZE, 0, "unmap_range: unaligned vaddr");
-        for page in (vaddr..vaddr + len).step_by(PAGE_SIZE as usize) {
+        let pages = len.div_ceil(PAGE_SIZE).min(PAGES_IN_SPACE - vaddr / PAGE_SIZE);
+        for page in (0..pages).map(|i| vaddr + i * PAGE_SIZE) {
             self.ptes.remove(page / PAGE_SIZE);
             self.stats.pte_writes += 1;
             self.shootdown(page);
@@ -626,7 +634,8 @@ impl Machine {
         self.mem.phys_mut().set_color_range(vaddr, len, color);
         // Color metadata traffic: 4 bits/granule = len/32 bytes.
         cycles += self.mem.touch_write(core, vaddr, (len / 32).max(1));
-        cycles += len.div_ceil(CAP_SIZE); // 1 cycle per granule recolored
+        // 1 cycle per granule recolored: every one the range overlaps.
+        cycles += (vaddr % CAP_SIZE).saturating_add(len).div_ceil(CAP_SIZE);
         Ok(cycles)
     }
 
@@ -649,6 +658,9 @@ impl Machine {
         self.mem.phys().peak_resident_bytes()
     }
 }
+
+/// Pages in the 64-bit address space.
+const PAGES_IN_SPACE: u64 = u64::MAX / PAGE_SIZE + 1;
 
 fn pages_spanned(vaddr: u64, len: u64) -> impl Iterator<Item = u64> {
     let first = vaddr / PAGE_SIZE * PAGE_SIZE;
@@ -792,6 +804,41 @@ mod tests {
         let ragged = m.recolor(0, &auth, 24, 3).unwrap();
         assert_eq!(ragged, even, "24 bytes overlap two granules, as 32 do");
         assert_eq!((m.granule_color(0x1_0000), m.granule_color(0x1_0010), m.granule_color(0x1_0020)), (3, 3, 0));
+        // A cursor 8 bytes into a granule: 16 bytes overlap two granules.
+        let unaligned = m.recolor(0, &auth.set_addr(0x1_0008), 16, 4).unwrap();
+        assert_eq!(unaligned, even, "16 bytes from a ragged cursor overlap two granules");
+        assert_eq!((m.granule_color(0x1_0000), m.granule_color(0x1_0010), m.granule_color(0x1_0020)), (4, 4, 0));
+        let one_byte = m.recolor(0, &auth.set_addr(0x1_001f), 1, 5).unwrap();
+        assert_eq!((m.granule_color(0x1_0000), m.granule_color(0x1_0010)), (4, 5));
+        assert!(one_byte < even);
+    }
+
+    #[test]
+    fn a_range_that_ends_at_the_top_of_the_address_space_maps() {
+        let mut m = Machine::new(1);
+        let top = u64::MAX - PAGE_SIZE + 1;
+        m.map_range(top - PAGE_SIZE, 2 * PAGE_SIZE, MapFlags::user_rw()).unwrap();
+        assert!(m.is_mapped(top - PAGE_SIZE) && m.is_mapped(top) && m.is_mapped(u64::MAX));
+        let cap = Capability::new_root(top, PAGE_SIZE - 16, Perms::rw());
+        m.store_cap(0, &cap, cap).unwrap();
+        m.unmap_range(top, PAGE_SIZE);
+        assert!(!m.is_mapped(top) && m.is_mapped(top - PAGE_SIZE));
+        assert!(!m.mem().phys().tag(top), "the top page's frame was not released");
+        // Past 2^64 holds no page: the part below it is unmapped.
+        m.unmap_range(top - PAGE_SIZE, 4 * PAGE_SIZE);
+        assert!(!m.is_mapped(top - PAGE_SIZE));
+    }
+
+    #[test]
+    fn a_range_that_runs_past_the_top_of_the_address_space_is_refused_whole() {
+        let mut m = Machine::new(1);
+        let top = u64::MAX - PAGE_SIZE + 1;
+        let writes = m.vm_stats().pte_writes;
+        for (vaddr, len) in [(top, 2 * PAGE_SIZE), (top - PAGE_SIZE, 3 * PAGE_SIZE), (2 * PAGE_SIZE, top)] {
+            assert_eq!(m.map_range(vaddr, len, MapFlags::user_rw()), Err(VmFault::NotMapped { vaddr }));
+            assert!(!m.is_mapped(vaddr) && !m.is_mapped(top));
+        }
+        assert_eq!(m.vm_stats().pte_writes, writes, "a refused range changed a PTE");
     }
 
     #[test]

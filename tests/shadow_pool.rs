@@ -1,8 +1,10 @@
-//! The process-wide shadow pool of `cheri_mem::PhysMem` is invisible to
-//! the simulation: a cell's `RunStats` are the same bits whether its
-//! memory is the first of the process, is built from the unzeroed shadows
-//! of a memory that was full of tagged capabilities, or draws on the pool
-//! while another thread fills and empties it.
+//! A cell's `RunStats` do not depend on what earlier memories of the
+//! process held: they are the same bits whether its memory is the first
+//! of the process, is built after a memory full of tagged capabilities
+//! was dropped (its frees handed straight back to the host allocator), or
+//! runs while another thread fills and drops such memories. Capability
+//! shadows are per frame and no pool carries them between memories; this
+//! pins that whatever the host allocator recycles stays invisible.
 //!
 //! One test function, so that "first in the process" means it.
 
