@@ -14,9 +14,10 @@
 //!   experiments (scaled). With [`MrsConfig::colors`] set it composes
 //!   CHERI with memory colouring (§7.3): `free` recolours and recycles at
 //!   once, and only regions out of colours are quarantined.
-//! * [`MmapSpace`] — reservation-backed `mmap`/`munmap` (§6.2): partial
-//!   unmaps become guard pages, and fully-unmapped reservations are
-//!   quarantined and only recycled after a revocation pass.
+//!
+//! There is no `mmap` path: §6.2's reservation-backed `munmap`, which the
+//! paper implements but does not evaluate, is not modelled (DESIGN.md,
+//! "Findings").
 //!
 //! # Example
 //!
@@ -47,32 +48,31 @@
 #![warn(missing_docs)]
 
 mod mrs;
-mod reservations;
 mod size_class;
 mod snmalloc;
 
 pub use mrs::{AllocEvent, FreeEffect, Mrs, MrsConfig, MrsStats, RevocationReason};
-pub use reservations::MmapSpace;
 pub use size_class::{size_class_for, SizeClass, LARGE_THRESHOLD, NUM_SIZE_CLASSES};
 pub use snmalloc::{AllocError, Allocation, SnmallocLite};
 
 /// Address-space layout of the simulated process heap.
 ///
-/// One contiguous arena hosts both the malloc heap and the mmap space so a
-/// single revocation bitmap covers everything the kernel may be asked to
-/// revoke.
+/// One contiguous arena, covered by one revocation bitmap. The malloc
+/// region is its bottom three quarters; the top quarter is address space
+/// that no allocator hands out. The revoker's bitmap spans the whole
+/// arena, and every pinned simulated number depends on that span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapLayout {
     /// Arena base address.
     pub base: u64,
-    /// Total arena length (malloc + mmap regions).
+    /// Total arena length: the span the revoker's bitmap covers.
     pub total_len: u64,
     /// Length of the malloc region (from `base`).
     pub malloc_len: u64,
 }
 
 impl HeapLayout {
-    /// Splits `total_len` as 3/4 malloc heap, 1/4 mmap space.
+    /// Gives the bottom 3/4 of `total_len` to the malloc heap.
     ///
     /// # Panics
     ///
@@ -84,18 +84,6 @@ impl HeapLayout {
         let malloc_len = total_len / 4 * 3;
         HeapLayout { base, total_len, malloc_len }
     }
-
-    /// Base of the mmap space.
-    #[must_use]
-    pub fn mmap_base(&self) -> u64 {
-        self.base + self.malloc_len
-    }
-
-    /// Length of the mmap space.
-    #[must_use]
-    pub fn mmap_len(&self) -> u64 {
-        self.total_len - self.malloc_len
-    }
 }
 
 #[cfg(test)]
@@ -105,8 +93,7 @@ mod tests {
     #[test]
     fn layout_splits_arena() {
         let l = HeapLayout::new(0x4000_0000, 64 << 20);
-        assert_eq!(l.malloc_len + l.mmap_len(), l.total_len);
-        assert_eq!(l.mmap_base(), l.base + l.malloc_len);
+        assert_eq!((l.base, l.total_len, l.malloc_len), (0x4000_0000, 64 << 20, 48 << 20));
         assert_eq!(l.malloc_len % 0x1_0000, 0);
     }
 }

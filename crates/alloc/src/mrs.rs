@@ -64,9 +64,6 @@ pub enum RevocationReason {
     FreePolicy,
     /// Allocation hit out-of-memory and forced quarantine turnover.
     OomForced,
-    /// Address-space (reservation) quarantine crossed its bound after
-    /// `munmap`.
-    ReservationQuarantine,
     /// An external driver sealed the buffer directly (tests, Paint+sync
     /// pseudo-passes).
     External,
@@ -79,7 +76,6 @@ impl RevocationReason {
         match self {
             RevocationReason::FreePolicy => "free_policy",
             RevocationReason::OomForced => "oom_forced",
-            RevocationReason::ReservationQuarantine => "reservation_quarantine",
             RevocationReason::External => "external",
         }
     }
@@ -613,7 +609,7 @@ mod tests {
         assert!(e.trigger_revocation);
         rev.start_epoch(&mut m);
         // Externally driven seal while the pass is in flight (the shape of
-        // the simulator's OOM-forced and reservation-quarantine seals).
+        // the simulator's OOM-forced seal).
         let q = mrs.alloc(&mut m, 0, 2048).unwrap().cap;
         mrs.free(&mut m, &mut rev, 0, q).unwrap();
         mrs.seal(&rev);

@@ -15,9 +15,8 @@
 //!   simulator's load barrier observes;
 //! * a typed **diagnostics report**: malformed-program defects
 //!   (use-after-free, double-free, free-of-unallocated, busy allocation
-//!   slots, aliased root slots, wrong deallocator), safety-relevant
-//!   dangling dereferences, and informational facts (dangling interior
-//!   pointers, leaks);
+//!   slots, aliased root slots), safety-relevant dangling dereferences,
+//!   and informational facts (dangling interior pointers, leaks);
 //! * a per-program-point **live + quarantined byte curve** whose peak is a
 //!   sound lower bound on simulated peak RSS.
 //!
@@ -135,23 +134,21 @@ pub enum DiagnosticKind {
     /// `SyscallHoard` on an object that is not live (`aux` = 1 if it ever
     /// was).
     UseAfterFree,
-    /// `Free`/`Munmap` of an object already freed.
+    /// `Free` of an object already freed.
     DoubleFree,
-    /// `Free`/`Munmap` of an object never allocated.
+    /// `Free` of an object never allocated.
     FreeUnallocated,
-    /// `Alloc`/`Mmap` into an object ID that is still live.
+    /// `Alloc` into an object ID that is still live.
     AllocBusy,
     /// Two live objects share a root-table slot (`obj % max_objects`
     /// collides, `aux` = the earlier object): the second allocation
     /// silently overwrites the first's root capability.
     RootSlotAliased,
-    /// `Free` of an mmap object or `Munmap` of a heap object.
-    WrongDeallocator,
     /// A `ChasePtr` dereferenced a link whose target generation is dead —
     /// the dangling loads the revoker must catch. The full ordered list
     /// lives in [`Report::stale_chases`].
     StaleChase,
-    /// A `Free`/`Munmap` left a live interior pointer behind: some live
+    /// A `Free` left a live interior pointer behind: some live
     /// object (`aux`) still links to the freed object.
     DanglingLink,
     /// Live at end of program (`aux` = touched bytes).
@@ -160,13 +157,12 @@ pub enum DiagnosticKind {
 
 impl DiagnosticKind {
     /// All kinds, in report order.
-    pub const ALL: [DiagnosticKind; 9] = [
+    pub const ALL: [DiagnosticKind; 8] = [
         DiagnosticKind::UseAfterFree,
         DiagnosticKind::DoubleFree,
         DiagnosticKind::FreeUnallocated,
         DiagnosticKind::AllocBusy,
         DiagnosticKind::RootSlotAliased,
-        DiagnosticKind::WrongDeallocator,
         DiagnosticKind::StaleChase,
         DiagnosticKind::DanglingLink,
         DiagnosticKind::Leak,
@@ -181,7 +177,6 @@ impl DiagnosticKind {
             DiagnosticKind::FreeUnallocated => "free_unallocated",
             DiagnosticKind::AllocBusy => "alloc_busy",
             DiagnosticKind::RootSlotAliased => "root_slot_aliased",
-            DiagnosticKind::WrongDeallocator => "wrong_deallocator",
             DiagnosticKind::StaleChase => "stale_chase",
             DiagnosticKind::DanglingLink => "dangling_link",
             DiagnosticKind::Leak => "leak",
@@ -196,8 +191,7 @@ impl DiagnosticKind {
             | DiagnosticKind::DoubleFree
             | DiagnosticKind::FreeUnallocated
             | DiagnosticKind::AllocBusy
-            | DiagnosticKind::RootSlotAliased
-            | DiagnosticKind::WrongDeallocator => Severity::Malformed,
+            | DiagnosticKind::RootSlotAliased => Severity::Malformed,
             DiagnosticKind::StaleChase => Severity::Safety,
             DiagnosticKind::DanglingLink | DiagnosticKind::Leak => Severity::Info,
         }
@@ -254,10 +248,6 @@ pub struct Lifetime {
     pub last_op: Option<u64>,
     /// Largest capability length any generation carried.
     pub max_bytes: u64,
-    /// Ever heap-allocated.
-    pub heap: bool,
-    /// Ever mmap-allocated.
-    pub mmap: bool,
 }
 
 /// One point of the (decimated) byte curve.
@@ -395,8 +385,6 @@ impl Report {
                         ("first_op", l.first_op.into()),
                         ("last_op", l.last_op.map_or(Json::Null, Json::from)),
                         ("max_bytes", l.max_bytes.into()),
-                        ("heap", l.heap.into()),
-                        ("mmap", l.mmap.into()),
                     ])
                 })
                 .collect(),
@@ -447,17 +435,10 @@ impl Report {
 // The abstract interpreter
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ObjKind {
-    Heap,
-    Mmap,
-}
-
 /// The live generation of an object ID.
 #[derive(Debug, Clone, Copy)]
 struct LiveObj {
     cap_len: u64,
-    kind: ObjKind,
     touched: u64,
 }
 
@@ -477,8 +458,6 @@ struct Obj {
     first_op: u64,
     last_end: Option<u64>,
     max_bytes: u64,
-    heap: bool,
-    mmap: bool,
     live: Option<LiveObj>,
     /// Outgoing links of the live generation: `effective slot -> target`.
     /// Mirrors the slot storage the simulator writes through `cap_slot`.
@@ -566,10 +545,8 @@ impl Analyzer {
     /// Analyzes one op.
     pub fn push(&mut self, op: Op) {
         match op {
-            Op::Alloc { obj, size } => self.new_object(obj, size.max(1), ObjKind::Heap),
-            Op::Mmap { obj, len } => self.new_object(obj, len, ObjKind::Mmap),
-            Op::Free { obj } => self.end_object(obj, ObjKind::Heap),
-            Op::Munmap { obj } => self.end_object(obj, ObjKind::Mmap),
+            Op::Alloc { obj, size } => self.new_object(obj, size.max(1)),
+            Op::Free { obj } => self.end_object(obj),
             Op::LoadObj { obj } | Op::SyscallHoard { obj } | Op::ReadData { obj, len: _ } => {
                 self.require_live(obj);
             }
@@ -612,8 +589,6 @@ impl Analyzer {
                 first_op: o.first_op,
                 last_op: if o.live.is_some() { None } else { o.last_end },
                 max_bytes: o.max_bytes,
-                heap: o.heap,
-                mmap: o.mmap,
             })
             .collect();
         let malformed = DiagnosticKind::ALL
@@ -649,7 +624,7 @@ impl Analyzer {
         }
     }
 
-    fn new_object(&mut self, obj: ObjId, cap_len: u64, kind: ObjKind) {
+    fn new_object(&mut self, obj: ObjId, cap_len: u64) {
         if self.objs.get(&obj).is_some_and(|o| o.live.is_some()) {
             self.diag(DiagnosticKind::AllocBusy, obj, 0);
             return;
@@ -667,24 +642,18 @@ impl Analyzer {
             first_op: self.op_index,
             last_end: None,
             max_bytes: 0,
-            heap: false,
-            mmap: false,
             live: None,
             links: FastMap::default(),
             incoming: FastSet::default(),
         });
         o.generations += 1;
         o.max_bytes = o.max_bytes.max(cap_len);
-        match kind {
-            ObjKind::Heap => o.heap = true,
-            ObjKind::Mmap => o.mmap = true,
-        }
-        o.live = Some(LiveObj { cap_len, kind, touched: 0 });
+        o.live = Some(LiveObj { cap_len, touched: 0 });
         self.live_objects += 1;
         self.peak_live_objects = self.peak_live_objects.max(self.live_objects);
     }
 
-    fn end_object(&mut self, obj: ObjId, via: ObjKind) {
+    fn end_object(&mut self, obj: ObjId) {
         let Some(rec) = self.objs.get_mut(&obj) else {
             self.diag(DiagnosticKind::FreeUnallocated, obj, 0);
             return;
@@ -699,9 +668,6 @@ impl Analyzer {
         // restarts empty.
         let mut dangling: Vec<(ObjId, u64)> = rec.incoming.drain().collect();
         let out = std::mem::take(&mut rec.links);
-        if o.kind != via {
-            self.diag(DiagnosticKind::WrongDeallocator, obj, 0);
-        }
         // Live interior pointers into the dying generation (the object's
         // own slots included), in holder order.
         dangling.sort_unstable();
@@ -719,17 +685,15 @@ impl Analyzer {
         }
         self.live_objects -= 1;
         self.live_touched -= o.touched;
-        if o.kind == ObjKind::Heap && via == ObjKind::Heap {
-            // Earliest-release quarantine model: accumulate freed bytes,
-            // drop the whole pool the instant the floor is reached. Real
-            // strategies release later (a pass must complete), so the
-            // modeled pool is always a subset of the real one.
-            self.quar_touched += o.touched;
-            self.quar_trigger += o.cap_len;
-            if self.quar_trigger >= self.cfg.min_quarantine {
-                self.quar_touched = 0;
-                self.quar_trigger = 0;
-            }
+        // Earliest-release quarantine model: accumulate freed bytes, drop
+        // the whole pool the instant the floor is reached. Real strategies
+        // release later (a pass must complete), so the modeled pool is
+        // always a subset of the real one.
+        self.quar_touched += o.touched;
+        self.quar_trigger += o.cap_len;
+        if self.quar_trigger >= self.cfg.min_quarantine {
+            self.quar_touched = 0;
+            self.quar_trigger = 0;
         }
         self.curve_touch();
     }
@@ -974,16 +938,15 @@ mod tests {
             Op::Free { obj: 1 },
             Op::Free { obj: 1 },              // double-free
             Op::ReadData { obj: 1, len: 8 },  // use-after-free
-            Op::Mmap { obj: 2, len: 4096 },
-            Op::Free { obj: 2 },              // wrong deallocator
+            Op::Alloc { obj: 2, size: 4096 }, // recovered: a fresh object
+            Op::Free { obj: 2 },
         ]);
         assert!(report.malformed);
         assert_eq!(report.count(DiagnosticKind::FreeUnallocated), 1);
         assert_eq!(report.count(DiagnosticKind::AllocBusy), 1);
         assert_eq!(report.count(DiagnosticKind::DoubleFree), 1);
         assert_eq!(report.count(DiagnosticKind::UseAfterFree), 1);
-        assert_eq!(report.count(DiagnosticKind::WrongDeallocator), 1);
-        assert_eq!(report.malformed_count(), 5);
+        assert_eq!(report.malformed_count(), 4);
     }
 
     #[test]

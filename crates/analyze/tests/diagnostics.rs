@@ -10,7 +10,7 @@ fn cfg() -> AnalyzerConfig {
     AnalyzerConfig { max_objects: 8, ..AnalyzerConfig::default() }
 }
 
-/// One program that trips all nine diagnostic kinds.
+/// One program that trips all eight diagnostic kinds.
 fn kitchen_sink() -> Vec<Op> {
     vec![
         // -- free-of-unallocated --------------------------------------
@@ -32,9 +32,6 @@ fn kitchen_sink() -> Vec<Op> {
         Op::Free { obj: 1 },
         // -- use-after-free -------------------------------------------
         Op::ReadData { obj: 1, len: 8 },
-        // -- wrong deallocator: munmap of a heap object ---------------
-        Op::Mmap { obj: 2, len: 4096 },
-        Op::Free { obj: 2 },
         // -- leak: obj 0 and obj 9 stay live --------------------------
     ]
 }
@@ -65,7 +62,7 @@ fn severities_partition_the_kinds() {
         .map(|&k| report.count(k))
         .sum();
     assert_eq!(malformed, report.malformed_count());
-    assert_eq!(report.malformed_count(), 6);
+    assert_eq!(report.malformed_count(), 5);
     assert_eq!(DiagnosticKind::StaleChase.severity(), Severity::Safety);
     assert_eq!(DiagnosticKind::DanglingLink.severity(), Severity::Info);
     assert_eq!(DiagnosticKind::Leak.severity(), Severity::Info);
@@ -92,11 +89,13 @@ fn fixture_report_json_is_digest_stable() {
     assert_eq!(a, b);
     assert!(a.contains("\"malformed\":true"));
     // FNV-1a 64 of the document, captured from the `BTreeMap`/SipHash
-    // analyzer at the commit before its tables were replaced.
+    // analyzer at the commit before its tables were replaced; re-hashed
+    // when the mmap path left, from that analyzer's report of this fixture
+    // with the `mmap`, `heap` and `wrong_deallocator` keys stripped.
     let digest = a.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(digest, 0x2819_1f12_1969_8553, "fixture report moved:\n{a}");
+    assert_eq!(digest, 0x0bf1_5812_0af8_a73f, "fixture report moved:\n{a}");
 }
 
 #[test]
@@ -112,7 +111,7 @@ fn recovery_keeps_later_analysis_accurate() {
     ]);
     let report = analyze(ops.into_iter(), cfg());
     // The epilogue added no new malformed diagnostics.
-    assert_eq!(report.malformed_count(), 6);
+    assert_eq!(report.malformed_count(), 5);
     // And obj 5's lifetime is recorded as closed.
     let l5 = report.lifetimes.iter().find(|l| l.obj == 5).unwrap();
     assert!(l5.last_op.is_some());

@@ -21,7 +21,6 @@ const IDS: u64 = 12;
 struct Live {
     gen: u64,
     cap_len: u64,
-    mmap: bool,
     touched: u64,
 }
 
@@ -55,7 +54,7 @@ impl Naive {
         (usable > 0).then(|| slot % usable)
     }
 
-    fn alloc(&mut self, i: u64, obj: ObjId, cap_len: u64, mmap: bool) {
+    fn alloc(&mut self, i: u64, obj: ObjId, cap_len: u64) {
         if self.live.contains_key(&obj) {
             return self.diag(DiagnosticKind::AllocBusy, i, obj, 0);
         }
@@ -68,17 +67,13 @@ impl Naive {
             first_op: i,
             last_op: None,
             max_bytes: 0,
-            heap: false,
-            mmap: false,
         });
         l.generations += 1;
         l.max_bytes = l.max_bytes.max(cap_len);
-        l.heap |= !mmap;
-        l.mmap |= mmap;
-        self.live.insert(obj, Live { gen: l.generations, cap_len, mmap, touched: 0 });
+        self.live.insert(obj, Live { gen: l.generations, cap_len, touched: 0 });
     }
 
-    fn free(&mut self, i: u64, obj: ObjId, via_mmap: bool) {
+    fn free(&mut self, i: u64, obj: ObjId) {
         let Some(o) = self.live.remove(&obj) else {
             let kind = if self.lifetimes.contains_key(&obj) {
                 DiagnosticKind::DoubleFree
@@ -87,9 +82,6 @@ impl Naive {
             };
             return self.diag(kind, i, obj, 0);
         };
-        if o.mmap != via_mmap {
-            self.diag(DiagnosticKind::WrongDeallocator, i, obj, 0);
-        }
         let dangling: Vec<ObjId> = self
             .links
             .iter()
@@ -139,10 +131,8 @@ impl Naive {
 
     fn step(&mut self, i: u64, op: Op) {
         match op {
-            Op::Alloc { obj, size } => self.alloc(i, obj, size.max(1), false),
-            Op::Mmap { obj, len } => self.alloc(i, obj, len, true),
-            Op::Free { obj } => self.free(i, obj, false),
-            Op::Munmap { obj } => self.free(i, obj, true),
+            Op::Alloc { obj, size } => self.alloc(i, obj, size.max(1)),
+            Op::Free { obj } => self.free(i, obj),
             Op::LoadObj { obj } | Op::SyscallHoard { obj } | Op::ReadData { obj, .. } => {
                 self.require_live(i, obj);
             }
@@ -164,14 +154,12 @@ fn op_from((kind, a, b, c): (u8, u64, u64, u64)) -> Op {
     const WRITES: [u64; 5] = [1, 16, 17, 48, 1 << 20];
     match kind {
         0..=3 => Op::Alloc { obj: a, size: SIZES[c as usize % SIZES.len()] },
-        4 => Op::Mmap { obj: a, len: 4096 },
-        5..=6 => Op::Free { obj: a },
-        7 => Op::Munmap { obj: a },
-        8 => Op::LoadObj { obj: a },
-        9 => Op::ReadData { obj: a, len: c },
-        10..=11 => Op::WriteData { obj: a, len: WRITES[c as usize % WRITES.len()] },
-        12..=14 => Op::LinkPtr { from: a, slot: c, to: b },
-        15..=17 => Op::ChasePtr { from: a, slot: c },
+        4..=5 => Op::Free { obj: a },
+        6 => Op::LoadObj { obj: a },
+        7 => Op::ReadData { obj: a, len: c },
+        8..=9 => Op::WriteData { obj: a, len: WRITES[c as usize % WRITES.len()] },
+        10..=12 => Op::LinkPtr { from: a, slot: c, to: b },
+        13..=15 => Op::ChasePtr { from: a, slot: c },
         _ => Op::SyscallHoard { obj: a },
     }
 }
@@ -180,7 +168,7 @@ simtest::props! {
     #![config(simtest::Config { cases: 256, ..Default::default() })]
 
     fn analyzer_agrees_with_the_naive_reference(
-        raw in vec_of((0u8..19, 0u64..IDS, 0u64..IDS, 0u64..10), 1..600),
+        raw in vec_of((0u8..17, 0u64..IDS, 0u64..IDS, 0u64..10), 1..600),
     ) {
         let ops: Vec<Op> = raw.into_iter().map(op_from).collect();
         let n = ops.len() as u64;

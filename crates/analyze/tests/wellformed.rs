@@ -10,8 +10,8 @@ use analyze::{Analyzer, AnalyzerConfig, Report};
 use morello_sim::{OpSource, OP_BATCH};
 use simtest::sim_assert_eq;
 use workloads::{
-    file_copy_stream, grpc_stream, pgbench_stream, spec_stream, FileCopyParams, GrpcParams,
-    PgbenchParams, StreamedWorkload, SPEC_PROGRAMS,
+    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, StreamedWorkload,
+    SPEC_PROGRAMS,
 };
 
 /// Analyzes at most `max_ops` ops of `source` — a prefix of a well-formed
@@ -68,10 +68,5 @@ simtest::props! {
     /// gRPC QPS streams are well-formed at any message count.
     fn grpc_streams_are_well_formed(seed in 0u64..1_000_000, messages in 1u64..500) {
         assert_well_formed(grpc_stream(GrpcParams { messages, seed }))?;
-    }
-
-    /// File-copy streams are well-formed at any file count.
-    fn filecopy_streams_are_well_formed(seed in 0u64..1_000_000, files in 1u64..250) {
-        assert_well_formed(file_copy_stream(FileCopyParams { files, seed }))?;
     }
 }

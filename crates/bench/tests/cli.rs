@@ -115,6 +115,25 @@ fn a_trace_with_a_bad_config_value_exits_2_naming_the_key() {
 }
 
 #[test]
+fn a_trace_that_would_wrap_the_clock_fails_its_replay() {
+    let dir = scratch("trace-clock");
+    let max = u64::MAX;
+    for (name, body) in [
+        ("compute", format!("#cornucopia-trace v2\nX {max}\nX {max}\n")),
+        ("schedule", format!("#cornucopia-trace v2\n#!sim.tx_interval {max}\nB 0\nE 0\nB 1\nE 1\n")),
+    ] {
+        let path = dir.join(format!("{name}.trace"));
+        std::fs::write(&path, body).unwrap();
+        let replay = repro(&["trace", "replay", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&replay.stderr);
+        assert_eq!(replay.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("replay failed: "), "{name}: {stderr}");
+        assert!(replay.stdout.is_empty(), "{name}: a failed replay printed stats");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn refused_command_lines_exit_2_with_the_usage() {
     for argv in [
         &["frobnicate"][..],

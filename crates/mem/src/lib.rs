@@ -12,6 +12,8 @@
 //!   untagged granule loads as the address last stored to it. A page costs
 //!   the host what it holds: a frame's capability shadow has one entry per
 //!   granule stored to it, and its colours are allocated on first recolor.
+//!   A frame is never released (nothing unmaps memory), so residency only
+//!   grows and [`PhysMem::resident_bytes`] is also its peak.
 //! * [`MemSystem`] — wraps [`PhysMem`] with per-core L1 caches and a shared
 //!   L2, metering DRAM transactions per core. The paper's Figures 4 and 6
 //!   report revocation's *bus traffic* overheads; this model is what lets

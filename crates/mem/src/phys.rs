@@ -8,15 +8,16 @@
 //! A frame's capability shadow is packed: one entry per granule stored
 //! in the frame's lifetime, in first-store order, found through a
 //! per-granule byte index; its colours are allocated on first recolor.
-//! A page that is only ever touched owns no allocation at all. A released
-//! frame parks on a free list and is reset (not reallocated) on reuse,
-//! keeping its shadow's capacity. None of this is visible to the
-//! simulation: counters, tags and loaded capabilities are bit-identical
-//! to a naive map of granules. Two invariants keep it so:
+//! A page that is only ever touched owns no allocation at all. A frame,
+//! once materialized, is never released: nothing in the simulated process
+//! unmaps memory, so there is no free list and residency only grows (its
+//! peak is its current value). None of this is visible to the simulation:
+//! counters, tags and loaded capabilities are bit-identical to a naive
+//! map of granules. Two invariants keep it so:
 //!
 //! * a granule's index byte, and the shadow entry it names, are read only
-//!   under the granule's `written` bit, so a reset frame needs no zeroing
-//!   beyond its masks and an emptied shadow;
+//!   under the granule's `written` bit, so a new frame needs no zeroing
+//!   beyond its masks;
 //! * an untagged granule loads as a null capability whose address is its
 //!   shadow entry's (its residue), or zero where `written` is clear.
 
@@ -88,8 +89,8 @@ struct Frame {
     /// frame's lifetime and `slot[g]` names its entry in `caps`. A
     /// superset of `tags`.
     written: [u64; TAG_WORDS],
-    /// Per granule, the index of its entry in `caps`. Stale where the
-    /// granule's `written` bit is clear.
+    /// Per granule, the index of its entry in `caps`. Read only where the
+    /// granule's `written` bit is set.
     slot: [u8; GRANULES_PER_PAGE],
     /// The last capability stored to each written granule, tagged or not,
     /// one entry per granule in the order of their first stores.
@@ -110,16 +111,6 @@ impl Frame {
             caps: Vec::new(),
             colors: None,
         }
-    }
-
-    /// Returns the frame to its demand-zero state. The shadow keeps its
-    /// capacity (slab slots are recycled across release/materialize) and
-    /// `slot` its bytes: with `written` clear, nothing reads them.
-    fn reset(&mut self) {
-        self.tags = [0; TAG_WORDS];
-        self.written = [0; TAG_WORDS];
-        self.caps.clear();
-        self.colors = None;
     }
 
     fn tag(&self, granule: usize) -> bool {
@@ -192,9 +183,9 @@ const CHUNK_FRAMES: usize = 64;
 /// Sparse physical memory with per-granule capability tags.
 ///
 /// Frames materialize (zero-filled) on first touch and are accounted toward
-/// the resident-set size, which the evaluation's Figure 3 reports. The
-/// peak-residency watermark is maintained only when a frame is actually
-/// inserted — never on plain accesses.
+/// the resident-set size, which the evaluation's Figure 3 reports. No
+/// frame is ever released, so residency is monotone: its peak is its
+/// current value.
 #[derive(Debug, Default)]
 pub struct PhysMem {
     /// Frame storage: slot `s` is frame `s % CHUNK_FRAMES` of chunk
@@ -204,9 +195,6 @@ pub struct PhysMem {
     slots: u32,
     /// Page number → slab slot for materialized pages.
     index: PageMap<u32>,
-    /// Slots whose pages were released, available for reuse.
-    free_slots: Vec<u32>,
-    peak_resident: u64,
 }
 
 impl PhysMem {
@@ -237,29 +225,19 @@ impl PhysMem {
         Some(self.slot_mut(s))
     }
 
-    /// Locates (materializing on demand) the frame backing `addr`. The
-    /// residency watermark moves only on the insertion path.
+    /// Locates (materializing on demand) the frame backing `addr`.
     fn frame_mut(&mut self, addr: u64) -> &mut Frame {
         let fno = addr / PAGE_SIZE;
         if let Some(&s) = self.index.get(fno) {
             return self.slot_mut(s);
         }
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.slot_mut(s).reset();
-                s
-            }
-            None => {
-                assert!(self.slots < u32::MAX, "slab full");
-                if (self.slots as usize).is_multiple_of(CHUNK_FRAMES) {
-                    self.slab.push(Box::new([const { Frame::new() }; CHUNK_FRAMES]));
-                }
-                self.slots += 1;
-                self.slots - 1
-            }
-        };
+        assert!(self.slots < u32::MAX, "slab full");
+        if (self.slots as usize).is_multiple_of(CHUNK_FRAMES) {
+            self.slab.push(Box::new([const { Frame::new() }; CHUNK_FRAMES]));
+        }
+        let slot = self.slots;
+        self.slots += 1;
         self.index.insert(fno, slot);
-        self.peak_resident = self.peak_resident.max(self.resident_bytes());
         self.slot_mut(slot)
     }
 
@@ -375,14 +353,6 @@ impl PhysMem {
         TaggedCapsInPage { base: page_addr, frame, tagged: SetBits::new(frame.tags) }
     }
 
-    /// Releases the frame backing `page_addr` (munmap / page reclaim). The
-    /// page's contents and tags are discarded; subsequent loads see null.
-    pub fn release_page(&mut self, page_addr: u64) {
-        if let Some(slot) = self.index.remove(page_addr / PAGE_SIZE) {
-            self.free_slots.push(slot);
-        }
-    }
-
     /// The memory color of the granule containing `addr` (0 if never
     /// recolored; paper §7.3).
     #[must_use]
@@ -412,17 +382,11 @@ impl PhysMem {
         }
     }
 
-    /// Currently resident bytes (materialized frames only).
+    /// Resident bytes (materialized frames): never falls, so it is also
+    /// the peak the evaluation reports (Figure 3).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.index.len() as u64 * PAGE_SIZE
-    }
-
-    /// High-water mark of [`PhysMem::resident_bytes`]; the evaluation's
-    /// peak-RSS metric (Figure 3).
-    #[must_use]
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident
     }
 }
 
@@ -469,20 +433,18 @@ mod tests {
         mem.store_cap(0x4000, cap(0xabab_0000).with_tag_cleared());
         mem.store_cap(0x4040, cap(0x1234_0000));
         mem.set_color_range(0x4000, 64, 5);
-        mem.release_page(0x4000);
-        // The page comes back in the same slab slot and sees none of it;
-        // its shadow was emptied, not freed, so reuse allocates nothing.
+        drop(mem);
+        // A new memory owns none of the old one's frames: the same page
+        // materializes demand-zero, with no tag, residue or colour.
+        let mut mem = PhysMem::new();
         mem.materialize_page(0x4000);
-        assert_eq!(mem.slots, 1);
-        assert!(mem.slot(0).caps.is_empty() && mem.slot(0).caps.capacity() >= 2);
         assert!(!mem.page_has_tags(0x4000));
         assert_eq!(mem.tagged_caps_in_page(0x4000).count(), 0);
-        mem.store_cap(0x4080, Capability::null());
         for a in (0x4000..0x4080).step_by(CAP_SIZE as usize) {
             assert_eq!(mem.load_cap(a), Capability::null(), "granule {a:#x}");
             assert_eq!(mem.granule_color(a), 0, "granule {a:#x}");
         }
-        assert_eq!(mem.slot(0).caps.len(), 1);
+        assert!(mem.slot(0).caps.is_empty() && mem.slot(0).colors.is_none());
     }
 
     #[test]
@@ -514,13 +476,6 @@ mod tests {
         for page in 0..1000 {
             mem.materialize_page(page * PAGE_SIZE);
             assert_eq!(mem.slab.len(), (page as usize + 1).div_ceil(CHUNK_FRAMES));
-        }
-        // Released slots are reused before a chunk is added.
-        for page in 0..100 {
-            mem.release_page(page * PAGE_SIZE);
-        }
-        for page in 1000..1100 {
-            mem.materialize_page(page * PAGE_SIZE);
         }
         assert_eq!((mem.slots, mem.slab.len()), (1000, 16));
     }
@@ -637,51 +592,22 @@ mod tests {
     }
 
     #[test]
-    fn release_page_drops_residency_and_contents() {
-        let mut mem = PhysMem::new();
-        mem.store_cap(0x8000, Capability::null().set_addr(7));
-        let peak = mem.peak_resident_bytes();
-        mem.release_page(0x8000);
-        assert_eq!(mem.resident_bytes(), 0);
-        assert_eq!(mem.peak_resident_bytes(), peak);
-        assert_eq!(mem.load_cap(0x8000), Capability::null());
-    }
-
-    #[test]
-    fn released_slots_are_recycled_and_demand_zero() {
-        let mut mem = PhysMem::new();
-        mem.store_cap(0x8000, cap(0x1000));
-        mem.set_color_range(0x8000, 64, 3);
-        mem.release_page(0x8000);
-        // A different page reuses the slot; nothing leaks through.
-        mem.store_cap(0x2_0010, Capability::null().set_addr(9));
-        assert_eq!(mem.load_cap(0x8000), Capability::null());
-        assert_eq!(mem.load_cap(0x2_0000), Capability::null());
-        assert_eq!(mem.load_cap(0x2_0010).addr(), 9);
-        assert!(!mem.tag(0x2_0000));
-        assert_eq!(mem.granule_color(0x2_0000), 0);
-        assert_eq!(mem.resident_bytes(), PAGE_SIZE);
-    }
-
-    #[test]
     fn peak_watermark_moves_only_on_materialization() {
         let mut mem = PhysMem::new();
         mem.materialize_page(0x8000);
         mem.materialize_page(0x9000);
-        let peak = mem.peak_resident_bytes();
+        let peak = mem.resident_bytes();
         assert_eq!(peak, 2 * PAGE_SIZE);
-        mem.release_page(0x8000);
-        // Accesses to the survivor never move the watermark.
+        // Accesses to resident pages never move it.
         for _ in 0..100 {
             mem.store_cap(0x9000, cap(0x1000));
             mem.clear_tag_range(0x9000, 8);
+            mem.clear_tag_range(0xb000, 8);
         }
-        assert_eq!(mem.peak_resident_bytes(), peak);
-        // Rematerializing the released page only restores the old level.
         mem.store_cap(0x8000, cap(0x1000));
-        assert_eq!(mem.peak_resident_bytes(), peak);
+        assert_eq!(mem.resident_bytes(), peak);
         mem.materialize_page(0xa000);
-        assert_eq!(mem.peak_resident_bytes(), 3 * PAGE_SIZE);
+        assert_eq!(mem.resident_bytes(), 3 * PAGE_SIZE);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for tagged physical memory: tags, capabilities and
 //! residues under arbitrary interleavings of data writes, capability
-//! stores, tag clears and page releases.
+//! stores and tag clears.
 
 use cheri_cap::{Capability, Perms, CAP_SIZE};
 use cheri_mem::{PhysMem, GRANULES_PER_PAGE, PAGE_SIZE};
@@ -14,7 +14,6 @@ enum MemOp {
     StoreCap { slot: u64, base: u64 },
     StoreUntagged { slot: u64 },
     ClearTag { slot: u64 },
-    ReleasePage { page: u64 },
 }
 
 fn op_strategy() -> impl Gen<Value = MemOp> {
@@ -23,7 +22,6 @@ fn op_strategy() -> impl Gen<Value = MemOp> {
         (0u64..0x800, 0x1000u64..0x9000).gmap(|(slot, base)| MemOp::StoreCap { slot, base }),
         (0u64..0x800).gmap(|slot| MemOp::StoreUntagged { slot }),
         (0u64..0x800).gmap(|slot| MemOp::ClearTag { slot }),
-        (0u64..8).gmap(|page| MemOp::ReleasePage { page }),
     ]
 }
 
@@ -51,7 +49,6 @@ enum CapOp {
     ClearTag { slot: u64 },
     ClearTagRange { addr: u64, len: u64 },
     Touch { page: u64 },
-    ReleasePage { page: u64 },
     /// Drops the memory and starts a new one: whatever its frames held
     /// goes wherever dropped frames go, and must not come back.
     Rebuild,
@@ -70,7 +67,6 @@ fn cap_op_strategy() -> impl Gen<Value = CapOp> {
         1 => (0u64..MODEL_SLOTS).gmap(|slot| CapOp::ClearTag { slot }),
         1 => (0u64..MODEL_BYTES, 0u64..600).gmap(|(addr, len)| CapOp::ClearTagRange { addr, len }),
         1 => (0u64..MODEL_PAGES).gmap(|page| CapOp::Touch { page }),
-        1 => (0u64..MODEL_PAGES).gmap(|page| CapOp::ReleasePage { page }),
         1 => Just(CapOp::Rebuild),
     ]
 }
@@ -124,8 +120,8 @@ impl CapModel {
 simtest::props! {
     /// Tags, capabilities, residues and residency agree with a naive
     /// per-granule capability model after every step of any interleaving
-    /// of what simulated accesses do to memory — across page release and
-    /// re-touch, and in a memory built after another was dropped.
+    /// of what simulated accesses do to memory — across re-touch, and in a
+    /// memory built after another was dropped.
     fn every_observation_follows_the_byte_model(ops in vec_of(cap_op_strategy(), 1..60)) {
         let mut mem = PhysMem::new();
         let mut model = CapModel::default();
@@ -162,11 +158,6 @@ simtest::props! {
                     mem.materialize_page(page * PAGE_SIZE + 24);
                     model.resident.insert(page);
                 }
-                CapOp::ReleasePage { page } => {
-                    mem.release_page(page * PAGE_SIZE);
-                    model.granules.retain(|&a, _| a / PAGE_SIZE != page);
-                    model.resident.remove(&page);
-                }
                 CapOp::Rebuild => {
                     mem = PhysMem::new();
                     model = CapModel::default();
@@ -179,8 +170,7 @@ simtest::props! {
     /// A page filled to its last granule agrees with the same model, in
     /// every phase of its life: all 256 granules stored in a shuffled
     /// order, re-stored (tagged, untagged or null) in another, tags
-    /// cleared, the page released and re-materialized and half-filled
-    /// again, and the memory rebuilt.
+    /// cleared, re-touched and half-filled again, and the memory rebuilt.
     fn a_dense_page_follows_the_model(seed in 0u64..=u64::MAX, page in 0u64..MODEL_PAGES) {
         let mut rng = Rng::seed_from_u64(seed);
         let base = page * PAGE_SIZE;
@@ -220,10 +210,6 @@ simtest::props! {
             model.clear_tags(a, 1);
         }
         model.check(&mem)?;
-        mem.release_page(base);
-        model.granules.retain(|&a, _| a / PAGE_SIZE != page);
-        model.resident.remove(&page);
-        model.check(&mem)?;
         mem.materialize_page(base + rng.gen_range(0..PAGE_SIZE));
         model.resident.insert(page);
         model.check(&mem)?;
@@ -243,7 +229,7 @@ simtest::props! {
     /// A shadow model of tag state agrees with the memory after any op
     /// sequence: tags are set only by tagged capability stores and are
     /// cleared by data writes (materialize plus a ranged tag clear),
-    /// untagged stores, clear_tag, and page release.
+    /// untagged stores and clear_tag.
     fn tags_follow_the_shadow_model(ops in vec_of(op_strategy(), 1..120)) {
         let mut mem = PhysMem::new();
         let mut shadow: HashMap<u64, Option<Capability>> = HashMap::new();
@@ -275,10 +261,6 @@ simtest::props! {
                         *e = None;
                     }
                 }
-                MemOp::ReleasePage { page } => {
-                    mem.release_page(page * PAGE_SIZE);
-                    shadow.retain(|&a, _| a / PAGE_SIZE != page);
-                }
             }
         }
         for (&addr, expected) in &shadow {
@@ -302,19 +284,19 @@ simtest::props! {
     }
 
     /// Residency accounting: resident bytes equal the number of distinct
-    /// pages ever materialized, wherever in the page (and peak never
-    /// decreases). A tag clear alone materializes nothing.
+    /// pages ever materialized, wherever in the page, so they never
+    /// decrease. A tag clear alone materializes nothing.
     fn residency_counts_touched_pages(writes in vec_of((0u64..64, 0u64..PAGE_SIZE), 1..40)) {
         let mut mem = PhysMem::new();
         let mut pages = std::collections::HashSet::new();
-        let mut last_peak = 0;
+        let mut last = 0;
         for (page, offset) in writes {
             mem.clear_tag_range((page + 64) * PAGE_SIZE + offset, 2 * PAGE_SIZE);
             mem.materialize_page(page * PAGE_SIZE + offset);
             pages.insert(page);
             sim_assert_eq!(mem.resident_bytes(), pages.len() as u64 * PAGE_SIZE);
-            sim_assert!(mem.peak_resident_bytes() >= last_peak);
-            last_peak = mem.peak_resident_bytes();
+            sim_assert!(mem.resident_bytes() >= last);
+            last = mem.resident_bytes();
         }
     }
 }

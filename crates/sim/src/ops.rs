@@ -83,20 +83,6 @@ pub enum Op {
         /// Root slot whose capability the kernel will hoard.
         obj: ObjId,
     },
-    /// `mmap(len)`: maps an anonymous reservation (paper §6.2) and stores
-    /// its capability into the object's root-table slot.
-    Mmap {
-        /// Destination root slot.
-        obj: ObjId,
-        /// Requested bytes.
-        len: u64,
-    },
-    /// Fully unmaps the reservation in the object's slot; its address
-    /// space is quarantined until a revocation pass.
-    Munmap {
-        /// Root slot holding the mapping.
-        obj: ObjId,
-    },
     /// Begins a latency-measured transaction.
     TxBegin {
         /// Transaction id (for schedule pairing).

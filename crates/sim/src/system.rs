@@ -22,6 +22,12 @@ const REV_CORE: CoreId = 2;
 /// Extra application cycles per revoker DRAM transaction (§5.6 bus
 /// contention model).
 const BUS_PENALTY_PER_REV_TXN: u64 = 210;
+/// The wall clock an op may start at, and may carry it to with the cycles
+/// it names itself (`Compute`, `ThinkIdle`, a `TxBegin`'s wait for its
+/// arrival). The 2^48 cycles above it are headroom for what one op costs
+/// the simulation besides (a sweep, a pause, a bus penalty), so no clock
+/// can wrap. `app_cpu` never runs ahead of `wall`, so it is bounded too.
+const CLOCK_LIMIT: u64 = u64::MAX - (1 << 48);
 
 /// Simulation failures (workload or configuration bugs; a correct run
 /// never produces one).
@@ -38,6 +44,9 @@ pub enum SimError {
     UnknownObj(ObjId),
     /// Alloc targeted a slot that already holds a live object.
     SlotBusy(ObjId),
+    /// The op would carry the wall clock past its limit (2^64 − 2^48
+    /// cycles); refused before any clock moved.
+    ClockOverflow,
 }
 
 impl fmt::Display for SimError {
@@ -48,6 +57,7 @@ impl fmt::Display for SimError {
             SimError::OutOfMemory => f.write_str("arena exhausted after forced revocation"),
             SimError::UnknownObj(o) => write!(f, "operation on dead object {o}"),
             SimError::SlotBusy(o) => write!(f, "alloc into live slot {o}"),
+            SimError::ClockOverflow => f.write_str("op would carry the wall clock past 2^64 - 2^48 cycles"),
         }
     }
 }
@@ -101,7 +111,6 @@ pub struct System {
     machine: Machine,
     revoker: Revoker,
     heap: Mrs,
-    mmap_space: cheri_alloc::MmapSpace,
     root: Capability,
     app_thread: ThreadId,
     live: FastSet<ObjId>,
@@ -130,9 +139,9 @@ pub struct System {
     // program stored this pointer here" from allocator leftovers. The
     // table mirrors the written links exactly: inserts at `LinkPtr`,
     // address-range removal wherever the physical slot's tag is destroyed
-    // (data writes) or the region gains a new owner (alloc/mmap reuse).
+    // (data writes) or the region gains a new owner (allocator reuse).
     link_table: BTreeMap<u64, LinkEntry>,
-    /// Identity generation per root slot, bumped on `Alloc`/`Mmap`, so a
+    /// Identity generation per root slot, bumped on `Alloc`, so a
     /// freed-then-reused slot id does not masquerade as its old object.
     obj_gen: HashMap<ObjId, u64>,
 }
@@ -192,7 +201,6 @@ impl System {
             .expect("arena must fit the root table")
             .cap;
         let app_thread = APP_CORE; // threads are created per core
-        let mmap_space = cheri_alloc::MmapSpace::new(layout.mmap_base(), layout.mmap_len());
         let interval = cfg.telemetry.sample_interval();
         let telemetry_on = interval.is_some();
         let mut revoker = revoker;
@@ -209,7 +217,6 @@ impl System {
             machine,
             revoker,
             heap,
-            mmap_space,
             root,
             app_thread,
             live: FastSet::default(),
@@ -288,6 +295,8 @@ impl System {
     /// never fused across op boundaries — each performs an architecturally
     /// visible capability load through the barrier — but each already
     /// issues its byte traffic as a single ranged access internally.
+    /// A run stops before the op that would carry the clock past
+    /// [`CLOCK_LIMIT`], which then fails alone, as it would per op.
     pub fn exec_batch(&mut self, ops: &[Op]) -> Result<(), SimError> {
         let mut i = 0;
         while i < ops.len() {
@@ -296,21 +305,25 @@ impl System {
                     let mut total = cycles;
                     i += 1;
                     while let Some(&Op::Compute { cycles }) = ops.get(i) {
-                        total += cycles;
+                        match total.checked_add(cycles) {
+                            Some(t) if self.clock_check(t).is_ok() => total = t,
+                            _ => break,
+                        }
                         i += 1;
                     }
-                    self.advance(total, true);
-                    Ok(())
+                    self.advance_op(total, true)
                 }
                 Op::ThinkIdle { cycles } if !self.revoker.is_revoking() => {
                     let mut total = cycles;
                     i += 1;
                     while let Some(&Op::ThinkIdle { cycles }) = ops.get(i) {
-                        total += cycles;
+                        match total.checked_add(cycles) {
+                            Some(t) if self.clock_check(t).is_ok() => total = t,
+                            _ => break,
+                        }
                         i += 1;
                     }
-                    self.advance(total, false);
-                    Ok(())
+                    self.advance_op(total, false)
                 }
                 op => {
                     i += 1;
@@ -375,7 +388,7 @@ impl System {
             .collect();
         s.revoker_cores = rev_cores;
         s.app_dram = app_dram;
-        s.peak_rss = self.machine.peak_resident_bytes();
+        s.peak_rss = self.machine.resident_bytes();
         let vs = self.machine.vm_stats();
         s.tlb_misses = vs.tlb_misses;
         s.tlb_shootdowns = vs.tlb_shootdowns;
@@ -404,6 +417,7 @@ impl System {
     }
 
     fn exec_op(&mut self, op: Op) -> Result<(), SimError> {
+        self.clock_check(0)?;
         match op {
             Op::Alloc { obj, size } => self.op_alloc(obj, size),
             Op::Free { obj } => self.op_free(obj),
@@ -412,27 +426,22 @@ impl System {
             Op::WriteData { obj, len } => self.op_data(obj, len, true),
             Op::LinkPtr { from, slot, to } => self.op_link(from, slot, to),
             Op::ChasePtr { from, slot } => self.op_chase(from, slot),
-            Op::Compute { cycles } => {
-                self.advance(cycles, true);
-                Ok(())
-            }
-            Op::ThinkIdle { cycles } => {
-                self.advance(cycles, false);
-                Ok(())
-            }
+            Op::Compute { cycles } => self.advance_op(cycles, true),
+            Op::ThinkIdle { cycles } => self.advance_op(cycles, false),
             Op::SyscallHoard { obj } => self.op_hoard(obj),
-            Op::Mmap { obj, len } => self.op_mmap(obj, len),
-            Op::Munmap { obj } => self.op_munmap(obj),
             Op::TxBegin { id } => {
                 let mut start = self.wall;
                 if let Some(interval) = self.cfg.tx_interval {
                     // The schedule starts at the first transaction, not at
                     // boot: warmup happens before the benchmark window.
                     let arrival = if self.next_arrival == 0 { self.wall } else { self.next_arrival };
-                    self.next_arrival = arrival + interval;
-                    if arrival > self.wall {
+                    // An arrival past 2^64 saturates, and the transaction
+                    // that would wait for it is refused below.
+                    let idle = arrival.saturating_sub(self.wall);
+                    self.clock_check(idle)?;
+                    self.next_arrival = arrival.saturating_add(interval);
+                    if idle > 0 {
                         // Early: idle until the scheduled arrival.
-                        let idle = arrival - self.wall;
                         self.advance(idle, false);
                         start = self.wall;
                     } else if self.cfg.latency_from_arrival {
@@ -456,6 +465,25 @@ impl System {
     // ------------------------------------------------------------------
     // Time accounting
     // ------------------------------------------------------------------
+
+    /// Refuses an op whose own `charge` would carry the wall clock past
+    /// [`CLOCK_LIMIT`]; `clock_check(0)` refuses one that starts past it.
+    fn clock_check(&self, charge: u64) -> Result<(), SimError> {
+        match self.wall.checked_add(charge) {
+            Some(end) if end <= CLOCK_LIMIT => Ok(()),
+            _ => Err(SimError::ClockOverflow),
+        }
+    }
+
+    /// [`System::advance`] by the cycles an op names itself, refused whole
+    /// if they would carry the wall clock past [`CLOCK_LIMIT`].
+    fn advance_op(&mut self, cycles: u64, busy: bool) -> Result<(), SimError> {
+        // The charge `advance` makes, checked.
+        let charged = if busy && self.contended() { cycles.checked_add(cycles / 2) } else { Some(cycles) };
+        self.clock_check(charged.ok_or(SimError::ClockOverflow)?)?;
+        self.advance(cycles, busy);
+        Ok(())
+    }
 
     /// Advances the wall clock by `cycles` of application activity
     /// (`busy`: CPU-consuming) and pumps the background revoker across the
@@ -610,7 +638,6 @@ impl System {
         if e != self.last_release_epoch {
             self.last_release_epoch = e;
             let c = self.heap.poll_release(&mut self.machine, &mut self.revoker, APP_CORE);
-            self.mmap_space.poll_release(&mut self.machine, &mut self.revoker, APP_CORE);
             self.wall += c;
             self.app_cpu += c;
         }
@@ -746,7 +773,7 @@ impl System {
         }
     }
 
-    /// Notes that `obj` just became a fresh object (`Alloc`/`Mmap` of
+    /// Notes that `obj` just became a fresh object (`Alloc` of
     /// `cap`): bumps its identity generation and forgets links stored in
     /// the reused storage (the allocator never scrubs, but the previous
     /// owner's links are not the new object's).
@@ -933,60 +960,6 @@ impl System {
         };
         self.revoker.hoards_mut().deposit(kind, cap);
         self.advance(c + 500, true); // syscall overhead
-        Ok(())
-    }
-}
-
-impl System {
-    fn op_mmap(&mut self, obj: ObjId, len: u64) -> Result<(), SimError> {
-        if self.live.contains(&obj) {
-            return Err(SimError::SlotBusy(obj));
-        }
-        let cap = self
-            .mmap_space
-            .mmap(&mut self.machine, len)
-            .map_err(|_| SimError::OutOfMemory)?;
-        let auth = self.slot_auth(obj);
-        let c = self.machine.store_cap(APP_CORE, &auth, cap)?;
-        self.live.insert(obj);
-        if self.telemetry_on {
-            self.instrument_new_object(obj, cap);
-        }
-        self.advance(c + 2_000, true); // mmap syscall
-        Ok(())
-    }
-
-    fn op_munmap(&mut self, obj: ObjId) -> Result<(), SimError> {
-        let (cap, c1) = self.load_obj(obj)?;
-        let span = cap.len().div_ceil(cheri_mem::PAGE_SIZE) * cheri_mem::PAGE_SIZE;
-        if matches!(self.cfg.condition, Condition::Baseline) {
-            // No temporal safety: conventional munmap, instant reuse.
-            self.mmap_space
-                .munmap_immediate(&mut self.machine, cap.base(), span)
-                .map_err(SimError::Vm)?;
-            let auth = self.slot_auth(obj);
-            let c2 = self.machine.store_cap(APP_CORE, &auth, Capability::null())?;
-            self.live.remove(&obj);
-            self.advance(c1 + c2 + 2_000, true);
-            return Ok(());
-        }
-        self.mmap_space
-            .munmap(&mut self.machine, &mut self.revoker, APP_CORE, cap.base(), span)
-            .map_err(SimError::Vm)?;
-        let auth = self.slot_auth(obj);
-        let c2 = self.machine.store_cap(APP_CORE, &auth, Capability::null())?;
-        self.live.remove(&obj);
-        self.advance(c1 + c2 + 2_500, true); // munmap syscall + guards
-        // Reservation quarantine can itself demand a pass (§6.2) once
-        // enough address space is parked behind guards.
-        if matches!(self.cfg.condition, Condition::Safe(_))
-            && !self.revoker.is_revoking()
-            && self.mmap_space.quarantined_bytes() > self.cfg.min_quarantine * 4
-        {
-            self.heap
-                .seal_for(&self.revoker, cheri_alloc::RevocationReason::ReservationQuarantine);
-            self.start_revocation();
-        }
         Ok(())
     }
 }
@@ -1234,19 +1207,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn an_mmap_of_size_max_is_out_of_memory_under_every_condition() {
-        for condition in [
+    fn all_conditions() -> [Condition; 5] {
+        [
             Condition::baseline(),
             Condition::paint_sync(),
             Condition::cherivoke(),
             Condition::cornucopia(),
             Condition::reloaded(),
-        ] {
-            let mut sys = System::new(SimConfig::default().with_condition(condition));
-            let got = sys.exec(Op::Mmap { obj: 1, len: u64::MAX });
-            assert_eq!(got, Err(SimError::OutOfMemory), "{}", condition.label());
-            sys.exec(Op::Mmap { obj: 1, len: 8192 }).unwrap();
+        ]
+    }
+
+    /// `(wall, app_cpu)` at the end of a run.
+    fn clocks(sys: System) -> (u64, u64) {
+        let s = sys.finish();
+        (s.wall_cycles, s.app_cpu_cycles)
+    }
+
+    #[test]
+    fn cycles_that_would_wrap_the_clock_are_refused_before_it_moves() {
+        const HALF: u64 = 1 << 63;
+        for condition in all_conditions() {
+            for busy in [true, false] {
+                let op = |cycles| if busy { Op::Compute { cycles } } else { Op::ThinkIdle { cycles } };
+                let label = format!("{} {:?}", condition.label(), op(0));
+                let mut sys = System::new(SimConfig::default().with_condition(condition));
+                sys.exec(Op::Alloc { obj: 1, size: 64 }).unwrap();
+                let (wall, cpu) = (sys.wall(), sys.app_cpu);
+                for _ in 0..2 {
+                    assert_eq!(sys.exec(op(u64::MAX)), Err(SimError::ClockOverflow), "{label}");
+                }
+                assert_eq!((sys.wall(), sys.app_cpu), (wall, cpu), "{label}: a refused op moved a clock");
+                // A fused run stops before the op that would wrap it,
+                // which then fails alone.
+                let got = sys.exec_batch(&[op(HALF), op(HALF), op(1)]);
+                assert_eq!(got, Err(SimError::ClockOverflow), "{label}");
+                let cpu = if busy { cpu + HALF } else { cpu };
+                assert_eq!(clocks(sys), (wall + HALF, cpu), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_op_that_starts_past_the_clock_limit_is_refused() {
+        let mut sys = System::new(SimConfig::default().with_condition(Condition::reloaded()));
+        sys.exec(Op::Compute { cycles: CLOCK_LIMIT }).unwrap();
+        // An op may start at the limit; its own cost carries the clock past.
+        sys.exec(Op::Alloc { obj: 1, size: 64 }).unwrap();
+        let wall = sys.wall();
+        assert!(wall > CLOCK_LIMIT);
+        for op in [Op::LoadObj { obj: 1 }, Op::TxEnd { id: 0 }, Op::Compute { cycles: 0 }] {
+            assert_eq!(sys.exec(op), Err(SimError::ClockOverflow), "{op:?}");
+        }
+        assert_eq!(sys.wall(), wall);
+    }
+
+    #[test]
+    fn a_transaction_schedule_past_the_clock_limit_is_refused() {
+        for condition in all_conditions() {
+            let cfg = SimConfig::builder().condition(condition).tx_interval(u64::MAX).build().unwrap();
+            let mut sys = System::new(cfg);
+            sys.exec(Op::Compute { cycles: 1000 }).unwrap();
+            sys.exec(Op::TxBegin { id: 0 }).unwrap();
+            for id in [1, 1] {
+                assert_eq!(sys.exec(Op::TxBegin { id }), Err(SimError::ClockOverflow), "{}", condition.label());
+            }
+            sys.exec(Op::TxEnd { id: 0 }).unwrap();
+            let s = sys.finish();
+            assert_eq!((s.wall_cycles, s.tx_latencies.len()), (1000, 1), "{}", condition.label());
         }
     }
 

@@ -16,8 +16,10 @@
 //! C <from> <slot>     ChasePtr       X <cycles>      Compute
 //! I <cycles>          ThinkIdle      H <obj>         SyscallHoard
 //! B <id>              TxBegin        E <id>          TxEnd
-//! M <obj> <len>       Mmap           U <obj>         Munmap
 //! ```
+//!
+//! Older traces may hold `M <obj> <len>` and `U <obj>` lines, the `mmap`
+//! and `munmap` ops of a deleted path; they read as parse errors.
 //!
 //! Metadata lines of the form `#!key value` follow the header (sorted by
 //! key on write, so equal traces serialize identically) — provenance such
@@ -220,8 +222,6 @@ fn write_op_lines<W: Write>(ops: &[Op], mut w: W) -> io::Result<()> {
             Op::Compute { cycles } => writeln!(w, "X {cycles}")?,
             Op::ThinkIdle { cycles } => writeln!(w, "I {cycles}")?,
             Op::SyscallHoard { obj } => writeln!(w, "H {obj}")?,
-            Op::Mmap { obj, len } => writeln!(w, "M {obj} {len}")?,
-            Op::Munmap { obj } => writeln!(w, "U {obj}")?,
             Op::TxBegin { id } => writeln!(w, "B {id}")?,
             Op::TxEnd { id } => writeln!(w, "E {id}")?,
         }
@@ -274,8 +274,6 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
             "X" => Op::Compute { cycles: num()? },
             "I" => Op::ThinkIdle { cycles: num()? },
             "H" => Op::SyscallHoard { obj: num()? },
-            "M" => Op::Mmap { obj: num()?, len: num()? },
-            "U" => Op::Munmap { obj: num()? },
             "B" => Op::TxBegin { id: num()? },
             "E" => Op::TxEnd { id: num()? },
             _ => return Err(bad()),
@@ -324,8 +322,6 @@ mod tests {
             Op::Compute { cycles: 1000 },
             Op::ThinkIdle { cycles: 500 },
             Op::SyscallHoard { obj: 3 },
-            Op::Mmap { obj: 9, len: 8192 },
-            Op::Munmap { obj: 9 },
             Op::Free { obj: 3 },
             Op::TxEnd { id: 0 },
         ]
@@ -365,6 +361,15 @@ mod tests {
         }
         let text = format!("{TRACE_HEADER}\nA 1\n"); // missing size
         assert!(matches!(ops_of(text.as_bytes()), Err(TraceError::Parse { line: 2, .. })));
+        // The `mmap`/`munmap` lines of traces written before that path was
+        // deleted: refused where they stand, never skipped.
+        for line in ["M 9 8192", "U 9"] {
+            let text = format!("{TRACE_HEADER}\nA 1 64\n# note\n{line}\nF 1\n");
+            match ops_of(text.as_bytes()) {
+                Err(TraceError::Parse { line: 4, text }) => assert_eq!(text, line),
+                other => panic!("{line}: expected a parse error on line 4, got {other:?}"),
+            }
+        }
     }
 
     #[test]

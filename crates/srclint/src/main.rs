@@ -51,7 +51,10 @@
 //!    the malloc-log importer with its example (`import_malloc_log`,
 //!    `ImportSource`, `replay_malloc_log`) and the materialized workload
 //!    twins (`GeneratedWorkload`, `SliceSource`, `.materialize()`,
-//!    `grpc_qps(`, `file_copy(`) may not return; nor may the
+//!    `grpc_qps(`, `file_copy(`) and the §6.2 mmap path with every
+//!    unmap, guard and page-release path only it reached (`MmapSpace`,
+//!    `Op::Mmap`, `Op::Munmap`, `file_copy_stream(`, `MapFlags::guard(`,
+//!    `release_page(`, `unmap_range(`) may not return; nor may the
 //!    23 binaries `repro` replaced be invoked by name (`--bin
 //!    run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this rule also reads
 //!    the shell scripts under `tools/`.
@@ -133,6 +136,13 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     (".materialize()", ONE_WORKLOAD_FORM),
     ("grpc_qps(", ONE_WORKLOAD_FORM),
     ("file_copy(", ONE_WORKLOAD_FORM),
+    ("MmapSpace", NO_MMAP_PATH),
+    ("Op::Mmap", NO_MMAP_PATH),
+    ("Op::Munmap", NO_MMAP_PATH),
+    ("file_copy_stream(", NO_MMAP_PATH),
+    ("MapFlags::guard(", NO_MMAP_PATH),
+    ("release_page(", NO_MMAP_PATH),
+    ("unmap_range(", NO_MMAP_PATH),
     ("CARGO_BIN_EXE_run_matrix", "CARGO_BIN_EXE_repro with `matrix`"),
     ("--bin run_matrix", "--bin repro -- matrix"),
     ("--bin reproduce_all", "--bin repro -- all"),
@@ -164,6 +174,12 @@ const EARN_A_ROW: &str = "nothing — an input format must earn a repro section,
 /// benchmark's `pgbench(None)` closure would match them.)
 const ONE_WORKLOAD_FORM: &str =
     "the *_stream constructor, plus OpSource::collect_ops where a Vec<Op> is needed";
+
+/// Why the §6.2 reservation `mmap` path was deleted, with the guard,
+/// unmap and page-release paths that only it reached: no evaluated row
+/// emitted its ops, and it had no safety row of its own.
+const NO_MMAP_PATH: &str = "nothing — the mmap path and its unmap, guard and release paths were \
+     deleted (DESIGN.md, Findings: §6.2); memory is mapped once and never returned";
 
 /// The replacement for the deleted byte plane: memory holds what
 /// capability stores put there, and nothing reads it as bytes. (Not
@@ -593,9 +609,22 @@ mod tests {
             let v = lint_one(&root, file, line);
             assert!(v.len() == 1 && v[0].contains("collect_ops"), "{file}: {line}: {v:?}");
         }
+        // The mmap path and what only it reached.
+        for (file, line) in [
+            ("src/lib.rs", "pub use cheri_alloc::{HeapLayout, MmapSpace, Mrs, MrsConfig};\n"),
+            ("crates/sim/src/system.rs", "Op::Mmap { obj, len } => self.op_mmap(obj, len),\n"),
+            ("crates/analyze/src/lib.rs", "Op::Munmap { obj } => self.end_object(obj),\n"),
+            ("tests/seed_stability.rs", "let w = file_copy_stream(params);\n"),
+            ("crates/vm/tests/tlb.rs", "m.map_range(BASE, PAGE_SIZE, MapFlags::guard()).unwrap();\n"),
+            ("crates/vm/src/machine.rs", "self.mem.phys_mut().release_page(page);\n"),
+            ("examples/quickstart.rs", "machine.unmap_range(base, len);\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("never returned"), "{file}: {line}: {v:?}");
+        }
         for (file, line) in [
             ("crates/mem/src/phys.rs", "let f = self.materialize_page(page);\n"),
-            ("tests/seed_stability.rs", "let w = file_copy_stream(params);\n"),
+            ("crates/vm/src/machine.rs", "m.map_range(base, len, MapFlags::user_rw())?;\n"),
         ] {
             let v = lint_one(&root, file, line);
             assert!(v.is_empty(), "{file}: {line}: {v:?}");

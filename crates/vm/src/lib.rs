@@ -59,7 +59,7 @@ pub enum VmFault {
     /// The authorizing capability failed its architectural checks
     /// (untagged, out of bounds, or missing permissions). Fail-stop.
     Capability(cheri_cap::CapError),
-    /// No mapping (or a guard page) at `vaddr`.
+    /// No mapping at `vaddr`.
     NotMapped {
         /// Faulting virtual address.
         vaddr: u64,

@@ -118,7 +118,7 @@ impl Tlb {
 
     /// Invalidates the page of `vaddr`; returns whether it was cached.
     /// The entry is restamped, not removed: the re-walk after a load fault
-    /// refills it, and removing a leaf's only entry frees the leaf.
+    /// refills it in place.
     fn remove(&mut self, vaddr: u64) -> bool {
         let entry = self.entries.get_mut(vaddr / PAGE_SIZE);
         entry.map(|e| std::mem::replace(&mut e.0, u64::MAX)) == Some(self.flushes)
@@ -227,9 +227,9 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Maps `[vaddr, vaddr+len)` with `flags`. Both must be page-aligned.
-    /// Remapping an existing page replaces it (used to flip guards). A
-    /// range may end at 2^64 exactly; one that runs past it is refused
-    /// with [`VmFault::NotMapped`] before any PTE changes.
+    /// Remapping an existing page replaces its permissions. A range may
+    /// end at 2^64 exactly; one that runs past it is refused with
+    /// [`VmFault::NotMapped`] before any PTE changes.
     pub fn map_range(&mut self, vaddr: u64, len: u64, flags: MapFlags) -> Result<(), VmFault> {
         assert_eq!(vaddr % PAGE_SIZE, 0, "map_range: unaligned vaddr");
         assert_eq!(len % PAGE_SIZE, 0, "map_range: unaligned length");
@@ -244,35 +244,14 @@ impl Machine {
             // load generation carry over, or a capability-bearing page
             // could silently drop out of the sweep set / load barrier.
             if let Some(old) = self.pte(page) {
-                if !old.guard && !flags.guard {
-                    pte.cap_dirty = old.cap_dirty;
-                    pte.load_gen = old.load_gen;
-                }
+                pte.cap_dirty = old.cap_dirty;
+                pte.load_gen = old.load_gen;
             }
             self.ptes.insert(page / PAGE_SIZE, pte);
             self.stats.pte_writes += 1;
             self.shootdown(page);
         }
         Ok(())
-    }
-
-    /// Unmaps every page `[vaddr, vaddr+len)` overlaps, releasing backing
-    /// frames. The part of a range past 2^64 holds no page to unmap.
-    pub fn unmap_range(&mut self, vaddr: u64, len: u64) {
-        assert_eq!(vaddr % PAGE_SIZE, 0, "unmap_range: unaligned vaddr");
-        let pages = len.div_ceil(PAGE_SIZE).min(PAGES_IN_SPACE - vaddr / PAGE_SIZE);
-        for page in (0..pages).map(|i| vaddr + i * PAGE_SIZE) {
-            self.ptes.remove(page / PAGE_SIZE);
-            self.stats.pte_writes += 1;
-            self.shootdown(page);
-            self.mem.phys_mut().release_page(page);
-        }
-    }
-
-    /// Whether `vaddr` is mapped (and not a guard).
-    #[must_use]
-    pub fn is_mapped(&self, vaddr: u64) -> bool {
-        self.pte(vaddr).is_some_and(|p| !p.guard)
     }
 
     fn pte(&self, vaddr: u64) -> Option<&Pte> {
@@ -304,9 +283,6 @@ impl Machine {
         }
         self.stats.tlb_misses += 1;
         let pte = *self.pte(vaddr).ok_or(VmFault::NotMapped { vaddr })?;
-        if pte.guard {
-            return Err(VmFault::NotMapped { vaddr });
-        }
         self.tlbs[core].insert(vaddr, pte);
         Ok((pte, self.walk_cycles))
     }
@@ -546,12 +522,12 @@ impl Machine {
         self.shootdown(page);
     }
 
-    /// Addresses of the non-guard pages whose PTE satisfies `keep`, ascending.
+    /// Addresses of the mapped pages whose PTE satisfies `keep`, ascending.
     fn pages_where<'a>(&'a self, keep: impl Fn(&Pte) -> bool + 'a) -> impl Iterator<Item = u64> + 'a {
-        self.ptes.iter().filter(move |(_, p)| !p.guard && keep(p)).map(|(n, _)| n * PAGE_SIZE)
+        self.ptes.iter().filter(move |(_, p)| keep(p)).map(|(n, _)| n * PAGE_SIZE)
     }
 
-    /// All mapped, non-guard pages (ascending).
+    /// All mapped pages (ascending).
     pub fn mapped_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.pages_where(|_| true)
     }
@@ -589,7 +565,7 @@ impl Machine {
     /// only a page that *must* be mutated goes through the upgrade path.
     #[must_use]
     pub fn page_user_writable(&self, vaddr: u64) -> bool {
-        self.pte(vaddr).is_some_and(|p| p.write && !p.guard)
+        self.pte(vaddr).is_some_and(|p| p.write)
     }
 
     /// Upgrades a read-only page to writable through the full page-fault
@@ -652,10 +628,12 @@ impl Machine {
         self.mem.phys().resident_bytes()
     }
 
-    /// Peak resident-set size in bytes.
+    /// Peak resident-set size in bytes: no frame is ever released, so
+    /// residency never falls and its peak is [`Machine::resident_bytes`].
+    /// Kept as a name because the standalone `benchmark/` crate reads it.
     #[must_use]
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.mem.phys().peak_resident_bytes()
+        self.resident_bytes()
     }
 }
 
@@ -758,15 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_pages_fault() {
-        let (mut m, _) = setup();
-        m.map_range(0x8_0000, 0x1000, MapFlags::guard()).unwrap();
-        let c = Capability::new_root(0x8_0000, 0x1000, Perms::rw());
-        assert!(matches!(m.read_data(0, &c, 8), Err(VmFault::NotMapped { .. })));
-        assert!(!m.is_mapped(0x8_0000));
-    }
-
-    #[test]
     fn data_write_clears_tags() {
         let (mut m, heap) = setup();
         m.store_cap(0, &heap.set_addr(0x1_0000), heap).unwrap();
@@ -818,15 +787,10 @@ mod tests {
         let mut m = Machine::new(1);
         let top = u64::MAX - PAGE_SIZE + 1;
         m.map_range(top - PAGE_SIZE, 2 * PAGE_SIZE, MapFlags::user_rw()).unwrap();
-        assert!(m.is_mapped(top - PAGE_SIZE) && m.is_mapped(top) && m.is_mapped(u64::MAX));
+        assert!([top - PAGE_SIZE, top, u64::MAX].iter().all(|&a| m.page_generation(a).is_some()));
         let cap = Capability::new_root(top, PAGE_SIZE - 16, Perms::rw());
         m.store_cap(0, &cap, cap).unwrap();
-        m.unmap_range(top, PAGE_SIZE);
-        assert!(!m.is_mapped(top) && m.is_mapped(top - PAGE_SIZE));
-        assert!(!m.mem().phys().tag(top), "the top page's frame was not released");
-        // Past 2^64 holds no page: the part below it is unmapped.
-        m.unmap_range(top - PAGE_SIZE, 4 * PAGE_SIZE);
-        assert!(!m.is_mapped(top - PAGE_SIZE));
+        assert!(m.mem().phys().tag(top));
     }
 
     #[test]
@@ -836,7 +800,7 @@ mod tests {
         let writes = m.vm_stats().pte_writes;
         for (vaddr, len) in [(top, 2 * PAGE_SIZE), (top - PAGE_SIZE, 3 * PAGE_SIZE), (2 * PAGE_SIZE, top)] {
             assert_eq!(m.map_range(vaddr, len, MapFlags::user_rw()), Err(VmFault::NotMapped { vaddr }));
-            assert!(!m.is_mapped(vaddr) && !m.is_mapped(top));
+            assert!(m.page_generation(vaddr).is_none() && m.page_generation(top).is_none());
         }
         assert_eq!(m.vm_stats().pte_writes, writes, "a refused range changed a PTE");
     }
@@ -848,16 +812,6 @@ mod tests {
         m.revoke_granule(1, 0x1_0000);
         let (got, _) = m.load_cap(0, &heap.set_addr(0x1_0000)).unwrap();
         assert!(!got.is_tagged());
-    }
-
-    #[test]
-    fn unmap_releases_memory_and_faults_later() {
-        let (mut m, heap) = setup();
-        m.write_data(0, &heap, 64).unwrap();
-        assert!(m.resident_bytes() > 0);
-        m.unmap_range(0x1_0000, 0x4000);
-        assert_eq!(m.resident_bytes(), 0);
-        assert!(matches!(m.read_data(0, &heap, 8), Err(VmFault::NotMapped { .. })));
     }
 
     #[test]

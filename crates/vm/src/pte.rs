@@ -1,4 +1,10 @@
 //! Page table entries and mapping flags.
+//!
+//! There are no guard mappings and no unmapping: nothing in the simulated
+//! process returns address space (§6.2's reservation-backed `munmap` is
+//! not modelled; DESIGN.md, "Findings"), so a PTE once written lives as
+//! long as the machine and only changes in place, by a remap or the
+//! revoker's bits.
 
 /// Flags for establishing a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,34 +16,25 @@ pub struct MapFlags {
     /// Tagged capability stores allowed. CheriBSD forbids these on shared
     /// file mappings (paper footnote 13); anonymous heap memory allows them.
     pub cap_store: bool,
-    /// A guard mapping: any access faults. Used by the reservation machinery
-    /// (paper §6.2) to keep `munmap`ed holes unusable.
-    pub guard: bool,
 }
 
 impl MapFlags {
     /// Ordinary anonymous user memory: read/write, capability stores allowed.
     #[must_use]
     pub const fn user_rw() -> Self {
-        MapFlags { read: true, write: true, cap_store: true, guard: false }
+        MapFlags { read: true, write: true, cap_store: true }
     }
 
     /// Read-only user memory.
     #[must_use]
     pub const fn user_ro() -> Self {
-        MapFlags { read: true, write: false, cap_store: false, guard: false }
+        MapFlags { read: true, write: false, cap_store: false }
     }
 
     /// Shared-file-style memory: data read/write, no tagged stores.
     #[must_use]
     pub const fn user_rw_nocap() -> Self {
-        MapFlags { read: true, write: true, cap_store: false, guard: false }
-    }
-
-    /// A guard mapping (all accesses fault).
-    #[must_use]
-    pub const fn guard() -> Self {
-        MapFlags { read: false, write: false, cap_store: false, guard: true }
+        MapFlags { read: true, write: true, cap_store: false }
     }
 }
 
@@ -60,8 +57,6 @@ pub struct Pte {
     pub write: bool,
     /// Whether tagged capability stores are permitted.
     pub cap_store: bool,
-    /// Guard mapping: every access faults.
-    pub guard: bool,
     /// Capability-dirty: a tagged capability store has hit this page since
     /// the revoker last cleaned it.
     pub cap_dirty: bool,
@@ -79,7 +74,6 @@ impl Pte {
             read: flags.read,
             write: flags.write,
             cap_store: flags.cap_store,
-            guard: flags.guard,
             cap_dirty: false,
             load_gen,
         }
@@ -96,12 +90,5 @@ mod tests {
         assert!(p.load_gen);
         assert!(!p.cap_dirty);
         assert!(p.cap_store);
-        assert!(!p.guard);
-    }
-
-    #[test]
-    fn guard_flags_deny_everything() {
-        let f = MapFlags::guard();
-        assert!(!f.read && !f.write && !f.cap_store && f.guard);
     }
 }

@@ -1,8 +1,8 @@
 //! Unit tests for the per-core TLBs.
 //!
 //! A TLB is a page-keyed table of PTE snapshots, flushed in O(1) by
-//! bumping a stamp. Every invalidation edge — shootdown, remap, unmap,
-//! guard install, generation flip — must reach it. These tests observe it
+//! bumping a stamp. Every invalidation edge — shootdown, remap,
+//! generation flip — must reach it. These tests observe it
 //! through architectural behavior (faults) and the `VmStats`
 //! miss/shootdown counters, which would drift if a core were ever served
 //! a translation that had been invalidated.
@@ -45,34 +45,6 @@ fn shootdown_while_cached_forces_a_rewalk() {
     );
     m.read_data(0, &cap.set_addr(BASE), 8).unwrap();
     assert_eq!(m.vm_stats().tlb_misses, 2, "post-shootdown access must re-walk");
-}
-
-#[test]
-fn unmap_while_cached_faults_not_mapped() {
-    let (mut m, cap) = setup(2);
-    m.read_data(0, &cap.set_addr(BASE), 8).unwrap();
-    m.unmap_range(BASE, PAGE_SIZE);
-    assert_eq!(
-        m.read_data(0, &cap.set_addr(BASE), 8),
-        Err(VmFault::NotMapped { vaddr: BASE }),
-        "the TLB must not serve an unmapped page"
-    );
-    // The neighbouring page is untouched.
-    m.read_data(0, &cap.set_addr(BASE + PAGE_SIZE), 8).unwrap();
-}
-
-#[test]
-fn guard_install_while_cached_faults_immediately() {
-    let (mut m, cap) = setup(1);
-    m.read_data(0, &cap.set_addr(BASE), 8).unwrap();
-    // Reservation machinery converts the hole to a guard mapping; the
-    // cached rw translation must die with it.
-    m.map_range(BASE, PAGE_SIZE, MapFlags::guard()).unwrap();
-    assert_eq!(
-        m.read_data(0, &cap.set_addr(BASE), 8),
-        Err(VmFault::NotMapped { vaddr: BASE }),
-        "guard page must fault despite the previously cached translation"
-    );
 }
 
 #[test]

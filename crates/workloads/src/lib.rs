@@ -36,12 +36,10 @@
 #![warn(missing_docs)]
 
 mod churn;
-mod filecopy;
 mod interactive;
 mod spec;
 
 pub use churn::{ChurnProfile, ChurnSource, SizeDist};
-pub use filecopy::{file_copy_stream, FileCopyParams, FileCopySource};
 pub use interactive::{
     grpc_stream, pgbench_stream, GrpcParams, GrpcSource, PgbenchParams, PgbenchSource,
 };
@@ -89,8 +87,8 @@ mod tests {
     fn count_ops_counts_every_batch() {
         let ops: Vec<Op> = (0..2_500).map(|i| Op::Compute { cycles: i }).collect();
         assert_eq!(count_ops(&mut ops.into_iter()), 2_500);
-        let params = FileCopyParams { files: 50, seed: 1 };
-        let collected = file_copy_stream(params).source.collect_ops();
-        assert_eq!(count_ops(&mut file_copy_stream(params).source), collected.len());
+        let params = GrpcParams { messages: 200, seed: 1 };
+        let collected = grpc_stream(params).source.collect_ops();
+        assert_eq!(count_ops(&mut grpc_stream(params).source), collected.len());
     }
 }

@@ -16,7 +16,7 @@
 //! | [`cheri_mem`] | Tagged physical memory + cache/DRAM traffic model |
 //! | [`cheri_vm`] | MMU: PTEs with capability-dirty + load-generation bits, TLBs, faults |
 //! | [`cornucopia`] | **The paper's contribution**: bitmap, epochs, hoards, revokers |
-//! | [`cheri_alloc`] | snmalloc-lite + mrs quarantine shim + reservation mmap |
+//! | [`cheri_alloc`] | snmalloc-lite + mrs quarantine shim |
 //! | [`morello_sim`] | Discrete-event 4-core simulator, clocks, latency stats |
 //! | [`workloads`] | SPEC CPU2006 / pgbench / gRPC QPS surrogates |
 //!
@@ -58,7 +58,7 @@
 //! ```
 //!
 //! See `examples/` for runnable demonstrations (use-after-free fail-stop,
-//! interactive latency, mmap reservations) and the `rev-bench` crate for
+//! interactive latency, memory colouring) and the `rev-bench` crate for
 //! one regenerator per table and figure in the paper's evaluation.
 
 #![forbid(unsafe_code)]
@@ -74,7 +74,7 @@ pub use workloads;
 
 /// The most commonly used types, re-exported.
 pub mod prelude {
-    pub use cheri_alloc::{HeapLayout, MmapSpace, Mrs, MrsConfig};
+    pub use cheri_alloc::{HeapLayout, Mrs, MrsConfig};
     pub use cheri_cap::{Capability, Perms};
     pub use cheri_vm::{Machine, MapFlags, VmFault};
     pub use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};

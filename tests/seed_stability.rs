@@ -13,8 +13,8 @@
 
 use morello_sim::{Op, OpSource};
 use workloads::{
-    file_copy_stream, grpc_stream, pgbench_stream, spec_stream, ChurnProfile, FileCopyParams,
-    GrpcParams, PgbenchParams, SizeDist, SpecProgram, SPEC_PROGRAMS,
+    grpc_stream, pgbench_stream, spec_stream, ChurnProfile, GrpcParams, PgbenchParams, SizeDist,
+    SpecProgram, SPEC_PROGRAMS,
 };
 
 /// A small-but-nontrivial churn profile so the test exercises the full
@@ -59,13 +59,6 @@ fn spec_surrogate_trace_is_seed_stable() {
 }
 
 #[test]
-fn filecopy_trace_is_seed_stable() {
-    assert_seed_stable("filecopy", |seed| {
-        file_copy_stream(FileCopyParams { files: 200, seed }).source.collect_ops()
-    });
-}
-
-#[test]
 fn pgbench_trace_is_seed_stable() {
     assert_seed_stable("pgbench", |seed| {
         pgbench_stream(PgbenchParams { transactions: 300, rate: None, seed }).source.collect_ops()
@@ -104,8 +97,6 @@ fn encode(op: &Op) -> (u8, [u64; 3]) {
         Op::Compute { cycles } => (7, [cycles, 0, 0]),
         Op::ThinkIdle { cycles } => (8, [cycles, 0, 0]),
         Op::SyscallHoard { obj } => (9, [obj, 0, 0]),
-        Op::Mmap { obj, len } => (10, [obj, len, 0]),
-        Op::Munmap { obj } => (11, [obj, 0, 0]),
         Op::TxBegin { id } => (12, [id, 0, 0]),
         Op::TxEnd { id } => (13, [id, 0, 0]),
         _ => panic!("new Op variant {op:?}: give it an encoding"),
@@ -142,8 +133,6 @@ fn op_streams_match_builder_goldens() {
         }
         let grpc = grpc_stream(GrpcParams { messages: 500, seed }).source;
         pin(format!("grpc/500/{seed}"), &grpc.collect_ops());
-        let filecopy = file_copy_stream(FileCopyParams { files: 200, seed }).source;
-        pin(format!("filecopy/200/{seed}"), &filecopy.collect_ops());
         pin(format!("churn/tiny/{seed}"), &tiny_churn().source(seed).collect_ops());
     }
 
@@ -182,11 +171,9 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("pgbench/300/None/41", 51576, 0x8af6f91477af28cd),
     ("pgbench/300/Some(900.0)/41", 51576, 0x8af6f91477af28cd),
     ("grpc/500/41", 6400, 0xa678e6caa3dedfd7),
-    ("filecopy/200/41", 1802, 0x056fc41d6bc0d4ef),
     ("churn/tiny/41", 9617, 0xe9c34bb17af4680a),
     ("pgbench/300/None/42", 51576, 0x38342262b1d81f03),
     ("pgbench/300/Some(900.0)/42", 51576, 0x38342262b1d81f03),
     ("grpc/500/42", 6400, 0x09e7cc0fea63ab0f),
-    ("filecopy/200/42", 1802, 0x5017f5da522474e5),
     ("churn/tiny/42", 9544, 0x3d2e3a02639118cb),
 ];
