@@ -44,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cheri_mem::{FastMap, FastSet};
+use cheri_mem::FastMap;
 use morello_sim::{for_each_batch, Json, ObjId, Op, OpSource, SimConfig};
 use std::convert::Infallible;
 
@@ -451,9 +451,10 @@ struct Link {
 /// Everything known about one object ID — the lifetime summary across
 /// its generations, the live generation's state, and its edges of the
 /// points-to graph — so an op costs one table lookup per object it names.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Obj {
-    /// Allocations so far; also the current generation's number.
+    /// Allocations so far; also the current generation's number. Zero
+    /// marks an id never allocated (an unused slot of the dense tier).
     generations: u64,
     first_op: u64,
     last_end: Option<u64>,
@@ -462,10 +463,84 @@ struct Obj {
     /// Outgoing links of the live generation: `effective slot -> target`.
     /// Mirrors the slot storage the simulator writes through `cap_slot`.
     links: FastMap<u64, Link>,
-    /// Reverse index for dangling-link detection at free time: the
-    /// `(from, effective slot)` of exactly the links that target the
-    /// live generation.
-    incoming: FastSet<(ObjId, u64)>,
+    /// How many live links target the live generation. A free that finds
+    /// it non-zero recovers the holders by scanning the link tables.
+    incoming: u64,
+}
+
+/// Ids below this always fit the dense tier; past it, only ids below it
+/// plus twice the distinct ids seen do.
+const DENSE_FLOOR: u64 = 1024;
+
+/// The object table: a vector indexed by id for the dense slot numbers
+/// the generators emit, and a map for ids far past the vector's length,
+/// so host memory stays linear in the distinct ids whatever their values.
+#[derive(Debug, Default)]
+struct Objects {
+    /// Index = id. An id's record lives here iff its `generations` is
+    /// non-zero; an id that was far when first seen stays in `far` even
+    /// after the vector grows past it.
+    dense: Vec<Obj>,
+    far: FastMap<ObjId, Obj>,
+    /// Ids allocated at least once, both tiers.
+    distinct: u64,
+}
+
+impl Objects {
+    fn get(&self, obj: ObjId) -> Option<&Obj> {
+        match usize::try_from(obj).ok().and_then(|i| self.dense.get(i)) {
+            Some(o) if o.generations > 0 => Some(o),
+            _ => self.far.get(&obj),
+        }
+    }
+
+    fn get_mut(&mut self, obj: ObjId) -> Option<&mut Obj> {
+        match usize::try_from(obj).ok().and_then(|i| self.dense.get_mut(i)) {
+            Some(o) if o.generations > 0 => Some(o),
+            _ => self.far.get_mut(&obj),
+        }
+    }
+
+    /// The record of `obj`, created unallocated (`generations == 0`,
+    /// first seen at `op_index`) if the id is new. A new id joins the
+    /// dense tier if it is below `DENSE_FLOOR + 2 * distinct`, growing
+    /// the vector by doubling up to that limit; otherwise it joins `far`.
+    fn get_or_insert(&mut self, obj: ObjId, op_index: u64) -> &mut Obj {
+        let index = usize::try_from(obj).ok();
+        if let Some(i) = index.filter(|&i| self.dense.get(i).is_some_and(|o| o.generations > 0)) {
+            return &mut self.dense[i];
+        }
+        if self.far.contains_key(&obj) {
+            return self.far.get_mut(&obj).expect("present");
+        }
+        self.distinct += 1;
+        let fresh = Obj { first_op: op_index, ..Obj::default() };
+        let limit = DENSE_FLOOR.saturating_add(2 * self.distinct);
+        match index {
+            Some(i) if obj < limit => {
+                if i >= self.dense.len() {
+                    let len = (2 * self.dense.len()).max(i + 1).min(limit as usize);
+                    self.dense.reserve_exact(len - self.dense.len());
+                    self.dense.resize_with(len, Obj::default);
+                }
+                self.dense[i] = fresh;
+                &mut self.dense[i]
+            }
+            _ => self.far.entry(obj).or_insert(fresh),
+        }
+    }
+
+    /// Records the dense tier holds room for, allocated or not.
+    #[cfg(test)]
+    fn dense_capacity(&self) -> usize {
+        self.dense.capacity()
+    }
+
+    /// Every allocated id's record, unordered.
+    fn iter(&self) -> impl Iterator<Item = (ObjId, &Obj)> {
+        let dense = self.dense.iter().enumerate().filter(|(_, o)| o.generations > 0);
+        dense.map(|(i, o)| (i as ObjId, o)).chain(self.far.iter().map(|(&id, o)| (id, o)))
+    }
 }
 
 /// Exact per-kind counts and the capped detail list. Apart from the
@@ -492,15 +567,16 @@ impl Diags {
 /// Malformed ops are diagnosed and then *skipped* (treated as no-ops), so
 /// one defect does not cascade into spurious downstream reports.
 ///
-/// The tables are fixed-seed hash maps keyed by object ID. Wherever their
-/// order could reach the report (dangling links at free time, leaks and
-/// lifetimes in [`Analyzer::finish`]) the entries are sorted first; the
-/// only unsorted walks remove every entry they visit.
+/// Objects are indexed by ID (a vector for dense IDs, a fixed-seed hash
+/// map for far ones); links and root slots are fixed-seed hash maps.
+/// Wherever table order could reach the report (dangling links at free
+/// time, leaks and lifetimes in [`Analyzer::finish`]) the entries are
+/// sorted first; the only unsorted walks remove every entry they visit.
 #[derive(Debug)]
 pub struct Analyzer {
     cfg: AnalyzerConfig,
     op_index: u64,
-    objs: FastMap<ObjId, Obj>,
+    objs: Objects,
     root_slots: FastMap<u64, ObjId>,
     live_objects: u64,
     diags: Diags,
@@ -524,7 +600,7 @@ impl Analyzer {
         Analyzer {
             cfg,
             op_index: 0,
-            objs: FastMap::default(),
+            objs: Objects::default(),
             root_slots: FastMap::default(),
             live_objects: 0,
             diags: Diags::default(),
@@ -564,13 +640,14 @@ impl Analyzer {
     /// Finalizes: leak detection, last curve point, report assembly.
     #[must_use]
     pub fn finish(mut self) -> Report {
-        let mut objs: Vec<(ObjId, Obj)> = std::mem::take(&mut self.objs).into_iter().collect();
+        let table = std::mem::take(&mut self.objs);
+        let mut objs: Vec<(ObjId, &Obj)> = table.iter().collect();
         objs.sort_unstable_by_key(|&(obj, _)| obj);
         let mut leaked = 0;
-        for (obj, o) in &objs {
+        for &(obj, o) in &objs {
             if let Some(live) = o.live {
                 leaked += 1;
-                self.diag(DiagnosticKind::Leak, *obj, live.touched);
+                self.diag(DiagnosticKind::Leak, obj, live.touched);
             }
         }
         let final_point = CurvePoint {
@@ -583,8 +660,8 @@ impl Analyzer {
         }
         let lifetimes: Vec<Lifetime> = objs
             .iter()
-            .map(|(obj, o)| Lifetime {
-                obj: *obj,
+            .map(|&(obj, o)| Lifetime {
+                obj,
                 generations: o.generations,
                 first_op: o.first_op,
                 last_op: if o.live.is_some() { None } else { o.last_end },
@@ -602,7 +679,7 @@ impl Analyzer {
             stale_chases: self.stale,
             lifetimes,
             objects: ObjectsSummary {
-                distinct: objs.len() as u64,
+                distinct: table.distinct,
                 generations: self.generations,
                 peak_live: self.peak_live_objects,
                 leaked,
@@ -616,19 +693,26 @@ impl Analyzer {
 
     // -- op semantics --------------------------------------------------
 
-    /// Forgets that `from`'s slot `eff` targets `to` (the link itself is
-    /// already gone or overwritten).
-    fn drop_incoming(&mut self, to: ObjId, from: ObjId, eff: u64) {
-        if let Some(target) = self.objs.get_mut(&to) {
-            target.incoming.remove(&(from, eff));
+    /// Forgets one link into generation `to_gen` of `to` (the link itself
+    /// is already gone or overwritten). It was counted in `to`'s
+    /// `incoming` only if that generation is still the live one.
+    fn unlink(&mut self, to: ObjId, to_gen: u64) {
+        if let Some(t) = self.objs.get_mut(to) {
+            if t.live.is_some() && t.generations == to_gen {
+                t.incoming -= 1;
+            }
         }
     }
 
     fn new_object(&mut self, obj: ObjId, cap_len: u64) {
-        if self.objs.get(&obj).is_some_and(|o| o.live.is_some()) {
-            self.diag(DiagnosticKind::AllocBusy, obj, 0);
+        let o = self.objs.get_or_insert(obj, self.op_index);
+        if o.live.is_some() {
+            self.diags.record(self.op_index, DiagnosticKind::AllocBusy, obj, 0);
             return;
         }
+        o.generations += 1;
+        o.max_bytes = o.max_bytes.max(cap_len);
+        o.live = Some(LiveObj { cap_len, touched: 0 });
         let residue = obj % self.cfg.max_objects;
         if let Some(other) = self.root_slots.insert(residue, obj) {
             // The simulator would silently overwrite `other`'s root
@@ -637,24 +721,12 @@ impl Analyzer {
         }
         self.generations += 1;
         self.bytes_allocated += cap_len;
-        let o = self.objs.entry(obj).or_insert_with(|| Obj {
-            generations: 0,
-            first_op: self.op_index,
-            last_end: None,
-            max_bytes: 0,
-            live: None,
-            links: FastMap::default(),
-            incoming: FastSet::default(),
-        });
-        o.generations += 1;
-        o.max_bytes = o.max_bytes.max(cap_len);
-        o.live = Some(LiveObj { cap_len, touched: 0 });
         self.live_objects += 1;
         self.peak_live_objects = self.peak_live_objects.max(self.live_objects);
     }
 
     fn end_object(&mut self, obj: ObjId) {
-        let Some(rec) = self.objs.get_mut(&obj) else {
+        let Some(rec) = self.objs.get_mut(obj) else {
             self.diag(DiagnosticKind::FreeUnallocated, obj, 0);
             return;
         };
@@ -664,22 +736,21 @@ impl Analyzer {
         };
         rec.last_end = Some(self.op_index);
         // Every link into the dying generation is stale from here on and
-        // can never match a later generation, so the reverse index
-        // restarts empty.
-        let mut dangling: Vec<(ObjId, u64)> = rec.incoming.drain().collect();
-        let out = std::mem::take(&mut rec.links);
-        // Live interior pointers into the dying generation (the object's
-        // own slots included), in holder order.
-        dangling.sort_unstable();
-        for (from, _) in dangling {
-            self.diag(DiagnosticKind::DanglingLink, obj, from);
+        // can never match a later generation, so the count restarts at 0.
+        let incoming = std::mem::take(&mut rec.incoming);
+        let gen = rec.generations;
+        if incoming > 0 {
+            self.dangling_links(obj, gen, incoming);
         }
         // A freed object's own slots are gone: a chase can only reach
         // them through a *live* holder, and any future occupant of the
-        // storage starts with freshly cleared slot tags.
-        for (eff, l) in out {
-            self.drop_incoming(l.to, obj, eff);
+        // storage starts with freshly cleared slot tags. The emptied table
+        // keeps its capacity for the id's next generation.
+        let mut out = std::mem::take(&mut self.objs.get_mut(obj).expect("present").links);
+        for (_, l) in out.drain() {
+            self.unlink(l.to, l.to_gen);
         }
+        self.objs.get_mut(obj).expect("present").links = out;
         if self.root_slots.get(&(obj % self.cfg.max_objects)) == Some(&obj) {
             self.root_slots.remove(&(obj % self.cfg.max_objects));
         }
@@ -698,10 +769,34 @@ impl Analyzer {
         self.curve_touch();
     }
 
+    /// Diagnoses the `count` live interior pointers into generation `gen`
+    /// of `obj` (its own slots included), in holder order. Only while
+    /// details are still stored does one scan of every link table recover
+    /// the holders; after that the exact count is all the report keeps, so
+    /// an analysis makes at most `DIAG_DETAIL_CAP` scans.
+    fn dangling_links(&mut self, obj: ObjId, gen: u64, count: u64) {
+        let kind = DiagnosticKind::DanglingLink;
+        if self.diags.counts[kind.index()] >= DIAG_DETAIL_CAP as u64 {
+            self.diags.counts[kind.index()] += count;
+            return;
+        }
+        let into = |l: &Link| l.to == obj && l.to_gen == gen;
+        let mut holders: Vec<(ObjId, u64)> = self
+            .objs
+            .iter()
+            .flat_map(|(from, o)| o.links.iter().filter(|(_, l)| into(l)).map(move |(&e, _)| (from, e)))
+            .collect();
+        debug_assert_eq!(holders.len() as u64, count, "incoming count of {obj}");
+        holders.sort_unstable();
+        for (from, _) in holders {
+            self.diag(kind, obj, from);
+        }
+    }
+
     /// The record of `obj` if a generation of it is live; a
     /// use-after-free diagnostic otherwise (`aux` = 1 if one ever was).
     fn require_live(&mut self, obj: ObjId) -> Option<&mut Obj> {
-        match self.objs.get_mut(&obj) {
+        match self.objs.get_mut(obj) {
             Some(rec) if rec.live.is_some() => Some(rec),
             rec => {
                 let ever = u64::from(rec.is_some());
@@ -723,7 +818,7 @@ impl Analyzer {
         rec.links.retain(|&eff, l| {
             let dies = eff * CAP_SIZE < clamped;
             if dies {
-                doomed.push((eff, l.to));
+                doomed.push(*l);
             }
             !dies
         });
@@ -731,8 +826,8 @@ impl Analyzer {
             self.live_touched += grown;
             self.curve_touch();
         }
-        for (eff, to) in doomed {
-            self.drop_incoming(to, obj, eff);
+        for l in doomed {
+            self.unlink(l.to, l.to_gen);
         }
     }
 
@@ -741,7 +836,9 @@ impl Analyzer {
     /// count is `cap_len / 16` and `slot` wraps modulo it.
     fn eff_slot(cap_len: u64, slot: u64) -> Option<u64> {
         let usable = cap_len / CAP_SIZE;
-        if usable == 0 {
+        if slot < usable {
+            Some(slot)
+        } else if usable == 0 {
             None
         } else {
             Some(slot % usable)
@@ -755,13 +852,11 @@ impl Analyzer {
         let Some(eff) = Analyzer::eff_slot(slots, slot) else {
             return; // object too small for capability slots: simulator no-op
         };
-        target.incoming.insert((from, eff));
+        target.incoming += 1;
         let to_gen = target.generations;
-        let holder = self.objs.get_mut(&from).expect("checked live");
+        let holder = self.objs.get_mut(from).expect("checked live");
         if let Some(old) = holder.links.insert(eff, Link { to, to_gen }) {
-            if old.to != to {
-                self.drop_incoming(old.to, from, eff);
-            }
+            self.unlink(old.to, old.to_gen);
         }
     }
 
@@ -773,7 +868,7 @@ impl Analyzer {
             return;
         };
         let target_alive =
-            self.objs.get(&l.to).is_some_and(|t| t.live.is_some() && t.generations == l.to_gen);
+            self.objs.get(l.to).is_some_and(|t| t.live.is_some() && t.generations == l.to_gen);
         if !target_alive {
             self.diags.counts[DiagnosticKind::StaleChase.index()] += 1;
             self.stale.push(StaleChase { op_index: self.op_index, from, slot, to: l.to });
@@ -1035,6 +1130,54 @@ mod tests {
         assert_eq!(parsed.get("stale_chases_total").unwrap().as_num(), Some(1));
         assert_eq!(report.to_json().render(), text, "rendering is stable");
         assert!(report.curve_csv().starts_with("op,live_touched_bytes"));
+    }
+
+    /// An adversarial id costs one map entry, not a vector reaching it.
+    #[test]
+    fn an_adversarial_id_stays_cheap() {
+        let max_objects = AnalyzerConfig::default().max_objects;
+        for far in [max_objects - 1, ObjId::MAX] {
+            let (capacity, distinct, lifetimes) = simtest::within_3s(move || {
+                let mut a = Analyzer::new(AnalyzerConfig::default());
+                for op in [Op::Alloc { obj: 1, size: 64 }, Op::Alloc { obj: far, size: 64 }] {
+                    a.push(op);
+                }
+                a.push(Op::Free { obj: far });
+                let capacity = a.objs.dense_capacity();
+                let report = a.finish();
+                (capacity, report.objects.distinct, report.lifetimes.len())
+            });
+            assert_eq!((distinct, lifetimes), (2, 2), "{far}");
+            assert!(capacity as u64 <= 2 * distinct + DENSE_FLOOR, "{far}: {capacity} records");
+        }
+    }
+
+    /// An id the map took while it was far stays there when the vector
+    /// later grows past it, and is still reported in id order.
+    #[test]
+    fn the_vector_grows_past_an_id_the_map_holds() {
+        let mut a = Analyzer::new(AnalyzerConfig::default());
+        let held = DENSE_FLOOR + 76;
+        a.push(Op::Alloc { obj: held, size: 64 });
+        assert!(a.objs.far.contains_key(&held));
+        for obj in 0..40 {
+            a.push(Op::Alloc { obj, size: 64 });
+        }
+        let grown = DENSE_FLOOR + 80;
+        a.push(Op::Alloc { obj: grown, size: 64 });
+        assert!(a.objs.dense.len() as u64 > held && a.objs.far.len() == 1);
+        assert!(a.objs.dense_capacity() as u64 <= 2 * a.objs.distinct + DENSE_FLOOR);
+        a.push(Op::LinkPtr { from: grown, slot: 0, to: held });
+        a.push(Op::Free { obj: held });
+        a.push(Op::ChasePtr { from: grown, slot: 0 });
+        let report = a.finish();
+        assert!(!report.malformed);
+        assert_eq!(report.count(DiagnosticKind::DanglingLink), 1);
+        assert_eq!(report.count(DiagnosticKind::StaleChase), 1);
+        let ids: Vec<ObjId> = report.lifetimes.iter().map(|l| l.obj).collect();
+        let expected: Vec<ObjId> = (0..40).chain([held, grown]).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(report.lifetimes[40].last_op, Some(43));
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! scanning all of it, so every order the analyzer's id-keyed hash
 //! tables could leak (diagnostic details under the per-kind cap, stale
 //! chases, leaks, lifetimes) is pinned by construction, not by capture.
+//! Ids span both tiers of the analyzer's object table (see [`id`]), and
+//! dangling links are found by the scan the analyzer runs only while
+//! details are stored, so both sides of that cap are compared.
 
 use analyze::{
     analyze, AnalyzerConfig, Diagnostic, DiagnosticKind, Lifetime, StaleChase, DIAG_DETAIL_CAP,
 };
 use morello_sim::{ObjId, Op};
-use simtest::check::vec_of;
+use simtest::check::{vec_of, CaseResult};
 use simtest::sim_assert_eq;
 use std::collections::BTreeMap;
 
@@ -146,12 +149,29 @@ impl Naive {
     }
 }
 
-/// One op from four small integers; ids and sizes are drawn from ranges
-/// narrow enough that every malformation and every slot collision is hit
-/// often.
+/// The id domain: a few dense ids (drawn most often, so every
+/// malformation and slot collision is hit), a band around the analyzer's
+/// dense-tier floor of 1024 ids, where an id joins the indexed tier or
+/// the map by how many distinct ids came first and the indexed tier can
+/// later grow past an id the map holds, and three far ids only the map
+/// can hold.
+const DOMAIN: u64 = 32;
+
+fn id(i: u64) -> ObjId {
+    const FAR: [ObjId; 3] = [1 << 40, ObjId::MAX - 1, ObjId::MAX];
+    match i {
+        0..=15 => i % IDS,
+        16..=18 => FAR[(i - 16) as usize],
+        _ => 1020 + 4 * (i - 19),
+    }
+}
+
+/// One op from four small integers; sizes and write lengths are drawn
+/// from narrow sets.
 fn op_from((kind, a, b, c): (u8, u64, u64, u64)) -> Op {
     const SIZES: [u64; 6] = [8, 16, 32, 64, 128, 4096];
     const WRITES: [u64; 5] = [1, 16, 17, 48, 1 << 20];
+    let (a, b) = (id(a), id(b));
     match kind {
         0..=3 => Op::Alloc { obj: a, size: SIZES[c as usize % SIZES.len()] },
         4..=5 => Op::Free { obj: a },
@@ -164,49 +184,101 @@ fn op_from((kind, a, b, c): (u8, u64, u64, u64)) -> Op {
     }
 }
 
+/// Runs `ops` through the analyzer and the naive reference and compares
+/// every detail, count and list the report holds.
+fn agree(ops: Vec<Op>) -> CaseResult {
+    let n = ops.len() as u64;
+    let mut naive = Naive::default();
+    for (i, &op) in ops.iter().enumerate() {
+        naive.step(i as u64, op);
+    }
+    for (&obj, o) in &naive.live {
+        naive.diags.push(Diagnostic { kind: DiagnosticKind::Leak, op_index: n, obj, aux: o.touched });
+        naive.lifetimes.get_mut(&obj).expect("was allocated").last_op = None;
+    }
+
+    let cfg = AnalyzerConfig { max_objects: MAX_OBJECTS, ..AnalyzerConfig::default() };
+    let report = analyze(ops.into_iter(), cfg);
+
+    let mut seen = [0usize; DiagnosticKind::ALL.len()];
+    let kind_index = |k| DiagnosticKind::ALL.iter().position(|&x| x == k).expect("in ALL");
+    let capped: Vec<Diagnostic> = naive
+        .diags
+        .iter()
+        .filter(|d| {
+            seen[kind_index(d.kind)] += 1;
+            seen[kind_index(d.kind)] <= DIAG_DETAIL_CAP
+        })
+        .copied()
+        .collect();
+    sim_assert_eq!(report.diagnostics, capped);
+    for kind in DiagnosticKind::ALL {
+        let expected = match kind {
+            DiagnosticKind::StaleChase => naive.stale.len(),
+            _ => seen[kind_index(kind)],
+        };
+        sim_assert_eq!(report.count(kind), expected as u64, "count of {}", kind.label());
+    }
+    sim_assert_eq!(report.stale_chases, naive.stale);
+    sim_assert_eq!(report.lifetimes, naive.lifetimes.values().copied().collect::<Vec<_>>());
+    sim_assert_eq!(report.objects.distinct, naive.lifetimes.len() as u64);
+    sim_assert_eq!(report.objects.leaked, naive.live.len() as u64);
+    sim_assert_eq!(report.rss.peak_live_touched, naive.peak_live_touched);
+    Ok(())
+}
+
 simtest::props! {
     #![config(simtest::Config { cases: 256, ..Default::default() })]
 
     fn analyzer_agrees_with_the_naive_reference(
-        raw in vec_of((0u8..17, 0u64..IDS, 0u64..IDS, 0u64..10), 1..600),
+        raw in vec_of((0u8..17, 0u64..DOMAIN, 0u64..DOMAIN, 0u64..10), 1..600),
     ) {
-        let ops: Vec<Op> = raw.into_iter().map(op_from).collect();
-        let n = ops.len() as u64;
-        let mut naive = Naive::default();
-        for (i, &op) in ops.iter().enumerate() {
-            naive.step(i as u64, op);
-        }
-        for (&obj, o) in &naive.live {
-            naive.diags.push(Diagnostic { kind: DiagnosticKind::Leak, op_index: n, obj, aux: o.touched });
-            naive.lifetimes.get_mut(&obj).expect("was allocated").last_op = None;
-        }
-
-        let cfg = AnalyzerConfig { max_objects: MAX_OBJECTS, ..AnalyzerConfig::default() };
-        let report = analyze(ops.into_iter(), cfg);
-
-        let mut seen = [0usize; DiagnosticKind::ALL.len()];
-        let kind_index = |k| DiagnosticKind::ALL.iter().position(|&x| x == k).expect("in ALL");
-        let capped: Vec<Diagnostic> = naive
-            .diags
-            .iter()
-            .filter(|d| {
-                seen[kind_index(d.kind)] += 1;
-                seen[kind_index(d.kind)] <= DIAG_DETAIL_CAP
-            })
-            .copied()
-            .collect();
-        sim_assert_eq!(report.diagnostics, capped);
-        for kind in DiagnosticKind::ALL {
-            let expected = match kind {
-                DiagnosticKind::StaleChase => naive.stale.len(),
-                _ => seen[kind_index(kind)],
-            };
-            sim_assert_eq!(report.count(kind), expected as u64, "count of {}", kind.label());
-        }
-        sim_assert_eq!(report.stale_chases, naive.stale);
-        sim_assert_eq!(report.lifetimes, naive.lifetimes.values().copied().collect::<Vec<_>>());
-        sim_assert_eq!(report.objects.distinct, naive.lifetimes.len() as u64);
-        sim_assert_eq!(report.objects.leaked, naive.live.len() as u64);
-        sim_assert_eq!(report.rss.peak_live_touched, naive.peak_live_touched);
+        agree(raw.into_iter().map(op_from).collect())?;
     }
+}
+
+/// One free crosses the dangling-link detail cap: 60 links dangle at
+/// earlier frees, then one free leaves 10 holders (one of them the freed
+/// object itself, one holding it in two slots). The exact count and the
+/// first `DIAG_DETAIL_CAP` details, holder-ordered within the crossing
+/// free, must match; later frees only count, so their counts must have
+/// dropped every link that was overwritten, cleared or freed with its
+/// holder.
+#[test]
+fn a_free_that_crosses_the_dangling_link_cap_agrees_with_the_reference() {
+    let mut ops = Vec::new();
+    for t in 0..6 {
+        let target = 100 + t;
+        ops.push(Op::Alloc { obj: target, size: 64 });
+        for h in 0..10 {
+            ops.push(Op::Alloc { obj: h, size: 64 });
+            ops.push(Op::LinkPtr { from: h, slot: 0, to: target });
+        }
+        ops.push(Op::Free { obj: target });
+        ops.extend((0..10).map(|h| Op::Free { obj: h }));
+    }
+    let target = 1 << 40;
+    ops.push(Op::Alloc { obj: target, size: 64 });
+    for h in (0..8).rev() {
+        ops.push(Op::Alloc { obj: h, size: 64 });
+        ops.push(Op::LinkPtr { from: h, slot: 1, to: target });
+    }
+    ops.push(Op::LinkPtr { from: 3, slot: 2, to: target });
+    ops.push(Op::LinkPtr { from: target, slot: 0, to: target });
+    ops.push(Op::Free { obj: target });
+    // Past the cap only the count is kept, so it must have forgotten
+    // every link that stopped pointing at its target: 200's second link
+    // is overwritten, 201's is cleared by a write, 202's holder is freed.
+    for (h, second) in [(0, 5), (1, 6), (2, 4)] {
+        ops.push(Op::Alloc { obj: 200 + h, size: 64 });
+        ops.push(Op::LinkPtr { from: h, slot: 1, to: 200 + h });
+        ops.push(Op::LinkPtr { from: second, slot: 3, to: 200 + h });
+    }
+    ops.push(Op::LinkPtr { from: 5, slot: 3, to: 6 });
+    ops.push(Op::WriteData { obj: 6, len: 64 });
+    ops.push(Op::Free { obj: 4 });
+    ops.extend((200..203).map(|obj| Op::Free { obj }));
+    let report = analyze(ops.clone().into_iter(), AnalyzerConfig::default());
+    assert_eq!(report.count(DiagnosticKind::DanglingLink), 60 + 10 + 3);
+    agree(ops).unwrap();
 }

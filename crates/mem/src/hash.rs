@@ -9,10 +9,13 @@
 //! never iterated, or whose entries are sorted before any order is
 //! observed (point lookups cannot see bucket order, nor can a walk that
 //! removes every entry it visits, so the hash function cannot influence
-//! results; the static analyzer's object table sorts by id where it
-//! reports); hash-flooding resistance is irrelevant inside a simulator. Anything keyed by *page* belongs in
-//! [`crate::PageMap`] instead, which indexes rather than hashes and
-//! iterates in page order.
+//! results; the static analyzer sorts a free's dangling-link holders and
+//! its far object ids before they reach a report); hash-flooding
+//! resistance is irrelevant inside a simulator. Dense small ids are
+//! better indexed than hashed: the analyzer's object table is a vector
+//! by id, with one of these maps only for ids far past it. Anything keyed
+//! by *page* belongs in [`crate::PageMap`] instead, which indexes rather
+//! than hashes and iterates in page order.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -4,7 +4,9 @@ use crate::config::{Condition, SimConfig};
 use crate::ops::{for_each_batch, ObjId, Op, OpSource};
 use crate::report::RunReport;
 use crate::stats::RunStats;
-use crate::telemetry::{Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent};
+use crate::telemetry::{
+    Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent, SERIES_CAPACITY,
+};
 use cheri_cap::{Capability, CAP_SIZE};
 use cheri_mem::{CoreId, FastMap, FastSet};
 use cheri_vm::{Machine, ThreadId, VmFault};
@@ -718,12 +720,23 @@ impl System {
     }
 
     /// Emits a counter snapshot for every sampling boundary the wall
-    /// clock crossed since the last poll.
+    /// clock crossed since the last poll. The counters do not move
+    /// between those boundaries, so past the series ring's capacity only
+    /// the last `SERIES_CAPACITY` are taken and the earlier ones are
+    /// counted as dropped: the ring ends as a per-boundary loop would
+    /// leave it, at a cost bounded by the ring, not by the cycles crossed.
     fn poll_sample(&mut self) {
+        if self.wall < self.next_sample {
+            return;
+        }
+        let crossed = (self.wall - self.next_sample) / self.sample_interval + 1;
+        let skipped = crossed.saturating_sub(SERIES_CAPACITY as u64);
+        self.recorder.skip_samples(skipped);
+        self.next_sample += skipped * self.sample_interval;
         while self.wall >= self.next_sample {
             let at = self.next_sample;
             self.take_sample(at);
-            self.next_sample += self.sample_interval;
+            self.next_sample = self.next_sample.saturating_add(self.sample_interval);
         }
     }
 
@@ -1378,5 +1391,63 @@ mod tests {
         assert!(!t.spans.is_empty(), "no spans");
         assert!(!t.samples.is_empty(), "no samples");
         assert_eq!((t.dropped_events, t.dropped_samples), (0, 0));
+    }
+
+    fn sampled(interval: u64, ops: Vec<Op>) -> (RunStats, crate::telemetry::TelemetryData) {
+        let cfg = SimConfig::builder().telemetry(TelemetryConfig::full(interval)).build().unwrap();
+        let mut sys = System::new(cfg);
+        sys.exec_batch(&ops).unwrap();
+        let report = sys.finish();
+        (report.stats().clone(), report.telemetry().clone())
+    }
+
+    /// One op that crosses 2^30 sampling boundaries costs the host what
+    /// the sample ring holds, not one sample per boundary.
+    #[test]
+    fn sampling_cost_is_bounded_by_the_ring_not_the_cycles_crossed() {
+        let (stats, t) = simtest::within_3s(|| {
+            sampled(1_000_000, vec![Op::Compute { cycles: 1 << 50 }])
+        });
+        let crossed = stats.wall_cycles / 1_000_000;
+        assert!(crossed > 1 << 30, "{crossed}");
+        assert_eq!(t.samples.len(), SERIES_CAPACITY);
+        assert_eq!(t.dropped_samples + t.samples.len() as u64, crossed);
+        assert_eq!(t.samples.last().map(|s| s.at), Some(crossed * 1_000_000));
+    }
+
+    /// A few boundaries past the ring, on top of samples already held,
+    /// keeps exactly the stamps one sample per boundary would have kept.
+    #[test]
+    fn a_poll_past_the_ring_keeps_the_stamps_of_the_per_boundary_loop() {
+        const INTERVAL: u64 = 1000;
+        let ring = SERIES_CAPACITY as u64;
+        let ops = vec![
+            Op::Compute { cycles: 3 * INTERVAL + 500 },
+            Op::Alloc { obj: 1, size: 64 },
+            Op::Compute { cycles: (ring + 5) * INTERVAL },
+        ];
+        let (stats, t) = sampled(INTERVAL, ops);
+        let crossed = stats.wall_cycles / INTERVAL;
+        assert!(crossed > ring + 5, "{crossed}");
+        let kept: Vec<u64> = t.samples.iter().map(|s| s.at).collect();
+        let expected: Vec<u64> = (crossed - ring + 1..=crossed).map(|k| k * INTERVAL).collect();
+        assert_eq!(kept, expected);
+        assert_eq!(t.dropped_samples, crossed - ring);
+    }
+
+    /// A sampling interval of half the clock's range: the boundary after
+    /// the first sample lies past 2^64, so sampling stops there rather
+    /// than wrapping the next boundary back to zero.
+    #[test]
+    fn a_boundary_past_the_end_of_time_is_never_sampled() {
+        const HALF: u64 = 1 << 63;
+        let ops = vec![
+            Op::Compute { cycles: HALF },
+            Op::Alloc { obj: 1, size: 64 },
+            Op::Compute { cycles: 1 },
+        ];
+        let (_, t) = simtest::within_3s(move || sampled(HALF, ops));
+        let stamps: Vec<u64> = t.samples.iter().map(|s| s.at).collect();
+        assert_eq!((stamps, t.dropped_samples), (vec![HALF], 0));
     }
 }

@@ -248,7 +248,7 @@ impl TelemetryData {
 const EVENT_CAPACITY: usize = 1 << 20;
 
 /// Ring capacity of the sampled counter series.
-const SERIES_CAPACITY: usize = 4096;
+pub(crate) const SERIES_CAPACITY: usize = 4096;
 
 /// A bounded FIFO that evicts its oldest entry when full and counts the
 /// evictions.
@@ -304,6 +304,13 @@ impl Recorder {
 
     pub(crate) fn record_sample(&mut self, sample: Sample) {
         self.samples.push(sample);
+    }
+
+    /// Counts `n` samples as taken and evicted at once, without taking
+    /// them: the ones a poll past more boundaries than the ring holds
+    /// would push out before it returns.
+    pub(crate) fn skip_samples(&mut self, n: u64) {
+        self.samples.dropped += n;
     }
 
     pub(crate) fn into_data(self) -> TelemetryData {

@@ -30,7 +30,10 @@
 //!    `std::collections::HashMap` / `HashSet` (SipHash under a random
 //!    key, so iteration order differs run to run) are banned from
 //!    `crates/analyze/src`; its tables are `cheri_mem::FastMap` /
-//!    `FastSet`, sorted before any order reaches a report.
+//!    `FastSet`, sorted before any order reaches a report. Nor does it
+//!    bring back a hashed reverse-link index (`FastSet<(ObjId, u64)>`):
+//!    an object counts the links into its live generation, and a free
+//!    scans the link tables only while dangling-link details are stored.
 //! 6. **Deleted deprecated APIs stay deleted** — call sites of the
 //!    removed `orchestrator::expand_*` wrappers, the pieces of the page
 //!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
@@ -82,6 +85,17 @@ const REPORT_TEXT: &[&str] = &[
 
 /// Source trees whose hash tables must be fixed-seed.
 const FIXED_SEED_HASH_ONLY: &[&str] = &["crates/analyze/src/"];
+
+/// Tokens banned under one source tree, each with the reason, matched
+/// with spaces removed.
+const BANNED_UNDER: &[(&str, &str, &str)] =
+    &[("crates/analyze/src/", "FastSet<(ObjId,u64)>", COUNTED_REVERSE_LINKS)];
+
+/// Why the analyzer's per-object reverse-link sets were replaced: a
+/// count per object answers every op, and the holders are needed only
+/// for the capped dangling-link details.
+const COUNTED_REVERSE_LINKS: &str = "a per-object count of the links into its live generation; \
+     a free scans the link tables for holders only while DanglingLink details are stored";
 
 /// Registry crates whose absence keeps the build offline. Matched
 /// against both the dependency key (`rand = "0.8"`) and quoted package
@@ -354,6 +368,12 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
                 }
             }
         }
+        let packed = line.replace(' ', "");
+        for (dir, token, instead) in BANNED_UNDER {
+            if name.starts_with(dir) && packed.contains(token) {
+                violations.push(at(format!("{token} under {dir} (use {instead}): {line}")));
+            }
+        }
         for (token, instead) in BANNED_EVERYWHERE {
             if line.contains(token) {
                 violations.push(at(format!(
@@ -481,6 +501,26 @@ mod tests {
         for elsewhere in ["crates/analyze/tests/t.rs", "crates/bench/src/ok.rs"] {
             let v = lint_one(&root, elsewhere, body);
             assert!(v.is_empty(), "{elsewhere}: {v:?}");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_hashed_reverse_link_index_in_the_analyzer_is_flagged() {
+        let root = scratch("reverse-links");
+        for line in ["incoming: FastSet<(ObjId, u64)>,\n", "let s: FastSet<(ObjId,u64)> = x;\n"] {
+            let v = lint_one(&root, "crates/analyze/src/lib.rs", line);
+            assert!(v.len() == 1 && v[0].contains("per-object count"), "{line}: {v:?}");
+        }
+        // Other tables of the analyzer, and the set elsewhere, stay legal.
+        for (file, line) in [
+            ("crates/analyze/src/lib.rs", "links: FastMap<u64, Link>,\n"),
+            ("crates/analyze/src/lib.rs", "incoming: u64,\n"),
+            ("crates/analyze/tests/reference.rs", "let s: FastSet<(ObjId, u64)> = x;\n"),
+            ("crates/sim/src/system.rs", "let s: FastSet<(ObjId, u64)> = x;\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.is_empty(), "{file}: {line}: {v:?}");
         }
         let _ = fs::remove_dir_all(&root);
     }
