@@ -82,7 +82,7 @@ const PGBENCH: &[(&str, usize, u64)] = &[
     ("pgbench|pgbench|baseline|s2000", 0, 0xf7e32d07deae304c),
     ("pgbench|pgbench|Paint+sync|s2000", 0, 0x4c369ab3bee06b6f),
     ("pgbench|pgbench|CHERIvoke|s2000", 0, 0xe7edccc82e934148),
-    ("pgbench|pgbench|Cornucopia|s2000", 0, 0xbfbfa1c2316e85f1),
+    ("pgbench|pgbench|Cornucopia|s2000", 0, 0x2d06899dfea658ff),
     ("pgbench|pgbench|Reloaded|s2000", 0, 0x555e051429778897),
 ];
 
@@ -143,6 +143,6 @@ const SPEC: &[(&str, usize, u64)] = &[
 const GRPC: &[(&str, usize, u64)] = &[
     ("grpc|gRPC QPS|baseline|s4000", 0, 0x2bbd95faa6c33971),
     ("grpc|gRPC QPS|Paint+sync|s4000", 0, 0xde3c163290217030),
-    ("grpc|gRPC QPS|Cornucopia|s4000", 0, 0x7651118dc47bd4bc),
+    ("grpc|gRPC QPS|Cornucopia|s4000", 0, 0x30904d3d329c34a5),
     ("grpc|gRPC QPS|Reloaded|s4000", 0, 0x065f0d882a26143d),
 ];

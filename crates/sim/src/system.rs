@@ -93,6 +93,20 @@ struct EpochTrace {
     core_marks: Vec<u64>,
 }
 
+/// What the application sees of a revoker step ([`System::revoker_step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    /// The revoker runs beside the application, over wall time the
+    /// application already spent. While it was busy, the sweep's DRAM
+    /// traffic stalls it and a final pause stops it; idle time hides both.
+    Pump { app_busy: bool },
+    /// The application waits for the pass: every revoker cycle on the
+    /// critical path is wall time and blocked time.
+    Block,
+    /// After the last op: the pass drains off the application's clocks.
+    Finish,
+}
+
 /// One interior capability slot written by `LinkPtr`, tracked (by slot
 /// address) by the telemetry-gated dangling-pointer instrument.
 #[derive(Debug, Clone, Copy)]
@@ -302,35 +316,22 @@ impl System {
     pub fn exec_batch(&mut self, ops: &[Op]) -> Result<(), SimError> {
         let mut i = 0;
         while i < ops.len() {
-            let result = match ops[i] {
-                Op::Compute { cycles } if !self.revoker.is_revoking() => {
-                    let mut total = cycles;
-                    i += 1;
-                    while let Some(&Op::Compute { cycles }) = ops.get(i) {
+            let op = ops[i];
+            i += 1;
+            let result = match own_cycles(op) {
+                Some((mut total, busy)) if !self.revoker.is_revoking() => {
+                    while let Some((cycles, _)) =
+                        ops.get(i).and_then(|&next| own_cycles(next)).filter(|&(_, b)| b == busy)
+                    {
                         match total.checked_add(cycles) {
                             Some(t) if self.clock_check(t).is_ok() => total = t,
                             _ => break,
                         }
                         i += 1;
                     }
-                    self.advance_op(total, true)
+                    self.advance_op(total, busy)
                 }
-                Op::ThinkIdle { cycles } if !self.revoker.is_revoking() => {
-                    let mut total = cycles;
-                    i += 1;
-                    while let Some(&Op::ThinkIdle { cycles }) = ops.get(i) {
-                        match total.checked_add(cycles) {
-                            Some(t) if self.clock_check(t).is_ok() => total = t,
-                            _ => break,
-                        }
-                        i += 1;
-                    }
-                    self.advance_op(total, false)
-                }
-                op => {
-                    i += 1;
-                    self.exec_op(op)
-                }
+                _ => self.exec_op(op),
             };
             if self.telemetry_on {
                 self.drain_events();
@@ -346,20 +347,7 @@ impl System {
     #[must_use]
     pub fn finish(mut self) -> RunReport {
         // Let an in-flight pass finish (without charging the app).
-        while self.revoker.is_revoking() {
-            match self.revoker.background_step(&mut self.machine, 10_000_000) {
-                StepOutcome::NeedsFinalStw { .. } => {
-                    let pause = self.revoker.finish_stw(&mut self.machine, self.cfg.app_threads);
-                    self.rev_cpu += pause;
-                    self.stats.pauses.push(pause);
-                    self.note_stw_pause(pause);
-                }
-                StepOutcome::Working { used } | StepOutcome::Finished { used } => {
-                    self.rev_cpu += used;
-                }
-                StepOutcome::Idle => break,
-            }
-        }
+        while self.revoker.is_revoking() && self.revoker_step(10_000_000, Drive::Finish) {}
         if self.telemetry_on {
             self.note_pass_progress();
             self.drain_events();
@@ -480,10 +468,9 @@ impl System {
     /// [`System::advance`] by the cycles an op names itself, refused whole
     /// if they would carry the wall clock past [`CLOCK_LIMIT`].
     fn advance_op(&mut self, cycles: u64, busy: bool) -> Result<(), SimError> {
-        // The charge `advance` makes, checked.
-        let charged = if busy && self.contended() { cycles.checked_add(cycles / 2) } else { Some(cycles) };
-        self.clock_check(charged.ok_or(SimError::ClockOverflow)?)?;
-        self.advance(cycles, busy);
+        let charged = self.wall_charge(cycles, busy);
+        self.clock_check(charged)?;
+        self.advance_charged(cycles, charged, busy);
         Ok(())
     }
 
@@ -491,22 +478,28 @@ impl System {
     /// (`busy`: CPU-consuming) and pumps the background revoker across the
     /// same interval.
     fn advance(&mut self, cycles: u64, busy: bool) {
-        let charged = if busy && self.contended() {
-            // Revoker competes for the application cores: 3 runnable
-            // threads on 2 cores => each op takes 1.5x wall time.
-            cycles + cycles / 2
+        self.advance_charged(cycles, self.wall_charge(cycles, busy), busy);
+    }
+
+    /// The wall cycles that `cycles` of application activity take. While
+    /// the revoker competes for the application cores, busy time runs
+    /// 1.5x (3 runnable threads on 2 cores). Saturates, so a charge past
+    /// 2^64 fails [`System::clock_check`].
+    fn wall_charge(&self, cycles: u64, busy: bool) -> u64 {
+        if busy && !self.cfg.spare_revoker_core && self.revoker.is_revoking() {
+            cycles.saturating_add(cycles / 2)
         } else {
             cycles
-        };
+        }
+    }
+
+    /// [`System::advance`] with its wall charge already computed.
+    fn advance_charged(&mut self, cycles: u64, charged: u64, busy: bool) {
         self.wall += charged;
         if busy {
             self.app_cpu += cycles;
         }
         self.pump_revoker(busy);
-    }
-
-    fn contended(&self) -> bool {
-        !self.cfg.spare_revoker_core && self.revoker.is_revoking()
     }
 
     /// DRAM transactions issued so far across all revoker cores.
@@ -522,55 +515,18 @@ impl System {
     /// last pump. `app_busy` affects whether a final STW pause extends the
     /// wall clock (a pause inside idle time is hidden; §5.2 discussion).
     fn pump_revoker(&mut self, app_busy: bool) {
+        if self.revoker.is_revoking() {
+            let elapsed = self.wall.saturating_sub(self.rev_mark);
+            // Without a spare core the revoker only gets a share of wall time.
+            let budget = if self.cfg.spare_revoker_core { elapsed } else { elapsed * 2 / 3 };
+            if budget == 0 {
+                return;
+            }
+            self.revoker_step(budget, Drive::Pump { app_busy });
+        }
+        self.rev_mark = self.wall;
         if !self.revoker.is_revoking() {
-            self.rev_mark = self.wall;
             self.maybe_release();
-            return;
-        }
-        let elapsed = self.wall.saturating_sub(self.rev_mark);
-        // Without a spare core the revoker only gets a share of wall time.
-        let budget = if self.cfg.spare_revoker_core { elapsed } else { elapsed * 2 / 3 };
-        if budget == 0 {
-            return;
-        }
-        let rev_dram_before = self.revoker_dram_now();
-        let outcome = self.revoker.background_step(&mut self.machine, budget);
-        if app_busy && self.cfg.spare_revoker_core {
-            // Shared-bus contention: the sweep's DRAM traffic stalls the
-            // application (§5.6). Only with a spare revoker core — when the
-            // revoker time-slices with the application, its traffic is
-            // serialized inside its own quantum and the CPU contention
-            // factor already accounts for the slowdown.
-            let delta = self.revoker_dram_now() - rev_dram_before;
-            let penalty = delta * BUS_PENALTY_PER_REV_TXN;
-            self.wall += penalty;
-            self.app_cpu += penalty;
-        }
-        match outcome {
-            StepOutcome::Idle => {
-                self.rev_mark = self.wall;
-            }
-            StepOutcome::Working { used } => {
-                self.rev_cpu += used;
-                self.rev_mark = self.wall;
-            }
-            StepOutcome::Finished { used } => {
-                self.rev_cpu += used;
-                self.rev_mark = self.wall;
-                self.maybe_release();
-            }
-            StepOutcome::NeedsFinalStw { .. } => {
-                let pause = self.revoker.finish_stw(&mut self.machine, self.cfg.app_threads);
-                self.stats.pauses.push(pause);
-                self.rev_cpu += pause;
-                self.note_stw_pause(pause);
-                if app_busy {
-                    // The world (including the app) stops.
-                    self.wall += pause;
-                }
-                self.rev_mark = self.wall;
-                self.maybe_release();
-            }
         }
     }
 
@@ -580,24 +536,7 @@ impl System {
         self.heap.note_blocked_alloc();
         let block_start = self.wall;
         let block_epoch = self.revoker.epoch();
-        while self.revoker.is_revoking() {
-            match self.revoker.background_step(&mut self.machine, 1_000_000) {
-                StepOutcome::NeedsFinalStw { .. } => {
-                    let pause = self.revoker.finish_stw(&mut self.machine, self.cfg.app_threads);
-                    self.stats.pauses.push(pause);
-                    self.rev_cpu += pause;
-                    self.note_stw_pause(pause);
-                    self.wall += pause;
-                    self.stats.blocked_cycles += pause;
-                }
-                StepOutcome::Working { used } | StepOutcome::Finished { used } => {
-                    self.rev_cpu += used;
-                    self.wall += used;
-                    self.stats.blocked_cycles += used;
-                }
-                StepOutcome::Idle => break,
-            }
-        }
+        while self.revoker.is_revoking() && self.revoker_step(1_000_000, Drive::Block) {}
         if self.telemetry_on && self.wall > block_start {
             self.recorder.record_span(Span {
                 kind: SpanKind::BlockedAlloc,
@@ -612,11 +551,56 @@ impl System {
         self.maybe_release();
     }
 
+    /// Runs one slice of at most `budget` cycles per revoker core, and
+    /// the final stop-the-world phase if that slice drained Cornucopia's
+    /// concurrent sweep. This is the one place a [`StepOutcome`] is read,
+    /// so every revoker cycle is booked here: the slice's `used` whatever
+    /// the outcome, then the pause. `drive` says what the application
+    /// sees of either. Returns `false` if no pass was in flight.
+    fn revoker_step(&mut self, budget: u64, drive: Drive) -> bool {
+        let bus_stall = matches!(drive, Drive::Pump { app_busy: true }) && self.cfg.spare_revoker_core;
+        let rev_dram_before = if bus_stall { self.revoker_dram_now() } else { 0 };
+        let outcome = self.revoker.background_step(&mut self.machine, budget);
+        if bus_stall {
+            // Shared-bus contention: the sweep's DRAM traffic stalls the
+            // application (§5.6). Only with a spare revoker core — when the
+            // revoker time-slices with the application, its traffic is
+            // serialized inside its own quantum and the CPU contention
+            // factor already accounts for the slowdown.
+            let penalty = (self.revoker_dram_now() - rev_dram_before) * BUS_PENALTY_PER_REV_TXN;
+            self.wall += penalty;
+            self.app_cpu += penalty;
+        }
+        let (used, final_stw) = match outcome {
+            StepOutcome::Idle => return false,
+            StepOutcome::Working { used } | StepOutcome::Finished { used } => (used, false),
+            StepOutcome::NeedsFinalStw { used } => (used, true),
+        };
+        self.rev_cpu += used;
+        if drive == Drive::Block {
+            self.wall += used;
+            self.stats.blocked_cycles += used;
+        }
+        if final_stw {
+            let pause = self.revoker.finish_stw(&mut self.machine, self.cfg.app_threads);
+            self.book_pause(pause);
+            match drive {
+                // The world (including the app) stops.
+                Drive::Pump { app_busy: true } => self.wall += pause,
+                Drive::Block => {
+                    self.wall += pause;
+                    self.stats.blocked_cycles += pause;
+                }
+                Drive::Pump { app_busy: false } | Drive::Finish => {}
+            }
+        }
+        true
+    }
+
     /// Starts a revocation pass now (policy fired during `free`).
     fn start_revocation(&mut self) {
         let pause = self.revoker.start_epoch_with_busy_threads(&mut self.machine, self.cfg.app_threads);
-        self.stats.pauses.push(pause);
-        self.note_stw_pause(pause);
+        self.book_pause(pause);
         if self.telemetry_on {
             self.epoch_trace = Some(EpochTrace {
                 epoch: self.revoker.epoch(),
@@ -626,9 +610,29 @@ impl System {
             });
         }
         self.wall += pause;
-        self.rev_cpu += pause;
         self.rev_mark = self.wall;
         self.maybe_release();
+    }
+
+    /// Books a stop-the-world pause: to the pause list, to revoker CPU,
+    /// and as a span starting at the *current* wall position. Callers book
+    /// before adding the pause to the wall clock, so the span covers the
+    /// world-stopped window itself; a pause hidden inside idle time (or
+    /// after the last op, in [`System::finish`]) still gets its true width
+    /// even though the wall does not move.
+    fn book_pause(&mut self, pause: u64) {
+        self.stats.pauses.push(pause);
+        self.rev_cpu += pause;
+        if self.telemetry_on {
+            self.recorder.record_span(Span {
+                kind: SpanKind::StwPause,
+                epoch: self.revoker.epoch(),
+                start: self.wall,
+                end: self.wall + pause,
+                core: None,
+                busy_cycles: pause,
+            });
+        }
     }
 
     /// Releases quarantine batches if the epoch advanced.
@@ -650,24 +654,6 @@ impl System {
     // point is behind the `telemetry_on` flag or the
     // `next_sample == u64::MAX` sentinel)
     // ------------------------------------------------------------------
-
-    /// Records a stop-the-world pause span starting at the *current* wall
-    /// position — callers invoke this before adding the pause to the wall
-    /// clock, so the span covers the world-stopped window itself. A pause
-    /// hidden inside idle time (or after the last op, in [`System::finish`])
-    /// still gets its true width even though the wall does not move.
-    fn note_stw_pause(&mut self, pause: u64) {
-        if self.telemetry_on {
-            self.recorder.record_span(Span {
-                kind: SpanKind::StwPause,
-                epoch: self.revoker.epoch(),
-                start: self.wall,
-                end: self.wall + pause,
-                core: None,
-                busy_cycles: pause,
-            });
-        }
-    }
 
     /// If the traced pass has completed, emits its per-core concurrent
     /// sweep spans and the whole-epoch span (Figure 9's per-phase data).
@@ -977,6 +963,16 @@ impl System {
     }
 }
 
+/// The cycles `Compute` (busy) and `ThinkIdle` (idle) name themselves:
+/// the ops [`System::exec_batch`] fuses.
+fn own_cycles(op: Op) -> Option<(u64, bool)> {
+    match op {
+        Op::Compute { cycles } => Some((cycles, true)),
+        Op::ThinkIdle { cycles } => Some((cycles, false)),
+        _ => None,
+    }
+}
+
 /// The authority for 16-byte capability slot `slot` within `obj`, if the
 /// object has room for capability slots.
 fn cap_slot(obj: &Capability, slot: u64) -> Option<Capability> {
@@ -1197,6 +1193,26 @@ mod tests {
             reasons.iter().all(|r| *r == cheri_alloc::RevocationReason::OomForced),
             "expected only oom_forced requests, got {reasons:?}"
         );
+    }
+
+    /// Forced turnover under Cornucopia: every pass starts at an OOM and
+    /// runs to its end while the allocation waits, with no entry pause.
+    /// So the wait is exactly the pass's phases, the slice that drains the
+    /// concurrent phase included, and so is the revoker's CPU.
+    #[test]
+    fn a_blocked_cornucopia_alloc_waits_for_the_draining_slice() {
+        let cfg = SimConfig::builder()
+            .condition(Condition::cornucopia())
+            .heap_len(4 << 20)
+            .max_objects(1 << 10)
+            .min_quarantine(4 << 20)
+            .build()
+            .unwrap();
+        let s = System::new(cfg).run_stream(&mut churn_ops(3000, 8192)).unwrap().into_stats();
+        assert!(s.revocations > 0 && s.blocked_allocs > 0, "no forced turnover");
+        let phases: u64 = s.phases.iter().map(|p| p.cycles).sum();
+        assert_eq!(s.blocked_cycles, phases, "the blocked wait is not the whole pass");
+        assert_eq!(s.revoker_cpu_cycles, phases);
     }
 
     #[test]

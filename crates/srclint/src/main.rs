@@ -61,6 +61,12 @@
 //!    23 binaries `repro` replaced be invoked by name (`--bin
 //!    run_matrix`, `CARGO_BIN_EXE_run_matrix`, …) — this rule also reads
 //!    the shell scripts under `tools/`.
+//! 7. **One revoker step in the simulator** — `System::revoker_step` is
+//!    the one place `crates/sim/src` reads a `StepOutcome`, and it books
+//!    every cycle of it. A `NeedsFinalStw { .. }` pattern (the shape that
+//!    dropped the draining slice's `used` three times over) may not
+//!    appear there, and a file there calls `background_step(` and
+//!    `finish_stw(` on one line each at most.
 //!
 //! Comment lines (`//`, `///`, `//!`; `#` in scripts) are skipped, so
 //! prose may discuss a banned token. This linter's own sources are excluded from the token
@@ -88,8 +94,23 @@ const FIXED_SEED_HASH_ONLY: &[&str] = &["crates/analyze/src/"];
 
 /// Tokens banned under one source tree, each with the reason, matched
 /// with spaces removed.
-const BANNED_UNDER: &[(&str, &str, &str)] =
-    &[("crates/analyze/src/", "FastSet<(ObjId,u64)>", COUNTED_REVERSE_LINKS)];
+const BANNED_UNDER: &[(&str, &str, &str)] = &[
+    ("crates/analyze/src/", "FastSet<(ObjId,u64)>", COUNTED_REVERSE_LINKS),
+    ("crates/sim/src/", "NeedsFinalStw{..}", ONE_REVOKER_STEP),
+];
+
+/// Tokens allowed on one line per file under one source tree, each with
+/// the reason, matched with spaces removed.
+const ONCE_UNDER: &[(&str, &str, &str)] = &[
+    ("crates/sim/src/", "background_step(", ONE_REVOKER_STEP),
+    ("crates/sim/src/", "finish_stw(", ONE_REVOKER_STEP),
+];
+
+/// Why the simulator drives its revoker from one function: three drive
+/// loops each matched `NeedsFinalStw { .. }` and dropped the `used` of
+/// the slice that drained Cornucopia's concurrent phase.
+const ONE_REVOKER_STEP: &str =
+    "System::revoker_step, which books a step's `used` whatever the outcome, then the final pause";
 
 /// Why the analyzer's per-object reverse-link sets were replaced: a
 /// count per object answers every op, and the holders are needed only
@@ -336,6 +357,7 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
     let comment = if name.ends_with(".sh") { "#" } else { "//" };
     let env_banned = in_crate_src && !ENV_ALLOWED.iter().any(|a| name.starts_with(a) || name == *a);
     let siphash_banned = FIXED_SEED_HASH_ONLY.iter().any(|dir| name.starts_with(dir));
+    let mut first_line = [None; ONCE_UNDER.len()];
 
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim_start();
@@ -372,6 +394,16 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
         for (dir, token, instead) in BANNED_UNDER {
             if name.starts_with(dir) && packed.contains(token) {
                 violations.push(at(format!("{token} under {dir} (use {instead}): {line}")));
+            }
+        }
+        for ((dir, token, instead), first) in ONCE_UNDER.iter().zip(&mut first_line) {
+            if name.starts_with(dir) && packed.contains(token) {
+                match *first {
+                    None => *first = Some(i + 1),
+                    Some(n) => violations.push(at(format!(
+                        "second {token} in one file under {dir} (first on line {n}; use {instead}): {line}"
+                    ))),
+                }
             }
         }
         for (token, instead) in BANNED_EVERYWHERE {
@@ -518,6 +550,35 @@ mod tests {
             ("crates/analyze/src/lib.rs", "incoming: u64,\n"),
             ("crates/analyze/tests/reference.rs", "let s: FastSet<(ObjId, u64)> = x;\n"),
             ("crates/sim/src/system.rs", "let s: FastSet<(ObjId, u64)> = x;\n"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.is_empty(), "{file}: {line}: {v:?}");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_second_revoker_step_in_the_simulator_is_flagged() {
+        let root = scratch("revoker-step");
+        for line in [
+            "StepOutcome::NeedsFinalStw { .. } => {\n",
+            "if matches!(o, StepOutcome::NeedsFinalStw {..}) {}\n",
+        ] {
+            let v = lint_one(&root, "crates/sim/src/system.rs", line);
+            assert!(v.len() == 1 && v[0].contains("System::revoker_step"), "{line}: {v:?}");
+        }
+        let one = "let outcome = self.revoker.background_step(&mut self.machine, budget);\n\
+                   let pause = self.revoker.finish_stw(&mut self.machine, 1);\n";
+        let v = lint_one(&root, "crates/sim/src/system.rs", one);
+        assert!(v.is_empty(), "{v:?}");
+        let twice = format!("{one}let o = self.revoker.background_step(&mut self.machine, 1_000_000);\n");
+        let v = lint_one(&root, "crates/sim/src/system.rs", &twice);
+        assert!(v.len() == 1 && v[0].contains("first on line 1"), "{v:?}");
+        // The binding arm, and drain loops outside the simulator, stay legal.
+        for (file, line) in [
+            ("crates/sim/src/system.rs", "StepOutcome::NeedsFinalStw { used } => (used, true),\n"),
+            ("crates/core/tests/strategy_variants.rs", "StepOutcome::NeedsFinalStw { .. } => {\n"),
+            ("examples/quickstart.rs", "StepOutcome::NeedsFinalStw { .. } => {\n"),
         ] {
             let v = lint_one(&root, file, line);
             assert!(v.is_empty(), "{file}: {line}: {v:?}");

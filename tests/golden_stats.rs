@@ -70,14 +70,14 @@ const GOLDEN: &[(&str, usize, &str)] = &[
     (
         "cornucopia",
         1,
-        "wall=4284807397 app_cpu=4284057113 rev_cpu=42491892 app_dram=225049 rev_dram=168187 \
+        "wall=4284807397 app_cpu=4284057113 rev_cpu=50117090 app_dram=225049 rev_dram=168187 \
          faults=0 fault_cycles=0 shootdowns=2363 tlb_misses=2593 pte_writes=4376 swept=2554 \
          epochs=5 peak_rss=3473408 allocs=2578 frees=1627 pauses=863664",
     ),
     (
         "cornucopia",
         4,
-        "wall=4289250547 app_cpu=4288794465 rev_cpu=12463488 app_dram=225901 rev_dram=166191 \
+        "wall=4289250547 app_cpu=4288794465 rev_cpu=12999904 app_dram=225901 rev_dram=166191 \
          faults=0 fault_cycles=0 shootdowns=2342 tlb_misses=2583 pte_writes=4337 swept=2527 \
          epochs=5 peak_rss=3465216 allocs=2578 frees=1627 pauses=456082",
     ),
