@@ -53,7 +53,7 @@ mod snmalloc;
 
 pub use mrs::{AllocEvent, FreeEffect, Mrs, MrsConfig, MrsStats, RevocationReason};
 pub use size_class::{size_class_for, SizeClass, LARGE_THRESHOLD, NUM_SIZE_CLASSES};
-pub use snmalloc::{AllocError, Allocation, SnmallocLite};
+pub use snmalloc::{AllocError, Allocation, FreedRegion, SnmallocLite};
 
 /// Address-space layout of the simulated process heap.
 ///

@@ -5,11 +5,18 @@
 //! must once quarantine forbids reusing freed objects for free lists;
 //! paper §6.3 contrast). Every returned pointer carries exact CHERI bounds
 //! (padded to representability where required).
+//!
+//! The metadata is one region table: every stretch ever carved from the
+//! bump pointer (a slab, or a large chunk holding one object) with a live
+//! bit per object, found through a [`PageMap`] from page number to
+//! region. Regions are page-aligned and never un-carved, so the index is
+//! written once per region and a `free` is one page lookup, one division
+//! and one bit test, for small and large objects alike.
 
 use crate::size_class::{size_class_for, NUM_SIZE_CLASSES};
 use crate::HeapLayout;
 use cheri_cap::{compress, Capability, Perms};
-use cheri_mem::CoreId;
+use cheri_mem::{CoreId, PageMap, PAGE_SIZE};
 use cheri_vm::{Machine, MapFlags};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,10 +68,17 @@ pub struct FreedRegion {
     pub class: Option<usize>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct SlabMeta {
-    class: usize,
+/// One stretch of arena carved from the bump pointer: a size-class slab,
+/// or a large chunk (one object, `class: None`).
+#[derive(Debug)]
+struct Region {
+    base: u64,
     object_size: u64,
+    /// Objects the region holds: `SLAB_SIZE / object_size`, or 1.
+    objects: u32,
+    /// Index of the region's first word in `SnmallocLite::live`.
+    first_word: u32,
+    class: Option<usize>,
 }
 
 /// The slab allocator. See the module docs.
@@ -75,14 +89,14 @@ pub struct SnmallocLite {
     bump: u64,
     /// Free objects per size class (out-of-band free lists).
     free_lists: Vec<Vec<u64>>,
-    /// Slab base -> metadata, for `free` lookup.
-    slabs: BTreeMap<u64, SlabMeta>,
-    /// Live large allocations: base -> mapped length.
-    large_live: BTreeMap<u64, u64>,
-    /// Recycled large chunks: length -> bases.
+    /// Every region carved so far, in carving order.
+    regions: Vec<Region>,
+    /// Page number -> index into `regions`, for every page of every region.
+    region_of: PageMap<u32>,
+    /// One bit per object of every region, set while it is allocated.
+    live: Vec<u64>,
+    /// Recycled large chunks: length -> bases (best fit needs the range).
     large_free: BTreeMap<u64, Vec<u64>>,
-    /// Live small/medium objects (base -> class), to reject bad frees.
-    live: BTreeMap<u64, usize>,
     allocated_bytes: u64,
     /// Whether reused memory is zeroed on allocation (deferred zeroing,
     /// paper §2.2.2: poisoning/zeroing happens at reuse, not at free).
@@ -99,10 +113,10 @@ impl SnmallocLite {
             root,
             bump: layout.base,
             free_lists: vec![Vec::new(); NUM_SIZE_CLASSES],
-            slabs: BTreeMap::new(),
-            large_live: BTreeMap::new(),
+            regions: Vec::new(),
+            region_of: PageMap::default(),
+            live: Vec::new(),
             large_free: BTreeMap::new(),
-            live: BTreeMap::new(),
             allocated_bytes: 0,
             zero_on_reuse: true,
         }
@@ -128,7 +142,7 @@ impl SnmallocLite {
     /// Allocates `size` bytes, returning a bounded capability.
     pub fn alloc(&mut self, machine: &mut Machine, core: CoreId, size: u64) -> Result<Allocation, AllocError> {
         let mut cycles = 60; // fast-path bookkeeping
-        let (base, grant, class) = if let Some(c) = size_class_for(size) {
+        let (base, grant) = if let Some(c) = size_class_for(size) {
             let base = match self.free_lists[c.index].pop() {
                 Some(b) => b,
                 None => {
@@ -137,7 +151,7 @@ impl SnmallocLite {
                     self.free_lists[c.index].pop().expect("fresh slab must yield objects")
                 }
             };
-            (base, c.size, Some(c.index))
+            (base, c.size)
         } else {
             let len = chunk_len(size).ok_or(AllocError::OutOfMemory)?;
             // Best-fit reuse: the smallest recycled chunk that fits with at
@@ -148,25 +162,20 @@ impl SnmallocLite {
                 .range(len..=len.saturating_mul(2))
                 .find(|(_, v)| !v.is_empty())
                 .map(|(&l, _)| l);
-            let (base, len) = match reuse {
+            match reuse {
                 Some(l) => {
                     let b = self.large_free.get_mut(&l).and_then(Vec::pop).expect("bucket nonempty");
                     (b, l)
                 }
                 None => {
                     cycles += 800;
-                    let align = compress::representable_alignment(len).max(cheri_mem::PAGE_SIZE);
-                    let b = self.bump_take_aligned(len, align)?;
-                    machine.map_range(b, len, MapFlags::user_rw()).expect("arena mapping");
-                    (b, len)
+                    let align = compress::representable_alignment(len).max(PAGE_SIZE);
+                    (self.carve(machine, len, align, len, None)?, len)
                 }
-            };
-            self.large_live.insert(base, len);
-            (base, len, None)
+            }
         };
-        if let Some(cl) = class {
-            self.live.insert(base, cl);
-        }
+        let (_, word, bit) = self.object_at(base).expect("allocator hands out object bases");
+        self.live[word] |= bit;
         self.allocated_bytes += grant;
         // Deferred zeroing happens at reuse time (and on first touch).
         if self.zero_on_reuse {
@@ -185,37 +194,36 @@ impl SnmallocLite {
     ///
     /// The allocator demonstrates its progenitor claim by owning a
     /// superset capability for the whole heap (paper §2.2); here that
-    /// reduces to checking the base is a live allocation of ours.
+    /// reduces to checking the base is a live allocation of ours and the
+    /// bounds fit within it (a forged or widened capability is rejected
+    /// even if its base matches).
     pub fn free_lookup(&mut self, cap: Capability) -> Result<FreedRegion, AllocError> {
         if !cap.is_tagged() {
             return Err(AllocError::BadFree);
         }
         let base = cap.base();
-        if let Some(&class) = self.live.get(&base) {
-            // Cross-check against slab metadata: the capability's bounds
-            // must fit within one object of the slab's class (a forged or
-            // widened capability is rejected even if its base matches).
-            let meta = self
-                .slabs
-                .range(..=base)
-                .next_back()
-                .map(|(_, m)| *m)
-                .filter(|m| m.class == class);
-            let Some(meta) = meta else {
-                return Err(AllocError::BadFree);
-            };
-            if cap.len() > meta.object_size {
-                return Err(AllocError::BadFree);
-            }
-            self.live.remove(&base);
-            self.allocated_bytes -= meta.object_size;
-            return Ok(FreedRegion { base, len: meta.object_size, class: Some(class) });
+        let (r, word, bit) = self.object_at(base).ok_or(AllocError::BadFree)?;
+        if self.live[word] & bit == 0 || cap.len() > r.object_size {
+            return Err(AllocError::BadFree);
         }
-        if let Some(len) = self.large_live.remove(&base) {
-            self.allocated_bytes -= len;
-            return Ok(FreedRegion { base, len, class: None });
+        let freed = FreedRegion { base, len: r.object_size, class: r.class };
+        self.live[word] &= !bit;
+        self.allocated_bytes -= freed.len;
+        Ok(freed)
+    }
+
+    /// The region of the object whose base is `addr`, if `addr` is one
+    /// (live or not), with the word of `live` and the bit in it that hold
+    /// the object's live bit.
+    #[inline]
+    fn object_at(&self, addr: u64) -> Option<(&Region, usize, u64)> {
+        let r = &self.regions[*self.region_of.get(addr / PAGE_SIZE)? as usize];
+        let offset = addr - r.base;
+        let i = offset / r.object_size;
+        if !offset.is_multiple_of(r.object_size) || i >= u64::from(r.objects) {
+            return None;
         }
-        Err(AllocError::BadFree)
+        Some((r, r.first_word as usize + (i / 64) as usize, 1 << (i % 64)))
     }
 
     /// Returns a region (from quarantine release, or directly for a
@@ -228,28 +236,42 @@ impl SnmallocLite {
     }
 
     fn carve_slab(&mut self, machine: &mut Machine, class: usize, object_size: u64) -> Result<(), AllocError> {
-        let base = self.bump_take(SLAB_SIZE)?;
-        machine.map_range(base, SLAB_SIZE, MapFlags::user_rw()).expect("arena mapping");
-        self.slabs.insert(base, SlabMeta { class, object_size });
-        let count = SLAB_SIZE / object_size;
+        let base = self.carve(machine, SLAB_SIZE, 1, object_size, Some(class))?;
         // Push in reverse so allocation proceeds address-ascending.
-        for i in (0..count).rev() {
+        for i in (0..SLAB_SIZE / object_size).rev() {
             self.free_lists[class].push(base + i * object_size);
         }
         Ok(())
     }
 
-    fn bump_take(&mut self, len: u64) -> Result<u64, AllocError> {
-        self.bump_take_aligned(len, 1)
-    }
-
-    fn bump_take_aligned(&mut self, len: u64, align: u64) -> Result<u64, AllocError> {
+    /// Takes `len` bytes at `align` from the bump pointer, maps them, and
+    /// records them as a region of `object_size` objects, every page of it
+    /// indexed. Returns the region's base.
+    fn carve(
+        &mut self,
+        machine: &mut Machine,
+        len: u64,
+        align: u64,
+        object_size: u64,
+        class: Option<usize>,
+    ) -> Result<u64, AllocError> {
         let base = self.bump.div_ceil(align) * align;
         let end = base.checked_add(len).ok_or(AllocError::OutOfMemory)?;
         if end > self.layout.base + self.layout.malloc_len {
             return Err(AllocError::OutOfMemory);
         }
         self.bump = end;
+        machine.map_range(base, len, MapFlags::user_rw()).expect("arena mapping");
+        // Page-aligned regions own whole pages, so one page names one region.
+        debug_assert!(base.is_multiple_of(PAGE_SIZE) && len.is_multiple_of(PAGE_SIZE), "{base:#x}+{len:#x}");
+        let index = u32::try_from(self.regions.len()).expect("region count fits u32");
+        for page in base / PAGE_SIZE..end / PAGE_SIZE {
+            self.region_of.insert(page, index);
+        }
+        let objects = u32::try_from(len / object_size).expect("object count fits u32");
+        let first_word = u32::try_from(self.live.len()).expect("live words fit u32");
+        self.live.resize(self.live.len() + objects.div_ceil(64) as usize, 0);
+        self.regions.push(Region { base, object_size, objects, first_word, class });
         Ok(base)
     }
 }
@@ -258,7 +280,7 @@ impl SnmallocLite {
 /// (limiting the number of distinct free-chunk sizes), and to CHERI
 /// representability; `None` when the rounding overflows the address space.
 fn chunk_len(size: u64) -> Option<u64> {
-    let quantum = (16 * 1024).max(cheri_mem::PAGE_SIZE);
+    let quantum = (16 * 1024).max(PAGE_SIZE);
     let quantized = size.checked_next_multiple_of(quantum)?;
     Some(compress::representable_length(quantized)).filter(|&len| len >= quantized)
 }
@@ -337,12 +359,24 @@ mod tests {
     }
 
     #[test]
+    fn a_widened_capability_frees_neither_a_small_object_nor_a_large_chunk() {
+        let (mut m, mut a) = setup();
+        for size in [64, 100_000] {
+            let p = a.alloc(&mut m, 0, size).unwrap().cap;
+            let wide = Capability::new_root(p.base(), 8 << 20, Perms::rw());
+            assert_eq!(a.free_lookup(wide), Err(AllocError::BadFree), "{size}");
+            assert_eq!(a.free_lookup(p).unwrap().base, p.base(), "{size}");
+        }
+        assert_eq!(a.allocated_bytes(), 0);
+    }
+
+    #[test]
     fn large_allocations_round_to_pages() {
         let (mut m, mut a) = setup();
         let p = a.alloc(&mut m, 0, 100_000).unwrap().cap;
         let region = a.free_lookup(p).unwrap();
         assert!(region.class.is_none());
-        assert_eq!(region.len % cheri_mem::PAGE_SIZE, 0);
+        assert_eq!(region.len % PAGE_SIZE, 0);
         assert!(region.len >= 100_000);
     }
 

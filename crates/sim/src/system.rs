@@ -12,7 +12,7 @@ use cheri_mem::{CoreId, FastMap, FastSet};
 use cheri_vm::{Machine, ThreadId, VmFault};
 use cheri_alloc::{AllocError, HeapLayout, Mrs, MrsConfig};
 use cornucopia::{Revoker, RevokerConfig, StepOutcome, Strategy};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Heap arena base address.
@@ -159,7 +159,7 @@ pub struct System {
     link_table: BTreeMap<u64, LinkEntry>,
     /// Identity generation per root slot, bumped on `Alloc`, so a
     /// freed-then-reused slot id does not masquerade as its old object.
-    obj_gen: HashMap<ObjId, u64>,
+    obj_gen: FastMap<ObjId, u64>,
 }
 
 impl System {
@@ -251,7 +251,7 @@ impl System {
             sample_interval: interval.unwrap_or(0),
             epoch_trace: None,
             link_table: BTreeMap::new(),
-            obj_gen: HashMap::new(),
+            obj_gen: FastMap::default(),
         }
     }
 

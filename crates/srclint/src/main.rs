@@ -26,14 +26,19 @@
 //!    `ablations`, `report`): EXPERIMENTS.md must `cmp` equal across
 //!    runs. The rest of `bench` times its runs for stderr and is
 //!    exempt.
-//! 5. **The analyzer never hashes with a per-process key** —
-//!    `std::collections::HashMap` / `HashSet` (SipHash under a random
-//!    key, so iteration order differs run to run) are banned from
-//!    `crates/analyze/src`; its tables are `cheri_mem::FastMap` /
-//!    `FastSet`, sorted before any order reaches a report. Nor does it
-//!    bring back a hashed reverse-link index (`FastSet<(ObjId, u64)>`):
-//!    an object counts the links into its live generation, and a free
-//!    scans the link tables only while dangling-link details are stored.
+//! 5. **The simulator and the analyzer never hash with a per-process
+//!    key** — `std::collections::HashMap` / `HashSet` (SipHash under a
+//!    random key, so iteration order differs run to run) are banned from
+//!    the `src/` of `cap`, `mem`, `vm`, `core`, `alloc`, `sim`,
+//!    `workloads` and `analyze`, `crates/mem/src/hash.rs` excepted (it
+//!    defines the replacements over them). Their tables are
+//!    `cheri_mem::FastMap` / `FastSet` (`System::obj_gen` among them),
+//!    sorted before any order reaches a report, or are indexed outright
+//!    (`cheri_mem::PageMap`, the allocator's region table). Nor does the
+//!    analyzer bring back a hashed reverse-link index
+//!    (`FastSet<(ObjId, u64)>`): an object counts the links into its live
+//!    generation, and a free scans the link tables only while
+//!    dangling-link details are stored.
 //! 6. **Deleted deprecated APIs stay deleted** — call sites of the
 //!    removed `orchestrator::expand_*` wrappers, the pieces of the page
 //!    lookup stack `cheri_mem::PageMap` replaced (`MICRO_TLB_SLOTS`,
@@ -89,8 +94,21 @@ const REPORT_TEXT: &[&str] = &[
     "crates/bench/src/report.rs",
 ];
 
-/// Source trees whose hash tables must be fixed-seed.
-const FIXED_SEED_HASH_ONLY: &[&str] = &["crates/analyze/src/"];
+/// Source trees whose hash tables must be fixed-seed: the simulation
+/// stack and the analyzer.
+const FIXED_SEED_HASH_ONLY: &[&str] = &[
+    "crates/cap/src/",
+    "crates/mem/src/",
+    "crates/vm/src/",
+    "crates/core/src/",
+    "crates/alloc/src/",
+    "crates/sim/src/",
+    "crates/workloads/src/",
+    "crates/analyze/src/",
+];
+
+/// The module that defines `FastMap` / `FastSet` over the std tables.
+const FIXED_SEED_HASH_DEFINED_IN: &str = "crates/mem/src/hash.rs";
 
 /// Tokens banned under one source tree, each with the reason, matched
 /// with spaces removed.
@@ -356,7 +374,8 @@ fn lint_source(root: &Path, file: &Path, violations: &mut Vec<String>) {
         && (DETERMINISTIC_CRATES.contains(&crate_name) || REPORT_TEXT.contains(&name.as_str()));
     let comment = if name.ends_with(".sh") { "#" } else { "//" };
     let env_banned = in_crate_src && !ENV_ALLOWED.iter().any(|a| name.starts_with(a) || name == *a);
-    let siphash_banned = FIXED_SEED_HASH_ONLY.iter().any(|dir| name.starts_with(dir));
+    let siphash_banned = name != FIXED_SEED_HASH_DEFINED_IN
+        && FIXED_SEED_HASH_ONLY.iter().any(|dir| name.starts_with(dir));
     let mut first_line = [None; ONCE_UNDER.len()];
 
     for (i, raw) in text.lines().enumerate() {
@@ -517,6 +536,21 @@ mod tests {
         }
         // The subcommand bodies time their runs for stderr.
         let v = lint_one(&root, "crates/bench/src/commands.rs", body);
+        assert!(v.is_empty(), "{v:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn siphash_tables_in_the_simulator_are_flagged_but_not_where_fastmap_is_defined() {
+        let root = scratch("siphash-sim");
+        let line = "    obj_gen: HashMap<ObjId, u64>,\n";
+        for file in ["crates/sim/src/system.rs", "crates/alloc/src/snmalloc.rs", "crates/workloads/src/spec.rs"] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains("cheri_mem::FastMap"), "{file}: {v:?}");
+        }
+        let v = lint_one(&root, "crates/mem/src/hash.rs", "use std::collections::{HashMap, HashSet};\n");
+        assert!(v.is_empty(), "{v:?}");
+        let v = lint_one(&root, "crates/sim/tests/t.rs", line);
         assert!(v.is_empty(), "{v:?}");
         let _ = fs::remove_dir_all(&root);
     }

@@ -301,7 +301,7 @@ mod tests {
             // Count implied live bytes at end of warmup from the op stream.
             let mut live = 0i64;
             let mut peak = 0i64;
-            let mut sizes = std::collections::HashMap::new();
+            let mut sizes = cheri_mem::FastMap::default();
             for op in &ops {
                 match *op {
                     Op::Alloc { obj, size } => {

@@ -73,6 +73,29 @@ fn revoker_cpu_is_conserved_without_a_spare_core() {
     }
 }
 
+/// The programs of the `churn-sweep` benchmark: omnetpp and xalancbmk
+/// at the benchmark's share of their churn, astar and hmmer at a fifth
+/// of theirs. Each runs 9 to 63 epochs under every sweeping strategy.
+#[test]
+fn revoker_cpu_is_conserved_over_the_churn_programs() {
+    let programs = [
+        (SpecProgram::Omnetpp, 0.1),
+        (SpecProgram::Xalancbmk, 0.12),
+        (SpecProgram::AstarLakes, 0.2),
+        (SpecProgram::HmmerNph3, 0.2),
+    ];
+    for (program, fraction) in programs {
+        let w = spec_stream(program, 42);
+        let mut profile = program.profile();
+        profile.total_churn = (profile.total_churn as f64 * fraction) as u64;
+        let ops = profile.source(42).collect_ops();
+        for condition in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded()] {
+            let label = format!("{} {}", program.name(), condition.label());
+            assert_l1(&label, &run(ops.clone(), w.config.clone().with_condition(condition)));
+        }
+    }
+}
+
 #[test]
 fn strategies_outside_l1_record_no_phases() {
     let (ops, config) = golden_workload();
