@@ -5,16 +5,16 @@
 //! function from a row's looked-up [`RunStats`] to its columns. The cells
 //! become [`JobSpec`]s ([`jobs`]) and run where every other cell runs, on
 //! [`crate::orchestrator::run`]'s pool; a cell several rows or studies
-//! read runs once. All eight studies are such tables: `coloring`'s
-//! coloured rows are xalancbmk cells under Reloaded with a `colors=N`
-//! tweak, simulated by the same `System` as every other cell.
+//! read runs once. A tweak is `SimConfig::FIELDS` names and text values.
+//! All eight studies are such tables: `coloring`'s coloured rows are
+//! xalancbmk cells under Reloaded with a `colors=N` tweak, simulated by
+//! the same `System` as every other cell.
 
 use crate::fmt::{markdown_table, ms};
 use crate::harness::Suite;
 use crate::orchestrator::{self, MatrixOutcome, RunOptions};
-use crate::plan::JobSpec;
-use crate::plan::Tweak::{self, Colors, PteMode, Quarantine, RevokerThreads, SpareRevokerCore};
-use cornucopia::{PhaseKind, PteUpdateMode, Strategy};
+use crate::plan::{JobSpec, Tweak};
+use cornucopia::{PhaseKind, Strategy};
 use morello_sim::{Condition, RunStats};
 use std::collections::BTreeSet;
 use workloads::SpecProgram::{self, AstarLakes, HmmerNph3, Omnetpp, Xalancbmk};
@@ -28,8 +28,8 @@ struct Cell(SpecProgram, Condition, Tweak);
 
 /// The cell six of the studies share: the churn-heaviest workload under
 /// the paper's design and its tuned configuration.
-const XALANCBMK_RELOADED: Cell = Cell(Xalancbmk, RELOADED, Tweak::None);
-const OMNETPP_RELOADED: Cell = Cell(Omnetpp, RELOADED, Tweak::None);
+const XALANCBMK_RELOADED: Cell = Cell(Xalancbmk, RELOADED, &[]);
+const OMNETPP_RELOADED: Cell = Cell(Omnetpp, RELOADED, &[]);
 
 impl Cell {
     fn job(self) -> JobSpec {
@@ -152,13 +152,13 @@ pub const BARRIERS: Ablation = Ablation {
     rows: &[
         (
             "low pointer density (hmmer nph3)",
-            &[Cell(HmmerNph3, CORNUCOPIA, Tweak::None), Cell(HmmerNph3, RELOADED, Tweak::None)],
+            &[Cell(HmmerNph3, CORNUCOPIA, &[]), Cell(HmmerNph3, RELOADED, &[])],
         ),
         (
             "medium (astar lakes)",
-            &[Cell(AstarLakes, CORNUCOPIA, Tweak::None), Cell(AstarLakes, RELOADED, Tweak::None)],
+            &[Cell(AstarLakes, CORNUCOPIA, &[]), Cell(AstarLakes, RELOADED, &[])],
         ),
-        ("high (xalancbmk)", &[Cell(Xalancbmk, CORNUCOPIA, Tweak::None), XALANCBMK_RELOADED]),
+        ("high (xalancbmk)", &[Cell(Xalancbmk, CORNUCOPIA, &[]), XALANCBMK_RELOADED]),
     ],
     columns: |_, stats| {
         let (corn, rel) = (max_pause(stats[0]), max_pause(stats[1]));
@@ -177,7 +177,7 @@ pub const PTE_MODE: Ablation = Ablation {
         ("generation bits (paper design)", &[OMNETPP_RELOADED]),
         (
             "rewrite PTEs each epoch (strawman)",
-            &[Cell(Omnetpp, RELOADED, PteMode(PteUpdateMode::RewriteEachEpoch))],
+            &[Cell(Omnetpp, RELOADED, &[("pte_mode", "rewrite-each-epoch")])],
         ),
     ],
     columns: |_, stats| {
@@ -195,10 +195,19 @@ pub const QUARANTINE_POLICY: Ablation = Ablation {
     heading: "### Ablation — quarantine policy (xalancbmk, Reloaded)",
     headers: &["policy", "wall (ms)", "revocations", "peak RSS (MiB)"],
     rows: &[
-        ("1/7 of heap, 128 KiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(7, 128 << 10))]),
+        (
+            "1/7 of heap, 128 KiB floor",
+            &[Cell(Xalancbmk, RELOADED, &[("quarantine_divisor", "7"), ("min_quarantine", "131072")])],
+        ),
         ("1/3 of heap, 128 KiB floor (paper)", &[XALANCBMK_RELOADED]),
-        ("1/1 of heap, 128 KiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(1, 128 << 10))]),
-        ("1/3 of heap, 1 MiB floor", &[Cell(Xalancbmk, RELOADED, Quarantine(3, 1 << 20))]),
+        (
+            "1/1 of heap, 128 KiB floor",
+            &[Cell(Xalancbmk, RELOADED, &[("quarantine_divisor", "1"), ("min_quarantine", "131072")])],
+        ),
+        (
+            "1/3 of heap, 1 MiB floor",
+            &[Cell(Xalancbmk, RELOADED, &[("quarantine_divisor", "3"), ("min_quarantine", "1048576")])],
+        ),
     ],
     columns: |_, stats| {
         let s = stats[0];
@@ -219,7 +228,7 @@ pub const CHERIOT: Ablation = Ablation {
         ("Reloaded (trap + self-heal)", &[OMNETPP_RELOADED]),
         (
             "CHERIoT-style filter (probe every load)",
-            &[Cell(Omnetpp, Condition::Safe(Strategy::CheriotFilter), Tweak::None)],
+            &[Cell(Omnetpp, Condition::Safe(Strategy::CheriotFilter), &[])],
         ),
     ],
     columns: |_, stats| {
@@ -242,7 +251,7 @@ pub const REVOKER_PRIORITY: Ablation = Ablation {
         ("revoker on spare core (SPEC setup)", &[XALANCBMK_RELOADED]),
         (
             "revoker competes for app cores (gRPC setup)",
-            &[Cell(Xalancbmk, RELOADED, SpareRevokerCore(false))],
+            &[Cell(Xalancbmk, RELOADED, &[("spare_revoker_core", "false")])],
         ),
     ],
     columns: |_, stats| vec![wall_ms(stats[0]), stats[0].blocked_allocs.to_string()],
@@ -260,7 +269,7 @@ pub const REVOKER_THREADS: Ablation = Ablation {
     headers: &["configuration", "wall (ms)", "median concurrent phase (ms)", "load faults"],
     rows: &[
         ("1 background thread(s)", &[XALANCBMK_RELOADED]),
-        ("2 background thread(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
+        ("2 background thread(s)", &[Cell(Xalancbmk, RELOADED, &[("revoker_threads", "2")])]),
     ],
     columns: |cells, stats| {
         let s = stats[0];
@@ -286,12 +295,12 @@ pub const REVOKER_CORES: Ablation = Ablation {
         "revoker DRAM txns per core",
     ],
     rows: &[
-        ("Cornucopia × 1 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, Tweak::None)]),
-        ("Cornucopia × 2 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, RevokerThreads(2))]),
-        ("Cornucopia × 4 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, RevokerThreads(4))]),
+        ("Cornucopia × 1 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, &[])]),
+        ("Cornucopia × 2 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, &[("revoker_threads", "2")])]),
+        ("Cornucopia × 4 core(s)", &[Cell(Xalancbmk, CORNUCOPIA, &[("revoker_threads", "4")])]),
         ("Reloaded × 1 core(s)", &[XALANCBMK_RELOADED]),
-        ("Reloaded × 2 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(2))]),
-        ("Reloaded × 4 core(s)", &[Cell(Xalancbmk, RELOADED, RevokerThreads(4))]),
+        ("Reloaded × 2 core(s)", &[Cell(Xalancbmk, RELOADED, &[("revoker_threads", "2")])]),
+        ("Reloaded × 4 core(s)", &[Cell(Xalancbmk, RELOADED, &[("revoker_threads", "4")])]),
     ],
     columns: |cells, stats| {
         let concurrent = concurrent_phases(cells[0].1, stats[0]);
@@ -315,13 +324,13 @@ pub const COLORING: Ablation = Ablation {
     headers: &["design", "revocation passes", "revoker ms", "stale-pointer lifetime"],
     rows: &[
         ("plain quarantine (xalancbmk, Reloaded)", &[XALANCBMK_RELOADED]),
-        ("coloring, 4 colors", &[Cell(Xalancbmk, RELOADED, Colors(4))]),
-        ("coloring, 8 colors", &[Cell(Xalancbmk, RELOADED, Colors(8))]),
-        ("coloring, 16 colors", &[Cell(Xalancbmk, RELOADED, Colors(16))]),
+        ("coloring, 4 colors", &[Cell(Xalancbmk, RELOADED, &[("colors", "4")])]),
+        ("coloring, 8 colors", &[Cell(Xalancbmk, RELOADED, &[("colors", "8")])]),
+        ("coloring, 16 colors", &[Cell(Xalancbmk, RELOADED, &[("colors", "16")])]),
     ],
     columns: |cells, stats| {
         let lifetime = match cells[0].2 {
-            Colors(_) => "instant (fail-stop on free)",
+            [("colors", _)] => "instant (fail-stop on free)",
             _ => "until next epoch (UAF window)",
         };
         let s = stats[0];
@@ -339,6 +348,7 @@ mod tests {
     use crate::harness::Scale;
     use crate::plan::MatrixPlan;
     use crate::report::ABLATIONS;
+    use morello_sim::{Json, SimConfig};
 
     #[test]
     fn barrier_ablation_smoke() {
@@ -403,7 +413,7 @@ mod tests {
             .repro_dir(dir.join("repro"));
 
         // One hmmer cell panics on both attempts: a record, not an abort.
-        let doomed = Cell(HmmerNph3, CORNUCOPIA, Tweak::None).job().key();
+        let doomed = Cell(HmmerNph3, CORNUCOPIA, &[]).job().key();
         let faulty = BARRIERS.run(&opts.clone().inject_panic(Some(doomed.clone())));
         assert_eq!((faulty.completed, faulty.failures.len()), (5, 1));
         assert_eq!(faulty.failures[0].key, doomed);
@@ -431,8 +441,8 @@ mod tests {
     #[test]
     fn a_tweaked_cells_checkpoint_line_never_replays_into_the_untweaked_cell() {
         let dir = scratch_dir("tweak");
-        let tweaked = Cell(HmmerNph3, RELOADED, Tweak::RevokerThreads(2)).job();
-        let plain = Cell(HmmerNph3, RELOADED, Tweak::None).job();
+        let tweaked = Cell(HmmerNph3, RELOADED, &[("revoker_threads", "2")]).job();
+        let plain = Cell(HmmerNph3, RELOADED, &[]).job();
         assert_ne!(tweaked.key(), plain.key());
 
         let written = dir.join("tweaked.jsonl");
@@ -463,6 +473,63 @@ mod tests {
             &RunOptions::new().checkpoint(&forged),
         );
         assert_eq!((over_forged.completed, over_forged.resumed), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_cell_label_is_the_field_tables_rendering_of_its_config() {
+        for cell in ABLATIONS.iter().flat_map(Ablation::cells) {
+            let tuned = workloads::spec_stream(cell.0, crate::plan::ABLATION_SEED).config;
+            let config = crate::plan::apply_tweak(cell.2, &tuned);
+            let job = cell.job();
+            let label = job.workload().strip_prefix(cell.0.name()).unwrap();
+            let pairs = label.trim_start().strip_prefix('[').and_then(|l| l.strip_suffix(']'));
+            assert_eq!(pairs.is_none(), cell.2.is_empty(), "{}", job.key());
+            for pair in pairs.into_iter().flat_map(|p| p.split(',')) {
+                let (name, value) = pair.split_once('=').unwrap();
+                let field = SimConfig::FIELDS.iter().find(|f| f.name == name).unwrap();
+                assert_eq!((field.get)(&config), value, "{}", job.key());
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_keyed_in_the_old_tweak_spelling_reruns_and_unchanged_ones_resume() {
+        let dir = scratch_dir("old-keys");
+        let checkpoint = dir.join("ck.jsonl");
+        // Lines as written when a tweak was an enum with its own spelling:
+        // only the quarantine cells' text differs from the field table's.
+        let line = |tweak: &str| {
+            let params = [
+                ("kind", Json::from("ablation")),
+                ("program", Json::from("xalancbmk")),
+                ("seed", Json::from(77u64)),
+                ("tweak", Json::from(tweak)),
+            ];
+            Json::obj([
+                ("key", Json::Str(format!("ablation|xalancbmk [{tweak}]|Reloaded|s77"))),
+                ("params", Json::obj(params)),
+                ("stats", RunStats::default().to_json_value()),
+            ])
+            .render()
+        };
+        let old = ["quarantine=1/7,floor=131072", "colors=8", "revoker_threads=2", "spare_revoker_core=false"];
+        std::fs::write(&checkpoint, old.map(line).join("\n") + "\n").unwrap();
+        let cells = [
+            Cell(Xalancbmk, RELOADED, &[("quarantine_divisor", "7"), ("min_quarantine", "131072")]),
+            Cell(Xalancbmk, RELOADED, &[("colors", "8")]),
+            Cell(Xalancbmk, RELOADED, &[("revoker_threads", "2")]),
+            Cell(Xalancbmk, RELOADED, &[("spare_revoker_core", "false")]),
+        ]
+        .map(Cell::job);
+        // Every cell panics if it runs, so the one that re-runs fails.
+        let opts = RunOptions::new()
+            .checkpoint(&checkpoint)
+            .repro_dir(dir.join("repro"))
+            .inject_panic(Some("|".to_string()));
+        let outcome = orchestrator::run(&cells, &opts);
+        assert_eq!((outcome.completed, outcome.resumed, outcome.failures.len()), (0, 3, 1));
+        assert_eq!(outcome.failures[0].key, cells[0].key());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

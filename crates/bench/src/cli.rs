@@ -21,15 +21,14 @@
 //! Every parser hard-errors (exit 2) on unparsable values: a mistyped
 //! sweep configuration must not silently run a multi-hour default.
 
-use crate::ablations::Ablation;
+use crate::ablations::{self, Ablation};
 use crate::harness::Scale;
 use crate::orchestrator::{parse_jobs, RunOptions};
-use crate::plan::SuiteKind;
+use crate::plan::{JobSpec, MatrixPlan, SuiteKind};
 use crate::report::{Section, ABLATIONS, SECTIONS};
 use cornucopia::Strategy;
 use morello_sim::Condition;
 use std::path::PathBuf;
-use workloads::{SpecProgram, SPEC_PROGRAMS};
 
 /// `REPRO_SCALE` / `REPRO_REPS` from the environment, via
 /// [`Scale::parse`]. Exits with a diagnostic (status 2) on garbage.
@@ -97,10 +96,10 @@ pub enum Command {
     Matrix(Args),
     /// `repro opcheck …`: statically analyze a matrix's programs.
     Opcheck(Args),
-    /// `repro trace dump <workload> <out.trace>`.
+    /// `repro trace dump <cell-key> <out.trace>`.
     TraceDump {
-        /// What to generate.
-        workload: TraceWorkload,
+        /// The cell whose program and configuration the trace records.
+        cell: JobSpec,
         /// Where the trace file goes.
         out: String,
     },
@@ -112,17 +111,6 @@ pub enum Command {
         /// Reloaded unless named.
         condition: Condition,
     },
-}
-
-/// A workload `repro trace dump` can write.
-#[derive(Debug, Clone, Copy)]
-pub enum TraceWorkload {
-    /// 2 000 pgbench transactions.
-    Pgbench,
-    /// 2 000 gRPC messages.
-    Grpc,
-    /// One SPEC surrogate.
-    Spec(SpecProgram),
 }
 
 /// The flag values of `matrix`, `all` and `opcheck`. Each subcommand
@@ -207,29 +195,22 @@ pub fn usage() -> String {
     }
     let flags =
         |table: &[&str]| table.iter().map(|f| format!("[{f}]")).collect::<Vec<_>>().join(" ");
-    let mut spec: Vec<&str> = SPEC_PROGRAMS.iter().map(spec_word).collect();
-    spec.dedup();
     format!(
         "usage: repro <section>        one of: {}\n\
          \x20      repro ablation <name>   one of: {}\n\
          \x20      repro matrix {}\n\
          \x20      repro all [OUT] {}\n\
          \x20      repro opcheck {}\n\
-         \x20      repro trace dump <workload> <out.trace>   workloads: pgbench grpc {}\n\
+         \x20      repro trace dump <cell-key> <out.trace>   a cell of `repro all`, e.g. {:?}\n\
          \x20      repro trace replay <in.trace> [{}]",
         join(SECTIONS.iter().map(|s| s.name)),
         join(ABLATIONS.iter().map(|ablation| ablation.name)),
         flags(MATRIX_FLAGS),
         flags(ALL_FLAGS),
         flags(OPCHECK_FLAGS),
-        spec.join(" "),
+        "grpc|gRPC QPS|Reloaded|s4000",
         condition_names(),
     )
-}
-
-/// The first word of a SPEC surrogate's name (`astar` of `astar lakes`).
-fn spec_word(program: &SpecProgram) -> &'static str {
-    program.name().split_whitespace().next().unwrap_or_default()
 }
 
 /// Parses the argument list after the program name.
@@ -255,16 +236,14 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
         "all" => Command::Matrix(parse_flags(true, ALL_FLAGS, &mut args)?),
         "opcheck" => Command::Opcheck(parse_flags(false, OPCHECK_FLAGS, &mut args)?),
         "trace" => match (args.next().as_deref(), args.next(), args.next()) {
-            (Some("dump"), Some(name), Some(out)) => {
-                Command::TraceDump { workload: trace_workload(&name)?, out }
-            }
+            (Some("dump"), Some(key), Some(out)) => Command::TraceDump { cell: planned_cell(&key)?, out },
             (Some("replay"), Some(path), name) => Command::TraceReplay {
                 path,
                 // An absent condition means Reloaded; a mistyped one must
                 // not silently replay under it.
                 condition: name.as_deref().map_or(Ok(Condition::reloaded()), parse_condition)?,
             },
-            _ => return Err("trace needs dump <workload> <out.trace> or replay <in.trace>".into()),
+            _ => return Err("trace needs dump <cell-key> <out.trace> or replay <in.trace>".into()),
         },
         _ => match SECTIONS.iter().find(|s| s.name == word) {
             Some(section) => Command::Section(section),
@@ -277,16 +256,16 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Command, String> 
     }
 }
 
-fn trace_workload(name: &str) -> Result<TraceWorkload, String> {
-    match name {
-        "pgbench" => Ok(TraceWorkload::Pgbench),
-        "grpc" => Ok(TraceWorkload::Grpc),
-        _ => SPEC_PROGRAMS
-            .iter()
-            .find(|p| spec_word(p) == name || p.name() == name)
-            .map(|&p| TraceWorkload::Spec(p))
-            .ok_or_else(|| format!("unknown workload {name:?}")),
-    }
+/// The cell `repro all` plans under exactly `key`: every suite at
+/// [`env_scale`], plus the ablation cells.
+fn planned_cell(key: &str) -> Result<JobSpec, String> {
+    MatrixPlan::all(env_scale())
+        .cells(ablations::jobs(&ABLATIONS))
+        .build()
+        .map_err(|e| e.to_string())?
+        .into_iter()
+        .find(|cell| cell.key() == key)
+        .ok_or_else(|| format!("no cell of `repro all` has key {key:?}"))
 }
 
 fn parse_condition(name: &str) -> Result<Condition, String> {
@@ -403,12 +382,31 @@ mod tests {
             ("matrix --suites spec,pgbnch", "unknown suite"),
             ("opcheck --csv", "--csv needs a value"),
             ("trace dump pgbench", "trace needs"),
-            ("trace dump postgres p.trace", "unknown workload"),
+            ("trace dump pgbench|postgres|Reloaded|s2000 p.trace", "no cell of `repro all`"),
             ("fig1 --smoke", "unexpected argument"),
             ("", "missing subcommand"),
         ] {
             let e = parse_line(line).unwrap_err();
             assert!(e.contains(needle), "{line:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn trace_dump_takes_an_exact_cell_key() {
+        let dump = |key: &str| parse(["trace", "dump", key, "p.trace"].map(String::from));
+        let key = "ablation|xalancbmk [colors=8]|Reloaded|s77";
+        match dump(key) {
+            Ok(Command::TraceDump { cell, out }) => assert_eq!((cell.key(), out.as_str()), (key.into(), "p.trace")),
+            other => panic!("{other:?}"),
+        }
+        // A substring is no key, and neither is a tweak in its old spelling.
+        for key in [
+            "ablation|xalancbmk [colors=8]|Reloaded",
+            "ablation|xalancbmk [quarantine=1/7,floor=131072]|Reloaded|s77",
+            "grpc",
+        ] {
+            let e = dump(key).unwrap_err();
+            assert!(e.contains("no cell of `repro all`") && e.contains(key), "{key}: {e}");
         }
     }
 }

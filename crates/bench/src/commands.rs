@@ -20,19 +20,16 @@
 //! — the verdict `matrix --preflight` quarantines on.
 
 use crate::ablations::{self, Ablation};
-use crate::cli::{self, Args, Command, TraceWorkload};
+use crate::cli::{self, Args, Command};
 use crate::harness::Scale;
 use crate::orchestrator::{self, parallel_cells, repro_file_name, JobFailure, JobSpec};
 use crate::plan::{distinct_programs, MatrixPlan};
 use crate::report::{self, Section};
 use analyze::Report;
-use morello_sim::{trace, Condition, Json, Op, OpSource, SimConfig, System};
+use morello_sim::{trace, Condition, Json, System};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
-use workloads::{
-    grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, StreamedWorkload,
-};
 
 /// Runs one parsed subcommand to completion.
 ///
@@ -53,7 +50,7 @@ pub fn run(command: &Command) -> Result<ExitCode, String> {
         }
         Command::Matrix(args) => matrix(args),
         Command::Opcheck(args) => opcheck(args),
-        Command::TraceDump { workload, out } => trace_dump(*workload, out),
+        Command::TraceDump { cell, out } => trace_dump(cell, out),
         Command::TraceReplay { path, condition } => trace_replay(path, *condition),
     }
 }
@@ -301,28 +298,11 @@ fn opcheck(args: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn trace_dump(workload: TraceWorkload, out: &str) -> Result<ExitCode, String> {
-    let (name, config, ops) = match workload {
-        TraceWorkload::Pgbench => {
-            collected(pgbench_stream(PgbenchParams { transactions: 2000, ..Default::default() }))
-        }
-        TraceWorkload::Grpc => {
-            collected(grpc_stream(GrpcParams { messages: 2000, ..Default::default() }))
-        }
-        TraceWorkload::Spec(program) => collected(spec_stream(program, 42)),
-    };
-    let mut meta = trace::TraceMeta::new();
-    meta.insert("workload".into(), name.clone());
-    meta.insert("ops".into(), ops.len().to_string());
-    trace::insert_config(&mut meta, &config);
+fn trace_dump(cell: &JobSpec, out: &str) -> Result<ExitCode, String> {
+    let (ops, meta) = cell.trace();
     trace::save_trace_to_path(&ops, &meta, out).map_err(|e| format!("write {out}: {e}"))?;
-    println!("wrote {} ops of {name} to {out}", ops.len());
+    println!("wrote {} ops of {} to {out}", ops.len(), cell.key());
     Ok(ExitCode::SUCCESS)
-}
-
-/// A workload's name, tuned configuration and collected ops.
-fn collected<S: OpSource>(w: StreamedWorkload<S>) -> (String, SimConfig, Vec<Op>) {
-    (w.name, w.config, w.source.collect_ops())
 }
 
 fn trace_replay(path: &str, condition: Condition) -> Result<ExitCode, String> {
@@ -347,4 +327,34 @@ fn trace_replay(path: &str, condition: Condition) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `repro trace dump <key>` writes, replayed as `repro trace
+    /// replay` runs it under the cell's condition, is the cell: equal
+    /// `RunStats`, not only an equal printed line.
+    #[test]
+    fn a_cell_dumped_by_key_replays_to_its_own_run_stats() {
+        let dir = std::env::temp_dir().join(format!("commands-dump-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cell.trace");
+        for key in [
+            "ablation|xalancbmk [colors=8]|Reloaded|s77",
+            "ablation|xalancbmk [quarantine_divisor=7,min_quarantine=131072]|Reloaded|s77",
+        ] {
+            let command = cli::parse(["trace", "dump", key, path.to_str().unwrap()].map(String::from));
+            let command = command.unwrap();
+            let Command::TraceDump { cell, .. } = &command else { panic!("{command:?}") };
+            run(&command).unwrap();
+            let (ops, meta) = trace::load_trace_from_path(&path).unwrap();
+            assert_eq!(meta["workload"], key);
+            let cfg = trace::config_from_meta(&meta).unwrap().with_condition(cell.condition());
+            let replayed = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap().into_stats();
+            assert!(replayed == cell.execute(), "{key}: the replay's RunStats differ from the cell's");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -29,7 +29,7 @@
 //! | `all` | Everything, into `EXPERIMENTS.md` (one global job list, resumable via `--checkpoint`) |
 //! | `matrix` | Any selection of suites via the parallel orchestrator, resumable via `--checkpoint` |
 //! | `opcheck` | Static temporal-safety analysis of a matrix's programs, no simulation |
-//! | `trace dump` / `trace replay` | A surrogate workload as a portable trace file, and back |
+//! | `trace dump` / `trace replay` | Any cell of `all`, by its key, as a portable trace file, and back |
 //!
 //! The section subcommands honour `REPRO_SCALE` ∈ (0,1] and
 //! `REPRO_REPS`; SPEC rows and the ablations always run their full

@@ -10,8 +10,10 @@
 //!
 //! An ablation study's cells ([`JobSpec::ablation`]) are jobs like any
 //! other: a SPEC stream at [`ABLATION_SEED`] under one condition, with a
-//! [`Tweak`] applied to the workload's tuned configuration. They merge
-//! under [`ABLATION_LABEL`], not under a suite of their own.
+//! tweak — `field=value` pairs of [`SimConfig::FIELDS`] — applied to the
+//! workload's tuned configuration; those pairs, as text, are in the cell's
+//! key. They merge under [`ABLATION_LABEL`], not under a suite of their
+//! own. `repro trace dump` writes any cell, by its key, as a trace file.
 //!
 //! ```no_run
 //! use rev_bench::harness::Scale;
@@ -26,10 +28,10 @@
 
 use crate::harness::{Scale, CONDITIONS, GRPC_CONDITIONS, RATE_SCHEDULE};
 use analyze::{Analyzer, AnalyzerConfig, Report};
-use cornucopia::PteUpdateMode;
+use morello_sim::trace::{self, TraceMeta};
 use morello_sim::{
-    for_each_batch, Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig, System,
-    TelemetryConfig,
+    for_each_batch, Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig,
+    SimConfigBuilder, System, TelemetryConfig,
 };
 use std::collections::BTreeSet;
 use std::convert::Infallible;
@@ -105,51 +107,27 @@ pub const ABLATION_SEED: u64 = 77;
 pub const ABLATION_LABEL: &str = "ablation";
 
 /// How an ablation cell departs from its workload's tuned configuration:
-/// exactly the departures the studies in [`crate::ablations`] make. A
-/// study's paper-default row declares [`Tweak::None`], whatever knob the
-/// study turns, so the studies share that cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Tweak {
-    None,
-    PteMode(PteUpdateMode),
-    /// Quarantine divisor, then floor in bytes.
-    Quarantine(u64, u64),
-    SpareRevokerCore(bool),
-    RevokerThreads(usize),
-    /// Memory colours per heap region (§7.3).
-    Colors(u8),
+/// [`SimConfig::FIELDS`] names with values in that table's text forms,
+/// set in order through [`SimConfigBuilder::set`]. A study's
+/// paper-default row declares none, whatever knob the study turns, so the
+/// studies share that cell.
+pub(crate) type Tweak = &'static [(&'static str, &'static str)];
+
+/// The tweak as comma-separated `field=value` text (`None` when empty):
+/// part of the cell's workload name, hence of its key, and its rendering
+/// in the checkpoint parameters.
+fn tweak_label(tweak: Tweak) -> Option<String> {
+    let pairs: Vec<String> = tweak.iter().map(|(field, value)| format!("{field}={value}")).collect();
+    (!pairs.is_empty()).then(|| pairs.join(","))
 }
 
-impl Tweak {
-    /// The tweak as `knob=value` text (`None` for [`Tweak::None`]): part
-    /// of the cell's workload name, hence of its key, and its rendering
-    /// in the checkpoint parameters.
-    fn label(self) -> Option<String> {
-        match self {
-            Tweak::None => None,
-            Tweak::PteMode(mode) => Some(format!("pte_mode={mode:?}")),
-            Tweak::Quarantine(divisor, floor) => {
-                Some(format!("quarantine=1/{divisor},floor={floor}"))
-            }
-            Tweak::SpareRevokerCore(spare) => Some(format!("spare_revoker_core={spare}")),
-            Tweak::RevokerThreads(n) => Some(format!("revoker_threads={n}")),
-            Tweak::Colors(n) => Some(format!("colors={n}")),
-        }
-    }
-
-    fn apply(self, config: &SimConfig) -> SimConfig {
-        let b = config.to_builder();
-        match self {
-            Tweak::None => b,
-            Tweak::PteMode(mode) => b.pte_mode(mode),
-            Tweak::Quarantine(divisor, floor) => b.quarantine_divisor(divisor).min_quarantine(floor),
-            Tweak::SpareRevokerCore(spare) => b.spare_revoker_core(spare),
-            Tweak::RevokerThreads(n) => b.revoker_threads(n),
-            Tweak::Colors(n) => b.colors(n),
-        }
-        .build()
-        .expect("a tuned config stays valid under every study's tweak")
-    }
+/// `config` with `tweak` set. A refusal is a typo in a study's table.
+pub(crate) fn apply_tweak(tweak: Tweak, config: &SimConfig) -> SimConfig {
+    tweak
+        .iter()
+        .try_fold(config.to_builder(), |b, (field, value)| b.set(field, value))
+        .and_then(SimConfigBuilder::build)
+        .expect("every study's tweak is a valid departure from a tuned config")
 }
 
 /// One independent cell of the evaluation matrix.
@@ -165,10 +143,8 @@ impl JobSpec {
     /// One cell of an ablation study: `program`'s stream at
     /// [`ABLATION_SEED`] under `condition`, its configuration tweaked.
     pub(crate) fn ablation(program: SpecProgram, condition: Condition, tweak: Tweak) -> JobSpec {
-        let workload = match tweak.label() {
-            Some(tweak) => format!("{} [{tweak}]", program.name()),
-            None => program.name().to_string(),
-        };
+        let workload = tweak_label(tweak)
+            .map_or_else(|| program.name().to_string(), |t| format!("{} [{t}]", program.name()));
         JobSpec {
             suite: SuiteKind::Spec,
             workload,
@@ -278,7 +254,7 @@ impl JobSpec {
                 ("kind", Json::from(ABLATION_LABEL)),
                 ("program", Json::from(program.name())),
                 ("seed", Json::from(ABLATION_SEED)),
-                ("tweak", tweak.label().map_or(Json::Null, Json::Str)),
+                ("tweak", tweak_label(tweak).map_or(Json::Null, Json::Str)),
             ]),
         }
     }
@@ -312,10 +288,26 @@ impl JobSpec {
             }
             Payload::Ablation { program, tweak } => {
                 let w = spec_stream(*program, ABLATION_SEED);
-                let (mut source, config) = (w.source, tweak.apply(&w.config));
+                let (mut source, config) = (w.source, apply_tweak(tweak, &w.config));
                 f(&mut source, config)
             }
         }
+    }
+
+    /// The cell as a trace file's contents: its ops, and metadata holding
+    /// its key as `#!workload` and the configuration
+    /// [`JobSpec::execute`] runs it under, minus the condition, as
+    /// `#!sim.<field>` keys. Replayed under the cell's condition, it
+    /// reproduces the cell's `RunStats`.
+    pub(crate) fn trace(&self) -> (Vec<Op>, TraceMeta) {
+        self.with_stream(|source, config| {
+            let ops = source.collect_ops();
+            let mut meta = TraceMeta::new();
+            meta.insert("workload".into(), self.key());
+            meta.insert("ops".into(), ops.len().to_string());
+            trace::insert_config(&mut meta, &config);
+            (ops, meta)
+        })
     }
 
     /// Runs the cell to completion. Panics on simulator error — the

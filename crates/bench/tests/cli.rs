@@ -6,6 +6,7 @@
 
 use morello_sim::{Condition, System};
 use rev_bench::cli::{self, Command};
+use rev_bench::harness::{grpc_messages, Scale};
 use rev_bench::report::{ABLATIONS, SECTIONS};
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -86,12 +87,21 @@ fn trace_replay_runs_under_the_dumped_workloads_config() {
     let dir = scratch("trace-replay");
     let path = dir.join("grpc.trace");
     let path = path.to_str().unwrap();
-    assert!(repro(&["trace", "dump", "grpc", path]).status.success());
+    // A cell key of `repro all`, at the scale the environment sets.
+    let key = "grpc|gRPC QPS|Reloaded|s4000";
+    let dump = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["trace", "dump", key, path])
+        .envs([("REPRO_SCALE", "0.02"), ("REPRO_REPS", "1")])
+        .output()
+        .expect("spawn repro");
+    assert!(dump.status.success(), "{}", String::from_utf8_lossy(&dump.stderr));
     let replay = repro(&["trace", "replay", path]);
     let stdout = String::from_utf8_lossy(&replay.stdout);
     assert!(replay.status.success(), "{stdout}");
+    assert!(stdout.contains(&format!("trace metadata: workload {key}")), "{stdout}");
 
-    let mut w = grpc_stream(GrpcParams { messages: 2000, ..Default::default() });
+    let messages = grpc_messages(Scale { fraction: 0.02, reps: 1 });
+    let mut w = grpc_stream(GrpcParams { messages, seed: 4000 });
     let tuned = System::new(w.config.with_condition(Condition::reloaded()))
         .run_stream(&mut w.source)
         .unwrap();
@@ -153,6 +163,9 @@ fn refused_command_lines_exit_2_with_the_usage() {
         &["matrix", "--collect", "x{index}"],
         &["matrix", concat!("--", "shard"), "0/2", "--checkpoint", "ck"],
         &["trace", "replay", "p.trace", "cornucopa"],
+        // `trace dump` takes a cell key; a tweak in its old spelling is none.
+        &["trace", "dump", "grpc", "g.trace"],
+        &["trace", "dump", "ablation|xalancbmk [quarantine=1/7,floor=131072]|Reloaded|s77", "x.trace"],
     ] {
         let output = repro(argv);
         let stderr = String::from_utf8_lossy(&output.stderr);

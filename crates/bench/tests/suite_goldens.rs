@@ -5,11 +5,15 @@
 //! merge order as well as every counter. A change that moves a simulated
 //! number, or the order a suite holds its repetitions in, fails here.
 //!
+//! Each table's outcome is also held to laws no capture can paste over
+//! ([`assert_laws`]).
+//!
 //! The tables were captured from the single-threaded per-suite loops the
 //! orchestrator used to be checked against, before those loops were
 //! deleted; this file passed at that commit.
 
-use morello_sim::Condition;
+use cornucopia::{PhaseKind, Strategy};
+use morello_sim::{Condition, RunStats};
 use rev_bench::harness::{Scale, Suite};
 use rev_bench::orchestrator::{self, JobSpec, RunOptions};
 use rev_bench::plan::{MatrixPlan, SuiteKind};
@@ -26,22 +30,32 @@ fn fnv1a64(text: &str) -> u64 {
 /// 500-message floors.
 const TINY: Scale = Scale { fraction: 0.001, reps: 1 };
 
-/// Runs `plan`'s cells and asserts the merged suite against `golden`.
+/// Runs `plan`'s cells, asserts the merged suite against `golden`, then
+/// the laws over the same outcome.
 fn assert_golden(plan: MatrixPlan, golden: &[(&str, usize, u64)]) {
     let jobs = plan.build().expect("the plan expands");
     let workers = std::thread::available_parallelism().map_or(1, usize::from);
     let outcome = orchestrator::run(&jobs, &RunOptions::new().workers(workers));
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
 
-    let actual = table(&jobs, &outcome.suites);
+    let cells = merged(&jobs, &outcome.suites);
+    let actual: Vec<(String, usize, u64)> = cells
+        .iter()
+        .map(|(job, rep, stats)| (job.key(), *rep, fnv1a64(&stats.to_json_value().render())))
+        .collect();
     let rendered: String =
         actual.iter().map(|(k, r, h)| format!("    (\"{k}\", {r}, {h:#018x}),\n")).collect();
     let actual: Vec<_> = actual.iter().map(|(k, r, h)| (k.as_str(), *r, *h)).collect();
     assert!(actual == golden, "merged suite moved; the orchestrator now produces:\n{rendered}");
+    assert_laws(&cells);
 }
 
-/// One row per job, in job order.
-fn table(jobs: &[JobSpec], suites: &BTreeMap<&str, Suite>) -> Vec<(String, usize, u64)> {
+/// Each job with its repetition index and its stats out of the merged
+/// suite, in job order.
+fn merged<'a>(
+    jobs: &'a [JobSpec],
+    suites: &'a BTreeMap<&str, Suite>,
+) -> Vec<(&'a JobSpec, usize, &'a RunStats)> {
     let mut reps: BTreeMap<(&str, &str, &str), usize> = BTreeMap::new();
     jobs.iter()
         .map(|job| {
@@ -49,9 +63,40 @@ fn table(jobs: &[JobSpec], suites: &BTreeMap<&str, Suite>) -> Vec<(String, usize
             let rep = reps.entry((label, job.workload(), condition)).or_default();
             let stats = &suites[label].stats(job.workload(), condition)[*rep];
             *rep += 1;
-            (job.key(), *rep - 1, fnv1a64(&stats.to_json_value().render()))
+            (job, *rep - 1, stats)
         })
         .collect()
+}
+
+/// Laws every merged suite obeys, whatever its numbers:
+/// - L1, revoker CPU is conserved: in every CHERIvoke, Cornucopia and
+///   Reloaded cell that revoked, `revoker_cpu_cycles` is the sum of the
+///   non-fault phase cycles (fault handling is charged to the app);
+/// - L3a, one op stream is one workload: `allocs` and `frees` are equal
+///   across the conditions of a workload × seed.
+///
+/// Fails when L1 checked no cell.
+fn assert_laws(cells: &[(&JobSpec, usize, &RunStats)]) {
+    let sweeping = [Strategy::CheriVoke, Strategy::Cornucopia, Strategy::Reloaded].map(Condition::Safe);
+    let mut l1_checked = 0;
+    let mut first_seen: BTreeMap<(&str, &str, u64), (u64, u64, String)> = BTreeMap::new();
+    for (job, _, stats) in cells {
+        if sweeping.contains(&job.condition()) && stats.revocations > 0 {
+            let phases: u64 = stats
+                .phases
+                .iter()
+                .filter(|p| p.kind != PhaseKind::ReloadedFaults)
+                .map(|p| p.cycles)
+                .sum();
+            assert_eq!(stats.revoker_cpu_cycles, phases, "L1: {}", job.key());
+            l1_checked += 1;
+        }
+        let (allocs, frees, first) = first_seen
+            .entry((job.merge_label(), job.workload(), job.seed()))
+            .or_insert_with(|| (stats.allocs, stats.frees, job.key()));
+        assert_eq!((*allocs, *frees), (stats.allocs, stats.frees), "L3a: {} vs {first}", job.key());
+    }
+    assert!(l1_checked > 0, "L1 checked no cell: no sweeping cell revoked");
 }
 
 #[test]

@@ -148,7 +148,60 @@ impl Default for SimConfig {
     }
 }
 
+/// One tunable [`SimConfig`] field, with its one text form: the
+/// vocabulary of trace `#!sim.<field>` keys and of ablation cell keys.
+#[derive(Debug)]
+pub struct ConfigField {
+    /// The field's name.
+    pub name: &'static str,
+    /// Its value in a config, as the text [`SimConfigBuilder::set`] reads.
+    pub get: fn(&SimConfig) -> String,
+    set: fn(SimConfigBuilder, &str) -> Option<SimConfigBuilder>,
+}
+
+/// A field written with `Display` and read back with `FromStr`.
+macro_rules! plain_field {
+    ($name:ident) => {
+        ConfigField {
+            name: stringify!($name),
+            get: |c| c.$name.to_string(),
+            set: |b, v| Some(b.$name(v.parse().ok()?)),
+        }
+    };
+}
+
 impl SimConfig {
+    /// Every field a workload tunes or an ablation departs from: all but
+    /// the condition (a replay or a cell chooses it) and telemetry.
+    pub const FIELDS: [ConfigField; 11] = [
+        plain_field!(heap_len),
+        plain_field!(max_objects),
+        plain_field!(min_quarantine),
+        plain_field!(quarantine_divisor),
+        plain_field!(app_threads),
+        plain_field!(spare_revoker_core),
+        plain_field!(revoker_threads),
+        plain_field!(colors),
+        plain_field!(latency_from_arrival),
+        ConfigField {
+            name: "tx_interval",
+            get: |c| c.tx_interval.map_or_else(|| "none".to_string(), |t| t.to_string()),
+            set: |b, v| Some(b.tx_interval(if v == "none" { None } else { Some(v.parse().ok()?) })),
+        },
+        ConfigField {
+            name: "pte_mode",
+            get: |c| match c.pte_mode {
+                PteUpdateMode::Generation => "generation".to_string(),
+                PteUpdateMode::RewriteEachEpoch => "rewrite-each-epoch".to_string(),
+            },
+            set: |b, v| match v {
+                "generation" => Some(b.pte_mode(PteUpdateMode::Generation)),
+                "rewrite-each-epoch" => Some(b.pte_mode(PteUpdateMode::RewriteEachEpoch)),
+                _ => None,
+            },
+        },
+    ];
+
     /// A builder seeded with the paper defaults.
     #[must_use]
     pub fn builder() -> SimConfigBuilder {
@@ -190,9 +243,18 @@ impl SimConfig {
 }
 
 /// Rejected [`SimConfigBuilder`] combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
+    /// [`SimConfigBuilder::set`] named no [`SimConfig::FIELDS`] row.
+    UnknownField(String),
+    /// [`SimConfigBuilder::set`]'s text does not parse as the field's value.
+    Unparsable {
+        /// The field.
+        field: &'static str,
+        /// The refused text.
+        value: String,
+    },
     /// `revoker_threads` was zero — the safe conditions need
     /// at least one background revoker core.
     ZeroRevokerThreads,
@@ -230,6 +292,8 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ConfigError::UnknownField(name) => write!(f, "{name:?} is not a configuration field"),
+            ConfigError::Unparsable { field, value } => write!(f, "unparsable {field} value {value:?}"),
             ConfigError::ZeroRevokerThreads => {
                 f.write_str("revoker_threads must be at least 1 (zero revoker cores)")
             }
@@ -256,6 +320,26 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+impl ConfigError {
+    /// The field a rejection is about: a [`SimConfig::FIELDS`] name, the
+    /// unknown name, or `telemetry`.
+    #[must_use]
+    pub fn field(&self) -> &str {
+        match self {
+            ConfigError::UnknownField(name) => name,
+            ConfigError::Unparsable { field, .. } => field,
+            ConfigError::ZeroRevokerThreads => "revoker_threads",
+            ConfigError::ZeroAppThreads => "app_threads",
+            ConfigError::BadHeapLen { .. } => "heap_len",
+            ConfigError::ZeroMaxObjects | ConfigError::RootTableTooLarge { .. } => "max_objects",
+            ConfigError::ZeroQuarantineDivisor => "quarantine_divisor",
+            ConfigError::ZeroTxInterval => "tx_interval",
+            ConfigError::BadColors { .. } => "colors",
+            ConfigError::ZeroSampleInterval => "telemetry",
+        }
+    }
+}
 
 /// Validating builder for [`SimConfig`]. Obtained from
 /// [`SimConfig::builder`] (paper defaults) or [`SimConfig::to_builder`];
@@ -359,6 +443,19 @@ impl SimConfigBuilder {
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.cfg.telemetry = telemetry;
         self
+    }
+
+    /// Sets the [`SimConfig::FIELDS`] row named `field` from its text form.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::UnknownField`] or [`ConfigError::Unparsable`].
+    pub fn set(self, field: &str, value: &str) -> Result<Self, ConfigError> {
+        let Some(row) = SimConfig::FIELDS.iter().find(|row| row.name == field) else {
+            return Err(ConfigError::UnknownField(field.to_string()));
+        };
+        (row.set)(self, value)
+            .ok_or_else(|| ConfigError::Unparsable { field: row.name, value: value.to_string() })
     }
 
     /// Validates and produces the configuration.
@@ -495,6 +592,31 @@ mod tests {
         assert_eq!(b.condition, Condition::baseline());
         assert_eq!(b.heap_len, a.heap_len);
         assert_eq!(b.revoker_threads, a.revoker_threads);
+    }
+
+    #[test]
+    fn a_by_name_set_is_a_typed_error_naming_the_field() {
+        let e = SimConfig::builder().set("bogus", "1").unwrap_err();
+        assert_eq!(e, ConfigError::UnknownField("bogus".to_string()));
+        assert!(e.field() == "bogus" && e.to_string().contains("bogus"), "{e}");
+        for (name, value) in [
+            ("heap_len", "64MiB"),
+            ("colors", "300"),
+            ("spare_revoker_core", "yes"),
+            ("pte_mode", "RewriteEachEpoch"),
+            ("tx_interval", "-1"),
+            ("revoker_threads", ""),
+        ] {
+            match SimConfig::builder().set(name, value) {
+                Err(e @ ConfigError::Unparsable { .. }) => {
+                    assert!(e.field() == name && e.to_string().contains(name), "{e}");
+                }
+                other => panic!("{name}={value}: {other:?}"),
+            }
+        }
+        // A value that parses but breaks an invariant is `build`'s to refuse.
+        let e = SimConfig::builder().set("colors", "1").unwrap().build().unwrap_err();
+        assert_eq!(e.field(), "colors");
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod system;
 pub mod telemetry;
 pub mod trace;
 
-pub use config::{Condition, ConfigError, SimConfig, SimConfigBuilder, TelemetryConfig};
+pub use config::{Condition, ConfigError, ConfigField, SimConfig, SimConfigBuilder, TelemetryConfig};
 pub use json::{Json, JsonError};
 pub use ops::{for_each_batch, ObjId, Op, OpSource, OP_BATCH};
 pub use report::{RunReport, REPORT_VERSION};

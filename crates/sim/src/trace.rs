@@ -24,12 +24,12 @@
 //! Metadata lines of the form `#!key value` follow the header (sorted by
 //! key on write, so equal traces serialize identically) — provenance such
 //! as the generating workload, seed, or scale travels with the ops, and so
-//! does the [`SimConfig`] the workload was tuned for, as `#!sim.<field>`
-//! keys ([`insert_config`], [`config_from_meta`]).
+//! does the [`SimConfig`] the program runs under, as one `#!sim.<field>`
+//! key per [`SimConfig::FIELDS`] row, in that table's text forms
+//! ([`insert_config`], [`config_from_meta`]).
 
 use crate::config::{ConfigError, SimConfig, SimConfigBuilder};
 use crate::ops::Op;
-use cornucopia::PteUpdateMode;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -63,12 +63,7 @@ pub enum TraceError {
     },
     /// A `#!sim.<field>` key is unknown, its value does not parse, or the
     /// configuration it sets is rejected by the builder.
-    BadConfig {
-        /// The offending key.
-        key: String,
-        /// Why it was refused.
-        reason: String,
-    },
+    BadConfig(ConfigError),
 }
 
 impl fmt::Display for TraceError {
@@ -78,7 +73,7 @@ impl fmt::Display for TraceError {
             TraceError::BadHeader => write!(f, "missing `{TRACE_HEADER}` header"),
             TraceError::Parse { line, text } => write!(f, "trace parse error at line {line}: {text:?}"),
             TraceError::BadMeta { key } => write!(f, "unserializable trace metadata key {key:?}"),
-            TraceError::BadConfig { key, reason } => write!(f, "trace metadata key {key}: {reason}"),
+            TraceError::BadConfig(e) => write!(f, "trace metadata key {CONFIG_PREFIX}{}: {e}", e.field()),
         }
     }
 }
@@ -92,13 +87,15 @@ impl From<io::Error> for TraceError {
 }
 
 /// Rejects the first metadata entry that cannot round-trip: an empty key,
-/// whitespace in a key, or a line break in a value.
+/// whitespace in a key, a line break in a value, or whitespace around a
+/// value (the reader trims it).
 fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
     match meta.iter().find(|(key, value)| {
         key.is_empty()
             || key.chars().any(char::is_whitespace)
             || value.contains('\n')
             || value.contains('\r')
+            || value.trim() != value.as_str()
     }) {
         Some((key, _)) => Err(TraceError::BadMeta { key: key.clone() }),
         None => Ok(()),
@@ -108,91 +105,29 @@ fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
 /// Prefix of the metadata keys that carry a trace's [`SimConfig`].
 const CONFIG_PREFIX: &str = "sim.";
 
-/// A recorded [`SimConfig`] field: its name, its value as written, and
-/// its setter from that text (`None` when the text does not parse).
-type ConfigField =
-    (&'static str, fn(&SimConfig) -> String, fn(SimConfigBuilder, &str) -> Option<SimConfigBuilder>);
-
-/// A field written with `Display` and read back with `FromStr`.
-macro_rules! plain_field {
-    ($name:ident) => {
-        (stringify!($name), |c| c.$name.to_string(), |b, v| Some(b.$name(v.parse().ok()?)))
-    };
-}
-
-/// Every field a workload tunes: all but the condition (a replay chooses
-/// it) and telemetry.
-const CONFIG_FIELDS: [ConfigField; 11] = [
-    plain_field!(heap_len),
-    plain_field!(max_objects),
-    plain_field!(min_quarantine),
-    plain_field!(quarantine_divisor),
-    plain_field!(app_threads),
-    plain_field!(spare_revoker_core),
-    plain_field!(revoker_threads),
-    plain_field!(colors),
-    plain_field!(latency_from_arrival),
-    (
-        "tx_interval",
-        |c| c.tx_interval.map_or_else(|| "none".to_string(), |t| t.to_string()),
-        |b, v| Some(b.tx_interval(if v == "none" { None } else { Some(v.parse().ok()?) })),
-    ),
-    (
-        "pte_mode",
-        |c| match c.pte_mode {
-            PteUpdateMode::Generation => "generation".to_string(),
-            PteUpdateMode::RewriteEachEpoch => "rewrite-each-epoch".to_string(),
-        },
-        |b, v| match v {
-            "generation" => Some(b.pte_mode(PteUpdateMode::Generation)),
-            "rewrite-each-epoch" => Some(b.pte_mode(PteUpdateMode::RewriteEachEpoch)),
-            _ => None,
-        },
-    ),
-];
-
 /// Records `cfg` in `meta` as one `#!sim.<field> value` key per
-/// [`CONFIG_FIELDS`] entry; [`config_from_meta`] reads them back.
+/// [`SimConfig::FIELDS`] row; [`config_from_meta`] reads them back.
 pub fn insert_config(meta: &mut TraceMeta, cfg: &SimConfig) {
-    for (field, value, _) in CONFIG_FIELDS {
-        meta.insert(format!("{CONFIG_PREFIX}{field}"), value(cfg));
+    for field in &SimConfig::FIELDS {
+        meta.insert(format!("{CONFIG_PREFIX}{}", field.name), (field.get)(cfg));
     }
 }
 
-/// The configuration a trace's `#!sim.<field>` keys describe, built
-/// through [`SimConfig::builder`]: a missing key keeps
+/// The configuration a trace's `#!sim.<field>` keys describe, set through
+/// [`SimConfigBuilder::set`]: a missing key keeps
 /// [`SimConfig::default`]'s value, so a trace dumped without them replays
 /// under the defaults. Set the condition with [`SimConfig::with_condition`].
 ///
 /// # Errors
 ///
-/// [`TraceError::BadConfig`] naming the key, for an unknown `sim.` key,
-/// an unparsable value, or a value the builder rejects.
+/// [`TraceError::BadConfig`], whose message names the key, for an unknown
+/// `sim.` key, an unparsable value, or a value the builder rejects.
 pub fn config_from_meta(meta: &TraceMeta) -> Result<SimConfig, TraceError> {
-    let bad = |key: &str, reason: String| TraceError::BadConfig { key: key.to_string(), reason };
-    let mut b = SimConfig::builder();
-    for (key, value) in meta {
-        let Some(field) = key.strip_prefix(CONFIG_PREFIX) else { continue };
-        let Some((_, _, set)) = CONFIG_FIELDS.iter().find(|(name, ..)| *name == field) else {
-            return Err(bad(key, "not a configuration field".to_string()));
-        };
-        b = set(b, value).ok_or_else(|| bad(key, format!("unparsable value {value:?}")))?;
-    }
-    b.build().map_err(|e| bad(&format!("{CONFIG_PREFIX}{}", rejected_field(e)), e.to_string()))
-}
-
-/// The field a builder rejection is about.
-fn rejected_field(e: ConfigError) -> &'static str {
-    match e {
-        ConfigError::ZeroRevokerThreads => "revoker_threads",
-        ConfigError::ZeroAppThreads => "app_threads",
-        ConfigError::BadHeapLen { .. } => "heap_len",
-        ConfigError::ZeroMaxObjects | ConfigError::RootTableTooLarge { .. } => "max_objects",
-        ConfigError::ZeroQuarantineDivisor => "quarantine_divisor",
-        ConfigError::ZeroTxInterval => "tx_interval",
-        ConfigError::BadColors { .. } => "colors",
-        ConfigError::ZeroSampleInterval => "telemetry",
-    }
+    meta.iter()
+        .filter_map(|(key, value)| Some((key.strip_prefix(CONFIG_PREFIX)?, value)))
+        .try_fold(SimConfig::builder(), |b, (field, value)| b.set(field, value))
+        .and_then(SimConfigBuilder::build)
+        .map_err(TraceError::BadConfig)
 }
 
 /// Serializes an op stream plus metadata (header, `#!key value` lines in
@@ -309,6 +244,7 @@ pub fn load_trace_from_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cornucopia::PteUpdateMode;
 
     fn sample() -> Vec<Op> {
         vec![
@@ -458,6 +394,18 @@ mod tests {
     }
 
     #[test]
+    fn every_field_round_trips_through_its_text() {
+        for cfg in [SimConfig::default(), tuned()] {
+            for field in &SimConfig::FIELDS {
+                let text = (field.get)(&cfg);
+                let back = cfg.to_builder().set(field.name, &text).unwrap().build().unwrap();
+                assert_eq!((field.get)(&back), text, "{}", field.name);
+                assert_eq!(format!("{back:?}"), format!("{cfg:?}"), "{} {text}", field.name);
+            }
+        }
+    }
+
+    #[test]
     fn missing_config_keys_keep_the_defaults() {
         let cfg = config_from_meta(&sample_meta()).unwrap();
         assert_eq!(format!("{cfg:?}"), format!("{:?}", SimConfig::default()));
@@ -534,20 +482,20 @@ mod tests {
 
     #[test]
     fn bad_meta_is_rejected_on_write() {
-        let ops = sample();
-        let mut meta = TraceMeta::new();
-        meta.insert("has space".to_string(), "v".to_string());
-        assert!(matches!(
-            write_trace(&ops, &meta, Vec::new()),
-            Err(TraceError::BadMeta { .. })
-        ));
-        let mut meta = TraceMeta::new();
-        meta.insert("k".to_string(), "line
-break".to_string());
-        assert!(matches!(
-            write_trace(&ops, &meta, Vec::new()),
-            Err(TraceError::BadMeta { .. })
-        ));
+        let path = std::env::temp_dir().join(format!("cornucopia-trace-bad-meta-{}", std::process::id()));
+        // The reader trims a value, so " lead" would read back as "lead".
+        for (key, value) in
+            [("has space", "v"), ("k", "line\nbreak"), ("k", " lead"), ("k", "trail "), ("k", "\ttab")]
+        {
+            let mut meta = sample_meta();
+            meta.insert(key.to_string(), value.to_string());
+            match write_trace(&sample(), &meta, Vec::new()) {
+                Err(TraceError::BadMeta { key: k }) => assert_eq!(k, key, "{value:?}"),
+                other => panic!("{key} {value:?}: {other:?}"),
+            }
+            assert!(matches!(save_trace_to_path(&[], &meta, &path), Err(TraceError::BadMeta { .. })));
+            assert!(!path.exists(), "{value:?}: a refused save creates no file");
+        }
     }
 
     #[test]

@@ -201,7 +201,15 @@ const BANNED_EVERYWHERE: &[(&str, &str)] = &[
     ("--bin reproduce_all", "--bin repro -- all"),
     ("--bin opcheck", "--bin repro -- opcheck"),
     ("--bin dump_trace", "--bin repro -- trace"),
+    ("enum Tweak", ONE_KNOB_TABLE),
+    ("CONFIG_FIELDS", ONE_KNOB_TABLE),
+    ("enum TraceWorkload", ONE_KNOB_TABLE),
 ];
+
+/// The replacement for the tweak enum, the trace's field list and `trace
+/// dump`'s program list: knobs and cells each have one vocabulary.
+const ONE_KNOB_TABLE: &str =
+    "SimConfig::FIELDS rows, set by SimConfigBuilder::set; trace dump takes a JobSpec::key";
 
 /// The replacement for the deleted partitioners, cost tables, launchers
 /// and shard processes.
@@ -782,6 +790,27 @@ mod tests {
         }
         let v = lint_one(&root, "tools/ci.sh", "# --bin run_matrix is now repro matrix\n");
         assert!(v.is_empty(), "{v:?}");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_second_knob_list_or_a_program_list_for_trace_dump_is_flagged() {
+        let root = scratch("knobs");
+        for (file, line, instead) in [
+            ("crates/bench/src/plan.rs", "pub(crate) enum Tweak {\n", "SimConfig::FIELDS"),
+            ("crates/sim/src/trace.rs", "const CONFIG_FIELDS: [ConfigField; 11] = [\n", "SimConfig::FIELDS"),
+            ("crates/bench/src/cli.rs", "pub enum TraceWorkload {\n", "JobSpec::key"),
+        ] {
+            let v = lint_one(&root, file, line);
+            assert!(v.len() == 1 && v[0].contains(instead), "{file}: {line}: {v:?}");
+        }
+        for line in [
+            "pub(crate) type Tweak = &'static [(&'static str, &'static str)];\n",
+            "for field in &SimConfig::FIELDS {\n",
+        ] {
+            let v = lint_one(&root, "crates/bench/src/plan.rs", line);
+            assert!(v.is_empty(), "{line}: {v:?}");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

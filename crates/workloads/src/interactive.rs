@@ -206,12 +206,6 @@ pub struct GrpcParams {
     pub seed: u64,
 }
 
-impl Default for GrpcParams {
-    fn default() -> Self {
-        GrpcParams { messages: 30_000, seed: 7 }
-    }
-}
-
 /// Channel objects occupy root slots `0..GRPC_CHANNELS`.
 const GRPC_CHANNELS: ObjId = 20;
 const GRPC_CHANNEL_BYTES: u64 = 272 << 10; // 20 x 272 KiB ~ 5.3 MiB (340/64)

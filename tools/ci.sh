@@ -3,7 +3,8 @@
 # gate (hermetic manifests, determinism lints), every example,
 # static-analyzer smokes (opcheck digest stability, --preflight
 # quarantine), the matrix and ablation smokes (one process: byte-identity
-# across worker counts, fault isolation, repro replay), the EXPERIMENTS.md
+# across worker counts, fault isolation, repro replay), a trace dumped by
+# cell key and replayed, the EXPERIMENTS.md
 # fixed point (regenerated at full scale, cmp'd, and resumed whole from
 # its one checkpoint file), and a quick-mode run of
 # the benchmark so its bit-rot is
@@ -170,6 +171,21 @@ for study in revoker_cores coloring; do
         || { echo "ablation smoke: $study differs between 1 and 4 workers" >&2; exit 1; }
 done
 rm -rf "$abl_dir"
+
+echo "== trace smoke (a cell dumped by its key replays) =="
+# `trace dump` takes a cell key of `repro all`; the trace carries the
+# cell's tweaked, tuned SimConfig, so the replay needs nothing else.
+trace_dir="$(mktemp -d)"
+cell='ablation|xalancbmk [colors=8]|Reloaded|s77'
+cargo run --release --offline -q -p rev-bench --bin repro -- trace dump "$cell" \
+    "$trace_dir/cell.trace" >/dev/null \
+    || { echo "trace smoke: dumping $cell failed" >&2; exit 1; }
+replay="$(cargo run --release --offline -q -p rev-bench --bin repro -- trace replay \
+    "$trace_dir/cell.trace" reloaded)" \
+    || { echo "trace smoke: replaying $cell failed" >&2; exit 1; }
+grep -q "^Reloaded: wall " <<<"$replay" \
+    || { echo "trace smoke: the replay of $cell printed no 'Reloaded: wall' line" >&2; exit 1; }
+rm -rf "$trace_dir"
 
 echo "== fixed point (EXPERIMENTS.md regenerates byte for byte, and resumes) =="
 # The path that writes EXPERIMENTS.md, at its default scale: any drift in
