@@ -44,9 +44,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cheri_mem::FastMap;
+use cheri_mem::{FastHasher, FastMap};
 use morello_sim::{for_each_batch, Json, ObjId, Op, OpSource, SimConfig};
 use std::convert::Infallible;
+use std::hash::Hasher;
 
 /// Capability granule: slot addresses and tag coverage are 16-byte units.
 const CAP_SIZE: u64 = 16;
@@ -57,8 +58,11 @@ pub const DIAG_DETAIL_CAP: usize = 64;
 /// Target length of the decimated byte curve (peaks stay exact).
 const CURVE_CAP: usize = 4096;
 
-/// JSON export caps for the unbounded lists (totals stay exact).
-const STALE_JSON_CAP: usize = 1024;
+/// Stale chases a [`Report`] keeps in [`Report::stale_chase_prefix`]
+/// (and the JSON export lists); the total and the digest stay exact.
+pub const STALE_PREFIX_CAP: usize = 1024;
+
+/// JSON export cap for the lifetime list (its total stays exact).
 const LIFETIME_JSON_CAP: usize = 256;
 
 // ---------------------------------------------------------------------
@@ -146,7 +150,8 @@ pub enum DiagnosticKind {
     RootSlotAliased,
     /// A `ChasePtr` dereferenced a link whose target generation is dead —
     /// the dangling loads the revoker must catch. The full ordered list
-    /// lives in [`Report::stale_chases`].
+    /// is handed out by [`Analyzer::drain_chases`]; the report keeps its
+    /// prefix and digest.
     StaleChase,
     /// A `Free` left a live interior pointer behind: some live
     /// object (`aux`) still links to the freed object.
@@ -234,6 +239,35 @@ pub struct StaleChase {
     pub to: ObjId,
 }
 
+/// Running word-wise [`FastHasher`] digest of an ordered chase list, one
+/// word per field: what [`Report::stale_chase_digest`] holds for the list
+/// [`Analyzer::drain_chases`] hands out.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChaseDigest(FastHasher);
+
+impl ChaseDigest {
+    /// Appends one chase to the digested list.
+    pub fn push(&mut self, c: &StaleChase) {
+        for word in [c.op_index, c.from, c.slot, c.to] {
+            self.0.write_u64(word);
+        }
+    }
+
+    /// The digest of the list so far.
+    #[must_use]
+    pub fn value(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+/// The [`ChaseDigest`] of a whole ordered chase list.
+#[must_use]
+pub fn chase_digest<'a>(chases: impl IntoIterator<Item = &'a StaleChase>) -> u64 {
+    let mut d = ChaseDigest::default();
+    chases.into_iter().for_each(|c| d.push(c));
+    d.value()
+}
+
 /// Lifetime summary for one object ID across all its generations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lifetime {
@@ -305,9 +339,14 @@ pub struct Report {
     /// Stored diagnostic details, program order, capped per kind at
     /// [`DIAG_DETAIL_CAP`] (use [`Report::count`] for exact totals).
     pub diagnostics: Vec<Diagnostic>,
-    /// Every predicted dangling dereference, program order, uncapped —
-    /// the oracle contract needs the exact set.
-    pub stale_chases: Vec<StaleChase>,
+    /// The first [`STALE_PREFIX_CAP`] predicted dangling dereferences,
+    /// program order. The exact total is
+    /// `count(DiagnosticKind::StaleChase)`; the whole list is handed out
+    /// only by [`Analyzer::drain_chases`].
+    pub stale_chase_prefix: Vec<StaleChase>,
+    /// [`ChaseDigest`] of every predicted dangling dereference, in
+    /// program order, however often (or never) they were drained.
+    pub stale_chase_digest: u64,
     /// Per-object lifetime summaries, ascending object ID.
     pub lifetimes: Vec<Lifetime>,
     /// Object statistics.
@@ -361,9 +400,8 @@ impl Report {
                 .collect(),
         );
         let stale = Json::Arr(
-            self.stale_chases
+            self.stale_chase_prefix
                 .iter()
-                .take(STALE_JSON_CAP)
                 .map(|s| {
                     Json::obj([
                         ("op", s.op_index.into()),
@@ -412,7 +450,7 @@ impl Report {
                     ("curve_points", self.curve.len().into()),
                 ]),
             ),
-            ("stale_chases_total", self.stale_chases.len().into()),
+            ("stale_chases_total", self.count(DiagnosticKind::StaleChase).into()),
             ("stale_chases", stale),
             ("diagnostics", diagnostics),
             ("lifetimes_total", self.lifetimes.len().into()),
@@ -562,7 +600,14 @@ impl Diags {
 }
 
 /// Streaming abstract interpreter. Feed ops with [`Analyzer::push`] (or
-/// use [`analyze`] to drain an [`OpSource`]), then [`Analyzer::finish`].
+/// [`Analyzer::push_stream`]; [`analyze`] runs a whole [`OpSource`]), then
+/// [`Analyzer::finish`].
+///
+/// Predicted stale chases are not hoarded: [`Analyzer::drain_chases`]
+/// hands out those predicted since the last drain, and the report keeps
+/// only their exact total, a digest and the first [`STALE_PREFIX_CAP`].
+/// A caller that wants the whole list drains between batches; chases
+/// still undrained at [`Analyzer::finish`] are discarded.
 ///
 /// Malformed ops are diagnosed and then *skipped* (treated as no-ops), so
 /// one defect does not cascade into spurious downstream reports.
@@ -580,7 +625,10 @@ pub struct Analyzer {
     root_slots: FastMap<u64, ObjId>,
     live_objects: u64,
     diags: Diags,
+    /// Chases predicted since the last drain.
     stale: Vec<StaleChase>,
+    stale_prefix: Vec<StaleChase>,
+    stale_digest: ChaseDigest,
     live_touched: u64,
     quar_touched: u64,
     quar_trigger: u64,
@@ -605,6 +653,8 @@ impl Analyzer {
             live_objects: 0,
             diags: Diags::default(),
             stale: Vec::new(),
+            stale_prefix: Vec::new(),
+            stale_digest: ChaseDigest::default(),
             live_touched: 0,
             quar_touched: 0,
             quar_trigger: 0,
@@ -637,7 +687,26 @@ impl Analyzer {
         self.op_index += 1;
     }
 
+    /// Analyzes every op of `source`, batch by batch, handing out no
+    /// chase: each batch's predictions reach only the report's total,
+    /// digest and prefix, so memory stays bounded however many there are.
+    pub fn push_stream<S: OpSource + ?Sized>(&mut self, source: &mut S) {
+        let Ok(()) = for_each_batch(source, |batch| {
+            batch.iter().for_each(|&op| self.push(op));
+            self.stale.clear();
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Moves the stale chases predicted since the last drain into `out`,
+    /// in program order. Drains concatenate to the whole ordered list,
+    /// whatever the cadence.
+    pub fn drain_chases(&mut self, out: &mut Vec<StaleChase>) {
+        out.append(&mut self.stale);
+    }
+
     /// Finalizes: leak detection, last curve point, report assembly.
+    /// Chases not yet drained are discarded.
     #[must_use]
     pub fn finish(mut self) -> Report {
         let table = std::mem::take(&mut self.objs);
@@ -676,7 +745,8 @@ impl Analyzer {
             ops: self.op_index,
             malformed,
             diagnostics: self.diags.details,
-            stale_chases: self.stale,
+            stale_chase_prefix: self.stale_prefix,
+            stale_chase_digest: self.stale_digest.value(),
             lifetimes,
             objects: ObjectsSummary {
                 distinct: table.distinct,
@@ -871,7 +941,12 @@ impl Analyzer {
             self.objs.get(l.to).is_some_and(|t| t.live.is_some() && t.generations == l.to_gen);
         if !target_alive {
             self.diags.counts[DiagnosticKind::StaleChase.index()] += 1;
-            self.stale.push(StaleChase { op_index: self.op_index, from, slot, to: l.to });
+            let chase = StaleChase { op_index: self.op_index, from, slot, to: l.to };
+            self.stale_digest.push(&chase);
+            if self.stale_prefix.len() < STALE_PREFIX_CAP {
+                self.stale_prefix.push(chase);
+            }
+            self.stale.push(chase);
         }
     }
 
@@ -909,13 +984,11 @@ impl Analyzer {
     }
 }
 
-/// Drains `source` through a fresh [`Analyzer`].
+/// Drains `source` through a fresh [`Analyzer`]
+/// ([`Analyzer::push_stream`]: no chase is handed out).
 pub fn analyze<S: OpSource>(mut source: S, cfg: AnalyzerConfig) -> Report {
     let mut a = Analyzer::new(cfg);
-    let Ok(()) = for_each_batch(&mut source, |batch| {
-        batch.iter().for_each(|&op| a.push(op));
-        Ok::<(), Infallible>(())
-    });
+    a.push_stream(&mut source);
     a.finish()
 }
 
@@ -960,7 +1033,7 @@ mod tests {
         assert_eq!(report.count(DiagnosticKind::StaleChase), 1);
         assert_eq!(report.count(DiagnosticKind::DanglingLink), 1);
         assert_eq!(
-            report.stale_chases,
+            report.stale_chase_prefix,
             vec![StaleChase { op_index: 4, from: 1, slot: 0, to: 2 }]
         );
     }
@@ -991,7 +1064,7 @@ mod tests {
             Op::ChasePtr { from: 1, slot: 3 }, // link survives: stale
         ]);
         assert_eq!(report.count(DiagnosticKind::StaleChase), 1);
-        assert_eq!(report.stale_chases[0].slot, 3);
+        assert_eq!(report.stale_chase_prefix[0].slot, 3);
         // Only the surviving link is dangling at free time.
         assert_eq!(report.count(DiagnosticKind::DanglingLink), 1);
     }
@@ -1112,6 +1185,37 @@ mod tests {
         let report = a.finish();
         assert_eq!(report.count(DiagnosticKind::FreeUnallocated), DIAG_DETAIL_CAP as u64 + 10);
         assert_eq!(report.diagnostics.len(), DIAG_DETAIL_CAP);
+    }
+
+    /// Past the prefix cap the report keeps only the total and the
+    /// digest; the drains still hand out every chase, and `finish`
+    /// discards what was not drained.
+    #[test]
+    fn the_report_keeps_a_prefix_and_the_drains_keep_the_rest() {
+        let n = STALE_PREFIX_CAP as u64 + 300;
+        let mut a = Analyzer::new(AnalyzerConfig::default());
+        for op in [
+            Op::Alloc { obj: 1, size: 64 },
+            Op::Alloc { obj: 2, size: 64 },
+            Op::LinkPtr { from: 1, slot: 0, to: 2 },
+            Op::Free { obj: 2 },
+        ] {
+            a.push(op);
+        }
+        let mut drained = Vec::new();
+        for _ in 0..n {
+            a.push(Op::ChasePtr { from: 1, slot: 0 });
+        }
+        a.drain_chases(&mut drained);
+        a.push(Op::ChasePtr { from: 1, slot: 0 });
+        let report = a.finish();
+        assert_eq!(drained.len() as u64, n, "the drain holds every chase so far");
+        assert_eq!(report.count(DiagnosticKind::StaleChase), n + 1);
+        assert_eq!(report.stale_chase_prefix, drained[..STALE_PREFIX_CAP]);
+        let last = StaleChase { op_index: 4 + n, from: 1, slot: 0, to: 2 };
+        assert_eq!(report.stale_chase_digest, chase_digest(drained.iter().chain([&last])));
+        let json = Json::parse(&report.to_json().render()).unwrap();
+        assert_eq!(json.get("stale_chases_total").unwrap().as_num(), Some(i128::from(n + 1)));
     }
 
     #[test]

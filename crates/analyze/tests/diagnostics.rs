@@ -48,7 +48,7 @@ fn every_diagnostic_kind_fires_once_in_the_fixture() {
         assert_eq!(report.count(kind), expected, "kind {}", kind.label());
     }
     assert_eq!(
-        report.stale_chases,
+        report.stale_chase_prefix,
         vec![StaleChase { op_index: 8, from: 0, slot: 0, to: 1 }]
     );
 }

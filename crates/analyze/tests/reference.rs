@@ -8,9 +8,15 @@
 //! Ids span both tiers of the analyzer's object table (see [`id`]), and
 //! dangling links are found by the scan the analyzer runs only while
 //! details are stored, so both sides of that cap are compared.
+//!
+//! Each program runs at three drain cadences: chases drained after every
+//! op, after every batch, and never (only [`analyze`]'s report). The
+//! drains must concatenate to the reference's whole chase list, and the
+//! three reports (total, digest, prefix and all) must be equal.
 
 use analyze::{
-    analyze, AnalyzerConfig, Diagnostic, DiagnosticKind, Lifetime, StaleChase, DIAG_DETAIL_CAP,
+    analyze, chase_digest, Analyzer, AnalyzerConfig, Diagnostic, DiagnosticKind, Lifetime, Report,
+    StaleChase, DIAG_DETAIL_CAP, STALE_PREFIX_CAP,
 };
 use morello_sim::{ObjId, Op};
 use simtest::check::{vec_of, CaseResult};
@@ -184,9 +190,33 @@ fn op_from((kind, a, b, c): (u8, u64, u64, u64)) -> Op {
     }
 }
 
+/// Runs `ops` through an analyzer fed `batch` ops at a time, draining
+/// after every op (`per_op`) or after every batch; returns the report and
+/// the concatenated drains.
+fn drained(
+    ops: &[Op],
+    cfg: AnalyzerConfig,
+    batch: usize,
+    per_op: bool,
+) -> (Report, Vec<StaleChase>) {
+    let mut a = Analyzer::new(cfg);
+    let mut chases = Vec::new();
+    for chunk in ops.chunks(batch) {
+        for &op in chunk {
+            a.push(op);
+            if per_op {
+                a.drain_chases(&mut chases);
+            }
+        }
+        a.drain_chases(&mut chases);
+    }
+    (a.finish(), chases)
+}
+
 /// Runs `ops` through the analyzer and the naive reference and compares
-/// every detail, count and list the report holds.
-fn agree(ops: Vec<Op>) -> CaseResult {
+/// every detail, count and list the report holds, at each drain cadence
+/// (`batch` ops per batch).
+fn agree(ops: Vec<Op>, batch: usize) -> CaseResult {
     let n = ops.len() as u64;
     let mut naive = Naive::default();
     for (i, &op) in ops.iter().enumerate() {
@@ -198,6 +228,12 @@ fn agree(ops: Vec<Op>) -> CaseResult {
     }
 
     let cfg = AnalyzerConfig { max_objects: MAX_OBJECTS, ..AnalyzerConfig::default() };
+    for per_op in [true, false] {
+        let (report, chases) = drained(&ops, cfg, batch, per_op);
+        let cadence = if per_op { "per op" } else { "per batch" };
+        sim_assert_eq!(chases, naive.stale, "drained {cadence}");
+        sim_assert_eq!(report, analyze(ops.clone().into_iter(), cfg), "drained {cadence}");
+    }
     let report = analyze(ops.into_iter(), cfg);
 
     let mut seen = [0usize; DiagnosticKind::ALL.len()];
@@ -219,7 +255,9 @@ fn agree(ops: Vec<Op>) -> CaseResult {
         };
         sim_assert_eq!(report.count(kind), expected as u64, "count of {}", kind.label());
     }
-    sim_assert_eq!(report.stale_chases, naive.stale);
+    let prefix = &naive.stale[..naive.stale.len().min(STALE_PREFIX_CAP)];
+    sim_assert_eq!(report.stale_chase_prefix, prefix);
+    sim_assert_eq!(report.stale_chase_digest, chase_digest(&naive.stale));
     sim_assert_eq!(report.lifetimes, naive.lifetimes.values().copied().collect::<Vec<_>>());
     sim_assert_eq!(report.objects.distinct, naive.lifetimes.len() as u64);
     sim_assert_eq!(report.objects.leaked, naive.live.len() as u64);
@@ -232,8 +270,30 @@ simtest::props! {
 
     fn analyzer_agrees_with_the_naive_reference(
         raw in vec_of((0u8..17, 0u64..DOMAIN, 0u64..DOMAIN, 0u64..10), 1..600),
+        batch in 1usize..64,
     ) {
-        agree(raw.into_iter().map(op_from).collect())?;
+        agree(raw.into_iter().map(op_from).collect(), batch)?;
+    }
+}
+
+/// More chases than the report's prefix holds, interleaved with frees,
+/// reallocations and re-links: the drains still carry every one, and the
+/// prefix stops at the cap.
+#[test]
+fn more_chases_than_the_prefix_holds_agree_with_the_reference() {
+    let mut ops = vec![Op::Alloc { obj: 0, size: 64 }];
+    for round in 0..STALE_PREFIX_CAP as u64 / 4 + 40 {
+        let target = 1 + round % 3;
+        ops.push(Op::Alloc { obj: target, size: 64 });
+        ops.push(Op::LinkPtr { from: 0, slot: round % 4, to: target });
+        ops.push(Op::Free { obj: target });
+        ops.extend((0..5).map(|_| Op::ChasePtr { from: 0, slot: round % 4 }));
+    }
+    let report = analyze(ops.clone().into_iter(), AnalyzerConfig::default());
+    assert!(report.count(DiagnosticKind::StaleChase) > STALE_PREFIX_CAP as u64 + 100);
+    assert_eq!(report.stale_chase_prefix.len(), STALE_PREFIX_CAP);
+    for batch in [1, 7, 1024] {
+        agree(ops.clone(), batch).unwrap();
     }
 }
 
@@ -280,5 +340,5 @@ fn a_free_that_crosses_the_dangling_link_cap_agrees_with_the_reference() {
     ops.extend((200..203).map(|obj| Op::Free { obj }));
     let report = analyze(ops.clone().into_iter(), AnalyzerConfig::default());
     assert_eq!(report.count(DiagnosticKind::DanglingLink), 60 + 10 + 3);
-    agree(ops).unwrap();
+    agree(ops, 16).unwrap();
 }

@@ -25,7 +25,7 @@ use crate::harness::Scale;
 use crate::orchestrator::{self, parallel_cells, repro_file_name, JobFailure, JobSpec};
 use crate::plan::{distinct_programs, MatrixPlan};
 use crate::report::{self, Section};
-use analyze::Report;
+use analyze::{DiagnosticKind, Report};
 use morello_sim::{trace, Condition, Json, System};
 use std::path::Path;
 use std::process::ExitCode;
@@ -254,7 +254,7 @@ fn opcheck(args: &Args) -> Result<ExitCode, String> {
              live+quarantine {} B",
             report.ops,
             report.diagnostics.len(),
-            report.stale_chases.len(),
+            report.count(DiagnosticKind::StaleChase),
             report.rss.peak_live_plus_quarantine,
         );
         cells.push(Json::obj([("program", Json::Str(id.clone())), ("report", report.to_json())]));
@@ -335,7 +335,8 @@ mod tests {
 
     /// What `repro trace dump <key>` writes, replayed as `repro trace
     /// replay` runs it under the cell's condition, is the cell: equal
-    /// `RunStats`, not only an equal printed line.
+    /// `RunStats`, not only an equal printed line. The file cut at a line
+    /// boundary is refused, not replayed as a shorter program.
     #[test]
     fn a_cell_dumped_by_key_replays_to_its_own_run_stats() {
         let dir = std::env::temp_dir().join(format!("commands-dump-{}", std::process::id()));
@@ -354,6 +355,13 @@ mod tests {
             let cfg = trace::config_from_meta(&meta).unwrap().with_condition(cell.condition());
             let replayed = System::new(cfg).run_stream(&mut ops.into_iter()).unwrap().into_stats();
             assert!(replayed == cell.execute(), "{key}: the replay's RunStats differ from the cell's");
+
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let cut = dir.join("cut.trace");
+            std::fs::write(&cut, lines[..lines.len() / 2].join("\n") + "\n").unwrap();
+            let refused = trace_replay(cut.to_str().unwrap(), cell.condition()).unwrap_err();
+            assert!(refused.contains("it was cut or extended"), "{key}: {refused}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -45,7 +45,8 @@
 //! Layering: [`plan`] expands the matrix, [`orchestrator`] executes it,
 //! [`report`] renders it, [`commands`]
 //! holds the subcommand bodies, and [`cli`] is the only module that
-//! reads argv or the environment.
+//! reads argv or the environment. [`oracle`] checks a cell's simulated
+//! stale chases against its static analysis, batch by batch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +57,7 @@ pub mod commands;
 pub mod figures;
 pub mod fmt;
 pub mod harness;
+pub mod oracle;
 pub mod orchestrator;
 pub mod plan;
 pub mod report;

@@ -27,14 +27,13 @@
 //! ```
 
 use crate::harness::{Scale, CONDITIONS, GRPC_CONDITIONS, RATE_SCHEDULE};
+use crate::oracle::{self, Disagreement, Lockstep};
 use analyze::{Analyzer, AnalyzerConfig, Report};
 use morello_sim::trace::{self, TraceMeta};
 use morello_sim::{
-    for_each_batch, Condition, Json, Op, OpSource, RunReport, RunStats, SimConfig,
-    SimConfigBuilder, System, TelemetryConfig,
+    Condition, Json, Op, OpSource, RunStats, SimConfig, SimConfigBuilder, System, TelemetryConfig,
 };
 use std::collections::BTreeSet;
-use std::convert::Infallible;
 use workloads::{
     grpc_stream, pgbench_stream, spec_stream, GrpcParams, PgbenchParams, SpecProgram, SPEC_PROGRAMS,
 };
@@ -262,7 +261,7 @@ impl JobSpec {
     /// Regenerates the cell's op stream from its seed and hands it to
     /// `f` along with the workload's tuned simulator configuration (an
     /// ablation cell's tweak applied, the cell's condition not yet).
-    /// Shared by [`JobSpec::execute`], [`JobSpec::execute_traced`] and
+    /// Shared by [`JobSpec::execute`], [`JobSpec::lockstep`] and
     /// [`JobSpec::analyze`], which must all observe the same program and
     /// configuration.
     fn with_stream<R>(&self, f: impl FnOnce(&mut dyn OpSource, SimConfig) -> R) -> R {
@@ -304,7 +303,6 @@ impl JobSpec {
             let ops = source.collect_ops();
             let mut meta = TraceMeta::new();
             meta.insert("workload".into(), self.key());
-            meta.insert("ops".into(), ops.len().to_string());
             trace::insert_config(&mut meta, &config);
             (ops, meta)
         })
@@ -326,19 +324,23 @@ impl JobSpec {
         })
     }
 
-    /// Runs the cell with telemetry on — the dynamic half of the
-    /// static/dynamic cross-check oracle reads its event journal. One
-    /// counter sample per 20 ms of simulated time.
-    #[must_use]
-    pub fn execute_traced(&self) -> RunReport {
-        self.with_stream(|mut source, config| {
+    /// Runs the cell with telemetry on (one counter sample per 20 ms of
+    /// simulated time) and statically analyzes its program in the same
+    /// loop, comparing their stale chases batch by batch
+    /// ([`oracle::lockstep`]).
+    ///
+    /// # Errors
+    ///
+    /// The first [`Disagreement`].
+    pub fn lockstep(&self) -> Result<Lockstep, Disagreement> {
+        self.with_stream(|source, config| {
             let cfg = config
                 .with_condition(self.condition)
                 .to_builder()
                 .telemetry(TelemetryConfig::full(50_000_000))
                 .build()
                 .expect("traced config must validate");
-            System::new(cfg).run_stream(&mut source).expect("surrogate must run clean")
+            oracle::lockstep(source, cfg)
         })
     }
 
@@ -353,10 +355,7 @@ impl JobSpec {
     pub fn analyze(&self, corrupt_double_free: bool) -> Report {
         self.with_stream(|source, config| {
             let mut a = Analyzer::new(AnalyzerConfig::from_sim(&config));
-            let Ok(()) = for_each_batch(source, |batch| {
-                batch.iter().for_each(|&op| a.push(op));
-                Ok::<(), Infallible>(())
-            });
+            a.push_stream(source);
             if corrupt_double_free {
                 a.push(Op::Alloc { obj: u64::MAX, size: 64 });
                 a.push(Op::Free { obj: u64::MAX });

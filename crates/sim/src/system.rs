@@ -5,7 +5,8 @@ use crate::ops::{for_each_batch, ObjId, Op, OpSource};
 use crate::report::RunReport;
 use crate::stats::RunStats;
 use crate::telemetry::{
-    Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent, SERIES_CAPACITY,
+    Recorder, Sample, Span, SpanKind, StaleChaseOutcome, TelemetryEvent, TimedEvent,
+    SERIES_CAPACITY,
 };
 use cheri_cap::{Capability, CAP_SIZE};
 use cheri_mem::{CoreId, FastMap, FastSet};
@@ -334,12 +335,23 @@ impl System {
                 _ => self.exec_op(op),
             };
             if self.telemetry_on {
-                self.drain_events();
+                self.journal_component_events();
                 self.poll_sample();
             }
             result?;
         }
         Ok(())
+    }
+
+    /// Moves the stamped event journal recorded so far into `out`, oldest
+    /// first. Called between batches, it keeps the journal's ring from
+    /// ever filling, so a run of any length is handed out whole; the
+    /// final report's [`TelemetryData::events`](crate::TelemetryData)
+    /// then holds only what was journaled after the last drain, and its
+    /// `dropped_events` still counts every eviction. Empty while
+    /// telemetry is off.
+    pub fn drain_events(&mut self, out: &mut Vec<TimedEvent>) {
+        self.recorder.drain_events(out);
     }
 
     /// Finalizes the run: drains any in-flight revocation and collects
@@ -350,7 +362,7 @@ impl System {
         while self.revoker.is_revoking() && self.revoker_step(10_000_000, Drive::Finish) {}
         if self.telemetry_on {
             self.note_pass_progress();
-            self.drain_events();
+            self.journal_component_events();
         }
         let condition = self.cfg.condition.label();
         let stats = self.collect_stats();
@@ -692,7 +704,7 @@ impl System {
     /// Moves component event logs into the recorder, stamped with the
     /// current wall cycle (components have no clock of their own; op
     /// granularity is the journal's resolution).
-    fn drain_events(&mut self) {
+    fn journal_component_events(&mut self) {
         let (at, rec) = (self.wall, &mut self.recorder);
         for e in self.machine.drain_events() {
             rec.record_event(at, TelemetryEvent::Vm(e));

@@ -12,6 +12,9 @@
 //! journal, the revocation phase/pause [`Span`]s (Figure 9's raw
 //! material), and the sampled counter [`Sample`] series (Figures 4/6
 //! analogues), handed out as a [`TelemetryData`] at the end of the run.
+//! A consumer that needs the whole journal drains it between batches
+//! instead ([`System::drain_events`](crate::System::drain_events)), so
+//! the ring never fills.
 //! With telemetry off (the default) component logging stays disabled, the
 //! recorder stays empty, and runs are bit-identical to a traced run's
 //! statistics (`tests/golden_stats.rs` enforces this).
@@ -152,8 +155,11 @@ pub struct Span {
     pub end: u64,
     /// The core doing the work, when attributable to one core.
     pub core: Option<usize>,
-    /// CPU cycles actually consumed inside the interval (≤ `end - start`
-    /// for time-sliced work; equal for STW pauses).
+    /// CPU cycles actually consumed inside the interval: equal to
+    /// `end - start` for STW pauses. A [`SpanKind::ConcurrentSweep`] may
+    /// exceed its width: every slice sweeps at least one whole page,
+    /// whatever its budget, and the overshoot is not charged to the next
+    /// slice, so many short slices add up to more CPU than wall time.
     pub busy_cycles: u64,
 }
 
@@ -298,6 +304,11 @@ impl Recorder {
         self.events.push(TimedEvent { at, event });
     }
 
+    /// Moves the journal into `out`, oldest first; evictions stay counted.
+    pub(crate) fn drain_events(&mut self, out: &mut Vec<TimedEvent>) {
+        out.extend(self.events.items.drain(..));
+    }
+
     pub(crate) fn record_span(&mut self, span: Span) {
         self.spans.push(span);
     }
@@ -387,6 +398,28 @@ mod tests {
         assert_eq!(data.samples.len(), SERIES_CAPACITY);
         assert_eq!(data.samples.first().map(|s| s.at), Some(3));
         assert_eq!(data.samples.last().map(|s| s.at), Some(n - 1));
+    }
+
+    /// A journal drained between pushes never fills, so a run the ring
+    /// would truncate is handed out whole.
+    #[test]
+    fn a_journal_drained_between_batches_drops_nothing() {
+        let (mut undrained, mut drained) = (Recorder::new(), Recorder::new());
+        undrained.events = Ring::new(2);
+        drained.events = Ring::new(2);
+        let mut out = Vec::new();
+        for batch in 0..4 {
+            for i in 0..2 {
+                let (at, event) = ev(2 * batch + i);
+                undrained.record_event(at, event);
+                drained.record_event(at, event);
+            }
+            drained.drain_events(&mut out);
+        }
+        assert_eq!(undrained.into_data().dropped_events, 6);
+        assert_eq!(out.iter().map(|e| e.at).collect::<Vec<_>>(), (0..8).collect::<Vec<_>>());
+        let data = drained.into_data();
+        assert_eq!((data.dropped_events, data.events.len()), (0, 0));
     }
 
     #[test]

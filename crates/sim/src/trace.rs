@@ -27,6 +27,12 @@
 //! does the [`SimConfig`] the program runs under, as one `#!sim.<field>`
 //! key per [`SimConfig::FIELDS`] row, in that table's text forms
 //! ([`insert_config`], [`config_from_meta`]).
+//!
+//! The writer also records the number of op lines as `#!ops`, so a file
+//! cut (or extended) at a line boundary reads as
+//! [`TraceError::OpCount`], not as a shorter program. The key belongs to
+//! the format: the reader checks and removes it, and traces written
+//! without it still read.
 
 use crate::config::{ConfigError, SimConfig, SimConfigBuilder};
 use crate::ops::Op;
@@ -38,8 +44,12 @@ use std::io::{self, BufRead, Write};
 pub const TRACE_HEADER: &str = "#cornucopia-trace v2";
 
 /// Trace metadata: ordered key → value pairs carried by a trace. Keys
-/// must be nonempty and free of whitespace; values must be single-line.
+/// must be nonempty, free of whitespace and not `ops` (the writer's own);
+/// values must be single-line.
 pub type TraceMeta = BTreeMap<String, String>;
+
+/// The metadata key the writer records the op count under.
+const OPS_KEY: &str = "ops";
 
 /// Trace parsing errors, with 1-based line numbers.
 #[derive(Debug)]
@@ -56,10 +66,18 @@ pub enum TraceError {
         text: String,
     },
     /// A metadata key or value is unserializable (whitespace in the key,
-    /// newline in the value, or an empty key).
+    /// newline in the value, an empty key, or the writer's own `ops`).
     BadMeta {
         /// The offending key.
         key: String,
+    },
+    /// The `#!ops` count disagrees with the op lines read: the file was
+    /// cut or extended.
+    OpCount {
+        /// The count the file declares.
+        declared: usize,
+        /// The op lines it holds.
+        read: usize,
     },
     /// A `#!sim.<field>` key is unknown, its value does not parse, or the
     /// configuration it sets is rejected by the builder.
@@ -73,6 +91,11 @@ impl fmt::Display for TraceError {
             TraceError::BadHeader => write!(f, "missing `{TRACE_HEADER}` header"),
             TraceError::Parse { line, text } => write!(f, "trace parse error at line {line}: {text:?}"),
             TraceError::BadMeta { key } => write!(f, "unserializable trace metadata key {key:?}"),
+            TraceError::OpCount { declared, read } => write!(
+                f,
+                "trace declares `#!{OPS_KEY} {declared}` but holds {read} op line(s): it was \
+                 cut or extended"
+            ),
             TraceError::BadConfig(e) => write!(f, "trace metadata key {CONFIG_PREFIX}{}: {e}", e.field()),
         }
     }
@@ -87,11 +110,12 @@ impl From<io::Error> for TraceError {
 }
 
 /// Rejects the first metadata entry that cannot round-trip: an empty key,
-/// whitespace in a key, a line break in a value, or whitespace around a
-/// value (the reader trims it).
+/// whitespace in a key, a line break in a value, whitespace around a
+/// value (the reader trims it), or `ops` (the reader removes it).
 fn check_meta(meta: &TraceMeta) -> Result<(), TraceError> {
     match meta.iter().find(|(key, value)| {
         key.is_empty()
+            || key.as_str() == OPS_KEY
             || key.chars().any(char::is_whitespace)
             || value.contains('\n')
             || value.contains('\r')
@@ -131,13 +155,18 @@ pub fn config_from_meta(meta: &TraceMeta) -> Result<SimConfig, TraceError> {
 }
 
 /// Serializes an op stream plus metadata (header, `#!key value` lines in
-/// key order, then one op per line). Writes nothing if the metadata is
-/// rejected. Flushes `w` before returning, so a buffered writer's failed
-/// final write is an error here rather than lost in its `Drop`.
+/// key order, `#!ops` among them, then one op per line). Writes nothing
+/// if the metadata is rejected. Flushes `w` before returning, so a
+/// buffered writer's failed final write is an error here rather than lost
+/// in its `Drop`.
 pub fn write_trace<W: Write>(ops: &[Op], meta: &TraceMeta, mut w: W) -> Result<(), TraceError> {
     check_meta(meta)?;
+    let count = ops.len().to_string();
+    let mut lines: Vec<(&str, &str)> = meta.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+    let at = lines.partition_point(|&(key, _)| key < OPS_KEY);
+    lines.insert(at, (OPS_KEY, &count));
     writeln!(w, "{TRACE_HEADER}").map_err(TraceError::Io)?;
-    for (key, value) in meta {
+    for (key, value) in lines {
         writeln!(w, "#!{key} {value}").map_err(TraceError::Io)?;
     }
     write_op_lines(ops, &mut w).map_err(TraceError::Io)?;
@@ -164,7 +193,8 @@ fn write_op_lines<W: Write>(ops: &[Op], mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserializes an op stream plus its metadata.
+/// Deserializes an op stream plus its metadata (without `#!ops`, which
+/// is checked against the op lines read).
 pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> {
     let mut lines = r.lines();
     match lines.next() {
@@ -173,6 +203,7 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
         _ => return Err(TraceError::BadHeader),
     }
     let mut meta = TraceMeta::new();
+    let mut declared = None;
     let mut ops = Vec::new();
     for (i, line) in lines.enumerate() {
         let line = line?;
@@ -182,10 +213,14 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
             let (key, value) = body
                 .split_once(char::is_whitespace)
                 .map_or((body, ""), |(k, v)| (k, v.trim_start()));
-            if key.is_empty() {
-                return Err(TraceError::Parse { line: lineno, text: text.to_string() });
+            let bad = || TraceError::Parse { line: lineno, text: text.to_string() };
+            match key {
+                "" => return Err(bad()),
+                OPS_KEY => declared = Some(value.parse::<usize>().map_err(|_| bad())?),
+                _ => {
+                    meta.insert(key.to_string(), value.to_string());
+                }
             }
-            meta.insert(key.to_string(), value.to_string());
             continue;
         }
         if text.is_empty() || text.starts_with('#') {
@@ -218,7 +253,12 @@ pub fn read_trace<R: BufRead>(r: R) -> Result<(Vec<Op>, TraceMeta), TraceError> 
         }
         ops.push(op);
     }
-    Ok((ops, meta))
+    match declared {
+        Some(declared) if declared != ops.len() => {
+            Err(TraceError::OpCount { declared, read: ops.len() })
+        }
+        _ => Ok((ops, meta)),
+    }
 }
 
 /// Writes a trace with metadata to `path`. Rejected metadata leaves any
@@ -306,6 +346,33 @@ mod tests {
                 other => panic!("{line}: expected a parse error on line 4, got {other:?}"),
             }
         }
+    }
+
+    /// A trace cut or extended at a line boundary is not a different
+    /// program; one written without `#!ops` still reads.
+    #[test]
+    fn the_op_count_catches_a_cut_or_extended_trace() {
+        let mut buf = Vec::new();
+        write_trace(&sample(), &sample_meta(), &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains(&format!("#!ops {}\n", sample().len())));
+        let lines: Vec<&str> = text.lines().collect();
+        let cut = lines[..lines.len() - 3].join("\n");
+        match read_trace(cut.as_bytes()) {
+            Err(e @ TraceError::OpCount { declared: 12, read: 9 }) => {
+                assert!(e.to_string().contains("cut"), "{e}");
+            }
+            other => panic!("a cut trace read as {other:?}"),
+        }
+        let extended = format!("{text}F 3\n");
+        assert!(matches!(
+            read_trace(extended.as_bytes()),
+            Err(TraceError::OpCount { declared: 12, read: 13 })
+        ));
+        let bad_count = text.replace("#!ops 12", "#!ops twelve");
+        assert!(matches!(read_trace(bad_count.as_bytes()), Err(TraceError::Parse { .. })));
+        let uncounted = text.replace("#!ops 12\n", "");
+        assert_eq!(read_trace(uncounted.as_bytes()).unwrap(), (sample(), sample_meta()));
     }
 
     #[test]
@@ -477,16 +544,21 @@ mod tests {
             .filter(|l| l.starts_with("#!"))
             .map(|l| l[2..].split_whitespace().next().unwrap())
             .collect();
-        assert_eq!(keys, vec!["scale", "seed", "workload"]);
+        assert_eq!(keys, vec!["ops", "scale", "seed", "workload"]);
     }
 
     #[test]
     fn bad_meta_is_rejected_on_write() {
         let path = std::env::temp_dir().join(format!("cornucopia-trace-bad-meta-{}", std::process::id()));
         // The reader trims a value, so " lead" would read back as "lead".
-        for (key, value) in
-            [("has space", "v"), ("k", "line\nbreak"), ("k", " lead"), ("k", "trail "), ("k", "\ttab")]
-        {
+        for (key, value) in [
+            ("has space", "v"),
+            ("k", "line\nbreak"),
+            ("k", " lead"),
+            ("k", "trail "),
+            ("k", "\ttab"),
+            (OPS_KEY, "12"),
+        ] {
             let mut meta = sample_meta();
             meta.insert(key.to_string(), value.to_string());
             match write_trace(&sample(), &meta, Vec::new()) {

@@ -8,10 +8,15 @@
 //! that reference and `run_stream` (batches, fused runs) must export
 //! byte-equal report JSON, and the traced statistics must equal an
 //! untraced run's.
+//!
+//! The journal a consumer drains between batches is the same whatever
+//! the batching: the lockstep oracle (`rev_bench::oracle`) finds the
+//! static analyzer's chases in it, batch by batch, at any batch size.
 
 use cornucopia_reloaded::morello_sim::{
-    Condition, Op, RunReport, SimConfig, System, TelemetryConfig,
+    Condition, Op, OpSource, RunReport, SimConfig, System, TelemetryConfig, OP_BATCH,
 };
+use rev_bench::oracle::lockstep;
 
 /// Live objects at a time: slot `i % SLOTS` is freed and reallocated at
 /// step `i`.
@@ -113,6 +118,39 @@ fn traced_runs_fuse_exactly_op_by_op_equals_batched() {
             assert!(per_op.to_json() == batched.to_json(), "{at}: report JSON differs");
             assert_eq!(per_op.stats(), untraced.stats(), "{at}: traced stats differ");
             assert!(untraced.telemetry().is_empty(), "{at}");
+        }
+    }
+}
+
+/// An op list handed out `size` ops per batch.
+struct Batches {
+    ops: std::vec::IntoIter<Op>,
+    size: usize,
+}
+
+impl OpSource for Batches {
+    fn refill(&mut self, buf: &mut Vec<Op>) -> usize {
+        let before = buf.len();
+        buf.extend(self.ops.by_ref().take(self.size));
+        buf.len() - before
+    }
+}
+
+#[test]
+fn lockstep_finds_the_predicted_chases_at_any_batching() {
+    let ops = stream();
+    for condition in [Condition::baseline(), Condition::cornucopia(), Condition::reloaded()] {
+        let untraced = run_streamed(config(condition, 1, false), ops.clone());
+        let mut chases = None;
+        for size in [1, 97, OP_BATCH] {
+            let at = format!("{} in batches of {size}", condition.label());
+            let mut source = Batches { ops: ops.clone().into_iter(), size };
+            let checked = lockstep(&mut source, config(condition, 1, true))
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert!(checked.chases > 0, "{at}: no stale chase");
+            assert_eq!(*chases.get_or_insert(checked.chases), checked.chases, "{at}");
+            assert_eq!(checked.escaped > 0, condition == Condition::baseline(), "{at}");
+            assert_eq!(checked.run.stats(), untraced.stats(), "{at}: traced stats differ");
         }
     }
 }

@@ -2,7 +2,8 @@
 # Tier-1 CI gate: release build + full test suite, the srclint source
 # gate (hermetic manifests, determinism lints), every example,
 # static-analyzer smokes (opcheck digest stability, --preflight
-# quarantine), the matrix and ablation smokes (one process: byte-identity
+# quarantine), the lockstep analyzer/simulator oracle over full-scale
+# cells, the matrix and ablation smokes (one process: byte-identity
 # across worker counts, fault isolation, repro replay), a trace dumped by
 # cell key and replayed, the EXPERIMENTS.md
 # fixed point (regenerated at full scale, cmp'd, and resumed whole from
@@ -82,6 +83,15 @@ grep -q '"malformed_programs":0' "$opcheck_a" \
 cmp -s "$opcheck_a" "$opcheck_b" \
     || { echo "opcheck smoke: diagnostics JSON differs across invocations" >&2; exit 1; }
 rm -f "$opcheck_a" "$opcheck_b"
+
+echo "== oracle at full scale =="
+# The analyzer and a traced simulator in lockstep, drained per batch, over
+# the full-scale pgbench and omnetpp cells under Cornucopia and Reloaded
+# (pgbench's journal is over twice the telemetry ring). It fails on any
+# evicted event, on report totals that disagree with the drains, and if
+# no cell had a stale chase.
+cargo test --release --offline -q -p rev-bench --test oracle -- --ignored \
+    || { echo "oracle at full scale: the analyzer and the simulator disagree" >&2; exit 1; }
 
 echo "== preflight smoke (static-analysis gate quarantines corrupt programs) =="
 # An injected double-free must surface as a zero-attempt typed failure
