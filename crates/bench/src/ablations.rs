@@ -10,11 +10,12 @@
 //! xalancbmk cells under Reloaded with a `colors=N` tweak, simulated by
 //! the same `System` as every other cell.
 
+use crate::figures::phase_cycles;
 use crate::fmt::{markdown_table, ms};
 use crate::harness::Suite;
 use crate::orchestrator::{self, MatrixOutcome, RunOptions};
 use crate::plan::{JobSpec, Tweak};
-use cornucopia::{PhaseKind, Strategy};
+use cornucopia::{PhaseRole, Strategy};
 use morello_sim::{Condition, RunStats};
 use std::collections::BTreeSet;
 use workloads::SpecProgram::{self, AstarLakes, HmmerNph3, Omnetpp, Xalancbmk};
@@ -126,13 +127,11 @@ fn max_pause(stats: &RunStats) -> u64 {
 /// The cycles of each concurrent sweep phase of a run under `condition`,
 /// ascending.
 fn concurrent_phases(condition: Condition, stats: &RunStats) -> Vec<u64> {
-    let kind = if condition == CORNUCOPIA {
-        PhaseKind::CornucopiaConcurrent
-    } else {
-        PhaseKind::ReloadedConcurrent
+    let kind = match condition {
+        Condition::Safe(strategy) => strategy.phase(PhaseRole::Concurrent),
+        Condition::Baseline => None,
     };
-    let mut cycles: Vec<u64> =
-        stats.phases.iter().filter(|p| p.kind == kind).map(|p| p.cycles).collect();
+    let mut cycles = kind.map_or_else(Vec::new, |kind| phase_cycles(std::slice::from_ref(stats), kind));
     cycles.sort_unstable();
     cycles
 }

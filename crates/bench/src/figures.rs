@@ -6,7 +6,7 @@
 
 use crate::fmt::{geomean, markdown_table, mib, ms, pct, us};
 use crate::harness::Suite;
-use cornucopia::PhaseKind;
+use cornucopia::{PhaseKind, PhaseRole, Strategy};
 use morello_sim::{BoxStats, Dist, RunStats, CYCLES_PER_MS, CYCLES_PER_SEC};
 
 const SAFE3: [&str; 3] = ["CHERIvoke", "Cornucopia", "Reloaded"];
@@ -279,12 +279,14 @@ pub fn fig7_pgbench_cdf(pg: &Suite) -> String {
     ));
     out.push_str("\nMedian per-epoch durations that account for the tail spread:\n\n");
     let mut seg_rows = Vec::new();
-    for (cond, kind, label) in [
-        ("CHERIvoke", PhaseKind::CheriVokeStw, "median world-stopped time"),
-        ("Cornucopia", PhaseKind::CornucopiaStw, "median world-stopped time"),
-        ("Reloaded", PhaseKind::ReloadedFaults, "median cumulative fault time"),
+    for (strategy, role, label) in [
+        (Strategy::CheriVoke, PhaseRole::Entry, "median world-stopped time"),
+        (Strategy::Cornucopia, PhaseRole::Exit, "median world-stopped time"),
+        (Strategy::Reloaded, PhaseRole::Faults, "median cumulative fault time"),
     ] {
-        if let Some(m) = median_phase(pg.stats("pgbench", cond), kind) {
+        let cond = strategy.label();
+        let median = strategy.phase(role).and_then(|kind| median_phase(pg.stats("pgbench", cond), kind));
+        if let Some(m) = median {
             seg_rows.push(vec![cond.to_string(), label.to_string(), format!("{} ms", ms(m))]);
         }
     }
@@ -360,34 +362,22 @@ pub fn fig8_grpc_latency(grpc: &Suite) -> String {
 #[must_use]
 pub fn fig9_phase_times(spec: &Suite, pg: &Suite, grpc: &Suite) -> String {
     let mut out = String::from("### Figure 9 — revocation phase times (ms; boxplot five-number summaries)\n\n");
-    let phases: [(&str, PhaseKind); 6] = [
-        ("CHERIvoke", PhaseKind::CheriVokeStw),
-        ("Cornucopia", PhaseKind::CornucopiaConcurrent),
-        ("Cornucopia", PhaseKind::CornucopiaStw),
-        ("Reloaded", PhaseKind::ReloadedStw),
-        ("Reloaded", PhaseKind::ReloadedConcurrent),
-        ("Reloaded", PhaseKind::ReloadedFaults),
-    ];
     let mut rows = Vec::new();
     let mut emit = |suite: &Suite, workload: &str| {
-        for (cond, kind) in phases {
-            let samples: Vec<u64> = suite
-                .stats(workload, cond)
-                .iter()
-                .flat_map(|r| r.phases.iter())
-                .filter(|p| p.kind == kind)
-                .map(|p| p.cycles)
-                .collect();
-            if let Some(b) = BoxStats::from_samples(&samples) {
-                rows.push(vec![
-                    workload.to_string(),
-                    kind.label().to_string(),
-                    ms(b.min),
-                    ms(b.q1),
-                    ms(b.median),
-                    ms(b.q3),
-                    ms(b.max),
-                ]);
+        for strategy in Strategy::ALL {
+            let runs = suite.stats(workload, strategy.label());
+            for kind in strategy.phases() {
+                if let Some(b) = BoxStats::from_samples(&phase_cycles(runs, kind)) {
+                    rows.push(vec![
+                        workload.to_string(),
+                        kind.label().to_string(),
+                        ms(b.min),
+                        ms(b.q1),
+                        ms(b.median),
+                        ms(b.q3),
+                        ms(b.max),
+                    ]);
+                }
             }
         }
     };
@@ -518,15 +508,13 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
     (m, var.sqrt())
 }
 
+/// The cycles of every phase of `kind` in `runs`, in record order.
+pub(crate) fn phase_cycles(runs: &[RunStats], kind: PhaseKind) -> Vec<u64> {
+    runs.iter().flat_map(|r| r.phases.iter()).filter(|p| p.kind == kind).map(|p| p.cycles).collect()
+}
+
 fn median_phase(stats: &[RunStats], kind: PhaseKind) -> Option<u64> {
-    let v = Dist::from_vec(
-        stats
-            .iter()
-            .flat_map(|r| r.phases.iter())
-            .filter(|p| p.kind == kind)
-            .map(|p| p.cycles)
-            .collect(),
-    );
+    let v = Dist::from_vec(phase_cycles(stats, kind));
     if v.is_empty() {
         return None;
     }

@@ -71,6 +71,6 @@ pub use bitmap::{RevocationBitmap, BITMAP_SUMMARY_VA_BASE, BITMAP_VA_BASE};
 pub use epoch::EpochClock;
 pub use hoards::{HoardKind, KernelHoards};
 pub use revoker::{
-    PhaseKind, PhaseRecord, PteUpdateMode, RevStats, Revoker, RevokerConfig, RevokerEvent,
-    StepOutcome, Strategy,
+    PhaseKind, PhaseRecord, PhaseRole, PteUpdateMode, RevStats, Revoker, RevokerConfig,
+    RevokerEvent, StepOutcome, Strategy,
 };

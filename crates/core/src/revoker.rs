@@ -39,6 +39,44 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every strategy, in declaration order.
+    pub const ALL: [Strategy; 5] = [
+        Strategy::CheriVoke,
+        Strategy::Cornucopia,
+        Strategy::Reloaded,
+        Strategy::PaintSync,
+        Strategy::CheriotFilter,
+    ];
+
+    /// The phase this strategy records for `role`, or `None`. This is the
+    /// one declaration of which phases an epoch records; the revoker,
+    /// Figure 9, the ablations and [`PhaseKind::from_label`] all read it.
+    /// A strategy with an exit phase ends each epoch world-stopped
+    /// ([`Revoker::finish_stw`]).
+    #[must_use]
+    pub fn phase(self, role: PhaseRole) -> Option<PhaseKind> {
+        use PhaseKind as K;
+        // [entry, concurrent, exit, faults], the order of `PhaseRole`.
+        let row = match self {
+            Strategy::CheriVoke => [Some(K::CheriVokeStw), None, None, None],
+            Strategy::Cornucopia => [None, Some(K::CornucopiaConcurrent), Some(K::CornucopiaStw), None],
+            Strategy::Reloaded => {
+                [Some(K::ReloadedStw), Some(K::ReloadedConcurrent), None, Some(K::ReloadedFaults)]
+            }
+            Strategy::PaintSync => [None; 4],
+            Strategy::CheriotFilter => {
+                [Some(K::CheriotFilterScan), Some(K::CheriotFilterConcurrent), None, None]
+            }
+        };
+        row[role as usize]
+    }
+
+    /// The phases one epoch records, in record order.
+    pub fn phases(self) -> impl Iterator<Item = PhaseKind> {
+        use PhaseRole::*;
+        [Entry, Concurrent, Exit, Faults].into_iter().filter_map(move |role| self.phase(role))
+    }
+
     /// Whether the strategy actually expunges stale capabilities.
     #[must_use]
     pub fn provides_safety(&self) -> bool {
@@ -103,6 +141,21 @@ impl Default for RevokerConfig {
     }
 }
 
+/// The parts of the one epoch skeleton a phase can measure, in the order
+/// an epoch records them: entry, concurrent sweep, exit, and the load
+/// faults summed over the epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PhaseRole {
+    /// The synchronous work of [`Revoker::start_epoch`].
+    Entry,
+    /// The background sweep: the critical path of its slices.
+    Concurrent,
+    /// The world-stopped end of the epoch ([`Revoker::finish_stw`]).
+    Exit,
+    /// Load-barrier fault handling in application threads.
+    Faults,
+}
+
 /// Phases whose durations the evaluation reports (Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
@@ -119,6 +172,10 @@ pub enum PhaseKind {
     /// Cumulative load-barrier fault handling in application threads
     /// during one Reloaded epoch.
     ReloadedFaults,
+    /// The CHERIoT filter's register and hoard scan at epoch entry.
+    CheriotFilterScan,
+    /// The CHERIoT filter's background sweep.
+    CheriotFilterConcurrent,
 }
 
 impl PhaseKind {
@@ -132,6 +189,8 @@ impl PhaseKind {
             PhaseKind::ReloadedStw => "Reloaded STW",
             PhaseKind::ReloadedConcurrent => "Reloaded concurrent",
             PhaseKind::ReloadedFaults => "Reloaded faults (cum.)",
+            PhaseKind::CheriotFilterScan => "CHERIoT-filter scan",
+            PhaseKind::CheriotFilterConcurrent => "CHERIoT-filter concurrent",
         }
     }
 
@@ -140,22 +199,16 @@ impl PhaseKind {
     /// checkpoint files).
     #[must_use]
     pub fn from_label(label: &str) -> Option<PhaseKind> {
-        const ALL: [PhaseKind; 6] = [
-            PhaseKind::CheriVokeStw,
-            PhaseKind::CornucopiaConcurrent,
-            PhaseKind::CornucopiaStw,
-            PhaseKind::ReloadedStw,
-            PhaseKind::ReloadedConcurrent,
-            PhaseKind::ReloadedFaults,
-        ];
-        ALL.into_iter().find(|k| k.label() == label)
+        Strategy::ALL.into_iter().flat_map(Strategy::phases).find(|k| k.label() == label)
     }
 }
 
 /// One phase duration observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseRecord {
-    /// Epoch ordinal (counting completed revocation passes).
+    /// The revocation passes completed when the phase ended. An entry
+    /// phase that leaves a sweep behind (Reloaded's STW, the filter's
+    /// scan) therefore carries the previous epoch's ordinal.
     pub epoch_index: u64,
     /// Which phase.
     pub kind: PhaseKind,
@@ -212,8 +265,6 @@ pub struct RevStats {
     pub load_faults: u64,
     /// Cycles spent handling load-barrier faults (application threads).
     pub fault_cycles: u64,
-    /// Total world-stopped cycles.
-    pub stw_cycles: u64,
     /// Total background (concurrent) cycles.
     pub concurrent_cycles: u64,
     /// Capabilities filtered by the CHERIoT-style load filter.
@@ -249,15 +300,15 @@ pub enum StepOutcome {
     },
 }
 
+/// Where an epoch is in the skeleton every strategy shares: entry (in
+/// [`Revoker::start_epoch`]), concurrent sweep, exit.
 #[derive(Debug)]
 enum State {
     Idle,
-    /// Cornucopia's concurrent phase over a snapshot of tracked pages.
-    CornConcurrent { work: ShardedWorklist },
-    /// Cornucopia: concurrent work done, awaiting the final STW.
-    CornAwaitStw,
-    /// Reloaded's (or CHERIoT's) concurrent phase.
-    RelConcurrent { work: ShardedWorklist },
+    /// The concurrent sweep over the pages the entry left for it.
+    Sweeping { work: ShardedWorklist },
+    /// The sweep is done; the epoch ends in [`Revoker::finish_stw`].
+    AwaitStw,
 }
 
 /// The in-kernel revocation subsystem.
@@ -333,12 +384,6 @@ impl Revoker {
     /// Drains the recorded events, oldest first, clearing the internal log.
     pub fn drain_events(&mut self) -> std::vec::Drain<'_, RevokerEvent> {
         self.events.drain(..)
-    }
-
-    /// The strategy in use.
-    #[must_use]
-    pub fn strategy(&self) -> Strategy {
-        self.cfg.strategy
     }
 
     /// The publicly readable epoch counter value (§2.2.3).
@@ -432,12 +477,11 @@ impl Revoker {
             self.tracked.insert(p / PAGE_SIZE, ());
         }
         let sync = self.sync_cost(busy_threads);
-        match self.cfg.strategy {
-            Strategy::PaintSync => {
-                // One no-op "syscall"; the epoch ends immediately.
-                self.note_epoch_end();
-                2_000
-            }
+        // The entry's cycles, and the sweep it leaves for the background
+        // (`None` when the entry did the whole epoch).
+        let (cycles, sweep) = match self.cfg.strategy {
+            // One no-op "syscall"; the epoch ends immediately.
+            Strategy::PaintSync => (2_000, None),
             Strategy::CheriVoke => {
                 // Everything happens with the world stopped.
                 let mut cycles = sync;
@@ -446,19 +490,12 @@ impl Revoker {
                 for page in pages {
                     cycles += self.sweep_page_contents(machine, self.cfg.revoker_cores[0], page);
                 }
-                self.note_epoch_end();
-                self.stats.stw_cycles += cycles;
-                self.record_phase(PhaseKind::CheriVokeStw, cycles);
-                cycles
+                (cycles, None)
             }
-            Strategy::Cornucopia => {
-                // No initial STW: snapshot the tracked pages and go
-                // concurrent. Clear CD bits as pages are visited so
-                // re-dirtying is observable.
-                let work = self.shard(self.tracked_pages());
-                self.state = State::CornConcurrent { work };
-                0
-            }
+            // No initial STW: snapshot the tracked pages and go
+            // concurrent. Clear CD bits as pages are visited so
+            // re-dirtying is observable.
+            Strategy::Cornucopia => (0, Some(self.shard(self.tracked_pages()))),
             Strategy::Reloaded => {
                 let mut cycles = sync;
                 // Fast global enablement: flip only in-core generation bits.
@@ -480,11 +517,7 @@ impl Revoker {
                 cycles += self.scan_registers_and_hoards(machine);
                 // `stale_generation_pages` is already ascending and
                 // duplicate-free; deal it straight into the shards.
-                let work = self.shard(machine.stale_generation_pages());
-                self.state = State::RelConcurrent { work };
-                self.stats.stw_cycles += cycles;
-                self.record_phase(PhaseKind::ReloadedStw, cycles);
-                cycles
+                (cycles, Some(self.shard(machine.stale_generation_pages())))
             }
             Strategy::CheriotFilter => {
                 // No traps, no thread quiescence: the load filter already
@@ -492,12 +525,15 @@ impl Revoker {
                 // cycle-stealing engine does this too) and sweep in the
                 // background so bitmap bits can eventually be recycled.
                 let cycles = self.scan_registers_and_hoards(machine);
-                let work = self.shard(self.tracked_pages());
-                self.state = State::RelConcurrent { work };
-                self.stats.stw_cycles += cycles;
-                cycles
+                (cycles, Some(self.shard(self.tracked_pages())))
             }
+        };
+        match sweep {
+            Some(work) => self.state = State::Sweeping { work },
+            None => self.finish_epoch(0),
         }
+        self.record_phase(PhaseRole::Entry, cycles);
+        cycles
     }
 
     /// Runs up to `budget` cycles of background revocation **per core** on
@@ -508,28 +544,19 @@ impl Revoker {
     pub fn background_step(&mut self, machine: &mut Machine, budget: u64) -> StepOutcome {
         match std::mem::replace(&mut self.state, State::Idle) {
             State::Idle => StepOutcome::Idle,
-            State::CornAwaitStw => {
-                self.state = State::CornAwaitStw;
+            State::AwaitStw => {
+                self.state = State::AwaitStw;
                 StepOutcome::NeedsFinalStw { used: 0 }
             }
-            State::CornConcurrent { mut work } => {
-                let used = self.parallel_sweep(machine, &mut work, budget, true);
-                if work.is_empty() {
-                    self.state = State::CornAwaitStw;
-                    StepOutcome::NeedsFinalStw { used }
-                } else {
-                    self.state = State::CornConcurrent { work };
+            State::Sweeping { mut work } => {
+                let used = self.parallel_sweep(machine, &mut work, budget);
+                if !work.is_empty() {
+                    self.state = State::Sweeping { work };
                     StepOutcome::Working { used }
-                }
-            }
-            State::RelConcurrent { mut work } => {
-                let used = self.parallel_sweep(machine, &mut work, budget, false);
-                if work.is_empty() {
-                    self.finish_reloaded_epoch();
+                } else if self.sweep_drained() {
                     StepOutcome::Finished { used }
                 } else {
-                    self.state = State::RelConcurrent { work };
-                    StepOutcome::Working { used }
+                    StepOutcome::NeedsFinalStw { used }
                 }
             }
         }
@@ -547,7 +574,6 @@ impl Revoker {
         machine: &mut Machine,
         work: &mut ShardedWorklist,
         budget: u64,
-        cornucopia: bool,
     ) -> u64 {
         let mut used = std::mem::take(&mut self.step_used);
         used.fill(0);
@@ -559,14 +585,7 @@ impl Revoker {
                 }
                 let Some(page) = work.pop_for(shard) else { break 'slice };
                 let core = self.cfg.revoker_cores[shard];
-                let cycles = if cornucopia {
-                    // Visit: clear CD first so stores during/after the scan
-                    // re-dirty the page for the STW re-sweep.
-                    machine.clear_page_cap_dirty(page);
-                    120 + self.sweep_page_contents(machine, core, page) // PTE write + shootdown
-                } else {
-                    self.visit_page_reloaded(machine, core, page)
-                };
+                let cycles = self.visit_page(machine, core, page);
                 *spent += cycles;
                 self.core_concurrent_cycles[shard] += cycles;
                 progressed = true;
@@ -596,7 +615,7 @@ impl Revoker {
     /// Panics unless [`Revoker::background_step`] returned
     /// [`StepOutcome::NeedsFinalStw`].
     pub fn finish_stw(&mut self, machine: &mut Machine, busy_threads: usize) -> u64 {
-        assert!(matches!(self.state, State::CornAwaitStw), "finish_stw called out of phase");
+        assert!(matches!(self.state, State::AwaitStw), "finish_stw called out of phase");
         let mut cycles = self.sync_cost(busy_threads);
         cycles += self.scan_registers_and_hoards(machine);
         // Pages dirtied *for the first time* during the concurrent phase
@@ -609,15 +628,9 @@ impl Revoker {
             self.tracked_pages().filter(|&p| machine.page_cap_dirty(p)).collect();
         let core = self.cfg.revoker_cores[0];
         for page in redirtied {
-            machine.clear_page_cap_dirty(page);
-            cycles += 120;
-            cycles += self.sweep_page_contents(machine, core, page);
+            cycles += self.visit_page(machine, core, page);
         }
-        self.state = State::Idle;
-        self.note_epoch_end();
-        self.stats.stw_cycles += cycles;
-        self.record_phase(PhaseKind::CornucopiaConcurrent, self.epoch_concurrent_cycles);
-        self.record_phase(PhaseKind::CornucopiaStw, cycles);
+        self.finish_epoch(cycles);
         cycles
     }
 
@@ -632,16 +645,16 @@ impl Revoker {
         // Re-check under the pmap lock: another thread may have already
         // revoked this page (§4.3).
         if machine.page_generation(page) == Some(machine.space_generation())
-            && !matches!(self.state, State::RelConcurrent { ref work } if work.contains(page))
+            && !matches!(self.state, State::Sweeping { ref work } if work.contains(page))
         {
             return cycles;
         }
-        cycles += self.visit_page_reloaded(machine, core, page);
-        let mut finished = false;
-        if let State::RelConcurrent { work } = &mut self.state {
+        cycles += self.visit_page(machine, core, page);
+        let mut drained = false;
+        if let State::Sweeping { work } = &mut self.state {
             // Cancel the page in whichever shard owns it (lazy removal).
             work.remove(page);
-            finished = work.is_empty();
+            drained = work.is_empty();
         }
         self.stats.load_faults += 1;
         self.stats.fault_cycles += cycles;
@@ -649,8 +662,8 @@ impl Revoker {
         if self.log_events {
             self.events.push(RevokerEvent::LoadFaultHandled { vaddr, core, cycles });
         }
-        if finished {
-            self.finish_reloaded_epoch();
+        if drained {
+            self.sweep_drained();
         }
         cycles
     }
@@ -692,18 +705,23 @@ impl Revoker {
         STW_SYNC_BASE_CYCLES + STW_SYNC_PER_BUSY_THREAD * busy_threads.saturating_sub(1) as u64
     }
 
-    fn finish_reloaded_epoch(&mut self) {
-        self.state = State::Idle;
-        self.note_epoch_end();
-        if self.cfg.strategy == Strategy::Reloaded {
-            self.record_phase(PhaseKind::ReloadedConcurrent, self.epoch_concurrent_cycles);
-            self.record_phase(PhaseKind::ReloadedFaults, self.epoch_fault_cycles);
+    /// Ends the concurrent sweep: on to the exit if the strategy declares
+    /// one, else to the epoch's end. Returns whether the epoch ended.
+    fn sweep_drained(&mut self) -> bool {
+        if self.cfg.strategy.phase(PhaseRole::Exit).is_some() {
+            self.state = State::AwaitStw;
+            false
+        } else {
+            self.finish_epoch(0);
+            true
         }
     }
 
-    /// Ends the in-flight epoch: bumps the counters and (when enabled)
-    /// logs the completion event.
-    fn note_epoch_end(&mut self) {
+    /// Ends the in-flight epoch: bumps the counters, (when enabled) logs
+    /// the completion event, and records the concurrent, exit and fault
+    /// phases. `exit` is the exit's cycles, 0 for a strategy without one.
+    fn finish_epoch(&mut self, exit: u64) {
+        self.state = State::Idle;
         self.epoch.end();
         self.stats.epochs += 1;
         if self.log_events {
@@ -713,10 +731,16 @@ impl Revoker {
                 caps_revoked: self.stats.caps_revoked,
             });
         }
+        self.record_phase(PhaseRole::Concurrent, self.epoch_concurrent_cycles);
+        self.record_phase(PhaseRole::Exit, exit);
+        self.record_phase(PhaseRole::Faults, self.epoch_fault_cycles);
     }
 
-    fn record_phase(&mut self, kind: PhaseKind, cycles: u64) {
-        self.phases.push(PhaseRecord { epoch_index: self.stats.epochs, kind, cycles });
+    /// Records the strategy's phase for `role`, if it declares one.
+    fn record_phase(&mut self, role: PhaseRole, cycles: u64) {
+        if let Some(kind) = self.cfg.strategy.phase(role) {
+            self.phases.push(PhaseRecord { epoch_index: self.stats.epochs, kind, cycles });
+        }
     }
 
     /// Scans all thread register files and kernel hoards, revoking painted
@@ -764,19 +788,15 @@ impl Revoker {
             // §7.3: a capability whose color no longer matches its target
             // memory is permanently useless and may be revoked on sight —
             // a purely architectural test, no bitmap consultation needed.
-            if cap.color() != machine.granule_color(cap.base()) {
-                if !writable {
-                    cycles += machine.upgrade_page_writable(page);
-                    writable = true;
-                    self.stats.ro_pages_upgraded += 1;
-                }
-                cycles += machine.revoke_granule(core, addr) + 2;
-                self.stats.caps_revoked += 1;
-                continue;
-            }
-            let (painted, c) = self.bitmap.probe_charged(machine, core, cap.base());
-            cycles += c + 4;
-            if painted {
+            let revoke = if cap.color() != machine.granule_color(cap.base()) {
+                cycles += 2;
+                true
+            } else {
+                let (painted, c) = self.bitmap.probe_charged(machine, core, cap.base());
+                cycles += c + 4;
+                painted
+            };
+            if revoke {
                 if !writable {
                     cycles += machine.upgrade_page_writable(page);
                     writable = true;
@@ -790,8 +810,14 @@ impl Revoker {
         cycles
     }
 
-    /// Reloaded page visit: content-scan pages that may hold capabilities;
-    /// cheaply refresh the generation of clean pages. Idempotent.
+    /// One page visit (a concurrent sweep's, Cornucopia's re-sweep's or a
+    /// load fault's), the strategy's way. Cornucopia clears the page's CD
+    /// bit first, so stores during or after the scan re-dirty it for the
+    /// STW re-sweep.
+    ///
+    /// Reloaded (and the filter) content-scan pages that may hold
+    /// capabilities and cheaply refresh the generation of clean pages.
+    /// Idempotent.
     ///
     /// Unlike the Cornucopia/CHERIvoke sweep sets (sticky per §4.5), the
     /// Reloaded implementation *does* detect pages that have become
@@ -801,7 +827,11 @@ impl Revoker {
     /// load-barrier invariant — any capability stored after the scan was
     /// already revocation-checked — and is where Reloaded's bus-traffic
     /// advantage on churn-heavy workloads comes from (Figure 6).
-    fn visit_page_reloaded(&mut self, machine: &mut Machine, core: CoreId, page: u64) -> u64 {
+    fn visit_page(&mut self, machine: &mut Machine, core: CoreId, page: u64) -> u64 {
+        if self.cfg.strategy == Strategy::Cornucopia {
+            machine.clear_page_cap_dirty(page);
+            return 120 + self.sweep_page_contents(machine, core, page); // PTE write + shootdown
+        }
         let mut cycles = 0;
         if self.tracked.contains(page / PAGE_SIZE) || machine.page_cap_dirty(page) {
             cycles += self.sweep_page_contents(machine, core, page);

@@ -13,7 +13,7 @@
 //! per-phase spans.
 
 use crate::json::Json;
-use crate::stats::RunStats;
+use crate::stats::{phases_json, RunStats};
 use crate::telemetry::{Sample, Span, TelemetryData, TelemetryEvent};
 use cheri_alloc::AllocEvent;
 use cheri_vm::VmEvent;
@@ -113,18 +113,6 @@ impl RunReport {
             ("latency".into(), latency),
             ("pauses".into(), Json::Arr(s.pauses.iter().map(|&p| p.into()).collect())),
         ]);
-        let phases = Json::Arr(
-            s.phases
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("epoch".into(), p.epoch_index.into()),
-                        ("kind".into(), p.kind.label().into()),
-                        ("cycles".into(), p.cycles.into()),
-                    ])
-                })
-                .collect(),
-        );
         let t = &self.telemetry;
         let spans = Json::Arr(t.spans.iter().map(span_json).collect());
         let events = Json::Arr(t.events.iter().map(|e| event_json(e.at, &e.event)).collect());
@@ -141,7 +129,7 @@ impl RunReport {
             ("version".into(), REPORT_VERSION.into()),
             ("condition".into(), self.condition.into()),
             ("stats".into(), stats),
-            ("phases".into(), phases),
+            ("phases".into(), phases_json(&s.phases)),
             ("spans".into(), spans),
             ("events".into(), events),
             ("dropped_events".into(), t.dropped_events.into()),

@@ -67,6 +67,18 @@ pub struct RunStats {
     pub pte_writes: u64,
 }
 
+/// Phase records as JSON, the one form the checkpoint and the report share.
+pub(crate) fn phases_json(phases: &[cornucopia::PhaseRecord]) -> Json {
+    let record = |p: &cornucopia::PhaseRecord| {
+        Json::Obj(vec![
+            ("epoch".into(), p.epoch_index.into()),
+            ("kind".into(), p.kind.label().into()),
+            ("cycles".into(), p.cycles.into()),
+        ])
+    };
+    Json::Arr(phases.iter().map(record).collect())
+}
+
 impl RunStats {
     /// Total DRAM transactions (all cores).
     #[must_use]
@@ -101,18 +113,6 @@ impl RunStats {
     #[must_use]
     pub fn to_json_value(&self) -> Json {
         let arr = |v: &[u64]| Json::Arr(v.iter().map(|&x| x.into()).collect());
-        let phases = Json::Arr(
-            self.phases
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("epoch".into(), p.epoch_index.into()),
-                        ("kind".into(), p.kind.label().into()),
-                        ("cycles".into(), p.cycles.into()),
-                    ])
-                })
-                .collect(),
-        );
         Json::Obj(vec![
             ("wall_cycles".into(), self.wall_cycles.into()),
             ("app_cpu_cycles".into(), self.app_cpu_cycles.into()),
@@ -136,7 +136,7 @@ impl RunStats {
             ("total_freed_bytes".into(), self.total_freed_bytes.into()),
             ("allocs".into(), self.allocs.into()),
             ("frees".into(), self.frees.into()),
-            ("phases".into(), phases),
+            ("phases".into(), phases_json(&self.phases)),
             ("blocked_allocs".into(), self.blocked_allocs.into()),
             ("tlb_misses".into(), self.tlb_misses.into()),
             ("tlb_shootdowns".into(), self.tlb_shootdowns.into()),

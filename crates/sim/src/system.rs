@@ -752,8 +752,8 @@ impl System {
             quarantine_bytes: self.heap.quarantine_bytes(),
             app_dram: total_dram - revoker_dram,
             revoker_dram,
-            faults: self.stats.faults,
-            fault_cycles: self.stats.fault_cycles,
+            faults: self.revoker.stats().load_faults,
+            fault_cycles: self.revoker.stats().fault_cycles,
             blocked_cycles: self.stats.blocked_cycles,
             tlb_misses: vs.tlb_misses,
             epochs: self.revoker.stats().epochs,
@@ -824,8 +824,6 @@ impl System {
                 Err(VmFault::CapLoadGeneration { vaddr }) => {
                     let fc = self.revoker.handle_load_fault(&mut self.machine, APP_CORE, vaddr);
                     cycles += fc;
-                    self.stats.faults += 1;
-                    self.stats.fault_cycles += fc;
                     self.maybe_release();
                 }
                 Err(e) => return Err(e.into()),

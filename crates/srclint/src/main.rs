@@ -72,6 +72,10 @@
 //!    dropped the draining slice's `used` three times over) may not
 //!    appear there, and a file there calls `background_step(` and
 //!    `finish_stw(` on one line each at most.
+//! 8. **One phase-recording site in the revoker** — a file under
+//!    `crates/core/src` writes `phases.push(` on one line at most:
+//!    `Revoker::record_phase`, which records what `Strategy::phase`
+//!    declares for each role of the epoch skeleton.
 //!
 //! Comment lines (`//`, `///`, `//!`; `#` in scripts) are skipped, so
 //! prose may discuss a banned token. This linter's own sources are excluded from the token
@@ -122,7 +126,13 @@ const BANNED_UNDER: &[(&str, &str, &str)] = &[
 const ONCE_UNDER: &[(&str, &str, &str)] = &[
     ("crates/sim/src/", "background_step(", ONE_REVOKER_STEP),
     ("crates/sim/src/", "finish_stw(", ONE_REVOKER_STEP),
+    ("crates/core/src/", "phases.push(", ONE_PHASE_SITE),
 ];
+
+/// Why the revoker records phases in one place: six hand-placed calls
+/// decided which phases a strategy recorded, and the CHERIoT filter
+/// recorded none although it ran epochs.
+const ONE_PHASE_SITE: &str = "Revoker::record_phase, which records what Strategy::phase declares";
 
 /// Why the simulator drives its revoker from one function: three drive
 /// loops each matched `NeedsFinalStw { .. }` and dropped the `used` of
@@ -625,6 +635,24 @@ mod tests {
             let v = lint_one(&root, file, line);
             assert!(v.is_empty(), "{file}: {line}: {v:?}");
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_second_phase_recording_site_in_the_revoker_is_flagged() {
+        let root = scratch("phase-site");
+        let one = "self.phases.push(PhaseRecord { epoch_index, kind, cycles });\n";
+        let v = lint_one(&root, "crates/core/src/revoker.rs", one);
+        assert!(v.is_empty(), "{v:?}");
+        let twice = format!("{one}self.phases .push(PhaseRecord {{ epoch_index, kind: k, cycles: 0 }});\n");
+        let v = lint_one(&root, "crates/core/src/revoker.rs", &twice);
+        assert!(
+            v.len() == 1 && v[0].contains("first on line 1") && v[0].contains("Revoker::record_phase"),
+            "{v:?}"
+        );
+        // Phases pushed outside the revoker's crate stay legal.
+        let v = lint_one(&root, "crates/sim/src/stats.rs", &twice);
+        assert!(v.is_empty(), "{v:?}");
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -5,16 +5,17 @@
 //! phases are excluded because load-fault handling runs on the
 //! application's threads and is charged to them, not to revoker CPU.
 //!
-//! Scope: the three sweeping strategies. Paint+sync and the CHERIoT
-//! filter record no phases at all (Paint+sync sweeps nothing; the filter
-//! protects by probing the bitmap on every load and its background sweep
-//! has no phase kind), so their revoker CPU has nothing to be the sum of.
-//! The last test pins that they still record none, so a phase added for
-//! either one brings it into scope here.
+//! Scope: the three sweeping strategies and the CHERIoT filter (its
+//! entry scan and background sweep). Paint+sync sweeps nothing and
+//! records no phases, so its revoker CPU has nothing to be the sum of.
+//! The last test pins that it still records none, so a phase added for it
+//! brings it into scope here.
 
 use cornucopia::{PhaseKind, PteUpdateMode, Strategy};
 use morello_sim::{Condition, Op, OpSource, RunStats, SimConfig, System};
 use workloads::{pgbench_stream, spec_stream, PgbenchParams, SpecProgram};
+
+const FILTER: Condition = Condition::Safe(Strategy::CheriotFilter);
 
 /// The workload of `tests/golden_stats.rs`.
 fn golden_workload() -> (Vec<Op>, SimConfig) {
@@ -44,6 +45,7 @@ fn revoker_cpu_is_the_sum_of_the_non_fault_phases() {
         (Condition::cornucopia(), PteUpdateMode::Generation),
         (Condition::reloaded(), PteUpdateMode::Generation),
         (Condition::reloaded(), PteUpdateMode::RewriteEachEpoch),
+        (FILTER, PteUpdateMode::Generation),
     ];
     for (condition, pte_mode) in conditions {
         for cores in [1, 4] {
@@ -67,7 +69,7 @@ fn revoker_cpu_is_the_sum_of_the_non_fault_phases() {
 fn revoker_cpu_is_conserved_without_a_spare_core() {
     let w = pgbench_stream(PgbenchParams { transactions: 400, rate: None, seed: 7 });
     let ops = w.source.collect_ops();
-    for condition in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded()] {
+    for condition in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded(), FILTER] {
         let cfg = w.config.to_builder().condition(condition).spare_revoker_core(false).build().unwrap();
         assert_l1(&format!("pgbench {} without a spare core", condition.label()), &run(ops.clone(), cfg));
     }
@@ -75,7 +77,8 @@ fn revoker_cpu_is_conserved_without_a_spare_core() {
 
 /// The programs of the `churn-sweep` benchmark: omnetpp and xalancbmk
 /// at the benchmark's share of their churn, astar and hmmer at a fifth
-/// of theirs. Each runs 9 to 63 epochs under every sweeping strategy.
+/// of theirs. Each runs 9 to 63 epochs under every sweeping strategy and
+/// the filter.
 #[test]
 fn revoker_cpu_is_conserved_over_the_churn_programs() {
     let programs = [
@@ -89,7 +92,7 @@ fn revoker_cpu_is_conserved_over_the_churn_programs() {
         let mut profile = program.profile();
         profile.total_churn = (profile.total_churn as f64 * fraction) as u64;
         let ops = profile.source(42).collect_ops();
-        for condition in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded()] {
+        for condition in [Condition::cherivoke(), Condition::cornucopia(), Condition::reloaded(), FILTER] {
             let label = format!("{} {}", program.name(), condition.label());
             assert_l1(&label, &run(ops.clone(), w.config.clone().with_condition(condition)));
         }
@@ -99,10 +102,8 @@ fn revoker_cpu_is_conserved_over_the_churn_programs() {
 #[test]
 fn strategies_outside_l1_record_no_phases() {
     let (ops, config) = golden_workload();
-    for strategy in [Strategy::PaintSync, Strategy::CheriotFilter] {
-        let cfg = config.to_builder().condition(Condition::Safe(strategy)).build().unwrap();
-        let s = run(ops.clone(), cfg);
-        assert!(s.revocations > 0, "{}: no epoch ran", strategy.label());
-        assert!(s.phases.is_empty(), "{} records phases now: bring it under L1", strategy.label());
-    }
+    let cfg = config.to_builder().condition(Condition::paint_sync()).build().unwrap();
+    let s = run(ops, cfg);
+    assert!(s.revocations > 0, "Paint+sync: no epoch ran");
+    assert!(s.phases.is_empty(), "Paint+sync records phases now: bring it under L1");
 }
